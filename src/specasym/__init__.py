@@ -36,6 +36,7 @@ from .heat import (
     mehler_det_factor,
     mehler_diag_trace,
     mehler_kernel,
+    mehler_trace_degree4,
     duhamel_kernel,
     oscillator_diag_kernel,
     q_matrix,
@@ -56,6 +57,7 @@ from .residue import (
     full_residue_report,
     pontryagin_p1,
     residue_density,
+    report_sign,
     residue_value,
     sign_report,
 )

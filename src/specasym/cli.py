@@ -19,7 +19,7 @@ from .exact import Scalar
 from .exterior import DiffForm, indices_of, parse_form
 from .heat import CurvatureData, CurvatureError, duhamel_density, mehler_diag_trace
 from .holonomy import decompose_two_form, standard_structure
-from .residue import full_residue_report, sign_report
+from .residue import full_residue_report, report_sign
 from .spectrum import (
     enumerate_levels,
     twisted_levels,
@@ -81,6 +81,33 @@ def _parse_number(text: str) -> Fraction:
         return Fraction(Decimal(text))
 
 
+def _rational(x, what: str) -> Fraction:
+    """An exact rational from a JSON value: an integer, a number or a string
+    such as "1/3".  Booleans, NaN, infinities and other types are rejected."""
+    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise CurvatureError(f"{what} must be a rational number, got {x!r}")
+
+
+def _index(x, what: str) -> int:
+    v = _rational(x, what)
+    if v.denominator != 1:
+        raise CurvatureError(f"{what} must be an integer, got {x!r}")
+    return int(v)
+
+
+def _rows(doc, key: str, length: int) -> list:
+    rows = doc.get(key, [])
+    if not isinstance(rows, list) or any(
+        not isinstance(row, list) or len(row) != length for row in rows
+    ):
+        raise CurvatureError(f"field {key!r} must be a list of {length}-element lists")
+    return rows
+
+
 def load_curvature(path: str) -> CurvatureData:
     """Read the JSON curvature schema with exact number parsing.
 
@@ -94,34 +121,36 @@ def load_curvature(path: str) -> CurvatureData:
     if not isinstance(doc, dict):
         raise CurvatureError("curvature file must contain a JSON object")
     n = doc.get("n")
-    if n not in (7, 8):
+    if isinstance(n, bool) or n not in (7, 8):
         raise CurvatureError("field 'n' must be 7 or 8")
+    n = int(n)
     rank = doc.get("rank", 1)
-    if not isinstance(rank, int) or rank < 1:
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
         raise CurvatureError("field 'rank' must be a positive integer")
     r_entries = {}
-    for row in doc.get("R", []):
-        if len(row) != 5:
-            raise CurvatureError(f"R entry {row} must be [i, j, k, l, value]")
-        i, j, k, l, v = row
-        key = (int(i), int(j), int(k), int(l))
+    for row in _rows(doc, "R", 5):
+        key = tuple(_index(idx, f"R index in {row}") for idx in row[:4])
         if any(not (1 <= idx <= n) for idx in key):
             raise CurvatureError(f"R indices out of range in {row}")
-        v = Fraction(v)
+        v = _rational(row[4], f"R value in {row}")
         if key in r_entries and r_entries[key] != v:
             raise CurvatureError(f"conflicting duplicate R entry {row}")
         r_entries[key] = v
     f_entries = {}
-    for row in doc.get("F", []):
-        if len(row) != 3:
-            raise CurvatureError(f"F entry must be [i, j, matrix], got {row}")
-        i, j, mat = int(row[0]), int(row[1]), row[2]
+    for row in _rows(doc, "F", 3):
+        i, j = (_index(idx, f"F index in {row}") for idx in row[:2])
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise CurvatureError(f"bad F indices ({i}, {j})")
-        if len(mat) != rank or any(len(r_) != rank for r_ in mat):
+        mat = row[2]
+        if not isinstance(mat, list) or len(mat) != rank or any(
+            not isinstance(r_, list) or len(r_) != rank for r_ in mat
+        ):
             raise CurvatureError(f"F[{i},{j}] matrix must be {rank}x{rank}")
+        if any(not isinstance(c, list) or len(c) != 2 for r_ in mat for c in r_):
+            raise CurvatureError(f"F[{i},{j}] entries must be [re, im] pairs")
+        what = f"F[{i},{j}] entry"
         entries = tuple(
-            tuple(Scalar.term(Fraction(c[0]), Fraction(c[1])) for c in r_)
+            tuple(Scalar.term(_rational(c[0], what), _rational(c[1], what)) for c in r_)
             for r_ in mat
         )
         key, flip = ((i, j), False) if i < j else ((j, i), True)
@@ -215,7 +244,7 @@ def cmd_residue(args) -> int:
         print(f"error: curvature dimension {cd.n} does not match {args.kind}", file=sys.stderr)
         return EXIT_INPUT
     report = full_residue_report(s, cd)
-    signs = sign_report(s, cd)
+    signs = report_sign(report)
     payload = report.to_dict()
     payload["density"] = _form_to_dict(report.density)
     payload["sign"] = {
@@ -248,7 +277,7 @@ def cmd_spectrum(args) -> int:
     if args.theta:
         try:
             theta = [Fraction(x) for x in args.theta.split(",")]
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             print(f"error: bad --theta: {exc}", file=sys.stderr)
             return EXIT_INPUT
         try:

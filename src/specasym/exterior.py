@@ -353,7 +353,10 @@ def parse_form(n: int, text: str) -> DiffForm:
         if coeff_txt in ("", "+"):
             coeff = Fraction(1)
         else:
-            coeff = Fraction(coeff_txt) if "." not in coeff_txt else Fraction(str(coeff_txt))
+            try:
+                coeff = Fraction(coeff_txt)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad coefficient {coeff_txt!r} in {text!r}") from None
         term = DiffForm.monomial(n, idx, sign * coeff)
         out = out + term
     return out

@@ -13,6 +13,10 @@ computed two independent ways:
   Gaussian kernel, with every iterated integral done exactly by Wick
   contractions of the Brownian-bridge covariance.
 
+``mehler_diag_trace`` builds neither: ``mehler_trace_degree4`` computes
+only the word-free, form-degree-4 part of the Mehler kernel, which is all
+the weighted density reads; ``mehler_kernel`` stays as its oracle.
+
 ``landau_kernel`` runs the same Wick engine on the *untruncated* flat
 operator with constant bundle curvature; it anchors the one free trace
 normalisation and feeds the reporting around the model reduction.
@@ -26,7 +30,7 @@ from math import pi as _PI, sinh as _sinh, sqrt as _sqrt
 from typing import Dict, List, Optional, Tuple
 
 from .exact import Scalar
-from .exterior import DiffForm, mask_of
+from .exterior import DiffForm, mask_of, merge_sign, popcount
 from .residue import characteristic_density_form
 from .wordops import (
     Mat,
@@ -39,6 +43,7 @@ from .wordops import (
     mat_scale,
     mat_zero,
     star_weighted_trace,
+    word_mul,
 )
 
 FormMatrix = List[List[DiffForm]]
@@ -431,6 +436,59 @@ def mehler_kernel(cd: CurvatureData) -> WordOperator:
     return WordOperator.from_form(det, cd.r) * curvature_exponential(cd)
 
 
+def mehler_trace_degree4(cd: CurvatureData) -> DiffForm:
+    """Form-degree-4 part of ``mehler_kernel(cd).form_trace()``, built directly.
+
+    Every term of the potential V is a 2-form and every entry of Q a
+    4-form, so the power of t follows form degree.  At degree 4 the kernel
+    needs only t^2 V^2 / 2 from exp(-t V) and only the first determinant
+    term (1/2) l_1 tr(4 t^2 Q) (x) 1_r.  The fiber trace keeps word-free
+    terms, so V.V reduces to a join of V's terms on equal (c, chat) words
+    with disjoint form masks; each pair carries the sign of
+    ``WordOperator._mul_op`` and the bundle factor tr(M1 M2).
+    """
+    n, r = cd.n, cd.r
+    v = model_constant_potential(cd)
+    q = q_matrix(cd)
+    if any(popcount(f) != 2 for (f, _, _) in v.terms):
+        raise ValueError("model potential has a term that is not a 2-form")
+    if any(popcount(m) != 4 for row in q for entry in row for m in entry.terms):
+        raise ValueError("Q has an entry that is not a pure 4-form")
+    out: Dict[int, Scalar] = {}
+
+    def add(mask: int, x: Scalar) -> None:
+        acc = out.get(mask, Scalar()) + x
+        if acc.is_zero():
+            out.pop(mask, None)
+        else:
+            out[mask] = acc
+
+    # determinant factor: (1/2) l_1 4 tr Q, times tr 1_r = r
+    (l1,) = _log_x_over_sinh_series(1)
+    for m, c in form_matrix_trace(q).terms.items():
+        add(m, Scalar.of(c) * (2 * l1 * r))
+    # exp(-t V): the word-free part of V^2 / 2; ordered pairs come twice
+    # with equal values (2-forms commute), so each unordered pair counts once
+    by_word: Dict[Tuple[int, int], List[Tuple[int, Mat]]] = {}
+    for (f, c, h), m in v.terms.items():
+        by_word.setdefault((c, h), []).append((f, m))
+    for (c, h), group in by_word.items():
+        word_sign = word_mul(c, c, -1)[0] * word_mul(h, h, +1)[0]
+        if (popcount(h) * popcount(c)) & 1:
+            word_sign = -word_sign
+        for a, (f1, m1) in enumerate(group):
+            for f2, m2 in group[a + 1:]:
+                if f1 & f2:
+                    continue
+                val = sum(
+                    (m1[i][k] * m2[k][i] for i in range(r) for k in range(r)), Scalar()
+                )
+                add(f1 | f2, val if word_sign * merge_sign(f1, f2) > 0 else -val)
+    # fiber weight 2^n, flat prefactor and the t^2 of both terms
+    factor = Scalar.of(1 << n) * gaussian_prefactor(n) * Scalar.t_pow(4)
+    return DiffForm(n, {m: factor * x for m, x in out.items()})
+
+
 # ----------------------------------------------------------------------
 # Duhamel / Wick engine
 # ----------------------------------------------------------------------
@@ -592,7 +650,7 @@ def calibration_constant(s) -> Scalar:
         s.defining_form.wedge(characteristic_density_form(cd0)).top_coefficient()
     )
     route = (
-        s.defining_form.wedge(mehler_kernel(cd0).form_trace())
+        s.defining_form.wedge(mehler_trace_degree4(cd0))
         .top_coefficient()
         .t_coefficient(Fraction(-deg, 2))
     )
@@ -605,19 +663,28 @@ def calibration_constant(s) -> Scalar:
 
 def density_from_kernel(s, kernel: WordOperator) -> Scalar:
     """Weighted diagonal density: norm * [w ^ form-trace(kernel)]_n."""
+    return _weighted_density(s, kernel.form_trace())
+
+
+def _weighted_density(s, trace: DiffForm) -> Scalar:
     norm = calibration_constant(s)
-    return norm * s.defining_form.wedge(kernel.form_trace()).top_coefficient()
+    return norm * s.defining_form.wedge(trace).top_coefficient()
 
 
 def mehler_diag_trace(s, cd: CurvatureData) -> Scalar:
     """Weighted heat-trace density from the closed-form kernel.
 
     Returns the exact Laurent polynomial in sqrt(t); the residue-order
-    coefficient sits at t^{-deg(w)/2}.
+    coefficient sits at t^{-deg(w)/2}.  Wedging with w keeps only form
+    degree n - deg(w) = 4 of the trace, so the kernel is never built:
+    ``mehler_trace_degree4`` gives that part, and the result equals
+    ``density_from_kernel(s, mehler_kernel(cd))`` as a full Laurent series.
     """
     if s.n != cd.n:
         raise ValueError("structure/curvature dimension mismatch")
-    return density_from_kernel(s, mehler_kernel(cd))
+    if s.n - s.degree != 4:
+        raise ValueError("the Mehler density is built at form degree 4 only")
+    return _weighted_density(s, mehler_trace_degree4(cd))
 
 
 def duhamel_density(s, cd: CurvatureData, order: int = 2) -> Scalar:

@@ -191,16 +191,19 @@ class SignReport:
 
 
 def sign_report(s: HolonomyStructure, cd) -> SignReport:
-    """Sign bookkeeping for the residue on a concrete example.
+    """Sign bookkeeping for the residue on a concrete example."""
+    return report_sign(full_residue_report(s, cd))
+
+
+def report_sign(rep: ResidueReport) -> SignReport:
+    """Sign bookkeeping for an existing residue report.
 
     For twisted data the instanton gate is enforced: without P7 F = 0 the
     report refuses a sign conclusion.
     """
-    twisted = cd.has_bundle_curvature()
-    rep = full_residue_report(s, cd, twisted)
-    if twisted and not rep.instanton.ok:
+    if rep.twisted and not rep.instanton.ok:
         return SignReport(
-            kind=s.kind,
+            kind=rep.kind,
             residue=rep.residue,
             sign=None,
             is_instanton=False,
@@ -213,7 +216,7 @@ def sign_report(s: HolonomyStructure, cd) -> SignReport:
         "nonpositivity violated" if violated else "consistent with nonpositivity"
     )
     return SignReport(
-        kind=s.kind,
+        kind=rep.kind,
         residue=rep.residue,
         sign=sgn,
         is_instanton=(rep.instanton.ok if rep.instanton else None),

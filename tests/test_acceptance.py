@@ -119,6 +119,9 @@ def test_criterion_04_vanishing_below_residue_order():
         cd = random_curvature(7, 1, seed=seed)
         density = mehler_diag_trace(g2, cd)
         assert all(p >= floor for p in density.t_support()), density.t_support()
+        # the Mehler side is built at t^{-3/2} only; Duhamel is untruncated
+        oracle = duhamel_density(g2, cd)
+        assert all(p >= floor for p in oracle.t_support()), oracle.t_support()
     _report(4, "all t-powers below -deg(w)/2 vanish exactly (5 seeds)", t0)
 
 

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from specasym.cli import main
 
 
@@ -247,3 +249,36 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--suite", "spectrum")
     assert code == 1
     assert "FAILED" in err
+
+
+_BAD_RESIDUE_INPUTS = {
+    "r-value-text": {"n": 7, "rank": 1, "R": [[1, 2, 3, 4, "abc"]]},
+    "r-value-nan": {"n": 7, "rank": 1, "R": [[1, 2, 3, 4, float("nan")]]},
+    "f-entry-text": {"n": 7, "rank": 1, "F": [[1, 2, [["x"]]]]},
+    "f-matrix-bare-number": {"n": 7, "rank": 1, "F": [[1, 2, [[0]]]]},
+    "index-text": {"n": 7, "rank": 1, "R": [["a", 2, 3, 4, 1]]},
+    "rank-bool": {"n": 7, "rank": True},
+}
+
+_BAD_ARGV = {
+    "decompose-form-zero-denominator": ("decompose", "--kind", "g2", "--form", "1/0 e12"),
+    "spectrum-theta-zero-denominator": (
+        "spectrum", "--n", "7", "--qmax", "2", "--theta", "1/0,0,0,0,0,0,0", "--out",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RESIDUE_INPUTS) + sorted(_BAD_ARGV))
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
+    if case in _BAD_RESIDUE_INPUTS:
+        path = os.fspath(tmp_path / "bad.json")
+        _write(path, _BAD_RESIDUE_INPUTS[case])
+        argv = ("residue", "--kind", "g2", "--input", path)
+    else:
+        argv = _BAD_ARGV[case]
+        if argv[-1] == "--out":
+            argv += (os.fspath(tmp_path / "levels.csv"),)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

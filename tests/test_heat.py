@@ -4,7 +4,7 @@ from math import exp, pi, sinh, sqrt
 import pytest
 
 from specasym.exact import Scalar
-from specasym.exterior import DiffForm
+from specasym.exterior import DiffForm, popcount
 from specasym.heat import (
     CurvatureData,
     CurvatureError,
@@ -15,17 +15,22 @@ from specasym.heat import (
     duhamel_kernel,
     extract_t_coefficient,
     gaussian_prefactor,
+    density_from_kernel,
     landau_kernel,
     mehler_det_factor,
     mehler_diag_trace,
+    mehler_kernel,
+    mehler_trace_degree4,
     model_constant_potential,
     model_reduction_ratio,
     oscillator_diag_kernel,
     q_matrix,
     random_curvature,
     wick_kernel,
+    _calibration_curvature,
     _log_x_over_sinh_series,
 )
+from specasym import heat
 from specasym.residue import characteristic_density_form
 from specasym.wordops import WordOperator
 
@@ -280,10 +285,61 @@ def test_mehler_equals_duhamel_spin7(spin7):
 
 
 def test_vanishing_below_residue_order(g2):
+    # the Mehler side holds by construction (it is built at t^{-3/2} only);
+    # the untruncated Duhamel density is the side that can fail
     for seed in range(5):
         cd = random_curvature(7, 1, seed=seed)
         density = mehler_diag_trace(g2, cd)
         assert all(p >= Fraction(-3, 2) for p in density.t_support())
+        oracle = duhamel_density(g2, cd)
+        assert all(p >= Fraction(-3, 2) for p in oracle.t_support())
+
+
+def _sparse_curvature(n, r, riemann=True, bundle=True, bianchi=False):
+    """At most six R and six F entries, so the full kernel stays cheap."""
+    cd = random_curvature(n, r, seed=3, with_riemann=riemann, with_bundle=bundle)
+    sparse = CurvatureData(
+        n, r, dict(list(cd.r_entries.items())[:6]), dict(list(cd.f_entries.items())[:6])
+    )
+    return sparse.bianchi_symmetrized() if bianchi else sparse
+
+
+_DEGREE4_INPUTS = {
+    f"r{r}-{tag}": (lambda n, r=r, rm=rm, bd=bd: _sparse_curvature(n, r, rm, bd))
+    for r in (1, 2)
+    for tag, rm, bd in (("riemann", True, False), ("bundle", False, True), ("both", True, True))
+}
+_DEGREE4_INPUTS["bianchi"] = lambda n: _sparse_curvature(n, 1, bundle=False, bianchi=True)
+_DEGREE4_INPUTS["flat"] = lambda n: CurvatureData(n, 1)
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+@pytest.mark.parametrize("case", sorted(_DEGREE4_INPUTS) + ["calibration"])
+def test_degree4_path_equals_full_kernel(g2, spin7, kind, case):
+    s = g2 if kind == "g2" else spin7
+    cd = _calibration_curvature(s) if case == "calibration" else _DEGREE4_INPUTS[case](s.n)
+    kernel = mehler_kernel(cd)
+    full = density_from_kernel(s, kernel)
+    assert mehler_diag_trace(s, cd) == full
+    assert full.is_zero() == cd.is_flat()
+    trace = kernel.form_trace()
+    degree4 = DiffForm(s.n, {m: c for m, c in trace.terms.items() if popcount(m) == 4})
+    assert mehler_trace_degree4(cd) == degree4
+
+
+def test_degree4_path_precondition(monkeypatch):
+    cd = random_curvature(7, 1, seed=3)
+    four_form_term = WordOperator(7, 1, {(0b1111, 0, 0b11): ((Scalar.of(1),),)})
+    with monkeypatch.context() as m:
+        m.setattr(heat, "model_constant_potential", lambda _: four_form_term)
+        with pytest.raises(ValueError, match="2-form"):
+            mehler_trace_degree4(cd)
+    q = q_matrix(cd)
+    q[0][1] = q[0][1] + DiffForm.monomial(7, (1, 2))
+    with monkeypatch.context() as m:
+        m.setattr(heat, "q_matrix", lambda _: q)
+        with pytest.raises(ValueError, match="4-form"):
+            mehler_trace_degree4(cd)
 
 
 def test_extract_t_coefficient():

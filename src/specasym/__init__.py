@@ -63,7 +63,6 @@ from .residue import (
 )
 from .spectrum import (
     SpectralLevel,
-    TwistedFlatBundle,
     counting_functions,
     enumerate_levels,
     heat_trace,

@@ -8,6 +8,7 @@ C^r basis, so matrices are reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -309,56 +310,59 @@ def _to_complex(c):
     return c
 
 
+_FORM_TOKEN = re.compile(
+    r"\s*(?:(?P<sign>[+-])|(?P<coeff>[0-9./]+)|(?P<star>\*)|e(?P<idx>[0-9]*)|(?P<bad>\S))"
+)
+
+
 def parse_form(n: int, text: str) -> DiffForm:
     """Parse expressions like ``3 e123 - e145 + 1/2 e67``.
 
-    Indices are digit runs (valid because n <= 9); whitespace is ignored.
-    ``0`` parses to the zero form.
+    A term is an optional sign, an optional coefficient (digits, ``/`` and
+    ``.``), an optional ``*`` and an optional monomial ``e`` with its
+    indices as one digit run (valid because n <= 9); it needs a coefficient
+    or a monomial.  Every term after the first starts with ``+`` or ``-``.
+    Whitespace may separate tokens but never splits one, so ``e12 3``,
+    ``1 2 e12`` and ``e12 e34`` are errors.  ``0`` parses to the zero form.
     """
-    s = text.replace(" ", "")
-    if not s:
+    stripped = text.strip()
+    if not stripped:
         raise ValueError("empty form expression")
-    if s == "0":
+    if stripped == "0":
         return DiffForm.zero(n)
+    tokens = [(m.lastgroup, m.group(m.lastgroup)) for m in _FORM_TOKEN.finditer(text)]
+    pos = 0
+
+    def take(kind: str):
+        nonlocal pos
+        if pos < len(tokens) and tokens[pos][0] == kind:
+            pos += 1
+            return tokens[pos - 1][1]
+        return None
+
     out = DiffForm.zero(n)
-    i = 0
-    while i < len(s):
+    while pos < len(tokens):
+        if pos and tokens[pos][0] != "sign":
+            raise ValueError(f"expected '+' or '-' between terms in {text!r}")
         sign = 1
-        while i < len(s) and s[i] in "+-":
-            if s[i] == "-":
+        while (op := take("sign")) is not None:
+            if op == "-":
                 sign = -sign
-            i += 1
-        j = i
-        while j < len(s) and (s[j].isdigit() or s[j] == "/" or s[j] == "."):
-            j += 1
-        coeff_txt = s[i:j]
-        i = j
-        if i < len(s) and s[i] == "*":
-            i += 1
-        if i < len(s) and s[i] == "e":
-            i += 1
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            if j == i:
-                raise ValueError(f"missing indices after 'e' in {text!r}")
-            idx = [int(ch) for ch in s[i:j]]
-            i = j
-        else:
-            idx = []
-            if not coeff_txt:
-                raise ValueError(f"cannot parse {text!r}")
+        coeff_txt = take("coeff")
+        take("star")
+        idx_txt = take("idx")
+        if coeff_txt is None and idx_txt is None:
+            raise ValueError(f"cannot parse {text!r}")
+        if idx_txt == "":
+            raise ValueError(f"missing indices after 'e' in {text!r}")
+        idx = [int(ch) for ch in idx_txt or ""]
         if any(k < 1 or k > n for k in idx):
             raise ValueError(f"index out of range 1..{n} in {text!r}")
-        if coeff_txt in ("", "+"):
-            coeff = Fraction(1)
-        else:
-            try:
-                coeff = Fraction(coeff_txt)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"bad coefficient {coeff_txt!r} in {text!r}") from None
-        term = DiffForm.monomial(n, idx, sign * coeff)
-        out = out + term
+        try:
+            coeff = Fraction(coeff_txt) if coeff_txt is not None else Fraction(1)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad coefficient {coeff_txt!r} in {text!r}") from None
+        out = out + DiffForm.monomial(n, idx, sign * coeff)
     return out
 
 

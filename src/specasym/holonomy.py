@@ -88,7 +88,7 @@ class HolonomyStructure:
     eigenvalue_table: List[Tuple[int, int]]
     sign_flipped: bool = False
     orientation_flipped: bool = False
-    _op_cache: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _op_cache: Dict[str, object] = field(default_factory=dict, repr=False)
 
     @property
     def degree(self) -> int:
@@ -210,20 +210,27 @@ def structure_operator(s: HolonomyStructure) -> np.ndarray:
 
 
 def projections(s: HolonomyStructure) -> Tuple[Projection, Projection]:
-    """(P_7, P_big) as exact spectral projections of *e(w)."""
-    mat = structure_operator(s)
-    dim = mat.shape[0]
-    eye = np.full((dim, dim), Fraction(0), dtype=object)
-    for i in range(dim):
-        eye[i, i] = Fraction(1)
-    plus = s.plus_eigenvalue
-    denom = Fraction(plus + 1)
-    p7 = (mat + eye) * (1 / denom)
-    pbig = (plus * eye - mat) * (1 / denom)
-    return (
-        Projection("7", s.n, p7),
-        Projection(s.big_label, s.n, pbig),
-    )
+    """(P_7, P_big) as exact spectral projections of *e(w).
+
+    Built once per structure and cached; the matrices are read-only.
+    """
+    if "projections" not in s._op_cache:
+        mat = structure_operator(s)
+        dim = mat.shape[0]
+        eye = np.full((dim, dim), Fraction(0), dtype=object)
+        for i in range(dim):
+            eye[i, i] = Fraction(1)
+        plus = s.plus_eigenvalue
+        denom = Fraction(plus + 1)
+        p7 = (mat + eye) * (1 / denom)
+        pbig = (plus * eye - mat) * (1 / denom)
+        for m in (p7, pbig):
+            m.setflags(write=False)
+        s._op_cache["projections"] = (
+            Projection("7", s.n, p7),
+            Projection(s.big_label, s.n, pbig),
+        )
+    return s._op_cache["projections"]
 
 
 def decompose_two_form(s: HolonomyStructure, alpha: DiffForm) -> Tuple[DiffForm, DiffForm]:

@@ -1,11 +1,14 @@
 """Exact 2-form spectra of flat tori and the spectral-asymmetry bookkeeping.
 
-Eigenvalues on the unit torus R^n/Z^n are 4 pi^2 q with q = |k|^2; the
-2-form fiber splits pointwise into the 7-part and its complement, so each
-lattice shell carries multiplicities 7 r_n(q) and 14 r_n(q) (n = 7) or
-21 r_n(q) (n = 8).  Shell counts r_n(q) are computed by an exact
-per-dimension convolution (a dynamic-programming form of the box scan);
-small ranges are cross-checked against a literal brute-force scan.
+Eigenvalues on the unit torus R^n/Z^n twisted by a flat line bundle with
+holonomy angles theta are 4 pi^2 q with q = |k + theta|^2; the 2-form
+fiber splits pointwise into the 7-part and its complement, so each level
+carries multiplicities 7 c and 14 c (n = 7) or 21 c (n = 8), c the number
+of lattice points on it.  Every level set, twisted or not, comes from one
+exact convolution over the coordinates' 1-D level sets {(k + theta_j)^2},
+run on integers after scaling by the square of the common denominator of
+theta.  A literal lattice scan (``lattice_scan``) is kept only as the
+oracle for ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -13,18 +16,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, gamma, pi, sqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import exp, gamma, isqrt, lcm, pi, sqrt
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from scipy.integrate import quad
 
 
 TWO_FORM_FIBER = {7: 21, 8: 28}
 SEVEN_FIBER = 7
-
-
-def big_fiber(n: int) -> int:
-    return TWO_FORM_FIBER[n] - SEVEN_FIBER
 
 
 @dataclass
@@ -41,149 +40,124 @@ class SpectralLevel:
     def eigenvalue(self) -> float:
         return 4.0 * pi * pi * float(self.q)
 
+    def weight(self, which: str) -> int:
+        """Multiplicity weight: '7' -> m7, 'big' -> m14 or m21, 'delta' ->
+        the weighted difference (2 m7 - m14) or (3 m7 - m21)."""
+        if which == "7":
+            return self.mult_7
+        if which == "big":
+            return self.mult_big
+        if which == "delta":
+            return (2 if self.n == 7 else 3) * self.mult_7 - self.mult_big
+        raise ValueError("which must be '7', 'big' or 'delta'")
+
     def weighted_deficit(self) -> int:
         """Integer weight (2 m7 - m14) or (3 m7 - m21); vanishes identically."""
-        factor = 2 if self.n == 7 else 3
-        return factor * self.mult_7 - self.mult_big
+        return self.weight("delta")
+
+
+def _lattice_counts(theta: Sequence[Fraction], q_max: int) -> Tuple[int, Dict[int, int]]:
+    """(d, {d^2 |k + theta|^2: number of k}) over k in Z^n with |k + theta|^2 <= q_max.
+
+    d is the lcm of the denominators of theta, so with theta_j = a_j / d
+    every 1-D level (d k + a_j)^2 is an integer.  The counts are convolved
+    one coordinate at a time with that coordinate's 1-D level set.
+    """
+    theta = [Fraction(t) for t in theta]
+    d = lcm(*(t.denominator for t in theta))
+    bound = d * d * q_max
+    r = isqrt(bound)
+    counts = {0: 1}
+    for t in theta:
+        a = t.numerator * (d // t.denominator)
+        line: Dict[int, int] = {}
+        for m in range(a - (a + r) // d * d, r + 1, d):   # m = d k + a, |m| <= r
+            line[m * m] = line.get(m * m, 0) + 1
+        steps = sorted(line.items())
+        new: Dict[int, int] = {}
+        for v, c in counts.items():
+            for step, k in steps:
+                if v + step > bound:
+                    break
+                new[v + step] = new.get(v + step, 0) + c * k
+        counts = new
+    return d, counts
 
 
 def shell_counts(n: int, q_max: int) -> List[int]:
     """r_n(q) for q = 0..q_max by per-dimension convolution (exact ints)."""
-    base = [0] * (q_max + 1)
-    base[0] = 1
-    m = 1
-    while m * m <= q_max:
-        base[m * m] = 2
-        m += 1
-    counts = [1] + [0] * q_max
-    for _ in range(n):
-        new = [0] * (q_max + 1)
-        for q1, c in enumerate(counts):
-            if c == 0:
-                continue
-            for m2 in range(0, q_max - q1 + 1):
-                if base[m2]:
-                    new[q1 + m2] += c * base[m2]
-        counts = new
+    _, counts = _lattice_counts((0,) * n, q_max)
+    return [counts.get(q, 0) for q in range(q_max + 1)]
+
+
+def lattice_scan(theta: Sequence[Fraction], q_max: int) -> Dict[Fraction, int]:
+    """{|k + theta|^2: number of k} by a literal scan of the lattice box.
+
+    Each k_j runs over every integer with |k_j + theta_j| <= sqrt(q_max),
+    and a partial sum past q_max is dropped.  Oracle for small q_max only.
+    """
+    r = isqrt(q_max)
+    box = [[(k + t) ** 2 for k in range(-r - 1, r + 1)] for t in theta]
+    counts: Dict[Fraction, int] = {}
+
+    def rec(dim: int, acc: Fraction):
+        if dim == len(box):
+            counts[acc] = counts.get(acc, 0) + 1
+            return
+        for sq in box[dim]:
+            q = acc + sq
+            if q <= q_max:
+                rec(dim + 1, q)
+
+    rec(0, 0)
     return counts
 
 
 def shell_counts_bruteforce(n: int, q_max: int) -> List[int]:
-    """Literal lattice scan with norm filter; oracle for small q_max."""
-    counts = [0] * (q_max + 1)
-    bound = int(sqrt(q_max))
+    """r_n(q) for q = 0..q_max from ``lattice_scan``; oracle for small q_max."""
+    counts = lattice_scan((0,) * n, q_max)
+    return [counts.get(q, 0) for q in range(q_max + 1)]
 
-    def rec(dim: int, remaining: int, acc: int):
-        if dim == 0:
-            counts[acc] += 1
-            return
-        for k in range(-bound, bound + 1):
-            q = k * k
-            if q > remaining:
-                continue
-            rec(dim - 1, remaining - q, acc + q)
 
-    rec(n, q_max, 0)
-    return counts
+def _checked_theta(
+    n: int, q_max: int, theta: Optional[Sequence[Fraction]] = None
+) -> Tuple[Fraction, ...]:
+    """The input checks shared by every level list; returns theta as Fractions."""
+    if n not in TWO_FORM_FIBER:
+        raise ValueError("n must be 7 or 8")
+    if q_max < 1:
+        raise ValueError("q_max must be >= 1")
+    theta = tuple(Fraction(t) for t in theta) if theta is not None else (Fraction(0),) * n
+    if len(theta) != n:
+        raise ValueError("theta must have one angle per coordinate")
+    if any(t < 0 or t >= 1 for t in theta):
+        raise ValueError("twist angles must lie in [0, 1)")
+    return theta
+
+
+def _spectral_levels(n: int, scale: int, counts: Iterable[Tuple[int, int]]) -> List[SpectralLevel]:
+    """One level per nonzero q = v / scale with a nonzero count, in the given order."""
+    big = TWO_FORM_FIBER[n] - SEVEN_FIBER
+    return [SpectralLevel(n, Fraction(v, scale), c, SEVEN_FIBER * c, big * c)
+            for v, c in counts if v and c]
 
 
 def enumerate_levels(n: int, q_max: int) -> List[SpectralLevel]:
     """All nonzero levels with |k|^2 <= q_max on the unit torus."""
-    if q_max < 1:
-        raise ValueError("q_max must be >= 1")
-    if n not in TWO_FORM_FIBER:
-        raise ValueError("n must be 7 or 8")
-    counts = shell_counts(n, q_max)
-    out = []
-    for q in range(1, q_max + 1):
-        c = counts[q]
-        if c == 0:
-            continue
-        out.append(
-            SpectralLevel(
-                n=n,
-                q=Fraction(q),
-                lattice_count=c,
-                mult_7=SEVEN_FIBER * c,
-                mult_big=big_fiber(n) * c,
-            )
-        )
-    return out
+    _checked_theta(n, q_max)
+    return _spectral_levels(n, 1, enumerate(shell_counts(n, q_max)))
 
 
 def twisted_levels(n: int, theta: Sequence[Fraction], q_max: int) -> List[SpectralLevel]:
     """Levels 4 pi^2 |k + theta|^2 of a flat unitary line twist.
 
     ``theta`` has entries in [0, 1); exact Fractions keep level grouping
-    exact.  The 7/14(21) fiber split is unchanged by the twist.
+    exact.  The 7/14(21) fiber split is unchanged by the twist, which is
+    flat, so the weighted zeta sums cancel per level as when untwisted.
     """
-    theta = [Fraction(t) for t in theta]
-    if len(theta) != n:
-        raise ValueError("theta must have one angle per coordinate")
-    if any(t < 0 or t >= 1 for t in theta):
-        raise ValueError("twist angles must lie in [0, 1)")
-    if all(t == 0 for t in theta):
-        return enumerate_levels(n, q_max)
-    groups: Dict[Fraction, int] = {}
-
-    def rec(dim: int, acc: Fraction):
-        if acc > q_max:
-            return
-        if dim == n:
-            if acc > 0:
-                groups[acc] = groups.get(acc, 0) + 1
-            return
-        t = theta[dim]
-        k = 0
-        while (k + t) * (k + t) + acc <= q_max:
-            rec(dim + 1, acc + (k + t) * (k + t))
-            k += 1
-        k = -1
-        while (k + t) * (k + t) + acc <= q_max:
-            rec(dim + 1, acc + (k + t) * (k + t))
-            k -= 1
-
-    rec(0, Fraction(0))
-    out = []
-    for q in sorted(groups):
-        c = groups[q]
-        out.append(
-            SpectralLevel(
-                n=n,
-                q=q,
-                lattice_count=c,
-                mult_7=SEVEN_FIBER * c,
-                mult_big=big_fiber(n) * c,
-            )
-        )
-    return out
-
-
-@dataclass
-class TwistedFlatBundle:
-    """Flat unitary line twist of the torus: holonomy angles in [0, 1)^n.
-
-    The connection is flat (zero curvature), so the instanton condition
-    holds trivially and the weighted zeta sums cancel per level exactly
-    as in the untwisted case.
-    """
-
-    n: int
-    theta: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        self.theta = tuple(Fraction(t) for t in self.theta)
-        if len(self.theta) != self.n:
-            raise ValueError("one angle per coordinate required")
-        if any(t < 0 or t >= 1 for t in self.theta):
-            raise ValueError("angles must lie in [0, 1)")
-
-    @property
-    def curvature_is_zero(self) -> bool:
-        return True
-
-    def levels(self, q_max: int) -> List[SpectralLevel]:
-        return twisted_levels(self.n, self.theta, q_max)
+    theta = _checked_theta(n, q_max, theta)
+    d, counts = _lattice_counts(theta, q_max)
+    return _spectral_levels(n, d * d, sorted(counts.items()))
 
 
 def counting_functions(levels: Sequence[SpectralLevel], x: float) -> Tuple[int, int]:
@@ -220,23 +194,16 @@ def zeta_partial(
         raise ValueError(f"s = {s} is in the divergent range (need s > {n/2})")
     total = 0.0
     q_top = 0.0
-    factor = 2 if n == 7 else 3
     for lv in levels:
         lam = lv.eigenvalue
         if cutoff is not None and lam > cutoff:
             continue
         q_top = max(q_top, float(lv.q))
-        if which == "7":
-            w = lv.mult_7
-        elif which == "big":
-            w = lv.mult_big
-        elif which == "delta":
-            w = factor * lv.mult_7 - lv.mult_big
-        else:
-            raise ValueError("which must be '7', 'big' or 'delta'")
+        w = lv.weight(which)
         if w:
             total += w * lam ** (-s)
-    fiber = SEVEN_FIBER if which == "7" else (big_fiber(n) if which == "big" else 0)
+    # the weight of a single lattice point: 7, 14 or 21, and 0 for 'delta'
+    fiber = _spectral_levels(n, 1, [(1, 1)])[0].weight(which)
     if fiber and s > n / 2:
         def dbox(q):
             return fiber * n * (2 * sqrt(q) + 1) ** (n - 1) / sqrt(q) * (4 * pi * pi * q) ** (-s)
@@ -254,13 +221,9 @@ def heat_trace(levels: Sequence[SpectralLevel], t: float, weighted: bool) -> flo
     if not levels:
         raise ValueError("no levels supplied")
     n = levels[0].n
-    factor = 2 if n == 7 else 3
     total = 0.0 if weighted else float(TWO_FORM_FIBER[n])
     for lv in levels:
-        if weighted:
-            w = factor * lv.mult_7 - lv.mult_big
-        else:
-            w = lv.mult_7 + lv.mult_big
+        w = lv.weight("delta") if weighted else lv.mult_7 + lv.mult_big
         if w:
             total += w * exp(-t * lv.eigenvalue)
     return total
@@ -323,19 +286,8 @@ def mellin_equivalence_levels(
     s: float,
     cutoff: Optional[float] = None,
 ) -> MellinReport:
-    n = levels[0].n
-    factor = 2 if n == 7 else 3
-    pairs = []
-    for lv in levels:
-        if cutoff is not None and lv.eigenvalue > cutoff:
-            continue
-        if which == "7":
-            w = lv.mult_7
-        elif which == "big":
-            w = lv.mult_big
-        else:
-            w = factor * lv.mult_7 - lv.mult_big
-        pairs.append((float(w), lv.eigenvalue))
+    pairs = [(float(lv.weight(which)), lv.eigenvalue) for lv in levels
+             if cutoff is None or lv.eigenvalue <= cutoff]
     return mellin_equivalence(pairs, s)
 
 

@@ -262,6 +262,8 @@ _BAD_RESIDUE_INPUTS = {
 
 _BAD_ARGV = {
     "decompose-form-zero-denominator": ("decompose", "--kind", "g2", "--form", "1/0 e12"),
+    "decompose-form-glued-monomials": ("decompose", "--kind", "g2", "--form", "e12e34"),
+    "decompose-form-split-coefficient": ("decompose", "--kind", "g2", "--form", "1 2 e12"),
     "spectrum-theta-zero-denominator": (
         "spectrum", "--n", "7", "--qmax", "2", "--theta", "1/0,0,0,0,0,0,0", "--out",
     ),

@@ -1,0 +1,124 @@
+"""Fuzz the CLI inputs: every run exits 0, 2 or 3 and never raises.
+
+Example counts are bounded so that the three tests together take a few
+seconds; most of that is building the holonomy structure on every
+`decompose` and `residue` call.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from specasym.cli import main
+
+_SETTINGS = dict(deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _run(*argv) -> int:
+    """Run the CLI in process; an uncaught exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+# near-grammatical form text: coefficients, monomials, signs, stray characters
+_form_piece = st.one_of(
+    st.sampled_from(["e", "e12", "e34", "e123", "e19", "e0", "+", "-", "*", "/", "0"]),
+    st.from_regex(r"[0-9]{1,3}(/[0-9]{1,2})?", fullmatch=True),
+    st.text(alphabet=" e0123456789+-*/.x", max_size=3),
+)
+# well-formed 2-forms with varied spacing, e.g. "- 3/2 e12 + 1 e34"
+_form_term = st.tuples(
+    st.sampled_from(["+", "-", "+ ", "- "]),
+    st.sampled_from(["", "2", "1/2 ", "3*", "0 "]),
+    st.sampled_from(["e12", "e34", "e17", "e56", "e27"]),
+).map("".join)
+_form_text = st.one_of(
+    st.lists(_form_term, min_size=1, max_size=4).map(" ".join),
+    st.lists(_form_piece, max_size=6).map(" ".join),
+    st.lists(_form_piece, max_size=6).map("".join),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=30, **_SETTINGS)
+@given(kind=st.sampled_from(["g2", "spin7"]), form=_form_text)
+def test_fuzz_decompose_form(kind, form):
+    _run("decompose", "--kind", kind, f"--form={form}")
+
+
+# exponents are left out: Fraction("1e-999999999") builds a 10^9-digit integer
+_valid_angle = st.fractions(min_value=0, max_value=1, max_denominator=40).filter(
+    lambda t: t < 1).map(str)
+_angle = st.one_of(
+    _valid_angle,
+    st.fractions(min_value=-1, max_value=2, max_denominator=40).map(str),
+    st.sampled_from(["0", "1", "1/2", "0.5", "1/0", "nan", "inf", "", "-0", "a", "1/2/3"]),
+    st.text(alphabet="0123456789/.-+ ", max_size=5),
+)
+
+
+_n_and_angles = st.sampled_from([7, 8]).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.one_of(
+        st.lists(_valid_angle, min_size=n, max_size=n),
+        st.lists(_angle, min_size=n, max_size=n),
+        st.lists(_angle, max_size=9),
+    ),
+))
+
+
+@settings(max_examples=80, **_SETTINGS)
+@given(n_angles=_n_and_angles, q_max=st.integers(0, 3))
+def test_fuzz_spectrum_theta(n_angles, q_max):
+    n, angles = n_angles
+    with tempfile.TemporaryDirectory() as tmp:
+        _run("spectrum", "--n", str(n), "--qmax", str(q_max),
+             f"--theta={','.join(angles)}", "--out", os.path.join(tmp, "levels.csv"))
+
+
+_number = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=9).map(str),
+    st.floats(width=32),
+    st.sampled_from(["1/0", "x", "", True, None, [], {}]),
+)
+_index = st.one_of(st.integers(1, 7), st.sampled_from([0, 8, "1", 1.5, None, True]))
+
+
+def _matrix(rank):
+    entry = st.one_of(st.lists(_number, min_size=2, max_size=2), _number)
+    row = st.lists(entry, min_size=rank, max_size=rank)
+    return st.one_of(st.lists(row, min_size=rank, max_size=rank), _number)
+
+
+_curvature = st.integers(1, 2).flatmap(lambda rank: st.fixed_dictionaries(
+    {
+        "n": st.just(7),
+        "rank": st.one_of(st.just(rank), st.sampled_from([0, 3, True, "1", 1.0])),
+        "R": st.lists(st.one_of(st.lists(_index, min_size=4, max_size=4).flatmap(
+            lambda idx: _number.map(lambda v: idx + [v])), _number), max_size=3),
+        "F": st.lists(st.tuples(_index, _index, _matrix(rank)).map(list), max_size=3),
+    }
+))
+
+
+@settings(max_examples=60, **_SETTINGS)
+@given(doc=_curvature)
+def test_fuzz_residue_curvature(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "curvature.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        _run("residue", "--kind", "g2", "--input", path)

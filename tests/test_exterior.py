@@ -162,6 +162,18 @@ def test_parse_form_roundtrip():
         parse_form(7, "e19")
     with pytest.raises(ValueError):
         parse_form(7, "3x + 4")
+    # whitespace separates tokens but never splits or joins them
+    for bad in ("e12 3", "1 2 e12", "e12e34", "e12 e34"):
+        with pytest.raises(ValueError):
+            parse_form(7, bad)
+    for text, want in (
+        ("3 e12", e(7, 1, 2).scale(3)),
+        ("3e12", e(7, 1, 2).scale(3)),
+        ("3*e12", e(7, 1, 2).scale(3)),
+        ("- 1/2 e34", e(7, 3, 4).scale(Fraction(-1, 2))),
+        ("- 3/2 e12 + 1 e34", e(7, 1, 2).scale(Fraction(-3, 2)) + e(7, 3, 4)),
+    ):
+        assert parse_form(7, text) == want
 
 
 def test_interior_product():

@@ -10,6 +10,7 @@ from specasym.spectrum import (
     counting_functions,
     enumerate_levels,
     heat_trace,
+    lattice_scan,
     mellin_equivalence,
     mellin_equivalence_levels,
     poisson_dual_trace,
@@ -116,6 +117,62 @@ def test_twisted_levels():
         twisted_levels(7, [Fraction(3, 2)] + [Fraction(0)] * 6, 3)
 
 
+F = Fraction
+_HALF = F(1, 2)
+
+# (n, q_max, theta): untwisted, half-integer and mixed-denominator twists;
+# q_max is kept small where the scan is slow (large n, many twisted angles)
+_TWISTS = [
+    (7, 12, (0,) * 7),
+    (8, 12, (0,) * 8),
+    (7, 8, (_HALF,) * 7),
+    (8, 6, (_HALF,) * 8),
+    (7, 12, (_HALF,) + (0,) * 6),
+    (8, 10, (0,) * 7 + (_HALF,)),
+    (7, 12, (F(1, 3), _HALF) + (0,) * 5),
+    (8, 8, (F(1, 3), _HALF, F(1, 4)) + (0,) * 5),
+    (7, 7, (F(1, 2), F(2, 3), F(3, 4), 0, 0, 0, 0)),
+    (7, 6, (F(1, 5), F(2, 7), F(5, 6), F(1, 9), 0, 0, F(3, 8))),
+    (8, 5, (F(1, 5), F(2, 7), F(5, 6), F(1, 9), 0, 0, F(3, 8), _HALF)),
+    (7, 9, (F(1, 4), F(3, 4)) + (0,) * 5),
+    (8, 7, (F(2, 3), F(1, 3), F(1, 6)) + (0,) * 5),
+    (7, 5, tuple(F(j, 7) for j in range(7))),
+    (8, 4, tuple(F(j, 8) for j in range(8))),
+    (7, 10, (0, 0, 0, F(9, 10), 0, 0, 0)),
+    (8, 6, (F(1, 12), F(5, 12), F(7, 12), F(11, 12), 0, 0, 0, 0)),
+    (7, 8, (F(1, 3),) * 3 + (0,) * 4),
+    (8, 5, (F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13), F(1, 17), F(1, 19))),
+    (7, 11, (F(1, 100),) + (0,) * 6),
+    (8, 9, (0, F(3, 5), 0, F(2, 5), 0, 0, 0, 0)),
+    (7, 4, (F(99, 100), F(1, 2), F(1, 3), F(1, 4), F(1, 5), F(1, 6), F(1, 7))),
+]
+
+
+@pytest.mark.parametrize("n, q_max, theta", _TWISTS)
+def test_twisted_levels_match_lattice_scan(n, q_max, theta):
+    levels = twisted_levels(n, theta, q_max)
+    scan = sorted((q, c) for q, c in lattice_scan(theta, q_max).items() if q)
+    assert [(lv.q, lv.lattice_count) for lv in levels] == scan
+    for lv in levels:
+        assert isinstance(lv.q, Fraction) and lv.n == n
+        big = 21 if n == 8 else 14
+        assert (lv.mult_7, lv.mult_big) == (7 * lv.lattice_count, big * lv.lattice_count)
+
+
+def test_spectrum_input_errors():
+    with pytest.raises(ValueError):
+        twisted_levels(5, [Fraction(0)] * 5, 3)
+    with pytest.raises(ValueError):
+        twisted_levels(7, [Fraction(1, 2)], 3)
+    with pytest.raises(ValueError):
+        twisted_levels(7, [Fraction(1, 2)] * 7, 0)
+    levels = enumerate_levels(7, 5)
+    with pytest.raises(ValueError):
+        mellin_equivalence_levels(levels, "bogus", 4.0)
+    with pytest.raises(ValueError):
+        zeta_partial(levels, "bogus", 4.0)
+
+
 def test_mellin_identities():
     lam = 4 * pi * pi
     # flat cancellation: the weighted multiplicity 2 m7 - m14 vanishes
@@ -126,19 +183,6 @@ def test_mellin_identities():
     assert rep.difference <= 1e-8 * abs(rep.direct)
     rep = mellin_equivalence_levels(enumerate_levels(7, 20), "7", 4.0)
     assert rep.difference <= 1e-8 * abs(rep.direct)
-
-
-def test_twisted_flat_bundle_carrier():
-    from fractions import Fraction as F
-
-    from specasym.spectrum import TwistedFlatBundle
-
-    tb = TwistedFlatBundle(7, [F(1, 2)] + [F(0)] * 6)
-    assert tb.curvature_is_zero
-    lv = tb.levels(2)
-    assert lv[0].q == F(1, 4)
-    with pytest.raises(ValueError):
-        TwistedFlatBundle(7, [F(1, 2)])
 
 
 def test_mellin_cutoff():

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from math import pi
 
@@ -74,11 +74,28 @@ def _form_to_dict(form: DiffForm):
 # curvature input files
 # ----------------------------------------------------------------------
 
+# Fraction expands a decimal exponent in full ("1e-999999999" would be a
+# 10^9-digit integer), so text length and exponent are capped before it runs;
+# 600 digits stay under every int() digit limit Python allows (at least 640).
+_MAX_LENGTH = _MAX_EXPONENT = 600
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
 def _parse_number(text: str) -> Fraction:
+    """Exact rational from text such as "-1/2" or "1e-3"; ValueError past the
+    caps or where Fraction fails, ZeroDivisionError for a zero denominator."""
+    exp = _EXPONENT.search(text)
+    if len(text) > _MAX_LENGTH or (exp and abs(int(exp.group(1))) > _MAX_EXPONENT):
+        raise ValueError(f"number text longer than {_MAX_LENGTH} characters "
+                         f"or with an exponent past {_MAX_EXPONENT}")
+    return Fraction(text)
+
+
+def _json_number(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except ValueError:
-        return Fraction(Decimal(text))
+        return _parse_number(text)
+    except ValueError as exc:
+        raise CurvatureError(f"bad number in curvature file: {exc}") from None
 
 
 def _rational(x, what: str) -> Fraction:
@@ -86,7 +103,7 @@ def _rational(x, what: str) -> Fraction:
     such as "1/3".  Booleans, NaN, infinities and other types are rejected."""
     if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
         try:
-            return Fraction(x)
+            return _parse_number(x) if isinstance(x, str) else Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
     raise CurvatureError(f"{what} must be a rational number, got {x!r}")
@@ -117,7 +134,8 @@ def load_curvature(path: str) -> CurvatureData:
     rejected rather than averaged.
     """
     with open(path) as fh:
-        doc = json.load(fh, parse_float=_parse_number)
+        doc = json.load(fh, parse_float=_json_number, parse_int=lambda text: (
+            int(text) if len(text) <= _MAX_LENGTH else _json_number(text)))
     if not isinstance(doc, dict):
         raise CurvatureError("curvature file must contain a JSON object")
     n = doc.get("n")
@@ -276,7 +294,7 @@ def cmd_spectrum(args) -> int:
         return EXIT_INPUT
     if args.theta:
         try:
-            theta = [Fraction(x) for x in args.theta.split(",")]
+            theta = [_parse_number(x) for x in args.theta.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
             print(f"error: bad --theta: {exc}", file=sys.stderr)
             return EXIT_INPUT

@@ -71,6 +71,10 @@ class CurvatureData:
     r: int = 1
     r_entries: Dict[Tuple[int, int, int, int], Fraction] = field(default_factory=dict)
     f_entries: Dict[Tuple[int, int], Mat] = field(default_factory=dict)
+    # (i, j) -> [((k, l), R_ijkl)], i < j, k < l, sorted: what rhat and V read
+    _r_rows: Dict[Tuple[int, int], list] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         clean = {}
@@ -86,6 +90,11 @@ class CurvatureData:
                 raise CurvatureError(f"conflicting values for R{key}")
             clean[key] = want
         self.r_entries = clean
+        # R_klij = R_ijkl; in key order every row comes out sorted
+        for (i, j, k, l), v in sorted(clean.items()):
+            self._r_rows.setdefault((i, j), []).append(((k, l), v))
+            if (i, j) != (k, l):
+                self._r_rows.setdefault((k, l), []).append(((i, j), v))
         fe = {}
         for (i, j), m in self.f_entries.items():
             if not (1 <= i < j <= self.n):
@@ -117,13 +126,9 @@ class CurvatureData:
 
     def rhat(self, i: int, j: int) -> DiffForm:
         """(1/4) sum_{k,l} R_{ijkl} e^k ^ e^l = (1/2) sum_{k<l} R_{ijkl} e^{kl}."""
-        terms = {}
-        for k in range(1, self.n + 1):
-            for l in range(k + 1, self.n + 1):
-                v = self.r_component(i, j, k, l)
-                if v:
-                    terms[mask_of((k, l))] = Fraction(v, 2)
-        return DiffForm(self.n, terms)
+        sign = 1 if i < j else -1  # R_jikl = -R_ijkl; the row of (i, i) is empty
+        row = self._r_rows.get((min(i, j), max(i, j)), ())
+        return DiffForm(self.n, {mask_of(kl): Fraction(sign * v, 2) for kl, v in row})
 
     def bundle_two_forms(self) -> Dict[Tuple[int, int], DiffForm]:
         """Curvature reassembled as an r x r matrix of 2-forms."""
@@ -392,25 +397,13 @@ def model_constant_potential(cd: CurvatureData) -> WordOperator:
     V = -(1/4) sum_{ij} e^{ij} R_{ijkl} chat^l chat^k - (1/2) sum_{i<j} e^{ij} F_{ij}.
     """
     n, r = cd.n, cd.r
-    terms: Dict[Tuple[int, int, int], Mat] = {}
-    quarter = Fraction(-1, 4)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            fm = mask_of((i, j))
-            # ordered (i,j) and (j,i) contribute equally: factor 2
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if k == l:
-                        continue
-                    v = cd.r_component(i, j, k, l)
-                    if not v:
-                        continue
-                    wmask = mask_of((min(k, l), max(k, l)))
-                    sign = 1 if l < k else -1
-                    coeff = 2 * quarter * v * sign
-                    key = (fm, 0, wmask)
-                    base = terms.get(key, mat_zero(r))
-                    terms[key] = mat_add(base, mat_scale(mat_eye(r), coeff))
+    # ordered (i, j), (j, i) and (k, l), (l, k) give four equal terms, so the
+    # coefficient of e^{ij} (x) chat^{kl} (i<j, k<l) is R_ijkl
+    terms: Dict[Tuple[int, int, int], Mat] = {
+        (mask_of(ij), 0, mask_of(kl)): mat_scale(mat_eye(r), v)
+        for ij, row in sorted(cd._r_rows.items())
+        for kl, v in row
+    }
     op = WordOperator(n, r, terms)
     if cd.has_bundle_curvature():
         op = op + cd.fhat_word().scale(Fraction(-1, 2))

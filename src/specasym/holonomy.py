@@ -5,7 +5,9 @@ then self-validated: the operator a |-> *(w ^ a) on 2-forms must have
 spectrum {+2 x7, -1 x14} (G2) or {+3 x7, -1 x21} (Spin(7)), and the
 Cayley form must be self-dual.  Published sign conventions differ, so the
 constructor tries sign and last-coordinate orientation flips until the
-eigenvalue table validates, and records what it did.
+eigenvalue table validates, and records what it did.  Validation is an
+exact sparse product over the nonzero entries of the operator, about three
+per row; the projections are kept as the same sparse rows.
 """
 
 from __future__ import annotations
@@ -51,31 +53,34 @@ class Projection:
 
     target: str  # "7", "14" or "21"
     n: int
-    matrix: np.ndarray  # object array of Fractions over the 2-form basis
+    rows: List[Tuple[int, List[Tuple[int, Fraction]]]]  # (mask, [(mask, entry)]), nonzero
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense object array of Fractions over the 2-form basis."""
+        pos = {m: i for i, m in enumerate(two_form_basis(self.n))}
+        mat = np.full((len(pos), len(pos)), Fraction(0), dtype=object)
+        for m, row in self.rows:
+            for mj, v in row:
+                mat[pos[m], pos[mj]] = v
+        return mat
 
     def apply(self, alpha: DiffForm) -> DiffForm:
-        basis = two_form_basis(self.n)
-        pos = {m: i for i, m in enumerate(basis)}
-        vec = [Fraction(0)] * len(basis)
-        for m, c in alpha.terms.items():
-            if popcount(m) != 2:
-                raise ValueError("projection applies to 2-forms only")
-            vec[pos[m]] = c
+        if any(popcount(m) != 2 for m in alpha.terms):
+            raise ValueError("projection applies to 2-forms only")
         out = {}
-        for i, m in enumerate(basis):
+        for m, row in self.rows:
             acc = 0
-            for j in range(len(basis)):
-                if vec[j] != 0 and self.matrix[i, j] != 0:
-                    acc = acc + self.matrix[i, j] * vec[j]
+            for mj, v in row:
+                c = alpha.terms.get(mj)
+                if c:
+                    acc = acc + v * c
             if acc != 0:
                 out[m] = acc
         return DiffForm(self.n, out)
 
     def trace(self):
-        return sum(self.matrix[i, i] for i in range(self.matrix.shape[0]))
-
-    def fiber_dimension(self) -> int:
-        return int(self.target.lstrip("l"))
+        return sum(v for m, row in self.rows for mj, v in row if mj == m)
 
 
 @dataclass
@@ -101,10 +106,6 @@ class HolonomyStructure:
     @property
     def big_label(self) -> str:
         return "14" if self.kind == G2 else "21"
-
-    @property
-    def fiber_two_dim(self) -> int:
-        return len(two_form_basis(self.n))
 
 
 def _flip_last(form: DiffForm, n: int) -> DiffForm:
@@ -136,15 +137,28 @@ def star_ext_on_two_forms(w, n: int = None) -> np.ndarray:
     return mat
 
 
+def _sparse_rows(mat: np.ndarray, shift=0) -> List[Dict[int, Fraction]]:
+    """Nonzero entries of mat + shift * Id, row by row."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
+    for i, row in enumerate(rows):
+        row[i] = row.get(i, 0) + shift
+        if not row[i]:
+            del row[i]
+    return rows
+
+
 def _eig_validate(mat: np.ndarray, plus: int) -> List[Tuple[int, int]]:
-    """Check (A - plus)(A + 1) = 0 exactly and return the eigenvalue table."""
+    """Check (A - plus)(A + 1) = 0 exactly, entry by entry, as a product of
+    sparse rows; then the trace split, and return the eigenvalue table."""
     dim = mat.shape[0]
-    eye = np.full((dim, dim), Fraction(0), dtype=object)
-    for i in range(dim):
-        eye[i, i] = Fraction(1)
-    prod = np.dot(mat - plus * eye, mat + eye)
-    if any(v != 0 for v in prod.flat):
-        raise StructureValidationError("minimal polynomial check failed")
+    left, right = _sparse_rows(mat, -plus), _sparse_rows(mat, 1)
+    for row in left:
+        acc: Dict[int, Fraction] = {}
+        for k, a in row.items():
+            for j, b in right[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        if any(acc.values()):
+            raise StructureValidationError("minimal polynomial check failed")
     tr = sum(mat[i, i] for i in range(dim))
     m_plus = Fraction(tr + dim, plus + 1)
     if m_plus.denominator != 1 or not (0 < m_plus < dim):
@@ -210,25 +224,19 @@ def structure_operator(s: HolonomyStructure) -> np.ndarray:
 
 
 def projections(s: HolonomyStructure) -> Tuple[Projection, Projection]:
-    """(P_7, P_big) as exact spectral projections of *e(w).
+    """(P_7, P_big) = (A + 1, plus - A) / (plus + 1) for A = *e(w), exact.
 
-    Built once per structure and cached; the matrices are read-only.
+    Built once per structure from the sparse rows of A and cached.
     """
     if "projections" not in s._op_cache:
-        mat = structure_operator(s)
-        dim = mat.shape[0]
-        eye = np.full((dim, dim), Fraction(0), dtype=object)
-        for i in range(dim):
-            eye[i, i] = Fraction(1)
-        plus = s.plus_eigenvalue
-        denom = Fraction(plus + 1)
-        p7 = (mat + eye) * (1 / denom)
-        pbig = (plus * eye - mat) * (1 / denom)
-        for m in (p7, pbig):
-            m.setflags(write=False)
-        s._op_cache["projections"] = (
-            Projection("7", s.n, p7),
-            Projection(s.big_label, s.n, pbig),
+        basis = two_form_basis(s.n)
+        denom = Fraction(s.plus_eigenvalue + 1)
+        s._op_cache["projections"] = tuple(
+            Projection(label, s.n, [
+                (basis[i], [(basis[j], sign * v / denom) for j, v in sorted(row.items())])
+                for i, row in enumerate(_sparse_rows(structure_operator(s), shift))
+            ])
+            for label, shift, sign in (("7", 1, 1), (s.big_label, -s.plus_eigenvalue, -1))
         )
     return s._op_cache["projections"]
 

@@ -258,6 +258,10 @@ _BAD_RESIDUE_INPUTS = {
     "f-matrix-bare-number": {"n": 7, "rank": 1, "F": [[1, 2, [[0]]]]},
     "index-text": {"n": 7, "rank": 1, "R": [["a", 2, 3, 4, 1]]},
     "rank-bool": {"n": 7, "rank": True},
+    "r-value-long-exponent": {"n": 7, "rank": 1, "R": [[1, 2, 3, 4, "1e-1000000"]]},
+    # file text with number literals json.dump cannot write
+    "r-literal-long-exponent": '{"n": 7, "rank": 1, "R": [[1, 2, 3, 4, 1e-1000000]]}',
+    "r-literal-5000-digits": '{"n": 7, "rank": 1, "R": [[1, 2, 3, 4, %s]]}' % ("7" * 5000),
 }
 
 _BAD_ARGV = {
@@ -267,6 +271,9 @@ _BAD_ARGV = {
     "spectrum-theta-zero-denominator": (
         "spectrum", "--n", "7", "--qmax", "2", "--theta", "1/0,0,0,0,0,0,0", "--out",
     ),
+    "spectrum-theta-long-exponent": (
+        "spectrum", "--n", "7", "--qmax", "2", "--theta", "1e-1000000,0,0,0,0,0,0", "--out",
+    ),
 }
 
 
@@ -274,7 +281,12 @@ _BAD_ARGV = {
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     if case in _BAD_RESIDUE_INPUTS:
         path = os.fspath(tmp_path / "bad.json")
-        _write(path, _BAD_RESIDUE_INPUTS[case])
+        doc = _BAD_RESIDUE_INPUTS[case]
+        if isinstance(doc, str):
+            with open(path, "w") as fh:
+                fh.write(doc)
+        else:
+            _write(path, doc)
         argv = ("residue", "--kind", "g2", "--input", path)
     else:
         argv = _BAD_ARGV[case]
@@ -284,3 +296,24 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 7, "rank": 1, "R": [[1, 2, 3, 4, "1/2"], [1, 2, 1, 2, 1], [1, 3, 2, 5, -1]],
+     "F": [[1, 2, [[[0, 1]]]], [3, 6, [[[0, -2]]]]]},
+    {"n": 8, "rank": 2, "F": [[1, 2, [[[0, 1], [1, 0]], [[-1, 0], [0, 2]]]]]},
+], ids=["g2-riemann-and-bundle", "spin7-bundle-only"])
+def test_residue_oracle_reads_stored_curvature_entries(tmp_path, capsys, monkeypatch, doc):
+    """The residue pipeline never scans index quadruples through r_component."""
+    from specasym.heat import CurvatureData
+
+    def no_scan(self, i, j, k, l):
+        raise AssertionError("r_component called on the residue path")
+
+    monkeypatch.setattr(CurvatureData, "r_component", no_scan)
+    path = os.fspath(tmp_path / "curvature.json")
+    _write(path, doc)
+    kind = "g2" if doc["n"] == 7 else "spin7"
+    code, out, _ = run_cli(capsys, "residue", "--kind", kind, "--input", path, "--oracle")
+    assert code == 0
+    assert json.loads(out)["oracle"]["relative_discrepancy"] == 0.0

@@ -58,14 +58,16 @@ def test_fuzz_decompose_form(kind, form):
     _run("decompose", "--kind", kind, f"--form={form}")
 
 
-# exponents are left out: Fraction("1e-999999999") builds a 10^9-digit integer
+# decimal exponents up to 10 digits long: the CLI caps them before Fraction
+_exponent = st.from_regex(r"-?[0-9]{1,2}(\.[0-9]{1,2})?[eE][-+]?[0-9]{1,10}", fullmatch=True)
 _valid_angle = st.fractions(min_value=0, max_value=1, max_denominator=40).filter(
     lambda t: t < 1).map(str)
 _angle = st.one_of(
     _valid_angle,
     st.fractions(min_value=-1, max_value=2, max_denominator=40).map(str),
     st.sampled_from(["0", "1", "1/2", "0.5", "1/0", "nan", "inf", "", "-0", "a", "1/2/3"]),
-    st.text(alphabet="0123456789/.-+ ", max_size=5),
+    st.text(alphabet="0123456789/.-+e ", max_size=5),
+    _exponent,
 )
 
 
@@ -92,6 +94,7 @@ _number = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=9).map(str),
     st.floats(width=32),
+    _exponent,
     st.sampled_from(["1/0", "x", "", True, None, [], {}]),
 )
 _index = st.one_of(st.integers(1, 7), st.sampled_from([0, 8, "1", 1.5, None, True]))

@@ -4,7 +4,7 @@ from math import exp, pi, sinh, sqrt
 import pytest
 
 from specasym.exact import Scalar
-from specasym.exterior import DiffForm, popcount
+from specasym.exterior import DiffForm, mask_of, popcount
 from specasym.heat import (
     CurvatureData,
     CurvatureError,
@@ -31,8 +31,8 @@ from specasym.heat import (
     _log_x_over_sinh_series,
 )
 from specasym import heat
-from specasym.residue import characteristic_density_form
-from specasym.wordops import WordOperator
+from specasym.residue import characteristic_density_form, pontryagin_p1
+from specasym.wordops import WordOperator, mat_add, mat_eye, mat_scale, mat_zero
 
 
 # ----------------------------------------------------------------------
@@ -66,6 +66,68 @@ def test_rhat_antisymmetric():
         assert cd.rhat(i, i).is_zero()
         for j in range(i + 1, 8):
             assert cd.rhat(i, j) == -cd.rhat(j, i)
+
+
+def _rhat_scan(cd, i, j):
+    """rhat(i, j) from r_component over every (k, l), k < l."""
+    terms = {}
+    for k in range(1, cd.n + 1):
+        for l in range(k + 1, cd.n + 1):
+            v = cd.r_component(i, j, k, l)
+            if v:
+                terms[mask_of((k, l))] = Fraction(v, 2)
+    return DiffForm(cd.n, terms)
+
+
+def _potential_scan(cd):
+    """The model potential from r_component over every index quadruple."""
+    n, r = cd.n, cd.r
+    terms = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    v = cd.r_component(i, j, k, l) if k != l else 0
+                    if not v:
+                        continue
+                    key = (mask_of((i, j)), 0, mask_of((min(k, l), max(k, l))))
+                    coeff = 2 * Fraction(-1, 4) * v * (1 if l < k else -1)
+                    terms[key] = mat_add(terms.get(key, mat_zero(r)), mat_scale(mat_eye(r), coeff))
+    op = WordOperator(n, r, terms)
+    if cd.has_bundle_curvature():
+        op = op + cd.fhat_word().scale(Fraction(-1, 2))
+    return op
+
+
+def _p1_scan(cd):
+    out = DiffForm.zero(cd.n)
+    for i in range(1, cd.n + 1):
+        for j in range(1, cd.n + 1):
+            if i != j:
+                out = out + _rhat_scan(cd, i, j).scale(2).wedge(_rhat_scan(cd, j, i).scale(2))
+    return out.scale(Scalar.term(Fraction(-1, 8), pi_half=-4))
+
+
+_SCAN_CASES = [
+    (n, r, bianchi) for n in (7, 8) for r in (1, 2) for bianchi in (False, True)
+]
+
+
+@pytest.mark.parametrize("n,r,bianchi", _SCAN_CASES + [(7, 1, None)])
+def test_stored_entry_builders_match_index_scan(n, r, bianchi):
+    if bianchi is None:
+        # a pair with itself, (i, j) = (k, l), and entries given off-canonical
+        cd = CurvatureData(7, 1, {
+            (1, 2, 1, 2): Fraction(3), (2, 5, 1, 3): Fraction(-1, 2), (6, 4, 7, 3): 2,
+        }, {(1, 2): ((Scalar.i(),),)})
+    else:
+        cd = random_curvature(n, r, seed=10 * n + r, bianchi=bianchi)
+    assert cd.r_entries
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert cd.rhat(i, j) == _rhat_scan(cd, i, j), (i, j)
+    assert model_constant_potential(cd) == _potential_scan(cd)
+    assert pontryagin_p1(cd) == _p1_scan(cd)
 
 
 def test_bianchi_symmetrization():

@@ -4,9 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from specasym.exact import Scalar
 from specasym.exterior import DiffForm
 from specasym.heat import CurvatureData
 from specasym.holonomy import (
+    StructureValidationError,
+    _eig_validate,
     decompose_two_form,
     instanton_check,
     projections,
@@ -130,3 +133,40 @@ def test_instanton_check_big_part(g2):
 def test_star_ext_matrix_symmetry(g2):
     mat = star_ext_on_two_forms(g2.defining_form, 7)
     assert (mat.T == mat).all()
+
+
+def test_eig_validate_rejects_broken_operators(g2, spin7):
+    for s, plus in ((g2, 2), (spin7, 3)):
+        a = structure_operator(s)
+        assert _eig_validate(a, plus) == s.eigenvalue_table
+        i, j = next((i, j) for i in range(a.shape[0]) for j in range(i) if a[i, j])
+        broken = a.copy()
+        broken[i, j], broken[j, i] = -a[i, j], -a[j, i]
+        assert (broken.T == broken).all()
+        with pytest.raises(StructureValidationError, match="minimal polynomial"):
+            _eig_validate(broken, plus)
+        # plus * Id satisfies the polynomial but puts the whole fiber in one part
+        scalar = np.full(a.shape, Fraction(0), dtype=object)
+        for k in range(a.shape[0]):
+            scalar[k, k] = Fraction(plus)
+        with pytest.raises(StructureValidationError, match="trace"):
+            _eig_validate(scalar, plus)
+
+
+def test_projection_apply_matches_dense_product(g2, spin7):
+    rnd = random.Random(5)
+
+    def q():
+        return Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+
+    for s in (g2, spin7):
+        basis = two_form_basis(s.n)
+        for p in projections(s):
+            for _ in range(10):
+                alpha = DiffForm(s.n, {
+                    rnd.choice(basis): Scalar.term(q(), q(), pi_half=rnd.choice((0, -2)))
+                    for _ in range(rnd.randint(1, 6))
+                })
+                vec = np.array([alpha.terms.get(m, Scalar()) for m in basis], dtype=object)
+                dense = p.matrix.dot(vec)
+                assert p.apply(alpha) == DiffForm(s.n, dict(zip(basis, dense)))

@@ -186,6 +186,9 @@ def load_curvature(path: str) -> CurvatureData:
 # ----------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_INPUT
     names = ["algebra", "holonomy", "heat", "spectrum"] if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
     failures = [r for r in results if r.status == "fail"]

@@ -561,9 +561,8 @@ class FiberOp:
         return out
 
     def adjoint(self) -> "FiberOp":
-        out = self.mat.T.copy()
-        for idx, v in np.ndenumerate(out):
-            out[idx] = _conj(v)
+        out = np.empty(self.mat.shape, dtype=object)
+        out.flat = [_conj(v) for v in self.mat.T.flat]
         return FiberOp(self.n, self.r, out)
 
     def trace(self):

@@ -11,12 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
+from math import lcm
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from .exact import Scalar
 from .exterior import FiberOp, apply_cliff, popcount, subset_order
 from .wordops import WordOperator, mat_eye, mat_scale
+
+
+_ZERO = Fraction(0)
+_SWEEP_BLOCK = 64  # given word pairs checked per numpy round
 
 
 # ----------------------------------------------------------------------
@@ -82,25 +89,41 @@ def _as_mask(x) -> int:
 def trace_identity_sweep(n: int, pairs: Optional[Iterable[Tuple[int, int]]] = None):
     """Check tr c(I) c-hat(J) = 0 except (0,0) -> 2^n over the given pairs.
 
-    ``pairs`` defaults to all 4^n word pairs.  Returns (failures, checked).
+    ``pairs`` defaults to all 4^n word pairs, swept one c-word at a time
+    against every c-hat word; given pairs are read in slices of at most
+    ``_SWEEP_BLOCK``.  Returns (failures, checked).
     """
     dim = 1 << n
     cp, cs = word_tables(n, False)
     hp, hs = word_tables(n, True)
     s = np.arange(dim)
+    if pairs is None:
+        every_hm = np.arange(dim)
+        blocks = ((np.full(dim, cm), every_hm) for cm in range(dim))
+    else:
+        blocks = _pair_blocks(iter(pairs))
     failures = []
     checked = 0
-    if pairs is None:
-        pairs = ((i, j) for i in range(dim) for j in range(dim))
-    for cm, hm in pairs:
-        mid = hp[hm]
-        tgt = cp[cm][mid]
-        tr = int((cs[cm][mid].astype(np.int64) * hs[hm])[tgt == s].sum())
-        expected = dim if (cm == 0 and hm == 0) else 0
-        if tr != expected:
-            failures.append((cm, hm, tr))
-        checked += 1
+    for cms, hms in blocks:
+        mid = hp[hms]
+        fixed = cp[cms[:, None], mid] == s
+        sg = cs[cms[:, None], mid] * hs[hms]  # int8, each +-1
+        tr = np.where(fixed, sg, 0).sum(axis=1, dtype=np.int64)
+        expected = np.where((cms == 0) & (hms == 0), dim, 0)
+        for k in np.flatnonzero(tr != expected):
+            failures.append((int(cms[k]), int(hms[k]), int(tr[k])))
+        checked += len(cms)
     return failures, checked
+
+
+def _pair_blocks(it):
+    """(c masks, c-hat masks) arrays for successive slices of a pair iterator."""
+    while True:
+        chunk = list(islice(it, _SWEEP_BLOCK))
+        if not chunk:
+            return
+        arr = np.array(chunk, dtype=np.int64).reshape(len(chunk), 2)
+        yield arr[:, 0], arr[:, 1]
 
 
 # ----------------------------------------------------------------------
@@ -115,25 +138,92 @@ class CliffordWordExpansion:
     coefficients: Dict[Tuple[int, int], object] = field(default_factory=dict)
 
     def reconstruct(self) -> FiberOp:
-        _, pos = subset_order(self.n)
-        cp, cs = word_tables(self.n, False)
-        hp, hs = word_tables(self.n, True)
-        op = FiberOp.zeros(self.n, 1)
+        """The operator sum phi_{IJ} c(omega^I) c-hat(omega^J), exactly.
+
+        Coefficients are split by linearity into rational planes, one per
+        Scalar term key and real/imaginary part; a rational coefficient is
+        the real part of the (0, 0) plane.  Each plane is summed as integer
+        numerators over its common denominator (``_word_sum``).  An entry
+        reached by a Scalar coefficient is a Scalar, any other a Fraction,
+        as when the coefficients are added one at a time.
+        """
+        n = self.n
+        dim = 1 << n
+        planes: Dict[Tuple[int, int, int], Dict[int, Tuple[list, list]]] = {}
+        scalar_diffs = set()
         for (cm, hm), coeff in self.coefficients.items():
-            mid = hp[hm]
-            tgt = cp[cm][mid]
-            sg = cs[cm][mid] * hs[hm]
-            for s in range(1 << self.n):
-                v = coeff if sg[s] > 0 else -coeff
-                r, c = pos[int(tgt[s])], pos[s]
-                op.mat[r, c] = op.mat[r, c] + v
-        return op
+            if isinstance(coeff, Scalar):
+                scalar_diffs.add(cm ^ hm)
+            for plane, value in _rational_parts(coeff):
+                cms, values = planes.setdefault(plane, {}).setdefault(hm, ([], []))
+                cms.append(cm)
+                values.append(value)
+        sums = {plane: _word_sum(n, groups) for plane, groups in planes.items()}
+
+        flat = np.full(dim * dim, _ZERO, dtype=object)
+        if (0, 0, 0) in sums:
+            acc, den = sums[(0, 0, 0)]
+            nz = np.flatnonzero(acc)
+            flat[nz] = [Fraction(a, den) for a in acc[nz]]
+        if scalar_diffs:
+            # W_{IJ} only links e^S to e^{S ^ I ^ J}: the entries a Scalar
+            # coefficient reaches are those whose masks differ by I ^ J
+            s = np.arange(dim)
+            reached = np.isin(s[:, None] ^ s, list(scalar_diffs)).ravel()
+            for idx in np.flatnonzero(reached):
+                terms: Dict[Tuple[int, int], list] = {}
+                for (p, q, part), (acc, den) in sums.items():
+                    if acc[idx]:
+                        terms.setdefault((p, q), [_ZERO, _ZERO])[part] = Fraction(acc[idx], den)
+                flat[idx] = Scalar({k: tuple(v) for k, v in terms.items()})
+        # rows and columns were indexed by mask; FiberOp uses subset order
+        order = np.array(subset_order(n)[0])
+        return FiberOp(n, 1, flat.reshape(dim, dim)[np.ix_(order, order)])
 
     def upper_degree(self) -> int:
         return max(popcount(cm) for (cm, _) in self.coefficients)
 
     def lower_degree(self) -> int:
         return min(popcount(cm) for (cm, _) in self.coefficients)
+
+
+def _rational_parts(coeff):
+    """(plane, value) for each nonzero rational part of an exact coefficient.
+
+    A plane is (pi power, t power, 0 for real or 1 for imaginary).
+    """
+    if isinstance(coeff, (int, Fraction)):
+        return [((0, 0, 0), coeff)] if coeff else []
+    return [
+        (key + (part,), value)
+        for key, pair in Scalar.of(coeff).terms.items()
+        for part, value in enumerate(pair)
+        if value
+    ]
+
+
+def _word_sum(n: int, groups) -> Tuple[np.ndarray, int]:
+    """Integer numerators and common denominator of sum v * W(cm, hm).
+
+    ``groups`` maps each c-hat mask hm to its c masks and rational values.
+    The result is a flat object array of Python ints, index
+    ``target_mask * 2^n + source_mask``.  Each group is gathered from the
+    word tables at once and its signed numerators scattered with
+    ``np.add.at``.
+    """
+    dim = 1 << n
+    cp, cs = word_tables(n, False)
+    hp, hs = word_tables(n, True)
+    den = lcm(*(v.denominator for _, values in groups.values() for v in values))
+    acc = np.zeros(dim * dim, dtype=object)
+    src = np.arange(dim)
+    for hm, (cms, values) in groups.items():
+        rows = np.array(cms)[:, None]
+        mid = hp[hm]
+        nums = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
+        signed = (cs[rows, mid] * hs[hm]) * nums[:, None]
+        np.add.at(acc, (cp[rows, mid] * dim + src).ravel(), signed.ravel())
+    return acc, den
 
 
 def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:

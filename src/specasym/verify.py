@@ -11,13 +11,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, pi, sqrt
+from math import exp, lcm, pi, sqrt
 from typing import Dict, List
 
 import numpy as np
 
 from .exact import Scalar
-from .exterior import DiffForm, FiberOp, popcount
+from .exterior import DiffForm, FiberOp, popcount, subset_order
 from .filtration import (
     expand_clifford_basis,
     gram_orthogonality_check,
@@ -106,10 +106,15 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
             ok &= fa.inner(fb) == fa.wedge(fb.hodge()).top_coefficient()
     _check(out, "pairing a^*(b) = <a,b> dvol (n=7, exhaustive)", ok)
 
+    # e(e^i)^* against the contraction DiffForm.interior(i), column by column
+    order, pos = subset_order(7)
     ok = True
     for i in range(1, 8):
-        e = FiberOp.ext_op(DiffForm.monomial(7, (i,)))
-        ok &= (e.adjoint().mat == e.mat.T).all()
+        interior = FiberOp.zeros(7)
+        for s in order:
+            for m, c in DiffForm(7, {s: Fraction(1)}).interior(i).terms.items():
+                interior.mat[pos[m], pos[s]] = c
+        ok &= FiberOp.ext_op(DiffForm.monomial(7, (i,))).adjoint() == interior
     _check(out, "interior operator is the matrix adjoint", ok)
 
     fails, checked = trace_identity_sweep(7)
@@ -195,10 +200,12 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
         p7, pbig = projections(s)
         a = structure_operator(s)
         dim = a.shape[0]
-        ok = (np.dot(p7.matrix, p7.matrix) == p7.matrix).all()
-        ok &= (np.dot(pbig.matrix, pbig.matrix) == pbig.matrix).all()
-        ok &= all(v == 0 for v in np.dot(p7.matrix, pbig.matrix).flat)
-        ok &= (p7.matrix.T == p7.matrix).all()
+        # P = N / den: P^2 = P iff N N = den N, and so on
+        den, (n7, nbig, na) = _numerators(p7.matrix, pbig.matrix, a)
+        ok = (np.dot(n7, n7) == den * n7).all()
+        ok &= (np.dot(nbig, nbig) == den * nbig).all()
+        ok &= not np.dot(n7, nbig).any()
+        ok &= (n7.T == n7).all()
         _check(out, f"{kind} projections idempotent, orthogonal, symmetric", bool(ok))
         _check(
             out,
@@ -206,10 +213,10 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
             p7.trace() == 7 and pbig.trace() == dim - 7,
             f"tr P7 = {p7.trace()}, tr Pbig = {pbig.trace()}",
         )
-        recon = plus * p7.matrix - pbig.matrix
-        _check(out, f"{kind} spectral reconstruction plus*P7 - Pbig", (recon == a).all())
-        comm = np.dot(p7.matrix, a) - np.dot(a, p7.matrix)
-        _check(out, f"{kind} projections commute with *e(w)", all(v == 0 for v in comm.flat))
+        recon = plus * n7 - nbig
+        _check(out, f"{kind} spectral reconstruction plus*P7 - Pbig", (recon == na).all())
+        comm = np.dot(n7, na) - np.dot(na, n7)
+        _check(out, f"{kind} projections commute with *e(w)", not comm.any())
 
         if kind == "spin7":
             _check(out, "spin7 cayley form self-dual", s.defining_form.hodge() == s.defining_form)
@@ -243,6 +250,18 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
         f"{a7.norm_sq()}, {rest.norm_sq()}",
     )
     return out
+
+
+def _numerators(*mats: np.ndarray):
+    """(den, [N, ...]): rational matrices as N / den with one common den.
+
+    Each N is an object array of Python ints, so products stay exact.
+    """
+    den = lcm(*(v.denominator for m in mats for v in m.flat))
+    return den, [
+        np.array([[v.numerator * (den // v.denominator) for v in row] for row in m], dtype=object)
+        for m in mats
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -274,6 +274,7 @@ _BAD_ARGV = {
     "spectrum-theta-long-exponent": (
         "spectrum", "--n", "7", "--qmax", "2", "--theta", "1e-1000000,0,0,0,0,0,0", "--out",
     ),
+    "verify-negative-seed": ("verify", "--suite", "algebra", "--seed", "-1"),
 }
 
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from specasym.exterior import DiffForm, FiberOp, ext_op, word_op
+from specasym.exact import Scalar
+from specasym.exterior import DiffForm, FiberOp, ext_op, subset_order, word_op
 from specasym.filtration import (
+    CliffordWordExpansion,
     PolyDiffOp,
     TruncationError,
     clifford_degrees,
@@ -13,6 +15,7 @@ from specasym.filtration import (
     gram_orthogonality_check,
     total_degree,
     trace_identity_sweep,
+    word_tables,
     word_trace,
 )
 from specasym.wordops import WordOperator, cdvol_weighted_trace
@@ -60,6 +63,93 @@ def test_expand_round_trip_random():
         i, j = rnd.randrange(128), rnd.randrange(128)
         m.mat[i, j] = m.mat[i, j] + Fraction(rnd.randint(-6, 6), rnd.randint(1, 5))
     assert expand_clifford_basis(m).reconstruct() == m
+
+
+def _entry_loop_reconstruct(exp):
+    """The word expansion summed one Fraction entry at a time (oracle)."""
+    _, pos = subset_order(exp.n)
+    cp, cs = word_tables(exp.n, False)
+    hp, hs = word_tables(exp.n, True)
+    op = FiberOp.zeros(exp.n, 1)
+    for (cm, hm), coeff in exp.coefficients.items():
+        mid = hp[hm]
+        tgt = cp[cm][mid]
+        sg = cs[cm][mid] * hs[hm]
+        for s in range(1 << exp.n):
+            v = coeff if sg[s] > 0 else -coeff
+            r, c = pos[int(tgt[s])], pos[s]
+            op.mat[r, c] = op.mat[r, c] + v
+    return op
+
+
+def _random_operator(n, entries, seed):
+    rnd = random.Random(seed)
+    m = FiberOp.zeros(n)
+    for _ in range(entries):
+        i, j = rnd.randrange(1 << n), rnd.randrange(1 << n)
+        m.mat[i, j] = m.mat[i, j] + Fraction(rnd.randint(-6, 6), rnd.randint(1, 5))
+    return m
+
+
+def _random_words(n, count, seed, draw):
+    rnd = random.Random(seed)
+    return CliffordWordExpansion(n, {
+        (rnd.randrange(1 << n), rnd.randrange(1 << n)): draw(rnd) for _ in range(count)
+    })
+
+
+def _scalar_or_rational(rnd):
+    k = rnd.randrange(6)
+    if k == 0:
+        return Scalar.term(rnd.randint(-3, 3), rnd.randint(1, 3), pi_half=rnd.choice((-2, 1)))
+    if k == 1:
+        return Scalar.i(Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)))
+    if k == 2:
+        return Scalar()
+    if k == 3:
+        return rnd.randint(-2, 2)
+    return Fraction(rnd.randint(-4, 4), rnd.randint(1, 6))
+
+
+@pytest.mark.parametrize("case", [
+    "random-n5", "random-n7", "tiny-n8", "30-digit-denominators", "empty", "scalar-coefficients",
+])
+def test_reconstruct_matches_entry_loop(case):
+    if case == "random-n5":
+        exp = expand_clifford_basis(_random_operator(5, 20, seed=1))
+    elif case == "random-n7":
+        exp = expand_clifford_basis(_random_operator(7, 3, seed=2))
+    elif case == "tiny-n8":
+        exp = expand_clifford_basis(_random_operator(8, 1, seed=3))
+    elif case == "30-digit-denominators":
+        exp = _random_words(5, 60, seed=4, draw=lambda rnd: Fraction(
+            rnd.randint(-10 ** 30, 10 ** 30), rnd.randint(10 ** 29, 10 ** 30)))
+    elif case == "empty":
+        exp = CliffordWordExpansion(7, {})
+    else:
+        exp = _random_words(5, 80, seed=5, draw=_scalar_or_rational)
+    got, want = exp.reconstruct(), _entry_loop_reconstruct(exp)
+    assert got == want
+    assert [type(v) for v in got.mat.flat] == [type(v) for v in want.mat.flat]
+    if case != "scalar-coefficients":
+        assert all(type(v) is Fraction for v in got.mat.flat)
+    else:
+        assert any(isinstance(v, Scalar) and not v.is_zero() for v in got.mat.flat)
+
+
+def test_sweep_blocks_match_pair_loop(flipped_word_sign):
+    """Given pairs are read in slices; the failures equal a per-pair loop's."""
+    fails, checked = trace_identity_sweep(7)
+    assert checked == 4 ** 7 and fails == [(3, 3, word_trace(7, 3, 3))]
+    assert word_trace(7, 3, 3) in (2, -2)
+    rnd = random.Random(6)
+    pairs = [(3, 3), (0, 0)] + [(rnd.randrange(128), rnd.randrange(128)) for _ in range(148)]
+    pairs.insert(10, (3, 3))
+    pairs.insert(100, (3, 3))
+    want = [(cm, hm, word_trace(7, cm, hm)) for cm, hm in pairs
+            if word_trace(7, cm, hm) != (128 if (cm, hm) == (0, 0) else 0)]
+    fails, checked = trace_identity_sweep(7, iter(pairs))
+    assert checked == len(pairs) and fails == want and len(want) == 3
 
 
 def test_expand_requires_rank_one():

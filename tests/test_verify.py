@@ -1,0 +1,76 @@
+from fractions import Fraction
+
+import pytest
+
+from specasym import verify
+from specasym.exterior import DiffForm, FiberOp
+from specasym.filtration import CliffordWordExpansion
+from specasym.holonomy import Projection, projections
+
+
+def _statuses(results):
+    return {r.name: r.status for r in results}
+
+
+def test_algebra_and_holonomy_suites_pass():
+    for suite in (verify.algebra_suite, verify.holonomy_suite):
+        results = suite(0)
+        assert results and all(r.status == "pass" for r in results), [
+            r.name for r in results if r.status != "pass"
+        ]
+
+
+def test_round_trip_check_fails_when_a_coefficient_is_dropped(monkeypatch):
+    reconstruct = CliffordWordExpansion.reconstruct
+
+    def dropping(self):
+        kept = dict(self.coefficients)
+        kept.pop(next(iter(kept)))
+        return reconstruct(CliffordWordExpansion(self.n, kept))
+
+    monkeypatch.setattr(CliffordWordExpansion, "reconstruct", dropping)
+    status = _statuses(verify.algebra_suite(0))
+    assert status["expansion round trip on a random operator"] == "fail"
+
+
+@pytest.mark.parametrize("broken", ["adjoint-without-transpose", "interior-sign"])
+def test_interior_adjoint_check_can_fail(monkeypatch, broken):
+    if broken == "adjoint-without-transpose":
+        monkeypatch.setattr(FiberOp, "adjoint", lambda self: FiberOp(self.n, self.r, self.mat.copy()))
+    else:
+        interior = DiffForm.interior
+        monkeypatch.setattr(
+            DiffForm, "interior", lambda self, i: interior(self, i).scale(-1 if i == 3 else 1)
+        )
+    status = _statuses(verify.algebra_suite(0))
+    assert status["interior operator is the matrix adjoint"] == "fail"
+
+
+def test_trace_sweep_check_fails_on_a_flipped_word_sign(flipped_word_sign):
+    status = _statuses(verify.algebra_suite(0))
+    assert status["word-trace identity, all 4^7 pairs (n=7)"] == "fail"
+    assert status["word-trace identity, 10^4 random pairs (n=8)"] == "pass"
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+def test_projection_checks_fail_on_a_changed_entry(monkeypatch, kind):
+    """One diagonal entry of P_7 moved by 1/7: symmetry still holds, so the
+    integer products have to catch it."""
+
+    def changed(s):
+        p7, pbig = projections(s)
+        if s.kind != kind:
+            return p7, pbig
+        (mask, row), rest = p7.rows[0], p7.rows[1:]
+        row = [(mj, v + Fraction(1, 7) if mj == mask else v) for mj, v in row]
+        return Projection(p7.target, p7.n, [(mask, row)] + rest), pbig
+
+    monkeypatch.setattr(verify, "projections", changed)
+    status = _statuses(verify.holonomy_suite(0))
+    other = "spin7" if kind == "g2" else "g2"
+    for check in ("projections idempotent, orthogonal, symmetric",
+                  "spectral reconstruction plus*P7 - Pbig",
+                  "projections commute with *e(w)",
+                  "projection traces"):
+        assert status[f"{kind} {check}"] == "fail"
+        assert status[f"{other} {check}"] == "pass"

@@ -13,9 +13,15 @@ computed two independent ways:
   Gaussian kernel, with every iterated integral done exactly by Wick
   contractions of the Brownian-bridge covariance.
 
-``mehler_diag_trace`` builds neither: ``mehler_trace_degree4`` computes
+The densities build neither kernel.  ``mehler_trace_degree4`` computes
 only the word-free, form-degree-4 part of the Mehler kernel, which is all
-the weighted density reads; ``mehler_kernel`` stays as its oracle.
+the weighted density reads.  ``duhamel_diag_trace`` sums the form traces
+of the Wick terms (``wick_trace``): drift and quadratic entries enter as
+plain forms, and a product of two word operators is traced by the word
+join ``WordOperator.trace_of_product``, which also gives the Mehler V^2.
+The Wick terms are listed once (``wick_terms``); ``wick_kernel``
+multiplies them out, so ``mehler_kernel`` and ``duhamel_kernel`` stay as
+the full-kernel oracles.
 
 ``landau_kernel`` runs the same Wick engine on the *untruncated* flat
 operator with constant bundle curvature; it anchors the one free trace
@@ -26,11 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import pi as _PI, sinh as _sinh, sqrt as _sqrt
+from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
 from .exact import Scalar
-from .exterior import DiffForm, mask_of, merge_sign, popcount
+from .exterior import DiffForm, mask_of, popcount
 from .residue import characteristic_density_form
 from .wordops import (
     Mat,
@@ -43,7 +51,6 @@ from .wordops import (
     mat_scale,
     mat_zero,
     star_weighted_trace,
-    word_mul,
 )
 
 FormMatrix = List[List[DiffForm]]
@@ -436,9 +443,8 @@ def mehler_trace_degree4(cd: CurvatureData) -> DiffForm:
     4-form, so the power of t follows form degree.  At degree 4 the kernel
     needs only t^2 V^2 / 2 from exp(-t V) and only the first determinant
     term (1/2) l_1 tr(4 t^2 Q) (x) 1_r.  The fiber trace keeps word-free
-    terms, so V.V reduces to a join of V's terms on equal (c, chat) words
-    with disjoint form masks; each pair carries the sign of
-    ``WordOperator._mul_op`` and the bundle factor tr(M1 M2).
+    terms, so V.V is ``WordOperator.trace_of_product(V, V)``: a join of
+    V's terms on equal (c, chat) words, never the product itself.
     """
     n, r = cd.n, cd.r
     v = model_constant_potential(cd)
@@ -447,44 +453,72 @@ def mehler_trace_degree4(cd: CurvatureData) -> DiffForm:
         raise ValueError("model potential has a term that is not a 2-form")
     if any(popcount(m) != 4 for row in q for entry in row for m in entry.terms):
         raise ValueError("Q has an entry that is not a pure 4-form")
-    out: Dict[int, Scalar] = {}
-
-    def add(mask: int, x: Scalar) -> None:
-        acc = out.get(mask, Scalar()) + x
-        if acc.is_zero():
-            out.pop(mask, None)
-        else:
-            out[mask] = acc
-
-    # determinant factor: (1/2) l_1 4 tr Q, times tr 1_r = r
+    # determinant factor: (1/2) l_1 4 tr Q, times the fiber trace 2^n r of 1_r
     (l1,) = _log_x_over_sinh_series(1)
-    for m, c in form_matrix_trace(q).terms.items():
-        add(m, Scalar.of(c) * (2 * l1 * r))
-    # exp(-t V): the word-free part of V^2 / 2; ordered pairs come twice
-    # with equal values (2-forms commute), so each unordered pair counts once
-    by_word: Dict[Tuple[int, int], List[Tuple[int, Mat]]] = {}
-    for (f, c, h), m in v.terms.items():
-        by_word.setdefault((c, h), []).append((f, m))
-    for (c, h), group in by_word.items():
-        word_sign = word_mul(c, c, -1)[0] * word_mul(h, h, +1)[0]
-        if (popcount(h) * popcount(c)) & 1:
-            word_sign = -word_sign
-        for a, (f1, m1) in enumerate(group):
-            for f2, m2 in group[a + 1:]:
-                if f1 & f2:
-                    continue
-                val = sum(
-                    (m1[i][k] * m2[k][i] for i in range(r) for k in range(r)), Scalar()
-                )
-                add(f1 | f2, val if word_sign * merge_sign(f1, f2) > 0 else -val)
-    # fiber weight 2^n, flat prefactor and the t^2 of both terms
-    factor = Scalar.of(1 << n) * gaussian_prefactor(n) * Scalar.t_pow(4)
-    return DiffForm(n, {m: factor * x for m, x in out.items()})
+    det = form_matrix_trace(q).scale(2 * l1 * r * (1 << n))
+    # exp(-t V): the word-free part of V^2 / 2
+    v2 = WordOperator.trace_of_product(v, v).scale(Fraction(1, 2))
+    # flat prefactor and the t^2 of both terms
+    return (det + v2).scale(gaussian_prefactor(n) * Scalar.t_pow(4))
 
 
 # ----------------------------------------------------------------------
 # Duhamel / Wick engine
 # ----------------------------------------------------------------------
+
+# Wick terms of the diagonal kernel through two insertions:
+# (insertions, coefficient, power of t^(1/2), factors).  Every integral of
+# Brownian-bridge Wick contractions is done in closed form; "drift_pairs"
+# stands for sum_{i,k} drift[i][k] (drift[i][k] + drift[k][i]).
+_WICK_TERMS = (
+    (0, Fraction(1), 0, ()),
+    (1, Fraction(-1), 2, ("const",)),
+    (1, Fraction(1, 2), 2, ("tr_drift",)),
+    (1, Fraction(-1, 3), 4, ("tr_quad",)),
+    (2, Fraction(1, 2), 4, ("const", "const")),
+    (2, Fraction(-1, 6), 4, ("tr_drift", "const")),
+    (2, Fraction(-1, 3), 4, ("const", "tr_drift")),
+    (2, Fraction(1, 8), 4, ("tr_drift", "tr_drift")),
+    (2, Fraction(-1, 24), 4, ("drift_pairs",)),
+)
+
+
+def wick_terms(n: int, const, drift, quad, order: int = 2) -> List[Tuple[Scalar, list]]:
+    """Wick terms of -Laplacian + drift + quad + const through ``order``.
+
+    drift[i][k] multiplies x^k d_i; quad[j][k] multiplies x^j x^k; const is
+    x-independent.  Returns ``(coefficient, products)`` pairs: the
+    coefficient carries its power of t, and ``products`` lists operand
+    tuples whose products are summed (the empty tuple is the identity).
+    Operands are WordOperators or pure forms; zero operands drop out.
+    """
+    if order > 2:
+        raise ValueError("Duhamel expansion supports order <= 2 only")
+    named = {
+        "const": const,
+        "tr_drift": None if drift is None else reduce(add, (drift[i][i] for i in range(n))),
+        "tr_quad": None if quad is None else reduce(add, (quad[j][j] for j in range(n))),
+    }
+    out = []
+    for insertions, coef, half, factors in _WICK_TERMS:
+        if insertions > order:
+            continue
+        if factors == ("drift_pairs",):
+            products = []
+            for i in range(n):
+                for k in range(n):
+                    if drift is None or drift[i][k].is_zero():
+                        continue
+                    pair = drift[i][k] + drift[k][i]
+                    if not pair.is_zero():
+                        products.append((drift[i][k], pair))
+        else:
+            ops = tuple(named[f] for f in factors)
+            products = [] if any(x is None or x.is_zero() for x in ops) else [ops]
+        if products:
+            out.append((Scalar.term(coef, t_half=half), products))
+    return out
+
 
 def wick_kernel(
     n: int,
@@ -496,70 +530,72 @@ def wick_kernel(
 ) -> WordOperator:
     """Diagonal heat kernel of -Laplacian + drift + quad + const at 0.
 
-    drift[i][k] multiplies x^k d_i; quad[j][k] multiplies x^j x^k; const is
-    x-independent.  All time integrals of Brownian-bridge Wick
-    contractions are evaluated in closed form; the result is exact through
-    relative order t^2 (insertion count <= ``order``).
+    Multiplies out every product of ``wick_terms``; the result is exact
+    through relative order t^2 (insertion count <= ``order``).
     """
-    if order > 2:
-        raise ValueError("Duhamel expansion supports order <= 2 only")
-    one = WordOperator.identity(n, r)
-    k = one
-
-    def tpow(coef: Fraction, half: int) -> Scalar:
-        return Scalar.term(coef, t_half=half)
-
-    tr_drift = None
-    if drift is not None:
-        tr_drift = WordOperator.zero(n, r)
-        for i in range(n):
-            tr_drift = tr_drift + drift[i][i]
-    if order >= 1:
-        if const is not None:
-            k = k + const.scale(tpow(Fraction(-1), 2))
-        if tr_drift is not None:
-            k = k + tr_drift.scale(tpow(Fraction(1, 2), 2))
-        if quad is not None:
-            tr_quad = WordOperator.zero(n, r)
-            for j in range(n):
-                tr_quad = tr_quad + quad[j][j]
-            k = k + tr_quad.scale(tpow(Fraction(-1, 3), 4))
-    if order >= 2:
-        if const is not None:
-            k = k + (const * const).scale(tpow(Fraction(1, 2), 4))
-        if const is not None and tr_drift is not None:
-            k = k + (tr_drift * const).scale(tpow(Fraction(-1, 6), 4))
-            k = k + (const * tr_drift).scale(tpow(Fraction(-1, 3), 4))
-        if tr_drift is not None:
-            k = k + (tr_drift * tr_drift).scale(tpow(Fraction(1, 8), 4))
-            same = WordOperator.zero(n, r)
-            swapped = WordOperator.zero(n, r)
-            for i in range(n):
-                for kk in range(n):
-                    if drift[i][kk].is_zero():
-                        continue
-                    same = same + drift[i][kk] * drift[i][kk]
-                    swapped = swapped + drift[i][kk] * drift[kk][i]
-            k = k + (same + swapped).scale(tpow(Fraction(-1, 24), 4))
+    k = WordOperator.zero(n, r)
+    for coef, products in wick_terms(n, const, drift, quad, order):
+        term = WordOperator.zero(n, r)
+        for ops in products:
+            term = term + (reduce(mul, ops) if ops else WordOperator.identity(n, r))
+        k = k + term.scale(coef)
     return k.scale(gaussian_prefactor(n))
 
 
-def duhamel_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
-    """Duhamel expansion of the model heat kernel diagonal."""
-    n, r = cd.n, cd.r
+def wick_trace(
+    n: int,
+    r: int,
+    const: Optional[WordOperator],
+    drift: Optional[List[List[DiffForm]]],
+    quad: Optional[List[List[DiffForm]]],
+    order: int = 2,
+) -> DiffForm:
+    """``wick_kernel(...).form_trace()`` from the form traces of the Wick terms.
+
+    drift and quad entries are even forms standing for form (x) 1_r.  Such
+    forms commute with everything, so a product traces to their wedge
+    times the trace of its word operators: 2^n r for none, ``form_trace``
+    for one, ``WordOperator.trace_of_product`` for two.  No product of
+    word operators is built.
+    """
+    total = DiffForm.zero(n)
+    for coef, products in wick_terms(n, const, drift, quad, order):
+        term = DiffForm.zero(n)
+        for ops in products:
+            words = [x for x in ops if isinstance(x, WordOperator)]
+            form = reduce(DiffForm.wedge, (x for x in ops if isinstance(x, DiffForm)),
+                          DiffForm.one(n))
+            if not words:
+                tr = DiffForm.one(n).scale((1 << n) * r)
+            elif len(words) == 1:
+                tr = words[0].form_trace()
+            else:
+                tr = WordOperator.trace_of_product(*words)
+            term = term + form.wedge(tr)
+        total = total + term.scale(coef)
+    return total.scale(gaussian_prefactor(n))
+
+
+def _duhamel_operands(cd: CurvatureData):
+    """(const, drift, quad) of the model operator; drift and quad are forms."""
     const = model_constant_potential(cd)
-    drift = None
-    quad = None
-    if cd.has_riemann_curvature():
-        drift = [
-            [WordOperator.from_form(cd.rhat(i, j), r) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        quad = [
-            [WordOperator.from_form(entry, r) for entry in row]
-            for row in q_matrix(cd)
-        ]
-    return wick_kernel(n, r, const if not const.is_zero() else None, drift, quad, order)
+    if not cd.has_riemann_curvature():
+        return const, None, None
+    n = cd.n
+    drift = [[cd.rhat(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return const, drift, q_matrix(cd)
+
+
+def duhamel_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
+    """Duhamel expansion of the model heat kernel diagonal, built in full."""
+    const, drift, quad = _duhamel_operands(cd)
+
+    def lift(forms):
+        if forms is None:
+            return None
+        return [[WordOperator.from_form(x, cd.r) for x in row] for row in forms]
+
+    return wick_kernel(cd.n, cd.r, const, lift(drift), lift(quad), order)
 
 
 def landau_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
@@ -601,10 +637,15 @@ def landau_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
 # ----------------------------------------------------------------------
 
 def duhamel_diag_trace(s, cd: CurvatureData, order: int = 2) -> DiffForm:
-    """Fiber trace of the Duhamel kernel: the form-valued diagonal density."""
+    """Fiber trace of the Duhamel kernel: the form-valued diagonal density.
+
+    Sums the form traces of the Wick terms (``wick_trace``); it equals
+    ``duhamel_kernel(cd, order).form_trace()``, which stays as its oracle.
+    """
     if s is not None and s.n != cd.n:
         raise ValueError("structure/curvature dimension mismatch")
-    return duhamel_kernel(cd, order).form_trace()
+    const, drift, quad = _duhamel_operands(cd)
+    return wick_trace(cd.n, cd.r, const, drift, quad, order)
 
 
 def _calibration_curvature(s) -> CurvatureData:
@@ -681,10 +722,8 @@ def mehler_diag_trace(s, cd: CurvatureData) -> Scalar:
 
 
 def duhamel_density(s, cd: CurvatureData, order: int = 2) -> Scalar:
-    """Weighted density via the Duhamel kernel (oracle side)."""
-    if s.n != cd.n:
-        raise ValueError("structure/curvature dimension mismatch")
-    return density_from_kernel(s, duhamel_kernel(cd, order))
+    """Weighted density via the Duhamel expansion (oracle side)."""
+    return _weighted_density(s, duhamel_diag_trace(s, cd, order))
 
 
 def true_operator_density(s, cd: CurvatureData, order: int = 2) -> Scalar:

@@ -40,19 +40,16 @@ def pontryagin_p1(cd) -> DiffForm:
 
 def chern_forms(cd) -> Tuple[DiffForm, DiffForm]:
     """(c1, c2) of the bundle from its skew-Hermitian curvature matrices."""
-    n, r = cd.n, cd.r
-    fhat = cd.bundle_two_forms()  # (a, b) -> 2-form
-
-    def entry(a, b):
-        return fhat.get((a, b), DiffForm.zero(n))
-
+    n = cd.n
+    fhat = cd.bundle_two_forms()  # nonzero (a, b) -> 2-form, so no loop over r^2
     tr_f = DiffForm.zero(n)
-    for a in range(r):
-        tr_f = tr_f + entry(a, a)
     tr_ff = DiffForm.zero(n)
-    for a in range(r):
-        for b in range(r):
-            tr_ff = tr_ff + entry(a, b).wedge(entry(b, a))
+    for (a, b), f_ab in fhat.items():
+        if a == b:
+            tr_f = tr_f + f_ab
+        f_ba = fhat.get((b, a))
+        if f_ba is not None:
+            tr_ff = tr_ff + f_ab.wedge(f_ba)
     c1 = tr_f.scale(Scalar.term(0, Fraction(1, 2), pi_half=-2))
     c2 = (tr_f.wedge(tr_f) - tr_ff).scale(Scalar.term(Fraction(-1, 8), pi_half=-4))
     return c1.map_coefficients(_require_real), c2.map_coefficients(_require_real)

@@ -26,8 +26,9 @@ from .filtration import (
 from .heat import (
     CurvatureData,
     calibration_constant,
-    curvature_exponential,
     duhamel_density,
+    duhamel_diag_trace,
+    duhamel_kernel,
     mehler_diag_trace,
     model_reduction_ratio,
     oscillator_diag_kernel,
@@ -355,14 +356,14 @@ def heat_suite(seed: int = 0, full: bool = True) -> List[CheckResult]:
     cd = random_curvature(7, 2, seed=10, with_riemann=False)
     u = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
     conj = _conjugate_bundle(cd, u)
-    same = duhamel_diag_trace_equal(g2, cd, conj)
+    same = duhamel_diag_trace(g2, cd) == duhamel_diag_trace(g2, conj)
     _check(out, "duhamel trace invariant under constant gauge rotation", same)
 
-    # curvature exponential termination
-    cdr = random_curvature(7, 1, seed=14)
-    expo = curvature_exponential(cdr)
-    max_deg = max(popcount(f) for (f, _, _) in expo.terms)
-    _check(out, "curvature exponential terminates at form degree <= n", max_deg <= 7)
+    # the density path sums Wick-term traces; the full kernel is its oracle
+    cd = random_curvature(7, 2, seed=15)
+    same = duhamel_diag_trace(g2, cd) == duhamel_kernel(cd).form_trace()
+    _check(out, "trace-aware Duhamel trace equals the form trace of the full Duhamel kernel",
+           same, "g2, r=2, seed 15")
 
     # 1-d oscillator diagonal vs Hermite eigenfunction sum
     worst = 0.0
@@ -373,12 +374,6 @@ def heat_suite(seed: int = 0, full: bool = True) -> List[CheckResult]:
             worst = max(worst, abs(closed - series) / closed)
     _check(out, "oscillator diagonal matches Hermite sum", worst < 1e-6, f"max rel {worst:.2e}")
     return out
-
-
-def duhamel_diag_trace_equal(s, cd_a: CurvatureData, cd_b: CurvatureData) -> bool:
-    from .heat import duhamel_diag_trace
-
-    return duhamel_diag_trace(s, cd_a) == duhamel_diag_trace(s, cd_b)
 
 
 def _conjugate_bundle(cd: CurvatureData, u) -> CurvatureData:

@@ -296,6 +296,40 @@ class WordOperator:
                     out[f] = acc
         return DiffForm(self.n, out)
 
+    @staticmethod
+    def trace_of_product(a: "WordOperator", b: "WordOperator") -> DiffForm:
+        """``(a * b).form_trace()`` without building ``a * b``.
+
+        A product of two terms is word-free exactly when their (c, chat)
+        words are equal, so only those pairs are joined, and only those
+        with disjoint form masks.  Each pair carries the sign of
+        ``_mul_op`` (form merge sign, the |h1||c2| swap and the squares
+        of both words), the bundle factor tr(M1 M2) and the weight 2^n.
+        """
+        a._check(b)
+        by_word: Dict[Tuple[int, int], list] = {}
+        for (f2, c2, h2), m2 in b.terms.items():
+            by_word.setdefault((c2, h2), []).append((f2, m2))
+        rng = range(a.r)
+        out: Dict[int, Scalar] = {}
+        for (f1, c, h), m1 in a.terms.items():
+            group = by_word.get((c, h))
+            if group is None:
+                continue
+            word_sign = word_mul(c, c, -1)[0] * word_mul(h, h, +1)[0]
+            if (popcount(h) * popcount(c)) & 1:
+                word_sign = -word_sign
+            for f2, m2 in group:
+                if f1 & f2:
+                    continue
+                val = sum((m1[i][k] * m2[k][i] for i in rng for k in rng), Scalar())
+                if word_sign * merge_sign(f1, f2) < 0:
+                    val = -val
+                key = f1 | f2
+                out[key] = out[key] + val if key in out else val
+        weight = Scalar.of(1 << a.n)
+        return DiffForm(a.n, {m: weight * x for m, x in out.items()})
+
     def to_fiber_op(self) -> FiberOp:
         """Materialise as a dense matrix (form slot must be empty)."""
         if any(f for (f, _, _) in self.terms):

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import specasym
 from specasym.cli import main
 
 
@@ -297,6 +300,26 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_residue_oracle_flat_bundle_is_independent_of_rank(tmp_path):
+    """No step of a flat-bundle residue loops over the rank, so rank 10^6
+    finishes at once; run in a subprocess so a regression fails, not hangs."""
+    path = os.fspath(tmp_path / "flat.json")
+    _write(path, {"n": 7, "rank": 10 ** 6})
+    src = os.path.dirname(os.path.dirname(specasym.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specasym.cli", "residue", "--kind", "g2", "--input", path,
+         "--oracle"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["residue"]["exact"] == "0"
+    assert doc["oracle"]["duhamel_coefficient"]["exact"] == "0"
+    assert doc["oracle"]["relative_discrepancy"] == 0.0
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import exp, pi, sinh, sqrt
 
@@ -27,6 +28,7 @@ from specasym.heat import (
     q_matrix,
     random_curvature,
     wick_kernel,
+    wick_trace,
     _calibration_curvature,
     _log_x_over_sinh_series,
 )
@@ -275,6 +277,18 @@ def test_wick_ou_drift():
     assert rel.t_coefficient(2) == Scalar.of(lam * lam / 24)
 
 
+def test_wick_ou_drift_with_constant():
+    # a constant c commutes with everything: the kernel is e^{-tc} times the
+    # OU kernel, so the two cross terms must add up to -c lam / 2 at t^2
+    lam, c = Fraction(3, 2), Fraction(5, 7)
+    drift = [[WordOperator.identity(1, 1).scale(lam)]]
+    const = WordOperator.identity(1, 1).scale(c)
+    k = wick_kernel(1, 1, const, drift, None, order=2)
+    rel = k.form_trace().terms[0] / (gaussian_prefactor(1) * 2)
+    assert rel.t_coefficient(1) == Scalar.of(lam / 2 - c)
+    assert rel.t_coefficient(2) == Scalar.of(lam * lam / 24 + c * c / 2 - c * lam / 2)
+
+
 def test_wick_rotation_drift():
     b = Fraction(2)
     rho = [[Fraction(0), -b], [b, Fraction(0)]]
@@ -387,6 +401,47 @@ def test_degree4_path_equals_full_kernel(g2, spin7, kind, case):
     trace = kernel.form_trace()
     degree4 = DiffForm(s.n, {m: c for m, c in trace.terms.items() if popcount(m) == 4})
     assert mehler_trace_degree4(cd) == degree4
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+@pytest.mark.parametrize("case", sorted(_DEGREE4_INPUTS) + ["calibration"])
+def test_trace_path_equals_full_duhamel_kernel(g2, spin7, kind, case):
+    """The density path sums Wick-term traces; the kernel built in full by
+    ``_mul_op`` is its oracle, so the oracle is never checked only against
+    itself."""
+    s = g2 if kind == "g2" else spin7
+    cd = _calibration_curvature(s) if case == "calibration" else _DEGREE4_INPUTS[case](s.n)
+    for order in (0, 1, 2):
+        kernel = duhamel_kernel(cd, order)
+        assert duhamel_diag_trace(s, cd, order) == kernel.form_trace()
+        assert duhamel_density(s, cd, order) == density_from_kernel(s, kernel)
+    with pytest.raises(ValueError):
+        duhamel_density(s, cd, order=3)
+
+
+def _random_even_form(n, rnd):
+    masks = [m for m in range(1 << n) if popcount(m) in (0, 2)]
+    return DiffForm(n, {m: Fraction(rnd.randint(-2, 2), rnd.randint(1, 3))
+                        for m in rnd.sample(masks, 2)})
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_wick_trace_equals_trace_of_wick_kernel(r):
+    """Generic operands: the drift has a nonzero trace (the model's does
+    not), so every cross term of the Wick table is exercised."""
+    rnd = random.Random(40 + r)
+    n = 4
+    const = model_constant_potential(random_curvature(n, r, seed=40 + r))
+    drift = [[_random_even_form(n, rnd) for _ in range(n)] for _ in range(n)]
+    quad = [[_random_even_form(n, rnd) for _ in range(n)] for _ in range(n)]
+
+    def lift(forms):
+        return [[WordOperator.from_form(x, r) for x in row] for row in forms]
+
+    for order in (0, 1, 2):
+        full = wick_kernel(n, r, const, lift(drift), lift(quad), order).form_trace()
+        assert wick_trace(n, r, const, drift, quad, order) == full
+    assert not full.is_zero()
 
 
 def test_degree4_path_precondition(monkeypatch):

@@ -6,6 +6,7 @@ from specasym import verify
 from specasym.exterior import DiffForm, FiberOp
 from specasym.filtration import CliffordWordExpansion
 from specasym.holonomy import Projection, projections
+from specasym.wordops import WordOperator
 
 
 def _statuses(results):
@@ -74,3 +75,14 @@ def test_projection_checks_fail_on_a_changed_entry(monkeypatch, kind):
                   "projection traces"):
         assert status[f"{kind} {check}"] == "fail"
         assert status[f"{other} {check}"] == "pass"
+
+
+def test_trace_path_check_fails_on_a_flipped_join_sign(monkeypatch):
+    """A sign error in the word join reaches the Mehler and the Duhamel
+    density alike, so only the full-kernel check can see it."""
+    join = WordOperator.trace_of_product
+    monkeypatch.setattr(WordOperator, "trace_of_product", staticmethod(lambda a, b: -join(a, b)))
+    status = _statuses(verify.heat_suite(0, full=False))
+    name = "trace-aware Duhamel trace equals the form trace of the full Duhamel kernel"
+    assert status[name] == "fail"
+    assert status["mehler = duhamel through t^2 (n=7, r=1, seed 3)"] == "pass"

@@ -10,8 +10,8 @@ arithmetic all live here without rounding.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import pi as _PI
-from typing import Iterable, Union
+from math import lcm, pi as _PI
+from typing import Dict, List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -232,12 +232,35 @@ ONE = Scalar.of(1)
 I = Scalar.i()
 
 
-def as_scalar(x) -> Scalar:
-    return Scalar.of(x)
+def rational_parts(x) -> List[Tuple[Tuple[int, int, int], Rat]]:
+    """(plane, value) for each nonzero rational part of an exact value.
+
+    A plane is (pi power, t power, 0 for real or 1 for imaginary).
+    """
+    if isinstance(x, (int, Fraction)):
+        return [((0, 0, 0), x)] if x else []
+    return [
+        (key + (part,), value)
+        for key, pair in Scalar.of(x).terms.items()
+        for part, value in enumerate(pair)
+        if value
+    ]
 
 
-def scalar_sum(xs: Iterable) -> Scalar:
-    out = Scalar()
-    for x in xs:
-        out = out + x
-    return out
+def numerator_planes(values: Sequence) -> Tuple[int, Dict[Tuple[int, int, int], List[int]]]:
+    """Exact values as integer numerators over one common denominator.
+
+    Returns ``(den, planes)``: ``planes[(p, q, part)][k] / den`` is the
+    real (part 0) or imaginary (part 1) coefficient of pi^(p/2) t^(q/2)
+    in ``values[k]``.  Only planes with a nonzero entry are present, so
+    sums and products of the values run on Python ints.
+    """
+    parts = [rational_parts(x) for x in values]
+    den = lcm(*(v.denominator for ps in parts for _, v in ps))
+    planes: Dict[Tuple[int, int, int], List[int]] = {}
+    for k, ps in enumerate(parts):
+        for plane, v in ps:
+            if plane not in planes:
+                planes[plane] = [0] * len(values)
+            planes[plane][k] = v.numerator * (den // v.denominator)
+    return den, planes

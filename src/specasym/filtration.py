@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import lcm
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .exact import Scalar
+from .exact import Scalar, numerator_planes
 from .exterior import FiberOp, apply_cliff, popcount, subset_order
 from .wordops import WordOperator, mat_eye, mat_scale
 
@@ -143,26 +142,21 @@ class CliffordWordExpansion:
         Coefficients are split by linearity into rational planes, one per
         Scalar term key and real/imaginary part; a rational coefficient is
         the real part of the (0, 0) plane.  Each plane is summed as integer
-        numerators over its common denominator (``_word_sum``).  An entry
+        numerators over one common denominator (``_word_sum``).  An entry
         reached by a Scalar coefficient is a Scalar, any other a Fraction,
         as when the coefficients are added one at a time.
         """
         n = self.n
         dim = 1 << n
-        planes: Dict[Tuple[int, int, int], Dict[int, Tuple[list, list]]] = {}
-        scalar_diffs = set()
-        for (cm, hm), coeff in self.coefficients.items():
-            if isinstance(coeff, Scalar):
-                scalar_diffs.add(cm ^ hm)
-            for plane, value in _rational_parts(coeff):
-                cms, values = planes.setdefault(plane, {}).setdefault(hm, ([], []))
-                cms.append(cm)
-                values.append(value)
-        sums = {plane: _word_sum(n, groups) for plane, groups in planes.items()}
+        den, planes = numerator_planes(list(self.coefficients.values()))
+        sums = {plane: _word_sum(n, self.coefficients, nums) for plane, nums in planes.items()}
+        scalar_diffs = {
+            cm ^ hm for (cm, hm), coeff in self.coefficients.items() if isinstance(coeff, Scalar)
+        }
 
         flat = np.full(dim * dim, _ZERO, dtype=object)
         if (0, 0, 0) in sums:
-            acc, den = sums[(0, 0, 0)]
+            acc = sums[(0, 0, 0)]
             nz = np.flatnonzero(acc)
             flat[nz] = [Fraction(a, den) for a in acc[nz]]
         if scalar_diffs:
@@ -172,7 +166,7 @@ class CliffordWordExpansion:
             reached = np.isin(s[:, None] ^ s, list(scalar_diffs)).ravel()
             for idx in np.flatnonzero(reached):
                 terms: Dict[Tuple[int, int], list] = {}
-                for (p, q, part), (acc, den) in sums.items():
+                for (p, q, part), acc in sums.items():
                     if acc[idx]:
                         terms.setdefault((p, q), [_ZERO, _ZERO])[part] = Fraction(acc[idx], den)
                 flat[idx] = Scalar({k: tuple(v) for k, v in terms.items()})
@@ -187,43 +181,31 @@ class CliffordWordExpansion:
         return min(popcount(cm) for (cm, _) in self.coefficients)
 
 
-def _rational_parts(coeff):
-    """(plane, value) for each nonzero rational part of an exact coefficient.
+def _word_sum(n: int, words: Iterable[Tuple[int, int]], nums) -> np.ndarray:
+    """Integer sum of num * W(cm, hm) over ``words`` and their numerators.
 
-    A plane is (pi power, t power, 0 for real or 1 for imaginary).
-    """
-    if isinstance(coeff, (int, Fraction)):
-        return [((0, 0, 0), coeff)] if coeff else []
-    return [
-        (key + (part,), value)
-        for key, pair in Scalar.of(coeff).terms.items()
-        for part, value in enumerate(pair)
-        if value
-    ]
-
-
-def _word_sum(n: int, groups) -> Tuple[np.ndarray, int]:
-    """Integer numerators and common denominator of sum v * W(cm, hm).
-
-    ``groups`` maps each c-hat mask hm to its c masks and rational values.
     The result is a flat object array of Python ints, index
-    ``target_mask * 2^n + source_mask``.  Each group is gathered from the
-    word tables at once and its signed numerators scattered with
-    ``np.add.at``.
+    ``target_mask * 2^n + source_mask``.  Words are grouped by c-hat mask;
+    each group is gathered from the word tables at once and its signed
+    numerators scattered with ``np.add.at``.
     """
     dim = 1 << n
     cp, cs = word_tables(n, False)
     hp, hs = word_tables(n, True)
-    den = lcm(*(v.denominator for _, values in groups.values() for v in values))
+    groups: Dict[int, Tuple[list, list]] = {}
+    for (cm, hm), num in zip(words, nums):
+        if num:
+            cms, values = groups.setdefault(hm, ([], []))
+            cms.append(cm)
+            values.append(num)
     acc = np.zeros(dim * dim, dtype=object)
     src = np.arange(dim)
     for hm, (cms, values) in groups.items():
         rows = np.array(cms)[:, None]
         mid = hp[hm]
-        nums = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
-        signed = (cs[rows, mid] * hs[hm]) * nums[:, None]
+        signed = (cs[rows, mid] * hs[hm]) * np.array(values, dtype=object)[:, None]
         np.add.at(acc, (cp[rows, mid] * dim + src).ravel(), signed.ravel())
-    return acc, den
+    return acc
 
 
 def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:

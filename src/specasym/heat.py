@@ -33,18 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import pi as _PI, sinh as _sinh, sqrt as _sqrt
+from math import lcm, pi as _PI, sinh as _sinh, sqrt as _sqrt
 from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
-from .exact import Scalar
+from .exact import Scalar, numerator_planes
 from .exterior import DiffForm, mask_of, popcount
 from .residue import characteristic_density_form
 from .wordops import (
     Mat,
     WordOperator,
     mat_add,
-    mat_conj_t,
     mat_eye,
     mat_is_zero,
     mat_mul,
@@ -70,7 +69,9 @@ class CurvatureData:
 
     ``r_entries`` maps canonical index quadruples (i<j, k<l, pair-sorted)
     to rational values; ``f_entries`` maps (i, j) with i<j to r x r
-    matrices of exact Scalars.  Index symmetries are enforced on
+    matrices of Gaussian-rational Scalars, also held as ``_f_planes``:
+    mask of e^{ij} -> (real, imaginary) row-major integer numerators over
+    one denominator ``_f_den``.  Index symmetries are enforced on
     construction and never silently repaired.
     """
 
@@ -82,6 +83,13 @@ class CurvatureData:
     _r_rows: Dict[Tuple[int, int], list] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _f_den: int = field(init=False, repr=False, compare=False, default=1)
+    _f_planes: Dict[int, Tuple[List[int], List[int]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    # q_matrix and model_constant_potential, built on first use
+    _q: Optional[FormMatrix] = field(init=False, repr=False, compare=False, default=None)
+    _v: Optional[WordOperator] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         clean = {}
@@ -102,18 +110,28 @@ class CurvatureData:
             self._r_rows.setdefault((i, j), []).append(((k, l), v))
             if (i, j) != (k, l):
                 self._r_rows.setdefault((k, l), []).append(((i, j), v))
-        fe = {}
+        fe, planes, r = {}, {}, self.r
         for (i, j), m in self.f_entries.items():
             if not (1 <= i < j <= self.n):
                 raise CurvatureError(f"F indices must satisfy i<j, got ({i},{j})")
             mat = tuple(tuple(Scalar.of(x) for x in row) for row in m)
-            if len(mat) != self.r or any(len(row) != self.r for row in mat):
+            if len(mat) != r or any(len(row) != r for row in mat):
                 raise CurvatureError("bundle curvature matrix has wrong rank")
-            if not mat_is_zero(mat_add(mat_conj_t(mat), mat)):
+            den, parts = numerator_planes([x for row in mat for x in row])
+            re, im = (parts.pop((0, 0, part), [0] * (r * r)) for part in (0, 1))
+            if parts:
+                raise CurvatureError(f"F[{i},{j}] entries must be Gaussian rationals")
+            # F^* = -F: the real part antisymmetric, the imaginary part symmetric
+            if any(re[a * r + b] != -re[b * r + a] or im[a * r + b] != im[b * r + a]
+                   for a in range(r) for b in range(a, r)):
                 raise CurvatureError(f"F[{i},{j}] is not skew-Hermitian")
-            if not mat_is_zero(mat):
+            if any(re) or any(im):
                 fe[(i, j)] = mat
+                planes[mask_of((i, j))] = (den, re, im)
         self.f_entries = fe
+        self._f_den = lcm(*(den for den, _, _ in planes.values()))
+        self._f_planes = {m: tuple([x * (self._f_den // den) for x in p] for p in (re, im))
+                          for m, (den, re, im) in planes.items()}
 
     # -- accessors ---------------------------------------------------------
 
@@ -136,19 +154,6 @@ class CurvatureData:
         sign = 1 if i < j else -1  # R_jikl = -R_ijkl; the row of (i, i) is empty
         row = self._r_rows.get((min(i, j), max(i, j)), ())
         return DiffForm(self.n, {mask_of(kl): Fraction(sign * v, 2) for kl, v in row})
-
-    def bundle_two_forms(self) -> Dict[Tuple[int, int], DiffForm]:
-        """Curvature reassembled as an r x r matrix of 2-forms."""
-        out: Dict[Tuple[int, int], DiffForm] = {}
-        for (i, j), m in self.f_entries.items():
-            fm = mask_of((i, j))
-            for a in range(self.r):
-                for b in range(self.r):
-                    if m[a][b].is_zero():
-                        continue
-                    cur = out.get((a, b), DiffForm.zero(self.n))
-                    out[(a, b)] = cur + DiffForm(self.n, {fm: m[a][b]})
-        return out
 
     def fhat_word(self) -> WordOperator:
         """sum_{i<j} e^{ij} (x) F_{ij} in the operator algebra."""
@@ -276,19 +281,23 @@ def random_curvature(
 # ----------------------------------------------------------------------
 
 def q_matrix(cd: CurvatureData) -> FormMatrix:
-    """Q_{jk} = -(1/4) sum_i rhat_{ij} ^ rhat_{ik} (4-form entries)."""
-    n = cd.n
-    rh = [[cd.rhat(i, j) for j in range(n + 1)] for i in range(n + 1)]
-    out: FormMatrix = []
-    for j in range(1, n + 1):
-        row = []
-        for k in range(1, n + 1):
-            acc = DiffForm.zero(n)
-            for i in range(1, n + 1):
-                acc = acc + rh[i][j].wedge(rh[i][k])
-            row.append(acc.scale(Fraction(-1, 4)))
-        out.append(row)
-    return out
+    """Q_{jk} = -(1/4) sum_i rhat_{ij} ^ rhat_{ik} (4-form entries).
+
+    Built once per CurvatureData and cached on it, so callers share it and
+    must not modify it.  2-forms commute, so Q is symmetric: only j <= k
+    is built, over the nonempty rhat rows.
+    """
+    if cd._q is None:
+        n = cd.n
+        q = [[DiffForm.zero(n)] * n for _ in range(n)]
+        for i in range(1, n + 1) if cd.r_entries else ():
+            rh = [(j - 1, f) for j in range(1, n + 1) if (f := cd.rhat(i, j)).terms]
+            for a, (j, fj) in enumerate(rh):
+                fj = fj.scale(Fraction(-1, 4))
+                for k, fk in rh[a:]:
+                    q[j][k] = q[k][j] = q[j][k] + fj.wedge(fk)
+        cd._q = q
+    return cd._q
 
 
 def form_matrix_trace(m: FormMatrix) -> DiffForm:
@@ -402,7 +411,10 @@ def model_constant_potential(cd: CurvatureData) -> WordOperator:
     """Constant term of the model operator.
 
     V = -(1/4) sum_{ij} e^{ij} R_{ijkl} chat^l chat^k - (1/2) sum_{i<j} e^{ij} F_{ij}.
+    Built once per CurvatureData and cached on it, like ``q_matrix``.
     """
+    if cd._v is not None:
+        return cd._v
     n, r = cd.n, cd.r
     # ordered (i, j), (j, i) and (k, l), (l, k) give four equal terms, so the
     # coefficient of e^{ij} (x) chat^{kl} (i<j, k<l) is R_ijkl
@@ -414,6 +426,7 @@ def model_constant_potential(cd: CurvatureData) -> WordOperator:
     op = WordOperator(n, r, terms)
     if cd.has_bundle_curvature():
         op = op + cd.fhat_word().scale(Fraction(-1, 2))
+    cd._v = op
     return op
 
 

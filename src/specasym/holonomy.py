@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .exact import numerator_planes
 from .exterior import DiffForm, indices_of, mask_of, popcount
 
 G2 = "g2"
@@ -81,6 +83,13 @@ class Projection:
 
     def trace(self):
         return sum(v for m, row in self.rows for mj, v in row if mj == m)
+
+    @cached_property
+    def numerators(self):
+        """(den, rows): the rows as integer numerators over one denominator."""
+        den, planes = numerator_planes([v for _, row in self.rows for _, v in row])
+        nums = iter(planes[(0, 0, 0)])
+        return den, [(m, [(mj, next(nums)) for mj, _ in row]) for m, row in self.rows]
 
 
 @dataclass
@@ -261,17 +270,19 @@ class InstantonReport:
 def instanton_check(s: HolonomyStructure, curvature, tol: float = 0.0) -> InstantonReport:
     """True iff every bundle entry of the curvature 2-form has no 7-part.
 
-    ``curvature`` is a CurvatureData; its F entries are reassembled as an
-    r x r matrix of 2-forms and each entry is projected onto the 7-part.
+    ``curvature`` is a CurvatureData.  The integer P_7 rows act on its
+    real and imaginary numerator planes apart; each nonzero r x r entry of
+    a 7-part component is measured as |re + i im| in floats.
     """
-    p7, _ = projections(s)
+    pden, rows = projections(s)[0].numerators
+    planes, den = curvature._f_planes, pden * curvature._f_den
     worst = 0.0
-    exact = True
-    for (a, b), form in curvature.bundle_two_forms().items():
-        comp = p7.apply(form)
-        for c in comp.terms.values():
-            exact = False if c != 0 else exact
-            mag = abs(complex(c.evalf() if hasattr(c, "evalf") else c))
-            worst = max(worst, mag)
+    for _, row in rows:
+        hits = [(v, planes[mj]) for mj, v in row if mj in planes]
+        for ab in range(curvature.r ** 2) if hits else ():
+            x = sum(v * re[ab] for v, (re, _) in hits)
+            y = sum(v * im[ab] for v, (_, im) in hits)
+            if x or y:
+                worst = max(worst, abs(complex(float(Fraction(x, den)), float(Fraction(y, den)))))
     ok = worst <= tol
     return InstantonReport(ok=ok, max_component=worst, exact_zero=(worst == 0.0))

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from math import lcm
+from operator import mul
+from typing import Dict, Optional, Tuple
 
 from .exact import Scalar
-from .exterior import DiffForm
+from .exterior import DiffForm, mask_of, merge_sign
 from .holonomy import (
     G2,
     HolonomyStructure,
@@ -25,41 +27,82 @@ from .holonomy import (
 
 def pontryagin_p1(cd) -> DiffForm:
     """First Pontryagin form -(1/8 pi^2) sum_ij Omega_ij ^ Omega_ji."""
-    n = cd.n
-    out = DiffForm.zero(n)
-    norm = Scalar.term(Fraction(-1, 8), pi_half=-4)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            omega_ij = cd.rhat(i, j).scale(2)
-            omega_ji = cd.rhat(j, i).scale(2)
-            out = out + omega_ij.wedge(omega_ji)
-    return out.scale(norm).map_coefficients(_require_real)
+    return _pi2_form(cd.n, _p1(cd))
 
 
 def chern_forms(cd) -> Tuple[DiffForm, DiffForm]:
     """(c1, c2) of the bundle from its skew-Hermitian curvature matrices."""
-    n = cd.n
-    fhat = cd.bundle_two_forms()  # nonzero (a, b) -> 2-form, so no loop over r^2
-    tr_f = DiffForm.zero(n)
-    tr_ff = DiffForm.zero(n)
-    for (a, b), f_ab in fhat.items():
-        if a == b:
-            tr_f = tr_f + f_ab
-        f_ba = fhat.get((b, a))
-        if f_ba is not None:
-            tr_ff = tr_ff + f_ab.wedge(f_ba)
-    c1 = tr_f.scale(Scalar.term(0, Fraction(1, 2), pi_half=-2))
-    c2 = (tr_f.wedge(tr_f) - tr_ff).scale(Scalar.term(Fraction(-1, 8), pi_half=-4))
-    return c1.map_coefficients(_require_real), c2.map_coefficients(_require_real)
+    c1, c2, _ = _chern(cd)
+    c1 = DiffForm(cd.n, {m: Scalar.term(c, pi_half=-2) for m, c in c1.items()})
+    return c1, _pi2_form(cd.n, c2)
 
 
 def characteristic_density_form(cd) -> DiffForm:
     """(1/3) p1 + c1^2 - c2 as a 4-form."""
-    p1 = pontryagin_p1(cd)
-    c1, c2 = chern_forms(cd)
-    return p1.scale(Fraction(1, 3)) + c1.wedge(c1) - c2
+    p1, bundle = _p1(cd), _chern(cd)[2]
+    keys = p1.keys() | bundle.keys()
+    return _pi2_form(cd.n, {m: Fraction(p1.get(m, 0), 3) + bundle.get(m, 0) for m in keys})
+
+
+def _pi2_form(n, coefficients) -> DiffForm:
+    return DiffForm(n, {m: Scalar.term(c, pi_half=-4) for m, c in coefficients.items()})
+
+
+def _pair_sum(planes, product, acc) -> Dict[int, int]:
+    """acc[4-plane] += sum over ordered pairs of disjoint 2-planes of sign *
+    product: 2-forms commute and ``product`` is symmetric, so each
+    unordered pair is taken once, twice over."""
+    for a, (m1, x1) in enumerate(planes):
+        for m2, x2 in planes[a + 1:]:
+            if not m1 & m2:
+                acc[m1 | m2] = acc.get(m1 | m2, 0) + 2 * merge_sign(m1, m2) * product(x1, x2)
+    return acc
+
+
+def _p1(cd) -> Dict[int, Fraction]:
+    """pi^2 p1 = (1/4) sum_{i<j} Omega_ij ^ Omega_ij (Omega_ji = -Omega_ij),
+    Omega_ij = sum_{k<l} R_ijkl e^{kl}, on integer numerators of R."""
+    den = lcm(*(v.denominator for row in cd._r_rows.values() for _, v in row))
+    acc: Dict[int, int] = {}
+    for row in cd._r_rows.values():
+        _pair_sum([(mask_of(kl), v.numerator * (den // v.denominator)) for kl, v in row], mul, acc)
+    return {m: Fraction(x, 4 * den * den) for m, x in acc.items()}
+
+
+def _chern(cd):
+    """pi c1, pi^2 c2 and pi^2 (c1^2 - c2) from the numerator planes.
+
+    tr F = i T / den, since its real numerators must vanish, so
+    c1 = -T / (2 pi den).  With tr F ^ tr F = A / den^2 and
+    tr(F ^ F) = B / den^2: c2 = (B - A) / (8 pi^2 den^2) and
+    c1^2 - c2 = -(A + B) / (8 pi^2 den^2).  F^T is (-re, im), so
+    tr(F_m F_m') = -(re.re' + im.im') + i (re.im' - im.re'), and its
+    imaginary numerators must vanish too.
+    """
+    r, den, scale = cd.r, cd._f_den, 8 * cd._f_den ** 2
+    planes = sorted(cd._f_planes.items())
+    trace = [(m, sum(im[::r + 1])) for m, (_, im) in planes]
+    for (_, (re, _)), (_, t) in zip(planes, trace):
+        if sum(re[::r + 1]):
+            _not_real(Fraction(-t, 2 * den), Fraction(sum(re[::r + 1]), 2 * den), -2)
+    a = _pair_sum(trace, lambda t1, t2: -t1 * t2, {})
+    b = _pair_sum(planes, lambda f1, f2: -_dot(f1[0], f2[0]) - _dot(f1[1], f2[1]), {})
+    b_im = _pair_sum(planes, lambda f1, f2: _dot(f1[0], f2[1]) - _dot(f1[1], f2[0]), {})
+    for m, y in b_im.items():
+        if y:
+            _not_real(Fraction(b.get(m, 0) - a.get(m, 0), scale), Fraction(y, scale), -4)
+    c1 = {m: Fraction(-t, 2 * den) for m, t in trace}
+    c2 = {m: Fraction(b.get(m, 0) - a.get(m, 0), scale) for m in a.keys() | b.keys()}
+    return c1, c2, {m: Fraction(-a.get(m, 0) - b.get(m, 0), scale) for m in c2}
+
+
+def _dot(x, y) -> int:
+    return sum(map(mul, x, y))
+
+
+def _not_real(re, im, pi_half):
+    c = Scalar.term(re, im, pi_half=pi_half)
+    raise ValueError(f"characteristic form coefficient is not real: {c}")
 
 
 def residue_density(s: HolonomyStructure, cd) -> DiffForm:
@@ -246,14 +289,6 @@ def instanton_line_curvature(s: HolonomyStructure, base=(1, 2), scale=1):
         hi = (m & (m - 1)).bit_length()
         f_entries[(lo, hi)] = ((Scalar.i() * Scalar.of(scale * c),),)
     return CurvatureData(s.n, 1, {}, f_entries)
-
-
-def _require_real(c):
-    if isinstance(c, Scalar):
-        if any(im != 0 for (_, im) in c.terms.values()):
-            raise ValueError(f"characteristic form coefficient is not real: {c}")
-        return c
-    return c
 
 
 def _safe_float(x: Scalar):

@@ -11,12 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, lcm, pi, sqrt
+from math import exp, pi, sqrt
 from typing import Dict, List
 
 import numpy as np
 
-from .exact import Scalar
+from .exact import Scalar, numerator_planes
 from .exterior import DiffForm, FiberOp, popcount, subset_order
 from .filtration import (
     expand_clifford_basis,
@@ -258,11 +258,12 @@ def _numerators(*mats: np.ndarray):
 
     Each N is an object array of Python ints, so products stay exact.
     """
-    den = lcm(*(v.denominator for m in mats for v in m.flat))
-    return den, [
-        np.array([[v.numerator * (den // v.denominator) for v in row] for row in m], dtype=object)
-        for m in mats
-    ]
+    den, planes = numerator_planes([v for m in mats for v in m.flat])
+    if set(planes) - {(0, 0, 0)}:
+        raise ValueError("_numerators takes rational matrices only")
+    flat = np.array(planes.get((0, 0, 0), [0] * sum(m.size for m in mats)), dtype=object)
+    cuts = np.cumsum([m.size for m in mats])[:-1]
+    return den, [part.reshape(m.shape) for part, m in zip(np.split(flat, cuts), mats)]
 
 
 # ----------------------------------------------------------------------

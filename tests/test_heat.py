@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from math import exp, pi, sinh, sqrt
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm, mask_of, popcount
@@ -33,7 +37,13 @@ from specasym.heat import (
     _log_x_over_sinh_series,
 )
 from specasym import heat
-from specasym.residue import characteristic_density_form, pontryagin_p1
+from specasym.holonomy import InstantonReport, decompose_two_form, instanton_check, projections
+from specasym.residue import (
+    characteristic_density_form,
+    chern_forms,
+    instanton_line_curvature,
+    pontryagin_p1,
+)
 from specasym.wordops import WordOperator, mat_add, mat_eye, mat_scale, mat_zero
 
 
@@ -60,6 +70,23 @@ def test_bundle_curvature_must_be_skew_hermitian():
     CurvatureData(7, 1, {}, {(1, 2): good})
     with pytest.raises(CurvatureError):
         CurvatureData(7, 1, {}, {(1, 2): ((Scalar.of(1),),)})
+    z, a, b = Scalar(), Scalar.term(1, 2), Scalar.term(-1, 2)
+    cd = CurvatureData(7, 2, {}, {(1, 2): ((Scalar.i(3), a), (b, z))})
+    assert cd._f_planes == {mask_of((1, 2)): ([0, 1, -1, 0], [3, 2, 2, 0])}
+    for bad in (((z, a), (a, z)), ((z, b), (b, z)), ((z, a), (-a, z))):
+        with pytest.raises(CurvatureError, match="not skew-Hermitian"):
+            CurvatureData(7, 2, {}, {(1, 2): bad})
+    with pytest.raises(CurvatureError, match="Gaussian rationals"):
+        CurvatureData(7, 1, {}, {(1, 2): ((Scalar.term(0, 1, pi_half=-2),),)})
+
+
+def test_bundle_planes_share_one_denominator():
+    cd = CurvatureData(7, 1, {}, {(1, 2): ((Scalar.i(Fraction(1, 2)),),),
+                                  (3, 4): ((Scalar.i(Fraction(2, 3)),),),
+                                  (5, 6): ((Scalar(),),)})
+    assert cd._f_den == 6
+    assert cd._f_planes == {mask_of((1, 2)): ([0], [3]), mask_of((3, 4)): ([0], [4])}
+    assert set(cd.f_entries) == {(1, 2), (3, 4)}
 
 
 def test_rhat_antisymmetric():
@@ -110,6 +137,73 @@ def _p1_scan(cd):
     return out.scale(Scalar.term(Fraction(-1, 8), pi_half=-4))
 
 
+def _bundle_two_forms(cd):
+    """The curvature as an r x r matrix of 2-forms with Scalar entries."""
+    out = {}
+    for (i, j), m in cd.f_entries.items():
+        for a in range(cd.r):
+            for b in range(cd.r):
+                if not m[a][b].is_zero():
+                    out[(a, b)] = out.get((a, b), DiffForm.zero(cd.n)) + DiffForm(
+                        cd.n, {mask_of((i, j)): m[a][b]})
+    return out
+
+
+def _require_real(c):
+    if any(im != 0 for (_, im) in c.terms.values()):
+        raise ValueError(f"characteristic form coefficient is not real: {c}")
+    return c
+
+
+def _p1_wedges(cd):
+    """p1 from n^2 wedges of whole 2-forms with Scalar coefficients."""
+    out = DiffForm.zero(cd.n)
+    for i in range(1, cd.n + 1):
+        for j in range(1, cd.n + 1):
+            if i != j:
+                out = out + cd.rhat(i, j).scale(2).wedge(cd.rhat(j, i).scale(2))
+    return out.scale(Scalar.term(Fraction(-1, 8), pi_half=-4)).map_coefficients(_require_real)
+
+
+def _chern_wedges(cd):
+    """(c1, c2) from tr F and r^2 wedges F_ab ^ F_ba with Scalar coefficients."""
+    fhat = _bundle_two_forms(cd)
+    tr_f = tr_ff = DiffForm.zero(cd.n)
+    for (a, b), f_ab in fhat.items():
+        if a == b:
+            tr_f = tr_f + f_ab
+        if (b, a) in fhat:
+            tr_ff = tr_ff + f_ab.wedge(fhat[(b, a)])
+    c1 = tr_f.scale(Scalar.term(0, Fraction(1, 2), pi_half=-2))
+    c2 = (tr_f.wedge(tr_f) - tr_ff).scale(Scalar.term(Fraction(-1, 8), pi_half=-4))
+    return c1.map_coefficients(_require_real), c2.map_coefficients(_require_real)
+
+
+def _density_wedges(cd):
+    c1, c2 = _chern_wedges(cd)
+    return _p1_wedges(cd).scale(Fraction(1, 3)) + c1.wedge(c1) - c2
+
+
+def _instanton_scalar(s, cd, tol=0.0):
+    """The gate with P_7 applied to each entry's 2-form through Scalar products."""
+    p7, _ = projections(s)
+    worst = 0.0
+    for form in _bundle_two_forms(cd).values():
+        for c in p7.apply(form).terms.values():
+            worst = max(worst, abs(complex(c.evalf())))
+    return InstantonReport(ok=worst <= tol, max_component=worst, exact_zero=(worst == 0.0))
+
+
+def _q_scan(cd):
+    """Q from all n^3 wedges of rhat rows, both halves."""
+    n = cd.n
+    return [
+        [reduce(add, (cd.rhat(i, j).wedge(cd.rhat(i, k)) for i in range(1, n + 1)))
+         .scale(Fraction(-1, 4)) for k in range(1, n + 1)]
+        for j in range(1, n + 1)
+    ]
+
+
 _SCAN_CASES = [
     (n, r, bianchi) for n in (7, 8) for r in (1, 2) for bianchi in (False, True)
 ]
@@ -129,7 +223,108 @@ def test_stored_entry_builders_match_index_scan(n, r, bianchi):
         for j in range(1, n + 1):
             assert cd.rhat(i, j) == _rhat_scan(cd, i, j), (i, j)
     assert model_constant_potential(cd) == _potential_scan(cd)
-    assert pontryagin_p1(cd) == _p1_scan(cd)
+    assert pontryagin_p1(cd) == _p1_scan(cd) == _p1_wedges(cd)
+    assert q_matrix(cd) == _q_scan(cd)
+
+
+def _hermitian(rnd, r):
+    def q():
+        return Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
+
+    h = [[Scalar() for _ in range(r)] for _ in range(r)]
+    for a in range(r):
+        h[a][a] = Scalar.of(q())
+        for b in range(a + 1, r):
+            re, im = q(), q()
+            h[a][b], h[b][a] = Scalar.term(re, im), Scalar.term(re, -im)
+    return h
+
+
+def _bundle_case(s, r, seed, instanton, riemann):
+    """Skew-Hermitian Gaussian-rational F of rank r: sum_k P_big(alpha_k) (x) i H_k
+    (an instanton) or random planes times i H; random Riemann data if asked."""
+    rnd = random.Random(seed)
+    basis = [mask_of((i, j)) for i in range(1, s.n + 1) for j in range(i + 1, s.n + 1)]
+    f = {}
+    for _ in range(rnd.randint(1, 3)):
+        alpha = DiffForm(s.n, {m: Fraction(rnd.randint(-3, 3), rnd.randint(1, 2))
+                               for m in rnd.sample(basis, rnd.randint(1, 4))})
+        form = decompose_two_form(s, alpha)[1] if instanton else alpha
+        h = _hermitian(rnd, r)
+        for m, c in form.terms.items():
+            key = ((m & -m).bit_length(), (m & (m - 1)).bit_length())
+            old = f.get(key, mat_zero(r))
+            f[key] = tuple(tuple(old[a][b] + Scalar.i() * h[a][b] * c for b in range(r))
+                           for a in range(r))
+    r_entries = random_curvature(s.n, 1, seed=seed, with_bundle=False).r_entries if riemann else {}
+    return CurvatureData(s.n, r, r_entries, f)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(["g2", "spin7"]), r=st.integers(1, 4), seed=st.integers(0, 10 ** 6),
+       instanton=st.booleans(), riemann=st.booleans())
+def test_numerator_planes_equal_scalar_oracles(g2, spin7, kind, r, seed, instanton, riemann):
+    """Chern-Weil and the instanton gate on numerator planes give the same
+    forms (==, repr) and the same InstantonReport, float included, as the
+    Scalar wedges and Scalar projections they replace."""
+    s = g2 if kind == "g2" else spin7
+    base = tuple(sorted(random.Random(seed).sample(range(1, s.n + 1), 2)))
+    line = instanton_line_curvature(s, base=base, scale=Fraction(seed % 7 - 3, 2))
+    for cd, is_instanton in ((_bundle_case(s, r, seed, instanton, riemann), instanton),
+                             (line, True)):
+        for got, want in (
+            (pontryagin_p1(cd), _p1_wedges(cd)),
+            (chern_forms(cd), _chern_wedges(cd)),
+            (characteristic_density_form(cd), _density_wedges(cd)),
+        ):
+            assert got == want and repr(got) == repr(want)
+        report, oracle = instanton_check(s, cd), _instanton_scalar(s, cd)
+        assert report == oracle and repr(report) == repr(oracle)
+        if is_instanton:
+            assert report.ok and report.exact_zero
+
+
+def test_non_real_characteristic_coefficient_is_rejected():
+    """The reality test reads the imaginary numerator sums; planes that are
+    not skew-Hermitian (the constructor refuses them) give non-real c1, c2."""
+    cd = CurvatureData(7, 1, {}, {(1, 2): ((Scalar.i(),),), (3, 4): ((Scalar.i(2),),)})
+    cd._f_planes[mask_of((1, 2))] = ([1], [1])
+    for build in (chern_forms, characteristic_density_form):
+        with pytest.raises(ValueError, match="not real"):
+            build(cd)
+    # symmetric real parts: c1 stays real, tr(F12 F34) gets an imaginary part
+    cd = CurvatureData(7, 2)
+    cd._f_planes = {mask_of((1, 2)): ([0, 1, 1, 0], [0, 1, 1, 0]),
+                    mask_of((3, 4)): ([0, -1, -1, 0], [0, 1, 1, 0])}
+    with pytest.raises(ValueError, match="not real"):
+        chern_forms(cd)
+
+
+def test_rank_only_input_builds_no_planes(g2, monkeypatch):
+    """With no F entries nothing of size r (let alone r^2) is built: every
+    numerator plane on the residue and oracle paths is as small at rank
+    10^6 as at rank 1."""
+    from specasym import holonomy, wordops
+    from specasym.residue import full_residue_report
+
+    sizes = []
+    real = heat.numerator_planes
+
+    def spy(values):
+        sizes.append(len(values))
+        return real(values)
+
+    for module in (heat, holonomy, wordops):
+        monkeypatch.setattr(module, "numerator_planes", spy)
+    results = []
+    for r in (1, 10 ** 6):
+        cd = CurvatureData(7, r)
+        report = full_residue_report(g2, cd, twisted=True)
+        results.append((repr(report.density), report.instanton, cd._f_planes,
+                        mehler_diag_trace(g2, cd), duhamel_density(g2, cd)))
+    assert results[0] == results[1]
+    # the largest is the P_7 rows (63 numerators for g2), not a bundle plane
+    assert 0 < max(sizes) < 100
 
 
 def test_bianchi_symmetrization():
@@ -172,6 +367,16 @@ def test_q_matrix_two_plane():
     assert q[1][1] == DiffForm.monomial(7, (1, 2, 3, 4), -(kappa ** 2) / 2)
     assert q[0][0] == DiffForm.monomial(7, (1, 2, 3, 4), -(kappa ** 2) / 2)
     assert q[0][1].is_zero()
+
+
+@pytest.mark.parametrize("n,seed", [(7, 2), (8, 3), (7, 4)])
+def test_q_matrix_half_build_equals_full_scan(n, seed):
+    """Only j <= k is built and mirrored; it equals all n^3 wedges, and the
+    build is cached on the curvature data."""
+    cd = random_curvature(n, 1, seed=seed)
+    q = q_matrix(cd)
+    assert q == _q_scan(cd)
+    assert q_matrix(cd) is q
 
 
 def test_q_matrix_symmetric_nilpotent():
@@ -451,7 +656,7 @@ def test_degree4_path_precondition(monkeypatch):
         m.setattr(heat, "model_constant_potential", lambda _: four_form_term)
         with pytest.raises(ValueError, match="2-form"):
             mehler_trace_degree4(cd)
-    q = q_matrix(cd)
+    q = [row[:] for row in q_matrix(cd)]
     q[0][1] = q[0][1] + DiffForm.monomial(7, (1, 2))
     with monkeypatch.context() as m:
         m.setattr(heat, "q_matrix", lambda _: q)

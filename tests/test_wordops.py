@@ -108,6 +108,40 @@ def test_trace_of_product_equals_trace_of_full_product(r):
     assert nonzero > 60
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_trace_of_product_joins_scalar_key_planes(r):
+    """Entries with several Scalar keys (t- and pi-powers), purely real,
+    purely imaginary and mixed: the join keeps one numerator plane per key
+    and part, and still equals the trace of the full product."""
+    rnd = random.Random(50 + r)
+
+    def q():
+        return Fraction(rnd.randint(-4, 4), rnd.randint(1, 5))
+
+    def entry():
+        out = Scalar()
+        for _ in range(rnd.randint(0, 3)):
+            re, im = rnd.choice([(q(), 0), (0, q()), (q(), q())])
+            out = out + Scalar.term(re, im, pi_half=rnd.choice((0, -2, 1)),
+                                    t_half=rnd.choice((0, 2, -3)))
+        return out
+
+    n = 5
+    multi_key = 0
+    for _ in range(15):
+        a, b = (WordOperator(n, r, {
+            (rnd.choice(_JOIN_FORMS), *rnd.choice(_JOIN_WORDS)):
+                tuple(tuple(entry() for _ in range(r)) for _ in range(r))
+            for _ in range(6)
+        }) for _ in range(2))
+        for x, y in ((a, b), (b, a), (a, a)):
+            joined = WordOperator.trace_of_product(x, y)
+            full = (x * y).form_trace()
+            assert joined == full and repr(joined) == repr(full)
+            multi_key += sum(len(c.terms) > 1 for c in joined.terms.values())
+    assert multi_key > 10
+
+
 def test_trace_of_product_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         WordOperator.trace_of_product(WordOperator.identity(5, 1), WordOperator.identity(5, 2))

@@ -18,6 +18,9 @@ import numpy as np
 
 from .exact import Scalar
 
+# the zero every FiberOp starts from; sharing one object lets list
+# comparison skip untouched entries by identity
+_ZERO = Fraction(0)
 
 # ----------------------------------------------------------------------
 # bitmask utilities
@@ -441,7 +444,7 @@ class FiberOp:
     @staticmethod
     def zeros(n: int, r: int = 1) -> "FiberOp":
         dim = (1 << n) * r
-        return FiberOp(n, r, np.full((dim, dim), Fraction(0), dtype=object))
+        return FiberOp(n, r, np.full((dim, dim), _ZERO, dtype=object))
 
     @staticmethod
     def identity(n: int, r: int = 1) -> "FiberOp":
@@ -561,8 +564,11 @@ class FiberOp:
         return out
 
     def adjoint(self) -> "FiberOp":
-        out = np.empty(self.mat.shape, dtype=object)
-        out.flat = [_conj(v) for v in self.mat.T.flat]
+        out = self.mat.T.copy()
+        flat = out.reshape(-1)
+        for k, v in enumerate(flat.tolist()):
+            if type(v) is not Fraction:
+                flat[k] = _conj(v)
         return FiberOp(self.n, self.r, out)
 
     def trace(self):
@@ -585,7 +591,10 @@ class FiberOp:
     def __eq__(self, other):
         if not isinstance(other, FiberOp):
             return NotImplemented
-        return self.n == other.n and self.r == other.r and (self.mat == other.mat).all()
+        # list comparison tries identity before __eq__, so shared zeros cost
+        # one pointer test each
+        return self.n == other.n and self.r == other.r and (
+            self.mat.tolist() == other.mat.tolist())
 
     def apply_to_form(self, w: DiffForm) -> DiffForm:
         """Apply to a form (r = 1 only)."""

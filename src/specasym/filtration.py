@@ -11,18 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from .exact import Scalar, numerator_planes
-from .exterior import FiberOp, apply_cliff, popcount, subset_order
+from .exterior import _ZERO, FiberOp, apply_cliff, popcount, subset_order
 from .wordops import WordOperator, mat_eye, mat_scale
 
 
-_ZERO = Fraction(0)
-_SWEEP_BLOCK = 64  # given word pairs checked per numpy round
+_BLOCK = 1 << 14  # table entries gathered per numpy round
 
 
 # ----------------------------------------------------------------------
@@ -88,21 +86,33 @@ def _as_mask(x) -> int:
 def trace_identity_sweep(n: int, pairs: Optional[Iterable[Tuple[int, int]]] = None):
     """Check tr c(I) c-hat(J) = 0 except (0,0) -> 2^n over the given pairs.
 
-    ``pairs`` defaults to all 4^n word pairs, swept one c-word at a time
-    against every c-hat word; given pairs are read in slices of at most
-    ``_SWEEP_BLOCK``.  Returns (failures, checked).
+    ``pairs`` defaults to all 4^n word pairs; given pairs may be an
+    iterable of (c mask, c-hat mask) tuples or an integer array of shape
+    (N, 2).  When both tables satisfy ``perm[w, s] == s ^ w`` (checked on
+    every call), the word c(I) c-hat(J) moves e^S to e^{S ^ I ^ J}, so a
+    pair with I != J has no fixed point and trace 0; only the pairs with
+    I == J are gathered.  Otherwise every pair is gathered.  Returns
+    (failures, checked).
     """
     dim = 1 << n
     cp, cs = word_tables(n, False)
     hp, hs = word_tables(n, True)
-    s = np.arange(dim)
+    s = np.arange(dim, dtype=cp.dtype)
+    xor_tables = all(((perm ^ s) == s[:, None]).all() for perm in (cp, hp))
     if pairs is None:
-        every_hm = np.arange(dim)
-        blocks = ((np.full(dim, cm), every_hm) for cm in range(dim))
+        checked = dim * dim
+        if xor_tables:
+            blocks = ((w, w) for w in _slices(s, n))
+        else:
+            blocks = ((np.full(dim, cm), s) for cm in range(dim))
     else:
-        blocks = _pair_blocks(iter(pairs))
+        pairs = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+        pairs = pairs.reshape(len(pairs), 2)
+        checked = len(pairs)
+        if xor_tables:
+            pairs = pairs[pairs[:, 0] == pairs[:, 1]]
+        blocks = ((b[:, 0], b[:, 1]) for b in _slices(pairs, n))
     failures = []
-    checked = 0
     for cms, hms in blocks:
         mid = hp[hms]
         fixed = cp[cms[:, None], mid] == s
@@ -111,18 +121,14 @@ def trace_identity_sweep(n: int, pairs: Optional[Iterable[Tuple[int, int]]] = No
         expected = np.where((cms == 0) & (hms == 0), dim, 0)
         for k in np.flatnonzero(tr != expected):
             failures.append((int(cms[k]), int(hms[k]), int(tr[k])))
-        checked += len(cms)
     return failures, checked
 
 
-def _pair_blocks(it):
-    """(c masks, c-hat masks) arrays for successive slices of a pair iterator."""
-    while True:
-        chunk = list(islice(it, _SWEEP_BLOCK))
-        if not chunk:
-            return
-        arr = np.array(chunk, dtype=np.int64).reshape(len(chunk), 2)
-        yield arr[:, 0], arr[:, 1]
+def _slices(arr: np.ndarray, n: int):
+    """Successive slices of ``arr`` whose rows gather at most ``_BLOCK``
+    entries of the 2^n-wide word tables."""
+    rows = max(1, _BLOCK >> n)
+    return (arr[k:k + rows] for k in range(0, len(arr), rows))
 
 
 # ----------------------------------------------------------------------
@@ -158,18 +164,14 @@ class CliffordWordExpansion:
         if (0, 0, 0) in sums:
             acc = sums[(0, 0, 0)]
             nz = np.flatnonzero(acc)
-            flat[nz] = [Fraction(a, den) for a in acc[nz]]
+            flat[nz] = [Fraction(a, den) for a in acc[nz].tolist()]
         if scalar_diffs:
             # W_{IJ} only links e^S to e^{S ^ I ^ J}: the entries a Scalar
             # coefficient reaches are those whose masks differ by I ^ J
             s = np.arange(dim)
             reached = np.isin(s[:, None] ^ s, list(scalar_diffs)).ravel()
             for idx in np.flatnonzero(reached):
-                terms: Dict[Tuple[int, int], list] = {}
-                for (p, q, part), acc in sums.items():
-                    if acc[idx]:
-                        terms.setdefault((p, q), [_ZERO, _ZERO])[part] = Fraction(acc[idx], den)
-                flat[idx] = Scalar({k: tuple(v) for k, v in terms.items()})
+                flat[idx] = _scalar_from_planes(sums, idx, den)
         # rows and columns were indexed by mask; FiberOp uses subset order
         order = np.array(subset_order(n)[0])
         return FiberOp(n, 1, flat.reshape(dim, dim)[np.ix_(order, order)])
@@ -181,31 +183,43 @@ class CliffordWordExpansion:
         return min(popcount(cm) for (cm, _) in self.coefficients)
 
 
+def _scalar_from_planes(planes, idx: int, den: int) -> Scalar:
+    """The Scalar with each rational plane's entry ``planes[plane][idx] / den``."""
+    terms: Dict[Tuple[int, int], list] = {}
+    for (p, q, part), nums in planes.items():
+        if nums[idx]:
+            terms.setdefault((p, q), [_ZERO, _ZERO])[part] = Fraction(int(nums[idx]), den)
+    return Scalar({k: tuple(v) for k, v in terms.items()})
+
+
 def _word_sum(n: int, words: Iterable[Tuple[int, int]], nums) -> np.ndarray:
     """Integer sum of num * W(cm, hm) over ``words`` and their numerators.
 
-    The result is a flat object array of Python ints, index
-    ``target_mask * 2^n + source_mask``.  Words are grouped by c-hat mask;
-    each group is gathered from the word tables at once and its signed
-    numerators scattered with ``np.add.at``.
+    The result is a flat integer array (``_accumulator``), index
+    ``target_mask * 2^n + source_mask``.  Words are gathered from the
+    flattened word tables in blocks and their signed numerators scattered
+    with ``np.add.at``.
     """
     dim = 1 << n
     cp, cs = word_tables(n, False)
     hp, hs = word_tables(n, True)
-    groups: Dict[int, Tuple[list, list]] = {}
-    for (cm, hm), num in zip(words, nums):
-        if num:
-            cms, values = groups.setdefault(hm, ([], []))
-            cms.append(cm)
-            values.append(num)
-    acc = np.zeros(dim * dim, dtype=object)
+    acc = _accumulator(dim * dim, nums)
+    values = np.array(nums, dtype=acc.dtype)
+    words = np.array(list(words), dtype=np.int64).reshape(-1, 2)
     src = np.arange(dim)
-    for hm, (cms, values) in groups.items():
-        rows = np.array(cms)[:, None]
-        mid = hp[hm]
-        signed = (cs[rows, mid] * hs[hm]) * np.array(values, dtype=object)[:, None]
-        np.add.at(acc, (cp[rows, mid] * dim + src).ravel(), signed.ravel())
+    for block in _slices(np.arange(len(words)), n):
+        cms, hms = words[block, 0], words[block, 1]
+        mid = hp[hms] + (cms * dim)[:, None]  # flat index of cp[cm, hp[hm, s]]
+        signed = (cs.take(mid) * hs[hms]) * values[block, None]
+        np.add.at(acc, (cp.take(mid) * dim + src).ravel(), signed.ravel())
     return acc
+
+
+def _accumulator(size: int, nums) -> np.ndarray:
+    """Zeros that hold any sum of at most len(nums) terms +-num exactly:
+    int64 when max|num| * len(nums) < 2^62, Python ints otherwise."""
+    bound = max(map(abs, nums), default=0) * len(nums)
+    return np.zeros(size, dtype=np.int64 if bound < 1 << 62 else object)
 
 
 def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
@@ -213,36 +227,57 @@ def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
 
     Coefficients come from the Hilbert-Schmidt pairing with the explicit
     word inverses: phi_{IJ} = tr(W_{IJ}^{-1} M) / 2^n, and the round trip
-    through ``reconstruct`` is exact.
+    through ``reconstruct`` is exact.  The nonzero entries are split into
+    integer numerator planes over one denominator (as in ``reconstruct``),
+    and each plane is one integer scatter over the 4^n words.  A
+    coefficient reached by a Scalar entry is a Scalar, any other a
+    Fraction.
     """
     if m.r != 1:
         raise ValueError("word expansion requires bundle rank 1")
     n = m.n
     dim = 1 << n
-    order, _ = subset_order(n)
+    flat = m.mat.ravel().tolist()
+    nz = [k for k, v in enumerate(flat) if v is not _ZERO and v != 0]
+    values = [flat[k] for k in nz]
+    den, planes = numerator_planes(values)
+    order = np.array(subset_order(n)[0])
+    rpos, cpos = np.divmod(np.array(nz, dtype=np.int64), dim)
+    rows, cols = order[rpos], order[cpos]
     cs = word_tables(n, False)[1]
     hp, hs = word_tables(n, True)
-    # Every word sends e^S to +- e^{S ^ cm ^ hm}, so only entry pairs with
-    # row = col ^ cm ^ hm contribute; iterate the nonzero entries of m.
+    # Every word sends e^S to +- e^{S ^ cm ^ hm}, so entry (row, col) pairs
+    # with the words cm = row ^ col ^ hm only, one for each c-hat mask hm.
+    hms = np.arange(dim)
+    sums = {plane: _accumulator(dim * dim, nums) for plane, nums in planes.items()}
+    values_of = {plane: np.array(nums, dtype=sums[plane].dtype) for plane, nums in planes.items()}
+    for block in _slices(np.arange(len(nz)), n):
+        col = cols[block, None]
+        cms = (rows[block] ^ cols[block])[:, None] ^ hms
+        signs = cs[cms, hp[hms, col]] * hs[hms, col]
+        idx = (cms * dim + hms).ravel()
+        for plane, acc in sums.items():
+            np.add.at(acc, idx, (signs * values_of[plane][block, None]).ravel())
+
+    scalar_diffs = {
+        int(r ^ c) for r, c, v in zip(rows, cols, values) if isinstance(v, Scalar)
+    }
+    reached = np.zeros(dim * dim, dtype=bool)
+    for acc in sums.values():
+        reached |= acc != 0
+    keys = np.flatnonzero(reached)
+    parts = {plane: acc[keys].tolist() for plane, acc in sums.items()}
+    scale = den * dim
+    real = parts.get((0, 0, 0), [])
+    rational = {num: Fraction(num, scale) for num in set(real)}  # few distinct values
     coeffs: Dict[Tuple[int, int], object] = {}
-    inv = Fraction(1, dim)
-    for rpos in range(dim):
-        row_mask = order[rpos]
-        for cpos in range(dim):
-            v = m.mat[rpos, cpos]
-            if v == 0:
-                continue
-            col_mask = order[cpos]
-            diff = row_mask ^ col_mask
-            for hm in range(dim):
-                cm = diff ^ hm
-                sg = int(cs[cm][hp[hm][col_mask]]) * int(hs[hm][col_mask])
-                acc = coeffs.get((cm, hm), 0) + (v if sg > 0 else -v)
-                if acc == 0:
-                    coeffs.pop((cm, hm), None)
-                else:
-                    coeffs[(cm, hm)] = acc
-    return CliffordWordExpansion(n, {k: v * inv for k, v in coeffs.items()})
+    for k, idx in enumerate(keys.tolist()):
+        cm, hm = divmod(idx, dim)
+        if cm ^ hm in scalar_diffs:
+            coeffs[(cm, hm)] = _scalar_from_planes(parts, k, scale)
+        else:
+            coeffs[(cm, hm)] = rational[real[k]]
+    return CliffordWordExpansion(n, coeffs)
 
 
 def clifford_degrees(m: FiberOp) -> Tuple[int, int]:

@@ -5,9 +5,10 @@ then self-validated: the operator a |-> *(w ^ a) on 2-forms must have
 spectrum {+2 x7, -1 x14} (G2) or {+3 x7, -1 x21} (Spin(7)), and the
 Cayley form must be self-dual.  Published sign conventions differ, so the
 constructor tries sign and last-coordinate orientation flips until the
-eigenvalue table validates, and records what it did.  Validation is an
-exact sparse product over the nonzero entries of the operator, about three
-per row; the projections are kept as the same sparse rows.
+eigenvalue table validates, and records what it did.  The operator is an
+integer matrix built from merge and Hodge signs on masks, and validation
+is one exact integer matrix product; the projections keep its nonzero
+entries over plus + 1 as sparse rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .exact import numerator_planes
-from .exterior import DiffForm, indices_of, mask_of, popcount
+from .exterior import (
+    _ZERO,
+    DiffForm,
+    hodge_sign,
+    indices_of,
+    mask_of,
+    merge_sign,
+    popcount,
+)
 
 G2 = "g2"
 SPIN7 = "spin7"
@@ -146,30 +155,41 @@ def star_ext_on_two_forms(w, n: int = None) -> np.ndarray:
     return mat
 
 
-def _sparse_rows(mat: np.ndarray, shift=0) -> List[Dict[int, Fraction]]:
-    """Nonzero entries of mat + shift * Id, row by row."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
-    for i, row in enumerate(rows):
-        row[i] = row.get(i, 0) + shift
-        if not row[i]:
-            del row[i]
-    return rows
+def _star_ext_integers(form: DiffForm, n: int) -> np.ndarray:
+    """Integer matrix of alpha |-> *(w ^ alpha) on the 2-form fiber.
+
+    Built from merge and Hodge signs on masks: e^K ^ e^B = merge_sign(K, B)
+    e^{K|B} and *e^T = hodge_sign(T) e^{T^c}.  The coefficients of ``form``
+    must be integers, as those of every candidate structure form are.
+    """
+    basis = two_form_basis(n)
+    pos = {m: i for i, m in enumerate(basis)}
+    full = (1 << n) - 1
+    if any(int(c) != c for c in form.terms.values()):
+        raise ValueError("structure forms must have integer coefficients")
+    terms = [(k, int(c)) for k, c in form.terms.items()]
+    mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    for j, b in enumerate(basis):
+        for k, c in terms:
+            if k & b:
+                continue
+            t = k | b
+            i = pos.get(full & ~t)
+            if i is None:
+                raise ValueError("star-wedge image is not a 2-form")
+            mat[i, j] += c * merge_sign(k, b) * hodge_sign(t, n)
+    return mat
 
 
 def _eig_validate(mat: np.ndarray, plus: int) -> List[Tuple[int, int]]:
-    """Check (A - plus)(A + 1) = 0 exactly, entry by entry, as a product of
-    sparse rows; then the trace split, and return the eigenvalue table."""
+    """Check (A - plus)(A + 1) = 0 exactly as one matrix product, then the
+    trace split, and return the eigenvalue table.  ``mat`` is an integer
+    array or an object array of exact values."""
     dim = mat.shape[0]
-    left, right = _sparse_rows(mat, -plus), _sparse_rows(mat, 1)
-    for row in left:
-        acc: Dict[int, Fraction] = {}
-        for k, a in row.items():
-            for j, b in right[k].items():
-                acc[j] = acc.get(j, 0) + a * b
-        if any(acc.values()):
-            raise StructureValidationError("minimal polynomial check failed")
-    tr = sum(mat[i, i] for i in range(dim))
-    m_plus = Fraction(tr + dim, plus + 1)
+    eye = np.eye(dim, dtype=mat.dtype)
+    if np.dot(mat - plus * eye, mat + eye).any():
+        raise StructureValidationError("minimal polynomial check failed")
+    m_plus = Fraction(sum(mat.diagonal().tolist()) + dim, plus + 1)
     if m_plus.denominator != 1 or not (0 < m_plus < dim):
         raise StructureValidationError("trace does not split the fiber")
     m_plus = int(m_plus)
@@ -209,14 +229,14 @@ def standard_structure(kind: str) -> HolonomyStructure:
         try:
             if kind == SPIN7 and form.hodge() != form:
                 raise StructureValidationError("Cayley form is not self-dual")
-            mat = star_ext_on_two_forms(form, n)
-            if any(mat[i, j] != mat[j, i] for i in range(mat.shape[0]) for j in range(i)):
+            mat = _star_ext_integers(form, n)
+            if (mat != mat.T).any():
                 raise StructureValidationError("star-wedge operator is not symmetric")
             table = _eig_validate(mat, plus)
             if table != [(plus, 7), (-1, (14 if kind == G2 else 21))]:
                 raise StructureValidationError(f"wrong multiplicities {table}")
             s = HolonomyStructure(kind, n, form, table, neg, orient)
-            s._op_cache["star_ext"] = mat
+            s._op_cache["star_ext_integers"] = mat
             return s
         except StructureValidationError as exc:
             last_error = exc
@@ -225,28 +245,45 @@ def standard_structure(kind: str) -> HolonomyStructure:
     )
 
 
+def _integer_operator(s: HolonomyStructure) -> np.ndarray:
+    if "star_ext_integers" not in s._op_cache:
+        s._op_cache["star_ext_integers"] = _star_ext_integers(s.defining_form, s.n)
+    return s._op_cache["star_ext_integers"]
+
+
 def structure_operator(s: HolonomyStructure) -> np.ndarray:
-    """The validated matrix of *e(w) on the 2-form fiber."""
+    """The validated matrix of *e(w) on the 2-form fiber, as Fractions."""
     if "star_ext" not in s._op_cache:
-        s._op_cache["star_ext"] = star_ext_on_two_forms(s.defining_form, s.n)
+        s._op_cache["star_ext"] = np.array(
+            [[Fraction(v) if v else _ZERO for v in row] for row in _integer_operator(s).tolist()],
+            dtype=object,
+        )
     return s._op_cache["star_ext"]
 
 
 def projections(s: HolonomyStructure) -> Tuple[Projection, Projection]:
     """(P_7, P_big) = (A + 1, plus - A) / (plus + 1) for A = *e(w), exact.
 
-    Built once per structure from the sparse rows of A and cached.
+    Built once per structure from the integer rows of A and cached.  The
+    rows over plus + 1 also give each Projection its ``numerators``.
     """
     if "projections" not in s._op_cache:
         basis = two_form_basis(s.n)
-        denom = Fraction(s.plus_eigenvalue + 1)
-        s._op_cache["projections"] = tuple(
-            Projection(label, s.n, [
-                (basis[i], [(basis[j], sign * v / denom) for j, v in sorted(row.items())])
-                for i, row in enumerate(_sparse_rows(structure_operator(s), shift))
+        a, plus = _integer_operator(s), s.plus_eigenvalue
+        eye = np.eye(len(basis), dtype=np.int64)
+        out = []
+        for label, nums in (("7", a + eye), (s.big_label, plus * eye - a)):
+            sparse = [[(basis[j], v) for j, v in enumerate(row) if v] for row in nums.tolist()]
+            entry = {v: Fraction(v, plus + 1) for v in np.unique(nums).tolist()}
+            p = Projection(label, s.n, [
+                (basis[i], [(mj, entry[v]) for mj, v in row]) for i, row in enumerate(sparse)
             ])
-            for label, shift, sign in (("7", 1, 1), (s.big_label, -s.plus_eigenvalue, -1))
-        )
+            # A has a zero diagonal (w ^ e^I ^ e^I = 0), so the diagonals
+            # 1 and plus are coprime to plus + 1, the least common
+            # denominator that numerator_planes would find
+            p.__dict__["numerators"] = (plus + 1, [(basis[i], row) for i, row in enumerate(sparse)])
+            out.append(p)
+        s._op_cache["projections"] = tuple(out)
     return s._op_cache["projections"]
 
 
@@ -271,18 +308,22 @@ def instanton_check(s: HolonomyStructure, curvature, tol: float = 0.0) -> Instan
     """True iff every bundle entry of the curvature 2-form has no 7-part.
 
     ``curvature`` is a CurvatureData.  The integer P_7 rows act on its
-    real and imaginary numerator planes apart; each nonzero r x r entry of
-    a 7-part component is measured as |re + i im| in floats.
+    real and imaginary numerator planes apart.  ``exact_zero`` (and ``ok``
+    when ``tol`` is 0) is decided on those integers; ``max_component`` is
+    the largest |re + i im| of a 7-part entry in floats, which reads 0.0
+    when a nonzero part lies below the float range.
     """
     pden, rows = projections(s)[0].numerators
     planes, den = curvature._f_planes, pden * curvature._f_den
     worst = 0.0
+    exact_zero = True
     for _, row in rows:
         hits = [(v, planes[mj]) for mj, v in row if mj in planes]
         for ab in range(curvature.r ** 2) if hits else ():
             x = sum(v * re[ab] for v, (re, _) in hits)
             y = sum(v * im[ab] for v, (_, im) in hits)
             if x or y:
+                exact_zero = False
                 worst = max(worst, abs(complex(float(Fraction(x, den)), float(Fraction(y, den)))))
-    ok = worst <= tol
-    return InstantonReport(ok=ok, max_component=worst, exact_zero=(worst == 0.0))
+    ok = exact_zero if tol == 0 else worst <= tol
+    return InstantonReport(ok=ok, max_component=worst, exact_zero=exact_zero)

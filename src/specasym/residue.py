@@ -147,12 +147,16 @@ class ResidueReport:
             },
             "residue": {"exact": repr(self.residue), "float": _safe_float(self.residue)},
             "untwisted_constant_ok": self.untwisted_constant_ok,
-            "instanton_warning": (
-                None
-                if self.instanton is None or self.instanton.ok
-                else f"P7 component up to {self.instanton.max_component:.3e}"
-            ),
+            "instanton_warning": _instanton_warning(self.instanton),
         }
+
+
+def _instanton_warning(rep: Optional[InstantonReport]) -> Optional[str]:
+    if rep is None or rep.ok:
+        return None
+    if rep.max_component == 0.0 and not rep.exact_zero:
+        return "P7 component nonzero but below the float range"
+    return f"P7 component up to {rep.max_component:.3e}"
 
 
 def residue_value(

@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, pi, sqrt
-from typing import Dict, List
+from time import perf_counter
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -56,17 +57,33 @@ class CheckResult:
     name: str
     status: str  # "pass" | "fail" | "info"
     detail: str = ""
+    seconds: float = 0.0  # since the previous record of the same suite
 
-    def to_dict(self) -> Dict[str, str]:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
+    def to_dict(self) -> Dict[str, Union[str, float]]:
+        return {"name": self.name, "status": self.status, "detail": self.detail,
+                "seconds": self.seconds}
+
+
+class _Results(list):
+    """The check records of one suite run, each timed from the previous
+    record (the first from the start of the suite)."""
+
+    def __init__(self):
+        super().__init__()
+        self._last = perf_counter()
+
+    def record(self, name: str, status: str, detail: str) -> None:
+        now = perf_counter()
+        self.append(CheckResult(name, status, detail, now - self._last))
+        self._last = now
 
 
 def _check(results, name, ok, detail=""):
-    results.append(CheckResult(name, "pass" if ok else "fail", detail))
+    results.record(name, "pass" if ok else "fail", detail)
 
 
 def _info(results, name, detail):
-    results.append(CheckResult(name, "info", detail))
+    results.record(name, "info", detail)
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +91,7 @@ def _info(results, name, detail):
 # ----------------------------------------------------------------------
 
 def algebra_suite(seed: int = 0) -> List[CheckResult]:
-    out: List[CheckResult] = []
+    out = _Results()
     for n in (7, 8):
         ok = True
         for i in range(1, n + 1):
@@ -121,7 +138,7 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
     fails, checked = trace_identity_sweep(7)
     _check(out, "word-trace identity, all 4^7 pairs (n=7)", not fails, f"{checked} pairs")
     rng = np.random.default_rng(seed)
-    pairs = [(int(a), int(b)) for a, b in rng.integers(0, 2 ** 8, size=(10 ** 4, 2))]
+    pairs = rng.integers(0, 2 ** 8, size=(10 ** 4, 2))
     fails, checked = trace_identity_sweep(8, pairs)
     _check(out, "word-trace identity, 10^4 random pairs (n=8)", not fails, f"{checked} pairs")
 
@@ -193,7 +210,7 @@ def _bridge_check(s, seed: int, count: int = 100) -> bool:
 # ----------------------------------------------------------------------
 
 def holonomy_suite(seed: int = 0) -> List[CheckResult]:
-    out: List[CheckResult] = []
+    out = _Results()
     rnd = random.Random(seed)
     for kind, plus, table in (("g2", 2, [(2, 7), (-1, 14)]), ("spin7", 3, [(3, 7), (-1, 21)])):
         s = standard_structure(kind)
@@ -271,7 +288,7 @@ def _numerators(*mats: np.ndarray):
 # ----------------------------------------------------------------------
 
 def heat_suite(seed: int = 0, full: bool = True) -> List[CheckResult]:
-    out: List[CheckResult] = []
+    out = _Results()
     g2 = standard_structure("g2")
     sp7 = standard_structure("spin7")
 
@@ -413,7 +430,7 @@ def _hermite_diag_sum(a: float, t: float, terms: int = 4000) -> float:
 # ----------------------------------------------------------------------
 
 def spectrum_suite(seed: int = 0, q_max: int = 400) -> List[CheckResult]:
-    out: List[CheckResult] = []
+    out = _Results()
     _check(
         out,
         "shell counts match brute-force scan (n=7, q<=6)",

@@ -108,6 +108,23 @@ def test_residue_warns_non_instanton(tmp_path, capsys):
     assert doc["sign"]["sign"] is None
 
 
+@pytest.mark.parametrize("size", ["1e-2", "1e-400"])
+def test_residue_seven_part_below_float_range_is_refused(tmp_path, capsys, size):
+    """A nonzero 7-part fails the instanton gate even when its float is 0."""
+    path = os.fspath(tmp_path / "tiny.json")
+    _write(path, {"n": 7, "rank": 1, "F": [[2, 3, [[[0, size]]]], [4, 5, [[[0, size]]]]]})
+    code, out, _ = run_cli(capsys, "residue", "--kind", "g2", "--input", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["sign"]["is_instanton"] is False
+    assert doc["sign"]["sign"] is None
+    warning = doc["instanton_warning"]
+    if size == "1e-400":
+        assert warning == "P7 component nonzero but below the float range"
+    else:
+        assert warning.startswith("P7 component up to") and "0.000e+00" not in warning
+
+
 def test_residue_rank_two_matrices(tmp_path, capsys):
     path = os.fspath(tmp_path / "r2.json")
     # skew-Hermitian 2x2: i * Hermitian
@@ -241,6 +258,32 @@ def test_verify_json_to_stdout(capsys):
     assert doc["suite"] == "spectrum"
 
 
+def test_verify_json_records_seconds_but_prints_none(tmp_path, capsys):
+    report = os.fspath(tmp_path / "rep.json")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "spectrum", "--json", report)
+    assert code == 0
+    checks = json.load(open(report))["checks"]
+    assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in checks)
+    assert all(line.startswith("[") or line.endswith("checks passed")
+               for line in out.splitlines())
+    assert "seconds" not in out
+
+
+def _subprocess_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(specasym.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "specasym", "decompose", "--kind", "g2",
+                           "--form", "e12"], capture_output=True, text=True, timeout=60,
+                          env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["norms"]["p7"]["exact"] == "1/3"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from specasym import verify as verify_mod
     from specasym.verify import CheckResult
@@ -307,13 +350,10 @@ def test_residue_oracle_flat_bundle_is_independent_of_rank(tmp_path):
     finishes at once; run in a subprocess so a regression fails, not hangs."""
     path = os.fspath(tmp_path / "flat.json")
     _write(path, {"n": 7, "rank": 10 ** 6})
-    src = os.path.dirname(os.path.dirname(specasym.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "specasym.cli", "residue", "--kind", "g2", "--input", path,
          "--oracle"],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)

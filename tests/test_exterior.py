@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from specasym.exact import Scalar
 from specasym.exterior import (
     DiffForm,
     FiberOp,
@@ -181,3 +182,15 @@ def test_interior_product():
     assert phi_like.interior(1) == e(7, 2, 3)
     assert phi_like.interior(2) == e(7, 1, 3).scale(-1)
     assert phi_like.interior(4).is_zero()
+
+
+def test_adjoint_conjugates_non_rational_entries():
+    op = FiberOp.zeros(3)
+    op.mat[1, 2] = Scalar.term(1, 2, pi_half=1)
+    op.mat[0, 1] = 1 + 2j
+    op.mat[4, 5] = Fraction(1, 3)
+    adj = op.adjoint()
+    assert adj.mat[2, 1] == Scalar.term(1, -2, pi_half=1)
+    assert adj.mat[1, 0] == 1 - 2j
+    assert adj.mat[5, 4] == Fraction(1, 3)
+    assert adj.adjoint() == op

@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from specasym import filtration
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm, FiberOp, ext_op, subset_order, word_op
 from specasym.filtration import (
     CliffordWordExpansion,
+    _accumulator,
     PolyDiffOp,
     TruncationError,
     clifford_degrees,
@@ -150,6 +155,160 @@ def test_sweep_blocks_match_pair_loop(flipped_word_sign):
             if word_trace(7, cm, hm) != (128 if (cm, hm) == (0, 0) else 0)]
     fails, checked = trace_identity_sweep(7, iter(pairs))
     assert checked == len(pairs) and fails == want and len(want) == 3
+
+
+def _entry_loop_expand(m):
+    """Hilbert-Schmidt coefficients added one Fraction entry at a time (oracle)."""
+    n, dim = m.n, 1 << m.n
+    order, _ = subset_order(n)
+    cs = word_tables(n, False)[1]
+    hp, hs = word_tables(n, True)
+    coeffs = {}
+    for rpos in range(dim):
+        for cpos in range(dim):
+            v = m.mat[rpos, cpos]
+            if v == 0:
+                continue
+            col_mask = order[cpos]
+            diff = order[rpos] ^ col_mask
+            for hm in range(dim):
+                cm = diff ^ hm
+                sg = int(cs[cm][hp[hm][col_mask]]) * int(hs[hm][col_mask])
+                acc = coeffs.get((cm, hm), 0) + (v if sg > 0 else -v)
+                if acc == 0:
+                    coeffs.pop((cm, hm), None)
+                else:
+                    coeffs[(cm, hm)] = acc
+    return {k: v * Fraction(1, dim) for k, v in coeffs.items()}
+
+
+def _rational(draw, huge):
+    bound = 2 ** 70 if huge else 6
+    return Fraction(draw(st.integers(-bound, bound)), draw(st.integers(1, bound)))
+
+
+@st.composite
+def _entries(draw):
+    """A sparse rank-1 operator's support and values: rationals, Scalars
+    with pi or t powers or imaginary parts, and numerators past 2^62."""
+    n = draw(st.sampled_from([7, 8]))
+    huge = draw(st.booleans())
+    entries = {}
+    for _ in range(draw(st.integers(1, 6))):
+        pos = (draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, (1 << n) - 1)))
+        kind = draw(st.sampled_from(["int", "rational", "scalar"]))
+        if kind == "int":
+            entries[pos] = draw(st.integers(-3, 3))
+        elif kind == "rational":
+            entries[pos] = _rational(draw, huge)
+        else:
+            entries[pos] = Scalar.term(
+                _rational(draw, huge), _rational(draw, huge) * draw(st.integers(0, 1)),
+                pi_half=draw(st.integers(-2, 2)), t_half=draw(st.integers(-1, 1)),
+            )
+    return n, entries
+
+
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_entries(), st.data())
+def test_integer_paths_match_oracles(drawn, data):
+    n, entries = drawn
+    m = FiberOp.zeros(n)
+    for (i, j), v in entries.items():
+        m.mat[i, j] = v
+    exp = expand_clifford_basis(m)
+    assert exp.coefficients == _entry_loop_expand(m)
+    assert exp.reconstruct() == m
+
+    # FiberOp.__eq__ against elementwise comparison: distinct zero objects,
+    # int 0 against Fraction(0), and one changed entry
+    def elementwise(a, b):
+        return all(x == y for x, y in zip(a.mat.flat, b.mat.flat))
+
+    other = FiberOp(n, 1, m.mat.copy())
+    flat = other.mat.reshape(-1)
+    for k in range(0, flat.size, 3):
+        if flat[k] == 0:
+            flat[k] = Fraction(0) if k % 2 else 0
+    assert elementwise(m, other) and m == other
+    k = data.draw(st.integers(0, flat.size - 1))
+    flat[k] = flat[k] + 1
+    assert not elementwise(m, other) and not m == other
+
+
+def test_word_sum_accumulator_switches_to_python_ints():
+    assert _accumulator(4, [2 ** 60, 1]).dtype == np.int64
+    assert _accumulator(4, [2 ** 61, -1]).dtype == object
+    assert _accumulator(4, []).dtype == np.int64
+
+
+def _full_gather_sweep(n, pairs):
+    """Every given pair gathered from the word tables (oracle)."""
+    dim = 1 << n
+    cp, cs = filtration.word_tables(n, False)
+    hp, hs = filtration.word_tables(n, True)
+    s = np.arange(dim)
+    failures = []
+    for cm, hm in pairs:
+        mid = hp[hm]
+        sg = cs[cm][mid].astype(np.int64) * hs[hm]
+        tr = int(sg[cp[cm][mid] == s].sum())
+        if tr != (dim if (cm, hm) == (0, 0) else 0):
+            failures.append((cm, hm, tr))
+    return failures
+
+
+def _patched_hat_tables(monkeypatch, n, edit):
+    """filtration.word_tables with ``edit(perms, signs)`` applied to copies
+    of the n-dimensional c-hat tables."""
+    tables = filtration.word_tables
+
+    def patched(m, hat):
+        perms, signs = tables(m, hat)
+        if m == n and hat:
+            perms, signs = perms.copy(), signs.copy()
+            edit(perms, signs)
+        return perms, signs
+
+    monkeypatch.setattr(filtration, "word_tables", patched)
+
+
+def _sample_pairs(n):
+    return np.random.default_rng(0).integers(0, 1 << n, size=(10 ** 4, 2))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("broken", ["hat-sign", "off-diagonal-fixed-point"])
+def test_sweep_reports_full_gather_failures_on_broken_tables(monkeypatch, n, broken):
+    """Tables that keep the XOR lemma are swept on diagonal pairs only,
+    tables that break it on every pair; both report the full gather's
+    failures."""
+    dim = 1 << n
+    sample = _sample_pairs(n)
+    # a diagonal pair and an off-diagonal pair sharing its c-hat word, both
+    # in the sample
+    w = next(int(a) for a, b in sample if a == b and a)
+    cm = next(int(a) for a, b in sample if b == w and a != w)
+    s0 = 5
+    if broken == "hat-sign":
+        def edit(perms, signs):
+            signs[w, s0] = -signs[w, s0]
+    else:
+        def edit(perms, signs):
+            perms[w, s0] = s0 ^ cm  # c(cm) then sends it back to s0
+    _patched_hat_tables(monkeypatch, n, edit)
+
+    pairs = [(int(a), int(b)) for a, b in sample]
+    want = _full_gather_sweep(n, pairs)
+    assert (w, w) in {(a, b) for a, b, _ in want}
+    if broken != "hat-sign":
+        assert (cm, w) in {(a, b) for a, b, _ in want}
+    assert trace_identity_sweep(n, sample) == (want, len(pairs))
+    assert trace_identity_sweep(n, iter(pairs)) == (want, len(pairs))
+    if n == 7:
+        every = [(a, b) for a in range(dim) for b in range(dim)]
+        assert trace_identity_sweep(n) == (_full_gather_sweep(n, every), dim * dim)
 
 
 def test_expand_requires_rank_one():

@@ -4,15 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from specasym import holonomy
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm
 from specasym.heat import CurvatureData
 from specasym.holonomy import (
+    Projection,
     StructureValidationError,
     _eig_validate,
     decompose_two_form,
     instanton_check,
     projections,
+    standard_structure,
     star_ext_on_two_forms,
     structure_operator,
     two_form_basis,
@@ -170,3 +173,80 @@ def test_projection_apply_matches_dense_product(g2, spin7):
                 vec = np.array([alpha.terms.get(m, Scalar()) for m in basis], dtype=object)
                 dense = p.matrix.dot(vec)
                 assert p.apply(alpha) == DiffForm(s.n, dict(zip(basis, dense)))
+
+
+def _sparse_rows(mat, shift=0):
+    """Nonzero entries of mat + shift * Id, row by row."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
+    for i, row in enumerate(rows):
+        row[i] = row.get(i, 0) + shift
+        if not row[i]:
+            del row[i]
+    return rows
+
+
+def _sparse_eig_validate(mat, plus):
+    """(A - plus)(A + 1) = 0 as a product of sparse Fraction rows, then the
+    trace split (oracle)."""
+    dim = mat.shape[0]
+    left, right = _sparse_rows(mat, -plus), _sparse_rows(mat, 1)
+    for row in left:
+        acc = {}
+        for k, a in row.items():
+            for j, b in right[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        if any(acc.values()):
+            raise StructureValidationError("minimal polynomial check failed")
+    tr = sum(mat[i, i] for i in range(dim))
+    m_plus = Fraction(tr + dim, plus + 1)
+    if m_plus.denominator != 1 or not (0 < m_plus < dim):
+        raise StructureValidationError("trace does not split the fiber")
+    m_plus = int(m_plus)
+    return [(plus, m_plus), (-1, dim - m_plus)]
+
+
+def _outcome(fn, mat, plus):
+    try:
+        return fn(mat, plus)
+    except StructureValidationError as exc:
+        return str(exc)
+
+
+def test_integer_structure_matches_fraction_oracles(g2, spin7):
+    rnd = random.Random(4)
+    for s in (g2, spin7):
+        a = structure_operator(s)
+        assert (a == star_ext_on_two_forms(s.defining_form, s.n)).all()
+        assert all(type(v) is Fraction for v in a.flat)
+        ints = np.array(a.tolist(), dtype=np.int64)
+        for _ in range(20):
+            # entries moved by small integers, symmetric or not
+            broken = ints.copy()
+            i, j = rnd.randrange(len(a)), rnd.randrange(len(a))
+            broken[i, j] += rnd.choice((-2, -1, 1))
+            if rnd.random() < 0.5:
+                broken[j, i] = broken[i, j]
+            for mat in (ints, broken):
+                want = _outcome(_sparse_eig_validate, mat.astype(object), s.plus_eigenvalue)
+                assert _outcome(_eig_validate, mat, s.plus_eigenvalue) == want
+
+        # the projections as derived from the sparse Fraction rows of A
+        basis = two_form_basis(s.n)
+        denom = Fraction(s.plus_eigenvalue + 1)
+        for p, shift, sign in zip(projections(s), (1, -s.plus_eigenvalue), (1, -1)):
+            want = [
+                (basis[i], [(basis[j], sign * v / denom) for j, v in sorted(row.items())])
+                for i, row in enumerate(_sparse_rows(a, shift))
+            ]
+            assert p.rows == want
+            assert p.numerators == Projection(p.target, p.n, want).numerators
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+@pytest.mark.parametrize("term", sorted(holonomy._PHI_TERMS))
+def test_flipped_phi_term_fails_validation(monkeypatch, kind, term):
+    terms = dict(holonomy._PHI_TERMS)
+    terms[term] = -terms[term]
+    monkeypatch.setattr(holonomy, "_PHI_TERMS", terms)
+    with pytest.raises(StructureValidationError):
+        standard_structure(kind)

@@ -34,6 +34,28 @@ def test_round_trip_check_fails_when_a_coefficient_is_dropped(monkeypatch):
     assert status["expansion round trip on a random operator"] == "fail"
 
 
+def test_round_trip_check_fails_when_a_word_sign_is_dropped(monkeypatch):
+    reconstruct = CliffordWordExpansion.reconstruct
+
+    def flipping(self):
+        coeffs = dict(self.coefficients)
+        key = next(iter(coeffs))
+        coeffs[key] = -coeffs[key]
+        return reconstruct(CliffordWordExpansion(self.n, coeffs))
+
+    monkeypatch.setattr(CliffordWordExpansion, "reconstruct", flipping)
+    status = _statuses(verify.algebra_suite(0))
+    assert status["expansion round trip on a random operator"] == "fail"
+
+
+def test_each_check_records_its_seconds():
+    results = verify.holonomy_suite(0)
+    assert all(r.seconds >= 0 for r in results) and sum(r.seconds for r in results) > 0
+    assert all(r.to_dict()["seconds"] == r.seconds for r in results)
+    assert verify.CheckResult("synthetic", "pass").to_dict() == {
+        "name": "synthetic", "status": "pass", "detail": "", "seconds": 0.0}
+
+
 @pytest.mark.parametrize("broken", ["adjoint-without-transpose", "interior-sign"])
 def test_interior_adjoint_check_can_fail(monkeypatch, broken):
     if broken == "adjoint-without-transpose":

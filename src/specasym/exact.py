@@ -264,3 +264,19 @@ def numerator_planes(values: Sequence) -> Tuple[int, Dict[Tuple[int, int, int], 
                 planes[plane] = [0] * len(values)
             planes[plane][k] = v.numerator * (den // v.denominator)
     return den, planes
+
+
+def lift_planes(nums: Dict[Tuple[int, int, int], int], den: int, scalar: bool):
+    """One exact value back from its planes: ``nums[plane] / den`` is its
+    rational part on each plane, as in ``numerator_planes``.
+
+    Returns a Scalar when ``scalar``, else a Fraction, which only the real
+    (0, 0) plane can hold.
+    """
+    if not scalar:
+        return Fraction(int(nums.get((0, 0, 0), 0)), den)
+    terms: Dict[Tuple[int, int], list] = {}
+    for (p, q, part), num in nums.items():
+        if num:
+            terms.setdefault((p, q), [_ZERO, _ZERO])[part] = Fraction(int(num), den)
+    return Scalar({k: tuple(v) for k, v in terms.items()})

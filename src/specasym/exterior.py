@@ -266,9 +266,6 @@ class DiffForm:
     def map_coefficients(self, f) -> "DiffForm":
         return DiffForm(self.n, {m: f(c) for m, c in self.terms.items()})
 
-    def to_float(self) -> "DiffForm":
-        return self.map_coefficients(_to_complex)
-
     def __eq__(self, other):
         if not isinstance(other, DiffForm):
             return NotImplemented
@@ -302,15 +299,6 @@ def _conj(c):
     if isinstance(c, Scalar):
         return c.conjugate()
     return c.conjugate() if isinstance(c, complex) else c
-
-
-def _to_complex(c):
-    if isinstance(c, Scalar):
-        z = c.evalf()
-        return z.real if abs(z.imag) == 0 else z
-    if isinstance(c, Fraction):
-        return float(c)
-    return c
 
 
 _FORM_TOKEN = re.compile(
@@ -416,6 +404,31 @@ def apply_word(cmask: int, hmask: int, mask: int) -> Tuple[int, int]:
         s, mask = apply_cliff(i, mask, False)
         sign *= s
     return sign, mask
+
+
+def star_ext_entries(
+    w: DiffForm, sources: Iterable[int], cdvol: bool = False
+) -> Dict[Tuple[int, int], object]:
+    """{(target, source): coeff} of e^S |-> *(w ^ e^S) for S in ``sources``.
+
+    With ``cdvol`` the map is e^S |-> c(dvol)(w ^ e^S) instead.  Each term
+    c e^K of w gives w ^ e^S its term merge_sign(K, S) c e^U, U = K | S,
+    and both operators send e^U to a sign times e^{U^c}: hodge_sign(U) for
+    *, the sign of apply_word(full, 0, U) for c(dvol).  The target U^c and
+    the source S fix K, so each entry comes from one term of w.  The
+    structure build, the weighted traces and the bridge check all read
+    their signs here; the dense ``FiberOp`` products are the oracle.
+    """
+    full = (1 << w.n) - 1
+    out: Dict[Tuple[int, int], object] = {}
+    for s in sources:
+        for k, c in w.terms.items():
+            if k & s:
+                continue
+            u = k | s
+            sign = apply_word(full, 0, u)[0] if cdvol else hodge_sign(u, w.n)
+            out[(full & ~u, s)] = c if sign * merge_sign(k, s) > 0 else -c
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,9 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .exact import Scalar, numerator_planes
+from .exact import Scalar, lift_planes, numerator_planes
 from .exterior import _ZERO, FiberOp, apply_cliff, popcount, subset_order
-from .wordops import WordOperator, mat_eye, mat_scale
+from .wordops import WordOperator
 
 
 _BLOCK = 1 << 14  # table entries gathered per numpy round
@@ -171,7 +171,7 @@ class CliffordWordExpansion:
             s = np.arange(dim)
             reached = np.isin(s[:, None] ^ s, list(scalar_diffs)).ravel()
             for idx in np.flatnonzero(reached):
-                flat[idx] = _scalar_from_planes(sums, idx, den)
+                flat[idx] = lift_planes({k: v[idx] for k, v in sums.items()}, den, True)
         # rows and columns were indexed by mask; FiberOp uses subset order
         order = np.array(subset_order(n)[0])
         return FiberOp(n, 1, flat.reshape(dim, dim)[np.ix_(order, order)])
@@ -181,15 +181,6 @@ class CliffordWordExpansion:
 
     def lower_degree(self) -> int:
         return min(popcount(cm) for (cm, _) in self.coefficients)
-
-
-def _scalar_from_planes(planes, idx: int, den: int) -> Scalar:
-    """The Scalar with each rational plane's entry ``planes[plane][idx] / den``."""
-    terms: Dict[Tuple[int, int], list] = {}
-    for (p, q, part), nums in planes.items():
-        if nums[idx]:
-            terms.setdefault((p, q), [_ZERO, _ZERO])[part] = Fraction(int(nums[idx]), den)
-    return Scalar({k: tuple(v) for k, v in terms.items()})
 
 
 def _word_sum(n: int, words: Iterable[Tuple[int, int]], nums) -> np.ndarray:
@@ -274,7 +265,7 @@ def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
     for k, idx in enumerate(keys.tolist()):
         cm, hm = divmod(idx, dim)
         if cm ^ hm in scalar_diffs:
-            coeffs[(cm, hm)] = _scalar_from_planes(parts, k, scale)
+            coeffs[(cm, hm)] = lift_planes({p: v[k] for p, v in parts.items()}, scale, True)
         else:
             coeffs[(cm, hm)] = rational[real[k]]
     return CliffordWordExpansion(n, coeffs)
@@ -501,7 +492,3 @@ def _falling(a: int, b: int) -> int:
     for k in range(b):
         out *= a - k
     return out
-
-
-def word_operator_from_scalar(n: int, value, r: int = 1) -> WordOperator:
-    return WordOperator(n, r, {(0, 0, 0): mat_scale(mat_eye(r), value)})

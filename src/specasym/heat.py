@@ -94,6 +94,8 @@ class CurvatureData:
     def __post_init__(self):
         clean = {}
         for (i, j, k, l), v in self.r_entries.items():
+            if not all(1 <= x <= self.n for x in (i, j, k, l)):
+                raise CurvatureError(f"R indices must lie in 1..{self.n}, got ({i},{j},{k},{l})")
             v = Fraction(v)
             if v == 0:
                 continue

@@ -6,29 +6,27 @@ spectrum {+2 x7, -1 x14} (G2) or {+3 x7, -1 x21} (Spin(7)), and the
 Cayley form must be self-dual.  Published sign conventions differ, so the
 constructor tries sign and last-coordinate orientation flips until the
 eigenvalue table validates, and records what it did.  The operator is an
-integer matrix built from merge and Hodge signs on masks, and validation
-is one exact integer matrix product; the projections keep its nonzero
-entries over plus + 1 as sparse rows.
+integer matrix from the one sign table ``exterior.star_ext_entries``, and
+validation is one exact integer matrix product; the projections keep
+their nonzero integer entries as sparse rows over plus + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .exact import numerator_planes
+from .exact import Scalar, lift_planes, numerator_planes
 from .exterior import (
     _ZERO,
     DiffForm,
-    hodge_sign,
     indices_of,
     mask_of,
-    merge_sign,
     popcount,
+    star_ext_entries,
 )
 
 G2 = "g2"
@@ -60,45 +58,52 @@ def two_form_basis(n: int) -> List[int]:
 
 @dataclass
 class Projection:
-    """Idempotent self-adjoint projector on the 2-form fiber."""
+    """Idempotent self-adjoint projector on the 2-form fiber, held as
+    integer numerator rows over one denominator ``den``."""
 
     target: str  # "7", "14" or "21"
     n: int
-    rows: List[Tuple[int, List[Tuple[int, Fraction]]]]  # (mask, [(mask, entry)]), nonzero
+    den: int
+    rows: List[Tuple[int, List[Tuple[int, int]]]]  # (mask, [(mask, numerator)]), nonzero
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense object array of Fractions over the 2-form basis."""
+    def numerator_matrix(self) -> np.ndarray:
+        """Dense int64 array of the numerators over the 2-form basis."""
         pos = {m: i for i, m in enumerate(two_form_basis(self.n))}
-        mat = np.full((len(pos), len(pos)), Fraction(0), dtype=object)
+        mat = np.zeros((len(pos), len(pos)), dtype=np.int64)
         for m, row in self.rows:
             for mj, v in row:
                 mat[pos[m], pos[mj]] = v
         return mat
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense object array of Fractions over the 2-form basis."""
+        return np.array([[Fraction(v, self.den) if v else _ZERO for v in row]
+                         for row in self.numerator_matrix().tolist()], dtype=object)
+
     def apply(self, alpha: DiffForm) -> DiffForm:
+        """The projected 2-form, from integer row products with the
+        numerator planes of ``alpha``.  Its coefficients are Scalars if any
+        coefficient of ``alpha`` is one, else Fractions."""
         if any(popcount(m) != 2 for m in alpha.terms):
             raise ValueError("projection applies to 2-forms only")
+        values = list(alpha.terms.values())
+        den, planes = numerator_planes(values)
+        den *= self.den
+        scalar = any(isinstance(c, Scalar) for c in values)
+        col = {m: k for k, m in enumerate(alpha.terms)}
         out = {}
         for m, row in self.rows:
-            acc = 0
-            for mj, v in row:
-                c = alpha.terms.get(mj)
-                if c:
-                    acc = acc + v * c
-            if acc != 0:
-                out[m] = acc
+            hits = [(v, col[mj]) for mj, v in row if mj in col]
+            if not hits:
+                continue
+            sums = {plane: sum(v * nums[k] for v, k in hits) for plane, nums in planes.items()}
+            if any(sums.values()):
+                out[m] = lift_planes(sums, den, scalar)
         return DiffForm(self.n, out)
 
-    def trace(self):
-        return sum(v for m, row in self.rows for mj, v in row if mj == m)
-
-    @cached_property
-    def numerators(self):
-        """(den, rows): the rows as integer numerators over one denominator."""
-        den, planes = numerator_planes([v for _, row in self.rows for _, v in row])
-        nums = iter(planes[(0, 0, 0)])
-        return den, [(m, [(mj, next(nums)) for mj, _ in row]) for m, row in self.rows]
+    def trace(self) -> Fraction:
+        return Fraction(sum(v for m, row in self.rows for mj, v in row if mj == m), self.den)
 
 
 @dataclass
@@ -133,14 +138,9 @@ def _flip_last(form: DiffForm, n: int) -> DiffForm:
     )
 
 
-def star_ext_on_two_forms(w, n: int = None) -> np.ndarray:
-    """Matrix of alpha |-> *(w ^ alpha) on the 2-form fiber.
-
-    Accepts either a defining form plus the ambient dimension or a
-    validated HolonomyStructure.
-    """
-    if isinstance(w, HolonomyStructure):
-        return structure_operator(w)
+def star_ext_on_two_forms(w: DiffForm, n: int) -> np.ndarray:
+    """Matrix of alpha |-> *(w ^ alpha) on the 2-form fiber, from whole-form
+    wedges and Hodge stars (the oracle of ``_star_ext_integers``)."""
     basis = two_form_basis(n)
     pos = {m: i for i, m in enumerate(basis)}
     dim = len(basis)
@@ -155,29 +155,20 @@ def star_ext_on_two_forms(w, n: int = None) -> np.ndarray:
     return mat
 
 
-def _star_ext_integers(form: DiffForm, n: int) -> np.ndarray:
-    """Integer matrix of alpha |-> *(w ^ alpha) on the 2-form fiber.
-
-    Built from merge and Hodge signs on masks: e^K ^ e^B = merge_sign(K, B)
-    e^{K|B} and *e^T = hodge_sign(T) e^{T^c}.  The coefficients of ``form``
-    must be integers, as those of every candidate structure form are.
-    """
-    basis = two_form_basis(n)
-    pos = {m: i for i, m in enumerate(basis)}
-    full = (1 << n) - 1
+def _star_ext_integers(form: DiffForm) -> np.ndarray:
+    """Integer matrix of alpha |-> *(w ^ alpha) on the 2-form fiber, from
+    ``star_ext_entries``.  The coefficients of ``form`` must be integers, as
+    those of every candidate structure form are."""
     if any(int(c) != c for c in form.terms.values()):
         raise ValueError("structure forms must have integer coefficients")
-    terms = [(k, int(c)) for k, c in form.terms.items()]
+    basis = two_form_basis(form.n)
+    pos = {m: i for i, m in enumerate(basis)}
+    w = DiffForm(form.n, {k: int(c) for k, c in form.terms.items()})
     mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
-    for j, b in enumerate(basis):
-        for k, c in terms:
-            if k & b:
-                continue
-            t = k | b
-            i = pos.get(full & ~t)
-            if i is None:
-                raise ValueError("star-wedge image is not a 2-form")
-            mat[i, j] += c * merge_sign(k, b) * hodge_sign(t, n)
+    for (t, b), v in star_ext_entries(w, basis).items():
+        if t not in pos:
+            raise ValueError("star-wedge image is not a 2-form")
+        mat[pos[t], pos[b]] = v
     return mat
 
 
@@ -229,7 +220,7 @@ def standard_structure(kind: str) -> HolonomyStructure:
         try:
             if kind == SPIN7 and form.hodge() != form:
                 raise StructureValidationError("Cayley form is not self-dual")
-            mat = _star_ext_integers(form, n)
+            mat = _star_ext_integers(form)
             if (mat != mat.T).any():
                 raise StructureValidationError("star-wedge operator is not symmetric")
             table = _eig_validate(mat, plus)
@@ -247,7 +238,7 @@ def standard_structure(kind: str) -> HolonomyStructure:
 
 def _integer_operator(s: HolonomyStructure) -> np.ndarray:
     if "star_ext_integers" not in s._op_cache:
-        s._op_cache["star_ext_integers"] = _star_ext_integers(s.defining_form, s.n)
+        s._op_cache["star_ext_integers"] = _star_ext_integers(s.defining_form)
     return s._op_cache["star_ext_integers"]
 
 
@@ -264,26 +255,19 @@ def structure_operator(s: HolonomyStructure) -> np.ndarray:
 def projections(s: HolonomyStructure) -> Tuple[Projection, Projection]:
     """(P_7, P_big) = (A + 1, plus - A) / (plus + 1) for A = *e(w), exact.
 
-    Built once per structure from the integer rows of A and cached.  The
-    rows over plus + 1 also give each Projection its ``numerators``.
+    Built once per structure from the integer rows of A and cached.
     """
     if "projections" not in s._op_cache:
         basis = two_form_basis(s.n)
         a, plus = _integer_operator(s), s.plus_eigenvalue
         eye = np.eye(len(basis), dtype=np.int64)
-        out = []
-        for label, nums in (("7", a + eye), (s.big_label, plus * eye - a)):
-            sparse = [[(basis[j], v) for j, v in enumerate(row) if v] for row in nums.tolist()]
-            entry = {v: Fraction(v, plus + 1) for v in np.unique(nums).tolist()}
-            p = Projection(label, s.n, [
-                (basis[i], [(mj, entry[v]) for mj, v in row]) for i, row in enumerate(sparse)
+        s._op_cache["projections"] = tuple(
+            Projection(label, s.n, plus + 1, [
+                (basis[i], [(basis[j], v) for j, v in enumerate(row) if v])
+                for i, row in enumerate(nums.tolist())
             ])
-            # A has a zero diagonal (w ^ e^I ^ e^I = 0), so the diagonals
-            # 1 and plus are coprime to plus + 1, the least common
-            # denominator that numerator_planes would find
-            p.__dict__["numerators"] = (plus + 1, [(basis[i], row) for i, row in enumerate(sparse)])
-            out.append(p)
-        s._op_cache["projections"] = tuple(out)
+            for label, nums in (("7", a + eye), (s.big_label, plus * eye - a))
+        )
     return s._op_cache["projections"]
 
 
@@ -304,20 +288,20 @@ class InstantonReport:
     exact_zero: bool
 
 
-def instanton_check(s: HolonomyStructure, curvature, tol: float = 0.0) -> InstantonReport:
+def instanton_check(s: HolonomyStructure, curvature) -> InstantonReport:
     """True iff every bundle entry of the curvature 2-form has no 7-part.
 
     ``curvature`` is a CurvatureData.  The integer P_7 rows act on its
-    real and imaginary numerator planes apart.  ``exact_zero`` (and ``ok``
-    when ``tol`` is 0) is decided on those integers; ``max_component`` is
-    the largest |re + i im| of a 7-part entry in floats, which reads 0.0
-    when a nonzero part lies below the float range.
+    real and imaginary numerator planes apart.  ``ok`` and ``exact_zero``
+    are decided on those integers; ``max_component`` is the largest
+    |re + i im| of a 7-part entry in floats, which reads 0.0 when a nonzero
+    part lies below the float range.
     """
-    pden, rows = projections(s)[0].numerators
-    planes, den = curvature._f_planes, pden * curvature._f_den
+    p7 = projections(s)[0]
+    planes, den = curvature._f_planes, p7.den * curvature._f_den
     worst = 0.0
     exact_zero = True
-    for _, row in rows:
+    for _, row in p7.rows:
         hits = [(v, planes[mj]) for mj, v in row if mj in planes]
         for ab in range(curvature.r ** 2) if hits else ():
             x = sum(v * re[ab] for v, (re, _) in hits)
@@ -325,5 +309,4 @@ def instanton_check(s: HolonomyStructure, curvature, tol: float = 0.0) -> Instan
             if x or y:
                 exact_zero = False
                 worst = max(worst, abs(complex(float(Fraction(x, den)), float(Fraction(y, den)))))
-    ok = exact_zero if tol == 0 else worst <= tol
-    return InstantonReport(ok=ok, max_component=worst, exact_zero=exact_zero)
+    return InstantonReport(ok=exact_zero, max_component=worst, exact_zero=exact_zero)

@@ -17,8 +17,8 @@ from typing import Dict, List, Union
 
 import numpy as np
 
-from .exact import Scalar, numerator_planes
-from .exterior import DiffForm, FiberOp, popcount, subset_order
+from .exact import Scalar
+from .exterior import DiffForm, FiberOp, popcount, star_ext_entries, subset_order
 from .filtration import (
     expand_clifford_basis,
     gram_orthogonality_check,
@@ -35,7 +35,12 @@ from .heat import (
     oscillator_diag_kernel,
     random_curvature,
 )
-from .holonomy import decompose_two_form, projections, standard_structure, structure_operator
+from .holonomy import (
+    _integer_operator,
+    decompose_two_form,
+    projections,
+    standard_structure,
+)
 from .residue import characteristic_density_form
 from .spectrum import (
     enumerate_levels,
@@ -168,29 +173,18 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
 def _bridge_check(s, seed: int, count: int = 100) -> bool:
     """tr(*e(w) M) = -tr(c(dvol) e(w) M) for degree-2-block operators M.
 
-    Both weight operators are sparse (a few monomials times signed
-    permutations), so they are tabulated as dicts once and each random M
-    costs only its own support.
+    Both weight operators map 2-forms to 2-forms, so they are tabulated
+    on the 2-form sources once.  Both sides are linear in M, so the tables
+    are first compared entry by entry, which is the identity on every M of
+    the block: the random M alone, 12 entries each, can miss a wrong sign
+    in one column.  Each random M then costs only its own support.
     """
-    from .exterior import apply_word, hodge_sign, merge_sign
-
-    n = s.n
-    full = (1 << n) - 1
-    rnd = random.Random(seed + n)
-    basis2 = [m for m in range(1 << n) if popcount(m) == 2]
-
-    star_w: Dict = {}
-    cdvol_w: Dict = {}
-    for src in range(1 << n):
-        for p, coeff in s.defining_form.terms.items():
-            if p & src:
-                continue
-            t = p | src
-            c = coeff if merge_sign(p, src) > 0 else -coeff
-            row = full & ~t
-            star_w[(row, src)] = star_w.get((row, src), 0) + c * hodge_sign(t, n)
-            sg, row2 = apply_word(full, 0, t)
-            cdvol_w[(row2, src)] = cdvol_w.get((row2, src), 0) + c * sg
+    rnd = random.Random(seed + s.n)
+    basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
+    star_w = star_ext_entries(s.defining_form, basis2)
+    cdvol_w = star_ext_entries(s.defining_form, basis2, cdvol=True)
+    if star_w != {k: -v for k, v in cdvol_w.items()}:
+        return False
     for _ in range(count):
         entries = {}
         for _ in range(12):
@@ -216,11 +210,12 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
         s = standard_structure(kind)
         _check(out, f"{kind} eigenvalue table", s.eigenvalue_table == table, str(s.eigenvalue_table))
         p7, pbig = projections(s)
-        a = structure_operator(s)
+        a = _integer_operator(s)
         dim = a.shape[0]
         # P = N / den: P^2 = P iff N N = den N, and so on
-        den, (n7, nbig, na) = _numerators(p7.matrix, pbig.matrix, a)
-        ok = (np.dot(n7, n7) == den * n7).all()
+        den, n7, nbig = p7.den, p7.numerator_matrix(), pbig.numerator_matrix()
+        ok = pbig.den == den
+        ok &= (np.dot(n7, n7) == den * n7).all()
         ok &= (np.dot(nbig, nbig) == den * nbig).all()
         ok &= not np.dot(n7, nbig).any()
         ok &= (n7.T == n7).all()
@@ -232,8 +227,8 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
             f"tr P7 = {p7.trace()}, tr Pbig = {pbig.trace()}",
         )
         recon = plus * n7 - nbig
-        _check(out, f"{kind} spectral reconstruction plus*P7 - Pbig", (recon == na).all())
-        comm = np.dot(n7, na) - np.dot(na, n7)
+        _check(out, f"{kind} spectral reconstruction plus*P7 - Pbig", (recon == den * a).all())
+        comm = np.dot(n7, a) - np.dot(a, n7)
         _check(out, f"{kind} projections commute with *e(w)", not comm.any())
 
         if kind == "spin7":
@@ -268,19 +263,6 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
         f"{a7.norm_sq()}, {rest.norm_sq()}",
     )
     return out
-
-
-def _numerators(*mats: np.ndarray):
-    """(den, [N, ...]): rational matrices as N / den with one common den.
-
-    Each N is an object array of Python ints, so products stay exact.
-    """
-    den, planes = numerator_planes([v for m in mats for v in m.flat])
-    if set(planes) - {(0, 0, 0)}:
-        raise ValueError("_numerators takes rational matrices only")
-    flat = np.array(planes.get((0, 0, 0), [0] * sum(m.size for m in mats)), dtype=object)
-    cuts = np.cumsum([m.size for m in mats])[:-1]
-    return den, [part.reshape(m.shape) for part, m in zip(np.split(flat, cuts), mats)]
 
 
 # ----------------------------------------------------------------------

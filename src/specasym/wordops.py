@@ -19,10 +19,10 @@ from .exterior import (
     DiffForm,
     FiberOp,
     apply_word,
-    hodge_sign,
     indices_of,
     merge_sign,
     popcount,
+    star_ext_entries,
     subset_order,
 )
 
@@ -272,11 +272,6 @@ class WordOperator:
             raise ValueError("zero operator has no Clifford degree")
         return max(popcount(c) for (_, c, _) in self.terms)
 
-    def c_degree_lower(self) -> int:
-        if not self.terms:
-            raise ValueError("zero operator has no Clifford degree")
-        return min(popcount(c) for (_, c, _) in self.terms)
-
     def form_trace(self) -> DiffForm:
         """Trace over Lambda* (x) C^r of the word slots, keeping the form slot.
 
@@ -408,19 +403,20 @@ def _factorial(k: int) -> int:
 
 def star_weighted_trace(w: DiffForm, x: WordOperator) -> Scalar:
     """tr[ * e(w) x ] with x purely in the word slots (no form content)."""
-    return _weighted_trace(w, x, use_cdvol=False)
+    return _weighted_trace(w, x, cdvol=False)
 
 
 def cdvol_weighted_trace(w: DiffForm, x: WordOperator) -> Scalar:
     """tr[ c(dvol) e(w) x ] with x purely in the word slots."""
-    return _weighted_trace(w, x, use_cdvol=True)
+    return _weighted_trace(w, x, cdvol=True)
 
 
-def _weighted_trace(w: DiffForm, x: WordOperator, use_cdvol: bool) -> Scalar:
+def _weighted_trace(w: DiffForm, x: WordOperator, cdvol: bool) -> Scalar:
+    """Each word sends e^s to sign_x(s) e^{t(s)}, so tr[W x] is the sum of
+    sign_x(s) W[s, t(s)] times the trace of the bundle matrix."""
     if w.n != x.n:
         raise ValueError("dimension mismatch")
-    n = x.n
-    full = (1 << n) - 1
+    table = star_ext_entries(w, range(1 << x.n), cdvol)
     total = Scalar()
     for (f, c, h), m in x.terms.items():
         if f:
@@ -428,28 +424,13 @@ def _weighted_trace(w: DiffForm, x: WordOperator, use_cdvol: bool) -> Scalar:
         tr_e = mat_trace(m)
         if tr_e.is_zero():
             continue
-        acc = Scalar()
-        for s in range(1 << n):
-            sign_w, t = apply_word(c, h, s)
-            if t & s:
-                continue
-            p = full & ~s & ~t
-            coeff = w.terms.get(p)
-            if coeff is None:
-                continue
-            u = p | t
-            sign = sign_w * merge_sign(p, t)
-            if use_cdvol:
-                s2, tgt = apply_word(full, 0, u)
-                if tgt != s:
-                    continue
-                sign *= s2
-            else:
-                if (full & ~u) != s:
-                    continue
-                sign *= hodge_sign(u, n)
-            acc = acc + Scalar.of(coeff) * sign
-        total = total + acc * tr_e
+        acc = 0
+        for s in range(1 << x.n):
+            sign, t = apply_word(c, h, s)
+            v = table.get((s, t))
+            if v is not None:
+                acc = acc + sign * v
+        total = total + Scalar.of(acc) * tr_e
     return total
 
 

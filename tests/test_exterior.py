@@ -13,9 +13,12 @@ from specasym.exterior import (
     ext_op,
     hodge_star,
     parse_form,
+    star_ext_entries,
+    subset_order,
     wedge,
     word_op,
 )
+from specasym.holonomy import standard_structure
 
 
 def e(n, *idx):
@@ -194,3 +197,23 @@ def test_adjoint_conjugates_non_rational_entries():
     assert adj.mat[1, 0] == 1 - 2j
     assert adj.mat[5, 4] == Fraction(1, 3)
     assert adj.adjoint() == op
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_star_ext_entries_match_dense_operators(n):
+    """Both sign tables against the dense products *e(w) and c(dvol)e(w),
+    on every source, for the structure form and a random rational form."""
+    rnd = random.Random(n)
+    structure = standard_structure("g2" if n == 7 else "spin7").defining_form
+    rational = DiffForm(n, {
+        m: Fraction(rnd.choice((-3, -2, -1, 1, 2, 3)), rnd.randint(1, 4))
+        for m in rnd.sample(range(1 << n), 10)
+    })
+    order = subset_order(n)[0]
+    for w in (structure, rational):
+        e_w = FiberOp.ext_op(w)
+        for cdvol, op in ((False, FiberOp.star_op(n) @ e_w),
+                          (True, FiberOp.word_op(n, (1 << n) - 1, "c") @ e_w)):
+            dense = {(order[i], order[j]): v
+                     for i, row in enumerate(op.mat.tolist()) for j, v in enumerate(row) if v}
+            assert star_ext_entries(w, range(1 << n), cdvol) == dense

@@ -65,6 +65,14 @@ def test_curvature_conflict_rejected():
         CurvatureData(7, 1, {(1, 2, 3, 4): Fraction(1), (3, 4, 1, 2): Fraction(2)}, {})
 
 
+def test_riemann_indices_out_of_range_rejected():
+    for key in ((1, 2, 3, 9), (0, 2, 3, 4), (1, 2, 3, 8)):
+        for v in (1, 0):
+            with pytest.raises(CurvatureError, match="R indices"):
+                CurvatureData(7, 1, {key: v})
+    assert CurvatureData(8, 1, {(1, 2, 3, 8): 1}).r_entries == {(1, 2, 3, 8): 1}
+
+
 def test_bundle_curvature_must_be_skew_hermitian():
     good = ((Scalar.i(),),)
     CurvatureData(7, 1, {}, {(1, 2): good})
@@ -304,7 +312,7 @@ def test_rank_only_input_builds_no_planes(g2, monkeypatch):
     """With no F entries nothing of size r (let alone r^2) is built: every
     numerator plane on the residue and oracle paths is as small at rank
     10^6 as at rank 1."""
-    from specasym import holonomy, wordops
+    from specasym import wordops
     from specasym.residue import full_residue_report
 
     sizes = []
@@ -314,7 +322,7 @@ def test_rank_only_input_builds_no_planes(g2, monkeypatch):
         sizes.append(len(values))
         return real(values)
 
-    for module in (heat, holonomy, wordops):
+    for module in (heat, wordops):
         monkeypatch.setattr(module, "numerator_planes", spy)
     results = []
     for r in (1, 10 ** 6):
@@ -323,7 +331,6 @@ def test_rank_only_input_builds_no_planes(g2, monkeypatch):
         results.append((repr(report.density), report.instanton, cd._f_planes,
                         mehler_diag_trace(g2, cd), duhamel_density(g2, cd)))
     assert results[0] == results[1]
-    # the largest is the P_7 rows (63 numerators for g2), not a bundle plane
     assert 0 < max(sizes) < 100
 
 

@@ -4,12 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from specasym import holonomy
+from specasym import exterior, holonomy, verify
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm
 from specasym.heat import CurvatureData
 from specasym.holonomy import (
-    Projection,
     StructureValidationError,
     _eig_validate,
     decompose_two_form,
@@ -170,9 +169,14 @@ def test_projection_apply_matches_dense_product(g2, spin7):
                     rnd.choice(basis): Scalar.term(q(), q(), pi_half=rnd.choice((0, -2)))
                     for _ in range(rnd.randint(1, 6))
                 })
-                vec = np.array([alpha.terms.get(m, Scalar()) for m in basis], dtype=object)
-                dense = p.matrix.dot(vec)
-                assert p.apply(alpha) == DiffForm(s.n, dict(zip(basis, dense)))
+                rational = DiffForm(s.n, {m: q() for m in alpha.terms})
+                # the output keeps the coefficient type of the input
+                for form, kind in ((alpha, Scalar), (rational, Fraction)):
+                    vec = np.array([form.terms.get(m, kind(0)) for m in basis], dtype=object)
+                    dense = p.matrix.dot(vec)
+                    got = p.apply(form)
+                    assert got == DiffForm(s.n, dict(zip(basis, dense)))
+                    assert all(type(c) is kind for c in got.terms.values())
 
 
 def _sparse_rows(mat, shift=0):
@@ -238,8 +242,32 @@ def test_integer_structure_matches_fraction_oracles(g2, spin7):
                 (basis[i], [(basis[j], sign * v / denom) for j, v in sorted(row.items())])
                 for i, row in enumerate(_sparse_rows(a, shift))
             ]
-            assert p.rows == want
-            assert p.numerators == Projection(p.target, p.n, want).numerators
+            assert p.den == s.plus_eigenvalue + 1
+            assert [(m, [(mj, Fraction(v, p.den)) for mj, v in row]) for m, row in p.rows] == want
+            assert all(type(v) is int for _, row in p.rows for _, v in row)
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+@pytest.mark.parametrize("flip_cdvol", [False, True])
+def test_flipped_star_ext_sign_is_caught(monkeypatch, kind, flip_cdvol):
+    """A sign flipped for one source mask of the *e(w) table fails the
+    structure validation; of the c(dvol)e(w) table, the bridge check."""
+    real = exterior.star_ext_entries
+    for mask in two_form_basis(7 if kind == "g2" else 8):
+
+        def flipped(w, sources, cdvol=False, mask=mask):
+            out = real(w, sources, cdvol)
+            if cdvol != flip_cdvol:
+                return out
+            return {(t, b): -v if b == mask else v for (t, b), v in out.items()}
+
+        monkeypatch.setattr(holonomy, "star_ext_entries", flipped)
+        monkeypatch.setattr(verify, "star_ext_entries", flipped)
+        if flip_cdvol:
+            assert not verify._bridge_check(standard_structure(kind), 0)
+        else:
+            with pytest.raises(StructureValidationError):
+                standard_structure(kind)
 
 
 @pytest.mark.parametrize("kind", ["g2", "spin7"])

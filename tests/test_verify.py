@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -77,16 +76,16 @@ def test_trace_sweep_check_fails_on_a_flipped_word_sign(flipped_word_sign):
 
 @pytest.mark.parametrize("kind", ["g2", "spin7"])
 def test_projection_checks_fail_on_a_changed_entry(monkeypatch, kind):
-    """One diagonal entry of P_7 moved by 1/7: symmetry still holds, so the
-    integer products have to catch it."""
+    """One diagonal numerator of P_7 moved by 1: symmetry still holds, so
+    the integer products have to catch it."""
 
     def changed(s):
         p7, pbig = projections(s)
         if s.kind != kind:
             return p7, pbig
         (mask, row), rest = p7.rows[0], p7.rows[1:]
-        row = [(mj, v + Fraction(1, 7) if mj == mask else v) for mj, v in row]
-        return Projection(p7.target, p7.n, [(mask, row)] + rest), pbig
+        row = [(mj, v + 1 if mj == mask else v) for mj, v in row]
+        return Projection(p7.target, p7.n, p7.den, [(mask, row)] + rest), pbig
 
     monkeypatch.setattr(verify, "projections", changed)
     status = _statuses(verify.holonomy_suite(0))

@@ -256,9 +256,6 @@ class DiffForm:
             raise ValueError(f"mixed-degree form, degrees {degs}")
         return degs[0] if degs else 0
 
-    def coefficient(self, indices):
-        return self.terms.get(mask_of(indices), 0)
-
     def top_coefficient(self):
         """Coefficient of e^{1..n} (the dvol component)."""
         return self.terms.get((1 << self.n) - 1, 0)
@@ -360,24 +357,6 @@ def parse_form(n: int, text: str) -> DiffForm:
 # ----------------------------------------------------------------------
 # elementary Clifford-module actions on basis subsets
 # ----------------------------------------------------------------------
-
-def apply_ext(i: int, mask: int) -> Tuple[int, int]:
-    """e(omega^i) on e^mask -> (sign, mask') with sign 0 when killed."""
-    bit = 1 << (i - 1)
-    if mask & bit:
-        return 0, mask
-    sign = -1 if (popcount(mask & (bit - 1)) & 1) else 1
-    return sign, mask | bit
-
-
-def apply_int(i: int, mask: int) -> Tuple[int, int]:
-    """e*(omega^i) on e^mask -> (sign, mask')."""
-    bit = 1 << (i - 1)
-    if not (mask & bit):
-        return 0, mask
-    sign = -1 if (popcount(mask & (bit - 1)) & 1) else 1
-    return sign, mask & ~bit
-
 
 def apply_cliff(i: int, mask: int, hat: bool) -> Tuple[int, int]:
     """c(omega^i) or (with hat=True) c-hat(omega^i) on e^mask.

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, perm
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -452,7 +453,7 @@ def compose(a: PolyDiffOp, b: PolyDiffOp) -> PolyDiffOp:
             for k in _sub_multi(j1, i2):
                 factor = 1
                 for c in range(n):
-                    factor *= _binom(j1[c], k[c]) * _falling(i2[c], k[c])
+                    factor *= comb(j1[c], k[c]) * perm(i2[c], k[c])
                 if factor == 0:
                     continue
                 dj = tuple(j1[c] - k[c] + j2[c] for c in range(n))
@@ -473,22 +474,4 @@ def _sub_multi(j, i):
     out = [()]
     for cap in caps:
         out = [t + (v,) for t in out for v in range(cap + 1)]
-    return out
-
-
-def _binom(a: int, b: int) -> int:
-    if b < 0 or b > a:
-        return 0
-    out = 1
-    for k in range(b):
-        out = out * (a - k) // (k + 1)
-    return out
-
-
-def _falling(a: int, b: int) -> int:
-    if b > a:
-        return 0
-    out = 1
-    for k in range(b):
-        out *= a - k
     return out

@@ -13,15 +13,15 @@ computed two independent ways:
   Gaussian kernel, with every iterated integral done exactly by Wick
   contractions of the Brownian-bridge covariance.
 
-The densities build neither kernel.  ``mehler_trace_degree4`` computes
-only the word-free, form-degree-4 part of the Mehler kernel, which is all
-the weighted density reads.  ``duhamel_diag_trace`` sums the form traces
-of the Wick terms (``wick_trace``): drift and quadratic entries enter as
-plain forms, and a product of two word operators is traced by the word
-join ``WordOperator.trace_of_product``, which also gives the Mehler V^2.
-The Wick terms are listed once (``wick_terms``); ``wick_kernel``
-multiplies them out, so ``mehler_kernel`` and ``duhamel_kernel`` stay as
-the full-kernel oracles.
+The densities build neither kernel.  At form degree 4, the only degree
+the weighted density reads, both need just tr Q, tr V and tr V^2
+(``model_traces``), and ``potential_parts`` splits V = V_R (x) 1_r + V_F so
+that no rank-r V is built.  ``mehler_trace_degree4`` reads tr Q and
+tr V^2; ``duhamel_diag_trace`` sums the form traces of the Wick terms
+(``wick_trace``) with no drift, since rhat is antisymmetric.  The Wick
+terms are listed once (``wick_terms``); ``wick_kernel`` multiplies them
+out, so ``mehler_kernel`` and ``duhamel_kernel`` stay as the independent
+full-kernel oracles.
 
 ``landau_kernel`` runs the same Wick engine on the *untruncated* flat
 operator with constant bundle curvature; it anchors the one free trace
@@ -33,12 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import lcm, pi as _PI, sinh as _sinh, sqrt as _sqrt
+from math import factorial, lcm, pi as _PI, sinh as _sinh, sqrt as _sqrt
 from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
 from .exact import Scalar, numerator_planes
-from .exterior import DiffForm, mask_of, popcount
+from .exterior import DiffForm, mask_of
 from .residue import characteristic_density_form
 from .wordops import (
     Mat,
@@ -87,9 +87,10 @@ class CurvatureData:
     _f_planes: Dict[int, Tuple[List[int], List[int]]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # q_matrix and model_constant_potential, built on first use
-    _q: Optional[FormMatrix] = field(init=False, repr=False, compare=False, default=None)
-    _v: Optional[WordOperator] = field(init=False, repr=False, compare=False, default=None)
+    # (tr Q, tr V, tr V^2), built on first use by model_traces
+    _traces: Optional[Tuple[DiffForm, DiffForm, DiffForm]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self):
         clean = {}
@@ -285,21 +286,19 @@ def random_curvature(
 def q_matrix(cd: CurvatureData) -> FormMatrix:
     """Q_{jk} = -(1/4) sum_i rhat_{ij} ^ rhat_{ik} (4-form entries).
 
-    Built once per CurvatureData and cached on it, so callers share it and
-    must not modify it.  2-forms commute, so Q is symmetric: only j <= k
-    is built, over the nonempty rhat rows.
+    Only the oracles build it; the densities read its trace from
+    ``model_traces``.  2-forms commute, so Q is symmetric: only j <= k is
+    built, over the nonempty rhat rows.
     """
-    if cd._q is None:
-        n = cd.n
-        q = [[DiffForm.zero(n)] * n for _ in range(n)]
-        for i in range(1, n + 1) if cd.r_entries else ():
-            rh = [(j - 1, f) for j in range(1, n + 1) if (f := cd.rhat(i, j)).terms]
-            for a, (j, fj) in enumerate(rh):
-                fj = fj.scale(Fraction(-1, 4))
-                for k, fk in rh[a:]:
-                    q[j][k] = q[k][j] = q[j][k] + fj.wedge(fk)
-        cd._q = q
-    return cd._q
+    n = cd.n
+    q = [[DiffForm.zero(n)] * n for _ in range(n)]
+    for i in range(1, n + 1) if cd.r_entries else ():
+        rh = [(j - 1, f) for j in range(1, n + 1) if (f := cd.rhat(i, j)).terms]
+        for a, (j, fj) in enumerate(rh):
+            fj = fj.scale(Fraction(-1, 4))
+            for k, fk in rh[a:]:
+                q[j][k] = q[k][j] = q[j][k] + fj.wedge(fk)
+    return q
 
 
 def form_matrix_trace(m: FormMatrix) -> DiffForm:
@@ -367,14 +366,7 @@ def form_exp(f: DiffForm) -> DiffForm:
         power = power.wedge(f)
         if power.is_zero():
             break
-        out = out + power.scale(Fraction(1, _fact(k)))
-    return out
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
+        out = out + power.scale(Fraction(1, factorial(k)))
     return out
 
 
@@ -409,27 +401,60 @@ def mehler_det_factor(q: FormMatrix, n: int) -> DiffForm:
 # model potential and Mehler kernel
 # ----------------------------------------------------------------------
 
-def model_constant_potential(cd: CurvatureData) -> WordOperator:
-    """Constant term of the model operator.
+def potential_parts(cd: CurvatureData) -> Tuple[WordOperator, WordOperator]:
+    """(V_R, V_F) with V = V_R (x) 1_r + V_F the constant term of the model.
 
     V = -(1/4) sum_{ij} e^{ij} R_{ijkl} chat^l chat^k - (1/2) sum_{i<j} e^{ij} F_{ij}.
-    Built once per CurvatureData and cached on it, like ``q_matrix``.
+    V_R has rank 1: ordered (i, j), (j, i) and (k, l), (l, k) give four
+    equal terms, so the coefficient of e^{ij} (x) chat^{kl} (i<j, k<l) is
+    R_ijkl.  V_F = -F/2 is read off the numerator planes over 2 _f_den.
     """
-    if cd._v is not None:
-        return cd._v
-    n, r = cd.n, cd.r
-    # ordered (i, j), (j, i) and (k, l), (l, k) give four equal terms, so the
-    # coefficient of e^{ij} (x) chat^{kl} (i<j, k<l) is R_ijkl
-    terms: Dict[Tuple[int, int, int], Mat] = {
-        (mask_of(ij), 0, mask_of(kl)): mat_scale(mat_eye(r), v)
-        for ij, row in sorted(cd._r_rows.items())
+    n, r, den = cd.n, cd.r, 2 * cd._f_den
+    v_r = WordOperator(n, 1, {
+        (mask_of(ij), 0, mask_of(kl)): ((Scalar.of(v),),)
+        for ij, row in cd._r_rows.items()
         for kl, v in row
-    }
-    op = WordOperator(n, r, terms)
-    if cd.has_bundle_curvature():
-        op = op + cd.fhat_word().scale(Fraction(-1, 2))
-    cd._v = op
-    return op
+    })
+    v_f = WordOperator(n, r, {
+        (m, 0, 0): tuple(tuple(Scalar.term(Fraction(-x, den), Fraction(-y, den))
+                               for x, y in zip(re[a:a + r], im[a:a + r]))
+                         for a in range(0, r * r, r))
+        for m, (re, im) in cd._f_planes.items()
+    })
+    return v_r, v_f
+
+
+def model_constant_potential(cd: CurvatureData) -> WordOperator:
+    """The constant term V = V_R (x) 1_r + V_F, built in full at rank r.
+
+    Only the oracles build it; the densities read ``model_traces``.
+    """
+    v_r, v_f = potential_parts(cd)
+    eye = mat_eye(cd.r)
+    lifted = {k: mat_scale(eye, m[0][0]) for k, m in v_r.terms.items()}
+    return WordOperator(cd.n, cd.r, lifted) + v_f
+
+
+def model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm]:
+    """(tr Q, tr V, tr V^2): all the densities read of the model operator.
+
+    Built once per CurvatureData and cached on it.  tr Q =
+    -(1/4) sum_{i,j} rhat_ij ^ rhat_ij = -(1/2) sum over the stored rows
+    i < j, since rhat_ji = -rhat_ij.  Every
+    term of V_R carries a nonempty c-hat word and every term of V_F the
+    empty word, so V_R is traceless and the two never join in V^2:
+    tr V = tr V_F and tr V^2 = r tr V_R^2 + tr V_F^2.
+    """
+    if cd._traces is None:
+        tr_q = DiffForm.zero(cd.n)
+        for ij in cd._r_rows:
+            rh = cd.rhat(*ij)
+            tr_q = tr_q + rh.wedge(rh)
+        v_r, v_f = potential_parts(cd)
+        tr_v2 = WordOperator.trace_of_product(v_r, v_r).scale(cd.r)
+        cd._traces = (tr_q.scale(Fraction(-1, 2)), v_f.form_trace(),
+                      tr_v2 + WordOperator.trace_of_product(v_f, v_f))
+    return cd._traces
 
 
 def curvature_exponential(cd: CurvatureData) -> WordOperator:
@@ -454,25 +479,19 @@ def mehler_kernel(cd: CurvatureData) -> WordOperator:
 def mehler_trace_degree4(cd: CurvatureData) -> DiffForm:
     """Form-degree-4 part of ``mehler_kernel(cd).form_trace()``, built directly.
 
-    Every term of the potential V is a 2-form and every entry of Q a
-    4-form, so the power of t follows form degree.  At degree 4 the kernel
-    needs only t^2 V^2 / 2 from exp(-t V) and only the first determinant
-    term (1/2) l_1 tr(4 t^2 Q) (x) 1_r.  The fiber trace keeps word-free
-    terms, so V.V is ``WordOperator.trace_of_product(V, V)``: a join of
-    V's terms on equal (c, chat) words, never the product itself.
+    Every term of the potential V sits on one 2-plane and every entry of Q
+    is a sum of wedges of two 2-forms, so the power of t follows form
+    degree.  At degree 4 the kernel needs only t^2 V^2 / 2 from exp(-t V)
+    and only the first determinant term (1/2) l_1 tr(4 t^2 Q) (x) 1_r, so it
+    reads tr Q and tr V^2 from ``model_traces``.
     """
     n, r = cd.n, cd.r
-    v = model_constant_potential(cd)
-    q = q_matrix(cd)
-    if any(popcount(f) != 2 for (f, _, _) in v.terms):
-        raise ValueError("model potential has a term that is not a 2-form")
-    if any(popcount(m) != 4 for row in q for entry in row for m in entry.terms):
-        raise ValueError("Q has an entry that is not a pure 4-form")
+    tr_q, _, tr_v2 = model_traces(cd)
     # determinant factor: (1/2) l_1 4 tr Q, times the fiber trace 2^n r of 1_r
     (l1,) = _log_x_over_sinh_series(1)
-    det = form_matrix_trace(q).scale(2 * l1 * r * (1 << n))
+    det = tr_q.scale(2 * l1 * r * (1 << n))
     # exp(-t V): the word-free part of V^2 / 2
-    v2 = WordOperator.trace_of_product(v, v).scale(Fraction(1, 2))
+    v2 = tr_v2.scale(Fraction(1, 2))
     # flat prefactor and the t^2 of both terms
     return (det + v2).scale(gaussian_prefactor(n) * Scalar.t_pow(4))
 
@@ -498,21 +517,23 @@ _WICK_TERMS = (
 )
 
 
-def wick_terms(n: int, const, drift, quad, order: int = 2) -> List[Tuple[Scalar, list]]:
+def wick_terms(n: int, const, drift, tr_quad, order: int = 2) -> List[Tuple[Scalar, list]]:
     """Wick terms of -Laplacian + drift + quad + const through ``order``.
 
-    drift[i][k] multiplies x^k d_i; quad[j][k] multiplies x^j x^k; const is
-    x-independent.  Returns ``(coefficient, products)`` pairs: the
-    coefficient carries its power of t, and ``products`` lists operand
-    tuples whose products are summed (the empty tuple is the identity).
-    Operands are WordOperators or pure forms; zero operands drop out.
+    drift[i][k] multiplies x^k d_i; quad[j][k] multiplies x^j x^k and
+    enters only through its trace ``tr_quad``; const is x-independent.
+    Returns ``(coefficient, products)`` pairs: the coefficient carries its
+    power of t, and ``products`` lists operand tuples whose products are
+    summed (the empty tuple is the identity).  Operands are WordOperators
+    or pure forms, passed through as given (``wick_trace`` passes the
+    traces of const); None operands drop out.
     """
     if order > 2:
         raise ValueError("Duhamel expansion supports order <= 2 only")
     named = {
         "const": const,
         "tr_drift": None if drift is None else reduce(add, (drift[i][i] for i in range(n))),
-        "tr_quad": None if quad is None else reduce(add, (quad[j][j] for j in range(n))),
+        "tr_quad": tr_quad,
     }
     out = []
     for insertions, coef, half, factors in _WICK_TERMS:
@@ -529,7 +550,7 @@ def wick_terms(n: int, const, drift, quad, order: int = 2) -> List[Tuple[Scalar,
                         products.append((drift[i][k], pair))
         else:
             ops = tuple(named[f] for f in factors)
-            products = [] if any(x is None or x.is_zero() for x in ops) else [ops]
+            products = [] if any(x is None for x in ops) else [ops]
         if products:
             out.append((Scalar.term(coef, t_half=half), products))
     return out
@@ -540,7 +561,7 @@ def wick_kernel(
     r: int,
     const: Optional[WordOperator],
     drift: Optional[List[List[WordOperator]]],
-    quad: Optional[List[List[WordOperator]]],
+    tr_quad: Optional[WordOperator],
     order: int = 2,
 ) -> WordOperator:
     """Diagonal heat kernel of -Laplacian + drift + quad + const at 0.
@@ -549,7 +570,7 @@ def wick_kernel(
     through relative order t^2 (insertion count <= ``order``).
     """
     k = WordOperator.zero(n, r)
-    for coef, products in wick_terms(n, const, drift, quad, order):
+    for coef, products in wick_terms(n, const, drift, tr_quad, order):
         term = WordOperator.zero(n, r)
         for ops in products:
             term = term + (reduce(mul, ops) if ops else WordOperator.identity(n, r))
@@ -560,57 +581,40 @@ def wick_kernel(
 def wick_trace(
     n: int,
     r: int,
-    const: Optional[WordOperator],
+    const: Optional[Tuple[DiffForm, DiffForm]],
     drift: Optional[List[List[DiffForm]]],
-    quad: Optional[List[List[DiffForm]]],
+    tr_quad: Optional[DiffForm],
     order: int = 2,
 ) -> DiffForm:
-    """``wick_kernel(...).form_trace()`` from the form traces of the Wick terms.
+    """``wick_kernel(...).form_trace()`` from form traces alone.
 
-    drift and quad entries are even forms standing for form (x) 1_r.  Such
-    forms commute with everything, so a product traces to their wedge
-    times the trace of its word operators: 2^n r for none, ``form_trace``
-    for one, ``WordOperator.trace_of_product`` for two.  No product of
-    word operators is built.
+    ``const`` is the pair (tr C, tr C^2) of the constant term C.  drift
+    entries and ``tr_quad`` are even forms standing for form (x) 1_r; such
+    forms commute with everything, so a product with k factors C traces to
+    the wedge of its forms times tr C^k, where tr C^0 = 2^n r.  No word
+    operator is built.
     """
+    powers = (DiffForm.one(n).scale((1 << n) * r), *(const or ()))
     total = DiffForm.zero(n)
-    for coef, products in wick_terms(n, const, drift, quad, order):
+    for coef, products in wick_terms(n, const, drift, tr_quad, order):
         term = DiffForm.zero(n)
         for ops in products:
-            words = [x for x in ops if isinstance(x, WordOperator)]
-            form = reduce(DiffForm.wedge, (x for x in ops if isinstance(x, DiffForm)),
-                          DiffForm.one(n))
-            if not words:
-                tr = DiffForm.one(n).scale((1 << n) * r)
-            elif len(words) == 1:
-                tr = words[0].form_trace()
-            else:
-                tr = WordOperator.trace_of_product(*words)
-            term = term + form.wedge(tr)
+            forms = [x for x in ops if x is not const]
+            term = term + reduce(DiffForm.wedge, forms, powers[len(ops) - len(forms)])
         total = total + term.scale(coef)
     return total.scale(gaussian_prefactor(n))
 
 
-def _duhamel_operands(cd: CurvatureData):
-    """(const, drift, quad) of the model operator; drift and quad are forms."""
-    const = model_constant_potential(cd)
-    if not cd.has_riemann_curvature():
-        return const, None, None
-    n = cd.n
-    drift = [[cd.rhat(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return const, drift, q_matrix(cd)
-
-
 def duhamel_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
-    """Duhamel expansion of the model heat kernel diagonal, built in full."""
-    const, drift, quad = _duhamel_operands(cd)
-
-    def lift(forms):
-        if forms is None:
-            return None
-        return [[WordOperator.from_form(x, cd.r) for x in row] for row in forms]
-
-    return wick_kernel(cd.n, cd.r, const, lift(drift), lift(quad), order)
+    """Duhamel expansion of the model heat kernel diagonal, built in full
+    from the rank-r potential, the whole drift and the trace of ``q_matrix``."""
+    n, r = cd.n, cd.r
+    drift = tr_quad = None
+    if cd.has_riemann_curvature():
+        drift = [[WordOperator.from_form(cd.rhat(i, j), r) for j in range(1, n + 1)]
+                 for i in range(1, n + 1)]
+        tr_quad = WordOperator.from_form(form_matrix_trace(q_matrix(cd)), r)
+    return wick_kernel(n, r, model_constant_potential(cd), drift, tr_quad, order)
 
 
 def landau_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
@@ -618,7 +622,9 @@ def landau_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
 
     Requires vanishing Riemann data.  The potential keeps the honest
     Weitzenboeck term -sum e^i e*^j F_{ij}, the gauge drift F_{ik} x^k d_i
-    and the quadratic -(1/4) sum_i (F x)_i^2 term; nothing is rescaled.
+    and the quadratic -(1/4) sum_i (F x)_i^2 term, whose trace
+    -(1/4) sum_{i,j} F_ij F_ij = -(1/2) sum_{i<j} F_ij^2 is all the Wick
+    terms read; nothing is rescaled.
     """
     if cd.has_riemann_curvature():
         raise ValueError("landau_kernel requires R = 0")
@@ -635,16 +641,9 @@ def landau_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
         [WordOperator(n, r, {(0, 0, 0): cd.f_matrix(i, k)}) for k in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    quad = []
-    for j in range(1, n + 1):
-        row = []
-        for k in range(1, n + 1):
-            acc = mat_zero(r)
-            for i in range(1, n + 1):
-                acc = mat_add(acc, mat_mul(cd.f_matrix(i, j), cd.f_matrix(i, k)))
-            row.append(WordOperator(n, r, {(0, 0, 0): mat_scale(acc, Fraction(-1, 4))}))
-        quad.append(row)
-    return wick_kernel(n, r, const, drift, quad, order)
+    squares = reduce(mat_add, (mat_mul(m, m) for m in cd.f_entries.values()), mat_zero(r))
+    tr_quad = WordOperator(n, r, {(0, 0, 0): mat_scale(squares, Fraction(-1, 2))})
+    return wick_kernel(n, r, const, drift, tr_quad, order)
 
 
 # ----------------------------------------------------------------------
@@ -654,13 +653,15 @@ def landau_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
 def duhamel_diag_trace(s, cd: CurvatureData, order: int = 2) -> DiffForm:
     """Fiber trace of the Duhamel kernel: the form-valued diagonal density.
 
-    Sums the form traces of the Wick terms (``wick_trace``); it equals
-    ``duhamel_kernel(cd, order).form_trace()``, which stays as its oracle.
+    Sums the form traces of the Wick terms (``wick_trace``) from
+    ``model_traces``; it equals ``duhamel_kernel(cd, order).form_trace()``,
+    which stays as its oracle.  No drift is passed: rhat is antisymmetric,
+    so the drift's trace and every symmetrised pair of its entries vanish.
     """
     if s is not None and s.n != cd.n:
         raise ValueError("structure/curvature dimension mismatch")
-    const, drift, quad = _duhamel_operands(cd)
-    return wick_trace(cd.n, cd.r, const, drift, quad, order)
+    tr_q, tr_v, tr_v2 = model_traces(cd)
+    return wick_trace(cd.n, cd.r, (tr_v, tr_v2), None, tr_q, order)
 
 
 def _calibration_curvature(s) -> CurvatureData:

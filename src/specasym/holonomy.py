@@ -1,12 +1,11 @@
 """Standard G2 / Spin(7) structures and the 2-form eigenspace machinery.
 
-The defining 3-form and Cayley 4-form are built in fixed coordinates and
-then self-validated: the operator a |-> *(w ^ a) on 2-forms must have
-spectrum {+2 x7, -1 x14} (G2) or {+3 x7, -1 x21} (Spin(7)), and the
-Cayley form must be self-dual.  Published sign conventions differ, so the
-constructor tries sign and last-coordinate orientation flips until the
-eigenvalue table validates, and records what it did.  The operator is an
-integer matrix from the one sign table ``exterior.star_ext_entries``, and
+The defining 3-form phi and the Cayley 4-form psi = phi ^ e^8 + *phi are
+built in fixed coordinates and then self-validated: the operator
+a |-> *(w ^ a) on 2-forms must be symmetric with spectrum {+2 x7, -1 x14}
+(G2) or {+3 x7, -1 x21} (Spin(7)), and the Cayley form must be self-dual;
+a structure that fails raises StructureValidationError.  The operator is
+an integer matrix from the one sign table ``exterior.star_ext_entries``, and
 validation is one exact integer matrix product; the projections keep
 their nonzero integer entries as sparse rows over plus + 1.
 """
@@ -44,7 +43,7 @@ _PHI_TERMS = {
 
 
 class StructureValidationError(RuntimeError):
-    """No sign/orientation choice produced the required eigenvalue table."""
+    """The structure form failed a validation check."""
 
 
 def two_form_basis(n: int) -> List[int]:
@@ -114,8 +113,6 @@ class HolonomyStructure:
     n: int
     defining_form: DiffForm
     eigenvalue_table: List[Tuple[int, int]]
-    sign_flipped: bool = False
-    orientation_flipped: bool = False
     _op_cache: Dict[str, object] = field(default_factory=dict, repr=False)
 
     @property
@@ -129,13 +126,6 @@ class HolonomyStructure:
     @property
     def big_label(self) -> str:
         return "14" if self.kind == G2 else "21"
-
-
-def _flip_last(form: DiffForm, n: int) -> DiffForm:
-    bit = 1 << (n - 1)
-    return DiffForm(
-        form.n, {m: (-c if (m & bit) else c) for m, c in form.terms.items()}
-    )
 
 
 def star_ext_on_two_forms(w: DiffForm, n: int) -> np.ndarray:
@@ -192,48 +182,23 @@ def standard_structure(kind: str) -> HolonomyStructure:
     kind = kind.lower()
     if kind not in (G2, SPIN7):
         raise ValueError("kind must be 'g2' or 'spin7'")
-    n = 7 if kind == G2 else 8
-    phi7 = DiffForm(7, {mask_of(idx): Fraction(s) for idx, s in _PHI_TERMS.items()})
-
-    def candidates():
-        for orient in (False, True):
-            for neg in (False, True):
-                base = _flip_last(phi7, 7) if orient else phi7
-                base = -base if neg else base
-                if kind == G2:
-                    yield base, neg, orient
-                else:
-                    lift = DiffForm(8, dict(base.terms))
-                    psi = lift.wedge(DiffForm.monomial(8, (8,))) + DiffForm(
-                        8, dict(base.hodge().terms)
-                    )
-                    for orient8 in (False, True):
-                        yield (
-                            _flip_last(psi, 8) if orient8 else psi,
-                            neg,
-                            orient or orient8,
-                        )
-
-    plus = 2 if kind == G2 else 3
-    last_error = None
-    for form, neg, orient in candidates():
-        try:
-            if kind == SPIN7 and form.hodge() != form:
-                raise StructureValidationError("Cayley form is not self-dual")
-            mat = _star_ext_integers(form)
-            if (mat != mat.T).any():
-                raise StructureValidationError("star-wedge operator is not symmetric")
-            table = _eig_validate(mat, plus)
-            if table != [(plus, 7), (-1, (14 if kind == G2 else 21))]:
-                raise StructureValidationError(f"wrong multiplicities {table}")
-            s = HolonomyStructure(kind, n, form, table, neg, orient)
-            s._op_cache["star_ext_integers"] = mat
-            return s
-        except StructureValidationError as exc:
-            last_error = exc
-    raise StructureValidationError(
-        f"no sign/orientation choice validates for {kind}: {last_error}"
-    )
+    n, plus, big = (7, 2, 14) if kind == G2 else (8, 3, 21)
+    form = DiffForm(7, {mask_of(idx): Fraction(c) for idx, c in _PHI_TERMS.items()})
+    if kind == SPIN7:
+        form = DiffForm(8, dict(form.terms)).wedge(DiffForm.monomial(8, (8,))) + DiffForm(
+            8, dict(form.hodge().terms)
+        )
+        if form.hodge() != form:
+            raise StructureValidationError("Cayley form is not self-dual")
+    mat = _star_ext_integers(form)
+    if (mat != mat.T).any():
+        raise StructureValidationError("star-wedge operator is not symmetric")
+    table = _eig_validate(mat, plus)
+    if table != [(plus, 7), (-1, big)]:
+        raise StructureValidationError(f"wrong multiplicities {table}")
+    s = HolonomyStructure(kind, n, form, table)
+    s._op_cache["star_ext_integers"] = mat
+    return s
 
 
 def _integer_operator(s: HolonomyStructure) -> np.ndarray:

@@ -11,6 +11,7 @@ two families anticommute.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from operator import mul
 from typing import Dict, Tuple
 
@@ -254,7 +255,7 @@ class WordOperator:
             power = power * self
             if not power.terms:
                 break
-            out = out + power.scale(Fraction(1, _factorial(k)))
+            out = out + power.scale(Fraction(1, factorial(k)))
         return out
 
     # -- queries -----------------------------------------------------------
@@ -388,13 +389,6 @@ def _term_planes(op: WordOperator, transpose: bool):
 
 def _dot(x, y) -> int:
     return 0 if x is None or y is None else sum(map(mul, x, y))
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 # ----------------------------------------------------------------------

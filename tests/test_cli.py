@@ -381,3 +381,30 @@ def test_residue_oracle_reads_stored_curvature_entries(tmp_path, capsys, monkeyp
     code, out, _ = run_cli(capsys, "residue", "--kind", kind, "--input", path, "--oracle")
     assert code == 0
     assert json.loads(out)["oracle"]["relative_discrepancy"] == 0.0
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 7, "rank": 2, "R": [[1, 2, 4, 5, "1/2"], [1, 2, 6, 7, -2], [1, 3, 2, 5, -1]],
+     "F": [[1, 2, [[[0, 1], [1, 0]], [[-1, 0], [0, 2]]]],
+           [3, 6, [[[0, -2], [0, 0]], [[0, 0], [0, 1]]]]]},
+    {"n": 8, "rank": 1, "R": [[1, 2, 4, 5, 1], [1, 2, 6, 7, 3], [2, 8, 2, 8, -1]],
+     "F": [[1, 2, [[[0, 1]]]], [3, 8, [[[0, -2]]]]]},
+], ids=["g2-riemann-and-bundle", "spin7-riemann-and-bundle"])
+def test_residue_oracle_builds_no_model_matrices(tmp_path, capsys, monkeypatch, doc):
+    """Both densities read tr Q, tr V and tr V^2 only: the Q matrix and the
+    rank-r potential are never built on the residue path."""
+    from specasym import heat
+
+    def no_build(cd):
+        raise AssertionError("model matrix built on the residue path")
+
+    monkeypatch.setattr(heat, "q_matrix", no_build)
+    monkeypatch.setattr(heat, "model_constant_potential", no_build)
+    path = os.fspath(tmp_path / "curvature.json")
+    _write(path, doc)
+    kind = "g2" if doc["n"] == 7 else "spin7"
+    code, out, err = run_cli(capsys, "residue", "--kind", kind, "--input", path, "--oracle")
+    assert code == 0, err
+    oracle = json.loads(out)["oracle"]
+    assert oracle["relative_discrepancy"] == 0.0
+    assert oracle["mehler_coefficient"]["exact"] != "0"

@@ -19,6 +19,7 @@ from specasym.heat import (
     duhamel_diag_trace,
     duhamel_kernel,
     extract_t_coefficient,
+    form_matrix_trace,
     gaussian_prefactor,
     density_from_kernel,
     landau_kernel,
@@ -28,6 +29,7 @@ from specasym.heat import (
     mehler_trace_degree4,
     model_constant_potential,
     model_reduction_ratio,
+    model_traces,
     oscillator_diag_kernel,
     q_matrix,
     random_curvature,
@@ -334,6 +336,33 @@ def test_rank_only_input_builds_no_planes(g2, monkeypatch):
     assert 0 < max(sizes) < 100
 
 
+def test_riemann_only_input_builds_nothing_of_rank_size(g2, spin7, monkeypatch):
+    """With only R entries the potential is V_R (x) 1_r: no numerator plane
+    on the residue and density paths grows with the rank, and both
+    densities at rank 400 are exactly 400 times those at rank 1."""
+    from specasym import wordops
+    from specasym.residue import full_residue_report
+
+    sizes = []
+    real = heat.numerator_planes
+
+    def spy(values):
+        sizes.append(len(values))
+        return real(values)
+
+    for module in (heat, wordops):
+        monkeypatch.setattr(module, "numerator_planes", spy)
+    r_entries = {(1, 2, 4, 5): Fraction(1, 2), (1, 2, 6, 7): Fraction(-2)}
+    for s in (g2, spin7):
+        one, big = (CurvatureData(s.n, r, r_entries) for r in (1, 400))
+        full_residue_report(s, big, twisted=True)
+        for density in (mehler_diag_trace, duhamel_density):
+            base = density(s, one)
+            assert not base.is_zero()
+            assert density(s, big) == base * 400
+    assert 0 < max(sizes) <= 100
+
+
 def test_bianchi_symmetrization():
     cd = random_curvature(7, 1, seed=1)
     assert cd.bianchi_defect() > 0
@@ -378,12 +407,10 @@ def test_q_matrix_two_plane():
 
 @pytest.mark.parametrize("n,seed", [(7, 2), (8, 3), (7, 4)])
 def test_q_matrix_half_build_equals_full_scan(n, seed):
-    """Only j <= k is built and mirrored; it equals all n^3 wedges, and the
-    build is cached on the curvature data."""
+    """Only j <= k is built and mirrored; it equals all n^3 wedges."""
     cd = random_curvature(n, 1, seed=seed)
     q = q_matrix(cd)
     assert q == _q_scan(cd)
-    assert q_matrix(cd) is q
 
 
 def test_q_matrix_symmetric_nilpotent():
@@ -505,16 +532,11 @@ def test_wick_rotation_drift():
     b = Fraction(2)
     rho = [[Fraction(0), -b], [b, Fraction(0)]]
     drift = [[WordOperator.identity(2, 1).scale(rho[i][k]) for k in range(2)] for i in range(2)]
-    quad = [
-        [
-            WordOperator.identity(2, 1).scale(
-                Fraction(-1, 4) * sum(rho[i][j] * rho[i][k] for i in range(2))
-            )
-            for k in range(2)
-        ]
-        for j in range(2)
-    ]
-    k = wick_kernel(2, 1, None, drift, quad, order=2)
+    # quad_jk = -(1/4) sum_i rho_ij rho_ik enters through its trace
+    tr_quad = WordOperator.identity(2, 1).scale(
+        Fraction(-1, 4) * sum(rho[i][j] ** 2 for i in range(2) for j in range(2))
+    )
+    k = wick_kernel(2, 1, None, drift, tr_quad, order=2)
     rel = k.form_trace().terms[0] / (gaussian_prefactor(2) * 4)
     # closed form bt/sin(bt): 1 + (bt)^2/6 + O(t^4)
     assert rel.t_coefficient(0) == Scalar.of(1)
@@ -631,6 +653,17 @@ def test_trace_path_equals_full_duhamel_kernel(g2, spin7, kind, case):
         duhamel_density(s, cd, order=3)
 
 
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("case", sorted(_DEGREE4_INPUTS))
+def test_model_traces_equal_traces_of_the_full_potential(n, case):
+    """tr Q, tr V and tr V^2 against the rank-r V multiplied out by
+    ``_mul_op`` and the trace of the whole Q matrix."""
+    cd = _DEGREE4_INPUTS[case](n)
+    v = model_constant_potential(cd)
+    want = (form_matrix_trace(q_matrix(cd)), v.form_trace(), (v * v).form_trace())
+    assert model_traces(cd) == want
+
+
 def _random_even_form(n, rnd):
     masks = [m for m in range(1 << n) if popcount(m) in (0, 2)]
     return DiffForm(n, {m: Fraction(rnd.randint(-2, 2), rnd.randint(1, 3))
@@ -644,31 +677,15 @@ def test_wick_trace_equals_trace_of_wick_kernel(r):
     rnd = random.Random(40 + r)
     n = 4
     const = model_constant_potential(random_curvature(n, r, seed=40 + r))
+    traces = (const.form_trace(), WordOperator.trace_of_product(const, const))
     drift = [[_random_even_form(n, rnd) for _ in range(n)] for _ in range(n)]
-    quad = [[_random_even_form(n, rnd) for _ in range(n)] for _ in range(n)]
-
-    def lift(forms):
-        return [[WordOperator.from_form(x, r) for x in row] for row in forms]
+    tr_quad = reduce(add, (_random_even_form(n, rnd) for _ in range(n)))
+    lifted = [[WordOperator.from_form(x, r) for x in row] for row in drift]
 
     for order in (0, 1, 2):
-        full = wick_kernel(n, r, const, lift(drift), lift(quad), order).form_trace()
-        assert wick_trace(n, r, const, drift, quad, order) == full
-    assert not full.is_zero()
-
-
-def test_degree4_path_precondition(monkeypatch):
-    cd = random_curvature(7, 1, seed=3)
-    four_form_term = WordOperator(7, 1, {(0b1111, 0, 0b11): ((Scalar.of(1),),)})
-    with monkeypatch.context() as m:
-        m.setattr(heat, "model_constant_potential", lambda _: four_form_term)
-        with pytest.raises(ValueError, match="2-form"):
-            mehler_trace_degree4(cd)
-    q = [row[:] for row in q_matrix(cd)]
-    q[0][1] = q[0][1] + DiffForm.monomial(7, (1, 2))
-    with monkeypatch.context() as m:
-        m.setattr(heat, "q_matrix", lambda _: q)
-        with pytest.raises(ValueError, match="4-form"):
-            mehler_trace_degree4(cd)
+        full = wick_kernel(n, r, const, lifted, WordOperator.from_form(tr_quad, r), order)
+        assert wick_trace(n, r, traces, drift, tr_quad, order) == full.form_trace()
+    assert not full.form_trace().is_zero()
 
 
 def test_extract_t_coefficient():

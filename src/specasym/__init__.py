@@ -17,12 +17,8 @@ from .exterior import (
 )
 from .filtration import (
     CliffordWordExpansion,
-    PolyDiffOp,
-    TruncationError,
     clifford_degrees,
-    compose,
     expand_clifford_basis,
-    total_degree,
     word_trace,
 )
 from .heat import (

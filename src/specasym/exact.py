@@ -255,6 +255,11 @@ def numerator_planes(values: Sequence) -> Tuple[int, Dict[Tuple[int, int, int], 
     in ``values[k]``.  Only planes with a nonzero entry are present, so
     sums and products of the values run on Python ints.
     """
+    if all(type(x) is int or type(x) is Fraction for x in values):
+        # plain rationals fill the real plane only: skip the per-value parts
+        den = lcm(*(x.denominator for x in values))
+        nums = [x.numerator * (den // x.denominator) for x in values]
+        return den, ({(0, 0, 0): nums} if any(nums) else {})
     parts = [rational_parts(x) for x in values]
     den = lcm(*(v.denominator for ps in parts for _, v in ps))
     planes: Dict[Tuple[int, int, int], List[int]] = {}

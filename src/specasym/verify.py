@@ -17,7 +17,7 @@ from typing import Dict, List, Union
 
 import numpy as np
 
-from .exact import Scalar
+from .exact import Scalar, numerator_planes
 from .exterior import DiffForm, FiberOp, popcount, star_ext_entries, subset_order
 from .filtration import (
     expand_clifford_basis,
@@ -248,10 +248,7 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
             for _ in range(5):
                 terms[rnd.choice(basis2)] = Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
             alpha = DiffForm(s.n, terms)
-            a7, rest = decompose_two_form(s, alpha)
-            ok &= a7.norm_sq() + rest.norm_sq() == alpha.norm_sq()
-            ok &= (a7 + rest) == alpha
-            ok &= a7.inner(rest) == 0
+            ok &= _orthogonal_decomposition(alpha, *decompose_two_form(s, alpha))
         _check(out, f"{kind} orthogonal decomposition, 100 random 2-forms", ok)
 
     g2 = standard_structure("g2")
@@ -263,6 +260,22 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
         f"{a7.norm_sq()}, {rest.norm_sq()}",
     )
     return out
+
+
+def _orthogonal_decomposition(alpha: DiffForm, a7: DiffForm, rest: DiffForm) -> bool:
+    """|a7|^2 + |rest|^2 = |alpha|^2, a7 + rest = alpha and <a7, rest> = 0
+    for rational 2-forms, decided on integer numerators over one common
+    denominator."""
+    masks = set(alpha.terms) | set(a7.terms) | set(rest.terms)
+    values = [f.terms.get(m, 0) for f in (alpha, a7, rest) for m in masks]
+    nums = numerator_planes(values)[1].get((0, 0, 0), [0] * len(values))
+    k = len(masks)
+    x, y, z = nums[:k], nums[k:2 * k], nums[2 * k:]  # alpha, a7, rest
+    return (
+        sum(v * v for v in y + z) == sum(v * v for v in x)
+        and all(a + b == c for a, b, c in zip(y, z, x))
+        and sum(a * b for a, b in zip(y, z)) == 0
+    )
 
 
 # ----------------------------------------------------------------------

@@ -268,11 +268,6 @@ class WordOperator:
             return NotImplemented
         return (self - other).is_zero()
 
-    def c_degree_upper(self) -> int:
-        if not self.terms:
-            raise ValueError("zero operator has no Clifford degree")
-        return max(popcount(c) for (_, c, _) in self.terms)
-
     def form_trace(self) -> DiffForm:
         """Trace over Lambda* (x) C^r of the word slots, keeping the form slot.
 

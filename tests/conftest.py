@@ -21,10 +21,10 @@ def flipped_word_sign(monkeypatch):
     tables = filtration.word_tables
 
     def flipped(n, hat):
-        perms, signs = tables(n, hat)
+        signs = tables(n, hat)
         if n == 7 and not hat:
             signs = signs.copy()
             signs[3, 5] = -signs[3, 5]
-        return perms, signs
+        return signs
 
     monkeypatch.setattr(filtration, "word_tables", flipped)

@@ -3,7 +3,7 @@ from math import pi, sqrt
 
 import pytest
 
-from specasym.exact import Scalar
+from specasym.exact import Scalar, numerator_planes
 
 
 def test_ring_basics():
@@ -63,3 +63,17 @@ def test_pow_and_rational_extraction():
 def test_repr_stable():
     s = Scalar.term(Fraction(-3, 2), pi_half=-4, t_half=1)
     assert repr(s) == "-3/2*pi^-2*t^(1/2)"
+
+
+@pytest.mark.parametrize("values", [
+    [3, -1, 0, 2 ** 70],
+    [Fraction(1, 6), Fraction(-5, 4), Fraction(0), Fraction(7, 10 ** 30)],
+    [0, Fraction(0)],
+    [2, Fraction(-3, 8), 0, Scalar.term(1, -2, pi_half=-2), Fraction(5, 12), Scalar.of(Fraction(1, 3))],
+], ids=["ints", "fractions", "zeros", "mixed-with-scalars"])
+def test_numerator_planes_fast_path_matches_general_path(values):
+    """Plain int and Fraction lists take a fast path; the same values as
+    Scalars take the per-value general path and give the same output."""
+    got = numerator_planes(values)
+    assert got == numerator_planes([Scalar.of(x) for x in values])
+    assert all(type(v) is int for nums in got[1].values() for v in nums)

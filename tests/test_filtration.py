@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 
 from specasym import filtration
 from specasym.exact import Scalar
-from specasym.exterior import DiffForm, FiberOp, ext_op, subset_order, word_op
+from specasym.exterior import (
+    DiffForm, FiberOp, apply_word, ext_op, popcount, subset_order, word_op,
+)
 from specasym.filtration import (
     CliffordWordExpansion,
     _accumulator,
-    PolyDiffOp,
-    TruncationError,
     clifford_degrees,
-    compose,
     expand_clifford_basis,
     gram_orthogonality_check,
-    total_degree,
     trace_identity_sweep,
     word_tables,
     word_trace,
@@ -40,6 +38,36 @@ def test_word_trace_against_dense_matrices():
         j_set = tuple(sorted(rnd.sample(range(1, n + 1), rnd.randint(0, n))))
         dense = word_op(n, i_set, "c") @ word_op(n, j_set, "chat")
         assert word_trace(n, i_set, j_set) == dense.trace()
+
+
+@pytest.mark.parametrize("hat", [False, True])
+@pytest.mark.parametrize("n", [3, 5])
+def test_word_tables_match_apply_word(n, hat):
+    signs = word_tables(n, hat)
+    assert signs.dtype == np.int8 and signs.shape == (1 << n, 1 << n)
+    for w in range(1 << n):
+        for s in range(1 << n):
+            want = apply_word(0, w, s) if hat else apply_word(w, 0, s)
+            assert (int(signs[w, s]), s ^ w) == want
+
+
+@pytest.mark.parametrize("hat", [False, True])
+def test_word_tables_refuse_a_generator_that_moves_another_bit(monkeypatch, hat):
+    """The tables hold signs only, so their build checks that generator i
+    sends e^S to e^{S ^ {i}}."""
+    apply_cliff = filtration.apply_cliff
+
+    def moved(i, mask, h):
+        sign, target = apply_cliff(i, mask, h)
+        return sign, target ^ 4 if i == 2 else target
+
+    monkeypatch.setattr(filtration, "apply_cliff", moved)
+    word_tables.cache_clear()
+    try:
+        with pytest.raises(RuntimeError):
+            word_tables(3, hat)
+    finally:
+        word_tables.cache_clear()
 
 
 def test_sweep_small_exhaustive():
@@ -73,16 +101,13 @@ def test_expand_round_trip_random():
 def _entry_loop_reconstruct(exp):
     """The word expansion summed one Fraction entry at a time (oracle)."""
     _, pos = subset_order(exp.n)
-    cp, cs = word_tables(exp.n, False)
-    hp, hs = word_tables(exp.n, True)
+    cs = word_tables(exp.n, False)
+    hs = word_tables(exp.n, True)
     op = FiberOp.zeros(exp.n, 1)
     for (cm, hm), coeff in exp.coefficients.items():
-        mid = hp[hm]
-        tgt = cp[cm][mid]
-        sg = cs[cm][mid] * hs[hm]
         for s in range(1 << exp.n):
-            v = coeff if sg[s] > 0 else -coeff
-            r, c = pos[int(tgt[s])], pos[s]
+            v = coeff if cs[cm, s ^ hm] * hs[hm, s] > 0 else -coeff
+            r, c = pos[s ^ cm ^ hm], pos[s]
             op.mat[r, c] = op.mat[r, c] + v
     return op
 
@@ -161,8 +186,8 @@ def _entry_loop_expand(m):
     """Hilbert-Schmidt coefficients added one Fraction entry at a time (oracle)."""
     n, dim = m.n, 1 << m.n
     order, _ = subset_order(n)
-    cs = word_tables(n, False)[1]
-    hp, hs = word_tables(n, True)
+    cs = word_tables(n, False)
+    hs = word_tables(n, True)
     coeffs = {}
     for rpos in range(dim):
         for cpos in range(dim):
@@ -173,7 +198,7 @@ def _entry_loop_expand(m):
             diff = order[rpos] ^ col_mask
             for hm in range(dim):
                 cm = diff ^ hm
-                sg = int(cs[cm][hp[hm][col_mask]]) * int(hs[hm][col_mask])
+                sg = int(cs[cm, col_mask ^ hm]) * int(hs[hm, col_mask])
                 acc = coeffs.get((cm, hm), 0) + (v if sg > 0 else -v)
                 if acc == 0:
                     coeffs.pop((cm, hm), None)
@@ -246,30 +271,29 @@ def test_word_sum_accumulator_switches_to_python_ints():
 def _full_gather_sweep(n, pairs):
     """Every given pair gathered from the word tables (oracle)."""
     dim = 1 << n
-    cp, cs = filtration.word_tables(n, False)
-    hp, hs = filtration.word_tables(n, True)
+    cs = filtration.word_tables(n, False)
+    hs = filtration.word_tables(n, True)
     s = np.arange(dim)
     failures = []
     for cm, hm in pairs:
-        mid = hp[hm]
-        sg = cs[cm][mid].astype(np.int64) * hs[hm]
-        tr = int(sg[cp[cm][mid] == s].sum())
+        sg = cs[cm, s ^ hm].astype(np.int64) * hs[hm]
+        tr = int(sg[(s ^ cm ^ hm) == s].sum())
         if tr != (dim if (cm, hm) == (0, 0) else 0):
             failures.append((cm, hm, tr))
     return failures
 
 
-def _patched_hat_tables(monkeypatch, n, edit):
-    """filtration.word_tables with ``edit(perms, signs)`` applied to copies
-    of the n-dimensional c-hat tables."""
+def _flip_hat_sign(monkeypatch, n, w, s):
+    """filtration.word_tables with the sign of the n-dimensional c-hat
+    word over ``w`` on e^s negated."""
     tables = filtration.word_tables
 
     def patched(m, hat):
-        perms, signs = tables(m, hat)
+        signs = tables(m, hat)
         if m == n and hat:
-            perms, signs = perms.copy(), signs.copy()
-            edit(perms, signs)
-        return perms, signs
+            signs = signs.copy()
+            signs[w, s] = -signs[w, s]
+        return signs
 
     monkeypatch.setattr(filtration, "word_tables", patched)
 
@@ -278,32 +302,18 @@ def _sample_pairs(n):
     return np.random.default_rng(0).integers(0, 1 << n, size=(10 ** 4, 2))
 
 
-@pytest.mark.parametrize("n", [7, 8])
-@pytest.mark.parametrize("broken", ["hat-sign", "off-diagonal-fixed-point"])
-def test_sweep_reports_full_gather_failures_on_broken_tables(monkeypatch, n, broken):
-    """Tables that keep the XOR lemma are swept on diagonal pairs only,
-    tables that break it on every pair; both report the full gather's
-    failures."""
+@pytest.mark.parametrize("n", [7, 8], ids=["hat-sign-7", "hat-sign-8"])
+def test_sweep_reports_full_gather_failures_on_broken_tables(monkeypatch, n):
+    """The sweep sums diagonal pairs only and reports the failures of a
+    gather over every pair when one c-hat sign is flipped."""
     dim = 1 << n
     sample = _sample_pairs(n)
-    # a diagonal pair and an off-diagonal pair sharing its c-hat word, both
-    # in the sample
-    w = next(int(a) for a, b in sample if a == b and a)
-    cm = next(int(a) for a, b in sample if b == w and a != w)
-    s0 = 5
-    if broken == "hat-sign":
-        def edit(perms, signs):
-            signs[w, s0] = -signs[w, s0]
-    else:
-        def edit(perms, signs):
-            perms[w, s0] = s0 ^ cm  # c(cm) then sends it back to s0
-    _patched_hat_tables(monkeypatch, n, edit)
+    w = next(int(a) for a, b in sample if a == b and a)  # a diagonal pair in the sample
+    _flip_hat_sign(monkeypatch, n, w, 5)
 
     pairs = [(int(a), int(b)) for a, b in sample]
     want = _full_gather_sweep(n, pairs)
     assert (w, w) in {(a, b) for a, b, _ in want}
-    if broken != "hat-sign":
-        assert (cm, w) in {(a, b) for a, b, _ in want}
     assert trace_identity_sweep(n, sample) == (want, len(pairs))
     assert trace_identity_sweep(n, iter(pairs)) == (want, len(pairs))
     if n == 7:
@@ -341,7 +351,7 @@ def test_low_degree_operators_are_traceless_against_weight(g2):
             hmask = rnd.randrange(128)
             terms[(0, cmask, hmask)] = ((Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)),),)
         m = WordOperator(7, 1, {k: tuple(tuple(map(_sc, r)) for r in v) for k, v in terms.items()})
-        if m.is_zero() or m.c_degree_upper() >= 4:
+        if m.is_zero() or max(popcount(c) for _, c, _ in m.terms) >= 4:
             continue
         assert cdvol_weighted_trace(w, m).is_zero()
 
@@ -350,97 +360,3 @@ def _sc(x):
     from specasym.exact import Scalar
 
     return Scalar.of(x)
-
-
-def test_total_degree_examples():
-    n = 7
-    assert total_degree(PolyDiffOp.partial(n, 3)) == 1
-    assert total_degree(PolyDiffOp.coordinate(n, 2)) == -1
-    assert total_degree(PolyDiffOp.flat_laplacian(n)) == 2
-    with pytest.raises(ValueError):
-        total_degree(PolyDiffOp(n, {}))
-
-
-def test_total_degree_covariant_derivative_shape():
-    # d_i plus a linear-coefficient term whose word has Clifford degree 2
-    # still has total degree 1: |J|-|I|+deg = 0-1+2 for the drift piece
-    n = 7
-    z = tuple(0 for _ in range(n))
-    x2 = tuple(1 if k == 1 else 0 for k in range(n))
-    drift_coeff = WordOperator.from_word(n, 0b11, 0, Fraction(-1, 2))
-    op = PolyDiffOp(n, {
-        ((1,) + z[1:], z): WordOperator.identity(n),
-        (z, x2): drift_coeff,
-    })
-    assert total_degree(op) == 1
-
-
-def test_compose_commutator():
-    n = 7
-    for i in (1, 4):
-        for j in (1, 2):
-            di = PolyDiffOp.partial(n, i)
-            xj = PolyDiffOp.coordinate(n, j)
-            comm = compose(di, xj) - compose(xj, di)
-            if i == j:
-                assert comm == PolyDiffOp.identity(n)
-            else:
-                assert comm.is_zero()
-
-
-def test_compose_identity():
-    n = 7
-    d = compose(PolyDiffOp.partial(n, 1), PolyDiffOp.coordinate(n, 5))
-    assert compose(d, PolyDiffOp.identity(n)) == d
-    assert compose(PolyDiffOp.identity(n), d) == d
-
-
-def _random_poly_op(n, rnd):
-    terms = {}
-    for _ in range(rnd.randint(1, 3)):
-        dj = [0] * n
-        mi = [0] * n
-        for _ in range(rnd.randint(0, 2)):
-            dj[rnd.randrange(n)] += 1
-        for _ in range(rnd.randint(0, 2)):
-            mi[rnd.randrange(n)] += 1
-        cmask = 0
-        for b in rnd.sample(range(n), rnd.randint(0, 2)):
-            cmask |= 1 << b
-        coeff = WordOperator.from_word(
-            n, cmask, rnd.randrange(1 << n), Fraction(rnd.randint(-3, 3))
-        )
-        if coeff.is_zero():
-            continue
-        key = (tuple(dj), tuple(mi))
-        terms[key] = terms[key] + coeff if key in terms else coeff
-    return PolyDiffOp(n, terms)
-
-
-def test_total_degree_subadditive():
-    rnd = random.Random(5)
-    n = 4
-    checked = 0
-    for _ in range(200):
-        a = _random_poly_op(n, rnd)
-        b = _random_poly_op(n, rnd)
-        if a.is_zero() or b.is_zero():
-            continue
-        try:
-            ab = compose(a, b)
-        except TruncationError:
-            continue
-        if ab.is_zero():
-            continue
-        assert total_degree(ab) <= total_degree(a) + total_degree(b)
-        checked += 1
-    assert checked > 120
-
-
-def test_truncation_overflow():
-    n = 3
-    x = PolyDiffOp.coordinate(n, 1)
-    acc = x
-    with pytest.raises(TruncationError):
-        for _ in range(6):
-            acc = compose(acc, x)

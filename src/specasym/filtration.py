@@ -259,36 +259,25 @@ def clifford_degrees(m: FiberOp) -> Tuple[int, int]:
     return exp.lower_degree(), exp.upper_degree()
 
 
-def gram_orthogonality_check(n: int, sample: Optional[int] = None, seed: int = 0):
-    """Verify tr(W_{IJ}^{-1} W_{KL}) = 2^n delta_{IK} delta_{JL}.
+def gram_orthogonality_check(n: int, sample: int = 400, seed: int = 0):
+    """Verify tr(W_{IJ}^{-1} W_{KL}) = 2^n delta_{IK} delta_{JL} on
+    ``sample`` random pairs of words.
 
-    With ``sample`` set, checks that many random pairs of pairs; otherwise
-    checks every diagonal pair plus a deterministic off-diagonal sweep.
+    W_{KL} sends e^s to g2[s] e^{s ^ K ^ L}, and W_{IJ}^{-1} sends
+    e^{s ^ I ^ J} to g1[s] e^s, so the pairing is the sign dot product
+    g1 . g2 when I ^ J = K ^ L and 0 otherwise.  Only such pairs are drawn,
+    half of them diagonal, and they are gathered in blocks of rows.
     Nondegeneracy of this Gram matrix makes the expansion a bijection.
     """
     dim = 1 << n
+    c1, h1, c2 = np.random.default_rng(seed).integers(0, dim, (3, sample))
+    c2[:sample // 2] = c1[:sample // 2]
+    quads = np.stack([c1, h1, c2, c2 ^ c1 ^ h1], axis=1)
     s = np.arange(dim)
-
-    def pairing(cm1, hm1, cm2, hm2) -> int:
-        # trace of W1^{-1} W2: W2 sends e^s to g2[s] e^{s ^ cm2 ^ hm2}, and
-        # W1^{-1} sends e^{s ^ cm1 ^ hm1} to g1[s] e^s, so only words with
-        # equal cm ^ hm have fixed points
-        if cm1 ^ hm1 != cm2 ^ hm2:
-            return 0
-        g1 = _word_signs(n, cm1, hm1, s).astype(np.int64)
-        return int(np.dot(g1, _word_signs(n, cm2, hm2, s)))
-
-    rng = np.random.default_rng(seed)
     failures = []
-    if sample is None:
-        it = [(w, w) for w in range(min(dim, 64))]
-        it += [((a * 37) % dim, (a * 101 + 13) % dim) for a in range(64)]
-        quads = [(c1, h1, c2, h2) for (c1, h1) in it for (c2, h2) in [it[0], it[-1]]]
-    else:
-        quads = [tuple(int(x) for x in rng.integers(0, dim, 4)) for _ in range(sample)]
-    for c1, h1, c2, h2 in quads:
-        got = pairing(c1, h1, c2, h2)
-        want = dim if (c1, h1) == (c2, h2) else 0
-        if got != want:
-            failures.append((c1, h1, c2, h2, got))
-    return failures, len(quads)
+    for q in _slices(quads, n):
+        c1, h1, c2, h2 = (col[:, None] for col in q.T)
+        got = (_word_signs(n, c1, h1, s) * _word_signs(n, c2, h2, s)).sum(axis=1, dtype=np.int64)
+        want = np.where((q[:, 0] == q[:, 2]) & (q[:, 1] == q[:, 3]), dim, 0)
+        failures += [(*map(int, q[k]), int(got[k])) for k in np.flatnonzero(got != want)]
+    return failures, sample

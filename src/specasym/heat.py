@@ -15,13 +15,23 @@ computed two independent ways:
 
 The densities build neither kernel.  At form degree 4, the only degree
 the weighted density reads, both need just tr Q, tr V and tr V^2
-(``model_traces``), and ``potential_parts`` splits V = V_R (x) 1_r + V_F so
-that no rank-r V is built.  ``mehler_trace_degree4`` reads tr Q and
-tr V^2; ``duhamel_diag_trace`` sums the form traces of the Wick terms
+(``model_traces``), which are the Chern-Weil pair sums of ``residue``:
+tr Q = -(1/2) pi^2 p1, tr V = 2^n i pi c1 and tr V^2 = 2^n (-4 r pi^2 p1
++ pi^2 (2 c2 - c1^2)).  ``mehler_trace_degree4`` reads tr Q and tr V^2;
+``duhamel_diag_trace`` sums the form traces of the Wick terms
 (``wick_trace``) with no drift, since rhat is antisymmetric.  The Wick
 terms are listed once (``wick_terms``); ``wick_kernel`` multiplies them
 out, so ``mehler_kernel`` and ``duhamel_kernel`` stay as the independent
 full-kernel oracles.
+
+The two normalisation constants follow.  Per unit 2^n t^2 (4 pi t)^{-n/2},
+the degree-4 trace is (1/2) l_1 tr(4 Q) r + tr V^2 / 2 with l_1 = -1/6:
+(1/6) r pi^2 p1 - 2 r pi^2 p1 - (1/2) pi^2 (c1^2 - 2 c2).  On rank-1
+bundle data (c2 = 0, no p1) the calibration target is pi^2 c1^2, so the
+trace normalisation is -2, and the calibrated density is
+(11/3) r pi^2 p1 + pi^2 (c1^2 - 2 c2): 11/3 = 2 (2 - 1/6) is 11 r times
+the paper's (1/3) p1, and the bundle sector is c1^2 - 2 c2 = 2 ch_2,
+which is the paper's c1^2 - c2 only at rank 1.
 
 ``landau_kernel`` runs the same Wick engine on the *untruncated* flat
 operator with constant bundle curvature; it anchors the one free trace
@@ -39,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .exact import Scalar, numerator_planes
 from .exterior import DiffForm, mask_of
-from .residue import characteristic_density_form
+from .residue import _chern, _p1, characteristic_density_form
 from .wordops import (
     Mat,
     WordOperator,
@@ -401,59 +411,54 @@ def mehler_det_factor(q: FormMatrix, n: int) -> DiffForm:
 # model potential and Mehler kernel
 # ----------------------------------------------------------------------
 
-def potential_parts(cd: CurvatureData) -> Tuple[WordOperator, WordOperator]:
-    """(V_R, V_F) with V = V_R (x) 1_r + V_F the constant term of the model.
+def model_constant_potential(cd: CurvatureData) -> WordOperator:
+    """The constant term V = V_R (x) 1_r + V_F of the model, built in full.
 
     V = -(1/4) sum_{ij} e^{ij} R_{ijkl} chat^l chat^k - (1/2) sum_{i<j} e^{ij} F_{ij}.
-    V_R has rank 1: ordered (i, j), (j, i) and (k, l), (l, k) give four
-    equal terms, so the coefficient of e^{ij} (x) chat^{kl} (i<j, k<l) is
-    R_ijkl.  V_F = -F/2 is read off the numerator planes over 2 _f_den.
+    Ordered (i, j), (j, i) and (k, l), (l, k) give four equal terms, so the
+    coefficient of e^{ij} (x) chat^{kl} (i<j, k<l) is R_ijkl 1_r.  V_F =
+    -F/2 is read off the numerator planes over 2 _f_den.  Only the oracles
+    build it; the densities read ``model_traces``.
     """
     n, r, den = cd.n, cd.r, 2 * cd._f_den
-    v_r = WordOperator(n, 1, {
-        (mask_of(ij), 0, mask_of(kl)): ((Scalar.of(v),),)
+    eye = mat_eye(r)
+    terms = {
+        (mask_of(ij), 0, mask_of(kl)): mat_scale(eye, v)
         for ij, row in cd._r_rows.items()
         for kl, v in row
-    })
-    v_f = WordOperator(n, r, {
+    }
+    terms.update({
         (m, 0, 0): tuple(tuple(Scalar.term(Fraction(-x, den), Fraction(-y, den))
                                for x, y in zip(re[a:a + r], im[a:a + r]))
                          for a in range(0, r * r, r))
         for m, (re, im) in cd._f_planes.items()
     })
-    return v_r, v_f
-
-
-def model_constant_potential(cd: CurvatureData) -> WordOperator:
-    """The constant term V = V_R (x) 1_r + V_F, built in full at rank r.
-
-    Only the oracles build it; the densities read ``model_traces``.
-    """
-    v_r, v_f = potential_parts(cd)
-    eye = mat_eye(cd.r)
-    lifted = {k: mat_scale(eye, m[0][0]) for k, m in v_r.terms.items()}
-    return WordOperator(cd.n, cd.r, lifted) + v_f
+    return WordOperator(n, r, terms)
 
 
 def model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm]:
     """(tr Q, tr V, tr V^2): all the densities read of the model operator.
 
-    Built once per CurvatureData and cached on it.  tr Q =
-    -(1/4) sum_{i,j} rhat_ij ^ rhat_ij = -(1/2) sum over the stored rows
-    i < j, since rhat_ji = -rhat_ij.  Every
-    term of V_R carries a nonempty c-hat word and every term of V_F the
-    empty word, so V_R is traceless and the two never join in V^2:
-    tr V = tr V_F and tr V^2 = r tr V_R^2 + tr V_F^2.
+    They are the Chern-Weil pair sums of ``residue`` (pi^2 p1, pi c1, pi^2
+    c2), built once per CurvatureData and cached on it.  rhat_ij =
+    Omega_ij / 2, so tr Q = -(1/4) sum_{i,j} rhat_ij ^ rhat_ij =
+    -(1/2) pi^2 p1.  Nonempty words are traceless and the fiber trace of 1
+    is 2^n, so tr V = tr V_F = 2^n tr(-F/2) = 2^n i pi c1.  V_R and V_F
+    never join in V^2, and each c-hat word chat^k chat^l squares to -1, so
+    tr V_R^2 = -2^n sum_{k<l} Omega_kl ^ Omega_kl and
+    tr V^2 = r tr V_R^2 + tr V_F^2 = 2^n (-4 r pi^2 p1 + pi^2 (2 c2 - c1^2)).
     """
     if cd._traces is None:
-        tr_q = DiffForm.zero(cd.n)
-        for ij in cd._r_rows:
-            rh = cd.rhat(*ij)
-            tr_q = tr_q + rh.wedge(rh)
-        v_r, v_f = potential_parts(cd)
-        tr_v2 = WordOperator.trace_of_product(v_r, v_r).scale(cd.r)
-        cd._traces = (tr_q.scale(Fraction(-1, 2)), v_f.form_trace(),
-                      tr_v2 + WordOperator.trace_of_product(v_f, v_f))
+        n, fiber = cd.n, 1 << cd.n
+        p1 = _p1(cd)
+        c1, c2, e = _chern(cd)  # e = pi^2 (c1^2 - c2)
+        tr_v2 = {m: fiber * (-4 * cd.r * p1.get(m, 0) + c2.get(m, 0) - e.get(m, 0))
+                 for m in p1.keys() | c2.keys()}
+        cd._traces = (
+            DiffForm(n, {m: x / -2 for m, x in p1.items()}),
+            DiffForm(n, {m: Scalar.i(fiber * x) for m, x in c1.items()}),
+            DiffForm(n, tr_v2),
+        )
     return cd._traces
 
 

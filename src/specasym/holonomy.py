@@ -241,9 +241,7 @@ def decompose_two_form(s: HolonomyStructure, alpha: DiffForm) -> Tuple[DiffForm,
     if not alpha.is_zero() and alpha.degree() != 2:
         raise ValueError("decompose_two_form requires a 2-form")
     p7, pbig = projections(s)
-    a7 = p7.apply(alpha) if not alpha.is_zero() else DiffForm.zero(s.n)
-    rest = alpha - a7
-    return a7, rest
+    return p7.apply(alpha), pbig.apply(alpha)
 
 
 @dataclass

@@ -19,8 +19,6 @@ from fractions import Fraction
 from math import exp, gamma, isqrt, lcm, pi, sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from scipy.integrate import quad
-
 
 TWO_FORM_FIBER = {7: 21, 8: 28}
 SEVEN_FIBER = 7
@@ -205,6 +203,8 @@ def zeta_partial(
     # the weight of a single lattice point: 7, 14 or 21, and 0 for 'delta'
     fiber = _spectral_levels(n, 1, [(1, 1)])[0].weight(which)
     if fiber and s > n / 2:
+        from scipy.integrate import quad
+
         def dbox(q):
             return fiber * n * (2 * sqrt(q) + 1) ** (n - 1) / sqrt(q) * (4 * pi * pi * q) ** (-s)
 
@@ -268,6 +268,8 @@ def mellin_equivalence(
     direct = sum(w * lam ** (-s) for w, lam in pairs)
     if not pairs:
         return MellinReport(s, 0.0, 0.0, 0.0)
+
+    from scipy.integrate import quad
 
     def integrand(t):
         return t ** (s - 1.0) * sum(w * exp(-lam * t) for w, lam in pairs)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from operator import mul
 from typing import Dict, Tuple
 
-from .exact import Scalar, numerator_planes
+from .exact import Scalar
 from .exterior import (
     DiffForm,
     FiberOp,
@@ -288,51 +287,6 @@ class WordOperator:
                     out[f] = acc
         return DiffForm(self.n, out)
 
-    @staticmethod
-    def trace_of_product(a: "WordOperator", b: "WordOperator") -> DiffForm:
-        """``(a * b).form_trace()`` without building ``a * b``.
-
-        A product of two terms is word-free exactly when their (c, chat)
-        words are equal, so only those pairs are joined, and only those
-        with disjoint form masks.  Each pair carries the sign of
-        ``_mul_op`` (form merge sign, the |h1||c2| swap and the squares
-        of both words), the bundle factor tr(M1 M2) and the weight 2^n.
-        Each operand's matrices become numerator planes once (b's
-        transposed), so tr(M1 M2) is integer dot products per pair of
-        Scalar keys, lifted to Scalars at the end.
-        """
-        a._check(b)
-        den_a, planes_a = _term_planes(a, False)
-        den_b, planes_b = _term_planes(b, True)
-        by_word: Dict[Tuple[int, int], list] = {}
-        for (f2, c2, h2), p2 in planes_b.items():
-            by_word.setdefault((c2, h2), []).append((f2, p2))
-        out: Dict[int, Dict[Tuple[int, int], list]] = {}
-        for (f1, c, h), p1 in planes_a.items():
-            group = by_word.get((c, h))
-            if group is None:
-                continue
-            word_sign = word_mul(c, c, -1)[0] * word_mul(h, h, +1)[0]
-            if (popcount(h) * popcount(c)) & 1:
-                word_sign = -word_sign
-            for f2, p2 in group:
-                if f1 & f2:
-                    continue
-                sign = word_sign * merge_sign(f1, f2)
-                acc = out.setdefault(f1 | f2, {})
-                for (pa, qa), (re1, im1) in p1.items():
-                    for (pb, qb), (re2, im2) in p2.items():
-                        z = acc.setdefault((pa + pb, qa + qb), [0, 0])
-                        z[0] += sign * (_dot(re1, re2) - _dot(im1, im2))
-                        z[1] += sign * (_dot(re1, im2) + _dot(im1, re2))
-        den = den_a * den_b
-        weight = 1 << a.n
-        return DiffForm(a.n, {
-            m: Scalar({k: (Fraction(weight * x, den), Fraction(weight * y, den))
-                       for k, (x, y) in acc.items() if x or y})
-            for m, acc in out.items()
-        })
-
     def to_fiber_op(self) -> FiberOp:
         """Materialise as a dense matrix (form slot must be empty)."""
         if any(f for (f, _, _) in self.terms):
@@ -365,25 +319,6 @@ class WordOperator:
             else:
                 bits.append(f"[{self.r}x{self.r}]*{label}")
         return " + ".join(bits) if bits else "0"
-
-
-def _term_planes(op: WordOperator, transpose: bool):
-    """(den, {term key: {(p, q): [re, im]}}): each term matrix of ``op``,
-    row-major or transposed, as numerator planes over one denominator;
-    a part with no nonzero entry is None."""
-    rng, size = range(op.r), op.r * op.r
-    den, planes = numerator_planes([m[k][i] if transpose else m[i][k]
-                                    for m in op.terms.values() for i in rng for k in rng])
-    out = {key: {} for key in op.terms}
-    for (p, q, part), nums in planes.items():
-        for t, parts in enumerate(out.values()):
-            if any(chunk := nums[t * size:(t + 1) * size]):
-                parts.setdefault((p, q), [None, None])[part] = chunk
-    return den, out
-
-
-def _dot(x, y) -> int:
-    return 0 if x is None or y is None else sum(map(mul, x, y))
 
 
 # ----------------------------------------------------------------------

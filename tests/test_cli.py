@@ -284,6 +284,16 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout)["norms"]["p7"]["exact"] == "1/3"
 
 
+def test_cli_import_does_not_load_scipy():
+    """Only the quadrature checks need scipy; they import it on first use,
+    so a CLI call does not pay for it at start-up."""
+    code = "import sys, specasym.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from specasym import verify as verify_mod
     from specasym.verify import CheckResult

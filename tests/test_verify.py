@@ -5,7 +5,6 @@ from specasym import verify
 from specasym.exterior import DiffForm, FiberOp
 from specasym.filtration import CliffordWordExpansion
 from specasym.holonomy import Projection, projections
-from specasym.wordops import WordOperator
 
 
 def _statuses(results):
@@ -74,6 +73,14 @@ def test_trace_sweep_check_fails_on_a_flipped_word_sign(flipped_word_sign):
     assert status["word-trace identity, 10^4 random pairs (n=8)"] == "pass"
 
 
+def test_gram_check_fails_on_a_flipped_word_sign(flipped_word_sign):
+    """The sampled pairs share their targets, so the off-diagonal ones read
+    the flipped sign of c(e1)c(e2)."""
+    status = _statuses(verify.algebra_suite(0))
+    assert status["word Gram orthogonality (n=7)"] == "fail"
+    assert status["word Gram orthogonality (n=8)"] == "pass"
+
+
 @pytest.mark.parametrize("kind", ["g2", "spin7"])
 def test_projection_checks_fail_on_a_changed_entry(monkeypatch, kind):
     """One diagonal numerator of P_7 moved by 1: symmetry still holds, so
@@ -99,10 +106,17 @@ def test_projection_checks_fail_on_a_changed_entry(monkeypatch, kind):
 
 
 def test_trace_path_check_fails_on_a_flipped_join_sign(monkeypatch):
-    """A sign error in the word join reaches the Mehler and the Duhamel
-    density alike, so only the full-kernel check can see it."""
-    join = WordOperator.trace_of_product
-    monkeypatch.setattr(WordOperator, "trace_of_product", staticmethod(lambda a, b: -join(a, b)))
+    """A sign error in tr V^2 reaches the Mehler and the Duhamel density
+    alike, so only the full-kernel check can see it."""
+    from specasym import heat
+
+    traces = heat.model_traces
+
+    def flipped(cd):
+        tr_q, tr_v, tr_v2 = traces(cd)
+        return tr_q, tr_v, -tr_v2
+
+    monkeypatch.setattr(heat, "model_traces", flipped)
     status = _statuses(verify.heat_suite(0, full=False))
     name = "trace-aware Duhamel trace equals the form trace of the full Duhamel kernel"
     assert status[name] == "fail"

@@ -70,83 +70,6 @@ def test_form_trace_rule():
     assert pure_word.form_trace().is_zero()
 
 
-# (c, chat) words for the join test: |chat| |c| odd for the first three,
-# and words of length >= 2 whose squares carry a sign
-_JOIN_WORDS = [(0b1, 0b10), (0b111, 0b1), (0b1, 0b111), (0b11, 0b1100), (0, 0b11), (0b110, 0), (0, 0)]
-# form masks from a small pool, so both overlapping and disjoint pairs occur
-_JOIN_FORMS = [0, 0b11, 0b101, 0b1100, 0b10010, 0b1111]
-
-
-def _random_join_operand(n, r, rnd, terms=8):
-    def entry():
-        return Scalar.term(Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)),
-                           Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)))
-
-    out = {}
-    for _ in range(terms):
-        c, h = rnd.choice(_JOIN_WORDS)
-        key = (rnd.choice(_JOIN_FORMS), c, h)
-        out[key] = tuple(tuple(entry() for _ in range(r)) for _ in range(r))
-    return WordOperator(n, r, out)
-
-
-@pytest.mark.parametrize("r", [1, 2])
-def test_trace_of_product_equals_trace_of_full_product(r):
-    """The word join against ``_mul_op`` followed by ``form_trace``; at
-    r = 2 the random complex matrices do not commute, so tr(M1 M2) is
-    not tr(M1) tr(M2)."""
-    rnd = random.Random(30 + r)
-    n = 5
-    nonzero = 0
-    for _ in range(30):
-        a = _random_join_operand(n, r, rnd)
-        b = _random_join_operand(n, r, rnd)
-        for x, y in ((a, b), (b, a), (a, a)):
-            joined = WordOperator.trace_of_product(x, y)
-            assert joined == (x * y).form_trace()
-            nonzero += not joined.is_zero()
-    assert nonzero > 60
-
-
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_trace_of_product_joins_scalar_key_planes(r):
-    """Entries with several Scalar keys (t- and pi-powers), purely real,
-    purely imaginary and mixed: the join keeps one numerator plane per key
-    and part, and still equals the trace of the full product."""
-    rnd = random.Random(50 + r)
-
-    def q():
-        return Fraction(rnd.randint(-4, 4), rnd.randint(1, 5))
-
-    def entry():
-        out = Scalar()
-        for _ in range(rnd.randint(0, 3)):
-            re, im = rnd.choice([(q(), 0), (0, q()), (q(), q())])
-            out = out + Scalar.term(re, im, pi_half=rnd.choice((0, -2, 1)),
-                                    t_half=rnd.choice((0, 2, -3)))
-        return out
-
-    n = 5
-    multi_key = 0
-    for _ in range(15):
-        a, b = (WordOperator(n, r, {
-            (rnd.choice(_JOIN_FORMS), *rnd.choice(_JOIN_WORDS)):
-                tuple(tuple(entry() for _ in range(r)) for _ in range(r))
-            for _ in range(6)
-        }) for _ in range(2))
-        for x, y in ((a, b), (b, a), (a, a)):
-            joined = WordOperator.trace_of_product(x, y)
-            full = (x * y).form_trace()
-            assert joined == full and repr(joined) == repr(full)
-            multi_key += sum(len(c.terms) > 1 for c in joined.terms.values())
-    assert multi_key > 10
-
-
-def test_trace_of_product_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        WordOperator.trace_of_product(WordOperator.identity(5, 1), WordOperator.identity(5, 2))
-
-
 def test_exp_requires_nilpotency():
     x = WordOperator.identity(5)
     with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """Command-line interface: verification suites, decompositions, residues,
 and flat-torus spectrum export.
 
-Exit codes: 0 success, 1 invariant failure, 2 input error, 3 I/O error.
+Exit codes: 0 success, 1 invariant failure, 2 input error, 3 I/O error
+(also when the reader closes stdout early, as ``| head`` does).
 All JSON output is deterministic: keys sorted, floats at 17 significant
 digits.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -364,7 +366,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # a small report sits in the buffer: write it here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): the flush at interpreter
+        # exit would fail again, so it goes to the null device instead
+        _stdout_to_devnull()
+        return EXIT_IO
+
+
+def _stdout_to_devnull():
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # an in-process stream such as StringIO has no descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -96,21 +96,36 @@ class Scalar:
         return Scalar.of(other) + (-self)
 
     def __mul__(self, other):
-        other = Scalar.of(other)
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                raise TypeError(f"cannot build exact Scalar from {type(other).__name__}")
+            # a rational factor scales each part; a zero part stays as it is
+            if not other:
+                return Scalar()
+            return Scalar({k: (re * other if re else re, im * other if im else im)
+                           for k, (re, im) in self.terms.items()})
         if not self.terms or not other.terms:
             return Scalar()
         out = {}
         for (p1, q1), (a1, b1) in self.terms.items():
             for (p2, q2), (a2, b2) in other.terms.items():
-                k = (p1 + p2, q1 + q2)
-                re = a1 * a2 - b1 * b2
-                im = a1 * b2 + b1 * a2
-                r0, i0 = out.get(k, (_ZERO, _ZERO))
-                re, im = r0 + re, i0 + im
-                if re == 0 and im == 0:
-                    out.pop(k, None)
+                if b1:
+                    if b2:
+                        re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                    else:
+                        re, im = a1 * a2, b1 * a2
+                elif b2:
+                    re, im = a1 * a2, a1 * b2
                 else:
-                    out[k] = (re, im)
+                    re, im = a1 * a2, _ZERO
+                k = (p1 + p2, q1 + q2)
+                prev = out.get(k)
+                if prev is not None:
+                    re, im = prev[0] + re, prev[1] + im
+                    if not (re or im):
+                        del out[k]
+                        continue
+                out[k] = (re, im)
         return Scalar(out)
 
     __rmul__ = __mul__

@@ -48,7 +48,8 @@ def indices_of(mask: int) -> Tuple[int, ...]:
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    # int() accepts the numpy integer masks of the word tables
+    return int(mask).bit_count()
 
 
 def merge_sign(m1: int, m2: int) -> int:
@@ -226,6 +227,23 @@ class DiffForm:
             sign = -1 if (popcount(m & (bit - 1)) & 1) else 1
             out[m & ~bit] = c if sign > 0 else -c
         return DiffForm(self.n, out)
+
+    def top_pairing(self, other: "DiffForm"):
+        """[self ^ other]_n, the dvol coefficient of the wedge.
+
+        Only complementary masks reach the top degree, so this looks up the
+        complement of each term of ``self`` in ``other`` and builds no wedge.
+        """
+        self._check(other)
+        full = (1 << self.n) - 1
+        theirs = other.terms
+        tot = 0
+        for m, c in self.terms.items():
+            c2 = theirs.get(full ^ m)
+            if c2 is not None:
+                p = c * c2
+                tot = tot + (p if hodge_sign(m, self.n) > 0 else -p)
+        return tot
 
     def inner(self, other: "DiffForm"):
         """Orthonormal-frame pairing Sum_I a_I b_I (bilinear)."""

@@ -19,7 +19,12 @@ the weighted density reads, both need just tr Q, tr V and tr V^2
 tr Q = -(1/2) pi^2 p1, tr V = 2^n i pi c1 and tr V^2 = 2^n (-4 r pi^2 p1
 + pi^2 (2 c2 - c1^2)).  ``mehler_trace_degree4`` reads tr Q and tr V^2;
 ``duhamel_diag_trace`` sums the form traces of the Wick terms
-(``wick_trace``) with no drift, since rhat is antisymmetric.  The Wick
+(``wick_trace``) with no drift, since rhat is antisymmetric.  The sums
+are built once per CurvatureData (``residue.chern_weil_sums``, cached on
+it), so the characteristic density and the model traces share one pass,
+and each density pairs with w through complement lookups
+(``DiffForm.top_pairing``): only the coefficient of the complement of
+each term of w is read, and no wedge is formed.  The Wick
 terms are listed once (``wick_terms``); ``wick_kernel`` multiplies them
 out, so ``mehler_kernel`` and ``duhamel_kernel`` stay as the independent
 full-kernel oracles.
@@ -49,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .exact import Scalar, numerator_planes
 from .exterior import DiffForm, mask_of
-from .residue import _chern, _p1, characteristic_density_form
+from .residue import characteristic_density_form, chern_weil_sums
 from .wordops import (
     Mat,
     WordOperator,
@@ -97,6 +102,8 @@ class CurvatureData:
     _f_planes: Dict[int, Tuple[List[int], List[int]]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # the Chern-Weil sums of residue.chern_weil_sums, built on first use
+    _chern_weil: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
     # (tr Q, tr V, tr V^2), built on first use by model_traces
     _traces: Optional[Tuple[DiffForm, DiffForm, DiffForm]] = field(
         init=False, repr=False, compare=False, default=None
@@ -440,18 +447,18 @@ def model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm]:
     """(tr Q, tr V, tr V^2): all the densities read of the model operator.
 
     They are the Chern-Weil pair sums of ``residue`` (pi^2 p1, pi c1, pi^2
-    c2), built once per CurvatureData and cached on it.  rhat_ij =
-    Omega_ij / 2, so tr Q = -(1/4) sum_{i,j} rhat_ij ^ rhat_ij =
-    -(1/2) pi^2 p1.  Nonempty words are traceless and the fiber trace of 1
-    is 2^n, so tr V = tr V_F = 2^n tr(-F/2) = 2^n i pi c1.  V_R and V_F
+    c2), which ``chern_weil_sums`` builds once per CurvatureData and shares
+    with ``characteristic_density_form``.  rhat_ij = Omega_ij / 2, so
+    tr Q = -(1/4) sum_{i,j} rhat_ij ^ rhat_ij = -(1/2) pi^2 p1.  Nonempty
+    words are traceless and the fiber trace of 1 is 2^n, so
+    tr V = tr V_F = 2^n tr(-F/2) = 2^n i pi c1.  V_R and V_F
     never join in V^2, and each c-hat word chat^k chat^l squares to -1, so
     tr V_R^2 = -2^n sum_{k<l} Omega_kl ^ Omega_kl and
     tr V^2 = r tr V_R^2 + tr V_F^2 = 2^n (-4 r pi^2 p1 + pi^2 (2 c2 - c1^2)).
     """
     if cd._traces is None:
         n, fiber = cd.n, 1 << cd.n
-        p1 = _p1(cd)
-        c1, c2, e = _chern(cd)  # e = pi^2 (c1^2 - c2)
+        p1, c1, c2, e = chern_weil_sums(cd)  # e = pi^2 (c1^2 - c2)
         tr_v2 = {m: fiber * (-4 * cd.r * p1.get(m, 0) + c2.get(m, 0) - e.get(m, 0))
                  for m in p1.keys() | c2.keys()}
         cd._traces = (
@@ -683,8 +690,7 @@ def _calibration_curvature(s) -> CurvatureData:
             (c, d): ((Scalar.i(),),),
         }
         cd = CurvatureData(n, 1, {}, f)
-        dens = characteristic_density_form(cd)
-        if not s.defining_form.wedge(dens).top_coefficient().is_zero():
+        if w.top_pairing(characteristic_density_form(cd)):
             return cd
     raise RuntimeError("no calibration pairing found for this structure")
 
@@ -701,14 +707,9 @@ def calibration_constant(s) -> Scalar:
         return cached
     cd0 = _calibration_curvature(s)
     deg = s.degree
-    target = Scalar.pi_pow(-deg) * Scalar.of(
-        s.defining_form.wedge(characteristic_density_form(cd0)).top_coefficient()
-    )
-    route = (
-        s.defining_form.wedge(mehler_trace_degree4(cd0))
-        .top_coefficient()
-        .t_coefficient(Fraction(-deg, 2))
-    )
+    w = s.defining_form
+    target = Scalar.pi_pow(-deg) * Scalar.of(w.top_pairing(characteristic_density_form(cd0)))
+    route = Scalar.of(w.top_pairing(mehler_trace_degree4(cd0))).t_coefficient(Fraction(-deg, 2))
     if route.is_zero():
         raise RuntimeError("degenerate calibration family")
     norm = target / route
@@ -723,7 +724,7 @@ def density_from_kernel(s, kernel: WordOperator) -> Scalar:
 
 def _weighted_density(s, trace: DiffForm) -> Scalar:
     norm = calibration_constant(s)
-    return norm * s.defining_form.wedge(trace).top_coefficient()
+    return norm * s.defining_form.top_pairing(trace)
 
 
 def mehler_diag_trace(s, cd: CurvatureData) -> Scalar:

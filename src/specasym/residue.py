@@ -27,25 +27,36 @@ from .holonomy import (
 
 def pontryagin_p1(cd) -> DiffForm:
     """First Pontryagin form -(1/8 pi^2) sum_ij Omega_ij ^ Omega_ji."""
-    return _pi2_form(cd.n, _p1(cd))
+    return _pi2_form(cd.n, chern_weil_sums(cd)[0])
 
 
 def chern_forms(cd) -> Tuple[DiffForm, DiffForm]:
     """(c1, c2) of the bundle from its skew-Hermitian curvature matrices."""
-    c1, c2, _ = _chern(cd)
+    _, c1, c2, _ = chern_weil_sums(cd)
     c1 = DiffForm(cd.n, {m: Scalar.term(c, pi_half=-2) for m, c in c1.items()})
     return c1, _pi2_form(cd.n, c2)
 
 
 def characteristic_density_form(cd) -> DiffForm:
     """(1/3) p1 + c1^2 - c2 as a 4-form."""
-    p1, bundle = _p1(cd), _chern(cd)[2]
+    p1, _, _, bundle = chern_weil_sums(cd)
     keys = p1.keys() | bundle.keys()
     return _pi2_form(cd.n, {m: Fraction(p1.get(m, 0), 3) + bundle.get(m, 0) for m in keys})
 
 
 def _pi2_form(n, coefficients) -> DiffForm:
     return DiffForm(n, {m: Scalar.term(c, pi_half=-4) for m, c in coefficients.items()})
+
+
+def chern_weil_sums(cd):
+    """(pi^2 p1, pi c1, pi^2 c2, pi^2 (c1^2 - c2)) as mask -> rational maps.
+
+    Every characteristic form and model trace reads these sums, so they are
+    built once per curvature data (``_p1`` and ``_chern``) and cached on it.
+    """
+    if cd._chern_weil is None:
+        cd._chern_weil = (_p1(cd),) + _chern(cd)
+    return cd._chern_weil
 
 
 def _pair_sum(planes, product, acc) -> Dict[int, int]:

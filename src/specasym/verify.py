@@ -334,7 +334,7 @@ def heat_suite(seed: int = 0, full: bool = True) -> List[CheckResult]:
         if not cd.has_bundle_curvature():
             continue
         target = Scalar.pi_pow(-3) * Scalar.of(
-            g2.defining_form.wedge(characteristic_density_form(cd)).top_coefficient()
+            g2.defining_form.top_pairing(characteristic_density_form(cd))
         )
         got = mehler_diag_trace(g2, cd).t_coefficient(deg)
         ok &= got == target
@@ -345,7 +345,7 @@ def heat_suite(seed: int = 0, full: bool = True) -> List[CheckResult]:
     for tag, bianchi in (("generic", False), ("bianchi", True)):
         cd = random_curvature(7, 1, seed=8, with_bundle=False, bianchi=bianchi)
         target = Scalar.pi_pow(-3) * Scalar.of(
-            g2.defining_form.wedge(characteristic_density_form(cd)).top_coefficient()
+            g2.defining_form.top_pairing(characteristic_density_form(cd))
         )
         got = mehler_diag_trace(g2, cd).t_coefficient(deg)
         if not target.is_zero():

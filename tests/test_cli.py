@@ -418,3 +418,77 @@ def test_residue_oracle_builds_no_model_matrices(tmp_path, capsys, monkeypatch, 
     oracle = json.loads(out)["oracle"]
     assert oracle["relative_discrepancy"] == 0.0
     assert oracle["mehler_coefficient"]["exact"] != "0"
+
+
+_CURVED_DOCS = {
+    "g2": {"n": 7, "rank": 1, "R": [[1, 2, 4, 5, "1/2"], [1, 3, 2, 5, -1]],
+           "F": [[1, 2, [[[0, 1]]]], [3, 6, [[[0, -2]]]]]},
+    "spin7": {"n": 8, "rank": 2, "R": [[1, 2, 4, 5, 1], [2, 8, 2, 8, -1]],
+              "F": [[1, 2, [[[0, 1], [1, 0]], [[-1, 0], [0, 2]]]]]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CURVED_DOCS))
+def test_residue_oracle_builds_the_chern_weil_sums_once_per_curvature(
+        tmp_path, capsys, monkeypatch, kind):
+    """characteristic_density_form and model_traces share one cached pass:
+    the input curvature is summed once, and so is the calibration family,
+    the only other curvature data a call builds."""
+    from specasym import cli, residue
+
+    seen, counts = [], {}
+    for name in ("_p1", "_chern"):
+        real = getattr(residue, name)
+
+        def spy(cd, real=real, name=name):
+            seen.append(cd)  # keeps cd alive, so its id is not reused
+            counts[id(cd), name] = counts.get((id(cd), name), 0) + 1
+            return real(cd)
+
+        monkeypatch.setattr(residue, name, spy)
+    loaded = []
+    real_load = cli.load_curvature
+    monkeypatch.setattr(cli, "load_curvature",
+                        lambda path: loaded.append(real_load(path)) or loaded[-1])
+    path = os.fspath(tmp_path / "curvature.json")
+    _write(path, _CURVED_DOCS[kind])
+    code, out, err = run_cli(capsys, "residue", "--kind", kind, "--input", path, "--oracle")
+    assert code == 0, err
+    assert json.loads(out)["oracle"]["relative_discrepancy"] == 0.0
+    (cd,) = loaded
+    assert counts[id(cd), "_p1"] == counts[id(cd), "_chern"] == 1
+    assert set(counts.values()) == {1}
+    assert len(counts) == 4  # the input data and the calibration family
+
+
+_PIPE_ARGV = {
+    "decompose": ("decompose", "--kind", "g2", "--form", "3 e12 - e45"),
+    "residue": ("residue", "--kind", "g2", "--oracle", "--input"),
+    "spectrum": ("spectrum", "--n", "7", "--qmax", "3", "--out"),
+    "verify": ("verify", "--suite", "spectrum"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PIPE_ARGV))
+def test_closed_stdout_exits_3_without_traceback(tmp_path, command):
+    """A reader that closes the pipe early (``| head -c 1``) gives the I/O
+    exit code and a quiet stderr, at the write and at interpreter exit.
+    The read end is closed before the run, so every write fails."""
+    argv = _PIPE_ARGV[command]
+    if command == "residue":
+        path = os.fspath(tmp_path / "curvature.json")
+        _write(path, _CURVED_DOCS["g2"])
+        argv += (path,)
+    elif command == "spectrum":
+        argv += (os.fspath(tmp_path / "levels.csv"),)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "specasym", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=_subprocess_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import pi, sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specasym.exact import Scalar, numerator_planes
 
@@ -77,3 +79,62 @@ def test_numerator_planes_fast_path_matches_general_path(values):
     got = numerator_planes(values)
     assert got == numerator_planes([Scalar.of(x) for x in values])
     assert all(type(v) is int for nums in got[1].values() for v in nums)
+
+
+_RATS = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+_PARTS = st.one_of(st.just(Fraction(0)), _RATS)
+# Gaussian-rational Scalars in canonical form, often with a zero part
+_SCALARS = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.tuples(_PARTS, _PARTS).filter(any),
+    max_size=4,
+).map(Scalar)
+_FACTORS = st.one_of(_SCALARS, st.integers(-5, 5), _RATS)
+
+
+def _generic_product(x, y):
+    """The four-product complex formula over every pair of terms."""
+    x, y = Scalar.of(x), Scalar.of(y)
+    out = {}
+    for (p1, q1), (a1, b1) in x.terms.items():
+        for (p2, q2), (a2, b2) in y.terms.items():
+            k = (p1 + p2, q1 + q2)
+            r0, i0 = out.get(k, (Fraction(0), Fraction(0)))
+            re, im = r0 + a1 * a2 - b1 * b2, i0 + a1 * b2 + b1 * a2
+            if re == 0 and im == 0:
+                out.pop(k, None)
+            else:
+                out[k] = (re, im)
+    return out
+
+
+def _is_canonical(x):
+    return all(any(pair) and all(type(v) is Fraction for v in pair)
+               for pair in x.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SCALARS, _FACTORS)
+def test_mul_fast_paths_equal_the_generic_product(x, y):
+    want = _generic_product(x, y)
+    for got in (x * y, y * x):
+        assert isinstance(got, Scalar)
+        assert got.terms == want
+        assert _is_canonical(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SCALARS, _SCALARS)
+def test_mul_drops_cancelled_terms(x, y):
+    """(x + y)(x - y): the cross products cancel on colliding keys."""
+    got = (x + y) * (x - y)
+    assert got.terms == _generic_product(x + y, x - y)
+    assert _is_canonical(got)
+    assert got == x * x - y * y
+
+
+def test_mul_rejects_non_exact_factors():
+    with pytest.raises(TypeError):
+        Scalar.of(1) * 0.5
+    with pytest.raises(TypeError):
+        0.5 * Scalar.of(1)

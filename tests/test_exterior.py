@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specasym.exact import Scalar
 from specasym.exterior import (
@@ -13,6 +16,7 @@ from specasym.exterior import (
     ext_op,
     hodge_star,
     parse_form,
+    popcount,
     star_ext_entries,
     subset_order,
     wedge,
@@ -217,3 +221,47 @@ def test_star_ext_entries_match_dense_operators(n):
             dense = {(order[i], order[j]): v
                      for i, row in enumerate(op.mat.tolist()) for j, v in enumerate(row) if v}
             assert star_ext_entries(w, range(1 << n), cdvol) == dense
+
+
+def test_popcount_matches_the_binary_digits():
+    for m in range(1 << 9):
+        want = bin(m).count("1")
+        assert popcount(m) == want
+        assert popcount(np.int64(m)) == popcount(np.uint16(m)) == want
+
+
+_RATS = st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(bool)
+_SCALARS = st.builds(
+    lambda re, im, p, q: Scalar.term(re, im, pi_half=p, t_half=q),
+    _RATS, st.one_of(st.just(0), _RATS), st.integers(-2, 2), st.integers(-2, 2),
+)
+
+
+@st.composite
+def _form_pairs(draw):
+    """Two mixed-degree forms on R^7 or R^8; part of the second sits on
+    complements of the first's masks, so the top pairing is rarely empty."""
+    n = draw(st.sampled_from([7, 8]))
+    masks = st.integers(0, (1 << n) - 1)
+    coeffs = [draw(st.sampled_from([_RATS, _SCALARS])) for _ in range(2)]
+    a = draw(st.dictionaries(masks, coeffs[0], max_size=10))
+    b = draw(st.dictionaries(masks, coeffs[1], max_size=6))
+    full = (1 << n) - 1
+    for m in draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else ():
+        b[full ^ m] = draw(coeffs[1])
+    return DiffForm(n, a), DiffForm(n, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_form_pairs())
+def test_top_pairing_equals_the_top_coefficient_of_the_wedge(pair):
+    a, b = pair
+    assert a.top_pairing(b) == a.wedge(b).top_coefficient()
+    assert b.top_pairing(a) == b.wedge(a).top_coefficient()
+
+
+def test_top_pairing_on_the_structure_forms():
+    for kind in ("g2", "spin7"):
+        w = standard_structure(kind).defining_form
+        dual = w.hodge()
+        assert w.top_pairing(dual) == w.wedge(dual).top_coefficient() == w.norm_sq()

@@ -778,6 +778,29 @@ def test_quadratic_scaling(g2):
     assert scaled.t_coefficient(p) == base.t_coefficient(p) * 25
 
 
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+def test_scaled_copy_does_not_share_the_chern_weil_cache(kind):
+    """The sums are cached per CurvatureData: a scaled copy, built after the
+    original's caches are full, still gives 9 times everything at residue
+    order."""
+    from specasym.holonomy import standard_structure
+    from specasym.residue import full_residue_report
+
+    s = standard_structure(kind)
+    cd = random_curvature(s.n, 2, seed=21)
+    p = Fraction(-s.degree, 2)
+    base = (full_residue_report(s, cd).residue, mehler_diag_trace(s, cd).t_coefficient(p),
+            duhamel_density(s, cd).t_coefficient(p))
+    assert cd._chern_weil is not None and cd._traces is not None
+    big = cd.scaled(3)
+    assert big._chern_weil is None and big._traces is None
+    scaled = (full_residue_report(s, big).residue, mehler_diag_trace(s, big).t_coefficient(p),
+              duhamel_density(s, big).t_coefficient(p))
+    assert not base[0].is_zero()
+    assert scaled == tuple(x * 9 for x in base)
+    assert characteristic_density_form(big) == characteristic_density_form(cd).scale(9)
+
+
 def test_bundle_scaling_quadratic(g2):
     # scaling F alone multiplies the bundle part of the residue
     # coefficient by lambda^2 (rank 1)

@@ -22,8 +22,6 @@ from .filtration import (
     word_trace,
 )
 from .heat import (
-    CurvatureData,
-    CurvatureError,
     curvature_exponential,
     duhamel_diag_trace,
     duhamel_density,
@@ -36,7 +34,6 @@ from .heat import (
     duhamel_kernel,
     oscillator_diag_kernel,
     q_matrix,
-    random_curvature,
 )
 from .holonomy import (
     HolonomyStructure,
@@ -48,10 +45,13 @@ from .holonomy import (
     star_ext_on_two_forms,
 )
 from .residue import (
+    CurvatureData,
+    CurvatureError,
     ResidueReport,
     chern_forms,
     full_residue_report,
     pontryagin_p1,
+    random_curvature,
     residue_density,
     report_sign,
     residue_value,

@@ -19,9 +19,9 @@ from math import pi
 
 from .exact import Scalar
 from .exterior import DiffForm, indices_of, parse_form
-from .heat import CurvatureData, CurvatureError, duhamel_density, mehler_diag_trace
+from .heat import duhamel_density, mehler_diag_trace
 from .holonomy import decompose_two_form, standard_structure
-from .residue import full_residue_report, report_sign
+from .residue import CurvatureData, CurvatureError, full_residue_report, report_sign
 from .spectrum import (
     enumerate_levels,
     twisted_levels,
@@ -112,6 +112,8 @@ def _rational(x, what: str) -> Fraction:
 
 
 def _index(x, what: str) -> int:
+    if type(x) is int:  # a plain JSON integer; bool is refused by _rational
+        return x
     v = _rational(x, what)
     if v.denominator != 1:
         raise CurvatureError(f"{what} must be an integer, got {x!r}")
@@ -150,8 +152,6 @@ def load_curvature(path: str) -> CurvatureData:
     r_entries = {}
     for row in _rows(doc, "R", 5):
         key = tuple(_index(idx, f"R index in {row}") for idx in row[:4])
-        if any(not (1 <= idx <= n) for idx in key):
-            raise CurvatureError(f"R indices out of range in {row}")
         v = _rational(row[4], f"R value in {row}")
         if key in r_entries and r_entries[key] != v:
             raise CurvatureError(f"conflicting duplicate R entry {row}")
@@ -159,8 +159,6 @@ def load_curvature(path: str) -> CurvatureData:
     f_entries = {}
     for row in _rows(doc, "F", 3):
         i, j = (_index(idx, f"F index in {row}") for idx in row[:2])
-        if not (1 <= i <= n and 1 <= j <= n) or i == j:
-            raise CurvatureError(f"bad F indices ({i}, {j})")
         mat = row[2]
         if not isinstance(mat, list) or len(mat) != rank or any(
             not isinstance(r_, list) or len(r_) != rank for r_ in mat
@@ -179,7 +177,8 @@ def load_curvature(path: str) -> CurvatureData:
         if key in f_entries and f_entries[key] != entries:
             raise CurvatureError(f"conflicting redundant F entries for {key}")
         f_entries[key] = entries
-    # the constructor enforces the index symmetries and skew-Hermiticity
+    # the constructor checks the index ranges and symmetries and
+    # skew-Hermiticity
     return CurvatureData(n, rank, r_entries, f_entries)
 
 
@@ -364,8 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = build_parser()  # built once; parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         code = args.func(args)
         # a small report sits in the buffer: write it here, not at exit

@@ -20,9 +20,9 @@ tr Q = -(1/2) pi^2 p1, tr V = 2^n i pi c1 and tr V^2 = 2^n (-4 r pi^2 p1
 + pi^2 (2 c2 - c1^2)).  ``mehler_trace_degree4`` reads tr Q and tr V^2;
 ``duhamel_diag_trace`` sums the form traces of the Wick terms
 (``wick_trace``) with no drift, since rhat is antisymmetric.  The sums
-are built once per CurvatureData (``residue.chern_weil_sums``, cached on
-it), so the characteristic density and the model traces share one pass,
-and each density pairs with w through complement lookups
+are fields of ``residue.CurvatureData``, built once when the data is
+constructed, so the characteristic density and the model traces share
+one pass, and each density pairs with w through complement lookups
 (``DiffForm.top_pairing``): only the coefficient of the complement of
 each term of w is read, and no wedge is formed.  The Wick
 terms are listed once (``wick_terms``); ``wick_kernel`` multiplies them
@@ -33,10 +33,13 @@ The two normalisation constants follow.  Per unit 2^n t^2 (4 pi t)^{-n/2},
 the degree-4 trace is (1/2) l_1 tr(4 Q) r + tr V^2 / 2 with l_1 = -1/6:
 (1/6) r pi^2 p1 - 2 r pi^2 p1 - (1/2) pi^2 (c1^2 - 2 c2).  On rank-1
 bundle data (c2 = 0, no p1) the calibration target is pi^2 c1^2, so the
-trace normalisation is -2, and the calibrated density is
+trace normalisation is -2 (``TRACE_NORMALISATION``, by which both
+densities multiply), and the calibrated density is
 (11/3) r pi^2 p1 + pi^2 (c1^2 - 2 c2): 11/3 = 2 (2 - 1/6) is 11 r times
 the paper's (1/3) p1, and the bundle sector is c1^2 - 2 c2 = 2 ch_2,
-which is the paper's c1^2 - c2 only at rank 1.
+which is the paper's c1^2 - c2 only at rank 1.  ``calibration_constant``
+still measures target / route on that family, and the heat suite checks
+that it reads -2, so a wrong model trace fails a check.
 
 ``landau_kernel`` runs the same Wick engine on the *untruncated* flat
 operator with constant bundle curvature; it anchors the one free trace
@@ -45,18 +48,16 @@ normalisation and feeds the reporting around the model reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import factorial, lcm, pi as _PI, sinh as _sinh, sqrt as _sqrt
+from math import factorial, pi as _PI, sinh as _sinh, sqrt as _sqrt
 from operator import add, mul
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .exact import Scalar, numerator_planes
+from .exact import Scalar
 from .exterior import DiffForm, mask_of
-from .residue import characteristic_density_form, chern_weil_sums
+from .residue import CurvatureData, characteristic_density_form
 from .wordops import (
-    Mat,
     WordOperator,
     mat_add,
     mat_eye,
@@ -69,231 +70,8 @@ from .wordops import (
 
 FormMatrix = List[List[DiffForm]]
 
-
-# ----------------------------------------------------------------------
-# curvature data
-# ----------------------------------------------------------------------
-
-class CurvatureError(ValueError):
-    pass
-
-
-@dataclass
-class CurvatureData:
-    """Riemann-type tensor plus skew-Hermitian bundle curvature matrices.
-
-    ``r_entries`` maps canonical index quadruples (i<j, k<l, pair-sorted)
-    to rational values; ``f_entries`` maps (i, j) with i<j to r x r
-    matrices of Gaussian-rational Scalars, also held as ``_f_planes``:
-    mask of e^{ij} -> (real, imaginary) row-major integer numerators over
-    one denominator ``_f_den``.  Index symmetries are enforced on
-    construction and never silently repaired.
-    """
-
-    n: int
-    r: int = 1
-    r_entries: Dict[Tuple[int, int, int, int], Fraction] = field(default_factory=dict)
-    f_entries: Dict[Tuple[int, int], Mat] = field(default_factory=dict)
-    # (i, j) -> [((k, l), R_ijkl)], i < j, k < l, sorted: what rhat and V read
-    _r_rows: Dict[Tuple[int, int], list] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _f_den: int = field(init=False, repr=False, compare=False, default=1)
-    _f_planes: Dict[int, Tuple[List[int], List[int]]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    # the Chern-Weil sums of residue.chern_weil_sums, built on first use
-    _chern_weil: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
-    # (tr Q, tr V, tr V^2), built on first use by model_traces
-    _traces: Optional[Tuple[DiffForm, DiffForm, DiffForm]] = field(
-        init=False, repr=False, compare=False, default=None
-    )
-
-    def __post_init__(self):
-        clean = {}
-        for (i, j, k, l), v in self.r_entries.items():
-            if not all(1 <= x <= self.n for x in (i, j, k, l)):
-                raise CurvatureError(f"R indices must lie in 1..{self.n}, got ({i},{j},{k},{l})")
-            v = Fraction(v)
-            if v == 0:
-                continue
-            key, sign = _canonical_r_key(i, j, k, l)
-            if key is None:
-                raise CurvatureError(f"degenerate index pattern R[{i}{j}{k}{l}]")
-            want = sign * v
-            if key in clean and clean[key] != want:
-                raise CurvatureError(f"conflicting values for R{key}")
-            clean[key] = want
-        self.r_entries = clean
-        # R_klij = R_ijkl; in key order every row comes out sorted
-        for (i, j, k, l), v in sorted(clean.items()):
-            self._r_rows.setdefault((i, j), []).append(((k, l), v))
-            if (i, j) != (k, l):
-                self._r_rows.setdefault((k, l), []).append(((i, j), v))
-        fe, planes, r = {}, {}, self.r
-        for (i, j), m in self.f_entries.items():
-            if not (1 <= i < j <= self.n):
-                raise CurvatureError(f"F indices must satisfy i<j, got ({i},{j})")
-            mat = tuple(tuple(Scalar.of(x) for x in row) for row in m)
-            if len(mat) != r or any(len(row) != r for row in mat):
-                raise CurvatureError("bundle curvature matrix has wrong rank")
-            den, parts = numerator_planes([x for row in mat for x in row])
-            re, im = (parts.pop((0, 0, part), [0] * (r * r)) for part in (0, 1))
-            if parts:
-                raise CurvatureError(f"F[{i},{j}] entries must be Gaussian rationals")
-            # F^* = -F: the real part antisymmetric, the imaginary part symmetric
-            if any(re[a * r + b] != -re[b * r + a] or im[a * r + b] != im[b * r + a]
-                   for a in range(r) for b in range(a, r)):
-                raise CurvatureError(f"F[{i},{j}] is not skew-Hermitian")
-            if any(re) or any(im):
-                fe[(i, j)] = mat
-                planes[mask_of((i, j))] = (den, re, im)
-        self.f_entries = fe
-        self._f_den = lcm(*(den for den, _, _ in planes.values()))
-        self._f_planes = {m: tuple([x * (self._f_den // den) for x in p] for p in (re, im))
-                          for m, (den, re, im) in planes.items()}
-
-    # -- accessors ---------------------------------------------------------
-
-    def r_component(self, i: int, j: int, k: int, l: int) -> Fraction:
-        key, sign = _canonical_r_key(i, j, k, l)
-        if key is None:
-            return Fraction(0)
-        return sign * self.r_entries.get(key, Fraction(0))
-
-    def f_matrix(self, i: int, j: int) -> Mat:
-        if i == j:
-            return mat_zero(self.r)
-        if i < j:
-            return self.f_entries.get((i, j), mat_zero(self.r))
-        m = self.f_entries.get((j, i))
-        return mat_scale(m, -1) if m is not None else mat_zero(self.r)
-
-    def rhat(self, i: int, j: int) -> DiffForm:
-        """(1/4) sum_{k,l} R_{ijkl} e^k ^ e^l = (1/2) sum_{k<l} R_{ijkl} e^{kl}."""
-        sign = 1 if i < j else -1  # R_jikl = -R_ijkl; the row of (i, i) is empty
-        row = self._r_rows.get((min(i, j), max(i, j)), ())
-        return DiffForm(self.n, {mask_of(kl): Fraction(sign * v, 2) for kl, v in row})
-
-    def fhat_word(self) -> WordOperator:
-        """sum_{i<j} e^{ij} (x) F_{ij} in the operator algebra."""
-        terms = {
-            (mask_of((i, j)), 0, 0): m for (i, j), m in self.f_entries.items()
-        }
-        return WordOperator(self.n, self.r, terms)
-
-    def has_riemann_curvature(self) -> bool:
-        return bool(self.r_entries)
-
-    def has_bundle_curvature(self) -> bool:
-        return bool(self.f_entries)
-
-    def is_flat(self) -> bool:
-        return not (self.r_entries or self.f_entries)
-
-    def scaled(self, lam) -> "CurvatureData":
-        lam = Fraction(lam)
-        return CurvatureData(
-            self.n,
-            self.r,
-            {k: v * lam for k, v in self.r_entries.items()},
-            {k: mat_scale(m, lam) for k, m in self.f_entries.items()},
-        )
-
-    def bianchi_defect(self) -> Fraction:
-        """max |R_{ijkl} + R_{iklj} + R_{iljk}| over index quadruples."""
-        worst = Fraction(0)
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                for k in range(1, self.n + 1):
-                    for l in range(1, self.n + 1):
-                        s = (
-                            self.r_component(i, j, k, l)
-                            + self.r_component(i, k, l, j)
-                            + self.r_component(i, l, j, k)
-                        )
-                        worst = max(worst, abs(s))
-        return worst
-
-    def bianchi_symmetrized(self) -> "CurvatureData":
-        """Remove the fully antisymmetric part so the cyclic identity holds."""
-        new_entries: Dict[Tuple[int, int, int, int], Fraction] = {}
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                for k in range(1, self.n + 1):
-                    for l in range(k + 1, self.n + 1):
-                        if (i, j) > (k, l):
-                            continue
-                        cyc = (
-                            self.r_component(i, j, k, l)
-                            + self.r_component(i, k, l, j)
-                            + self.r_component(i, l, j, k)
-                        ) / 3
-                        v = self.r_component(i, j, k, l) - cyc
-                        if v:
-                            new_entries[(i, j, k, l)] = v
-        return CurvatureData(self.n, self.r, new_entries, dict(self.f_entries))
-
-
-def _canonical_r_key(i, j, k, l):
-    sign = 1
-    if i == j or k == l:
-        return None, 0
-    if i > j:
-        i, j = j, i
-        sign = -sign
-    if k > l:
-        k, l = l, k
-        sign = -sign
-    if (i, j) > (k, l):
-        i, j, k, l = k, l, i, j
-    return (i, j, k, l), sign
-
-
-def random_curvature(
-    n: int,
-    r: int = 1,
-    seed: int = 0,
-    with_riemann: bool = True,
-    with_bundle: bool = True,
-    bianchi: bool = False,
-) -> CurvatureData:
-    """Random exact curvature data with the required index symmetries."""
-    import random
-
-    rng = random.Random(seed)
-
-    def q():
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-
-    r_entries = {}
-    if with_riemann:
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        for a, (i, j) in enumerate(pairs):
-            for (k, l) in pairs[a:]:
-                v = q()
-                if v and rng.random() < 0.4:
-                    r_entries[(i, j, k, l)] = v
-    f_entries = {}
-    if with_bundle:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if rng.random() < 0.25:
-                    herm = [[Scalar() for _ in range(r)] for _ in range(r)]
-                    for a in range(r):
-                        herm[a][a] = Scalar.of(q())
-                        for b in range(a + 1, r):
-                            re, im = q(), q()
-                            herm[a][b] = Scalar.term(re, im)
-                            herm[b][a] = Scalar.term(re, -im)
-                    mat = tuple(
-                        tuple(Scalar.i() * herm[a][b] for b in range(r))
-                        for a in range(r)
-                    )
-                    if not mat_is_zero(mat):
-                        f_entries[(i, j)] = mat
-    cd = CurvatureData(n, r, r_entries, f_entries)
-    return cd.bianchi_symmetrized() if bianchi else cd
+# the derived trace normalisation of the weighted densities (module docstring)
+TRACE_NORMALISATION = Scalar.of(-2)
 
 
 # ----------------------------------------------------------------------
@@ -424,21 +202,21 @@ def model_constant_potential(cd: CurvatureData) -> WordOperator:
     V = -(1/4) sum_{ij} e^{ij} R_{ijkl} chat^l chat^k - (1/2) sum_{i<j} e^{ij} F_{ij}.
     Ordered (i, j), (j, i) and (k, l), (l, k) give four equal terms, so the
     coefficient of e^{ij} (x) chat^{kl} (i<j, k<l) is R_ijkl 1_r.  V_F =
-    -F/2 is read off the numerator planes over 2 _f_den.  Only the oracles
+    -F/2 is read off the numerator planes over 2 f_den.  Only the oracles
     build it; the densities read ``model_traces``.
     """
-    n, r, den = cd.n, cd.r, 2 * cd._f_den
+    n, r, den = cd.n, cd.r, 2 * cd.f_den
     eye = mat_eye(r)
     terms = {
         (mask_of(ij), 0, mask_of(kl)): mat_scale(eye, v)
-        for ij, row in cd._r_rows.items()
+        for ij, row in cd.r_rows.items()
         for kl, v in row
     }
     terms.update({
         (m, 0, 0): tuple(tuple(Scalar.term(Fraction(-x, den), Fraction(-y, den))
                                for x, y in zip(re[a:a + r], im[a:a + r]))
                          for a in range(0, r * r, r))
-        for m, (re, im) in cd._f_planes.items()
+        for m, (re, im) in cd.f_planes.items()
     })
     return WordOperator(n, r, terms)
 
@@ -447,8 +225,8 @@ def model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm]:
     """(tr Q, tr V, tr V^2): all the densities read of the model operator.
 
     They are the Chern-Weil pair sums of ``residue`` (pi^2 p1, pi c1, pi^2
-    c2), which ``chern_weil_sums`` builds once per CurvatureData and shares
-    with ``characteristic_density_form``.  rhat_ij = Omega_ij / 2, so
+    c2), which CurvatureData builds on construction and shares with
+    ``characteristic_density_form``.  rhat_ij = Omega_ij / 2, so
     tr Q = -(1/4) sum_{i,j} rhat_ij ^ rhat_ij = -(1/2) pi^2 p1.  Nonempty
     words are traceless and the fiber trace of 1 is 2^n, so
     tr V = tr V_F = 2^n tr(-F/2) = 2^n i pi c1.  V_R and V_F
@@ -456,17 +234,15 @@ def model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm]:
     tr V_R^2 = -2^n sum_{k<l} Omega_kl ^ Omega_kl and
     tr V^2 = r tr V_R^2 + tr V_F^2 = 2^n (-4 r pi^2 p1 + pi^2 (2 c2 - c1^2)).
     """
-    if cd._traces is None:
-        n, fiber = cd.n, 1 << cd.n
-        p1, c1, c2, e = chern_weil_sums(cd)  # e = pi^2 (c1^2 - c2)
-        tr_v2 = {m: fiber * (-4 * cd.r * p1.get(m, 0) + c2.get(m, 0) - e.get(m, 0))
-                 for m in p1.keys() | c2.keys()}
-        cd._traces = (
-            DiffForm(n, {m: x / -2 for m, x in p1.items()}),
-            DiffForm(n, {m: Scalar.i(fiber * x) for m, x in c1.items()}),
-            DiffForm(n, tr_v2),
-        )
-    return cd._traces
+    n, fiber = cd.n, 1 << cd.n
+    p1, c2, e = cd.pi2_p1, cd.pi2_c2, cd.pi2_bundle  # e = pi^2 (c1^2 - c2)
+    tr_v2 = {m: fiber * (-4 * cd.r * p1.get(m, 0) + c2.get(m, 0) - e.get(m, 0))
+             for m in p1.keys() | c2.keys()}
+    return (
+        DiffForm(n, {m: x / -2 for m, x in p1.items()}),
+        DiffForm(n, {m: Scalar.i(fiber * x) for m, x in cd.pi_c1.items()}),
+        DiffForm(n, tr_v2),
+    )
 
 
 def curvature_exponential(cd: CurvatureData) -> WordOperator:
@@ -696,15 +472,14 @@ def _calibration_curvature(s) -> CurvatureData:
 
 
 def calibration_constant(s) -> Scalar:
-    """Global trace normalisation for the weighted-density functional.
+    """Measured trace normalisation for the weighted-density functional.
 
-    Fixed once per structure on the rank-1 bundle family with vanishing
-    Riemann data, where the residue-order density has the closed form
-    pi^{-deg(w)/2} [w ^ (c1^2 - c2)]_n.  Cached on the structure.
+    Target over route on the rank-1 bundle family with vanishing Riemann
+    data, where the residue-order density has the closed form
+    pi^{-deg(w)/2} [w ^ (c1^2 - c2)]_n.  The densities multiply by the
+    derived ``TRACE_NORMALISATION`` instead; the heat suite checks that
+    this measurement equals it, so a wrong model trace fails a check.
     """
-    cached = s._op_cache.get("heat_norm")
-    if cached is not None:
-        return cached
     cd0 = _calibration_curvature(s)
     deg = s.degree
     w = s.defining_form
@@ -712,9 +487,7 @@ def calibration_constant(s) -> Scalar:
     route = Scalar.of(w.top_pairing(mehler_trace_degree4(cd0))).t_coefficient(Fraction(-deg, 2))
     if route.is_zero():
         raise RuntimeError("degenerate calibration family")
-    norm = target / route
-    s._op_cache["heat_norm"] = norm
-    return norm
+    return target / route
 
 
 def density_from_kernel(s, kernel: WordOperator) -> Scalar:
@@ -723,8 +496,7 @@ def density_from_kernel(s, kernel: WordOperator) -> Scalar:
 
 
 def _weighted_density(s, trace: DiffForm) -> Scalar:
-    norm = calibration_constant(s)
-    return norm * s.defining_form.top_pairing(trace)
+    return TRACE_NORMALISATION * s.defining_form.top_pairing(trace)
 
 
 def mehler_diag_trace(s, cd: CurvatureData) -> Scalar:

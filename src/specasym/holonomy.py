@@ -7,14 +7,16 @@ a |-> *(w ^ a) on 2-forms must be symmetric with spectrum {+2 x7, -1 x14}
 a structure that fails raises StructureValidationError.  The operator is
 an integer matrix from the one sign table ``exterior.star_ext_entries``, and
 validation is one exact integer matrix product; the projections keep
-their nonzero integer entries as sparse rows over plus + 1.
+their nonzero integer entries as sparse rows over plus + 1.  A structure
+is built whole: ``standard_structure`` stores the validated operator and
+both projections as fields, and nothing is filled in later.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -107,13 +109,16 @@ class Projection:
 
 @dataclass
 class HolonomyStructure:
-    """Validated G2 or Spin(7) model fiber data."""
+    """Validated G2 or Spin(7) model fiber data, built whole by
+    ``standard_structure``: ``star_ext`` is the validated integer matrix of
+    *e(w) on the 2-form fiber and ``projection_pair`` is (P_7, P_big)."""
 
     kind: str
     n: int
     defining_form: DiffForm
     eigenvalue_table: List[Tuple[int, int]]
-    _op_cache: Dict[str, object] = field(default_factory=dict, repr=False)
+    star_ext: np.ndarray = field(repr=False, compare=False)
+    projection_pair: Tuple[Projection, Projection] = field(repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -122,10 +127,6 @@ class HolonomyStructure:
     @property
     def plus_eigenvalue(self) -> int:
         return 2 if self.kind == G2 else 3
-
-    @property
-    def big_label(self) -> str:
-        return "14" if self.kind == G2 else "21"
 
 
 def star_ext_on_two_forms(w: DiffForm, n: int) -> np.ndarray:
@@ -196,44 +197,22 @@ def standard_structure(kind: str) -> HolonomyStructure:
     table = _eig_validate(mat, plus)
     if table != [(plus, 7), (-1, big)]:
         raise StructureValidationError(f"wrong multiplicities {table}")
-    s = HolonomyStructure(kind, n, form, table)
-    s._op_cache["star_ext_integers"] = mat
-    return s
-
-
-def _integer_operator(s: HolonomyStructure) -> np.ndarray:
-    if "star_ext_integers" not in s._op_cache:
-        s._op_cache["star_ext_integers"] = _star_ext_integers(s.defining_form)
-    return s._op_cache["star_ext_integers"]
-
-
-def structure_operator(s: HolonomyStructure) -> np.ndarray:
-    """The validated matrix of *e(w) on the 2-form fiber, as Fractions."""
-    if "star_ext" not in s._op_cache:
-        s._op_cache["star_ext"] = np.array(
-            [[Fraction(v) if v else _ZERO for v in row] for row in _integer_operator(s).tolist()],
-            dtype=object,
-        )
-    return s._op_cache["star_ext"]
+    basis = two_form_basis(n)
+    eye = np.eye(len(basis), dtype=np.int64)
+    pair = tuple(
+        Projection(label, n, plus + 1, [
+            (basis[i], [(basis[j], v) for j, v in enumerate(row) if v])
+            for i, row in enumerate(nums.tolist())
+        ])
+        for label, nums in (("7", mat + eye), (str(big), plus * eye - mat))
+    )
+    return HolonomyStructure(kind, n, form, table, mat, pair)
 
 
 def projections(s: HolonomyStructure) -> Tuple[Projection, Projection]:
-    """(P_7, P_big) = (A + 1, plus - A) / (plus + 1) for A = *e(w), exact.
-
-    Built once per structure from the integer rows of A and cached.
-    """
-    if "projections" not in s._op_cache:
-        basis = two_form_basis(s.n)
-        a, plus = _integer_operator(s), s.plus_eigenvalue
-        eye = np.eye(len(basis), dtype=np.int64)
-        s._op_cache["projections"] = tuple(
-            Projection(label, s.n, plus + 1, [
-                (basis[i], [(basis[j], v) for j, v in enumerate(row) if v])
-                for i, row in enumerate(nums.tolist())
-            ])
-            for label, nums in (("7", a + eye), (s.big_label, plus * eye - a))
-        )
-    return s._op_cache["projections"]
+    """(P_7, P_big) = (A + 1, plus - A) / (plus + 1) for A = *e(w), exact,
+    as ``standard_structure`` built them from the integer rows of A."""
+    return s.projection_pair
 
 
 def decompose_two_form(s: HolonomyStructure, alpha: DiffForm) -> Tuple[DiffForm, DiffForm]:
@@ -261,7 +240,7 @@ def instanton_check(s: HolonomyStructure, curvature) -> InstantonReport:
     part lies below the float range.
     """
     p7 = projections(s)[0]
-    planes, den = curvature._f_planes, p7.den * curvature._f_den
+    planes, den = curvature.f_planes, p7.den * curvature.f_den
     worst = 0.0
     exact_zero = True
     for _, row in p7.rows:

@@ -1,20 +1,27 @@
-"""Chern-Weil forms and the Gamma-factor arithmetic for zeta residues.
+"""Curvature data, Chern-Weil forms and the Gamma-factor arithmetic for
+zeta residues.
 
-The density w ^ ((1/3) p1 + c1^2 - c2) is built from constant curvature
-data; integration over the unit-volume flat model reads off its dvol
-coefficient.  Residues follow by exact division by Gamma(deg(w)/2 + 1),
-so they come out as exact rational multiples of powers of pi.
+``CurvatureData`` owns the curvature format.  It is built whole: its
+constructor checks the index symmetries, stores the Riemann rows and the
+bundle numerator planes, and builds the Chern-Weil sums (pi^2 p1, pi c1,
+pi^2 c2, pi^2 (c1^2 - c2)) that every characteristic form here and every
+model trace in ``heat`` reads.  The density w ^ ((1/3) p1 + c1^2 - c2) is
+a top form: integration over the unit-volume flat model reads off its dvol
+coefficient, which is all that is built.  Residues follow by exact
+division by Gamma(deg(w)/2 + 1), so they come out as exact rational
+multiples of powers of pi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .exact import Scalar
+from .exact import Scalar, numerator_planes
 from .exterior import DiffForm, mask_of, merge_sign
 from .holonomy import (
     G2,
@@ -23,41 +30,242 @@ from .holonomy import (
     decompose_two_form,
     instanton_check,
 )
+from .wordops import Mat, WordOperator, mat_is_zero, mat_scale, mat_zero
 
 
-def pontryagin_p1(cd) -> DiffForm:
-    """First Pontryagin form -(1/8 pi^2) sum_ij Omega_ij ^ Omega_ji."""
-    return _pi2_form(cd.n, chern_weil_sums(cd)[0])
+# ----------------------------------------------------------------------
+# curvature data
+# ----------------------------------------------------------------------
+
+class CurvatureError(ValueError):
+    pass
 
 
-def chern_forms(cd) -> Tuple[DiffForm, DiffForm]:
-    """(c1, c2) of the bundle from its skew-Hermitian curvature matrices."""
-    _, c1, c2, _ = chern_weil_sums(cd)
-    c1 = DiffForm(cd.n, {m: Scalar.term(c, pi_half=-2) for m, c in c1.items()})
-    return c1, _pi2_form(cd.n, c2)
+@dataclass
+class CurvatureData:
+    """Riemann-type tensor plus skew-Hermitian bundle curvature matrices.
 
+    ``r_entries`` maps canonical index quadruples (i<j, k<l, pair-sorted)
+    to rational values; ``f_entries`` maps (i, j) with i<j to r x r
+    matrices of Gaussian-rational Scalars.  Index symmetries are enforced
+    on construction and never silently repaired.
 
-def characteristic_density_form(cd) -> DiffForm:
-    """(1/3) p1 + c1^2 - c2 as a 4-form."""
-    p1, _, _, bundle = chern_weil_sums(cd)
-    keys = p1.keys() | bundle.keys()
-    return _pi2_form(cd.n, {m: Fraction(p1.get(m, 0), 3) + bundle.get(m, 0) for m in keys})
+    Construction also fills the read-only fields every consumer reads:
 
-
-def _pi2_form(n, coefficients) -> DiffForm:
-    return DiffForm(n, {m: Scalar.term(c, pi_half=-4) for m, c in coefficients.items()})
-
-
-def chern_weil_sums(cd):
-    """(pi^2 p1, pi c1, pi^2 c2, pi^2 (c1^2 - c2)) as mask -> rational maps.
-
-    Every characteristic form and model trace reads these sums, so they are
-    built once per curvature data (``_p1`` and ``_chern``) and cached on it.
+    * ``r_rows``: (i, j) -> [((k, l), R_ijkl)] with i < j and k < l,
+      sorted, listed under both pairs;
+    * ``f_planes``: mask of e^{ij} -> (real, imaginary) row-major integer
+      numerators of F_ij over one denominator ``f_den``;
+    * the Chern-Weil sums, mask -> rational maps: ``pi2_p1`` = pi^2 p1,
+      ``pi_c1`` = pi c1, ``pi2_c2`` = pi^2 c2 and ``pi2_bundle`` =
+      pi^2 (c1^2 - c2).
     """
-    if cd._chern_weil is None:
-        cd._chern_weil = (_p1(cd),) + _chern(cd)
-    return cd._chern_weil
 
+    n: int
+    r: int = 1
+    r_entries: Dict[Tuple[int, int, int, int], Fraction] = field(default_factory=dict)
+    f_entries: Dict[Tuple[int, int], Mat] = field(default_factory=dict)
+    r_rows: Dict[Tuple[int, int], list] = field(init=False, repr=False, compare=False)
+    f_den: int = field(init=False, repr=False, compare=False)
+    f_planes: Dict[int, Tuple[List[int], List[int]]] = field(
+        init=False, repr=False, compare=False
+    )
+    pi2_p1: Dict[int, Fraction] = field(init=False, repr=False, compare=False)
+    pi_c1: Dict[int, Fraction] = field(init=False, repr=False, compare=False)
+    pi2_c2: Dict[int, Fraction] = field(init=False, repr=False, compare=False)
+    pi2_bundle: Dict[int, Fraction] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        clean = {}
+        for (i, j, k, l), v in self.r_entries.items():
+            if not all(1 <= x <= self.n for x in (i, j, k, l)):
+                raise CurvatureError(f"R indices must lie in 1..{self.n}, got ({i},{j},{k},{l})")
+            v = Fraction(v)
+            if v == 0:
+                continue
+            key, sign = _canonical_r_key(i, j, k, l)
+            if key is None:
+                raise CurvatureError(f"degenerate index pattern R[{i}{j}{k}{l}]")
+            want = sign * v
+            if key in clean and clean[key] != want:
+                raise CurvatureError(f"conflicting values for R{key}")
+            clean[key] = want
+        self.r_entries = clean
+        # R_klij = R_ijkl; in key order every row comes out sorted
+        self.r_rows = {}
+        for (i, j, k, l), v in sorted(clean.items()):
+            self.r_rows.setdefault((i, j), []).append(((k, l), v))
+            if (i, j) != (k, l):
+                self.r_rows.setdefault((k, l), []).append(((i, j), v))
+        fe, planes, r = {}, {}, self.r
+        for (i, j), m in self.f_entries.items():
+            if not (1 <= i < j <= self.n):
+                raise CurvatureError(f"F indices must satisfy i<j, got ({i},{j})")
+            mat = tuple(tuple(Scalar.of(x) for x in row) for row in m)
+            if len(mat) != r or any(len(row) != r for row in mat):
+                raise CurvatureError("bundle curvature matrix has wrong rank")
+            den, parts = numerator_planes([x for row in mat for x in row])
+            re, im = (parts.pop((0, 0, part), [0] * (r * r)) for part in (0, 1))
+            if parts:
+                raise CurvatureError(f"F[{i},{j}] entries must be Gaussian rationals")
+            # F^* = -F: the real part antisymmetric, the imaginary part symmetric
+            if any(re[a * r + b] != -re[b * r + a] or im[a * r + b] != im[b * r + a]
+                   for a in range(r) for b in range(a, r)):
+                raise CurvatureError(f"F[{i},{j}] is not skew-Hermitian")
+            if any(re) or any(im):
+                fe[(i, j)] = mat
+                planes[mask_of((i, j))] = (den, re, im)
+        self.f_entries = fe
+        self.f_den = lcm(*(den for den, _, _ in planes.values()))
+        self.f_planes = {m: tuple([x * (self.f_den // den) for x in p] for p in (re, im))
+                         for m, (den, re, im) in planes.items()}
+        self.pi2_p1 = _p1(self.r_rows)
+        self.pi_c1, self.pi2_c2, self.pi2_bundle = _chern(r, self.f_den, self.f_planes)
+
+    # -- accessors ---------------------------------------------------------
+
+    def r_component(self, i: int, j: int, k: int, l: int) -> Fraction:
+        key, sign = _canonical_r_key(i, j, k, l)
+        if key is None:
+            return Fraction(0)
+        return sign * self.r_entries.get(key, Fraction(0))
+
+    def f_matrix(self, i: int, j: int) -> Mat:
+        if i == j:
+            return mat_zero(self.r)
+        if i < j:
+            return self.f_entries.get((i, j), mat_zero(self.r))
+        m = self.f_entries.get((j, i))
+        return mat_scale(m, -1) if m is not None else mat_zero(self.r)
+
+    def rhat(self, i: int, j: int) -> DiffForm:
+        """(1/4) sum_{k,l} R_{ijkl} e^k ^ e^l = (1/2) sum_{k<l} R_{ijkl} e^{kl}."""
+        sign = 1 if i < j else -1  # R_jikl = -R_ijkl; the row of (i, i) is empty
+        row = self.r_rows.get((min(i, j), max(i, j)), ())
+        return DiffForm(self.n, {mask_of(kl): Fraction(sign * v, 2) for kl, v in row})
+
+    def fhat_word(self) -> WordOperator:
+        """sum_{i<j} e^{ij} (x) F_{ij} in the operator algebra."""
+        terms = {
+            (mask_of((i, j)), 0, 0): m for (i, j), m in self.f_entries.items()
+        }
+        return WordOperator(self.n, self.r, terms)
+
+    def has_riemann_curvature(self) -> bool:
+        return bool(self.r_entries)
+
+    def has_bundle_curvature(self) -> bool:
+        return bool(self.f_entries)
+
+    def is_flat(self) -> bool:
+        return not (self.r_entries or self.f_entries)
+
+    def scaled(self, lam) -> "CurvatureData":
+        lam = Fraction(lam)
+        return CurvatureData(
+            self.n,
+            self.r,
+            {k: v * lam for k, v in self.r_entries.items()},
+            {k: mat_scale(m, lam) for k, m in self.f_entries.items()},
+        )
+
+    def bianchi_defect(self) -> Fraction:
+        """max |R_{ijkl} + R_{iklj} + R_{iljk}| over index quadruples."""
+        worst = Fraction(0)
+        for i in range(1, self.n + 1):
+            for j in range(1, self.n + 1):
+                for k in range(1, self.n + 1):
+                    for l in range(1, self.n + 1):
+                        s = (
+                            self.r_component(i, j, k, l)
+                            + self.r_component(i, k, l, j)
+                            + self.r_component(i, l, j, k)
+                        )
+                        worst = max(worst, abs(s))
+        return worst
+
+    def bianchi_symmetrized(self) -> "CurvatureData":
+        """Remove the fully antisymmetric part so the cyclic identity holds."""
+        new_entries: Dict[Tuple[int, int, int, int], Fraction] = {}
+        for i in range(1, self.n + 1):
+            for j in range(i + 1, self.n + 1):
+                for k in range(1, self.n + 1):
+                    for l in range(k + 1, self.n + 1):
+                        if (i, j) > (k, l):
+                            continue
+                        cyc = (
+                            self.r_component(i, j, k, l)
+                            + self.r_component(i, k, l, j)
+                            + self.r_component(i, l, j, k)
+                        ) / 3
+                        v = self.r_component(i, j, k, l) - cyc
+                        if v:
+                            new_entries[(i, j, k, l)] = v
+        return CurvatureData(self.n, self.r, new_entries, dict(self.f_entries))
+
+
+def _canonical_r_key(i, j, k, l):
+    sign = 1
+    if i == j or k == l:
+        return None, 0
+    if i > j:
+        i, j = j, i
+        sign = -sign
+    if k > l:
+        k, l = l, k
+        sign = -sign
+    if (i, j) > (k, l):
+        i, j, k, l = k, l, i, j
+    return (i, j, k, l), sign
+
+
+def random_curvature(
+    n: int,
+    r: int = 1,
+    seed: int = 0,
+    with_riemann: bool = True,
+    with_bundle: bool = True,
+    bianchi: bool = False,
+) -> CurvatureData:
+    """Random exact curvature data with the required index symmetries."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    r_entries = {}
+    if with_riemann:
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for a, (i, j) in enumerate(pairs):
+            for (k, l) in pairs[a:]:
+                v = q()
+                if v and rng.random() < 0.4:
+                    r_entries[(i, j, k, l)] = v
+    f_entries = {}
+    if with_bundle:
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if rng.random() < 0.25:
+                    herm = [[Scalar() for _ in range(r)] for _ in range(r)]
+                    for a in range(r):
+                        herm[a][a] = Scalar.of(q())
+                        for b in range(a + 1, r):
+                            re, im = q(), q()
+                            herm[a][b] = Scalar.term(re, im)
+                            herm[b][a] = Scalar.term(re, -im)
+                    mat = tuple(
+                        tuple(Scalar.i() * herm[a][b] for b in range(r))
+                        for a in range(r)
+                    )
+                    if not mat_is_zero(mat):
+                        f_entries[(i, j)] = mat
+    cd = CurvatureData(n, r, r_entries, f_entries)
+    return cd.bianchi_symmetrized() if bianchi else cd
+
+
+# ----------------------------------------------------------------------
+# Chern-Weil sums and characteristic forms
+# ----------------------------------------------------------------------
 
 def _pair_sum(planes, product, acc) -> Dict[int, int]:
     """acc[4-plane] += sum over ordered pairs of disjoint 2-planes of sign *
@@ -70,18 +278,19 @@ def _pair_sum(planes, product, acc) -> Dict[int, int]:
     return acc
 
 
-def _p1(cd) -> Dict[int, Fraction]:
+def _p1(r_rows) -> Dict[int, Fraction]:
     """pi^2 p1 = (1/4) sum_{i<j} Omega_ij ^ Omega_ij (Omega_ji = -Omega_ij),
-    Omega_ij = sum_{k<l} R_ijkl e^{kl}, on integer numerators of R."""
-    den = lcm(*(v.denominator for row in cd._r_rows.values() for _, v in row))
+    Omega_ij = sum_{k<l} R_ijkl e^{kl}, on integer numerators of the rows."""
+    den = lcm(*(v.denominator for row in r_rows.values() for _, v in row))
     acc: Dict[int, int] = {}
-    for row in cd._r_rows.values():
+    for row in r_rows.values():
         _pair_sum([(mask_of(kl), v.numerator * (den // v.denominator)) for kl, v in row], mul, acc)
     return {m: Fraction(x, 4 * den * den) for m, x in acc.items()}
 
 
-def _chern(cd):
-    """pi c1, pi^2 c2 and pi^2 (c1^2 - c2) from the numerator planes.
+def _chern(r, den, f_planes):
+    """pi c1, pi^2 c2 and pi^2 (c1^2 - c2) from the rank-r numerator planes
+    over ``den``.
 
     tr F = i T / den, since its real numerators must vanish, so
     c1 = -T / (2 pi den).  With tr F ^ tr F = A / den^2 and
@@ -90,8 +299,8 @@ def _chern(cd):
     tr(F_m F_m') = -(re.re' + im.im') + i (re.im' - im.re'), and its
     imaginary numerators must vanish too.
     """
-    r, den, scale = cd.r, cd._f_den, 8 * cd._f_den ** 2
-    planes = sorted(cd._f_planes.items())
+    scale = 8 * den ** 2
+    planes = sorted(f_planes.items())
     trace = [(m, sum(im[::r + 1])) for m, (_, im) in planes]
     for (_, (re, _)), (_, t) in zip(planes, trace):
         if sum(re[::r + 1]):
@@ -116,9 +325,34 @@ def _not_real(re, im, pi_half):
     raise ValueError(f"characteristic form coefficient is not real: {c}")
 
 
-def residue_density(s: HolonomyStructure, cd) -> DiffForm:
-    """w ^ ((1/3) p1 + c1^2 - c2), a degree-n form."""
-    return s.defining_form.wedge(characteristic_density_form(cd))
+def pontryagin_p1(cd: CurvatureData) -> DiffForm:
+    """First Pontryagin form -(1/8 pi^2) sum_ij Omega_ij ^ Omega_ji."""
+    return _pi2_form(cd.n, cd.pi2_p1)
+
+
+def chern_forms(cd: CurvatureData) -> Tuple[DiffForm, DiffForm]:
+    """(c1, c2) of the bundle from its skew-Hermitian curvature matrices."""
+    c1 = DiffForm(cd.n, {m: Scalar.term(c, pi_half=-2) for m, c in cd.pi_c1.items()})
+    return c1, _pi2_form(cd.n, cd.pi2_c2)
+
+
+def characteristic_density_form(cd: CurvatureData) -> DiffForm:
+    """(1/3) p1 + c1^2 - c2 as a 4-form."""
+    p1, bundle = cd.pi2_p1, cd.pi2_bundle
+    keys = p1.keys() | bundle.keys()
+    return _pi2_form(cd.n, {m: Fraction(p1.get(m, 0), 3) + bundle.get(m, 0) for m in keys})
+
+
+def _pi2_form(n, coefficients) -> DiffForm:
+    return DiffForm(n, {m: Scalar.term(c, pi_half=-4) for m, c in coefficients.items()})
+
+
+def residue_density(s: HolonomyStructure, cd: CurvatureData) -> DiffForm:
+    """w ^ ((1/3) p1 + c1^2 - c2), a degree-n form: only its dvol
+    coefficient can be nonzero, and it is read by complement lookups
+    (``DiffForm.top_pairing``), with no wedge formed."""
+    top = s.defining_form.top_pairing(characteristic_density_form(cd))
+    return DiffForm(s.n, {(1 << s.n) - 1: top})
 
 
 def gamma_pole_factor(deg_w: int) -> Scalar:
@@ -294,8 +528,6 @@ def _scalar_sign(x: Scalar) -> Optional[int]:
 
 def instanton_line_curvature(s: HolonomyStructure, base=(1, 2), scale=1):
     """Rank-1 curvature i * scale * P_big(e^base): passes the instanton gate."""
-    from .heat import CurvatureData
-
     base_form = DiffForm.monomial(s.n, base)
     _, abig = decompose_two_form(s, base_form)
     f_entries = {}

@@ -25,7 +25,7 @@ from .filtration import (
     trace_identity_sweep,
 )
 from .heat import (
-    CurvatureData,
+    TRACE_NORMALISATION,
     calibration_constant,
     duhamel_density,
     duhamel_diag_trace,
@@ -33,15 +33,14 @@ from .heat import (
     mehler_diag_trace,
     model_reduction_ratio,
     oscillator_diag_kernel,
+)
+from .holonomy import decompose_two_form, projections, standard_structure
+from .residue import (
+    CurvatureData,
+    characteristic_density_form,
+    instanton_line_curvature,
     random_curvature,
 )
-from .holonomy import (
-    _integer_operator,
-    decompose_two_form,
-    projections,
-    standard_structure,
-)
-from .residue import characteristic_density_form
 from .spectrum import (
     enumerate_levels,
     heat_trace,
@@ -210,7 +209,7 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
         s = standard_structure(kind)
         _check(out, f"{kind} eigenvalue table", s.eigenvalue_table == table, str(s.eigenvalue_table))
         p7, pbig = projections(s)
-        a = _integer_operator(s)
+        a = s.star_ext
         dim = a.shape[0]
         # P = N / den: P^2 = P iff N N = den N, and so on
         den, n7, nbig = p7.den, p7.numerator_matrix(), pbig.numerator_matrix()
@@ -290,7 +289,7 @@ def heat_suite(seed: int = 0, full: bool = True) -> List[CheckResult]:
     for s in (g2, sp7):
         norm = calibration_constant(s)
         _info(out, f"{s.kind} trace normalisation constant", repr(norm))
-        _check(out, f"{s.kind} normalisation is -2", norm == Scalar.of(-2), repr(norm))
+        _check(out, f"{s.kind} normalisation is -2", norm == TRACE_NORMALISATION, repr(norm))
         ratio = model_reduction_ratio(s)
         _info(
             out,
@@ -323,7 +322,7 @@ def heat_suite(seed: int = 0, full: bool = True) -> List[CheckResult]:
     block = CurvatureData(7, 1, {(1, 2, 1, 2): Fraction(1), (3, 4, 3, 4): Fraction(2)}, {})
     same = mehler_diag_trace(g2, block) == duhamel_density(g2, block)
     _check(out, "mehler = duhamel on block curvature", same)
-    inst = _instanton_curvature(g2)
+    inst = instanton_line_curvature(g2, base=(1, 2), scale=3)
     same = mehler_diag_trace(g2, inst) == duhamel_density(g2, inst)
     _check(out, "mehler = duhamel on rank-1 instanton F", same)
 
@@ -398,12 +397,6 @@ def _conjugate_bundle(cd: CurvatureData, u) -> CurvatureData:
     for key, m in cd.f_entries.items():
         new[key] = mat_mul(mat_conj_t(um), mat_mul(m, um))
     return CurvatureData(cd.n, cd.r, dict(cd.r_entries), new)
-
-
-def _instanton_curvature(g2) -> CurvatureData:
-    from .residue import instanton_line_curvature
-
-    return instanton_line_curvature(g2, base=(1, 2), scale=3)
 
 
 def _hermite_diag_sum(a: float, t: float, terms: int = 4000) -> float:

@@ -14,17 +14,13 @@ import pytest
 from specasym.exact import Scalar
 from specasym.exterior import popcount
 from specasym.filtration import trace_identity_sweep
-from specasym.heat import (
-    CurvatureData,
-    duhamel_density,
-    mehler_diag_trace,
-    oscillator_diag_kernel,
-    random_curvature,
-)
-from specasym.holonomy import standard_structure, structure_operator
+from specasym.heat import duhamel_density, mehler_diag_trace, oscillator_diag_kernel
+from specasym.holonomy import standard_structure
 from specasym.residue import (
+    CurvatureData,
     full_residue_report,
     instanton_line_curvature,
+    random_curvature,
     residue_value,
     sign_report,
     twisted_constant,
@@ -51,7 +47,7 @@ def test_criterion_01_eigenstructure():
         s = standard_structure(kind)
         assert s.eigenvalue_table == table
         # exact minimal-polynomial certificate
-        a = structure_operator(s)
+        a = s.star_ext.astype(object)
         dim = a.shape[0]
         eye = np.full((dim, dim), Fraction(0), dtype=object)
         for i in range(dim):

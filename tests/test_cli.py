@@ -318,6 +318,10 @@ _BAD_RESIDUE_INPUTS = {
     # file text with number literals json.dump cannot write
     "r-literal-long-exponent": '{"n": 7, "rank": 1, "R": [[1, 2, 3, 4, 1e-1000000]]}',
     "r-literal-5000-digits": '{"n": 7, "rank": 1, "R": [[1, 2, 3, 4, %s]]}' % ("7" * 5000),
+    # index ranges are checked by the CurvatureData constructor alone
+    "r-index-9": {"n": 7, "rank": 1, "R": [[1, 2, 3, 9, 1]]},
+    "f-index-repeated": {"n": 7, "rank": 1, "F": [[3, 3, [[[0, 1]]]]]},
+    "f-index-0": {"n": 7, "rank": 1, "F": [[0, 2, [[[0, 1]]]]]},
 }
 
 _BAD_ARGV = {
@@ -379,7 +383,7 @@ def test_residue_oracle_flat_bundle_is_independent_of_rank(tmp_path):
 ], ids=["g2-riemann-and-bundle", "spin7-bundle-only"])
 def test_residue_oracle_reads_stored_curvature_entries(tmp_path, capsys, monkeypatch, doc):
     """The residue pipeline never scans index quadruples through r_component."""
-    from specasym.heat import CurvatureData
+    from specasym.residue import CurvatureData
 
     def no_scan(self, i, j, k, l):
         raise AssertionError("r_component called on the residue path")
@@ -431,19 +435,26 @@ _CURVED_DOCS = {
 @pytest.mark.parametrize("kind", sorted(_CURVED_DOCS))
 def test_residue_oracle_builds_the_chern_weil_sums_once_per_curvature(
         tmp_path, capsys, monkeypatch, kind):
-    """characteristic_density_form and model_traces share one cached pass:
-    the input curvature is summed once, and so is the calibration family,
-    the only other curvature data a call builds."""
+    """A call builds one CurvatureData, the input's, and its constructor
+    runs each Chern-Weil sum once; characteristic_density_form and both
+    model traces read the stored sums, and the constant trace normalisation
+    needs no calibration data."""
     from specasym import cli, residue
 
-    seen, counts = [], {}
+    built, calls = [], []
+    real_init = residue.CurvatureData.__post_init__
+
+    def init_spy(self):
+        real_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(residue.CurvatureData, "__post_init__", init_spy)
     for name in ("_p1", "_chern"):
         real = getattr(residue, name)
 
-        def spy(cd, real=real, name=name):
-            seen.append(cd)  # keeps cd alive, so its id is not reused
-            counts[id(cd), name] = counts.get((id(cd), name), 0) + 1
-            return real(cd)
+        def spy(*args, real=real, name=name):
+            calls.append((len(built), name))  # the data under construction is built[len(built)]
+            return real(*args)
 
         monkeypatch.setattr(residue, name, spy)
     loaded = []
@@ -455,10 +466,8 @@ def test_residue_oracle_builds_the_chern_weil_sums_once_per_curvature(
     code, out, err = run_cli(capsys, "residue", "--kind", kind, "--input", path, "--oracle")
     assert code == 0, err
     assert json.loads(out)["oracle"]["relative_discrepancy"] == 0.0
-    (cd,) = loaded
-    assert counts[id(cd), "_p1"] == counts[id(cd), "_chern"] == 1
-    assert set(counts.values()) == {1}
-    assert len(counts) == 4  # the input data and the calibration family
+    assert built == loaded and len(built) == 1
+    assert calls == [(0, "_p1"), (0, "_chern")]
 
 
 _PIPE_ARGV = {

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm, mask_of, popcount
 from specasym.heat import (
-    CurvatureData,
-    CurvatureError,
+    TRACE_NORMALISATION,
     calibration_constant,
     curvature_exponential,
     duhamel_density,
@@ -32,19 +31,22 @@ from specasym.heat import (
     model_traces,
     oscillator_diag_kernel,
     q_matrix,
-    random_curvature,
     wick_kernel,
     wick_trace,
     _calibration_curvature,
     _log_x_over_sinh_series,
 )
-from specasym import heat
+from specasym import heat, residue
 from specasym.holonomy import InstantonReport, decompose_two_form, instanton_check, projections
 from specasym.residue import (
+    CurvatureData,
+    CurvatureError,
+    _chern,
     characteristic_density_form,
     chern_forms,
     instanton_line_curvature,
     pontryagin_p1,
+    random_curvature,
 )
 from specasym.wordops import WordOperator, mat_add, mat_eye, mat_scale, mat_zero
 
@@ -82,7 +84,7 @@ def test_bundle_curvature_must_be_skew_hermitian():
         CurvatureData(7, 1, {}, {(1, 2): ((Scalar.of(1),),)})
     z, a, b = Scalar(), Scalar.term(1, 2), Scalar.term(-1, 2)
     cd = CurvatureData(7, 2, {}, {(1, 2): ((Scalar.i(3), a), (b, z))})
-    assert cd._f_planes == {mask_of((1, 2)): ([0, 1, -1, 0], [3, 2, 2, 0])}
+    assert cd.f_planes == {mask_of((1, 2)): ([0, 1, -1, 0], [3, 2, 2, 0])}
     for bad in (((z, a), (a, z)), ((z, b), (b, z)), ((z, a), (-a, z))):
         with pytest.raises(CurvatureError, match="not skew-Hermitian"):
             CurvatureData(7, 2, {}, {(1, 2): bad})
@@ -94,8 +96,8 @@ def test_bundle_planes_share_one_denominator():
     cd = CurvatureData(7, 1, {}, {(1, 2): ((Scalar.i(Fraction(1, 2)),),),
                                   (3, 4): ((Scalar.i(Fraction(2, 3)),),),
                                   (5, 6): ((Scalar(),),)})
-    assert cd._f_den == 6
-    assert cd._f_planes == {mask_of((1, 2)): ([0], [3]), mask_of((3, 4)): ([0], [4])}
+    assert cd.f_den == 6
+    assert cd.f_planes == {mask_of((1, 2)): ([0], [3]), mask_of((3, 4)): ([0], [4])}
     assert set(cd.f_entries) == {(1, 2), (3, 4)}
 
 
@@ -296,42 +298,42 @@ def test_numerator_planes_equal_scalar_oracles(g2, spin7, kind, r, seed, instant
 
 def test_non_real_characteristic_coefficient_is_rejected():
     """The reality test reads the imaginary numerator sums; planes that are
-    not skew-Hermitian (the constructor refuses them) give non-real c1, c2."""
+    not skew-Hermitian (the constructor refuses them) give non-real c1, c2,
+    so the sum builder runs on such planes directly."""
+    m12, m34 = mask_of((1, 2)), mask_of((3, 4))
     cd = CurvatureData(7, 1, {}, {(1, 2): ((Scalar.i(),),), (3, 4): ((Scalar.i(2),),)})
-    cd._f_planes[mask_of((1, 2))] = ([1], [1])
-    for build in (chern_forms, characteristic_density_form):
-        with pytest.raises(ValueError, match="not real"):
-            build(cd)
-    # symmetric real parts: c1 stays real, tr(F12 F34) gets an imaginary part
-    cd = CurvatureData(7, 2)
-    cd._f_planes = {mask_of((1, 2)): ([0, 1, 1, 0], [0, 1, 1, 0]),
-                    mask_of((3, 4)): ([0, -1, -1, 0], [0, 1, 1, 0])}
+    planes = {m12: ([0], [1]), m34: ([0], [2])}
+    assert cd.f_planes == planes
+    assert _chern(1, 1, planes) == (cd.pi_c1, cd.pi2_c2, cd.pi2_bundle)
     with pytest.raises(ValueError, match="not real"):
-        chern_forms(cd)
+        _chern(1, 1, {**planes, m12: ([1], [1])})
+    # symmetric real parts: c1 stays real, tr(F12 F34) gets an imaginary part
+    with pytest.raises(ValueError, match="not real"):
+        _chern(2, 1, {m12: ([0, 1, 1, 0], [0, 1, 1, 0]), m34: ([0, -1, -1, 0], [0, 1, 1, 0])})
 
 
 def test_rank_only_input_builds_no_planes(g2, monkeypatch):
     """With no F entries nothing of size r (let alone r^2) is built: the
-    only numerator planes on the residue and density paths are those of
-    the rank-1 calibration data, and rank 10^6 gives what rank 1 gives."""
+    residue and density paths build no numerator plane at all, and rank
+    10^6 gives what rank 1 gives."""
     from specasym.residue import full_residue_report
 
     sizes = []
-    real = heat.numerator_planes
+    real = residue.numerator_planes
 
     def spy(values):
         sizes.append(len(values))
         return real(values)
 
-    monkeypatch.setattr(heat, "numerator_planes", spy)
+    monkeypatch.setattr(residue, "numerator_planes", spy)
     results = []
     for r in (1, 10 ** 6):
         cd = CurvatureData(7, r)
         report = full_residue_report(g2, cd, twisted=True)
-        results.append((repr(report.density), report.instanton, cd._f_planes,
+        results.append((repr(report.density), report.instanton, cd.f_planes,
                         mehler_diag_trace(g2, cd), duhamel_density(g2, cd)))
     assert results[0] == results[1]
-    assert max(sizes, default=0) < 100
+    assert not sizes
 
 
 def test_riemann_only_input_builds_nothing_of_rank_size(g2, spin7, monkeypatch):
@@ -341,13 +343,13 @@ def test_riemann_only_input_builds_nothing_of_rank_size(g2, spin7, monkeypatch):
     from specasym.residue import full_residue_report
 
     sizes = []
-    real = heat.numerator_planes
+    real = residue.numerator_planes
 
     def spy(values):
         sizes.append(len(values))
         return real(values)
 
-    monkeypatch.setattr(heat, "numerator_planes", spy)
+    monkeypatch.setattr(residue, "numerator_planes", spy)
     r_entries = {(1, 2, 4, 5): Fraction(1, 2), (1, 2, 6, 7): Fraction(-2)}
     for s in (g2, spin7):
         one, big = (CurvatureData(s.n, r, r_entries) for r in (1, 400))
@@ -662,12 +664,12 @@ def test_model_traces_equal_traces_of_the_full_potential(n, case):
 
 @pytest.mark.parametrize("kind", ["g2", "spin7"])
 def test_densities_build_no_word_operator(kind, monkeypatch):
-    """Both densities, the calibration included, run on the Chern-Weil
-    pair sums alone: with WordOperator unconstructible they still agree on
+    """Both densities run on the Chern-Weil pair sums and the constant
+    trace normalisation alone: with WordOperator unconstructible they still agree on
     a rank-2 input with Riemann and bundle entries."""
     from specasym.holonomy import standard_structure
 
-    s = standard_structure(kind)  # a fresh structure, so nothing is cached
+    s = standard_structure(kind)
     cd = _sparse_curvature(s.n, 2)
 
     def no_build(self, *args, **kwargs):
@@ -738,8 +740,10 @@ def test_extract_t_coefficient():
 
 
 def test_calibration_constants(g2, spin7):
-    assert calibration_constant(g2) == Scalar.of(-2)
-    assert calibration_constant(spin7) == Scalar.of(-2)
+    """The measured normalisation is the constant the densities multiply by."""
+    assert TRACE_NORMALISATION == Scalar.of(-2)
+    assert calibration_constant(g2) == TRACE_NORMALISATION
+    assert calibration_constant(spin7) == TRACE_NORMALISATION
 
 
 def test_pipeline_matches_characteristic_density_bundle_sector(g2, spin7):
@@ -780,9 +784,8 @@ def test_quadratic_scaling(g2):
 
 @pytest.mark.parametrize("kind", ["g2", "spin7"])
 def test_scaled_copy_does_not_share_the_chern_weil_cache(kind):
-    """The sums are cached per CurvatureData: a scaled copy, built after the
-    original's caches are full, still gives 9 times everything at residue
-    order."""
+    """The sums are fields built with each CurvatureData: a scaled copy
+    holds its own, and gives 9 times everything at residue order."""
     from specasym.holonomy import standard_structure
     from specasym.residue import full_residue_report
 
@@ -791,9 +794,8 @@ def test_scaled_copy_does_not_share_the_chern_weil_cache(kind):
     p = Fraction(-s.degree, 2)
     base = (full_residue_report(s, cd).residue, mehler_diag_trace(s, cd).t_coefficient(p),
             duhamel_density(s, cd).t_coefficient(p))
-    assert cd._chern_weil is not None and cd._traces is not None
     big = cd.scaled(3)
-    assert big._chern_weil is None and big._traces is None
+    assert big.pi2_p1 == {m: 9 * x for m, x in cd.pi2_p1.items()}
     scaled = (full_residue_report(s, big).residue, mehler_diag_trace(s, big).t_coefficient(p),
               duhamel_density(s, big).t_coefficient(p))
     assert not base[0].is_zero()

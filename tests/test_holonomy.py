@@ -7,7 +7,6 @@ import pytest
 from specasym import exterior, holonomy, verify
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm
-from specasym.heat import CurvatureData
 from specasym.holonomy import (
     StructureValidationError,
     _eig_validate,
@@ -16,10 +15,14 @@ from specasym.holonomy import (
     projections,
     standard_structure,
     star_ext_on_two_forms,
-    structure_operator,
     two_form_basis,
 )
-from specasym.residue import instanton_line_curvature
+from specasym.residue import CurvatureData, instanton_line_curvature
+
+
+def _fraction_operator(s):
+    """The stored integer matrix of *e(w) as an object array of Fractions."""
+    return np.array([[Fraction(v) for v in row] for row in s.star_ext.tolist()], dtype=object)
 
 
 def test_g2_structure(g2):
@@ -44,7 +47,7 @@ def test_star_ext_image_of_e12(g2):
 
 def test_minimal_polynomials(g2, spin7):
     for s, plus in ((g2, 2), (spin7, 3)):
-        a = structure_operator(s)
+        a = _fraction_operator(s)
         dim = a.shape[0]
         eye = np.full((dim, dim), Fraction(0), dtype=object)
         for i in range(dim):
@@ -139,7 +142,7 @@ def test_star_ext_matrix_symmetry(g2):
 
 def test_eig_validate_rejects_broken_operators(g2, spin7):
     for s, plus in ((g2, 2), (spin7, 3)):
-        a = structure_operator(s)
+        a = _fraction_operator(s)
         assert _eig_validate(a, plus) == s.eigenvalue_table
         i, j = next((i, j) for i in range(a.shape[0]) for j in range(i) if a[i, j])
         broken = a.copy()
@@ -219,9 +222,9 @@ def _outcome(fn, mat, plus):
 def test_integer_structure_matches_fraction_oracles(g2, spin7):
     rnd = random.Random(4)
     for s in (g2, spin7):
-        a = structure_operator(s)
-        assert (a == star_ext_on_two_forms(s.defining_form, s.n)).all()
-        assert all(type(v) is Fraction for v in a.flat)
+        assert s.star_ext.dtype == np.int64
+        assert (s.star_ext == star_ext_on_two_forms(s.defining_form, s.n)).all()
+        a = _fraction_operator(s)
         ints = np.array(a.tolist(), dtype=np.int64)
         for _ in range(20):
             # entries moved by small integers, symmetric or not

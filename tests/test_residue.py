@@ -4,15 +4,16 @@ import pytest
 
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm
-from specasym.heat import CurvatureData, random_curvature
 from specasym.holonomy import decompose_two_form
 from specasym.residue import (
+    CurvatureData,
     chern_forms,
     characteristic_density_form,
     full_residue_report,
     gamma_pole_factor,
     instanton_line_curvature,
     pontryagin_p1,
+    random_curvature,
     residue_density,
     residue_value,
     sign_report,
@@ -75,6 +76,21 @@ def test_chern_rank_one_line():
 
 def test_residue_density_flat(g2):
     assert residue_density(g2, CurvatureData(7, 1)).is_zero()
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+@pytest.mark.parametrize("riemann,bundle", [(True, False), (False, True), (True, True)],
+                         ids=["riemann", "bundle", "both"])
+def test_residue_density_is_the_top_part_of_the_wedge(g2, spin7, kind, riemann, bundle):
+    """The density reads only the dvol coefficient of w ^ ((1/3) p1 + c1^2 - c2);
+    it equals the whole wedge, exactly and in its repr."""
+    s = g2 if kind == "g2" else spin7
+    for r, seed in ((1, 30), (2, 31)):
+        cd = random_curvature(s.n, r, seed=seed, with_riemann=riemann, with_bundle=bundle)
+        want = s.defining_form.wedge(characteristic_density_form(cd))
+        got = residue_density(s, cd)
+        assert not want.is_zero()
+        assert got == want and repr(got) == repr(want)
 
 
 def test_residue_density_instanton_line(g2):

@@ -107,7 +107,8 @@ def test_projection_checks_fail_on_a_changed_entry(monkeypatch, kind):
 
 def test_trace_path_check_fails_on_a_flipped_join_sign(monkeypatch):
     """A sign error in tr V^2 reaches the Mehler and the Duhamel density
-    alike, so only the full-kernel check can see it."""
+    alike, so they still agree; the full-kernel check sees it, and so does
+    the measured normalisation against the constant -2."""
     from specasym import heat
 
     traces = heat.model_traces
@@ -120,4 +121,6 @@ def test_trace_path_check_fails_on_a_flipped_join_sign(monkeypatch):
     status = _statuses(verify.heat_suite(0, full=False))
     name = "trace-aware Duhamel trace equals the form trace of the full Duhamel kernel"
     assert status[name] == "fail"
+    assert status["g2 normalisation is -2"] == "fail"
+    assert status["spin7 normalisation is -2"] == "fail"
     assert status["mehler = duhamel through t^2 (n=7, r=1, seed 3)"] == "pass"

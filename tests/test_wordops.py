@@ -5,7 +5,8 @@ import pytest
 
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm, FiberOp, popcount
-from specasym.heat import model_constant_potential, random_curvature
+from specasym.heat import model_constant_potential
+from specasym.residue import random_curvature
 from specasym.wordops import (
     WordOperator,
     cdvol_ext_trace_dense,

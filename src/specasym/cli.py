@@ -15,7 +15,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import pi
 
 from .exact import Scalar
 from .exterior import DiffForm, indices_of, parse_form

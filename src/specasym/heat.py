@@ -42,8 +42,9 @@ still measures target / route on that family, and the heat suite checks
 that it reads -2, so a wrong model trace fails a check.
 
 ``landau_kernel`` runs the same Wick engine on the *untruncated* flat
-operator with constant bundle curvature; it anchors the one free trace
-normalisation and feeds the reporting around the model reduction.
+operator with constant bundle curvature; it only feeds
+``model_reduction_ratio``, the reported (not asserted) untruncated /
+model ratios 1/16 (G2) and 1/32 (Spin(7)).
 """
 
 from __future__ import annotations

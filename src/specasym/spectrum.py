@@ -4,11 +4,15 @@ Eigenvalues on the unit torus R^n/Z^n twisted by a flat line bundle with
 holonomy angles theta are 4 pi^2 q with q = |k + theta|^2; the 2-form
 fiber splits pointwise into the 7-part and its complement, so each level
 carries multiplicities 7 c and 14 c (n = 7) or 21 c (n = 8), c the number
-of lattice points on it.  Every level set, twisted or not, comes from one
-exact convolution over the coordinates' 1-D level sets {(k + theta_j)^2},
-run on integers after scaling by the square of the common denominator of
-theta.  A literal lattice scan (``lattice_scan``) is kept only as the
-oracle for ``verify`` and the tests.
+of lattice points on it.  Every level set, twisted or not, is counted
+exactly in two parts.  The untwisted coordinates (theta_j = 0) share the
+line {k^2}, so their block is the dense theta-series power r_k(q) on numpy
+(int64 while the box bound allows, Python ints past it).  Its levels,
+scaled by the square d^2 of the common denominator of theta, seed a
+sparse integer convolution over the twisted coordinates' 1-D level sets
+{(d k + a_j)^2}; nothing dense is built on the d^2 scale.  A literal
+lattice scan (``lattice_scan``) is kept only as the oracle for ``verify``
+and the tests.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, gamma, isqrt, lcm, pi, sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 TWO_FORM_FIBER = {7: 21, 8: 28}
@@ -54,19 +60,44 @@ class SpectralLevel:
         return self.weight("delta")
 
 
+def _square_counts(k: int, q_max: int) -> np.ndarray:
+    """r_k(q) for q = 0..q_max: the k-th power of the theta series sum_m x^(m^2).
+
+    Each of the k passes adds the shifted copies 2 r(q - m^2), m >= 1, to
+    the m = 0 copy.  No count exceeds the (2 isqrt(q_max) + 1)^k points of
+    the box, so int64 is exact below 2^63; past that the array holds
+    Python ints (dtype object), through the same code.
+    """
+    r = isqrt(q_max)
+    counts = np.zeros(q_max + 1, dtype=np.int64 if (2 * r + 1) ** k < 2 ** 63 else object)
+    counts[0] = 1
+    for _ in range(k):
+        new = counts.copy()
+        for m in range(1, r + 1):
+            new[m * m:] += 2 * counts[:q_max + 1 - m * m]
+        counts = new
+    return counts
+
+
 def _lattice_counts(theta: Sequence[Fraction], q_max: int) -> Tuple[int, Dict[int, int]]:
     """(d, {d^2 |k + theta|^2: number of k}) over k in Z^n with |k + theta|^2 <= q_max.
 
     d is the lcm of the denominators of theta, so with theta_j = a_j / d
-    every 1-D level (d k + a_j)^2 is an integer.  The counts are convolved
-    one coordinate at a time with that coordinate's 1-D level set.
+    every 1-D level (d k + a_j)^2 is an integer.  The untwisted coordinates
+    (theta_j = 0) all share the line {k^2}, so their block is the dense
+    theta-series power ``_square_counts``; its levels, scaled by d^2 in
+    Python ints, seed a sparse dict that is convolved one twisted
+    coordinate at a time with that coordinate's 1-D level set.  Nothing
+    dense is built on the d^2 scale.
     """
     theta = [Fraction(t) for t in theta]
     d = lcm(*(t.denominator for t in theta))
     bound = d * d * q_max
     r = isqrt(bound)
-    counts = {0: 1}
-    for t in theta:
+    twisted = [t for t in theta if t]
+    square = _square_counts(len(theta) - len(twisted), q_max).tolist()
+    counts = {d * d * q: c for q, c in enumerate(square) if c}
+    for t in twisted:
         a = t.numerator * (d // t.denominator)
         line: Dict[int, int] = {}
         for m in range(a - (a + r) // d * d, r + 1, d):   # m = d k + a, |m| <= r
@@ -83,9 +114,8 @@ def _lattice_counts(theta: Sequence[Fraction], q_max: int) -> Tuple[int, Dict[in
 
 
 def shell_counts(n: int, q_max: int) -> List[int]:
-    """r_n(q) for q = 0..q_max by per-dimension convolution (exact ints)."""
-    _, counts = _lattice_counts((0,) * n, q_max)
-    return [counts.get(q, 0) for q in range(q_max + 1)]
+    """r_n(q) for q = 0..q_max, the theta-series power (exact ints)."""
+    return _square_counts(n, q_max).tolist()
 
 
 def lattice_scan(theta: Sequence[Fraction], q_max: int) -> Dict[Fraction, int]:
@@ -193,13 +223,16 @@ def zeta_partial(
     total = 0.0
     q_top = 0.0
     for lv in levels:
+        # q_top feeds only the tail, whose nonzero fiber weight leaves no
+        # level with weight 0, so skipping those levels changes no float
+        w = lv.weight(which)
+        if not w:
+            continue
         lam = lv.eigenvalue
         if cutoff is not None and lam > cutoff:
             continue
         q_top = max(q_top, float(lv.q))
-        w = lv.weight(which)
-        if w:
-            total += w * lam ** (-s)
+        total += w * lam ** (-s)
     # the weight of a single lattice point: 7, 14 or 21, and 0 for 'delta'
     fiber = _spectral_levels(n, 1, [(1, 1)])[0].weight(which)
     if fiber and s > n / 2:

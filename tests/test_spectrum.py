@@ -1,12 +1,15 @@
 import csv
 import os
+import tracemalloc
 from fractions import Fraction
 from math import pi
 
+import numpy as np
 import pytest
 
 from specasym.spectrum import (
     CSV_HEADER,
+    _square_counts,
     counting_functions,
     enumerate_levels,
     heat_trace,
@@ -27,6 +30,45 @@ def test_shell_counts_against_bruteforce():
     for n in (2, 3, 7):
         q = 10 if n < 7 else 6
         assert shell_counts(n, q) == shell_counts_bruteforce(n, q)
+
+
+def _divisors(q):
+    return [d for d in range(1, q + 1) if q % d == 0]
+
+
+def _r4(q):
+    """Jacobi's four-square theorem: r_4(q) = 8 sum_{d | q, 4 !| d} d."""
+    return 1 if q == 0 else 8 * sum(d for d in _divisors(q) if d % 4)
+
+
+def _r8(q):
+    """Jacobi's eight-square theorem: r_8(q) = 16 sum_{d | q} (-1)^(q+d) d^3."""
+    return 1 if q == 0 else 16 * sum((-1) ** (q + d) * d ** 3 for d in _divisors(q))
+
+
+def test_four_square_counts_are_jacobis():
+    q_max = 2000
+    assert _square_counts(4, q_max).tolist() == [_r4(q) for q in range(q_max + 1)]
+
+
+def test_eight_square_counts_are_jacobis():
+    assert shell_counts(8, 1000) == [_r8(q) for q in range(1001)]
+    # the first q_max whose box (2 isqrt(q_max) + 1)^8 passes 2^63
+    q_max = 13689
+    assert _square_counts(8, q_max - 1).dtype == np.int64
+    assert _square_counts(8, q_max).dtype == object
+    assert shell_counts(8, q_max)[-50:] == [_r8(q) for q in range(q_max - 49, q_max + 1)]
+
+
+def test_square_counts_past_int64_are_exact():
+    # r_64 = (r_8)^8 as a convolution power of Jacobi's counts in Python ints
+    q_max = 40
+    r8 = [_r8(q) for q in range(q_max + 1)]
+    r64 = [1] + [0] * q_max
+    for _ in range(8):
+        r64 = [sum(r64[j] * r8[q - j] for j in range(q + 1)) for q in range(q_max + 1)]
+    assert max(r64) >= 2 ** 63
+    assert _square_counts(64, q_max).tolist() == r64
 
 
 def test_first_levels():
@@ -157,6 +199,20 @@ def test_twisted_levels_match_lattice_scan(n, q_max, theta):
         assert isinstance(lv.q, Fraction) and lv.n == n
         big = 21 if n == 8 else 14
         assert (lv.mult_7, lv.mult_big) == (7 * lv.lattice_count, big * lv.lattice_count)
+
+
+def test_huge_twist_denominator_stays_sparse():
+    # d = 10^10: a dense table on the d^2 scale would need 5 * 10^20 cells
+    theta = (F(1, 10 ** 10),) + (0,) * 6
+    tracemalloc.start()
+    try:
+        levels = twisted_levels(7, theta, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scan = sorted((q, c) for q, c in lattice_scan(theta, 5).items() if q)
+    assert [(lv.q, lv.lattice_count) for lv in levels] == scan
+    assert peak < 5 * 2 ** 20
 
 
 def test_spectrum_input_errors():

@@ -1,72 +1,96 @@
 """Exterior/Clifford algebra, G2 and Spin(7) 2-form decompositions,
 model heat kernels with a Duhamel oracle, Chern-Weil zeta residues, and
-flat-torus spectral asymmetry bookkeeping."""
+flat-torus spectral asymmetry bookkeeping.
 
-from .exact import Scalar
-from .exterior import (
-    DiffForm,
-    FiberOp,
-    MultiIndex,
-    cliff_hat_op,
-    cliff_op,
-    ext_op,
-    hodge_star,
-    parse_form,
-    wedge,
-    word_op,
-)
-from .filtration import (
-    CliffordWordExpansion,
-    clifford_degrees,
-    expand_clifford_basis,
-    word_trace,
-)
-from .heat import (
-    curvature_exponential,
-    duhamel_diag_trace,
-    duhamel_density,
-    extract_t_coefficient,
-    landau_kernel,
-    mehler_det_factor,
-    mehler_diag_trace,
-    mehler_kernel,
-    mehler_trace_degree4,
-    duhamel_kernel,
-    oscillator_diag_kernel,
-    q_matrix,
-)
-from .holonomy import (
-    HolonomyStructure,
-    Projection,
-    decompose_two_form,
-    instanton_check,
-    projections,
-    standard_structure,
-    star_ext_on_two_forms,
-)
-from .residue import (
-    CurvatureData,
-    CurvatureError,
-    ResidueReport,
-    chern_forms,
-    full_residue_report,
-    pontryagin_p1,
-    random_curvature,
-    residue_density,
-    report_sign,
-    residue_value,
-    sign_report,
-)
-from .spectrum import (
-    SpectralLevel,
-    counting_functions,
-    enumerate_levels,
-    heat_trace,
-    mellin_equivalence,
-    twisted_levels,
-    write_levels_csv,
-    zeta_partial,
-)
-from .wordops import WordOperator
+The names below are exported lazily (PEP 562): ``import specasym`` loads
+no submodule, and each name imports its module on first access.  So
+``import specasym.heat`` or ``import specasym.cli`` pays only for the
+modules it uses, and numpy loads only with ``filtration``, ``verify``,
+the flat-torus level counts or a dense view (``FiberOp``, the matrices
+of ``holonomy``).
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "exact": ("Scalar",),
+    "exterior": (
+        "DiffForm",
+        "FiberOp",
+        "MultiIndex",
+        "cliff_hat_op",
+        "cliff_op",
+        "ext_op",
+        "hodge_star",
+        "parse_form",
+        "wedge",
+        "word_op",
+    ),
+    "filtration": (
+        "CliffordWordExpansion",
+        "clifford_degrees",
+        "expand_clifford_basis",
+        "word_trace",
+    ),
+    "heat": (
+        "curvature_exponential",
+        "duhamel_diag_trace",
+        "duhamel_density",
+        "extract_t_coefficient",
+        "landau_kernel",
+        "mehler_det_factor",
+        "mehler_diag_trace",
+        "mehler_kernel",
+        "mehler_trace_degree4",
+        "duhamel_kernel",
+        "oscillator_diag_kernel",
+        "q_matrix",
+    ),
+    "holonomy": (
+        "HolonomyStructure",
+        "Projection",
+        "decompose_two_form",
+        "instanton_check",
+        "projections",
+        "standard_structure",
+        "star_ext_on_two_forms",
+    ),
+    "residue": (
+        "CurvatureData",
+        "CurvatureError",
+        "ResidueReport",
+        "chern_forms",
+        "full_residue_report",
+        "pontryagin_p1",
+        "random_curvature",
+        "residue_density",
+        "report_sign",
+        "residue_value",
+        "sign_report",
+    ),
+    "spectrum": (
+        "SpectralLevel",
+        "counting_functions",
+        "enumerate_levels",
+        "heat_trace",
+        "mellin_equivalence",
+        "twisted_levels",
+        "write_levels_csv",
+        "zeta_partial",
+    ),
+    "wordops": ("WordOperator",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -27,7 +27,6 @@ from .spectrum import (
     write_levels_csv,
     zeta_partial,
 )
-from .verify import run_suites
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -186,6 +185,9 @@ def load_curvature(path: str) -> CurvatureData:
 # ----------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    # verify (and numpy, through filtration) loads only for this command
+    from .verify import run_suites
+
     if args.seed < 0:
         print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_INPUT

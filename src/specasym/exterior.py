@@ -12,11 +12,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
 from .exact import Scalar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # the zero every FiberOp starts from; sharing one object lets list
 # comparison skip untouched entries by identity
@@ -57,15 +58,14 @@ def merge_sign(m1: int, m2: int) -> int:
 
     Zero overlap is assumed; returns +1 or -1.
     """
-    sign = 1
-    m = m2
-    while m:
-        b = m & -m
-        # elements of m1 strictly greater than this index
-        if popcount(m1 & ~(b | (b - 1))) & 1:
-            sign = -sign
-        m &= m - 1
-    return sign
+    # the elements of m1 above each index of m2, XOR-accumulated: the
+    # popcount parity of a XOR is the parity of the summed popcounts
+    above = 0
+    while m2:
+        b = m2 & -m2
+        above ^= m1 & -(b << 1)
+        m2 ^= b
+    return -1 if popcount(above) & 1 else 1
 
 
 def hodge_sign(mask: int, n: int) -> int:
@@ -436,7 +436,9 @@ class FiberOp:
     """Dense endomorphism of Lambda*(R^n) (x) C^r.
 
     Basis: subsets in tuple-lex order tensor the standard C^r basis;
-    entry index = subset_position * r + bundle_index.
+    entry index = subset_position * r + bundle_index.  ``mat`` is a numpy
+    object array; numpy is imported in ``zeros``, which every constructor
+    goes through, so code that builds no FiberOp never loads it.
     """
 
     __slots__ = ("n", "r", "mat")
@@ -453,6 +455,8 @@ class FiberOp:
 
     @staticmethod
     def zeros(n: int, r: int = 1) -> "FiberOp":
+        import numpy as np
+
         dim = (1 << n) * r
         return FiberOp(n, r, np.full((dim, dim), _ZERO, dtype=object))
 

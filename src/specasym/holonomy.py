@@ -5,30 +5,34 @@ built in fixed coordinates and then self-validated: the operator
 a |-> *(w ^ a) on 2-forms must be symmetric with spectrum {+2 x7, -1 x14}
 (G2) or {+3 x7, -1 x21} (Spin(7)), and the Cayley form must be self-dual;
 a structure that fails raises StructureValidationError.  The operator is
-an integer matrix from the one sign table ``exterior.star_ext_entries``, and
-validation is one exact integer matrix product; the projections keep
-their nonzero integer entries as sparse rows over plus + 1.  A structure
-is built whole: ``standard_structure`` stores the validated operator and
-both projections as fields, and nothing is filled in later.
+held as sparse integer rows from the one sign table
+``exterior.star_ext_entries``, and validation is exact sparse row
+products; the projections keep their nonzero integer entries as sparse
+rows over plus + 1, derived from the same rows.  A structure is built
+whole: ``standard_structure`` stores the validated rows and both
+projections as fields, and nothing is filled in later.  No numpy is
+needed to build or use a structure; only the dense views (``star_ext``,
+``Projection.numerator_matrix``, ``Projection.matrix`` and the oracle
+``star_ext_on_two_forms``) import it, when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .exact import Scalar, lift_planes, numerator_planes
 from .exterior import (
     _ZERO,
     DiffForm,
-    indices_of,
     mask_of,
     popcount,
     star_ext_entries,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 G2 = "g2"
 SPIN7 = "spin7"
@@ -43,6 +47,11 @@ _PHI_TERMS = {
     (3, 5, 6): -1,
 }
 
+# sparse integer rows over the 2-form basis: (mask, [(mask, value)]) for
+# every basis mask in order, each row holding its nonzero entries in
+# basis order
+Rows = List[Tuple[int, List[Tuple[int, int]]]]
+
 
 class StructureValidationError(RuntimeError):
     """The structure form failed a validation check."""
@@ -50,11 +59,19 @@ class StructureValidationError(RuntimeError):
 
 def two_form_basis(n: int) -> List[int]:
     """Masks of e^{ij}, i<j, ordered lexicographically."""
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(mask_of((i, j)))
-    return sorted(out, key=indices_of)
+    return [(1 << (i - 1)) | (1 << (j - 1)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def _dense(n: int, rows: Rows) -> np.ndarray:
+    """Dense int64 array of sparse rows over the 2-form basis."""
+    import numpy as np
+
+    pos = {m: i for i, m in enumerate(two_form_basis(n))}
+    mat = np.zeros((len(pos), len(pos)), dtype=np.int64)
+    for m, row in rows:
+        for mj, v in row:
+            mat[pos[m], pos[mj]] = v
+    return mat
 
 
 @dataclass
@@ -65,20 +82,17 @@ class Projection:
     target: str  # "7", "14" or "21"
     n: int
     den: int
-    rows: List[Tuple[int, List[Tuple[int, int]]]]  # (mask, [(mask, numerator)]), nonzero
+    rows: Rows
 
     def numerator_matrix(self) -> np.ndarray:
         """Dense int64 array of the numerators over the 2-form basis."""
-        pos = {m: i for i, m in enumerate(two_form_basis(self.n))}
-        mat = np.zeros((len(pos), len(pos)), dtype=np.int64)
-        for m, row in self.rows:
-            for mj, v in row:
-                mat[pos[m], pos[mj]] = v
-        return mat
+        return _dense(self.n, self.rows)
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense object array of Fractions over the 2-form basis."""
+        import numpy as np
+
         return np.array([[Fraction(v, self.den) if v else _ZERO for v in row]
                          for row in self.numerator_matrix().tolist()], dtype=object)
 
@@ -110,14 +124,15 @@ class Projection:
 @dataclass
 class HolonomyStructure:
     """Validated G2 or Spin(7) model fiber data, built whole by
-    ``standard_structure``: ``star_ext`` is the validated integer matrix of
-    *e(w) on the 2-form fiber and ``projection_pair`` is (P_7, P_big)."""
+    ``standard_structure``: ``star_ext_rows`` are the validated integer
+    rows of *e(w) on the 2-form fiber and ``projection_pair`` is
+    (P_7, P_big)."""
 
     kind: str
     n: int
     defining_form: DiffForm
     eigenvalue_table: List[Tuple[int, int]]
-    star_ext: np.ndarray = field(repr=False, compare=False)
+    star_ext_rows: Rows = field(repr=False, compare=False)
     projection_pair: Tuple[Projection, Projection] = field(repr=False, compare=False)
 
     @property
@@ -128,10 +143,17 @@ class HolonomyStructure:
     def plus_eigenvalue(self) -> int:
         return 2 if self.kind == G2 else 3
 
+    @property
+    def star_ext(self) -> np.ndarray:
+        """Dense int64 array of *e(w) over the 2-form basis."""
+        return _dense(self.n, self.star_ext_rows)
+
 
 def star_ext_on_two_forms(w: DiffForm, n: int) -> np.ndarray:
     """Matrix of alpha |-> *(w ^ alpha) on the 2-form fiber, from whole-form
-    wedges and Hodge stars (the oracle of ``_star_ext_integers``)."""
+    wedges and Hodge stars (the oracle of ``_star_ext_rows``)."""
+    import numpy as np
+
     basis = two_form_basis(n)
     pos = {m: i for i, m in enumerate(basis)}
     dim = len(basis)
@@ -146,36 +168,59 @@ def star_ext_on_two_forms(w: DiffForm, n: int) -> np.ndarray:
     return mat
 
 
-def _star_ext_integers(form: DiffForm) -> np.ndarray:
-    """Integer matrix of alpha |-> *(w ^ alpha) on the 2-form fiber, from
-    ``star_ext_entries``.  The coefficients of ``form`` must be integers, as
-    those of every candidate structure form are."""
+def _star_ext_rows(form: DiffForm) -> List[Dict[int, int]]:
+    """Integer rows of alpha |-> *(w ^ alpha) on the 2-form fiber, grouped
+    once from ``star_ext_entries``: row i is {j: value} over positions in
+    ``two_form_basis``.  The sources are visited in basis order, so each
+    row holds its columns in increasing order.  The coefficients of
+    ``form`` must be integers, as those of every candidate structure form
+    are."""
     if any(int(c) != c for c in form.terms.values()):
         raise ValueError("structure forms must have integer coefficients")
     basis = two_form_basis(form.n)
     pos = {m: i for i, m in enumerate(basis)}
     w = DiffForm(form.n, {k: int(c) for k, c in form.terms.items()})
-    mat = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    rows: List[Dict[int, int]] = [{} for _ in basis]
     for (t, b), v in star_ext_entries(w, basis).items():
         if t not in pos:
             raise ValueError("star-wedge image is not a 2-form")
-        mat[pos[t], pos[b]] = v
-    return mat
+        rows[pos[t]][pos[b]] = v
+    return rows
 
 
-def _eig_validate(mat: np.ndarray, plus: int) -> List[Tuple[int, int]]:
-    """Check (A - plus)(A + 1) = 0 exactly as one matrix product, then the
-    trace split, and return the eigenvalue table.  ``mat`` is an integer
-    array or an object array of exact values."""
-    dim = mat.shape[0]
-    eye = np.eye(dim, dtype=mat.dtype)
-    if np.dot(mat - plus * eye, mat + eye).any():
-        raise StructureValidationError("minimal polynomial check failed")
-    m_plus = Fraction(sum(mat.diagonal().tolist()) + dim, plus + 1)
+def _eig_validate(rows: List[Dict[int, int]], plus: int) -> List[Tuple[int, int]]:
+    """Check (A - plus)(A + 1) = 0 exactly, as A^2 = (plus - 1) A + plus Id
+    on every sparse row, then the trace split, and return the eigenvalue
+    table.  ``rows`` holds every row of A as {column: value}, with integer
+    or other exact values."""
+    dim = len(rows)
+    for i, row in enumerate(rows):
+        acc = {j: (1 - plus) * v for j, v in row.items()}
+        acc[i] = acc.get(i, 0) - plus
+        for k, a in row.items():
+            for j, b in rows[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        if any(acc.values()):
+            raise StructureValidationError("minimal polynomial check failed")
+    m_plus = Fraction(sum(row.get(i, 0) for i, row in enumerate(rows)) + dim, plus + 1)
     if m_plus.denominator != 1 or not (0 < m_plus < dim):
         raise StructureValidationError("trace does not split the fiber")
     m_plus = int(m_plus)
     return [(plus, m_plus), (-1, dim - m_plus)]
+
+
+def _mask_rows(basis: List[int], rows: List[Dict[int, int]], sign: int, shift: int) -> Rows:
+    """The nonzero entries of sign * A + shift * Id as mask rows, each in
+    basis order: the diagonal goes between the columns below and above it."""
+    out = []
+    for i, row in enumerate(rows):
+        entries = [(basis[j], sign * v) for j, v in row.items() if j < i]
+        diag = sign * row.get(i, 0) + shift
+        if diag:
+            entries.append((basis[i], diag))
+        entries += [(basis[j], sign * v) for j, v in row.items() if j > i]
+        out.append((basis[i], entries))
+    return out
 
 
 def standard_structure(kind: str) -> HolonomyStructure:
@@ -191,22 +236,16 @@ def standard_structure(kind: str) -> HolonomyStructure:
         )
         if form.hodge() != form:
             raise StructureValidationError("Cayley form is not self-dual")
-    mat = _star_ext_integers(form)
-    if (mat != mat.T).any():
+    rows = _star_ext_rows(form)
+    if any(rows[j].get(i) != v for i, row in enumerate(rows) for j, v in row.items()):
         raise StructureValidationError("star-wedge operator is not symmetric")
-    table = _eig_validate(mat, plus)
+    table = _eig_validate(rows, plus)
     if table != [(plus, 7), (-1, big)]:
         raise StructureValidationError(f"wrong multiplicities {table}")
     basis = two_form_basis(n)
-    eye = np.eye(len(basis), dtype=np.int64)
-    pair = tuple(
-        Projection(label, n, plus + 1, [
-            (basis[i], [(basis[j], v) for j, v in enumerate(row) if v])
-            for i, row in enumerate(nums.tolist())
-        ])
-        for label, nums in (("7", mat + eye), (str(big), plus * eye - mat))
-    )
-    return HolonomyStructure(kind, n, form, table, mat, pair)
+    pair = (Projection("7", n, plus + 1, _mask_rows(basis, rows, 1, 1)),
+            Projection(str(big), n, plus + 1, _mask_rows(basis, rows, -1, plus)))
+    return HolonomyStructure(kind, n, form, table, _mask_rows(basis, rows, 1, 0), pair)
 
 
 def projections(s: HolonomyStructure) -> Tuple[Projection, Projection]:

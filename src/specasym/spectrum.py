@@ -21,9 +21,10 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, gamma, isqrt, lcm, pi, sqrt
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 TWO_FORM_FIBER = {7: 21, 8: 28}
@@ -66,8 +67,11 @@ def _square_counts(k: int, q_max: int) -> np.ndarray:
     Each of the k passes adds the shifted copies 2 r(q - m^2), m >= 1, to
     the m = 0 copy.  No count exceeds the (2 isqrt(q_max) + 1)^k points of
     the box, so int64 is exact below 2^63; past that the array holds
-    Python ints (dtype object), through the same code.
+    Python ints (dtype object), through the same code.  numpy is imported
+    here, so only a spectrum call loads it.
     """
+    import numpy as np
+
     r = isqrt(q_max)
     counts = np.zeros(q_max + 1, dtype=np.int64 if (2 * r + 1) ** k < 2 ** 63 else object)
     counts[0] = 1

@@ -209,6 +209,7 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
         s = standard_structure(kind)
         _check(out, f"{kind} eigenvalue table", s.eigenvalue_table == table, str(s.eigenvalue_table))
         p7, pbig = projections(s)
+        # dense int64 views of the stored integer rows of A, P7 and Pbig
         a = s.star_ext
         dim = a.shape[0]
         # P = N / den: P^2 = P iff N N = den N, and so on

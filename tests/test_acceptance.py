@@ -15,7 +15,7 @@ from specasym.exact import Scalar
 from specasym.exterior import popcount
 from specasym.filtration import trace_identity_sweep
 from specasym.heat import duhamel_density, mehler_diag_trace, oscillator_diag_kernel
-from specasym.holonomy import standard_structure
+from specasym.holonomy import standard_structure, two_form_basis
 from specasym.residue import (
     CurvatureData,
     full_residue_report,
@@ -46,9 +46,13 @@ def test_criterion_01_eigenstructure():
     for kind, table in (("g2", [(2, 7), (-1, 14)]), ("spin7", [(3, 7), (-1, 21)])):
         s = standard_structure(kind)
         assert s.eigenvalue_table == table
-        # exact minimal-polynomial certificate
-        a = s.star_ext.astype(object)
-        dim = a.shape[0]
+        # exact minimal-polynomial certificate on the stored integer rows
+        pos = {m: i for i, m in enumerate(two_form_basis(s.n))}
+        dim = len(pos)
+        a = np.full((dim, dim), Fraction(0), dtype=object)
+        for m, row in s.star_ext_rows:
+            for mj, v in row:
+                a[pos[m], pos[mj]] = Fraction(v)
         eye = np.full((dim, dim), Fraction(0), dtype=object)
         for i in range(dim):
             eye[i, i] = Fraction(1)

@@ -294,6 +294,39 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+_NUMPY_LOADED = "\nprint('numpy' in sys.modules)"
+_STARTUP_RESIDUE = {"n": 7, "rank": 1, "R": [[1, 2, 3, 4, "1/2"], [1, 3, 2, 5, -1]],
+                    "F": [[1, 2, [[[0, 1]]]], [3, 6, [[[0, -2]]]]]}
+
+
+@pytest.mark.parametrize("code", [
+    "import sys, specasym",
+    "import sys, specasym.cli",
+    # the benchmark's set-up sequence
+    "import sys\n"
+    "from specasym.heat import calibration_constant\n"
+    "from specasym.holonomy import standard_structure\n"
+    "for kind in ('g2', 'spin7'):\n"
+    "    calibration_constant(standard_structure(kind))",
+    "import sys\n"
+    "from specasym.cli import main\n"
+    "assert main(['residue', '--kind', 'g2', '--input', sys.argv[1], '--oracle']) == 0",
+    "import sys\n"
+    "from specasym.cli import main\n"
+    "assert main(['decompose', '--kind', 'spin7', '--form', '3 e12 - e78']) == 0",
+], ids=["import-specasym", "import-cli", "setup-probe", "residue-oracle", "decompose"])
+def test_startup_path_does_not_load_numpy(tmp_path, code):
+    """Building structures, residues and decompositions runs on sparse
+    integer rows; numpy loads only with verify, filtration, the torus level
+    counts and the dense views, so these calls do not pay for it."""
+    path = os.fspath(tmp_path / "curvature.json")
+    _write(path, _STARTUP_RESIDUE)
+    proc = subprocess.run([sys.executable, "-c", code + _NUMPY_LOADED, path],
+                          capture_output=True, text=True, timeout=60, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from specasym import verify as verify_mod
     from specasym.verify import CheckResult

@@ -21,8 +21,19 @@ from specasym.residue import CurvatureData, instanton_line_curvature
 
 
 def _fraction_operator(s):
-    """The stored integer matrix of *e(w) as an object array of Fractions."""
-    return np.array([[Fraction(v) for v in row] for row in s.star_ext.tolist()], dtype=object)
+    """The stored integer rows of *e(w) as a dense object array of Fractions."""
+    pos = {m: i for i, m in enumerate(two_form_basis(s.n))}
+    a = np.full((len(pos), len(pos)), Fraction(0), dtype=object)
+    for m, row in s.star_ext_rows:
+        for mj, v in row:
+            a[pos[m], pos[mj]] = Fraction(v)
+    return a
+
+
+def _index_rows(mat):
+    """Every row of a dense matrix as {column: value} over its nonzero
+    entries, the input of ``_eig_validate``."""
+    return [{j: v for j, v in enumerate(row) if v} for row in mat.tolist()]
 
 
 def test_g2_structure(g2):
@@ -143,19 +154,42 @@ def test_star_ext_matrix_symmetry(g2):
 def test_eig_validate_rejects_broken_operators(g2, spin7):
     for s, plus in ((g2, 2), (spin7, 3)):
         a = _fraction_operator(s)
-        assert _eig_validate(a, plus) == s.eigenvalue_table
+        assert _eig_validate(_index_rows(a), plus) == s.eigenvalue_table
         i, j = next((i, j) for i in range(a.shape[0]) for j in range(i) if a[i, j])
         broken = a.copy()
         broken[i, j], broken[j, i] = -a[i, j], -a[j, i]
         assert (broken.T == broken).all()
         with pytest.raises(StructureValidationError, match="minimal polynomial"):
-            _eig_validate(broken, plus)
+            _eig_validate(_index_rows(broken), plus)
         # plus * Id satisfies the polynomial but puts the whole fiber in one part
         scalar = np.full(a.shape, Fraction(0), dtype=object)
         for k in range(a.shape[0]):
             scalar[k, k] = Fraction(plus)
         with pytest.raises(StructureValidationError, match="trace"):
-            _eig_validate(scalar, plus)
+            _eig_validate(_index_rows(scalar), plus)
+        # an empty sparse row (eigenvalue 0) fails only through its plus Id term
+        hole = scalar.copy()
+        hole[0, 0] = Fraction(0)
+        with pytest.raises(StructureValidationError, match="minimal polynomial"):
+            _eig_validate(_index_rows(hole), plus)
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+def test_nonsymmetric_conjugate_operator_is_caught(monkeypatch, kind):
+    """S A S^-1 for a unimodular S keeps the minimal polynomial and the
+    trace; only the symmetry check rejects it."""
+    s = standard_structure(kind)
+    a = s.star_ext
+    shear = np.eye(len(a), dtype=np.int64)
+    shear[0, 1] = 1
+    inverse = np.eye(len(a), dtype=np.int64)
+    inverse[0, 1] = -1
+    conj = shear @ a @ inverse
+    assert (conj != conj.T).any()
+    assert _eig_validate(_index_rows(conj), s.plus_eigenvalue) == s.eigenvalue_table
+    monkeypatch.setattr(holonomy, "_star_ext_rows", lambda form: _index_rows(conj))
+    with pytest.raises(StructureValidationError, match="not symmetric"):
+        standard_structure(kind)
 
 
 def test_projection_apply_matches_dense_product(g2, spin7):
@@ -222,8 +256,17 @@ def _outcome(fn, mat, plus):
 def test_integer_structure_matches_fraction_oracles(g2, spin7):
     rnd = random.Random(4)
     for s in (g2, spin7):
+        # the rows are the oracle matrix entry by entry: every nonzero entry
+        # in basis order, every basis row present
+        oracle = star_ext_on_two_forms(s.defining_form, s.n)
+        basis = two_form_basis(s.n)
+        assert s.star_ext_rows == [
+            (basis[i], [(basis[j], v) for j, v in enumerate(row) if v])
+            for i, row in enumerate(oracle.tolist())
+        ]
+        assert all(type(v) is int for _, row in s.star_ext_rows for _, v in row)
         assert s.star_ext.dtype == np.int64
-        assert (s.star_ext == star_ext_on_two_forms(s.defining_form, s.n)).all()
+        assert (s.star_ext == oracle).all()
         a = _fraction_operator(s)
         ints = np.array(a.tolist(), dtype=np.int64)
         for _ in range(20):
@@ -235,10 +278,9 @@ def test_integer_structure_matches_fraction_oracles(g2, spin7):
                 broken[j, i] = broken[i, j]
             for mat in (ints, broken):
                 want = _outcome(_sparse_eig_validate, mat.astype(object), s.plus_eigenvalue)
-                assert _outcome(_eig_validate, mat, s.plus_eigenvalue) == want
+                assert _outcome(_eig_validate, _index_rows(mat), s.plus_eigenvalue) == want
 
         # the projections as derived from the sparse Fraction rows of A
-        basis = two_form_basis(s.n)
         denom = Fraction(s.plus_eigenvalue + 1)
         for p, shift, sign in zip(projections(s), (1, -s.plus_eigenvalue), (1, -1)):
             want = [

@@ -1,9 +1,9 @@
 """Exact exterior algebra and Clifford-module operators on Lambda*(R^n).
 
 Basis monomials e^I are indexed by bitmasks: bit ``k`` set means index
-``k+1`` is present.  The fiber operator basis orders subsets of {1..n}
-lexicographically by their sorted index tuple, tensored with the standard
-C^r basis, so matrices are reproducible.
+``k+1`` is present.  Forms and fiber operators are sparse maps keyed by
+these masks; a fiber operator on Lambda*(R^n) (x) C^r indexes its basis as
+mask * r + bundle index.
 """
 
 from __future__ import annotations
@@ -11,16 +11,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .exact import Scalar
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# the zero every FiberOp starts from; sharing one object lets list
-# comparison skip untouched entries by identity
+# the zero every FiberOp entry is summed from
 _ZERO = Fraction(0)
 
 # ----------------------------------------------------------------------
@@ -72,16 +67,6 @@ def hodge_sign(mask: int, n: int) -> int:
     """Sign in *(e^I) = sign * e^{I^c} with orientation e^{1..n}."""
     full = (1 << n) - 1
     return merge_sign(mask, full & ~mask)
-
-
-@lru_cache(maxsize=None)
-def subset_order(n: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
-    """Masks of all subsets of {1..n} sorted lexicographically by index tuple.
-
-    Returns (masks_in_order, mask -> position).
-    """
-    masks = sorted(range(1 << n), key=indices_of)
-    return tuple(masks), {m: i for i, m in enumerate(masks)}
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +399,7 @@ def star_ext_entries(
     *, the sign of apply_word(full, 0, U) for c(dvol).  The target U^c and
     the source S fix K, so each entry comes from one term of w.  The
     structure build, the weighted traces and the bridge check all read
-    their signs here; the dense ``FiberOp`` products are the oracle.
+    their signs here; the ``FiberOp`` products are the oracle.
     """
     full = (1 << w.n) - 1
     out: Dict[Tuple[int, int], object] = {}
@@ -429,54 +414,48 @@ def star_ext_entries(
 
 
 # ----------------------------------------------------------------------
-# dense fiber operators
+# sparse fiber operators
 # ----------------------------------------------------------------------
 
 class FiberOp:
-    """Dense endomorphism of Lambda*(R^n) (x) C^r.
+    """Sparse endomorphism of Lambda*(R^n) (x) C^r.
 
-    Basis: subsets in tuple-lex order tensor the standard C^r basis;
-    entry index = subset_position * r + bundle_index.  ``mat`` is a numpy
-    object array; numpy is imported in ``zeros``, which every constructor
-    goes through, so code that builds no FiberOp never loads it.
+    ``entries`` maps (row, col) to a nonzero coefficient, where an index
+    is basis mask * r + bundle index; at r = 1 the keys are those of
+    ``star_ext_entries``.  The constructors read their signs only from
+    ``merge_sign``, ``hodge_sign`` and ``apply_word``, so these operators
+    are an oracle for the sign tables.  Entries are summed from
+    ``Fraction(0)``, so an integer coefficient gives a Fraction entry.
     """
 
-    __slots__ = ("n", "r", "mat")
+    __slots__ = ("n", "r", "entries")
 
-    def __init__(self, n: int, r: int, mat: np.ndarray):
+    def __init__(self, n: int, r: int, entries: Dict[Tuple[int, int], object]):
         self.n = n
         self.r = r
         dim = (1 << n) * r
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} != {(dim, dim)}")
-        self.mat = mat
+        self.entries = {}
+        for (i, j), v in entries.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"entry index {(i, j)} outside 0..{dim - 1}")
+            if _nonzero(v):
+                self.entries[(i, j)] = v
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zeros(n: int, r: int = 1) -> "FiberOp":
-        import numpy as np
-
-        dim = (1 << n) * r
-        return FiberOp(n, r, np.full((dim, dim), _ZERO, dtype=object))
-
-    @staticmethod
     def identity(n: int, r: int = 1) -> "FiberOp":
-        op = FiberOp.zeros(n, r)
-        for i in range((1 << n) * r):
-            op.mat[i, i] = Fraction(1)
-        return op
+        return FiberOp(n, r, {(i, i): Fraction(1) for i in range((1 << n) * r)})
 
     @staticmethod
     def _scatter(n: int, r: int, entries) -> "FiberOp":
         """entries: iterable of (mask_out, mask_in, coeff) tensored with Id_r."""
-        op = FiberOp.zeros(n, r)
-        _, pos = subset_order(n)
+        out: Dict[Tuple[int, int], object] = {}
         for mo, mi, c in entries:
-            po, pi_ = pos[mo] * r, pos[mi] * r
             for a in range(r):
-                op.mat[po + a, pi_ + a] = op.mat[po + a, pi_ + a] + c
-        return op
+                key = (mo * r + a, mi * r + a)
+                out[key] = out.get(key, _ZERO) + c
+        return FiberOp(n, r, out)
 
     @staticmethod
     def ext_op(w: DiffForm, r: int = 1) -> "FiberOp":
@@ -489,11 +468,6 @@ class FiberOp:
                 sign = merge_sign(k_mask, s)
                 entries.append((k_mask | s, s, c if sign > 0 else -c))
         return FiberOp._scatter(w.n, r, entries)
-
-    @staticmethod
-    def int_op(w: DiffForm, r: int = 1) -> "FiberOp":
-        """e*(w): the adjoint of ext_op(w)."""
-        return FiberOp.ext_op(w, r).adjoint()
 
     @staticmethod
     def cliff_op(w: DiffForm, r: int = 1) -> "FiberOp":
@@ -540,17 +514,19 @@ class FiberOp:
 
     def __add__(self, other):
         self._check(other)
-        return FiberOp(self.n, self.r, self.mat + other.mat)
+        out = dict(self.entries)
+        for k, v in other.entries.items():
+            out[k] = out.get(k, _ZERO) + v
+        return FiberOp(self.n, self.r, out)
 
     def __sub__(self, other):
-        self._check(other)
-        return FiberOp(self.n, self.r, self.mat - other.mat)
+        return self + (-other)
 
     def __neg__(self):
-        return FiberOp(self.n, self.r, -self.mat)
+        return FiberOp(self.n, self.r, {k: -v for k, v in self.entries.items()})
 
     def scale(self, a):
-        return FiberOp(self.n, self.r, self.mat * a)
+        return FiberOp(self.n, self.r, {k: v * a for k, v in self.entries.items()})
 
     def __mul__(self, a):
         return self.scale(a)
@@ -559,73 +535,51 @@ class FiberOp:
 
     def __matmul__(self, other: "FiberOp") -> "FiberOp":
         self._check(other)
-        # sparsity-aware product: most operators here are signed
-        # permutations or wedge operators with O(2^n) nonzero entries
-        dim = self.mat.shape[0]
-        rows_b = [
-            [(j, v) for j, v in enumerate(other.mat[k]) if v != 0]
-            for k in range(dim)
-        ]
-        out = FiberOp.zeros(self.n, self.r)
-        for i in range(dim):
-            row_a = self.mat[i]
-            for k in range(dim):
-                a = row_a[k]
-                if a == 0:
-                    continue
-                for j, b in rows_b[k]:
-                    out.mat[i, j] = out.mat[i, j] + a * b
-        return out
-
-    def adjoint(self) -> "FiberOp":
-        out = self.mat.T.copy()
-        flat = out.reshape(-1)
-        for k, v in enumerate(flat.tolist()):
-            if type(v) is not Fraction:
-                flat[k] = _conj(v)
+        rows: Dict[int, list] = {}
+        for (k, j), b in other.entries.items():
+            rows.setdefault(k, []).append((j, b))
+        out: Dict[Tuple[int, int], object] = {}
+        for (i, k), a in self.entries.items():
+            for j, b in rows.get(k, ()):
+                out[(i, j)] = out.get((i, j), _ZERO) + a * b
         return FiberOp(self.n, self.r, out)
 
+    def adjoint(self) -> "FiberOp":
+        return FiberOp(self.n, self.r, {
+            (j, i): v if type(v) is Fraction else _conj(v)
+            for (i, j), v in self.entries.items()
+        })
+
     def trace(self):
-        return sum(self.mat[i, i] for i in range(self.mat.shape[0]))
+        return sum((v for (i, j), v in self.entries.items() if i == j), _ZERO)
 
     @staticmethod
     def trace_product(a: "FiberOp", b: "FiberOp"):
         """tr(a @ b) without forming the product."""
         a._check(b)
+        theirs = b.entries
         return sum(
-            a.mat[i, j] * b.mat[j, i]
-            for i in range(a.mat.shape[0])
-            for j in range(a.mat.shape[1])
-            if a.mat[i, j] != 0
+            (v * theirs[(j, i)] for (i, j), v in a.entries.items() if (j, i) in theirs),
+            _ZERO,
         )
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.mat.flat)
+        return not self.entries
 
     def __eq__(self, other):
         if not isinstance(other, FiberOp):
             return NotImplemented
-        # list comparison tries identity before __eq__, so shared zeros cost
-        # one pointer test each
-        return self.n == other.n and self.r == other.r and (
-            self.mat.tolist() == other.mat.tolist())
+        return self.n == other.n and self.r == other.r and self.entries == other.entries
 
     def apply_to_form(self, w: DiffForm) -> DiffForm:
         """Apply to a form (r = 1 only)."""
         if self.r != 1:
             raise ValueError("apply_to_form requires bundle rank 1")
-        order, pos = subset_order(self.n)
         out: Dict[int, object] = {}
-        for m, c in w.terms.items():
-            col = pos[m]
-            for row in range(1 << self.n):
-                v = self.mat[row, col]
-                if v != 0:
-                    s = out.get(order[row], 0) + v * c
-                    if _nonzero(s):
-                        out[order[row]] = s
-                    else:
-                        out.pop(order[row], None)
+        for (row, col), v in self.entries.items():
+            c = w.terms.get(col)
+            if c is not None:
+                out[row] = out.get(row, 0) + v * c
         return DiffForm(self.n, out)
 
 

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .exact import Scalar, lift_planes, numerator_planes
-from .exterior import _ZERO, FiberOp, apply_cliff, popcount, subset_order
+from .exterior import FiberOp, apply_cliff, popcount
 
 
 _BLOCK = 1 << 14  # table entries gathered per numpy round
@@ -145,21 +145,21 @@ class CliffordWordExpansion:
             cm ^ hm for (cm, hm), coeff in self.coefficients.items() if isinstance(coeff, Scalar)
         }
 
-        flat = np.full(dim * dim, _ZERO, dtype=object)
+        entries: Dict[Tuple[int, int], object] = {}
         if (0, 0, 0) in sums:
             acc = sums[(0, 0, 0)]
             nz = np.flatnonzero(acc)
-            flat[nz] = [Fraction(a, den) for a in acc[nz].tolist()]
+            for idx, a in zip(nz.tolist(), acc[nz].tolist()):
+                entries[divmod(idx, dim)] = Fraction(a, den)
         if scalar_diffs:
             # W_{IJ} only links e^S to e^{S ^ I ^ J}: the entries a Scalar
             # coefficient reaches are those whose masks differ by I ^ J
             s = np.arange(dim)
             reached = np.isin(s[:, None] ^ s, list(scalar_diffs)).ravel()
-            for idx in np.flatnonzero(reached):
-                flat[idx] = lift_planes({k: v[idx] for k, v in sums.items()}, den, True)
-        # rows and columns were indexed by mask; FiberOp uses subset order
-        order = np.array(subset_order(n)[0])
-        return FiberOp(n, 1, flat.reshape(dim, dim)[np.ix_(order, order)])
+            for idx in np.flatnonzero(reached).tolist():
+                entries[divmod(idx, dim)] = lift_planes(
+                    {k: v[idx] for k, v in sums.items()}, den, True)
+        return FiberOp(n, 1, entries)
 
     def upper_degree(self) -> int:
         return max(popcount(cm) for (cm, _) in self.coefficients)
@@ -210,19 +210,15 @@ def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
         raise ValueError("word expansion requires bundle rank 1")
     n = m.n
     dim = 1 << n
-    flat = m.mat.ravel().tolist()
-    nz = [k for k, v in enumerate(flat) if v is not _ZERO and v != 0]
-    values = [flat[k] for k in nz]
+    values = list(m.entries.values())
     den, planes = numerator_planes(values)
-    order = np.array(subset_order(n)[0])
-    rpos, cpos = np.divmod(np.array(nz, dtype=np.int64), dim)
-    rows, cols = order[rpos], order[cpos]
+    rows, cols = np.array(list(m.entries), dtype=np.int64).reshape(-1, 2).T
     # Every word sends e^S to +- e^{S ^ cm ^ hm}, so entry (row, col) pairs
     # with the words cm = row ^ col ^ hm only, one for each c-hat mask hm.
     hms = np.arange(dim)
     sums = {plane: _accumulator(dim * dim, nums) for plane, nums in planes.items()}
     values_of = {plane: np.array(nums, dtype=sums[plane].dtype) for plane, nums in planes.items()}
-    for block in _slices(np.arange(len(nz)), n):
+    for block in _slices(np.arange(len(values)), n):
         col = cols[block, None]
         cms = (rows[block] ^ cols[block])[:, None] ^ hms
         signs = _word_signs(n, cms, hms, col)
@@ -230,9 +226,7 @@ def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
         for plane, acc in sums.items():
             np.add.at(acc, idx, (signs * values_of[plane][block, None]).ravel())
 
-    scalar_diffs = {
-        int(r ^ c) for r, c, v in zip(rows, cols, values) if isinstance(v, Scalar)
-    }
+    scalar_diffs = {r ^ c for (r, c), v in m.entries.items() if isinstance(v, Scalar)}
     reached = np.zeros(dim * dim, dtype=bool)
     for acc in sums.values():
         reached |= acc != 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, gamma, isqrt, lcm, pi, sqrt
+from math import comb, exp, gamma, isqrt, lcm, pi, sqrt
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -216,8 +216,8 @@ def zeta_partial(
     """Partial zeta sum with an integral-comparison tail bound.
 
     ``which`` is '7', 'big', or 'delta' (the weighted difference).  The
-    tail bound uses the box count (2 sqrt(q) + 1)^n, valid for all the
-    shells beyond the cutoff.
+    tail bound integrates the box count (2 sqrt(q) + 1)^n in closed form,
+    valid for all the shells beyond the cutoff.
     """
     if not levels:
         return 0.0, 0.0
@@ -240,12 +240,14 @@ def zeta_partial(
     # the weight of a single lattice point: 7, 14 or 21, and 0 for 'delta'
     fiber = _spectral_levels(n, 1, [(1, 1)])[0].weight(which)
     if fiber and s > n / 2:
-        from scipy.integrate import quad
-
-        def dbox(q):
-            return fiber * n * (2 * sqrt(q) + 1) ** (n - 1) / sqrt(q) * (4 * pi * pi * q) ** (-s)
-
-        tail, _ = quad(dbox, max(q_top, 1.0), float("inf"))
+        # at most (2u + 1)^n lattice points lie within radius u = sqrt(q);
+        # the growth 2 fiber n (2u + 1)^(n-1) du of that bound, weighted by
+        # (4 pi^2 u^2)^(-s), integrates term by term of its binomial expansion
+        u = sqrt(max(q_top, 1.0))
+        tail = 2 * fiber * n * (4 * pi * pi) ** (-s) * sum(
+            comb(n - 1, k) * 2 ** k * u ** (k + 1 - 2 * s) / (2 * s - k - 1)
+            for k in range(n)
+        )
     else:
         tail = 0.0
     return total, tail

@@ -16,6 +16,7 @@ from typing import Dict, Tuple
 
 from .exact import Scalar
 from .exterior import (
+    _ZERO,
     DiffForm,
     FiberOp,
     apply_word,
@@ -23,7 +24,6 @@ from .exterior import (
     merge_sign,
     popcount,
     star_ext_entries,
-    subset_order,
 )
 
 Mat = Tuple[Tuple[Scalar, ...], ...]
@@ -288,20 +288,20 @@ class WordOperator:
         return DiffForm(self.n, out)
 
     def to_fiber_op(self) -> FiberOp:
-        """Materialise as a dense matrix (form slot must be empty)."""
+        """Materialise as a fiber operator (form slot must be empty)."""
         if any(f for (f, _, _) in self.terms):
             raise ValueError("cannot materialise an operator with form content")
-        _, pos = subset_order(self.n)
-        op = FiberOp.zeros(self.n, self.r)
+        r = self.r
+        out: Dict[Tuple[int, int], object] = {}
         for (_, c, h), m in self.terms.items():
             for s in range(1 << self.n):
                 sign, tgt = apply_word(c, h, s)
-                po, pi_ = pos[tgt] * self.r, pos[s] * self.r
-                for a in range(self.r):
-                    for b in range(self.r):
+                for a in range(r):
+                    for b in range(r):
+                        key = (tgt * r + a, s * r + b)
                         v = m[a][b] if sign > 0 else -m[a][b]
-                        op.mat[po + a, pi_ + b] = op.mat[po + a, pi_ + b] + v
-        return op
+                        out[key] = out.get(key, _ZERO) + v
+        return FiberOp(self.n, r, out)
 
     def __repr__(self):
         bits = []
@@ -359,12 +359,12 @@ def _weighted_trace(w: DiffForm, x: WordOperator, cdvol: bool) -> Scalar:
 
 
 def star_ext_trace_dense(w: DiffForm, m: FiberOp) -> object:
-    """tr[ * e(w) m ] for a dense fiber operator."""
+    """tr[ * e(w) m ] for a fiber operator."""
     op = FiberOp.star_op(m.n, m.r) @ FiberOp.ext_op(w, m.r)
     return FiberOp.trace_product(op, m)
 
 
 def cdvol_ext_trace_dense(w: DiffForm, m: FiberOp) -> object:
-    """tr[ c(dvol) e(w) m ] for a dense fiber operator."""
+    """tr[ c(dvol) e(w) m ] for a fiber operator."""
     op = FiberOp.word_op(m.n, (1 << m.n) - 1, "c", m.r) @ FiberOp.ext_op(w, m.r)
     return FiberOp.trace_product(op, m)

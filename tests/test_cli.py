@@ -314,11 +314,18 @@ _STARTUP_RESIDUE = {"n": 7, "rank": 1, "R": [[1, 2, 3, 4, "1/2"], [1, 3, 2, 5, -
     "import sys\n"
     "from specasym.cli import main\n"
     "assert main(['decompose', '--kind', 'spin7', '--form', '3 e12 - e78']) == 0",
-], ids=["import-specasym", "import-cli", "setup-probe", "residue-oracle", "decompose"])
+    "import sys\n"
+    "from specasym.exterior import DiffForm, FiberOp\n"
+    "from specasym.wordops import WordOperator\n"
+    "e1 = FiberOp.ext_op(DiffForm.monomial(7, (1,)), 2)\n"
+    "c1 = WordOperator.from_word(7, 1, 0, r=2).to_fiber_op()\n"
+    "assert e1 - e1.adjoint() == c1 and (c1 @ c1).trace() == -256",
+], ids=["import-specasym", "import-cli", "setup-probe", "residue-oracle", "decompose", "fiber-op"])
 def test_startup_path_does_not_load_numpy(tmp_path, code):
-    """Building structures, residues and decompositions runs on sparse
-    integer rows; numpy loads only with verify, filtration, the torus level
-    counts and the dense views, so these calls do not pay for it."""
+    """Building structures, residues, decompositions and fiber operators
+    runs on sparse maps; numpy loads only with verify, filtration, the
+    torus level counts and the holonomy matrices, so these calls do not
+    pay for it."""
     path = os.fspath(tmp_path / "curvature.json")
     _write(path, _STARTUP_RESIDUE)
     proc = subprocess.run([sys.executable, "-c", code + _NUMPY_LOADED, path],

@@ -18,7 +18,6 @@ from specasym.exterior import (
     parse_form,
     popcount,
     star_ext_entries,
-    subset_order,
     wedge,
     word_op,
 )
@@ -192,20 +191,33 @@ def test_interior_product():
 
 
 def test_adjoint_conjugates_non_rational_entries():
-    op = FiberOp.zeros(3)
-    op.mat[1, 2] = Scalar.term(1, 2, pi_half=1)
-    op.mat[0, 1] = 1 + 2j
-    op.mat[4, 5] = Fraction(1, 3)
+    op = FiberOp(3, 1, {
+        (1, 2): Scalar.term(1, 2, pi_half=1),
+        (0, 1): 1 + 2j,
+        (4, 5): Fraction(1, 3),
+    })
     adj = op.adjoint()
-    assert adj.mat[2, 1] == Scalar.term(1, -2, pi_half=1)
-    assert adj.mat[1, 0] == 1 - 2j
-    assert adj.mat[5, 4] == Fraction(1, 3)
+    assert adj.entries == {
+        (2, 1): Scalar.term(1, -2, pi_half=1),
+        (1, 0): 1 - 2j,
+        (5, 4): Fraction(1, 3),
+    }
     assert adj.adjoint() == op
+
+
+@pytest.mark.parametrize("key", [(8, 0), (0, 8), (-1, 3), (3, -1)])
+def test_fiber_op_refuses_indices_outside_the_fiber(key):
+    """Indices run over mask * r + bundle index, 0 .. 2^n r - 1."""
+    with pytest.raises(ValueError):
+        FiberOp(3, 1, {key: Fraction(1)})
+    with pytest.raises(ValueError):
+        FiberOp(2, 2, {key: Fraction(1)})
+    assert FiberOp(2, 2, {(7, 7): Fraction(1)}).trace() == 1
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_star_ext_entries_match_dense_operators(n):
-    """Both sign tables against the dense products *e(w) and c(dvol)e(w),
+    """Both sign tables against the FiberOp products *e(w) and c(dvol)e(w),
     on every source, for the structure form and a random rational form."""
     rnd = random.Random(n)
     structure = standard_structure("g2" if n == 7 else "spin7").defining_form
@@ -213,14 +225,11 @@ def test_star_ext_entries_match_dense_operators(n):
         m: Fraction(rnd.choice((-3, -2, -1, 1, 2, 3)), rnd.randint(1, 4))
         for m in rnd.sample(range(1 << n), 10)
     })
-    order = subset_order(n)[0]
     for w in (structure, rational):
         e_w = FiberOp.ext_op(w)
         for cdvol, op in ((False, FiberOp.star_op(n) @ e_w),
                           (True, FiberOp.word_op(n, (1 << n) - 1, "c") @ e_w)):
-            dense = {(order[i], order[j]): v
-                     for i, row in enumerate(op.mat.tolist()) for j, v in enumerate(row) if v}
-            assert star_ext_entries(w, range(1 << n), cdvol) == dense
+            assert star_ext_entries(w, range(1 << n), cdvol) == op.entries
 
 
 def test_popcount_matches_the_binary_digits():

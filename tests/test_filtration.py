@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from specasym import filtration
 from specasym.exact import Scalar
 from specasym.exterior import (
-    DiffForm, FiberOp, apply_word, ext_op, popcount, subset_order, word_op,
+    DiffForm, FiberOp, apply_word, ext_op, popcount, word_op,
 )
 from specasym.filtration import (
     CliffordWordExpansion,
@@ -90,35 +90,30 @@ def test_expand_identity_and_generator():
 
 
 def test_expand_round_trip_random():
-    rnd = random.Random(7)
-    m = FiberOp.zeros(7)
-    for _ in range(50):
-        i, j = rnd.randrange(128), rnd.randrange(128)
-        m.mat[i, j] = m.mat[i, j] + Fraction(rnd.randint(-6, 6), rnd.randint(1, 5))
+    m = _random_operator(7, 50, seed=7)
     assert expand_clifford_basis(m).reconstruct() == m
 
 
 def _entry_loop_reconstruct(exp):
-    """The word expansion summed one Fraction entry at a time (oracle)."""
-    _, pos = subset_order(exp.n)
+    """The word expansion summed one entry at a time from Fraction(0) (oracle)."""
     cs = word_tables(exp.n, False)
     hs = word_tables(exp.n, True)
-    op = FiberOp.zeros(exp.n, 1)
+    entries = {}
     for (cm, hm), coeff in exp.coefficients.items():
         for s in range(1 << exp.n):
             v = coeff if cs[cm, s ^ hm] * hs[hm, s] > 0 else -coeff
-            r, c = pos[s ^ cm ^ hm], pos[s]
-            op.mat[r, c] = op.mat[r, c] + v
-    return op
+            key = (s ^ cm ^ hm, s)
+            entries[key] = entries.get(key, Fraction(0)) + v
+    return FiberOp(exp.n, 1, entries)
 
 
 def _random_operator(n, entries, seed):
     rnd = random.Random(seed)
-    m = FiberOp.zeros(n)
+    out = {}
     for _ in range(entries):
-        i, j = rnd.randrange(1 << n), rnd.randrange(1 << n)
-        m.mat[i, j] = m.mat[i, j] + Fraction(rnd.randint(-6, 6), rnd.randint(1, 5))
-    return m
+        key = (rnd.randrange(1 << n), rnd.randrange(1 << n))
+        out[key] = out.get(key, 0) + Fraction(rnd.randint(-6, 6), rnd.randint(1, 5))
+    return FiberOp(n, 1, out)
 
 
 def _random_words(n, count, seed, draw):
@@ -160,11 +155,12 @@ def test_reconstruct_matches_entry_loop(case):
         exp = _random_words(5, 80, seed=5, draw=_scalar_or_rational)
     got, want = exp.reconstruct(), _entry_loop_reconstruct(exp)
     assert got == want
-    assert [type(v) for v in got.mat.flat] == [type(v) for v in want.mat.flat]
+    assert {k: type(v) for k, v in got.entries.items()} == {
+        k: type(v) for k, v in want.entries.items()}
     if case != "scalar-coefficients":
-        assert all(type(v) is Fraction for v in got.mat.flat)
+        assert all(type(v) is Fraction for v in got.entries.values())
     else:
-        assert any(isinstance(v, Scalar) and not v.is_zero() for v in got.mat.flat)
+        assert any(isinstance(v, Scalar) for v in got.entries.values())
 
 
 def test_sweep_blocks_match_pair_loop(flipped_word_sign):
@@ -185,17 +181,15 @@ def test_sweep_blocks_match_pair_loop(flipped_word_sign):
 def _entry_loop_expand(m):
     """Hilbert-Schmidt coefficients added one Fraction entry at a time (oracle)."""
     n, dim = m.n, 1 << m.n
-    order, _ = subset_order(n)
     cs = word_tables(n, False)
     hs = word_tables(n, True)
     coeffs = {}
-    for rpos in range(dim):
-        for cpos in range(dim):
-            v = m.mat[rpos, cpos]
+    for row_mask in range(dim):
+        for col_mask in range(dim):
+            v = m.entries.get((row_mask, col_mask), 0)
             if v == 0:
                 continue
-            col_mask = order[cpos]
-            diff = order[rpos] ^ col_mask
+            diff = row_mask ^ col_mask
             for hm in range(dim):
                 cm = diff ^ hm
                 sg = int(cs[cm, col_mask ^ hm]) * int(hs[hm, col_mask])
@@ -239,27 +233,30 @@ def _entries(draw):
 @given(_entries(), st.data())
 def test_integer_paths_match_oracles(drawn, data):
     n, entries = drawn
-    m = FiberOp.zeros(n)
-    for (i, j), v in entries.items():
-        m.mat[i, j] = v
+    m = FiberOp(n, 1, entries)
     exp = expand_clifford_basis(m)
     assert exp.coefficients == _entry_loop_expand(m)
     assert exp.reconstruct() == m
 
-    # FiberOp.__eq__ against elementwise comparison: distinct zero objects,
-    # int 0 against Fraction(0), and one changed entry
-    def elementwise(a, b):
-        return all(x == y for x, y in zip(a.mat.flat, b.mat.flat))
+    # FiberOp.__eq__ against entrywise comparison over the whole fiber:
+    # explicit zeros (int 0, Fraction(0), a zero Scalar) and one changed entry
+    dim = 1 << n
 
-    other = FiberOp(n, 1, m.mat.copy())
-    flat = other.mat.reshape(-1)
-    for k in range(0, flat.size, 3):
-        if flat[k] == 0:
-            flat[k] = Fraction(0) if k % 2 else 0
-    assert elementwise(m, other) and m == other
-    k = data.draw(st.integers(0, flat.size - 1))
-    flat[k] = flat[k] + 1
-    assert not elementwise(m, other) and not m == other
+    def entrywise(a, b):
+        return all(a.entries.get((i, j), 0) == b.entries.get((i, j), 0)
+                   for i in range(dim) for j in range(dim))
+
+    zeros = (0, Fraction(0), Scalar())
+    padded = dict(m.entries)
+    for k in range(0, dim * dim, 3):
+        padded.setdefault(divmod(k, dim), zeros[k % 3])
+    other = FiberOp(n, 1, padded)
+    assert entrywise(m, other) and m == other
+    key = divmod(data.draw(st.integers(0, dim * dim - 1)), dim)
+    changed = dict(other.entries)
+    changed[key] = changed.get(key, Fraction(0)) + 1
+    other = FiberOp(n, 1, changed)
+    assert not entrywise(m, other) and not m == other
 
 
 def test_word_sum_accumulator_switches_to_python_ints():
@@ -334,7 +331,7 @@ def test_clifford_degrees(g2):
     low, _ = clifford_degrees(cdvol_ephi)
     assert low == 7 - 3
     with pytest.raises(ValueError):
-        clifford_degrees(FiberOp.zeros(7))
+        clifford_degrees(FiberOp(7, 1, {}))
 
 
 def test_low_degree_operators_are_traceless_against_weight(g2):

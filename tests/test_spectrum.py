@@ -128,6 +128,23 @@ def test_zeta_tail_bound_self_consistency():
     assert abs(v100 - v50) <= t50
 
 
+@pytest.mark.parametrize("n, s, q_max", [(7, 4.0, 50), (7, 3.6, 400), (8, 4.5, 1000), (8, 4.1, 3)])
+def test_zeta_tail_closed_form_matches_quadrature(n, s, q_max):
+    """The closed-form tail against quad of the box-count integrand."""
+    from scipy.integrate import quad
+
+    levels = enumerate_levels(n, q_max)
+    _, tail = zeta_partial(levels, "7", s)
+    fiber = 7  # the 7-part weight of one lattice point
+    q_top = max(float(lv.q) for lv in levels)
+
+    def dbox(q):
+        return fiber * n * (2 * q ** 0.5 + 1) ** (n - 1) / q ** 0.5 * (4 * pi * pi * q) ** (-s)
+
+    want, _ = quad(dbox, max(q_top, 1.0), float("inf"))
+    assert tail == pytest.approx(want, rel=1e-6)
+
+
 def test_heat_trace_poisson():
     levels = enumerate_levels(7, 80)
     for t in (0.01, 0.02, 0.05):

@@ -57,7 +57,7 @@ def test_each_check_records_its_seconds():
 @pytest.mark.parametrize("broken", ["adjoint-without-transpose", "interior-sign"])
 def test_interior_adjoint_check_can_fail(monkeypatch, broken):
     if broken == "adjoint-without-transpose":
-        monkeypatch.setattr(FiberOp, "adjoint", lambda self: FiberOp(self.n, self.r, self.mat.copy()))
+        monkeypatch.setattr(FiberOp, "adjoint", lambda self: FiberOp(self.n, self.r, dict(self.entries)))
     else:
         interior = DiffForm.interior
         monkeypatch.setattr(

@@ -369,6 +369,9 @@ _PARSER = build_parser()  # built once; parse_args keeps no state between calls
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    # Python 3.11's argparse turns "--opt=--" into [], past type and choices
+    if any(isinstance(v, list) for v in vars(args).values()):
+        _PARSER.error("an option value cannot be '--'")
     try:
         code = args.func(args)
         # a small report sits in the buffer: write it here, not at exit

@@ -184,11 +184,15 @@ class DiffForm:
                 c = c1 * c2
                 if merge_sign(m1, m2) < 0:
                     c = -c
-                s = out.get(m, 0) + c
-                if _nonzero(s):
-                    out[m] = s
+                prev = out.get(m)
+                if prev is None:
+                    out[m] = c
                 else:
-                    out.pop(m, None)
+                    s = prev + c
+                    if _nonzero(s):
+                        out[m] = s
+                    else:
+                        del out[m]
         return DiffForm(self.n, out)
 
     def __xor__(self, other):

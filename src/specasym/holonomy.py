@@ -98,8 +98,9 @@ class Projection:
 
     def apply(self, alpha: DiffForm) -> DiffForm:
         """The projected 2-form, from integer row products with the
-        numerator planes of ``alpha``.  Its coefficients are Scalars if any
-        coefficient of ``alpha`` is one, else Fractions."""
+        numerator planes of ``alpha``, one pass over each row.  Its
+        coefficients are Scalars if any coefficient of ``alpha`` is one,
+        else Fractions."""
         if any(popcount(m) != 2 for m in alpha.terms):
             raise ValueError("projection applies to 2-forms only")
         values = list(alpha.terms.values())
@@ -109,10 +110,12 @@ class Projection:
         col = {m: k for k, m in enumerate(alpha.terms)}
         out = {}
         for m, row in self.rows:
-            hits = [(v, col[mj]) for mj, v in row if mj in col]
-            if not hits:
-                continue
-            sums = {plane: sum(v * nums[k] for v, k in hits) for plane, nums in planes.items()}
+            sums = {}
+            for mj, v in row:
+                k = col.get(mj)
+                if k is not None:
+                    for plane, nums in planes.items():
+                        sums[plane] = sums.get(plane, 0) + v * nums[k]
             if any(sums.values()):
                 out[m] = lift_planes(sums, den, scalar)
         return DiffForm(self.n, out)

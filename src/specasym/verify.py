@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, pi, sqrt
 from time import perf_counter
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -118,14 +118,16 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
             ok &= f.hodge().hodge() == f.scale((-1) ** (k * (n - k)))
         _check(out, f"hodge involution sign (n={n})", ok)
 
+    # every monomial and its Hodge star are built once, then paired with
+    # each monomial of its degree
     n = 7
     ok = True
-    for a in range(1 << n):
-        for b in range(1 << n):
-            if popcount(a) != popcount(b):
-                continue
-            fa, fb = DiffForm(n, {a: Fraction(1)}), DiffForm(n, {b: Fraction(1)})
-            ok &= fa.inner(fb) == fa.wedge(fb.hodge()).top_coefficient()
+    forms = [DiffForm(n, {m: Fraction(1)}) for m in range(1 << n)]
+    stars = [f.hodge() for f in forms]
+    for a, fa in enumerate(forms):
+        for b, fb in enumerate(forms):
+            if popcount(a) == popcount(b):
+                ok &= fa.inner(fb) == fa.wedge(stars[b]).top_coefficient()
     _check(out, "pairing a^*(b) = <a,b> dvol (n=7, exhaustive)", ok)
 
     # e(e^i)^* against the contraction DiffForm.interior(i), column by column
@@ -177,26 +179,47 @@ def _bridge_check(s, seed: int, count: int = 100) -> bool:
     on the 2-form sources once.  Both sides are linear in M, so the tables
     are first compared entry by entry, which is the identity on every M of
     the block: the random M alone, 12 entries each, can miss a wrong sign
-    in one column.  Each random M then costs only its own support.
+    in one column.  The random M are then checked on ``_bridge_sums``.
     """
-    rnd = random.Random(seed + s.n)
-    basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
-    star_w = star_ext_entries(s.defining_form, basis2)
-    cdvol_w = star_ext_entries(s.defining_form, basis2, cdvol=True)
+    _, star_w, cdvol_w = _bridge_tables(s)
     if star_w != {k: -v for k, v in cdvol_w.items()}:
         return False
+    return all(lhs == -rhs for lhs, rhs in _bridge_sums(s, seed, count))
+
+
+def _bridge_tables(s):
+    """The 2-form masks in increasing order and the integer
+    {(target, source): value} tables of *e(w) and c(dvol) e(w) on them."""
+    basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
+    star_w, cdvol_w = (
+        {k: int(v) for k, v in star_ext_entries(s.defining_form, basis2, cdvol).items()}
+        for cdvol in (False, True)
+    )
+    return basis2, star_w, cdvol_w
+
+
+def _bridge_sums(s, seed: int, count: int = 100) -> List[Tuple[int, int]]:
+    """(6 tr(*e(w) M), 6 tr(c(dvol) e(w) M)) for ``count`` random M.
+
+    Each M is 12 entries (a, b) += p/q with a, b random 2-form masks,
+    p in -3..3 and q in 1..3, drawn in that order; it is kept as integers
+    over the common denominator 6.  A trace sums M[a, b] T[b, a], with
+    T[b, a] looked up in the weight table, which holds its nonzero
+    entries only.
+    """
+    rnd = random.Random(seed + s.n)
+    basis2, star_w, cdvol_w = _bridge_tables(s)
+    sums = []
     for _ in range(count):
-        entries = {}
+        lhs = rhs = 0
         for _ in range(12):
             a, b = rnd.choice(basis2), rnd.choice(basis2)
-            entries[(a, b)] = entries.get((a, b), 0) + Fraction(
-                rnd.randint(-3, 3), rnd.randint(1, 3)
-            )
-        lhs = sum(star_w.get((b, a), 0) * v for (a, b), v in entries.items())
-        rhs = sum(cdvol_w.get((b, a), 0) * v for (a, b), v in entries.items())
-        if lhs != -rhs:
-            return False
-    return True
+            num = rnd.randint(-3, 3)
+            v = num * (6 // rnd.randint(1, 3))
+            lhs += v * star_w.get((b, a), 0)
+            rhs += v * cdvol_w.get((b, a), 0)
+        sums.append((lhs, rhs))
+    return sums
 
 
 # ----------------------------------------------------------------------

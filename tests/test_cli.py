@@ -399,6 +399,23 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--kind", "g2", "--form=--"),
+    ("decompose", "--kind=--", "--form", "e12"),
+    ("verify", "--suite", "spectrum", "--seed=--"),
+    ("verify", "--suite", "spectrum", "--json=--"),
+    ("residue", "--kind", "g2", "--input=--"),
+    ("spectrum", "--n", "7", "--qmax", "2", "--theta=--", "--out", "levels.csv"),
+])
+def test_option_value_double_dash_exits_2(capsys, argv):
+    """Python 3.11's argparse parses "--opt=--" as an empty list, which
+    skips the option's type and choices; the CLI refuses it."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_residue_oracle_flat_bundle_is_independent_of_rank(tmp_path):
     """No step of a flat-bundle residue loops over the rank, so rank 10^6
     finishes at once; run in a subprocess so a regression fails, not hangs."""

@@ -15,6 +15,7 @@ from specasym.exterior import (
     cliff_op,
     ext_op,
     hodge_star,
+    indices_of,
     parse_form,
     popcount,
     star_ext_entries,
@@ -267,6 +268,58 @@ def test_top_pairing_equals_the_top_coefficient_of_the_wedge(pair):
     a, b = pair
     assert a.top_pairing(b) == a.wedge(b).top_coefficient()
     assert b.top_pairing(a) == b.wedge(a).top_coefficient()
+
+
+_ONES = {"fraction": Fraction(1), "scalar": Scalar.of(1), "float": 1.0}
+
+
+@pytest.mark.parametrize("kind", sorted(_ONES))
+def test_wedge_stores_no_zero_when_a_repeated_key_cancels(kind):
+    one = _ONES[kind]
+    a = DiffForm(7, {0b1: one, 0b10: one})  # e1 + e2
+    assert a.wedge(a).terms == {}
+    # e12 cancels, then the unit term of the first factor reaches it again
+    b = DiffForm(7, {0b1: one, 0b10: one, 0: one})
+    c = DiffForm(7, {0b10: one, 0b1: one, 0b11: one})
+    got = b.wedge(c).terms
+    assert got == {0b11: one, 0b10: one, 0b1: one}
+    assert all(type(v) is type(one) for v in got.values())
+
+
+def _brute_wedge(a, b):
+    """{mask: nonzero coefficient} of a ^ b, each sign counted as the
+    inversions of the concatenated index lists (oracle)."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if m1 & m2:
+                continue
+            seq = indices_of(m1) + indices_of(m2)
+            inversions = sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
+            out[m1 | m2] = out.get(m1 | m2, 0) + (-1) ** inversions * c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+@st.composite
+def _wedge_pairs(draw):
+    """Two forms on R^7 or R^8 with one coefficient kind; half the masks
+    lie on e1..e4, so products often meet at one key and cancel."""
+    n = draw(st.sampled_from([7, 8]))
+    masks = st.one_of(st.integers(0, 15), st.integers(0, (1 << n) - 1))
+    units = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2)])
+    coeffs = draw(st.sampled_from([units, _RATS, _SCALARS]))
+    a = draw(st.dictionaries(masks, coeffs, max_size=8))
+    b = draw(st.dictionaries(masks, coeffs, max_size=8))
+    return DiffForm(n, a), DiffForm(n, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wedge_pairs())
+def test_wedge_matches_a_brute_force_product(pair):
+    a, b = pair
+    got = a.wedge(b).terms
+    assert got == _brute_wedge(a, b)
+    assert all(c != 0 for c in got.values())
 
 
 def test_top_pairing_on_the_structure_forms():

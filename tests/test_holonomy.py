@@ -216,6 +216,33 @@ def test_projection_apply_matches_dense_product(g2, spin7):
                     assert all(type(c) is kind for c in got.terms.values())
 
 
+def test_projection_apply_is_one_path_for_every_coefficient_type(g2, spin7):
+    """The same integer 2-form as int, Fraction, real-Scalar and
+    complex-Scalar coefficients projects to equal values; the output is
+    Fractions for rational input and Scalars for Scalar input."""
+    rnd = random.Random(11)
+    z = Scalar.term(1, 2)  # 1 + 2i
+    several = Scalar.term(3, -1, pi_half=1) + Scalar.term(Fraction(1, 2), 0, t_half=-2)
+    for s in (g2, spin7):
+        basis = two_form_basis(s.n)
+        for p in projections(s):
+            for _ in range(10):
+                ints = {rnd.choice(basis): rnd.choice((-3, -1, 1, 2, 5)) for _ in range(6)}
+                got = {
+                    "int": p.apply(DiffForm(s.n, ints)),
+                    "fraction": p.apply(DiffForm(s.n, {m: Fraction(v) for m, v in ints.items()})),
+                    "real": p.apply(DiffForm(s.n, {m: Scalar.of(v) for m, v in ints.items()})),
+                    "complex": p.apply(DiffForm(s.n, {m: v * z for m, v in ints.items()})),
+                    "planes": p.apply(DiffForm(s.n, {m: v * several for m, v in ints.items()})),
+                }
+                assert got["int"] == got["fraction"] == got["real"]
+                assert got["complex"] == got["int"].scale(z)
+                assert got["planes"] == got["int"].scale(several)
+                for key, form in got.items():
+                    kind = Fraction if key in ("int", "fraction") else Scalar
+                    assert all(type(c) is kind for c in form.terms.values()), key
+
+
 def _sparse_rows(mat, shift=0):
     """Nonzero entries of mat + shift * Id, row by row."""
     rows = [{j: v for j, v in enumerate(row) if v} for row in mat]

@@ -1,10 +1,13 @@
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from specasym import verify
-from specasym.exterior import DiffForm, FiberOp
+from specasym.exterior import DiffForm, FiberOp, popcount, star_ext_entries
 from specasym.filtration import CliffordWordExpansion
-from specasym.holonomy import Projection, projections
+from specasym.holonomy import Projection, projections, standard_structure
 
 
 def _statuses(results):
@@ -124,3 +127,76 @@ def test_trace_path_check_fails_on_a_flipped_join_sign(monkeypatch):
     assert status["g2 normalisation is -2"] == "fail"
     assert status["spin7 normalisation is -2"] == "fail"
     assert status["mehler = duhamel through t^2 (n=7, r=1, seed 3)"] == "pass"
+
+
+def _fraction_bridge_sums(s, seed, count):
+    """The random-M loop of the bridge check on Fraction entries, each
+    trace times 6 (oracle of ``verify._bridge_sums``)."""
+    rnd = random.Random(seed + s.n)
+    basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
+    star_w = star_ext_entries(s.defining_form, basis2)
+    cdvol_w = star_ext_entries(s.defining_form, basis2, cdvol=True)
+    sums = []
+    for _ in range(count):
+        entries = {}
+        for _ in range(12):
+            a, b = rnd.choice(basis2), rnd.choice(basis2)
+            entries[(a, b)] = entries.get((a, b), 0) + Fraction(
+                rnd.randint(-3, 3), rnd.randint(1, 3)
+            )
+        lhs = sum(star_w.get((b, a), 0) * v for (a, b), v in entries.items())
+        rhs = sum(cdvol_w.get((b, a), 0) * v for (a, b), v in entries.items())
+        sums.append((6 * lhs, 6 * rhs))
+    return sums
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_bridge_sums_draw_the_same_random_operators(kind, seed):
+    s = standard_structure(kind)
+    got = verify._bridge_sums(s, seed, 100)
+    assert got == _fraction_bridge_sums(s, seed, 100)
+    assert all(type(x) is int for pair in got for x in pair)
+    assert sum(1 for lhs, _ in got if lhs) > 50  # most M meet the weight table
+
+
+_PAIRING = "pairing a^*(b) = <a,b> dvol (n=7, exhaustive)"
+
+
+def test_pairing_check_fails_on_a_flipped_star(monkeypatch):
+    """The stars of the pairing check come from DiffForm.hodge: one wrong
+    degree-3 image fails it."""
+    hodge = DiffForm.hodge
+    e123 = 0b111
+
+    def flipped(self):
+        out = hodge(self)
+        return out.scale(-1) if self.n == 7 and set(self.terms) == {e123} else out
+
+    monkeypatch.setattr(DiffForm, "hodge", flipped)
+    assert _statuses(verify.algebra_suite(0))[_PAIRING] == "fail"
+
+
+def test_pairing_check_fails_on_a_flipped_wedge_sign(monkeypatch):
+    wedge = DiffForm.wedge
+
+    def flipped(self, other):
+        out = wedge(self, other)
+        if self.n == 7 and set(self.terms) == {0b1} and set(other.terms) == {0b1111110}:
+            return out.scale(-1)
+        return out
+
+    monkeypatch.setattr(DiffForm, "wedge", flipped)
+    assert _statuses(verify.algebra_suite(0))[_PAIRING] == "fail"
+
+
+def test_decomposition_check_fails_when_apply_drops_a_row(monkeypatch):
+    apply = Projection.apply
+
+    def dropping(self, alpha):
+        return apply(Projection(self.target, self.n, self.den, self.rows[1:]), alpha)
+
+    monkeypatch.setattr(Projection, "apply", dropping)
+    status = _statuses(verify.holonomy_suite(0))
+    for kind in ("g2", "spin7"):
+        assert status[f"{kind} orthogonal decomposition, 100 random 2-forms"] == "fail"

@@ -5,9 +5,9 @@ flat-torus spectral asymmetry bookkeeping.
 The names below are exported lazily (PEP 562): ``import specasym`` loads
 no submodule, and each name imports its module on first access.  So
 ``import specasym.heat`` or ``import specasym.cli`` pays only for the
-modules it uses, and numpy loads only with ``filtration``, ``verify``,
-the flat-torus level counts or the dense matrices of ``holonomy``.
-``FiberOp`` is a sparse map keyed by basis masks and needs no numpy.
+modules it uses, and numpy loads only with ``filtration``, ``verify`` or
+the flat-torus level counts.  ``FiberOp`` and the ``holonomy`` operators
+are sparse maps keyed by basis masks and need no numpy.
 """
 
 from importlib import import_module

@@ -417,6 +417,22 @@ def star_ext_entries(
     return out
 
 
+def sparse_product(x: Dict[Tuple[int, int], object], y: Dict[Tuple[int, int], object]):
+    """The matrix product of two sparse maps {(row, col): value}, as the
+    same kind of map: {(i, j): sum_k x[i, k] y[k, j]}.  Each sum starts
+    from its first product, so values keep the type of the factors, and
+    entries that cancel to zero are dropped."""
+    cols: Dict[int, list] = {}
+    for (k, j), b in y.items():
+        cols.setdefault(k, []).append((j, b))
+    out: Dict[Tuple[int, int], object] = {}
+    for (i, k), a in x.items():
+        for j, b in cols.get(k, ()):
+            prev = out.get((i, j))
+            out[(i, j)] = a * b if prev is None else prev + a * b
+    return {key: v for key, v in out.items() if _nonzero(v)}
+
+
 # ----------------------------------------------------------------------
 # sparse fiber operators
 # ----------------------------------------------------------------------
@@ -428,8 +444,10 @@ class FiberOp:
     is basis mask * r + bundle index; at r = 1 the keys are those of
     ``star_ext_entries``.  The constructors read their signs only from
     ``merge_sign``, ``hodge_sign`` and ``apply_word``, so these operators
-    are an oracle for the sign tables.  Entries are summed from
-    ``Fraction(0)``, so an integer coefficient gives a Fraction entry.
+    are an oracle for the sign tables.  The constructors and ``+`` sum
+    entries from ``Fraction(0)``, so an integer coefficient gives a
+    Fraction entry; ``@`` is ``sparse_product``, which keeps the type of
+    its factors.
     """
 
     __slots__ = ("n", "r", "entries")
@@ -539,14 +557,7 @@ class FiberOp:
 
     def __matmul__(self, other: "FiberOp") -> "FiberOp":
         self._check(other)
-        rows: Dict[int, list] = {}
-        for (k, j), b in other.entries.items():
-            rows.setdefault(k, []).append((j, b))
-        out: Dict[Tuple[int, int], object] = {}
-        for (i, k), a in self.entries.items():
-            for j, b in rows.get(k, ()):
-                out[(i, j)] = out.get((i, j), _ZERO) + a * b
-        return FiberOp(self.n, self.r, out)
+        return FiberOp(self.n, self.r, sparse_product(self.entries, other.entries))
 
     def adjoint(self) -> "FiberOp":
         return FiberOp(self.n, self.r, {

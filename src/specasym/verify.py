@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from .exact import Scalar, numerator_planes
-from .exterior import DiffForm, FiberOp, popcount, star_ext_entries
+from .exterior import DiffForm, FiberOp, popcount, sparse_product, star_ext_entries
 from .filtration import (
     expand_clifford_basis,
     gram_orthogonality_check,
@@ -175,40 +175,33 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
 def _bridge_check(s, seed: int, count: int = 100) -> bool:
     """tr(*e(w) M) = -tr(c(dvol) e(w) M) for degree-2-block operators M.
 
-    Both weight operators map 2-forms to 2-forms, so they are tabulated
-    on the 2-form sources once.  Both sides are linear in M, so the tables
-    are first compared entry by entry, which is the identity on every M of
-    the block: the random M alone, 12 entries each, can miss a wrong sign
-    in one column.  The random M are then checked on ``_bridge_sums``.
+    Both weight operators map 2-forms to 2-forms: *e(w) is the stored
+    ``s.star_ext`` and c(dvol) e(w) is tabulated on the 2-form sources
+    once.  Both sides are linear in M, so the tables are first compared
+    entry by entry, which is the identity on every M of the block: the
+    random M alone, 12 entries each, can miss a wrong sign in one column.
+    The random M are then checked on ``_bridge_sums``.
     """
-    _, star_w, cdvol_w = _bridge_tables(s)
-    if star_w != {k: -v for k, v in cdvol_w.items()}:
-        return False
-    return all(lhs == -rhs for lhs, rhs in _bridge_sums(s, seed, count))
-
-
-def _bridge_tables(s):
-    """The 2-form masks in increasing order and the integer
-    {(target, source): value} tables of *e(w) and c(dvol) e(w) on them."""
     basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
-    star_w, cdvol_w = (
-        {k: int(v) for k, v in star_ext_entries(s.defining_form, basis2, cdvol).items()}
-        for cdvol in (False, True)
-    )
-    return basis2, star_w, cdvol_w
+    cdvol_w = {k: int(v) for k, v in star_ext_entries(s.defining_form, basis2, True).items()}
+    if s.star_ext != {k: -v for k, v in cdvol_w.items()}:
+        return False
+    return all(lhs == -rhs for lhs, rhs in _bridge_sums(s, basis2, cdvol_w, seed, count))
 
 
-def _bridge_sums(s, seed: int, count: int = 100) -> List[Tuple[int, int]]:
+def _bridge_sums(s, basis2: List[int], cdvol_w, seed: int, count: int = 100
+                 ) -> List[Tuple[int, int]]:
     """(6 tr(*e(w) M), 6 tr(c(dvol) e(w) M)) for ``count`` random M.
 
-    Each M is 12 entries (a, b) += p/q with a, b random 2-form masks,
-    p in -3..3 and q in 1..3, drawn in that order; it is kept as integers
-    over the common denominator 6.  A trace sums M[a, b] T[b, a], with
-    T[b, a] looked up in the weight table, which holds its nonzero
-    entries only.
+    Each M is 12 entries (a, b) += p/q with a, b drawn from the 2-form
+    masks ``basis2`` in increasing order, p in -3..3 and q in 1..3, drawn
+    in that order; it is kept as integers over the common denominator 6.
+    A trace sums M[a, b] T[b, a], with T[b, a] looked up in ``s.star_ext``
+    or the integer table ``cdvol_w``, which hold their nonzero entries
+    only.
     """
     rnd = random.Random(seed + s.n)
-    basis2, star_w, cdvol_w = _bridge_tables(s)
+    star_w = s.star_ext
     sums = []
     for _ in range(count):
         lhs = rhs = 0
@@ -233,27 +226,26 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
         s = standard_structure(kind)
         _check(out, f"{kind} eigenvalue table", s.eigenvalue_table == table, str(s.eigenvalue_table))
         p7, pbig = projections(s)
-        # dense int64 views of the stored integer rows of A, P7 and Pbig
-        a = s.star_ext
-        dim = a.shape[0]
-        # P = N / den: P^2 = P iff N N = den N, and so on
-        den, n7, nbig = p7.den, p7.numerator_matrix(), pbig.numerator_matrix()
+        # P = N / den: P^2 = P iff N N = den N, and so on, as map equality
+        a, den, n7, nbig = s.star_ext, p7.den, p7.entries, pbig.entries
+        basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
         ok = pbig.den == den
-        ok &= (np.dot(n7, n7) == den * n7).all()
-        ok &= (np.dot(nbig, nbig) == den * nbig).all()
-        ok &= not np.dot(n7, nbig).any()
-        ok &= (n7.T == n7).all()
-        _check(out, f"{kind} projections idempotent, orthogonal, symmetric", bool(ok))
+        ok &= sparse_product(n7, n7) == {k: den * v for k, v in n7.items()}
+        ok &= sparse_product(nbig, nbig) == {k: den * v for k, v in nbig.items()}
+        ok &= not sparse_product(n7, nbig)
+        ok &= all(n7.get((j, i)) == v for (i, j), v in n7.items())
+        _check(out, f"{kind} projections idempotent, orthogonal, symmetric", ok)
         _check(
             out,
             f"{kind} projection traces",
-            p7.trace() == 7 and pbig.trace() == dim - 7,
+            p7.trace() == 7 and pbig.trace() == len(basis2) - 7,
             f"tr P7 = {p7.trace()}, tr Pbig = {pbig.trace()}",
         )
-        recon = plus * n7 - nbig
-        _check(out, f"{kind} spectral reconstruction plus*P7 - Pbig", (recon == den * a).all())
-        comm = np.dot(n7, a) - np.dot(a, n7)
-        _check(out, f"{kind} projections commute with *e(w)", not comm.any())
+        recon = all(plus * n7.get(k, 0) - nbig.get(k, 0) == den * a.get(k, 0)
+                    for k in n7.keys() | nbig.keys() | a.keys())
+        _check(out, f"{kind} spectral reconstruction plus*P7 - Pbig", recon)
+        comm = sparse_product(n7, a) == sparse_product(a, n7)
+        _check(out, f"{kind} projections commute with *e(w)", comm)
 
         if kind == "spin7":
             _check(out, "spin7 cayley form self-dual", s.defining_form.hodge() == s.defining_form)
@@ -266,7 +258,6 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
             _check(out, "g2 contractions are +2 eigenvectors (all v)", ok)
 
         ok = True
-        basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
         for _ in range(100):
             terms = {}
             for _ in range(5):

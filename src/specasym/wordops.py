@@ -357,14 +357,3 @@ def _weighted_trace(w: DiffForm, x: WordOperator, cdvol: bool) -> Scalar:
         total = total + Scalar.of(acc) * tr_e
     return total
 
-
-def star_ext_trace_dense(w: DiffForm, m: FiberOp) -> object:
-    """tr[ * e(w) m ] for a fiber operator."""
-    op = FiberOp.star_op(m.n, m.r) @ FiberOp.ext_op(w, m.r)
-    return FiberOp.trace_product(op, m)
-
-
-def cdvol_ext_trace_dense(w: DiffForm, m: FiberOp) -> object:
-    """tr[ c(dvol) e(w) m ] for a fiber operator."""
-    op = FiberOp.word_op(m.n, (1 << m.n) - 1, "c", m.r) @ FiberOp.ext_op(w, m.r)
-    return FiberOp.trace_product(op, m)

@@ -46,13 +46,12 @@ def test_criterion_01_eigenstructure():
     for kind, table in (("g2", [(2, 7), (-1, 14)]), ("spin7", [(3, 7), (-1, 21)])):
         s = standard_structure(kind)
         assert s.eigenvalue_table == table
-        # exact minimal-polynomial certificate on the stored integer rows
+        # exact minimal-polynomial certificate on the stored integer map
         pos = {m: i for i, m in enumerate(two_form_basis(s.n))}
         dim = len(pos)
         a = np.full((dim, dim), Fraction(0), dtype=object)
-        for m, row in s.star_ext_rows:
-            for mj, v in row:
-                a[pos[m], pos[mj]] = Fraction(v)
+        for (t, b), v in s.star_ext.items():
+            a[pos[t], pos[b]] = Fraction(v)
         eye = np.full((dim, dim), Fraction(0), dtype=object)
         for i in range(dim):
             eye[i, i] = Fraction(1)

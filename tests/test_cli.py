@@ -320,12 +320,22 @@ _STARTUP_RESIDUE = {"n": 7, "rank": 1, "R": [[1, 2, 3, 4, "1/2"], [1, 3, 2, 5, -
     "e1 = FiberOp.ext_op(DiffForm.monomial(7, (1,)), 2)\n"
     "c1 = WordOperator.from_word(7, 1, 0, r=2).to_fiber_op()\n"
     "assert e1 - e1.adjoint() == c1 and (c1 @ c1).trace() == -256",
-], ids=["import-specasym", "import-cli", "setup-probe", "residue-oracle", "decompose", "fiber-op"])
+    "import sys\n"
+    "from specasym.exterior import sparse_product\n"
+    "from specasym.holonomy import projections, standard_structure, star_ext_on_two_forms\n"
+    "for kind in ('g2', 'spin7'):\n"
+    "    s = standard_structure(kind)\n"
+    "    assert s.star_ext == star_ext_on_two_forms(s.defining_form, s.n)\n"
+    "    p7 = projections(s)[0]\n"
+    "    n7 = p7.entries\n"
+    "    assert sparse_product(n7, n7) == {k: p7.den * v for k, v in n7.items()}",
+], ids=["import-specasym", "import-cli", "setup-probe", "residue-oracle", "decompose", "fiber-op",
+        "holonomy-oracle"])
 def test_startup_path_does_not_load_numpy(tmp_path, code):
-    """Building structures, residues, decompositions and fiber operators
-    runs on sparse maps; numpy loads only with verify, filtration, the
-    torus level counts and the holonomy matrices, so these calls do not
-    pay for it."""
+    """Building structures, residues, decompositions, fiber operators and
+    the holonomy oracle runs on sparse maps; numpy loads only with verify,
+    filtration and the torus level counts, so these calls do not pay for
+    it."""
     path = os.fspath(tmp_path / "curvature.json")
     _write(path, _STARTUP_RESIDUE)
     proc = subprocess.run([sys.executable, "-c", code + _NUMPY_LOADED, path],

@@ -18,6 +18,7 @@ from specasym.exterior import (
     indices_of,
     parse_form,
     popcount,
+    sparse_product,
     star_ext_entries,
     wedge,
     word_op,
@@ -327,3 +328,59 @@ def test_top_pairing_on_the_structure_forms():
         w = standard_structure(kind).defining_form
         dual = w.hodge()
         assert w.top_pairing(dual) == w.wedge(dual).top_coefficient() == w.norm_sq()
+
+
+def _dense_product(x, y, dim):
+    """{(i, j): nonzero sum_k x[i, k] y[k, j]} over 0 .. dim - 1, every
+    (i, k, j) visited (oracle of ``sparse_product``)."""
+    out = {}
+    for i in range(dim):
+        for j in range(dim):
+            tot = 0
+            for k in range(dim):
+                if (i, k) in x and (k, j) in y:
+                    tot = tot + x[(i, k)] * y[(k, j)]
+            if tot != 0:
+                out[(i, j)] = tot
+    return out
+
+
+_PRODUCT_VALUES = {
+    "int": lambda rnd: rnd.choice((-3, -2, -1, 1, 2, 3)),
+    "fraction": lambda rnd: Fraction(rnd.choice((-3, -1, 1, 2)), rnd.randint(1, 4)),
+    "scalar": lambda rnd: Scalar.term(rnd.randint(-2, 2), rnd.choice((-1, 1)),
+                                      pi_half=rnd.choice((0, -2))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PRODUCT_VALUES))
+def test_sparse_product_matches_a_dense_product(kind):
+    rnd = random.Random(kind)
+    value = _PRODUCT_VALUES[kind]
+    dim = 6
+    for _ in range(30):
+        x, y = ({(rnd.randrange(dim), rnd.randrange(dim)): value(rnd)
+                 for _ in range(rnd.randint(0, 14))} for _ in range(2))
+        got = sparse_product(x, y)
+        assert got == _dense_product(x, y, dim)
+        assert all(type(v) is type(next(iter(x.values()))) for v in got.values())
+
+
+def test_sparse_product_stores_no_cancelled_entry():
+    # (e0 + e1) with the rows (1, -1): row 0 cancels, row 1 cancels and
+    # is reached again by a third term
+    x = {(0, 0): 1, (0, 1): 1, (1, 0): Fraction(1), (1, 1): Fraction(1), (1, 2): Fraction(1)}
+    y = {(0, 0): 1, (1, 0): -1, (2, 0): 1}
+    got = sparse_product(x, y)
+    assert got == {(1, 0): 1}
+    assert sparse_product({(0, 0): Scalar.of(1), (0, 1): Scalar.of(1)},
+                          {(0, 5): Scalar.of(2), (1, 5): Scalar.of(-2)}) == {}
+    assert sparse_product({}, y) == sparse_product(y, {}) == {}
+
+
+def test_fiber_op_products_of_library_operators_keep_fraction_entries():
+    w = DiffForm(7, {0b111: 1, 0b11000: -2})
+    for op in (FiberOp.star_op(7) @ FiberOp.ext_op(w),
+               FiberOp.word_op(7, 0b101, "c", 2) @ FiberOp.ext_op(e(7, 3), 2),
+               cliff_op(e(7, 1)) @ cliff_hat_op(e(7, 2))):
+        assert op.entries and all(type(v) is Fraction for v in op.entries.values())

@@ -20,20 +20,22 @@ from specasym.holonomy import (
 from specasym.residue import CurvatureData, instanton_line_curvature
 
 
-def _fraction_operator(s):
-    """The stored integer rows of *e(w) as a dense object array of Fractions."""
-    pos = {m: i for i, m in enumerate(two_form_basis(s.n))}
+def _array(n, entries):
+    """A sparse 2-form operator {(target, source): value} as a dense
+    object array of Fractions over ``two_form_basis(n)``."""
+    pos = {m: i for i, m in enumerate(two_form_basis(n))}
     a = np.full((len(pos), len(pos)), Fraction(0), dtype=object)
-    for m, row in s.star_ext_rows:
-        for mj, v in row:
-            a[pos[m], pos[mj]] = Fraction(v)
+    for (t, b), v in entries.items():
+        a[pos[t], pos[b]] = Fraction(v)
     return a
 
 
-def _index_rows(mat):
-    """Every row of a dense matrix as {column: value} over its nonzero
-    entries, the input of ``_eig_validate``."""
-    return [{j: v for j, v in enumerate(row) if v} for row in mat.tolist()]
+def _entries(n, mat):
+    """The nonzero entries of a dense matrix over ``two_form_basis(n)`` as
+    a sparse map, the input of ``_eig_validate``."""
+    basis = two_form_basis(n)
+    return {(basis[i], basis[j]): v
+            for i, row in enumerate(mat.tolist()) for j, v in enumerate(row) if v}
 
 
 def test_g2_structure(g2):
@@ -58,7 +60,7 @@ def test_star_ext_image_of_e12(g2):
 
 def test_minimal_polynomials(g2, spin7):
     for s, plus in ((g2, 2), (spin7, 3)):
-        a = _fraction_operator(s)
+        a = _array(s.n, s.star_ext)
         dim = a.shape[0]
         eye = np.full((dim, dim), Fraction(0), dtype=object)
         for i in range(dim):
@@ -75,12 +77,13 @@ def test_projection_properties(g2, spin7):
         p7, pbig = projections(s)
         assert p7.trace() == 7
         assert pbig.trace() == (14 if s.kind == "g2" else 21)
-        assert (np.dot(p7.matrix, p7.matrix) == p7.matrix).all()
-        assert all(v == 0 for v in np.dot(p7.matrix, pbig.matrix).flat)
-        dim = p7.matrix.shape[0]
+        m7, mbig = (_array(s.n, p.entries) / p.den for p in (p7, pbig))
+        assert (np.dot(m7, m7) == m7).all()
+        assert all(v == 0 for v in np.dot(m7, mbig).flat)
+        dim = m7.shape[0]
         for i in range(dim):
             for j in range(dim):
-                assert p7.matrix[i, j] + pbig.matrix[i, j] == (1 if i == j else 0)
+                assert m7[i, j] + mbig[i, j] == (1 if i == j else 0)
 
 
 def test_decompose_contraction_is_pure(g2):
@@ -147,31 +150,33 @@ def test_instanton_check_big_part(g2):
 
 
 def test_star_ext_matrix_symmetry(g2):
-    mat = star_ext_on_two_forms(g2.defining_form, 7)
-    assert (mat.T == mat).all()
+    entries = star_ext_on_two_forms(g2.defining_form, 7)
+    assert len(entries) == 42
+    assert all(entries.get((b, t)) == v for (t, b), v in entries.items())
 
 
 def test_eig_validate_rejects_broken_operators(g2, spin7):
     for s, plus in ((g2, 2), (spin7, 3)):
-        a = _fraction_operator(s)
-        assert _eig_validate(_index_rows(a), plus) == s.eigenvalue_table
+        basis = two_form_basis(s.n)
+        a = _array(s.n, s.star_ext)
+        assert _eig_validate(_entries(s.n, a), basis, plus) == s.eigenvalue_table
         i, j = next((i, j) for i in range(a.shape[0]) for j in range(i) if a[i, j])
         broken = a.copy()
         broken[i, j], broken[j, i] = -a[i, j], -a[j, i]
         assert (broken.T == broken).all()
         with pytest.raises(StructureValidationError, match="minimal polynomial"):
-            _eig_validate(_index_rows(broken), plus)
+            _eig_validate(_entries(s.n, broken), basis, plus)
         # plus * Id satisfies the polynomial but puts the whole fiber in one part
         scalar = np.full(a.shape, Fraction(0), dtype=object)
         for k in range(a.shape[0]):
             scalar[k, k] = Fraction(plus)
         with pytest.raises(StructureValidationError, match="trace"):
-            _eig_validate(_index_rows(scalar), plus)
+            _eig_validate(_entries(s.n, scalar), basis, plus)
         # an empty sparse row (eigenvalue 0) fails only through its plus Id term
         hole = scalar.copy()
         hole[0, 0] = Fraction(0)
         with pytest.raises(StructureValidationError, match="minimal polynomial"):
-            _eig_validate(_index_rows(hole), plus)
+            _eig_validate(_entries(s.n, hole), basis, plus)
 
 
 @pytest.mark.parametrize("kind", ["g2", "spin7"])
@@ -179,15 +184,16 @@ def test_nonsymmetric_conjugate_operator_is_caught(monkeypatch, kind):
     """S A S^-1 for a unimodular S keeps the minimal polynomial and the
     trace; only the symmetry check rejects it."""
     s = standard_structure(kind)
-    a = s.star_ext
+    a = _array(s.n, s.star_ext).astype(np.int64)
     shear = np.eye(len(a), dtype=np.int64)
     shear[0, 1] = 1
     inverse = np.eye(len(a), dtype=np.int64)
     inverse[0, 1] = -1
     conj = shear @ a @ inverse
     assert (conj != conj.T).any()
-    assert _eig_validate(_index_rows(conj), s.plus_eigenvalue) == s.eigenvalue_table
-    monkeypatch.setattr(holonomy, "_star_ext_rows", lambda form: _index_rows(conj))
+    basis = two_form_basis(s.n)
+    assert _eig_validate(_entries(s.n, conj), basis, s.plus_eigenvalue) == s.eigenvalue_table
+    monkeypatch.setattr(holonomy, "star_ext_entries", lambda w, sources: _entries(s.n, conj))
     with pytest.raises(StructureValidationError, match="not symmetric"):
         standard_structure(kind)
 
@@ -201,6 +207,7 @@ def test_projection_apply_matches_dense_product(g2, spin7):
     for s in (g2, spin7):
         basis = two_form_basis(s.n)
         for p in projections(s):
+            dense_p = _array(s.n, p.entries) / p.den
             for _ in range(10):
                 alpha = DiffForm(s.n, {
                     rnd.choice(basis): Scalar.term(q(), q(), pi_half=rnd.choice((0, -2)))
@@ -210,7 +217,7 @@ def test_projection_apply_matches_dense_product(g2, spin7):
                 # the output keeps the coefficient type of the input
                 for form, kind in ((alpha, Scalar), (rational, Fraction)):
                     vec = np.array([form.terms.get(m, kind(0)) for m in basis], dtype=object)
-                    dense = p.matrix.dot(vec)
+                    dense = dense_p.dot(vec)
                     got = p.apply(form)
                     assert got == DiffForm(s.n, dict(zip(basis, dense)))
                     assert all(type(c) is kind for c in got.terms.values())
@@ -243,29 +250,32 @@ def test_projection_apply_is_one_path_for_every_coefficient_type(g2, spin7):
                     assert all(type(c) is kind for c in form.terms.values()), key
 
 
-def _sparse_rows(mat, shift=0):
-    """Nonzero entries of mat + shift * Id, row by row."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
-    for i, row in enumerate(rows):
-        row[i] = row.get(i, 0) + shift
-        if not row[i]:
-            del row[i]
+def _sparse_rows(a, basis, shift=0):
+    """Row t of A + shift * Id as {source: nonzero Fraction}, for every t
+    in ``basis``."""
+    rows = {t: {} for t in basis}
+    for (t, b), v in a.items():
+        rows[t][b] = Fraction(v)
+    for m in basis:
+        rows[m][m] = rows[m].get(m, Fraction(0)) + shift
+        if not rows[m][m]:
+            del rows[m][m]
     return rows
 
 
-def _sparse_eig_validate(mat, plus):
+def _sparse_eig_validate(a, basis, plus):
     """(A - plus)(A + 1) = 0 as a product of sparse Fraction rows, then the
     trace split (oracle)."""
-    dim = mat.shape[0]
-    left, right = _sparse_rows(mat, -plus), _sparse_rows(mat, 1)
-    for row in left:
+    dim = len(basis)
+    left, right = _sparse_rows(a, basis, -plus), _sparse_rows(a, basis, 1)
+    for row in left.values():
         acc = {}
-        for k, a in row.items():
-            for j, b in right[k].items():
-                acc[j] = acc.get(j, 0) + a * b
+        for k, x in row.items():
+            for j, y in right[k].items():
+                acc[j] = acc.get(j, 0) + x * y
         if any(acc.values()):
             raise StructureValidationError("minimal polynomial check failed")
-    tr = sum(mat[i, i] for i in range(dim))
+    tr = sum(Fraction(a.get((m, m), 0)) for m in basis)
     m_plus = Fraction(tr + dim, plus + 1)
     if m_plus.denominator != 1 or not (0 < m_plus < dim):
         raise StructureValidationError("trace does not split the fiber")
@@ -273,9 +283,9 @@ def _sparse_eig_validate(mat, plus):
     return [(plus, m_plus), (-1, dim - m_plus)]
 
 
-def _outcome(fn, mat, plus):
+def _outcome(fn, a, basis, plus):
     try:
-        return fn(mat, plus)
+        return fn(a, basis, plus)
     except StructureValidationError as exc:
         return str(exc)
 
@@ -283,40 +293,31 @@ def _outcome(fn, mat, plus):
 def test_integer_structure_matches_fraction_oracles(g2, spin7):
     rnd = random.Random(4)
     for s in (g2, spin7):
-        # the rows are the oracle matrix entry by entry: every nonzero entry
-        # in basis order, every basis row present
-        oracle = star_ext_on_two_forms(s.defining_form, s.n)
         basis = two_form_basis(s.n)
-        assert s.star_ext_rows == [
-            (basis[i], [(basis[j], v) for j, v in enumerate(row) if v])
-            for i, row in enumerate(oracle.tolist())
-        ]
-        assert all(type(v) is int for _, row in s.star_ext_rows for _, v in row)
-        assert s.star_ext.dtype == np.int64
-        assert (s.star_ext == oracle).all()
-        a = _fraction_operator(s)
-        ints = np.array(a.tolist(), dtype=np.int64)
+        # A is the oracle map entry by entry, with int values
+        assert s.star_ext == star_ext_on_two_forms(s.defining_form, s.n)
+        assert all(type(v) is int for v in s.star_ext.values())
         for _ in range(20):
             # entries moved by small integers, symmetric or not
-            broken = ints.copy()
-            i, j = rnd.randrange(len(a)), rnd.randrange(len(a))
-            broken[i, j] += rnd.choice((-2, -1, 1))
+            broken = dict(s.star_ext)
+            i, j = rnd.choice(basis), rnd.choice(basis)
+            broken[(i, j)] = broken.get((i, j), 0) + rnd.choice((-2, -1, 1))
             if rnd.random() < 0.5:
-                broken[j, i] = broken[i, j]
-            for mat in (ints, broken):
-                want = _outcome(_sparse_eig_validate, mat.astype(object), s.plus_eigenvalue)
-                assert _outcome(_eig_validate, _index_rows(mat), s.plus_eigenvalue) == want
+                broken[(j, i)] = broken[(i, j)]
+            broken = {k: v for k, v in broken.items() if v}
+            for a in (s.star_ext, broken):
+                want = _outcome(_sparse_eig_validate, a, basis, s.plus_eigenvalue)
+                assert _outcome(_eig_validate, a, basis, s.plus_eigenvalue) == want
 
         # the projections as derived from the sparse Fraction rows of A
-        denom = Fraction(s.plus_eigenvalue + 1)
+        denom = s.plus_eigenvalue + 1
         for p, shift, sign in zip(projections(s), (1, -s.plus_eigenvalue), (1, -1)):
-            want = [
-                (basis[i], [(basis[j], sign * v / denom) for j, v in sorted(row.items())])
-                for i, row in enumerate(_sparse_rows(a, shift))
-            ]
-            assert p.den == s.plus_eigenvalue + 1
-            assert [(m, [(mj, Fraction(v, p.den)) for mj, v in row]) for m, row in p.rows] == want
-            assert all(type(v) is int for _, row in p.rows for _, v in row)
+            want = {(t, b): sign * v / denom
+                    for t, row in _sparse_rows(s.star_ext, basis, shift).items()
+                    for b, v in row.items()}
+            assert p.den == denom
+            assert {k: Fraction(v, p.den) for k, v in p.entries.items()} == want
+            assert all(type(v) is int for v in p.entries.values())
 
 
 @pytest.mark.parametrize("kind", ["g2", "spin7"])

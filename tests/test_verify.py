@@ -93,9 +93,10 @@ def test_projection_checks_fail_on_a_changed_entry(monkeypatch, kind):
         p7, pbig = projections(s)
         if s.kind != kind:
             return p7, pbig
-        (mask, row), rest = p7.rows[0], p7.rows[1:]
-        row = [(mj, v + 1 if mj == mask else v) for mj, v in row]
-        return Projection(p7.target, p7.n, p7.den, [(mask, row)] + rest), pbig
+        entries = dict(p7.entries)
+        mask = next(t for t, b in entries if t == b)
+        entries[(mask, mask)] += 1
+        return Projection(p7.target, p7.n, p7.den, entries), pbig
 
     monkeypatch.setattr(verify, "projections", changed)
     status = _statuses(verify.holonomy_suite(0))
@@ -131,7 +132,8 @@ def test_trace_path_check_fails_on_a_flipped_join_sign(monkeypatch):
 
 def _fraction_bridge_sums(s, seed, count):
     """The random-M loop of the bridge check on Fraction entries, each
-    trace times 6 (oracle of ``verify._bridge_sums``)."""
+    trace times 6, with both weight tables from ``star_ext_entries``
+    (oracle of ``verify._bridge_sums``)."""
     rnd = random.Random(seed + s.n)
     basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
     star_w = star_ext_entries(s.defining_form, basis2)
@@ -154,7 +156,9 @@ def _fraction_bridge_sums(s, seed, count):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_bridge_sums_draw_the_same_random_operators(kind, seed):
     s = standard_structure(kind)
-    got = verify._bridge_sums(s, seed, 100)
+    basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
+    cdvol_w = {k: int(v) for k, v in star_ext_entries(s.defining_form, basis2, True).items()}
+    got = verify._bridge_sums(s, basis2, cdvol_w, seed, 100)
     assert got == _fraction_bridge_sums(s, seed, 100)
     assert all(type(x) is int for pair in got for x in pair)
     assert sum(1 for lhs, _ in got if lhs) > 50  # most M meet the weight table
@@ -194,7 +198,9 @@ def test_decomposition_check_fails_when_apply_drops_a_row(monkeypatch):
     apply = Projection.apply
 
     def dropping(self, alpha):
-        return apply(Projection(self.target, self.n, self.den, self.rows[1:]), alpha)
+        first = next(iter(self.entries))[0]
+        kept = {(t, b): v for (t, b), v in self.entries.items() if t != first}
+        return apply(Projection(self.target, self.n, self.den, kept), alpha)
 
     monkeypatch.setattr(Projection, "apply", dropping)
     status = _statuses(verify.holonomy_suite(0))

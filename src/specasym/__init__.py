@@ -20,13 +20,7 @@ _EXPORTS = {
         "DiffForm",
         "FiberOp",
         "MultiIndex",
-        "cliff_hat_op",
-        "cliff_op",
-        "ext_op",
-        "hodge_star",
         "parse_form",
-        "wedge",
-        "word_op",
     ),
     "filtration": (
         "CliffordWordExpansion",

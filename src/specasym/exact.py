@@ -170,6 +170,14 @@ class Scalar:
         return self.terms == other.terms
 
     def __hash__(self):
+        # equal values hash equal: a real rational Scalar hashes as its
+        # Fraction, and the zero Scalar as 0
+        if not self.terms:
+            return 0
+        if len(self.terms) == 1:
+            (key, (re, im)), = self.terms.items()
+            if key == (0, 0) and not im:
+                return hash(re)
         return hash(frozenset(self.terms.items()))
 
     def conjugate(self) -> "Scalar":

@@ -597,28 +597,3 @@ class FiberOp:
                 out[row] = out.get(row, 0) + v * c
         return DiffForm(self.n, out)
 
-
-# convenience wrappers matching the operation names used across the package
-
-def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
-    return a.wedge(b)
-
-
-def hodge_star(a: DiffForm) -> DiffForm:
-    return a.hodge()
-
-
-def ext_op(w: DiffForm, r: int = 1) -> FiberOp:
-    return FiberOp.ext_op(w, r)
-
-
-def cliff_op(w: DiffForm, r: int = 1) -> FiberOp:
-    return FiberOp.cliff_op(w, r)
-
-
-def cliff_hat_op(w: DiffForm, r: int = 1) -> FiberOp:
-    return FiberOp.cliff_hat_op(w, r)
-
-
-def word_op(n: int, indices, kind: str = "c", r: int = 1) -> FiberOp:
-    return FiberOp.word_op(n, indices, kind, r)

@@ -5,6 +5,12 @@ permutation e^S -> +-e^{S ^ I ^ J}, so the whole 4^n word family is
 tabulated as one sign array for the c words and one for the c-hat words.
 Traces, Hilbert-Schmidt coefficient extraction and the exhaustive
 trace-identity sweeps all run on these tables.
+
+The expansion and its reconstruction are one kernel in two directions.
+With K[(S ^ I ^ J, S), (I, J)] the sign of the word (I, J) on e^S, the
+coefficients of an operator M are phi = K^T M / 2^n and the operator of
+coefficients phi is M = K phi; ``_word_scatter`` applies K or K^T to a
+sparse map on integer numerator planes.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .exact import Scalar, lift_planes, numerator_planes
-from .exterior import FiberOp, apply_cliff, popcount
+from .exterior import FiberOp, apply_cliff, mask_of, popcount
 
 
 _BLOCK = 1 << 14  # table entries gathered per numpy round
@@ -65,20 +71,11 @@ def _word_signs(n: int, cms, hms, s):
 
 def word_trace(n: int, cmask_or_indices, hmask_or_indices) -> int:
     """Trace of c(omega^I) c-hat(omega^J) over Lambda*(R^n)."""
-    cm = _as_mask(cmask_or_indices)
-    hm = _as_mask(hmask_or_indices)
+    cm, hm = (x if isinstance(x, int) else mask_of(x)
+              for x in (cmask_or_indices, hmask_or_indices))
     if cm != hm:
         return 0  # e^S -> +-e^{S ^ I ^ J} has no fixed point
     return int(_word_signs(n, cm, hm, np.arange(1 << n)).sum(dtype=np.int64))
-
-
-def _as_mask(x) -> int:
-    if isinstance(x, int):
-        return x
-    m = 0
-    for i in x:
-        m |= 1 << (i - 1)
-    return m
 
 
 def trace_identity_sweep(n: int, pairs: Optional[Iterable[Tuple[int, int]]] = None):
@@ -128,38 +125,9 @@ class CliffordWordExpansion:
     coefficients: Dict[Tuple[int, int], object] = field(default_factory=dict)
 
     def reconstruct(self) -> FiberOp:
-        """The operator sum phi_{IJ} c(omega^I) c-hat(omega^J), exactly.
-
-        Coefficients are split by linearity into rational planes, one per
-        Scalar term key and real/imaginary part; a rational coefficient is
-        the real part of the (0, 0) plane.  Each plane is summed as integer
-        numerators over one common denominator (``_word_sum``).  An entry
-        reached by a Scalar coefficient is a Scalar, any other a Fraction,
-        as when the coefficients are added one at a time.
-        """
-        n = self.n
-        dim = 1 << n
-        den, planes = numerator_planes(list(self.coefficients.values()))
-        sums = {plane: _word_sum(n, self.coefficients, nums) for plane, nums in planes.items()}
-        scalar_diffs = {
-            cm ^ hm for (cm, hm), coeff in self.coefficients.items() if isinstance(coeff, Scalar)
-        }
-
-        entries: Dict[Tuple[int, int], object] = {}
-        if (0, 0, 0) in sums:
-            acc = sums[(0, 0, 0)]
-            nz = np.flatnonzero(acc)
-            for idx, a in zip(nz.tolist(), acc[nz].tolist()):
-                entries[divmod(idx, dim)] = Fraction(a, den)
-        if scalar_diffs:
-            # W_{IJ} only links e^S to e^{S ^ I ^ J}: the entries a Scalar
-            # coefficient reaches are those whose masks differ by I ^ J
-            s = np.arange(dim)
-            reached = np.isin(s[:, None] ^ s, list(scalar_diffs)).ravel()
-            for idx in np.flatnonzero(reached).tolist():
-                entries[divmod(idx, dim)] = lift_planes(
-                    {k: v[idx] for k, v in sums.items()}, den, True)
-        return FiberOp(n, 1, entries)
+        """The operator sum phi_{IJ} c(omega^I) c-hat(omega^J), exactly:
+        M = K phi (``_word_scatter``)."""
+        return FiberOp(self.n, 1, _word_scatter(self.n, self.coefficients, False, 1))
 
     def upper_degree(self) -> int:
         return max(popcount(cm) for (cm, _) in self.coefficients)
@@ -168,24 +136,68 @@ class CliffordWordExpansion:
         return min(popcount(cm) for (cm, _) in self.coefficients)
 
 
-def _word_sum(n: int, words: Iterable[Tuple[int, int]], nums) -> np.ndarray:
-    """Integer sum of num * W(cm, hm) over ``words`` and their numerators.
+def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
+    """Expand a rank-1 fiber operator over the 4^n Clifford words.
 
-    The result is a flat integer array (``_accumulator``), index
-    ``target_mask * 2^n + source_mask``.  Word signs are read from the
-    tables in blocks and the signed numerators scattered to
-    e^{s ^ cm ^ hm} with ``np.add.at``.
+    Coefficients come from the Hilbert-Schmidt pairing with the explicit
+    word inverses: phi_{IJ} = tr(W_{IJ}^{-1} M) / 2^n = (K^T M)_{IJ} / 2^n
+    (``_word_scatter``), and the round trip through ``reconstruct`` is
+    exact.
+    """
+    if m.r != 1:
+        raise ValueError("word expansion requires bundle rank 1")
+    return CliffordWordExpansion(m.n, _word_scatter(m.n, m.entries, True, 1 << m.n))
+
+
+def _word_scatter(n: int, values: Dict[Tuple[int, int], object], to_words: bool, scale: int):
+    """K^T x / scale (``to_words``) or K x / scale, as a sparse map.
+
+    K[(s ^ c ^ h, s), (c, h)] is the sign of the word c(omega^c)
+    c-hat(omega^h) on e^s, and ``values`` is x: fiber entries {(row, col):
+    v} for K^T, word coefficients {(c, h): v} for K.  Either way the key
+    (a, b) reaches the output keys (a ^ b ^ x, x) for every mask x, so
+    both directions share one scatter and differ only in which word and
+    source give the sign.
+
+    The values are split by linearity into integer numerator planes over
+    one common denominator (``numerator_planes``), one per Scalar term key
+    and real/imaginary part; each plane is summed on an ``_accumulator``
+    while the word signs are read from the tables in blocks.  An output
+    key (u, v) reached by a Scalar value, that is with u ^ v = a ^ b for
+    a Scalar at (a, b), is a Scalar, any other a Fraction, as when the
+    values are added one at a time.  Zero sums are dropped.
     """
     dim = 1 << n
-    acc = _accumulator(dim * dim, nums)
-    values = np.array(nums, dtype=acc.dtype)
-    words = np.array(list(words), dtype=np.int64).reshape(-1, 2)
-    src = np.arange(dim)
-    for block in _slices(np.arange(len(words)), n):
-        cms, hms = words[block, :1], words[block, 1:]
-        signed = _word_signs(n, cms, hms, src) * values[block, None]
-        np.add.at(acc, ((cms ^ hms ^ src) * dim + src).ravel(), signed.ravel())
-    return acc
+    den, planes = numerator_planes(list(values.values()))
+    a, b = np.array(list(values), dtype=np.int64).reshape(-1, 2).T
+    x = np.arange(dim)
+    sums = {plane: _accumulator(dim * dim, nums) for plane, nums in planes.items()}
+    nums_of = {plane: np.array(nums, dtype=sums[plane].dtype) for plane, nums in planes.items()}
+    for block in _slices(np.arange(len(a)), n):
+        ak, bk = a[block, None], b[block, None]
+        out = ak ^ bk ^ x
+        signs = _word_signs(n, out, x, bk) if to_words else _word_signs(n, ak, bk, x)
+        idx = (out * dim + x).ravel()
+        for plane, acc in sums.items():
+            np.add.at(acc, idx, (signs * nums_of[plane][block, None]).ravel())
+
+    scalar_diffs = {p ^ q for (p, q), v in values.items() if isinstance(v, Scalar)}
+    reached = np.zeros(dim * dim, dtype=bool)
+    for acc in sums.values():
+        reached |= acc != 0
+    keys = np.flatnonzero(reached)
+    parts = {plane: acc[keys].tolist() for plane, acc in sums.items()}
+    den *= scale
+    real = parts.get((0, 0, 0), [])
+    rational = {num: Fraction(num, den) for num in set(real)}  # few distinct values
+    result: Dict[Tuple[int, int], object] = {}
+    for k, idx in enumerate(keys.tolist()):
+        key = divmod(idx, dim)
+        if key[0] ^ key[1] in scalar_diffs:
+            result[key] = lift_planes({p: v[k] for p, v in parts.items()}, den, True)
+        else:
+            result[key] = rational[real[k]]
+    return result
 
 
 def _accumulator(size: int, nums) -> np.ndarray:
@@ -193,56 +205,6 @@ def _accumulator(size: int, nums) -> np.ndarray:
     int64 when max|num| * len(nums) < 2^62, Python ints otherwise."""
     bound = max(map(abs, nums), default=0) * len(nums)
     return np.zeros(size, dtype=np.int64 if bound < 1 << 62 else object)
-
-
-def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
-    """Expand a rank-1 fiber operator over the 4^n Clifford words.
-
-    Coefficients come from the Hilbert-Schmidt pairing with the explicit
-    word inverses: phi_{IJ} = tr(W_{IJ}^{-1} M) / 2^n, and the round trip
-    through ``reconstruct`` is exact.  The nonzero entries are split into
-    integer numerator planes over one denominator (as in ``reconstruct``),
-    and each plane is one integer scatter over the 4^n words.  A
-    coefficient reached by a Scalar entry is a Scalar, any other a
-    Fraction.
-    """
-    if m.r != 1:
-        raise ValueError("word expansion requires bundle rank 1")
-    n = m.n
-    dim = 1 << n
-    values = list(m.entries.values())
-    den, planes = numerator_planes(values)
-    rows, cols = np.array(list(m.entries), dtype=np.int64).reshape(-1, 2).T
-    # Every word sends e^S to +- e^{S ^ cm ^ hm}, so entry (row, col) pairs
-    # with the words cm = row ^ col ^ hm only, one for each c-hat mask hm.
-    hms = np.arange(dim)
-    sums = {plane: _accumulator(dim * dim, nums) for plane, nums in planes.items()}
-    values_of = {plane: np.array(nums, dtype=sums[plane].dtype) for plane, nums in planes.items()}
-    for block in _slices(np.arange(len(values)), n):
-        col = cols[block, None]
-        cms = (rows[block] ^ cols[block])[:, None] ^ hms
-        signs = _word_signs(n, cms, hms, col)
-        idx = (cms * dim + hms).ravel()
-        for plane, acc in sums.items():
-            np.add.at(acc, idx, (signs * values_of[plane][block, None]).ravel())
-
-    scalar_diffs = {r ^ c for (r, c), v in m.entries.items() if isinstance(v, Scalar)}
-    reached = np.zeros(dim * dim, dtype=bool)
-    for acc in sums.values():
-        reached |= acc != 0
-    keys = np.flatnonzero(reached)
-    parts = {plane: acc[keys].tolist() for plane, acc in sums.items()}
-    scale = den * dim
-    real = parts.get((0, 0, 0), [])
-    rational = {num: Fraction(num, scale) for num in set(real)}  # few distinct values
-    coeffs: Dict[Tuple[int, int], object] = {}
-    for k, idx in enumerate(keys.tolist()):
-        cm, hm = divmod(idx, dim)
-        if cm ^ hm in scalar_diffs:
-            coeffs[(cm, hm)] = lift_planes({p: v[k] for p, v in parts.items()}, scale, True)
-        else:
-            coeffs[(cm, hm)] = rational[real[k]]
-    return CliffordWordExpansion(n, coeffs)
 
 
 def clifford_degrees(m: FiberOp) -> Tuple[int, int]:

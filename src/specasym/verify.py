@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, pi, sqrt
+from math import exp, log, pi, sqrt
 from time import perf_counter
 from typing import Dict, List, Tuple, Union
 
@@ -423,7 +423,7 @@ def _hermite_diag_sum(a: float, t: float, terms: int = 4000) -> float:
         if m == 0:
             coeff = 1.0
         else:
-            log_coeff += np.log((2 * m) * (2 * m - 1)) - np.log(4.0) - 2 * np.log(m)
+            log_coeff += log((2 * m) * (2 * m - 1)) - log(4.0) - 2 * log(m)
             coeff = exp(log_coeff)
         total += coeff * exp(-t * a * (4 * m + 1))
     return sqrt(a / pi) * total

@@ -167,17 +167,6 @@ class WordOperator:
             (0, 0, 1 << (i - 1)): mat_scale(mat_eye(r), half),
         })
 
-    @staticmethod
-    def from_fiber_op(op: FiberOp) -> "WordOperator":
-        from .filtration import expand_clifford_basis
-
-        exp = expand_clifford_basis(op)
-        terms = {
-            (0, cm, hm): mat_scale(mat_eye(1), c)
-            for (cm, hm), c in exp.coefficients.items()
-        }
-        return WordOperator(op.n, 1, terms)
-
     # -- linear structure ---------------------------------------------------
 
     def _check(self, other: "WordOperator"):

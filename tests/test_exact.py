@@ -19,6 +19,18 @@ def test_ring_basics():
     assert Scalar.of(0).is_zero() and not Scalar.of(3).is_zero()
 
 
+def test_equal_values_hash_equal():
+    """A Scalar that equals an int or a Fraction hashes like it, so sets and
+    dict keys treat them as one value."""
+    for x in (0, 3, -7, Fraction(1, 2), Fraction(-22, 7)):
+        assert Scalar.of(x) == x and hash(Scalar.of(x)) == hash(x)
+    assert len({Scalar(), 0}) == 1
+    assert len({Scalar.of(Fraction(1, 2)), Fraction(1, 2), Scalar.term(1, 0) / 2}) == 1
+    assert {Scalar.of(3): "three"}[3] == "three"
+    # values with pi, t or imaginary parts are not rationals and hash apart
+    assert len({Scalar.i(), Scalar.pi_pow(1), Scalar.t_pow(1), Scalar.of(1)}) == 4
+
+
 def test_complex_and_conjugate():
     z = Scalar.term(1, 2)
     assert z.conjugate() == Scalar.term(1, -2)

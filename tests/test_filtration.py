@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from specasym import filtration
 from specasym.exact import Scalar
-from specasym.exterior import (
-    DiffForm, FiberOp, apply_word, ext_op, popcount, word_op,
-)
+from specasym.exterior import DiffForm, FiberOp, apply_word, popcount
 from specasym.filtration import (
     CliffordWordExpansion,
     _accumulator,
@@ -36,7 +34,7 @@ def test_word_trace_against_dense_matrices():
     for _ in range(10):
         i_set = tuple(sorted(rnd.sample(range(1, n + 1), rnd.randint(0, n))))
         j_set = tuple(sorted(rnd.sample(range(1, n + 1), rnd.randint(0, n))))
-        dense = word_op(n, i_set, "c") @ word_op(n, j_set, "chat")
+        dense = FiberOp.word_op(n, i_set, "c") @ FiberOp.word_op(n, j_set, "chat")
         assert word_trace(n, i_set, j_set) == dense.trace()
 
 
@@ -84,7 +82,7 @@ def test_expand_identity_and_generator():
     ident = FiberOp.identity(7)
     exp = expand_clifford_basis(ident)
     assert exp.coefficients == {(0, 0): Fraction(1)}
-    e1 = ext_op(DiffForm.monomial(7, (1,)))
+    e1 = FiberOp.ext_op(DiffForm.monomial(7, (1,)))
     exp = expand_clifford_basis(e1)
     assert exp.coefficients == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
 
@@ -134,6 +132,50 @@ def _scalar_or_rational(rnd):
     if k == 3:
         return rnd.randint(-2, 2)
     return Fraction(rnd.randint(-4, 4), rnd.randint(1, 6))
+
+
+def _random_sparse(n, count, rnd):
+    dim = 1 << n
+    return {(rnd.randrange(dim), rnd.randrange(dim)): _scalar_or_rational(rnd) for _ in range(count)}
+
+
+def _pairing(x, y):
+    """Sum of x[k] * y[k] over the shared keys of two sparse maps."""
+    return sum((v * y[k] for k, v in x.items() if k in y), Fraction(0))
+
+
+@pytest.mark.parametrize("n", [5, 7, 8])
+def test_expansion_is_the_adjoint_of_the_reconstruction(n):
+    """<K phi, M>_F = 2^n sum phi_IJ expand(M)_IJ, exactly: ``reconstruct``
+    applies the word-sign matrix K and ``expand_clifford_basis`` applies
+    K^T / 2^n, so a wrong sign in either direction alone breaks it."""
+    rnd = random.Random(n)
+    dim = 1 << n
+    for _ in range(4):
+        phi = CliffordWordExpansion(n, _random_sparse(n, 6, rnd))
+        entries = _random_sparse(n, 20, rnd)
+        # half of M on entries that the words of phi reach, so the
+        # pairing has terms to compare
+        for _ in range(20):
+            cm, hm = rnd.choice(list(phi.coefficients))
+            s = rnd.randrange(dim)
+            entries[(s ^ cm ^ hm, s)] = _scalar_or_rational(rnd)
+        m = FiberOp(n, 1, entries)
+        got = _pairing(phi.reconstruct().entries, m.entries)
+        assert got != 0
+        assert got == dim * _pairing(phi.coefficients, expand_clifford_basis(m).coefficients)
+
+
+def test_expansion_of_a_word_operator_recovers_its_terms():
+    """The form-free words of a rank-1 WordOperator are the expansion
+    coefficients of its fiber operator."""
+    rnd = random.Random(21)
+    for n in (5, 7):
+        x = WordOperator(n, 1, {
+            (0, cm, hm): ((Scalar.of(v),),) for (cm, hm), v in _random_sparse(n, 5, rnd).items()
+        })
+        got = expand_clifford_basis(x.to_fiber_op()).coefficients
+        assert got == {(cm, hm): m[0][0] for (_, cm, hm), m in x.terms.items()}
 
 
 @pytest.mark.parametrize("case", [
@@ -325,9 +367,9 @@ def test_expand_requires_rank_one():
 
 def test_clifford_degrees(g2):
     phi = g2.defining_form
-    assert clifford_degrees(ext_op(phi)) == (0, 3)
-    assert clifford_degrees(word_op(7, (1, 2), "c")) == (2, 2)
-    cdvol_ephi = word_op(7, tuple(range(1, 8)), "c") @ ext_op(phi)
+    assert clifford_degrees(FiberOp.ext_op(phi)) == (0, 3)
+    assert clifford_degrees(FiberOp.word_op(7, (1, 2), "c")) == (2, 2)
+    cdvol_ephi = FiberOp.word_op(7, tuple(range(1, 8)), "c") @ FiberOp.ext_op(phi)
     low, _ = clifford_degrees(cdvol_ephi)
     assert low == 7 - 3
     with pytest.raises(ValueError):

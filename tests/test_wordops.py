@@ -133,9 +133,3 @@ def test_bochner_term_cyclic_defect_visible():
     t = _bochner_curvature_term(cd)
     assert any(popcount(c) == 4 for (_, c, _) in t.terms)
 
-
-def test_from_fiber_op_round_trip():
-    rnd = random.Random(21)
-    x = _random_word_op(5, rnd)
-    back = WordOperator.from_fiber_op(x.to_fiber_op())
-    assert back == x

@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import isfinite
 
 from .exact import Scalar
 from .exterior import DiffForm, indices_of, parse_form
@@ -56,17 +57,26 @@ def _dump_json(obj, stream=None):
     print(json.dumps(_jsonable(obj), sort_keys=True, indent=2), file=stream or sys.stdout)
 
 
+def _float_field(value):
+    """An exact value as a 17-digit float, None past the float range."""
+    try:
+        x = value.real_float() if isinstance(value, Scalar) else float(value)
+    except OverflowError:
+        return None
+    return _f17(x) if isfinite(x) else None
+
+
 def _form_to_dict(form: DiffForm):
     out = {}
     for m in sorted(form.terms, key=indices_of):
         key = "e" + "".join(str(i) for i in indices_of(m)) if m else "1"
         c = form.terms[m]
         if isinstance(c, Scalar):
-            out[key] = {"exact": repr(c), "float": _f17(c.real_float())}
+            out[key] = {"exact": repr(c), "float": _float_field(c)}
         elif isinstance(c, Fraction):
-            out[key] = {"exact": str(c), "float": _f17(float(c))}
+            out[key] = {"exact": str(c), "float": _float_field(c)}
         else:
-            out[key] = {"float": _f17(float(c))}
+            out[key] = {"float": _float_field(c)}
     return out
 
 
@@ -79,11 +89,18 @@ def _form_to_dict(form: DiffForm):
 # 600 digits stay under every int() digit limit Python allows (at least 640).
 _MAX_LENGTH = _MAX_EXPONENT = 600
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+# plain ASCII "-12" or "3/4", which Fraction reads the same on every Python
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_number(text: str) -> Fraction:
     """Exact rational from text such as "-1/2" or "1e-3"; ValueError past the
     caps or where Fraction fails, ZeroDivisionError for a zero denominator."""
+    if len(text) <= _MAX_LENGTH:
+        plain = _PLAIN.fullmatch(text)
+        if plain:
+            num, den = plain.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
     exp = _EXPONENT.search(text)
     if len(text) > _MAX_LENGTH or (exp and abs(int(exp.group(1))) > _MAX_EXPONENT):
         raise ValueError(f"number text longer than {_MAX_LENGTH} characters "
@@ -98,23 +115,35 @@ def _json_number(text: str) -> Fraction:
         raise CurvatureError(f"bad number in curvature file: {exc}") from None
 
 
-def _rational(x, what: str) -> Fraction:
+def _rational(x, what: str, row=None) -> Fraction:
     """An exact rational from a JSON value: an integer, a number or a string
-    such as "1/3".  Booleans, NaN, infinities and other types are rejected."""
-    if isinstance(x, (int, Fraction, str)) and not isinstance(x, bool):
+    such as "1/3".  Booleans, NaN, infinities and other types are rejected.
+    An error names the value as ``what``, "in" ``row`` if one is given; the
+    row is formatted only then."""
+    # str first: the ABCMeta isinstance check against Fraction is the slow one
+    if isinstance(x, (str, int, Fraction)) and not isinstance(x, bool):
         try:
             return _parse_number(x) if isinstance(x, str) else Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise CurvatureError(f"{what} must be a rational number, got {x!r}")
+    raise CurvatureError(f"{_label(what, row)} must be a rational number, got {x!r}")
 
 
-def _index(x, what: str) -> int:
+def _label(what: str, row) -> str:
+    return what if row is None else f"{what} in {row}"
+
+
+def _gaussian(re: Fraction, im: Fraction) -> Scalar:
+    """re + i im from two ready rationals, without re-wrapping them."""
+    return Scalar({(0, 0): (re, im)} if re or im else None)
+
+
+def _index(x, what: str, row) -> int:
     if type(x) is int:  # a plain JSON integer; bool is refused by _rational
         return x
-    v = _rational(x, what)
+    v = _rational(x, what, row)
     if v.denominator != 1:
-        raise CurvatureError(f"{what} must be an integer, got {x!r}")
+        raise CurvatureError(f"{_label(what, row)} must be an integer, got {x!r}")
     return int(v)
 
 
@@ -149,14 +178,14 @@ def load_curvature(path: str) -> CurvatureData:
         raise CurvatureError("field 'rank' must be a positive integer")
     r_entries = {}
     for row in _rows(doc, "R", 5):
-        key = tuple(_index(idx, f"R index in {row}") for idx in row[:4])
-        v = _rational(row[4], f"R value in {row}")
+        key = tuple(_index(idx, "R index", row) for idx in row[:4])
+        v = _rational(row[4], "R value", row)
         if key in r_entries and r_entries[key] != v:
             raise CurvatureError(f"conflicting duplicate R entry {row}")
         r_entries[key] = v
     f_entries = {}
     for row in _rows(doc, "F", 3):
-        i, j = (_index(idx, f"F index in {row}") for idx in row[:2])
+        i, j = (_index(idx, "F index", row) for idx in row[:2])
         mat = row[2]
         if not isinstance(mat, list) or len(mat) != rank or any(
             not isinstance(r_, list) or len(r_) != rank for r_ in mat
@@ -166,7 +195,7 @@ def load_curvature(path: str) -> CurvatureData:
             raise CurvatureError(f"F[{i},{j}] entries must be [re, im] pairs")
         what = f"F[{i},{j}] entry"
         entries = tuple(
-            tuple(Scalar.term(_rational(c[0], what), _rational(c[1], what)) for c in r_)
+            tuple(_gaussian(_rational(c[0], what), _rational(c[1], what)) for c in r_)
             for r_ in mat
         )
         key, flip = ((i, j), False) if i < j else ((j, i), True)
@@ -242,10 +271,10 @@ def cmd_decompose(args) -> int:
             "p7": _form_to_dict(a7),
             f"p{big}": _form_to_dict(rest),
             "norms": {
-                "p7": {"exact": str(a7.norm_sq()), "float": _f17(float(a7.norm_sq()))},
+                "p7": {"exact": str(a7.norm_sq()), "float": _float_field(a7.norm_sq())},
                 f"p{big}": {
                     "exact": str(rest.norm_sq()),
-                    "float": _f17(float(rest.norm_sq())),
+                    "float": _float_field(rest.norm_sq()),
                 },
             },
         }

@@ -11,13 +11,17 @@ the projections P_7 = (A + 1) / (plus + 1) and P_big = (plus - A) /
 (plus + 1) hold their integer numerators over ``den = plus + 1``.
 Validation is map equality on ``exterior.sparse_product``.  A structure
 is built whole: ``standard_structure`` stores A and both projections as
-fields, and nothing is filled in later.  No numpy is needed.
+fields, and nothing is filled in later.  Each kind is built and validated
+once per process, and every caller shares that one object, so callers
+must treat a structure and its maps as read-only.  No numpy is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from math import inf
 from typing import Dict, List, Tuple
 
 from .exact import Scalar, lift_planes, numerator_planes
@@ -151,8 +155,12 @@ def _eig_validate(a: Dict[Tuple[int, int], object], basis: List[int], plus: int
     return [(plus, m_plus), (-1, dim - m_plus)]
 
 
+@cache
 def standard_structure(kind: str) -> HolonomyStructure:
-    """Build and validate the model structure for the given kind."""
+    """Build and validate the model structure for the given kind, once per
+    process: every call with the same ``kind`` returns the same object, so
+    callers must treat it and its maps as read-only.  The uncached build
+    is ``standard_structure.__wrapped__``."""
     kind = kind.lower()
     if kind not in (G2, SPIN7):
         raise ValueError("kind must be 'g2' or 'spin7'")
@@ -209,7 +217,7 @@ def instanton_check(s: HolonomyStructure, curvature) -> InstantonReport:
     over the entries.  ``ok`` and ``exact_zero`` are decided on those
     integers; ``max_component`` is the largest |re + i im| of a 7-part
     entry in floats, which reads 0.0 when a nonzero part lies below the
-    float range.
+    float range and inf when one lies past it.
     """
     p7 = projections(s)[0]
     planes, den = curvature.f_planes, p7.den * curvature.f_den
@@ -225,5 +233,9 @@ def instanton_check(s: HolonomyStructure, curvature) -> InstantonReport:
             y = sum(v * im[ab] for v, (_, im) in row)
             if x or y:
                 exact_zero = False
-                worst = max(worst, abs(complex(float(Fraction(x, den)), float(Fraction(y, den)))))
+                try:
+                    # int true division rounds correctly, as float(Fraction) does
+                    worst = max(worst, abs(complex(x / den, y / den)))
+                except OverflowError:
+                    worst = inf
     return InstantonReport(ok=exact_zero, max_component=worst, exact_zero=exact_zero)

@@ -17,11 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .exact import Scalar, numerator_planes
+from .exact import Scalar
 from .exterior import DiffForm, mask_of, merge_sign
 from .holonomy import (
     G2,
@@ -80,13 +80,14 @@ class CurvatureData:
         for (i, j, k, l), v in self.r_entries.items():
             if not all(1 <= x <= self.n for x in (i, j, k, l)):
                 raise CurvatureError(f"R indices must lie in 1..{self.n}, got ({i},{j},{k},{l})")
-            v = Fraction(v)
+            if type(v) is not Fraction:
+                v = Fraction(v)
             if v == 0:
                 continue
             key, sign = _canonical_r_key(i, j, k, l)
             if key is None:
                 raise CurvatureError(f"degenerate index pattern R[{i}{j}{k}{l}]")
-            want = sign * v
+            want = v if sign > 0 else -v
             if key in clean and clean[key] != want:
                 raise CurvatureError(f"conflicting values for R{key}")
             clean[key] = want
@@ -104,10 +105,10 @@ class CurvatureData:
             mat = tuple(tuple(Scalar.of(x) for x in row) for row in m)
             if len(mat) != r or any(len(row) != r for row in mat):
                 raise CurvatureError("bundle curvature matrix has wrong rank")
-            den, parts = numerator_planes([x for row in mat for x in row])
-            re, im = (parts.pop((0, 0, part), [0] * (r * r)) for part in (0, 1))
-            if parts:
+            parts = _gaussian_numerators([x for row in mat for x in row])
+            if parts is None:
                 raise CurvatureError(f"F[{i},{j}] entries must be Gaussian rationals")
+            den, re, im = parts
             # F^* = -F: the real part antisymmetric, the imaginary part symmetric
             if any(re[a * r + b] != -re[b * r + a] or im[a * r + b] != im[b * r + a]
                    for a in range(r) for b in range(a, r)):
@@ -202,6 +203,18 @@ class CurvatureData:
                         if v:
                             new_entries[(i, j, k, l)] = v
         return CurvatureData(self.n, self.r, new_entries, dict(self.f_entries))
+
+
+def _gaussian_numerators(values: List[Scalar]) -> Optional[Tuple[int, List[int], List[int]]]:
+    """(den, re, im) with ``re[k] / den`` and ``im[k] / den`` the real and
+    imaginary parts of ``values[k]``, read off each (0, 0) pair; None if a
+    value has a nonzero part with a power of pi or t."""
+    if any(key != (0, 0) and (a or b) for x in values for key, (a, b) in x.terms.items()):
+        return None
+    pairs = [x.terms.get((0, 0), (0, 0)) for x in values]
+    den = lcm(*(v.denominator for pair in pairs for v in pair))
+    return (den, [a.numerator * (den // a.denominator) for a, _ in pairs],
+            [b.numerator * (den // b.denominator) for _, b in pairs])
 
 
 def _canonical_r_key(i, j, k, l):
@@ -539,8 +552,15 @@ def instanton_line_curvature(s: HolonomyStructure, base=(1, 2), scale=1):
 
 
 def _safe_float(x: Scalar):
+    """The value as a float, [re, im] if it is not real, None past the
+    float range."""
+    try:
+        z = x.evalf()
+    except OverflowError:
+        return None
+    if not (isfinite(z.real) and isfinite(z.imag)):
+        return None
     try:
         return x.real_float()
     except ValueError:
-        z = x.evalf()
         return [z.real, z.imag]

@@ -21,7 +21,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, gamma, isqrt, lcm, pi, sqrt
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,7 +36,7 @@ class SpectralLevel:
     """One Laplace eigenvalue on 2-forms of the flat torus."""
 
     n: int
-    q: Fraction              # |k + theta|^2, integer when untwisted
+    q: Union[int, Fraction]  # |k + theta|^2: an int untwisted, a Fraction twisted
     lattice_count: int
     mult_7: int
     mult_big: int
@@ -167,17 +167,17 @@ def _checked_theta(
     return theta
 
 
-def _spectral_levels(n: int, scale: int, counts: Iterable[Tuple[int, int]]) -> List[SpectralLevel]:
-    """One level per nonzero q = v / scale with a nonzero count, in the given order."""
+def _spectral_levels(n: int, counts: Iterable[Tuple[Union[int, Fraction], int]]
+                     ) -> List[SpectralLevel]:
+    """One level per nonzero q with a nonzero count, in the given order."""
     big = TWO_FORM_FIBER[n] - SEVEN_FIBER
-    return [SpectralLevel(n, Fraction(v, scale), c, SEVEN_FIBER * c, big * c)
-            for v, c in counts if v and c]
+    return [SpectralLevel(n, q, c, SEVEN_FIBER * c, big * c) for q, c in counts if q and c]
 
 
 def enumerate_levels(n: int, q_max: int) -> List[SpectralLevel]:
     """All nonzero levels with |k|^2 <= q_max on the unit torus."""
     _checked_theta(n, q_max)
-    return _spectral_levels(n, 1, enumerate(shell_counts(n, q_max)))
+    return _spectral_levels(n, enumerate(shell_counts(n, q_max)))
 
 
 def twisted_levels(n: int, theta: Sequence[Fraction], q_max: int) -> List[SpectralLevel]:
@@ -189,7 +189,7 @@ def twisted_levels(n: int, theta: Sequence[Fraction], q_max: int) -> List[Spectr
     """
     theta = _checked_theta(n, q_max, theta)
     d, counts = _lattice_counts(theta, q_max)
-    return _spectral_levels(n, d * d, sorted(counts.items()))
+    return _spectral_levels(n, ((Fraction(v, d * d), c) for v, c in sorted(counts.items())))
 
 
 def counting_functions(levels: Sequence[SpectralLevel], x: float) -> Tuple[int, int]:
@@ -238,7 +238,7 @@ def zeta_partial(
         q_top = max(q_top, float(lv.q))
         total += w * lam ** (-s)
     # the weight of a single lattice point: 7, 14 or 21, and 0 for 'delta'
-    fiber = _spectral_levels(n, 1, [(1, 1)])[0].weight(which)
+    fiber = _spectral_levels(n, [(1, 1)])[0].weight(which)
     if fiber and s > n / 2:
         # at most (2u + 1)^n lattice points lie within radius u = sqrt(q);
         # the growth 2 fiber n (2u + 1)^(n-1) du of that bound, weighted by

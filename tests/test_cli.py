@@ -125,6 +125,33 @@ def test_residue_seven_part_below_float_range_is_refused(tmp_path, capsys, size)
         assert warning.startswith("P7 component up to") and "0.000e+00" not in warning
 
 
+_HUGE = "1" + "0" * 400  # under the 600-character cap, past the float range
+
+
+def test_decompose_floats_past_the_float_range_are_null(capsys):
+    code, out, err = run_cli(capsys, "decompose", "--kind", "g2", "--form", f"{_HUGE} e12")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["input"]["e12"] == {"exact": _HUGE, "float": None}
+    assert all(entry["float"] is None for part in ("p7", "p14") for entry in doc[part].values())
+    assert doc["norms"]["p7"] == {"exact": f"{10 ** 800}/3", "float": None}
+
+
+@pytest.mark.parametrize("planes", [[(1, 2)], [(2, 3), (4, 5)]])
+def test_residue_values_past_the_float_range_exit_0(tmp_path, capsys, planes):
+    """F on one plane overflows the instanton check's floats, F on e23 and
+    e45 the report's: both print null or inf, with the exact values."""
+    path = os.fspath(tmp_path / "huge.json")
+    _write(path, {"n": 7, "rank": 1, "F": [[i, j, [[[0, _HUGE]]]] for i, j in planes]})
+    code, out, err = run_cli(capsys, "residue", "--kind", "g2", "--input", path, "--oracle")
+    assert code == 0 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["instanton_warning"] == "P7 component up to inf"
+    if len(planes) == 2:
+        assert doc["integral"]["float"] is None and doc["integral"]["exact"] != "0"
+        assert doc["density"]["e1234567"]["float"] is None
+
+
 def test_residue_rank_two_matrices(tmp_path, capsys):
     path = os.fspath(tmp_path / "r2.json")
     # skew-Hermitian 2x2: i * Hermitian
@@ -535,6 +562,29 @@ def test_residue_oracle_builds_the_chern_weil_sums_once_per_curvature(
     assert json.loads(out)["oracle"]["relative_discrepancy"] == 0.0
     assert built == loaded and len(built) == 1
     assert calls == [(0, "_p1"), (0, "_chern")]
+
+
+def test_structures_are_built_once_and_left_unchanged(tmp_path, capsys):
+    """standard_structure returns one object per kind; after the holonomy
+    suite and a residue run its maps still equal a fresh build."""
+    from specasym.holonomy import standard_structure
+
+    for kind in ("g2", "spin7"):
+        assert standard_structure(kind) is standard_structure(kind)
+    assert run_cli(capsys, "verify", "--suite", "holonomy")[0] == 0
+    for kind, doc in sorted(_CURVED_DOCS.items()):
+        path = os.fspath(tmp_path / f"{kind}.json")
+        _write(path, doc)
+        assert run_cli(capsys, "residue", "--kind", kind, "--input", path, "--oracle")[0] == 0
+        assert run_cli(capsys, "decompose", "--kind", kind, "--form", "3 e12 - e45")[0] == 0
+    for kind in ("g2", "spin7"):
+        s, fresh = standard_structure(kind), standard_structure.__wrapped__(kind)
+        assert fresh is not s
+        assert s.star_ext == fresh.star_ext
+        assert s.defining_form == fresh.defining_form
+        assert s.eigenvalue_table == fresh.eigenvalue_table
+        for p, q in zip(s.projection_pair, fresh.projection_pair):
+            assert (p.target, p.den, p.entries) == (q.target, q.den, q.entries)
 
 
 _PIPE_ARGV = {

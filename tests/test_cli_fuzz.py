@@ -1,8 +1,7 @@
-"""Fuzz the CLI inputs: every run exits 0, 2 or 3 and never raises.
+"""Fuzz the CLI inputs: every run exits 0, 2 or 3 and never raises, and
+the number parser reads text as Fraction does.
 
-Example counts are bounded so that the three tests together take a few
-seconds; most of that is building the holonomy structure on every
-`decompose` and `residue` call.
+Example counts are bounded so that the tests together take a few seconds.
 """
 
 import contextlib
@@ -10,11 +9,12 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from specasym.cli import main
+from specasym.cli import _EXPONENT, _MAX_EXPONENT, _MAX_LENGTH, _parse_number, main
 
 _SETTINGS = dict(deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -125,3 +125,50 @@ def test_fuzz_residue_curvature(doc):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         _run("residue", "--kind", "g2", "--input", path)
+
+
+def _fraction_or_error(text: str):
+    """Fraction(text), or the class of what it raises; ValueError past the
+    parser's caps on length and exponent, where Fraction is not run."""
+    exp = _EXPONENT.search(text)
+    if len(text) > _MAX_LENGTH or (exp and abs(int(exp.group(1))) > _MAX_EXPONENT):
+        return ValueError
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+_number_text = st.one_of(
+    st.from_regex(r"[-+]?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/_ .eE\u0663\n", max_size=8),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(text=_number_text)
+@example(text="+3")
+@example(text=" 4/6 ")
+@example(text="\u0663")  # Arabic-Indic digit three
+@example(text="1_0")
+@example(text="1/ 2")
+@example(text="-0")
+@example(text="007/014")
+@example(text="1/0")
+@example(text="1e-3")
+@example(text="3\n")
+@example(text="1" * 600)
+@example(text="1" * 601)
+def test_parse_number_reads_text_as_fraction_does(text):
+    want = _fraction_or_error(text)
+    if isinstance(want, Fraction):
+        got = _parse_number(text)
+        assert type(got) is Fraction and got == want
+    else:
+        try:
+            _parse_number(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            assert type(exc) is want
+        else:
+            raise AssertionError(f"{text!r} parsed, but Fraction raises {want.__name__}")

@@ -319,13 +319,13 @@ def test_rank_only_input_builds_no_planes(g2, monkeypatch):
     from specasym.residue import full_residue_report
 
     sizes = []
-    real = residue.numerator_planes
+    real = residue._gaussian_numerators
 
     def spy(values):
         sizes.append(len(values))
         return real(values)
 
-    monkeypatch.setattr(residue, "numerator_planes", spy)
+    monkeypatch.setattr(residue, "_gaussian_numerators", spy)
     results = []
     for r in (1, 10 ** 6):
         cd = CurvatureData(7, r)
@@ -343,13 +343,13 @@ def test_riemann_only_input_builds_nothing_of_rank_size(g2, spin7, monkeypatch):
     from specasym.residue import full_residue_report
 
     sizes = []
-    real = residue.numerator_planes
+    real = residue._gaussian_numerators
 
     def spy(values):
         sizes.append(len(values))
         return real(values)
 
-    monkeypatch.setattr(residue, "numerator_planes", spy)
+    monkeypatch.setattr(residue, "_gaussian_numerators", spy)
     r_entries = {(1, 2, 4, 5): Fraction(1, 2), (1, 2, 6, 7): Fraction(-2)}
     for s in (g2, spin7):
         one, big = (CurvatureData(s.n, r, r_entries) for r in (1, 400))

@@ -143,6 +143,15 @@ def test_instanton_check_seven_part(g2):
     assert not rep.ok and rep.max_component > 0.5
 
 
+def test_instanton_check_seven_part_past_the_float_range_reads_inf(g2):
+    """A 7-part past the float range gives an infinite max_component, not
+    an OverflowError; ok and exact_zero are decided on the integers."""
+    cd = CurvatureData(7, 1, {}, {(1, 2): ((Scalar.i(10 ** 400),),)})
+    rep = instanton_check(g2, cd)
+    assert not rep.ok and not rep.exact_zero
+    assert rep.max_component == float("inf")
+
+
 def test_instanton_check_big_part(g2):
     cd = instanton_line_curvature(g2, base=(1, 2), scale=3)
     rep = instanton_check(g2, cd)
@@ -195,7 +204,7 @@ def test_nonsymmetric_conjugate_operator_is_caught(monkeypatch, kind):
     assert _eig_validate(_entries(s.n, conj), basis, s.plus_eigenvalue) == s.eigenvalue_table
     monkeypatch.setattr(holonomy, "star_ext_entries", lambda w, sources: _entries(s.n, conj))
     with pytest.raises(StructureValidationError, match="not symmetric"):
-        standard_structure(kind)
+        standard_structure.__wrapped__(kind)
 
 
 def test_projection_apply_matches_dense_product(g2, spin7):
@@ -340,7 +349,7 @@ def test_flipped_star_ext_sign_is_caught(monkeypatch, kind, flip_cdvol):
             assert not verify._bridge_check(standard_structure(kind), 0)
         else:
             with pytest.raises(StructureValidationError):
-                standard_structure(kind)
+                standard_structure.__wrapped__(kind)
 
 
 @pytest.mark.parametrize("kind", ["g2", "spin7"])
@@ -350,4 +359,4 @@ def test_flipped_phi_term_fails_validation(monkeypatch, kind, term):
     terms[term] = -terms[term]
     monkeypatch.setattr(holonomy, "_PHI_TERMS", terms)
     with pytest.raises(StructureValidationError):
-        standard_structure(kind)
+        standard_structure.__wrapped__(kind)

@@ -193,3 +193,19 @@ def test_residue_quadratic_scaling(g2):
     r1 = full_residue_report(g2, cd).residue
     r3 = full_residue_report(g2, cd.scaled(3)).residue
     assert r3 == r1 * 9
+
+
+def test_report_floats_past_the_float_range_are_null(g2):
+    """Float fields that do not fit a float read None (JSON null); the
+    exact fields keep the value."""
+    big = 10 ** 400
+    rep = residue_value(g2, True, Scalar.of(big))
+    out = rep.to_dict()
+    assert out["integral"] == {"exact": str(big), "float": None}
+    assert out["b_coefficient"]["float"] is None and out["residue"]["float"] is None
+    cd = CurvatureData(7, 1, {}, {(2, 3): ((Scalar.i(big),),), (4, 5): ((Scalar.i(big),),)})
+    out = full_residue_report(g2, cd).to_dict()
+    assert out["integral"]["float"] is None
+    assert out["integral"]["exact"] == repr(full_residue_report(g2, cd).integral) != "0"
+    # a nonreal value past the float range is None as well, not [inf, nan]
+    assert residue_value(g2, True, Scalar.term(big, big)).to_dict()["integral"]["float"] is None

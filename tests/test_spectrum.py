@@ -95,6 +95,19 @@ def test_per_level_ratios():
         assert lv.weighted_deficit() == 0
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_untwisted_levels_are_ints(tmp_path, n):
+    """Untwisted q is a plain int, and the CSV writes it as the digits of q;
+    every q >= 1 is a sum of four squares, so each is a level."""
+    levels = enumerate_levels(n, 30)
+    assert [lv.q for lv in levels] == list(range(1, 31))
+    assert all(type(lv.q) is int for lv in levels)
+    path = os.fspath(tmp_path / "levels.csv")
+    write_levels_csv(levels, path)
+    with open(path) as fh:
+        assert [row["q"] for row in csv.DictReader(fh)] == [str(lv.q) for lv in levels]
+
+
 def test_counting_functions():
     levels = enumerate_levels(7, 5)
     x = 4 * pi * pi + 1e-9

@@ -264,6 +264,7 @@ def cmd_decompose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     big = "14" if s.kind == "g2" else "21"
+    norm7, norm_big = a7.norm_sq(), rest.norm_sq()
     _dump_json(
         {
             "kind": s.kind,
@@ -271,11 +272,8 @@ def cmd_decompose(args) -> int:
             "p7": _form_to_dict(a7),
             f"p{big}": _form_to_dict(rest),
             "norms": {
-                "p7": {"exact": str(a7.norm_sq()), "float": _float_field(a7.norm_sq())},
-                f"p{big}": {
-                    "exact": str(rest.norm_sq()),
-                    "float": _float_field(rest.norm_sq()),
-                },
+                "p7": {"exact": str(norm7), "float": _float_field(norm7)},
+                f"p{big}": {"exact": str(norm_big), "float": _float_field(norm_big)},
             },
         }
     )

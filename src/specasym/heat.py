@@ -17,17 +17,27 @@ The densities build neither kernel.  At form degree 4, the only degree
 the weighted density reads, both need just tr Q, tr V and tr V^2
 (``model_traces``), which are the Chern-Weil pair sums of ``residue``:
 tr Q = -(1/2) pi^2 p1, tr V = 2^n i pi c1 and tr V^2 = 2^n (-4 r pi^2 p1
-+ pi^2 (2 c2 - c1^2)).  ``mehler_trace_degree4`` reads tr Q and tr V^2;
-``duhamel_diag_trace`` sums the form traces of the Wick terms
-(``wick_trace``) with no drift, since rhat is antisymmetric.  The sums
-are fields of ``residue.CurvatureData``, built once when the data is
-constructed, so the characteristic density and the model traces share
-one pass, and each density pairs with w through complement lookups
-(``DiffForm.top_pairing``): only the coefficient of the complement of
-each term of w is read, and no wedge is formed.  The Wick
-terms are listed once (``wick_terms``); ``wick_kernel`` multiplies them
-out, so ``mehler_kernel`` and ``duhamel_kernel`` stay as the independent
-full-kernel oracles.
++ pi^2 (2 c2 - c1^2)).  The sums are fields of ``residue.CurvatureData``,
+built once when the data is constructed, and the three forms are built
+once per CurvatureData, on first use, so the Mehler and the Duhamel
+density of one call share them.
+
+Each density pairs over Q, then lifts once.  The weighted density is a
+linear functional [w ^ .]_n of the rational forms tr Q and tr V^2 (the
+pairing of w with tr V, a 2-form, is zero), so w is paired with them on
+their rational coefficients through complement lookups
+(``DiffForm.top_pairing``: only the complement of each term of w is
+read, and no wedge is formed), the rationals are combined, and the sum
+becomes a ``Scalar`` by one product with TRACE_NORMALISATION
+(4 pi t)^{-n/2} and the power of t.  ``mehler_diag_trace`` combines them
+as ``mehler_trace_degree4`` combines the forms; ``duhamel_density`` pairs
+the form trace of each Wick term (``wick_trace_terms``, with no drift,
+since rhat is antisymmetric) and sums them with their coefficients.  The
+form-level routes stay as oracles: ``mehler_trace_degree4``, and
+``duhamel_diag_trace``, which sums the same terms as forms
+(``wick_trace``).  The Wick terms are listed once (``wick_terms``);
+``wick_kernel`` multiplies them out, so ``mehler_kernel`` and
+``duhamel_kernel`` stay as the independent full-kernel oracles.
 
 The two normalisation constants follow.  Per unit 2^n t^2 (4 pi t)^{-n/2},
 the degree-4 trace is (1/2) l_1 tr(4 Q) r + tr V^2 / 2 with l_1 = -1/6:
@@ -51,7 +61,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import factorial, pi as _PI, sinh as _sinh, sqrt as _sqrt
+from math import factorial, lcm, pi as _PI, sinh as _sinh, sqrt as _sqrt
 from operator import add, mul
 from typing import List, Optional, Tuple
 
@@ -150,6 +160,11 @@ def _series_mul(a, b, kmax):
     return out
 
 
+# (1/2) l_1 4 = 2 l_1 = -1/3: the weight of tr Q in the degree-4 trace
+_DET_WEIGHT = 2 * _log_x_over_sinh_series(1)[0]
+_HALF = Fraction(1, 2)
+
+
 def form_exp(f: DiffForm) -> DiffForm:
     """exp of an even form with no degree-0 part (terminating series)."""
     if 0 in f.terms:
@@ -225,8 +240,21 @@ def model_constant_potential(cd: CurvatureData) -> WordOperator:
 def model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm]:
     """(tr Q, tr V, tr V^2): all the densities read of the model operator.
 
-    They are the Chern-Weil pair sums of ``residue`` (pi^2 p1, pi c1, pi^2
-    c2), which CurvatureData builds on construction and shares with
+    ``_build_model_traces`` builds the three forms on the first call for
+    each CurvatureData, which keeps them (``cd.model_trace_forms``), so the
+    Mehler and the Duhamel density of one ``residue --oracle`` call share
+    one build.  Callers must treat the forms as read-only.
+    """
+    if cd.model_trace_forms is None:
+        cd.model_trace_forms = _build_model_traces(cd)
+    return cd.model_trace_forms
+
+
+def _build_model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm]:
+    """The three forms of ``model_traces``, from the Chern-Weil pair sums.
+
+    They are the pair sums of ``residue`` (pi^2 p1, pi c1, pi^2 c2), which
+    CurvatureData builds on construction and shares with
     ``characteristic_density_form``.  rhat_ij = Omega_ij / 2, so
     tr Q = -(1/4) sum_{i,j} rhat_ij ^ rhat_ij = -(1/2) pi^2 p1.  Nonempty
     words are traceless and the fiber trace of 1 is 2^n, so
@@ -234,13 +262,17 @@ def model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm]:
     never join in V^2, and each c-hat word chat^k chat^l squares to -1, so
     tr V_R^2 = -2^n sum_{k<l} Omega_kl ^ Omega_kl and
     tr V^2 = r tr V_R^2 + tr V_F^2 = 2^n (-4 r pi^2 p1 + pi^2 (2 c2 - c1^2)).
+    tr Q and tr V^2 have rational coefficients, built on integer
+    numerators over one common denominator; tr V has imaginary ones.
     """
     n, fiber = cd.n, 1 << cd.n
-    p1, c2, e = cd.pi2_p1, cd.pi2_c2, cd.pi2_bundle  # e = pi^2 (c1^2 - c2)
-    tr_v2 = {m: fiber * (-4 * cd.r * p1.get(m, 0) + c2.get(m, 0) - e.get(m, 0))
+    sums = (cd.pi2_p1, cd.pi2_c2, cd.pi2_bundle)  # pi^2 (p1, c2, c1^2 - c2)
+    den = lcm(*(x.denominator for d in sums for x in d.values()))
+    p1, c2, e = ({m: x.numerator * (den // x.denominator) for m, x in d.items()} for d in sums)
+    tr_v2 = {m: Fraction(fiber * (-4 * cd.r * p1.get(m, 0) + c2.get(m, 0) - e.get(m, 0)), den)
              for m in p1.keys() | c2.keys()}
     return (
-        DiffForm(n, {m: x / -2 for m, x in p1.items()}),
+        DiffForm(n, {m: Fraction(-x, 2 * den) for m, x in p1.items()}),
         DiffForm(n, {m: Scalar.i(fiber * x) for m, x in cd.pi_c1.items()}),
         DiffForm(n, tr_v2),
     )
@@ -277,10 +309,9 @@ def mehler_trace_degree4(cd: CurvatureData) -> DiffForm:
     n, r = cd.n, cd.r
     tr_q, _, tr_v2 = model_traces(cd)
     # determinant factor: (1/2) l_1 4 tr Q, times the fiber trace 2^n r of 1_r
-    (l1,) = _log_x_over_sinh_series(1)
-    det = tr_q.scale(2 * l1 * r * (1 << n))
+    det = tr_q.scale(_DET_WEIGHT * r * (1 << n))
     # exp(-t V): the word-free part of V^2 / 2
-    v2 = tr_v2.scale(Fraction(1, 2))
+    v2 = tr_v2.scale(_HALF)
     # flat prefactor and the t^2 of both terms
     return (det + v2).scale(gaussian_prefactor(n) * Scalar.t_pow(4))
 
@@ -381,17 +412,29 @@ def wick_trace(
     entries and ``tr_quad`` are even forms standing for form (x) 1_r; such
     forms commute with everything, so a product with k factors C traces to
     the wedge of its forms times tr C^k, where tr C^0 = 2^n r.  No word
-    operator is built.
+    operator is built: the terms of ``wick_trace_terms`` are summed.
     """
-    powers = (DiffForm.one(n).scale((1 << n) * r), *(const or ()))
     total = DiffForm.zero(n)
+    for coef, form in wick_trace_terms(n, r, const, drift, tr_quad, order):
+        total = total + form.scale(coef)
+    return total.scale(gaussian_prefactor(n))
+
+
+def wick_trace_terms(n: int, r: int, const, drift, tr_quad, order: int = 2):
+    """``(coefficient, form)`` for each product of ``wick_terms``, with the
+    operands of ``wick_trace``; the product traces to the form times the
+    coefficient.  A product with k >= 1 factors C traces to tr C^k wedged
+    with its form factors.  tr C^0 = 2^n r is a number, so it moves into
+    the coefficient and a product of forms alone yields their wedge."""
+    fiber = (1 << n) * r
     for coef, products in wick_terms(n, const, drift, tr_quad, order):
-        term = DiffForm.zero(n)
         for ops in products:
             forms = [x for x in ops if x is not const]
-            term = term + reduce(DiffForm.wedge, forms, powers[len(ops) - len(forms)])
-        total = total + term.scale(coef)
-    return total.scale(gaussian_prefactor(n))
+            k = len(ops) - len(forms)
+            if k:
+                forms.insert(0, const[k - 1])
+            form = reduce(DiffForm.wedge, forms) if forms else DiffForm.one(n)
+            yield (coef if k else coef * fiber), form
 
 
 def duhamel_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
@@ -505,20 +548,49 @@ def mehler_diag_trace(s, cd: CurvatureData) -> Scalar:
 
     Returns the exact Laurent polynomial in sqrt(t); the residue-order
     coefficient sits at t^{-deg(w)/2}.  Wedging with w keeps only form
-    degree n - deg(w) = 4 of the trace, so the kernel is never built:
-    ``mehler_trace_degree4`` gives that part, and the result equals
-    ``density_from_kernel(s, mehler_kernel(cd))`` as a full Laurent series.
+    degree n - deg(w) = 4 of the trace, so the kernel is never built.
+    Pair over Q, then lift once: [w ^ tr Q] and [w ^ tr V^2] are
+    rationals, combined as ``mehler_trace_degree4`` combines the forms,
+    and the sum is multiplied once by TRACE_NORMALISATION (4 pi t)^{-n/2}
+    t^2.  The result equals ``_weighted_density(s, mehler_trace_degree4(cd))``
+    and ``density_from_kernel(s, mehler_kernel(cd))`` as a full Laurent
+    series.
     """
     if s.n != cd.n:
         raise ValueError("structure/curvature dimension mismatch")
     if s.n - s.degree != 4:
         raise ValueError("the Mehler density is built at form degree 4 only")
-    return _weighted_density(s, mehler_trace_degree4(cd))
+    tr_q, _, tr_v2 = model_traces(cd)
+    w = s.defining_form
+    paired = (_DET_WEIGHT * cd.r * (1 << cd.n) * w.top_pairing(tr_q)
+              + _HALF * w.top_pairing(tr_v2))
+    return _density_unit(cd.n) * Scalar.t_pow(4, paired)
 
 
 def duhamel_density(s, cd: CurvatureData, order: int = 2) -> Scalar:
-    """Weighted density via the Duhamel expansion (oracle side)."""
-    return _weighted_density(s, duhamel_diag_trace(s, cd, order))
+    """Weighted density via the Duhamel expansion (oracle side).
+
+    Pair over Q, then lift once: the form trace of each Wick term
+    (``wick_trace_terms``, on ``model_traces`` with no drift, as in
+    ``duhamel_diag_trace``) is paired with w, the pairings are summed with
+    their coefficients, and the sum is multiplied once by
+    TRACE_NORMALISATION (4 pi t)^{-n/2}.  The result equals
+    ``_weighted_density(s, duhamel_diag_trace(s, cd, order))``.
+    """
+    if s.n != cd.n:
+        raise ValueError("structure/curvature dimension mismatch")
+    tr_q, tr_v, tr_v2 = model_traces(cd)
+    w = s.defining_form
+    total = Scalar()
+    for coef, form in wick_trace_terms(cd.n, cd.r, (tr_v, tr_v2), None, tr_q, order):
+        total = total + coef * w.top_pairing(form)
+    return _density_unit(cd.n) * total
+
+
+def _density_unit(n: int) -> Scalar:
+    """TRACE_NORMALISATION (4 pi t)^{-n/2}, the one Scalar factor of both
+    densities."""
+    return TRACE_NORMALISATION * gaussian_prefactor(n)
 
 
 def true_operator_density(s, cd: CurvatureData, order: int = 2) -> Scalar:

@@ -214,10 +214,12 @@ def instanton_check(s: HolonomyStructure, curvature) -> InstantonReport:
 
     ``curvature`` is a CurvatureData.  The integer P_7 numerators act on
     its real and imaginary numerator planes apart, gathered in one pass
-    over the entries.  ``ok`` and ``exact_zero`` are decided on those
-    integers; ``max_component`` is the largest |re + i im| of a 7-part
-    entry in floats, which reads 0.0 when a nonzero part lies below the
-    float range and inf when one lies past it.
+    over the entries; each 7-part row then sums all its r^2 real and
+    imaginary numerators in one pass over its (value, plane) pairs.
+    ``ok`` and ``exact_zero`` are decided on those integers;
+    ``max_component`` is the largest |re + i im| of a 7-part entry in
+    floats, which reads 0.0 when a nonzero part lies below the float range
+    and inf when one lies past it.
     """
     p7 = projections(s)[0]
     planes, den = curvature.f_planes, p7.den * curvature.f_den
@@ -227,10 +229,13 @@ def instanton_check(s: HolonomyStructure, curvature) -> InstantonReport:
             hits.setdefault(t, []).append((v, planes[b]))
     worst = 0.0
     exact_zero = True
-    for row in hits.values():
-        for ab in range(curvature.r ** 2):
-            x = sum(v * re[ab] for v, (re, _) in row)
-            y = sum(v * im[ab] for v, (_, im) in row)
+    for (v, (re, im)), *rest in hits.values():
+        # the r^2 real and imaginary sums of the row, in one pass over it
+        xs, ys = [v * a for a in re], [v * b for b in im]
+        for v, (re, im) in rest:
+            xs = [x + v * a for x, a in zip(xs, re)]
+            ys = [y + v * b for y, b in zip(ys, im)]
+        for x, y in zip(xs, ys):
             if x or y:
                 exact_zero = False
                 try:

@@ -59,6 +59,9 @@ class CurvatureData:
     * the Chern-Weil sums, mask -> rational maps: ``pi2_p1`` = pi^2 p1,
       ``pi_c1`` = pi c1, ``pi2_c2`` = pi^2 c2 and ``pi2_bundle`` =
       pi^2 (c1^2 - c2).
+
+    ``model_trace_forms`` starts as None; ``heat.model_traces`` fills it
+    on first use, so the model traces are built once per curvature.
     """
 
     n: int
@@ -74,6 +77,9 @@ class CurvatureData:
     pi_c1: Dict[int, Fraction] = field(init=False, repr=False, compare=False)
     pi2_c2: Dict[int, Fraction] = field(init=False, repr=False, compare=False)
     pi2_bundle: Dict[int, Fraction] = field(init=False, repr=False, compare=False)
+    model_trace_forms: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         clean = {}
@@ -351,9 +357,13 @@ def chern_forms(cd: CurvatureData) -> Tuple[DiffForm, DiffForm]:
 
 def characteristic_density_form(cd: CurvatureData) -> DiffForm:
     """(1/3) p1 + c1^2 - c2 as a 4-form."""
+    return _pi2_form(cd.n, _characteristic_coefficients(cd))
+
+
+def _characteristic_coefficients(cd: CurvatureData) -> Dict[int, Fraction]:
+    """pi^2 ((1/3) p1 + c1^2 - c2), mask -> rational."""
     p1, bundle = cd.pi2_p1, cd.pi2_bundle
-    keys = p1.keys() | bundle.keys()
-    return _pi2_form(cd.n, {m: Fraction(p1.get(m, 0), 3) + bundle.get(m, 0) for m in keys})
+    return {m: Fraction(p1.get(m, 0), 3) + bundle.get(m, 0) for m in p1.keys() | bundle.keys()}
 
 
 def _pi2_form(n, coefficients) -> DiffForm:
@@ -362,10 +372,13 @@ def _pi2_form(n, coefficients) -> DiffForm:
 
 def residue_density(s: HolonomyStructure, cd: CurvatureData) -> DiffForm:
     """w ^ ((1/3) p1 + c1^2 - c2), a degree-n form: only its dvol
-    coefficient can be nonzero, and it is read by complement lookups
-    (``DiffForm.top_pairing``), with no wedge formed."""
-    top = s.defining_form.top_pairing(characteristic_density_form(cd))
-    return DiffForm(s.n, {(1 << s.n) - 1: top})
+    coefficient can be nonzero.  Pair over Q, then lift once: w is paired
+    with pi^2 ((1/3) p1 + c1^2 - c2) by complement lookups
+    (``DiffForm.top_pairing``, no wedge formed), and the rational result
+    becomes one Scalar times pi^-2.  It equals the ``top_pairing`` of w
+    with ``characteristic_density_form(cd)``."""
+    top = s.defining_form.top_pairing(DiffForm(s.n, _characteristic_coefficients(cd)))
+    return DiffForm(s.n, {(1 << s.n) - 1: Scalar.term(top, pi_half=-4)})
 
 
 def gamma_pole_factor(deg_w: int) -> Scalar:

@@ -86,6 +86,35 @@ def test_residue_instanton_with_oracle(tmp_path, capsys):
     assert doc["instanton_warning"] is None
 
 
+@pytest.mark.parametrize("kind,n", [("g2", 7), ("spin7", 8)])
+def test_residue_oracle_builds_the_model_traces_once(tmp_path, capsys, monkeypatch, kind, n):
+    """The Mehler and the Duhamel density of one ``residue --oracle`` call
+    read one build of tr Q, tr V and tr V^2; without ``--oracle`` none is
+    built."""
+    from specasym import heat
+
+    builds = []
+    real = heat._build_model_traces
+
+    def spy(cd):
+        builds.append(cd)
+        return real(cd)
+
+    monkeypatch.setattr(heat, "_build_model_traces", spy)
+    path = os.fspath(tmp_path / "rank2.json")
+    f = [[[0, 1], [1, "1/2"]], [[-1, "1/2"], [0, -2]]]
+    # e45 ^ e67 pairs with e123 in phi and with e1238 in psi
+    _write(path, {"n": n, "rank": 2, "R": [[4, 5, 6, 7, "3/8"], [1, 2, 4, 5, -1]],
+                  "F": [[1, 2, f], [4, 5, f], [6, 7, f]]})
+    code, out, _ = run_cli(capsys, "residue", "--kind", kind, "--input", path, "--oracle")
+    assert code == 0 and len(builds) == 1
+    oracle = json.loads(out)["oracle"]
+    assert oracle["mehler_coefficient"]["exact"] != "0"
+    assert oracle["relative_discrepancy"] == 0.0
+    code, _, _ = run_cli(capsys, "residue", "--kind", kind, "--input", path)
+    assert code == 0 and len(builds) == 1
+
+
 def test_residue_warns_non_instanton(tmp_path, capsys):
     path = os.fspath(tmp_path / "noninst.json")
     # i_{e_1} phi = e23 + e45 + e67 lies in the 7-part

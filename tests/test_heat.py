@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from math import exp, pi, sinh, sqrt
+from math import exp, inf, pi, sinh, sqrt
 from operator import add
 
 import pytest
@@ -35,6 +35,7 @@ from specasym.heat import (
     wick_trace,
     _calibration_curvature,
     _log_x_over_sinh_series,
+    _weighted_density,
 )
 from specasym import heat, residue
 from specasym.holonomy import InstantonReport, decompose_two_form, instanton_check, projections
@@ -47,6 +48,7 @@ from specasym.residue import (
     instanton_line_curvature,
     pontryagin_p1,
     random_curvature,
+    residue_density,
 )
 from specasym.wordops import WordOperator, mat_add, mat_eye, mat_scale, mat_zero
 
@@ -294,6 +296,40 @@ def test_numerator_planes_equal_scalar_oracles(g2, spin7, kind, r, seed, instant
         assert report == oracle and repr(report) == repr(oracle)
         if is_instanton:
             assert report.ok and report.exact_zero
+
+
+def _instanton_fractions(s, cd):
+    """The gate decided on Fractions: P_7 applied to each entry's 2-form
+    (``Projection.apply``), each 7-part coefficient read as its exact
+    real and imaginary parts, and floated only for ``max_component``."""
+    p7, _ = projections(s)
+    worst, exact_zero = 0.0, True
+    for form in _bundle_two_forms(cd).values():
+        for c in p7.apply(form).terms.values():
+            re, im = c.terms.get((0, 0), (0, 0))
+            if re or im:
+                exact_zero = False
+                try:
+                    worst = max(worst, abs(complex(float(re), float(im))))
+                except OverflowError:
+                    worst = inf
+    return exact_zero, worst
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(["g2", "spin7"]), r=st.integers(1, 4), seed=st.integers(0, 10 ** 6),
+       instanton=st.booleans(), scale=st.sampled_from([1, Fraction(1, 10 ** 400), 10 ** 400]))
+def test_instanton_check_equals_a_fraction_oracle(g2, spin7, kind, r, seed, instanton, scale):
+    """``ok``, ``exact_zero`` and the bits of ``max_component`` against
+    P_7 on Fractions, also for parts below and past the float range."""
+    s = g2 if kind == "g2" else spin7
+    cd = _bundle_case(s, r, seed, instanton, riemann=False).scaled(scale)
+    report = instanton_check(s, cd)
+    exact_zero, worst = _instanton_fractions(s, cd)
+    assert (report.ok, report.exact_zero) == (exact_zero, exact_zero)
+    assert report.max_component.hex() == worst.hex()
+    if instanton:
+        assert exact_zero and worst == 0.0
 
 
 def test_non_real_characteristic_coefficient_is_rejected():
@@ -710,6 +746,70 @@ def _random_even_form(n, rnd):
     masks = [m for m in range(1 << n) if popcount(m) in (0, 2)]
     return DiffForm(n, {m: Fraction(rnd.randint(-2, 2), rnd.randint(1, 3))
                         for m in rnd.sample(masks, 2)})
+
+
+def _paired_case(n, case):
+    """Curvature for the paired-density identities: zero, Riemann only,
+    bundle only and both at ranks 1-4, and values past the float range."""
+    if case == "zero":
+        return CurvatureData(n, 1)
+    if case in ("huge", "tiny"):
+        lam = Fraction(10) ** (400 if case == "huge" else -400)
+        return _paired_case(n, "r2-both").scaled(lam)
+    # seeds 71 + r give a nonzero density for every case on both kinds
+    r, sectors = int(case[1]), case[3:]
+    return random_curvature(n, r, seed=71 + r, with_riemann=sectors != "bundle",
+                            with_bundle=sectors != "riemann")
+
+
+_PAIRED_CASES = ["zero", "huge", "tiny"] + [
+    f"r{r}-{sectors}" for r in (1, 2, 3, 4) for sectors in ("riemann", "bundle", "both")
+]
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+@pytest.mark.parametrize("case", _PAIRED_CASES)
+def test_paired_densities_equal_the_form_level_routes(g2, spin7, kind, case):
+    """Pairing with w over Q and lifting once gives exactly (==, repr) the
+    numbers of the form-level routes: the weighted Mehler and Duhamel
+    traces and the top pairing with the characteristic density form."""
+    s = g2 if kind == "g2" else spin7
+    cd = _paired_case(s.n, case)
+    pairs = [
+        (mehler_diag_trace(s, cd), _weighted_density(s, mehler_trace_degree4(cd))),
+        (residue_density(s, cd).top_coefficient(),
+         s.defining_form.top_pairing(characteristic_density_form(cd))),
+    ]
+    pairs += [(duhamel_density(s, cd, k), _weighted_density(s, duhamel_diag_trace(s, cd, k)))
+              for k in (0, 1, 2)]
+    for got, want in pairs:
+        assert got == want and repr(got) == repr(want)
+    assert mehler_diag_trace(s, cd).is_zero() == (case == "zero")
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+def test_model_traces_are_built_once_per_curvature(kind, monkeypatch):
+    """Every call on one CurvatureData returns the forms of its first call;
+    a scaled copy builds its own."""
+    from specasym.holonomy import standard_structure
+
+    s = standard_structure(kind)
+    builds = []
+    real = heat._build_model_traces
+
+    def spy(cd):
+        builds.append(cd)
+        return real(cd)
+
+    monkeypatch.setattr(heat, "_build_model_traces", spy)
+    cd = random_curvature(s.n, 2, seed=5)
+    first = model_traces(cd)
+    for density in (mehler_diag_trace, duhamel_density):
+        density(s, cd)
+    assert model_traces(cd) is first and builds == [cd]
+    big = cd.scaled(3)
+    assert model_traces(big) == tuple(x.scale(k) for x, k in zip(first, (9, 3, 9)))
+    assert builds == [cd, big]
 
 
 @pytest.mark.parametrize("r", [1, 2])

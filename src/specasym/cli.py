@@ -15,7 +15,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, lcm
 
 from .exact import Scalar
 from .exterior import DiffForm, indices_of, parse_form
@@ -133,9 +133,37 @@ def _label(what: str, row) -> str:
     return what if row is None else f"{what} in {row}"
 
 
-def _gaussian(re: Fraction, im: Fraction) -> Scalar:
-    """re + i im from two ready rationals, without re-wrapping them."""
-    return Scalar({(0, 0): (re, im)} if re or im else None)
+def _ratio(x, what: str):
+    """(numerator, denominator > 0) of a JSON value, not reduced.  JSON
+    integers and plain ASCII text ("-12", "6/8") are read with int();
+    every other form, and every bad value, goes through ``_rational``."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is str and len(x) <= _MAX_LENGTH:
+        plain = _PLAIN.fullmatch(x)
+        if plain:
+            num, den = plain.groups()
+            den = int(den) if den else 1
+            if den:
+                return int(num), den
+    v = _rational(x, what)
+    return v.numerator, v.denominator
+
+
+def _f_numerators(mat, i: int, j: int):
+    """(den, re, im) of the r x r F[i,j] matrix of [re, im] pairs: row-major
+    integer numerators over one denominator, the lcm of the entries' own."""
+    what = f"F[{i},{j}] entry"
+    parts = [_ratio(x, what) for row in mat for pair in row for x in pair]
+    den = lcm(*[d for _, d in parts])
+    nums = [p * (den // d) for p, d in parts]
+    return den, nums[0::2], nums[1::2]
+
+
+def _same_matrix(a, b) -> bool:
+    """Whether two (den, re, im) triples hold the same values."""
+    (da, *pa), (db, *pb) = a, b
+    return all(x * db == y * da for p, q in zip(pa, pb) for x, y in zip(p, q))
 
 
 def _index(x, what: str, row) -> int:
@@ -183,7 +211,7 @@ def load_curvature(path: str) -> CurvatureData:
         if key in r_entries and r_entries[key] != v:
             raise CurvatureError(f"conflicting duplicate R entry {row}")
         r_entries[key] = v
-    f_entries = {}
+    f_planes = {}
     for row in _rows(doc, "F", 3):
         i, j = (_index(idx, "F index", row) for idx in row[:2])
         mat = row[2]
@@ -193,20 +221,16 @@ def load_curvature(path: str) -> CurvatureData:
             raise CurvatureError(f"F[{i},{j}] matrix must be {rank}x{rank}")
         if any(not isinstance(c, list) or len(c) != 2 for r_ in mat for c in r_):
             raise CurvatureError(f"F[{i},{j}] entries must be [re, im] pairs")
-        what = f"F[{i},{j}] entry"
-        entries = tuple(
-            tuple(_gaussian(_rational(c[0], what), _rational(c[1], what)) for c in r_)
-            for r_ in mat
-        )
-        key, flip = ((i, j), False) if i < j else ((j, i), True)
-        if flip:
-            entries = tuple(tuple(-x for x in row_) for row_ in entries)
-        if key in f_entries and f_entries[key] != entries:
+        entry = _f_numerators(mat, i, j)
+        key = (i, j)
+        if i > j:  # F_ji = -F_ij
+            key, entry = (j, i), (entry[0], [-x for x in entry[1]], [-x for x in entry[2]])
+        if key in f_planes and not _same_matrix(f_planes[key], entry):
             raise CurvatureError(f"conflicting redundant F entries for {key}")
-        f_entries[key] = entries
+        f_planes[key] = entry
     # the constructor checks the index ranges and symmetries and
     # skew-Hermiticity
-    return CurvatureData(n, rank, r_entries, f_entries)
+    return CurvatureData.from_planes(n, rank, r_entries, f_planes)
 
 
 # ----------------------------------------------------------------------

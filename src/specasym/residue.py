@@ -15,14 +15,14 @@ multiples of powers of pi.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
+from math import gcd, isfinite, lcm
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .exact import Scalar
-from .exterior import DiffForm, mask_of, merge_sign
+from .exterior import DiffForm, indices_of, mask_of, merge_sign
 from .holonomy import (
     G2,
     HolonomyStructure,
@@ -41,7 +41,6 @@ class CurvatureError(ValueError):
     pass
 
 
-@dataclass
 class CurvatureData:
     """Riemann-type tensor plus skew-Hermitian bundle curvature matrices.
 
@@ -50,42 +49,51 @@ class CurvatureData:
     matrices of Gaussian-rational Scalars.  Index symmetries are enforced
     on construction and never silently repaired.
 
-    Construction also fills the read-only fields every consumer reads:
+    The bundle curvature is stored once, as integer planes:
 
+    * ``f_planes``: mask of e^{ij} -> (real, imaginary) row-major integer
+      numerators of F_ij over one denominator ``f_den``, the least one;
     * ``r_rows``: (i, j) -> [((k, l), R_ijkl)] with i < j and k < l,
       sorted, listed under both pairs;
-    * ``f_planes``: mask of e^{ij} -> (real, imaginary) row-major integer
-      numerators of F_ij over one denominator ``f_den``;
     * the Chern-Weil sums, mask -> rational maps: ``pi2_p1`` = pi^2 p1,
       ``pi_c1`` = pi c1, ``pi2_c2`` = pi^2 c2 and ``pi2_bundle`` =
       pi^2 (c1^2 - c2).
+
+    ``CurvatureData(n, r, r_entries, f_entries)`` reads Scalar matrices
+    into numerators; ``from_planes`` takes them ready, as ``cli`` reads
+    them from text.  Both end in ``_build``, the one place that checks the
+    entries and builds the sums.  ``f_entries`` is derived from the planes
+    on first use: only the oracles read it.
 
     ``model_trace_forms`` starts as None; ``heat.model_traces`` fills it
     on first use, so the model traces are built once per curvature.
     """
 
-    n: int
-    r: int = 1
-    r_entries: Dict[Tuple[int, int, int, int], Fraction] = field(default_factory=dict)
-    f_entries: Dict[Tuple[int, int], Mat] = field(default_factory=dict)
-    r_rows: Dict[Tuple[int, int], list] = field(init=False, repr=False, compare=False)
-    f_den: int = field(init=False, repr=False, compare=False)
-    f_planes: Dict[int, Tuple[List[int], List[int]]] = field(
-        init=False, repr=False, compare=False
-    )
-    pi2_p1: Dict[int, Fraction] = field(init=False, repr=False, compare=False)
-    pi_c1: Dict[int, Fraction] = field(init=False, repr=False, compare=False)
-    pi2_c2: Dict[int, Fraction] = field(init=False, repr=False, compare=False)
-    pi2_bundle: Dict[int, Fraction] = field(init=False, repr=False, compare=False)
-    model_trace_forms: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, n: int, r: int = 1,
+                 r_entries: Optional[Dict[Tuple[int, int, int, int], Fraction]] = None,
+                 f_entries: Optional[Dict[Tuple[int, int], Mat]] = None):
+        self._build(n, r, r_entries or {},
+                    ((key, _matrix_numerators(r, key, m)) for key, m in (f_entries or {}).items()))
+
+    @classmethod
+    def from_planes(cls, n: int, r: int, r_entries, f_planes) -> "CurvatureData":
+        """Curvature from ready numerators: ``f_planes`` maps (i, j) to
+        (den, re, im), the row-major integer lists of the r x r matrix F_ij
+        times den, for any den > 0; ``_build`` reduces it."""
+        cd = cls.__new__(cls)
+        cd._build(n, r, r_entries, f_planes.items())
+        return cd
+
+    def _build(self, n, r, r_entries, f_items):
+        """Check the entries and fill every field from the R values and the
+        ((i, j), (den, re, im)) items of F."""
+        self.n, self.r = n, r
         clean = {}
-        for (i, j, k, l), v in self.r_entries.items():
-            if not all(1 <= x <= self.n for x in (i, j, k, l)):
-                raise CurvatureError(f"R indices must lie in 1..{self.n}, got ({i},{j},{k},{l})")
+        for (i, j, k, l), v in r_entries.items():
+            if not all(1 <= x <= n for x in (i, j, k, l)):
+                raise CurvatureError(f"R indices must lie in 1..{n}, got ({i},{j},{k},{l})")
             if type(v) is not Fraction:
                 v = Fraction(v)
             if v == 0:
@@ -104,30 +112,46 @@ class CurvatureData:
             self.r_rows.setdefault((i, j), []).append(((k, l), v))
             if (i, j) != (k, l):
                 self.r_rows.setdefault((k, l), []).append(((i, j), v))
-        fe, planes, r = {}, {}, self.r
-        for (i, j), m in self.f_entries.items():
-            if not (1 <= i < j <= self.n):
+        planes = {}
+        for (i, j), (den, re, im) in f_items:
+            if not (1 <= i < j <= n):
                 raise CurvatureError(f"F indices must satisfy i<j, got ({i},{j})")
-            mat = tuple(tuple(Scalar.of(x) for x in row) for row in m)
-            if len(mat) != r or any(len(row) != r for row in mat):
-                raise CurvatureError("bundle curvature matrix has wrong rank")
-            parts = _gaussian_numerators([x for row in mat for x in row])
-            if parts is None:
-                raise CurvatureError(f"F[{i},{j}] entries must be Gaussian rationals")
-            den, re, im = parts
             # F^* = -F: the real part antisymmetric, the imaginary part symmetric
             if any(re[a * r + b] != -re[b * r + a] or im[a * r + b] != im[b * r + a]
                    for a in range(r) for b in range(a, r)):
                 raise CurvatureError(f"F[{i},{j}] is not skew-Hermitian")
             if any(re) or any(im):
-                fe[(i, j)] = mat
+                g = gcd(den, *re, *im)  # the least denominator of this matrix
+                if g > 1:
+                    den, re, im = den // g, [x // g for x in re], [x // g for x in im]
                 planes[mask_of((i, j))] = (den, re, im)
-        self.f_entries = fe
         self.f_den = lcm(*(den for den, _, _ in planes.values()))
-        self.f_planes = {m: tuple([x * (self.f_den // den) for x in p] for p in (re, im))
+        self.f_planes = {m: (re, im) if den == self.f_den else
+                         tuple([x * (self.f_den // den) for x in p] for p in (re, im))
                          for m, (den, re, im) in planes.items()}
+        self._f_entries = None
+        self.model_trace_forms = None
         self.pi2_p1 = _p1(self.r_rows)
         self.pi_c1, self.pi2_c2, self.pi2_bundle = _chern(r, self.f_den, self.f_planes)
+
+    @property
+    def f_entries(self) -> Dict[Tuple[int, int], Mat]:
+        """(i, j) -> r x r Scalar matrix F_ij (i < j), built from the planes
+        on first use."""
+        if self._f_entries is None:
+            self._f_entries = _scalar_matrices(self.r, self.f_den, self.f_planes)
+        return self._f_entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # the least common denominator makes the planes canonical
+        return ((self.n, self.r, self.r_entries, self.f_den, self.f_planes)
+                == (other.n, other.r, other.r_entries, other.f_den, other.f_planes))
+
+    def __repr__(self):
+        return (f"CurvatureData(n={self.n!r}, r={self.r!r}, r_entries={self.r_entries!r}, "
+                f"f_entries={self.f_entries!r})")
 
     # -- accessors ---------------------------------------------------------
 
@@ -162,10 +186,10 @@ class CurvatureData:
         return bool(self.r_entries)
 
     def has_bundle_curvature(self) -> bool:
-        return bool(self.f_entries)
+        return bool(self.f_planes)
 
     def is_flat(self) -> bool:
-        return not (self.r_entries or self.f_entries)
+        return not (self.r_entries or self.f_planes)
 
     def scaled(self, lam) -> "CurvatureData":
         lam = Fraction(lam)
@@ -211,6 +235,18 @@ class CurvatureData:
         return CurvatureData(self.n, self.r, new_entries, dict(self.f_entries))
 
 
+def _matrix_numerators(r: int, key, m) -> Tuple[int, List[int], List[int]]:
+    """(den, re, im) of an r x r matrix of Gaussian-rational Scalars (or
+    rationals) under ``key``."""
+    mat = [Scalar.of(x) for row in m for x in row]
+    if len(m) != r or any(len(row) != r for row in m):
+        raise CurvatureError("bundle curvature matrix has wrong rank")
+    parts = _gaussian_numerators(mat)
+    if parts is None:
+        raise CurvatureError(f"F[{key[0]},{key[1]}] entries must be Gaussian rationals")
+    return parts
+
+
 def _gaussian_numerators(values: List[Scalar]) -> Optional[Tuple[int, List[int], List[int]]]:
     """(den, re, im) with ``re[k] / den`` and ``im[k] / den`` the real and
     imaginary parts of ``values[k]``, read off each (0, 0) pair; None if a
@@ -221,6 +257,18 @@ def _gaussian_numerators(values: List[Scalar]) -> Optional[Tuple[int, List[int],
     den = lcm(*(v.denominator for pair in pairs for v in pair))
     return (den, [a.numerator * (den // a.denominator) for a, _ in pairs],
             [b.numerator * (den // b.denominator) for _, b in pairs])
+
+
+def _scalar_matrices(r: int, den: int, planes) -> Dict[Tuple[int, int], Mat]:
+    """(i, j) -> r x r matrix of Scalars F_ij from the numerator planes over
+    ``den``, in plane order."""
+    return {
+        indices_of(m): tuple(
+            tuple(Scalar.term(Fraction(x, den), Fraction(y, den))
+                  for x, y in zip(re[a:a + r], im[a:a + r]))
+            for a in range(0, r * r, r))
+        for m, (re, im) in planes.items()
+    }
 
 
 def _canonical_r_key(i, j, k, l):

@@ -98,16 +98,15 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
     out = _Results()
     for n in (7, 8):
         ok = True
-        for i in range(1, n + 1):
-            ci = WordOperator.from_word(n, 1 << (i - 1), 0)
-            hi = WordOperator.from_word(n, 0, 1 << (i - 1))
-            for j in range(1, n + 1):
-                cj = WordOperator.from_word(n, 1 << (j - 1), 0)
-                hj = WordOperator.from_word(n, 0, 1 << (j - 1))
-                delta = WordOperator.identity(n) if i == j else WordOperator.zero(n)
-                ok &= (ci * cj + cj * ci) == delta.scale(-2)
-                ok &= (hi * hj + hj * hi) == delta.scale(2)
-                ok &= (ci * hj + hj * ci).is_zero()
+        c = [WordOperator.from_word(n, 1 << i, 0) for i in range(n)]
+        h = [WordOperator.from_word(n, 0, 1 << i) for i in range(n)]
+        zero, one = WordOperator.zero(n), WordOperator.identity(n)
+        minus_two, two = one.scale(-2), one.scale(2)
+        for i in range(n):
+            for j in range(n):
+                ok &= (c[i] * c[j] + c[j] * c[i]) == (minus_two if i == j else zero)
+                ok &= (h[i] * h[j] + h[j] * h[i]) == (two if i == j else zero)
+                ok &= (c[i] * h[j] + h[j] * c[i]).is_zero()
         _check(out, f"clifford anticommutators exhaustive (n={n})", ok)
 
     for n in (7, 8):

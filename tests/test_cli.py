@@ -558,20 +558,20 @@ _CURVED_DOCS = {
 @pytest.mark.parametrize("kind", sorted(_CURVED_DOCS))
 def test_residue_oracle_builds_the_chern_weil_sums_once_per_curvature(
         tmp_path, capsys, monkeypatch, kind):
-    """A call builds one CurvatureData, the input's, and its constructor
-    runs each Chern-Weil sum once; characteristic_density_form and both
-    model traces read the stored sums, and the constant trace normalisation
-    needs no calibration data."""
+    """A call builds one CurvatureData, the input's, and its one
+    construction routine runs each Chern-Weil sum once;
+    characteristic_density_form and both model traces read the stored sums,
+    and the constant trace normalisation needs no calibration data."""
     from specasym import cli, residue
 
     built, calls = [], []
-    real_init = residue.CurvatureData.__post_init__
+    real_build = residue.CurvatureData._build
 
-    def init_spy(self):
-        real_init(self)
+    def build_spy(self, *args):
+        real_build(self, *args)
         built.append(self)
 
-    monkeypatch.setattr(residue.CurvatureData, "__post_init__", init_spy)
+    monkeypatch.setattr(residue.CurvatureData, "_build", build_spy)
     for name in ("_p1", "_chern"):
         real = getattr(residue, name)
 
@@ -591,6 +591,24 @@ def test_residue_oracle_builds_the_chern_weil_sums_once_per_curvature(
     assert json.loads(out)["oracle"]["relative_discrepancy"] == 0.0
     assert built == loaded and len(built) == 1
     assert calls == [(0, "_p1"), (0, "_chern")]
+
+
+@pytest.mark.parametrize("kind", sorted(_CURVED_DOCS))
+def test_residue_oracle_never_derives_scalar_f_entries(tmp_path, capsys, monkeypatch, kind):
+    """The residue path reads the integer planes only; the Scalar matrices
+    of f_entries are for the oracles."""
+    from specasym import residue
+
+    path = os.fspath(tmp_path / "curvature.json")
+    _write(path, _CURVED_DOCS[kind])
+    want = run_cli(capsys, "residue", "--kind", kind, "--input", path, "--oracle")
+
+    def no_derive(*args):
+        raise AssertionError("Scalar f_entries derived on the residue path")
+
+    monkeypatch.setattr(residue, "_scalar_matrices", no_derive)
+    assert run_cli(capsys, "residue", "--kind", kind, "--input", path, "--oracle") == want
+    assert want[0] == 0
 
 
 def test_structures_are_built_once_and_left_unchanged(tmp_path, capsys):

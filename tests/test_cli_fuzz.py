@@ -14,7 +14,10 @@ from fractions import Fraction
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from specasym.cli import _EXPONENT, _MAX_EXPONENT, _MAX_LENGTH, _parse_number, main
+from specasym.cli import (
+    _EXPONENT, _MAX_EXPONENT, _MAX_LENGTH, _parse_number, _ratio, _rational, main,
+)
+from specasym.residue import CurvatureError
 
 _SETTINGS = dict(deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -172,3 +175,32 @@ def test_parse_number_reads_text_as_fraction_does(text):
             assert type(exc) is want
         else:
             raise AssertionError(f"{text!r} parsed, but Fraction raises {want.__name__}")
+
+
+def _rational_or_message(value):
+    try:
+        return _rational(value, "F[1,2] entry")
+    except CurvatureError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(value=st.one_of(_number_text, st.integers(-10 ** 700, 10 ** 700), st.fractions(),
+                       st.booleans(), st.floats(), st.none(), st.lists(st.integers(), max_size=2)))
+@example(value="2/4")
+@example(value="-0")
+@example(value="0/7")
+@example(value="1/0")
+@example(value="1/00")
+@example(value="1" * 601)
+@example(value="\u0663/4")
+def test_ratio_reads_values_as_rational_does(value):
+    """(num, den) of the plain-text reader is the value _rational reads, or
+    both fail with the same message."""
+    want = _rational_or_message(value)
+    try:
+        num, den = _ratio(value, "F[1,2] entry")
+    except CurvatureError as exc:
+        assert str(exc) == want
+    else:
+        assert den > 0 and Fraction(num, den) == want

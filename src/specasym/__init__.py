@@ -30,14 +30,11 @@ _EXPORTS = {
     ),
     "heat": (
         "curvature_exponential",
-        "duhamel_diag_trace",
         "duhamel_density",
-        "extract_t_coefficient",
         "landau_kernel",
         "mehler_det_factor",
         "mehler_diag_trace",
         "mehler_kernel",
-        "mehler_trace_degree4",
         "duhamel_kernel",
         "oscillator_diag_kernel",
         "q_matrix",

@@ -135,7 +135,12 @@ class DiffForm:
 
     @staticmethod
     def monomial(n: int, indices, coeff=1) -> "DiffForm":
-        return DiffForm(n, {mask_of(indices): coeff})
+        """coeff e^{i_1} ^ ... ^ e^{i_k} in the written order: indices out of
+        ascending order carry the sign of the permutation that sorts them."""
+        indices = tuple(indices)
+        mask = mask_of(indices)
+        inversions = sum(a > b for k, a in enumerate(indices) for b in indices[k + 1:])
+        return DiffForm(n, {mask: -coeff if inversions & 1 else coeff})
 
     @staticmethod
     def dvol(n: int) -> "DiffForm":

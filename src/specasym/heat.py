@@ -22,22 +22,21 @@ built once when the data is constructed, and the three forms are built
 once per CurvatureData, on first use, so the Mehler and the Duhamel
 density of one call share them.
 
-Each density pairs over Q, then lifts once.  The weighted density is a
-linear functional [w ^ .]_n of the rational forms tr Q and tr V^2 (the
-pairing of w with tr V, a 2-form, is zero), so w is paired with them on
-their rational coefficients through complement lookups
+Each density has two tiers: a production route that pairs over Q, then
+lifts once, and a full-kernel oracle.  The weighted density is a linear
+functional [w ^ .]_n of the rational forms tr Q and tr V^2 (the pairing
+of w with tr V, a 2-form, is zero), so w is paired with them on their
+rational coefficients through complement lookups
 (``DiffForm.top_pairing``: only the complement of each term of w is
 read, and no wedge is formed), the rationals are combined, and the sum
 becomes a ``Scalar`` by one product with TRACE_NORMALISATION
 (4 pi t)^{-n/2} and the power of t.  ``mehler_diag_trace`` combines them
-as ``mehler_trace_degree4`` combines the forms; ``duhamel_density`` pairs
-the form trace of each Wick term (``wick_trace_terms``, with no drift,
-since rhat is antisymmetric) and sums them with their coefficients.  The
-form-level routes stay as oracles: ``mehler_trace_degree4``, and
-``duhamel_diag_trace``, which sums the same terms as forms
-(``wick_trace``).  The Wick terms are listed once (``wick_terms``);
+in ``_mehler_pairing``; ``duhamel_density`` pairs the form trace of each
+Wick term (with no drift, since rhat is antisymmetric) and sums them
+with their coefficients.  The Wick terms are listed once (``wick_terms``);
 ``wick_kernel`` multiplies them out, so ``mehler_kernel`` and
-``duhamel_kernel`` stay as the independent full-kernel oracles.
+``duhamel_kernel``, read through ``density_from_kernel``, are the
+independent full-kernel oracles.
 
 The two normalisation constants follow.  Per unit 2^n t^2 (4 pi t)^{-n/2},
 the degree-4 trace is (1/2) l_1 tr(4 Q) r + tr V^2 / 2 with l_1 = -1/6:
@@ -203,9 +202,7 @@ def mehler_det_factor(q: FormMatrix, n: int) -> DiffForm:
         if k < kmax:
             power = _form_matrix_mul(power, m)
     half_log = log_sum.scale(Fraction(1, 2))
-    det_sqrt = form_exp(half_log)
-    prefactor = Scalar.term(Fraction(1, 2 ** n), pi_half=-n, t_half=-n)
-    return det_sqrt.scale(prefactor)
+    return form_exp(half_log).scale(gaussian_prefactor(n))
 
 
 # ----------------------------------------------------------------------
@@ -297,25 +294,6 @@ def mehler_kernel(cd: CurvatureData) -> WordOperator:
     return WordOperator.from_form(det, cd.r) * curvature_exponential(cd)
 
 
-def mehler_trace_degree4(cd: CurvatureData) -> DiffForm:
-    """Form-degree-4 part of ``mehler_kernel(cd).form_trace()``, built directly.
-
-    Every term of the potential V sits on one 2-plane and every entry of Q
-    is a sum of wedges of two 2-forms, so the power of t follows form
-    degree.  At degree 4 the kernel needs only t^2 V^2 / 2 from exp(-t V)
-    and only the first determinant term (1/2) l_1 tr(4 t^2 Q) (x) 1_r, so it
-    reads tr Q and tr V^2 from ``model_traces``.
-    """
-    n, r = cd.n, cd.r
-    tr_q, _, tr_v2 = model_traces(cd)
-    # determinant factor: (1/2) l_1 4 tr Q, times the fiber trace 2^n r of 1_r
-    det = tr_q.scale(_DET_WEIGHT * r * (1 << n))
-    # exp(-t V): the word-free part of V^2 / 2
-    v2 = tr_v2.scale(_HALF)
-    # flat prefactor and the t^2 of both terms
-    return (det + v2).scale(gaussian_prefactor(n) * Scalar.t_pow(4))
-
-
 # ----------------------------------------------------------------------
 # Duhamel / Wick engine
 # ----------------------------------------------------------------------
@@ -345,7 +323,7 @@ def wick_terms(n: int, const, drift, tr_quad, order: int = 2) -> List[Tuple[Scal
     Returns ``(coefficient, products)`` pairs: the coefficient carries its
     power of t, and ``products`` lists operand tuples whose products are
     summed (the empty tuple is the identity).  Operands are WordOperators
-    or pure forms, passed through as given (``wick_trace`` passes the
+    or pure forms, passed through as given (``duhamel_density`` passes the
     traces of const); None operands drop out.
     """
     if order > 2:
@@ -398,45 +376,6 @@ def wick_kernel(
     return k.scale(gaussian_prefactor(n))
 
 
-def wick_trace(
-    n: int,
-    r: int,
-    const: Optional[Tuple[DiffForm, DiffForm]],
-    drift: Optional[List[List[DiffForm]]],
-    tr_quad: Optional[DiffForm],
-    order: int = 2,
-) -> DiffForm:
-    """``wick_kernel(...).form_trace()`` from form traces alone.
-
-    ``const`` is the pair (tr C, tr C^2) of the constant term C.  drift
-    entries and ``tr_quad`` are even forms standing for form (x) 1_r; such
-    forms commute with everything, so a product with k factors C traces to
-    the wedge of its forms times tr C^k, where tr C^0 = 2^n r.  No word
-    operator is built: the terms of ``wick_trace_terms`` are summed.
-    """
-    total = DiffForm.zero(n)
-    for coef, form in wick_trace_terms(n, r, const, drift, tr_quad, order):
-        total = total + form.scale(coef)
-    return total.scale(gaussian_prefactor(n))
-
-
-def wick_trace_terms(n: int, r: int, const, drift, tr_quad, order: int = 2):
-    """``(coefficient, form)`` for each product of ``wick_terms``, with the
-    operands of ``wick_trace``; the product traces to the form times the
-    coefficient.  A product with k >= 1 factors C traces to tr C^k wedged
-    with its form factors.  tr C^0 = 2^n r is a number, so it moves into
-    the coefficient and a product of forms alone yields their wedge."""
-    fiber = (1 << n) * r
-    for coef, products in wick_terms(n, const, drift, tr_quad, order):
-        for ops in products:
-            forms = [x for x in ops if x is not const]
-            k = len(ops) - len(forms)
-            if k:
-                forms.insert(0, const[k - 1])
-            form = reduce(DiffForm.wedge, forms) if forms else DiffForm.one(n)
-            yield (coef if k else coef * fiber), form
-
-
 def duhamel_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
     """Duhamel expansion of the model heat kernel diagonal, built in full
     from the rank-r potential, the whole drift and the trace of ``q_matrix``."""
@@ -482,20 +421,6 @@ def landau_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
 # diagonal traces, calibration, densities
 # ----------------------------------------------------------------------
 
-def duhamel_diag_trace(s, cd: CurvatureData, order: int = 2) -> DiffForm:
-    """Fiber trace of the Duhamel kernel: the form-valued diagonal density.
-
-    Sums the form traces of the Wick terms (``wick_trace``) from
-    ``model_traces``; it equals ``duhamel_kernel(cd, order).form_trace()``,
-    which stays as its oracle.  No drift is passed: rhat is antisymmetric,
-    so the drift's trace and every symmetrised pair of its entries vanish.
-    """
-    if s is not None and s.n != cd.n:
-        raise ValueError("structure/curvature dimension mismatch")
-    tr_q, tr_v, tr_v2 = model_traces(cd)
-    return wick_trace(cd.n, cd.r, (tr_v, tr_v2), None, tr_q, order)
-
-
 def _calibration_curvature(s) -> CurvatureData:
     """Rank-1 bundle data whose quadratic Chern term pairs with w."""
     n = s.n
@@ -520,15 +445,18 @@ def calibration_constant(s) -> Scalar:
 
     Target over route on the rank-1 bundle family with vanishing Riemann
     data, where the residue-order density has the closed form
-    pi^{-deg(w)/2} [w ^ (c1^2 - c2)]_n.  The densities multiply by the
-    derived ``TRACE_NORMALISATION`` instead; the heat suite checks that
-    this measurement equals it, so a wrong model trace fails a check.
+    pi^{-deg(w)/2} [w ^ (c1^2 - c2)]_n; the route is the rational
+    ``_mehler_pairing`` of ``mehler_diag_trace`` times (4 pi t)^{-n/2} t^2.
+    The densities multiply by the derived ``TRACE_NORMALISATION`` instead;
+    the heat suite checks that this measurement equals it, so a wrong
+    model trace fails a check.
     """
     cd0 = _calibration_curvature(s)
     deg = s.degree
     w = s.defining_form
     target = Scalar.pi_pow(-deg) * Scalar.of(w.top_pairing(characteristic_density_form(cd0)))
-    route = Scalar.of(w.top_pairing(mehler_trace_degree4(cd0))).t_coefficient(Fraction(-deg, 2))
+    route = (gaussian_prefactor(s.n) * Scalar.t_pow(4, _mehler_pairing(w, cd0))
+             ).t_coefficient(Fraction(-deg, 2))
     if route.is_zero():
         raise RuntimeError("degenerate calibration family")
     return target / route
@@ -536,11 +464,7 @@ def calibration_constant(s) -> Scalar:
 
 def density_from_kernel(s, kernel: WordOperator) -> Scalar:
     """Weighted diagonal density: norm * [w ^ form-trace(kernel)]_n."""
-    return _weighted_density(s, kernel.form_trace())
-
-
-def _weighted_density(s, trace: DiffForm) -> Scalar:
-    return TRACE_NORMALISATION * s.defining_form.top_pairing(trace)
+    return TRACE_NORMALISATION * s.defining_form.top_pairing(kernel.form_trace())
 
 
 def mehler_diag_trace(s, cd: CurvatureData) -> Scalar:
@@ -549,41 +473,61 @@ def mehler_diag_trace(s, cd: CurvatureData) -> Scalar:
     Returns the exact Laurent polynomial in sqrt(t); the residue-order
     coefficient sits at t^{-deg(w)/2}.  Wedging with w keeps only form
     degree n - deg(w) = 4 of the trace, so the kernel is never built.
-    Pair over Q, then lift once: [w ^ tr Q] and [w ^ tr V^2] are
-    rationals, combined as ``mehler_trace_degree4`` combines the forms,
-    and the sum is multiplied once by TRACE_NORMALISATION (4 pi t)^{-n/2}
-    t^2.  The result equals ``_weighted_density(s, mehler_trace_degree4(cd))``
-    and ``density_from_kernel(s, mehler_kernel(cd))`` as a full Laurent
-    series.
+    Pair over Q, then lift once: the rational ``_mehler_pairing`` is
+    multiplied once by TRACE_NORMALISATION (4 pi t)^{-n/2} t^2.  The
+    result equals ``density_from_kernel(s, mehler_kernel(cd))`` as a full
+    Laurent series.
     """
     if s.n != cd.n:
         raise ValueError("structure/curvature dimension mismatch")
     if s.n - s.degree != 4:
         raise ValueError("the Mehler density is built at form degree 4 only")
+    return _density_unit(cd.n) * Scalar.t_pow(4, _mehler_pairing(s.defining_form, cd))
+
+
+def _mehler_pairing(w: DiffForm, cd: CurvatureData) -> Fraction:
+    """[w ^ degree-4 trace of the Mehler kernel]_n per unit (4 pi t)^{-n/2} t^2.
+
+    Every term of the potential V sits on one 2-plane and every entry of Q
+    is a sum of wedges of two 2-forms, so the power of t follows form
+    degree.  At degree 4 the kernel needs only t^2 V^2 / 2 from exp(-t V)
+    and only the first determinant term (1/2) l_1 tr(4 t^2 Q) (x) 1_r,
+    whose fiber trace is 2^n r; w is paired with tr Q and tr V^2 over Q.
+    """
     tr_q, _, tr_v2 = model_traces(cd)
-    w = s.defining_form
-    paired = (_DET_WEIGHT * cd.r * (1 << cd.n) * w.top_pairing(tr_q)
-              + _HALF * w.top_pairing(tr_v2))
-    return _density_unit(cd.n) * Scalar.t_pow(4, paired)
+    return (_DET_WEIGHT * cd.r * (1 << cd.n) * w.top_pairing(tr_q)
+            + _HALF * w.top_pairing(tr_v2))
 
 
 def duhamel_density(s, cd: CurvatureData, order: int = 2) -> Scalar:
     """Weighted density via the Duhamel expansion (oracle side).
 
-    Pair over Q, then lift once: the form trace of each Wick term
-    (``wick_trace_terms``, on ``model_traces`` with no drift, as in
-    ``duhamel_diag_trace``) is paired with w, the pairings are summed with
-    their coefficients, and the sum is multiplied once by
-    TRACE_NORMALISATION (4 pi t)^{-n/2}.  The result equals
-    ``_weighted_density(s, duhamel_diag_trace(s, cd, order))``.
+    Pair over Q, then lift once: the form trace of each product of
+    ``wick_terms`` is paired with w, the pairings are summed with their
+    coefficients, and the sum is multiplied once by TRACE_NORMALISATION
+    (4 pi t)^{-n/2}.  The operands are ``model_traces``: the constant C is
+    the pair (tr C, tr C^2) = (tr V, tr V^2), and tr Q stands for
+    tr Q (x) 1_r.  No drift is passed: rhat is antisymmetric, so the
+    drift's trace and every symmetrised pair of its entries vanish.  Such
+    forms commute with everything, so a product with k >= 1 factors C
+    traces to tr C^k wedged with its form factors; tr C^0 = 2^n r is a
+    number, so it moves into the coefficient.  The result equals
+    ``density_from_kernel(s, duhamel_kernel(cd, order))``.
     """
     if s.n != cd.n:
         raise ValueError("structure/curvature dimension mismatch")
     tr_q, tr_v, tr_v2 = model_traces(cd)
-    w = s.defining_form
+    const = (tr_v, tr_v2)
+    w, fiber = s.defining_form, (1 << cd.n) * cd.r
     total = Scalar()
-    for coef, form in wick_trace_terms(cd.n, cd.r, (tr_v, tr_v2), None, tr_q, order):
-        total = total + coef * w.top_pairing(form)
+    for coef, products in wick_terms(cd.n, const, None, tr_q, order):
+        for ops in products:
+            forms = [x for x in ops if x is not const]
+            k = len(ops) - len(forms)
+            if k:
+                forms.insert(0, const[k - 1])
+            form = reduce(DiffForm.wedge, forms) if forms else DiffForm.one(cd.n)
+            total = total + (coef if k else coef * fiber) * w.top_pairing(form)
     return _density_unit(cd.n) * total
 
 
@@ -608,18 +552,6 @@ def model_reduction_ratio(s) -> Scalar:
     true_coeff = true_operator_density(s, cd0).t_coefficient(power)
     model_coeff = mehler_diag_trace(s, cd0).t_coefficient(power)
     return true_coeff / model_coeff
-
-
-def extract_t_coefficient(series, power):
-    """Coefficient of t**power from a Scalar or form-valued Laurent series."""
-    if isinstance(series, Scalar):
-        return series.t_coefficient(power)
-    if isinstance(series, DiffForm):
-        out = series.map_coefficients(
-            lambda c: c.t_coefficient(power) if isinstance(c, Scalar) else Scalar()
-        )
-        return out
-    raise TypeError(f"unsupported series type {type(series).__name__}")
 
 
 def oscillator_diag_kernel(a: float, t: float) -> float:

@@ -27,11 +27,12 @@ from .filtration import (
 from .heat import (
     TRACE_NORMALISATION,
     calibration_constant,
+    density_from_kernel,
     duhamel_density,
-    duhamel_diag_trace,
     duhamel_kernel,
     mehler_diag_trace,
     model_reduction_ratio,
+    model_traces,
     oscillator_diag_kernel,
 )
 from .holonomy import decompose_two_form, projections, standard_structure
@@ -383,13 +384,13 @@ def heat_suite(seed: int = 0, full: bool = True) -> List[CheckResult]:
     cd = random_curvature(7, 2, seed=10, with_riemann=False)
     u = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
     conj = _conjugate_bundle(cd, u)
-    same = duhamel_diag_trace(g2, cd) == duhamel_diag_trace(g2, conj)
-    _check(out, "duhamel trace invariant under constant gauge rotation", same)
+    same = model_traces(cd) == model_traces(conj)
+    _check(out, "model traces invariant under constant gauge rotation", same)
 
     # the density path sums Wick-term traces; the full kernel is its oracle
     cd = random_curvature(7, 2, seed=15)
-    same = duhamel_diag_trace(g2, cd) == duhamel_kernel(cd).form_trace()
-    _check(out, "trace-aware Duhamel trace equals the form trace of the full Duhamel kernel",
+    same = duhamel_density(g2, cd) == density_from_kernel(g2, duhamel_kernel(cd))
+    _check(out, "Duhamel density equals the density of the full Duhamel kernel",
            same, "g2, r=2, seed 15")
 
     # 1-d oscillator diagonal vs Hermite eigenfunction sum

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,21 @@ def test_decompose_degree_gate(capsys):
 def test_decompose_parse_error(capsys):
     code, _, err = run_cli(capsys, "decompose", "--kind", "g2", "--form", "e12 + zap")
     assert code == 2
+
+
+def test_decompose_descending_monomial_is_the_negated_ascending_one(capsys):
+    """e21 = -e12, so every coefficient and no norm changes sign."""
+    _, asc, _ = run_cli(capsys, "decompose", "--kind", "g2", "--form", "e12")
+    _, desc, _ = run_cli(capsys, "decompose", "--kind", "g2", "--form", "e21")
+    _, neg, _ = run_cli(capsys, "decompose", "--kind", "g2", "--form=-e12")
+    assert desc == neg
+    asc, desc = json.loads(asc), json.loads(desc)
+    assert desc["norms"] == asc["norms"]
+    for part in ("input", "p7", "p14"):
+        assert desc[part].keys() == asc[part].keys()
+        for key, value in asc[part].items():
+            assert desc[part][key] == {"exact": str(-Fraction(value["exact"])),
+                                       "float": -value["float"]}
 
 
 def test_decompose_deterministic(capsys):
@@ -434,6 +450,7 @@ _BAD_ARGV = {
     "decompose-form-zero-denominator": ("decompose", "--kind", "g2", "--form", "1/0 e12"),
     "decompose-form-glued-monomials": ("decompose", "--kind", "g2", "--form", "e12e34"),
     "decompose-form-split-coefficient": ("decompose", "--kind", "g2", "--form", "1 2 e12"),
+    "decompose-form-repeated-index": ("decompose", "--kind", "g2", "--form", "e11"),
     "spectrum-theta-zero-denominator": (
         "spectrum", "--n", "7", "--qmax", "2", "--theta", "1/0,0,0,0,0,0,0", "--out",
     ),

@@ -179,6 +179,27 @@ def test_parse_form_roundtrip():
         assert parse_form(7, text) == want
 
 
+def test_monomial_takes_the_sign_of_the_written_order():
+    """e^2 ^ e^1 = -e^12: indices out of ascending order carry the sign of
+    their sorting permutation, in the constructor and in ``parse_form``."""
+    assert DiffForm.monomial(7, (2, 1)) == e(7, 1, 2).scale(-1)
+    assert DiffForm.monomial(7, (1, 3, 2), 5) == e(7, 1, 2, 3).scale(-5)
+    assert DiffForm.monomial(7, (3, 1, 2)) == e(7, 1, 2, 3)
+    assert DiffForm.monomial(7, (3, 2, 1)) == e(7, 1, 2, 3).scale(-1)
+    assert DiffForm.monomial(8, (8, 1), Scalar.i()) == e(8, 1, 8).scale(-Scalar.i())
+    for idx in ((2, 1), (1, 3, 2), (4, 3, 2, 1), (2, 5, 1, 7)):
+        want = e(7, idx[0])
+        for i in idx[1:]:
+            want = want.wedge(e(7, i))
+        assert DiffForm.monomial(7, idx) == want
+    assert parse_form(7, "e21") == -parse_form(7, "e12")
+    assert parse_form(7, "e132") == -parse_form(7, "e123")
+    assert parse_form(7, "3 e21 + 3 e12").is_zero()
+    for bad in ("e11", "e121"):
+        with pytest.raises(ValueError, match="repeated index"):
+            parse_form(7, bad)
+
+
 def test_interior_product():
     phi_like = e(7, 1, 2, 3)
     assert phi_like.interior(1) == e(7, 2, 3)

@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specasym.exact import Scalar
-from specasym.exterior import DiffForm, mask_of, popcount
+from specasym.exterior import DiffForm, mask_of
 from specasym.heat import (
     TRACE_NORMALISATION,
     calibration_constant,
     curvature_exponential,
     duhamel_density,
-    duhamel_diag_trace,
     duhamel_kernel,
-    extract_t_coefficient,
     form_matrix_trace,
     gaussian_prefactor,
     density_from_kernel,
@@ -25,17 +23,14 @@ from specasym.heat import (
     mehler_det_factor,
     mehler_diag_trace,
     mehler_kernel,
-    mehler_trace_degree4,
     model_constant_potential,
     model_reduction_ratio,
     model_traces,
     oscillator_diag_kernel,
     q_matrix,
     wick_kernel,
-    wick_trace,
     _calibration_curvature,
     _log_x_over_sinh_series,
-    _weighted_density,
 )
 from specasym import heat, residue
 from specasym.holonomy import InstantonReport, decompose_two_form, instanton_check, projections
@@ -591,8 +586,11 @@ def test_wick_order_gate():
 
 def test_duhamel_flat_leading_term(g2):
     for r in (1, 2):
-        series = duhamel_diag_trace(g2, CurvatureData(7, r))
+        cd = CurvatureData(7, r)
+        series = duhamel_kernel(cd).form_trace()
         assert series == DiffForm.one(7).scale(gaussian_prefactor(7) * (2 ** 7) * r)
+        assert all(x.is_zero() for x in model_traces(cd))
+        assert duhamel_density(g2, cd).is_zero()
 
 
 def test_duhamel_pure_constant_matches_exponential(g2):
@@ -639,9 +637,9 @@ def test_vanishing_below_residue_order(g2):
         assert all(p >= Fraction(-3, 2) for p in oracle.t_support())
 
 
-def _sparse_curvature(n, r, riemann=True, bundle=True, bianchi=False):
+def _sparse_curvature(n, r, riemann=True, bundle=True, bianchi=False, seed=3):
     """At most six R and six F entries, so the full kernel stays cheap."""
-    cd = random_curvature(n, r, seed=3, with_riemann=riemann, with_bundle=bundle)
+    cd = random_curvature(n, r, seed=seed, with_riemann=riemann, with_bundle=bundle)
     sparse = CurvatureData(
         n, r, dict(list(cd.r_entries.items())[:6]), dict(list(cd.f_entries.items())[:6])
     )
@@ -666,9 +664,6 @@ def test_degree4_path_equals_full_kernel(g2, spin7, kind, case):
     full = density_from_kernel(s, kernel)
     assert mehler_diag_trace(s, cd) == full
     assert full.is_zero() == cd.is_flat()
-    trace = kernel.form_trace()
-    degree4 = DiffForm(s.n, {m: c for m, c in trace.terms.items() if popcount(m) == 4})
-    assert mehler_trace_degree4(cd) == degree4
 
 
 @pytest.mark.parametrize("kind", ["g2", "spin7"])
@@ -681,7 +676,6 @@ def test_trace_path_equals_full_duhamel_kernel(g2, spin7, kind, case):
     cd = _calibration_curvature(s) if case == "calibration" else _DEGREE4_INPUTS[case](s.n)
     for order in (0, 1, 2):
         kernel = duhamel_kernel(cd, order)
-        assert duhamel_diag_trace(s, cd, order) == kernel.form_trace()
         assert duhamel_density(s, cd, order) == density_from_kernel(s, kernel)
     with pytest.raises(ValueError):
         duhamel_density(s, cd, order=3)
@@ -742,15 +736,10 @@ def test_calibrated_mehler_is_the_derived_chern_weil_sum(g2, spin7, kind, r, rie
     assert mehler_diag_trace(s, cd).t_coefficient(Fraction(-s.degree, 2)) == want
 
 
-def _random_even_form(n, rnd):
-    masks = [m for m in range(1 << n) if popcount(m) in (0, 2)]
-    return DiffForm(n, {m: Fraction(rnd.randint(-2, 2), rnd.randint(1, 3))
-                        for m in rnd.sample(masks, 2)})
-
-
 def _paired_case(n, case):
     """Curvature for the paired-density identities: zero, Riemann only,
-    bundle only and both at ranks 1-4, and values past the float range."""
+    bundle only and both at ranks 1-4, and values past the float range.
+    At most six R and six F entries, so the full kernels stay cheap."""
     if case == "zero":
         return CurvatureData(n, 1)
     if case in ("huge", "tiny"):
@@ -758,8 +747,8 @@ def _paired_case(n, case):
         return _paired_case(n, "r2-both").scaled(lam)
     # seeds 71 + r give a nonzero density for every case on both kinds
     r, sectors = int(case[1]), case[3:]
-    return random_curvature(n, r, seed=71 + r, with_riemann=sectors != "bundle",
-                            with_bundle=sectors != "riemann")
+    return _sparse_curvature(n, r, riemann=sectors != "bundle", bundle=sectors != "riemann",
+                             seed=71 + r)
 
 
 _PAIRED_CASES = ["zero", "huge", "tiny"] + [
@@ -771,16 +760,17 @@ _PAIRED_CASES = ["zero", "huge", "tiny"] + [
 @pytest.mark.parametrize("case", _PAIRED_CASES)
 def test_paired_densities_equal_the_form_level_routes(g2, spin7, kind, case):
     """Pairing with w over Q and lifting once gives exactly (==, repr) the
-    numbers of the form-level routes: the weighted Mehler and Duhamel
-    traces and the top pairing with the characteristic density form."""
+    numbers of the form-level routes: w paired with the form traces of the
+    full Mehler and Duhamel kernels, and the top pairing with the
+    characteristic density form."""
     s = g2 if kind == "g2" else spin7
     cd = _paired_case(s.n, case)
     pairs = [
-        (mehler_diag_trace(s, cd), _weighted_density(s, mehler_trace_degree4(cd))),
+        (mehler_diag_trace(s, cd), density_from_kernel(s, mehler_kernel(cd))),
         (residue_density(s, cd).top_coefficient(),
          s.defining_form.top_pairing(characteristic_density_form(cd))),
     ]
-    pairs += [(duhamel_density(s, cd, k), _weighted_density(s, duhamel_diag_trace(s, cd, k)))
+    pairs += [(duhamel_density(s, cd, k), density_from_kernel(s, duhamel_kernel(cd, k)))
               for k in (0, 1, 2)]
     for got, want in pairs:
         assert got == want and repr(got) == repr(want)
@@ -810,33 +800,6 @@ def test_model_traces_are_built_once_per_curvature(kind, monkeypatch):
     big = cd.scaled(3)
     assert model_traces(big) == tuple(x.scale(k) for x, k in zip(first, (9, 3, 9)))
     assert builds == [cd, big]
-
-
-@pytest.mark.parametrize("r", [1, 2])
-def test_wick_trace_equals_trace_of_wick_kernel(r):
-    """Generic operands: the drift has a nonzero trace (the model's does
-    not), so every cross term of the Wick table is exercised."""
-    rnd = random.Random(40 + r)
-    n = 4
-    const = model_constant_potential(random_curvature(n, r, seed=40 + r))
-    traces = (const.form_trace(), (const * const).form_trace())
-    drift = [[_random_even_form(n, rnd) for _ in range(n)] for _ in range(n)]
-    tr_quad = reduce(add, (_random_even_form(n, rnd) for _ in range(n)))
-    lifted = [[WordOperator.from_form(x, r) for x in row] for row in drift]
-
-    for order in (0, 1, 2):
-        full = wick_kernel(n, r, const, lifted, WordOperator.from_form(tr_quad, r), order)
-        assert wick_trace(n, r, traces, drift, tr_quad, order) == full.form_trace()
-    assert not full.form_trace().is_zero()
-
-
-def test_extract_t_coefficient():
-    s = Scalar.term(5, t_half=-7) + Scalar.term(2, t_half=-3)
-    assert extract_t_coefficient(s, Fraction(-7, 2)) == Scalar.of(5)
-    assert extract_t_coefficient(s, Fraction(-1, 2)).is_zero()
-    f = DiffForm.one(7).scale(Scalar.term(3, t_half=2))
-    out = extract_t_coefficient(f, 1)
-    assert out.terms[0] == Scalar.of(3)
 
 
 def test_calibration_constants(g2, spin7):
@@ -929,7 +892,8 @@ def test_gauge_covariance(g2):
         dict(cd.r_entries),
         {k: mat_mul(mat_conj_t(u), mat_mul(m, u)) for k, m in cd.f_entries.items()},
     )
-    assert duhamel_diag_trace(g2, cd) == duhamel_diag_trace(g2, conj)
+    assert model_traces(cd) == model_traces(conj)
+    assert duhamel_kernel(cd).form_trace() == duhamel_kernel(conj).form_trace()
 
 
 def test_model_reduction_ratio_reported(g2, spin7):

@@ -123,7 +123,7 @@ def test_trace_path_check_fails_on_a_flipped_join_sign(monkeypatch):
 
     monkeypatch.setattr(heat, "model_traces", flipped)
     status = _statuses(verify.heat_suite(0, full=False))
-    name = "trace-aware Duhamel trace equals the form trace of the full Duhamel kernel"
+    name = "Duhamel density equals the density of the full Duhamel kernel"
     assert status[name] == "fail"
     assert status["g2 normalisation is -2"] == "fail"
     assert status["spin7 normalisation is -2"] == "fail"

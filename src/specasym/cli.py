@@ -247,11 +247,13 @@ def cmd_verify(args) -> int:
     names = ["algebra", "holonomy", "heat", "spectrum"] if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
     failures = [r for r in results if r.status == "fail"]
+    # with --json -, stdout carries the JSON document alone
+    report = sys.stderr if args.json == "-" else sys.stdout
     for r in results:
         line = f"[{r.status.upper():4s}] {r.name}"
         if r.detail:
             line += f" -- {r.detail}"
-        print(line)
+        print(line, file=report)
     summary = {
         "suite": args.suite,
         "checks": [r.to_dict() for r in results],
@@ -268,7 +270,7 @@ def cmd_verify(args) -> int:
             except OSError as exc:
                 print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
                 return EXIT_IO
-    print(f"{len(results) - len(failures)}/{len(results)} checks passed")
+    print(f"{len(results) - len(failures)}/{len(results)} checks passed", file=report)
     if failures:
         for r in failures:
             print(f"FAILED: {r.name}", file=sys.stderr)

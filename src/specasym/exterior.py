@@ -49,9 +49,12 @@ def popcount(mask: int) -> int:
 
 
 def merge_sign(m1: int, m2: int) -> int:
-    """Parity sign of sorting the concatenation (m1-ascending, m2-ascending).
+    """(-1)^#{(a, b): a in m1, b in m2, a > b}, as +1 or -1.
 
-    Zero overlap is assumed; returns +1 or -1.
+    For disjoint masks this is the parity sign of sorting the
+    concatenation (m1-ascending, m2-ascending).  Only strict pairs count,
+    so overlapping masks are allowed: a shared index is no pair with
+    itself.
     """
     # the elements of m1 above each index of m2, XOR-accumulated: the
     # popcount parity of a XOR is the parity of the summed popcounts
@@ -367,34 +370,22 @@ def parse_form(n: int, text: str) -> DiffForm:
 
 
 # ----------------------------------------------------------------------
-# elementary Clifford-module actions on basis subsets
+# Clifford words on basis subsets
 # ----------------------------------------------------------------------
 
-def apply_cliff(i: int, mask: int, hat: bool) -> Tuple[int, int]:
-    """c(omega^i) or (with hat=True) c-hat(omega^i) on e^mask.
-
-    Both are signed permutations of the subset basis.
-    """
-    bit = 1 << (i - 1)
-    sign = -1 if (popcount(mask & (bit - 1)) & 1) else 1
-    if mask & bit:
-        # interior part: c uses -e*, c-hat uses +e*
-        if not hat:
-            sign = -sign
-        return sign, mask & ~bit
-    return sign, mask | bit
-
-
 def apply_word(cmask: int, hmask: int, mask: int) -> Tuple[int, int]:
-    """Apply c(omega^I) c-hat(omega^J) to e^mask (c-word leftmost)."""
-    sign = 1
-    for i in reversed(indices_of(hmask)):
-        s, mask = apply_cliff(i, mask, True)
-        sign *= s
-    for i in reversed(indices_of(cmask)):
-        s, mask = apply_cliff(i, mask, False)
-        sign *= s
-    return sign, mask
+    """Apply c(omega^I) c-hat(omega^J) to e^mask (c-word leftmost).
+
+    With c = e - e* and c-hat = e + e*, generator i sends e^S to
+    +-e^{S ^ {i}}: the sign is (-1)^|S below i|, negated once more when
+    c removes i.  A word acts from its highest index down, so the bits
+    below each generator are those of the mask it was applied to, and
+    the signs multiply to merge_sign(J, S) for the c-hat word on S and
+    merge_sign(I, S ^ J) (-1)^|I & (S ^ J)| for the c word after it.
+    """
+    mid = mask ^ hmask
+    sign = merge_sign(hmask, mask) * merge_sign(cmask, mid)
+    return (-sign if popcount(cmask & mid) & 1 else sign), mid ^ cmask
 
 
 def star_ext_entries(
@@ -448,8 +439,10 @@ class FiberOp:
     ``entries`` maps (row, col) to a nonzero coefficient, where an index
     is basis mask * r + bundle index; at r = 1 the keys are those of
     ``star_ext_entries``.  The constructors read their signs only from
-    ``merge_sign``, ``hodge_sign`` and ``apply_word``, so these operators
-    are an oracle for the sign tables.  The constructors and ``+`` sum
+    ``merge_sign`` and ``hodge_sign``, and ``cliff_op`` and
+    ``cliff_hat_op`` build each generator from ``ext_op`` and its
+    adjoint, so products of them are an oracle for ``apply_word`` and
+    the sign tables.  The constructors and ``+`` sum
     entries from ``Fraction(0)``, so an integer coefficient gives a
     Fraction entry; ``@`` is ``sparse_product``, which keeps the type of
     its factors.
@@ -511,19 +504,6 @@ class FiberOp:
             raise ValueError("cliff_hat_op requires a homogeneous 1-form")
         e = FiberOp.ext_op(w, r)
         return e + e.adjoint()
-
-    @staticmethod
-    def word_op(n: int, indices, kind: str, r: int = 1) -> "FiberOp":
-        """Ordered Clifford word over ascending indices; kind 'c' or 'chat'."""
-        if kind not in ("c", "chat"):
-            raise ValueError("kind must be 'c' or 'chat'")
-        wmask = mask_of(indices) if not isinstance(indices, int) else indices
-        cm, hm = (wmask, 0) if kind == "c" else (0, wmask)
-        entries = []
-        for s in range(1 << n):
-            sign, t = apply_word(cm, hm, s)
-            entries.append((t, s, Fraction(sign)))
-        return FiberOp._scatter(n, r, entries)
 
     @staticmethod
     def star_op(n: int, r: int = 1) -> "FiberOp":

@@ -2,7 +2,8 @@
 
 Every c(omega^I) c-hat(omega^J) word acts on the subset basis as a signed
 permutation e^S -> +-e^{S ^ I ^ J}, so the whole 4^n word family is
-tabulated as one sign array for the c words and one for the c-hat words.
+tabulated as one sign array for the c words and one for the c-hat words,
+each the closed form of ``exterior.apply_word`` over all masks at once.
 Traces, Hilbert-Schmidt coefficient extraction and the exhaustive
 trace-identity sweeps all run on these tables.
 
@@ -23,7 +24,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .exact import Scalar, lift_planes, numerator_planes
-from .exterior import FiberOp, apply_cliff, mask_of, popcount
+from .exterior import FiberOp, mask_of, popcount
 
 
 _BLOCK = 1 << 14  # table entries gathered per numpy round
@@ -38,27 +39,18 @@ def word_tables(n: int, hat: bool) -> np.ndarray:
     """int8 sign[wmask, s]: the c (or c-hat) word over ``wmask`` sends e^s
     to sign * e^{s ^ wmask}.
 
-    Raises RuntimeError unless every generator of ``apply_cliff`` flips
-    exactly its own bit, which is what lets the tables carry no targets.
+    The sign is merge_sign(w, s), times (-1)^|w & s| for c words
+    (``apply_word``): the parity of the bits of w above each bit k of s,
+    or at or above it for c words, summed over k.
     """
     dim = 1 << n
-    gen = np.empty((n, dim), dtype=np.int8)
-    for i in range(1, n + 1):
-        bit = 1 << (i - 1)
-        for s in range(dim):
-            gen[i - 1, s], t = apply_cliff(i, s, hat)
-            if t != s ^ bit:
-                raise RuntimeError(f"generator {i} sends e^{s} to e^{t}, not e^{s ^ bit}")
-    s = np.arange(dim)
-    signs = np.empty((dim, dim), dtype=np.int8)
-    signs[0] = 1
-    for w in range(1, dim):
-        low = w & -w
-        rest = w & ~low
-        # ascending words put the lowest index leftmost, so gen(i) is the
-        # outermost factor wrapped around word(rest)
-        signs[w] = gen[low.bit_length() - 1][s ^ rest] * signs[rest]
-    return signs
+    masks = np.arange(dim)
+    odd = np.fromiter((popcount(m) & 1 for m in range(dim)), np.uint8, dim)
+    parity = np.zeros((dim, dim), dtype=np.uint8)
+    for k in range(n):
+        above = odd[masks >> (k + hat)]
+        parity ^= above[:, None] & ((masks >> k) & 1).astype(np.uint8)
+    return 1 - 2 * parity.view(np.int8)
 
 
 def _word_signs(n: int, cms, hms, s):

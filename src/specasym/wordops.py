@@ -5,7 +5,9 @@ with r x r matrices of exact Scalars as coefficients.  The commuting form
 slot carries the even-degree differential-form bookkeeping of the heat
 kernel pipelines; the two word slots carry the Clifford content.  Words
 are bitmasks; c-generators square to -1, c-hat generators to +1, and the
-two families anticommute.
+two families anticommute.  Every word sign is a closed form over
+``merge_sign``: ``word_mul`` for a product of words, ``apply_word`` for a
+word acting on a basis form.
 """
 
 from __future__ import annotations
@@ -90,23 +92,15 @@ def mat_from(entries, r: int) -> Mat:
 def word_mul(m1: int, m2: int, square_sign: int) -> Tuple[int, int]:
     """Product of two ascending generator words with the given square rule.
 
-    Returns (sign, symmetric-difference mask).
+    Each generator of m2, taken in ascending order, moves left past the
+    generators of m1 above it (merge_sign(m1, m2)) and squares to
+    ``square_sign`` with its twin in m1, if any.  Returns (sign,
+    symmetric-difference mask).
     """
-    sign = 1
-    acc = m1
-    m = m2
-    while m:
-        b = m & -m
-        above = acc & ~(b | (b - 1))
-        if popcount(above) & 1:
-            sign = -sign
-        if acc & b:
-            sign *= square_sign
-            acc &= ~b
-        else:
-            acc |= b
-        m &= m - 1
-    return sign, acc
+    sign = merge_sign(m1, m2)
+    if square_sign < 0 and popcount(m1 & m2) & 1:
+        sign = -sign
+    return sign, m1 ^ m2
 
 
 class WordOperator:

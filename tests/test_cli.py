@@ -325,9 +325,17 @@ def test_verify_single_suite_json(tmp_path, capsys):
 def test_verify_json_to_stdout(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "spectrum", "--json", "-")
     assert code == 0
-    start = out.index("{")
-    doc = json.loads(out[start:out.rindex("}") + 1])
+    doc = json.loads(out)
     assert doc["suite"] == "spectrum"
+
+
+def test_verify_json_to_stdout_prints_the_report_on_stderr(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "spectrum", "--json", "-")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    lines = err.splitlines()
+    assert [line[7:].split(" -- ")[0] for line in lines[:-1]] == names
+    assert lines[-1] == f"{len(names)}/{len(names)} checks passed"
 
 
 def test_verify_json_records_seconds_but_prints_none(tmp_path, capsys):

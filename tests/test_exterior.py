@@ -11,13 +11,16 @@ from specasym.exterior import (
     DiffForm,
     FiberOp,
     MultiIndex,
+    apply_word,
     indices_of,
+    merge_sign,
     parse_form,
     popcount,
     sparse_product,
     star_ext_entries,
 )
 from specasym.holonomy import standard_structure
+from specasym.wordops import WordOperator
 
 
 def e(n, *idx):
@@ -96,15 +99,38 @@ def test_cliff_requires_one_form():
 
 def test_word_op_examples():
     n = 7
-    assert FiberOp.word_op(n, (), "c") == FiberOp.identity(n)
-    assert FiberOp.word_op(n, (1, 2), "c") == FiberOp.cliff_op(e(n, 1)) @ FiberOp.cliff_op(e(n, 2))
-    full = FiberOp.word_op(n, tuple(range(1, 8)), "c")
+    assert WordOperator.from_word(n, 0, 0).to_fiber_op() == FiberOp.identity(n)
+    c12 = WordOperator.from_word(n, 0b11, 0).to_fiber_op()
+    assert c12 == FiberOp.cliff_op(e(n, 1)) @ FiberOp.cliff_op(e(n, 2))
+    full = WordOperator.from_word(n, 0b1111111, 0).to_fiber_op()
     prod = FiberOp.identity(n)
     for i in range(1, 8):
         prod = prod @ FiberOp.cliff_op(e(n, i))
     assert full == prod
     # c(dvol)^2 = Id in dimension 7
     assert full @ full == FiberOp.identity(n)
+
+
+def test_merge_sign_counts_strict_pairs_of_overlapping_masks():
+    n = 6
+    for m1 in range(1 << n):
+        for m2 in range(1 << n):
+            pairs = sum(a > b for a in indices_of(m1) for b in indices_of(m2))
+            assert merge_sign(m1, m2) == (-1) ** pairs, (m1, m2)
+
+
+def test_apply_word_matches_generator_products(generator_words):
+    """Every c(I) c-hat(J) at n = 4 against the product of its
+    generators."""
+    n = 4
+    c, h = generator_words(n, False), generator_words(n, True)
+    for cm in range(1 << n):
+        for hm in range(1 << n):
+            got = {}
+            for s in range(1 << n):
+                sign, t = apply_word(cm, hm, s)
+                got[(t, s)] = Fraction(sign)
+            assert got == (c[cm] @ h[hm]).entries, (cm, hm)
 
 
 def test_adjoint_is_interior():
@@ -245,7 +271,7 @@ def test_star_ext_entries_match_dense_operators(n):
     for w in (structure, rational):
         e_w = FiberOp.ext_op(w)
         for cdvol, op in ((False, FiberOp.star_op(n) @ e_w),
-                          (True, FiberOp.word_op(n, (1 << n) - 1, "c") @ e_w)):
+                          (True, WordOperator.from_word(n, (1 << n) - 1, 0).to_fiber_op() @ e_w)):
             assert star_ext_entries(w, range(1 << n), cdvol) == op.entries
 
 
@@ -396,6 +422,6 @@ def test_sparse_product_stores_no_cancelled_entry():
 def test_fiber_op_products_of_library_operators_keep_fraction_entries():
     w = DiffForm(7, {0b111: 1, 0b11000: -2})
     for op in (FiberOp.star_op(7) @ FiberOp.ext_op(w),
-               FiberOp.word_op(7, 0b101, "c", 2) @ FiberOp.ext_op(e(7, 3), 2),
+               FiberOp.cliff_op(e(7, 1), 2) @ FiberOp.cliff_op(e(7, 3), 2) @ FiberOp.ext_op(e(7, 3), 2),
                FiberOp.cliff_op(e(7, 1)) @ FiberOp.cliff_hat_op(e(7, 2))):
         assert op.entries and all(type(v) is Fraction for v in op.entries.values())

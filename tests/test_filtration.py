@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from specasym import filtration
 from specasym.exact import Scalar
-from specasym.exterior import DiffForm, FiberOp, apply_word, popcount
+from specasym.exterior import DiffForm, FiberOp, apply_word, mask_of, popcount
 from specasym.filtration import (
     CliffordWordExpansion,
     _accumulator,
@@ -34,12 +34,13 @@ def test_word_trace_against_dense_matrices():
     for _ in range(10):
         i_set = tuple(sorted(rnd.sample(range(1, n + 1), rnd.randint(0, n))))
         j_set = tuple(sorted(rnd.sample(range(1, n + 1), rnd.randint(0, n))))
-        dense = FiberOp.word_op(n, i_set, "c") @ FiberOp.word_op(n, j_set, "chat")
+        dense = (WordOperator.from_word(n, mask_of(i_set), 0).to_fiber_op()
+                 @ WordOperator.from_word(n, 0, mask_of(j_set)).to_fiber_op())
         assert word_trace(n, i_set, j_set) == dense.trace()
 
 
 @pytest.mark.parametrize("hat", [False, True])
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 7, 8])
 def test_word_tables_match_apply_word(n, hat):
     signs = word_tables(n, hat)
     assert signs.dtype == np.int8 and signs.shape == (1 << n, 1 << n)
@@ -47,25 +48,6 @@ def test_word_tables_match_apply_word(n, hat):
         for s in range(1 << n):
             want = apply_word(0, w, s) if hat else apply_word(w, 0, s)
             assert (int(signs[w, s]), s ^ w) == want
-
-
-@pytest.mark.parametrize("hat", [False, True])
-def test_word_tables_refuse_a_generator_that_moves_another_bit(monkeypatch, hat):
-    """The tables hold signs only, so their build checks that generator i
-    sends e^S to e^{S ^ {i}}."""
-    apply_cliff = filtration.apply_cliff
-
-    def moved(i, mask, h):
-        sign, target = apply_cliff(i, mask, h)
-        return sign, target ^ 4 if i == 2 else target
-
-    monkeypatch.setattr(filtration, "apply_cliff", moved)
-    word_tables.cache_clear()
-    try:
-        with pytest.raises(RuntimeError):
-            word_tables(3, hat)
-    finally:
-        word_tables.cache_clear()
 
 
 def test_sweep_small_exhaustive():
@@ -368,8 +350,8 @@ def test_expand_requires_rank_one():
 def test_clifford_degrees(g2):
     phi = g2.defining_form
     assert clifford_degrees(FiberOp.ext_op(phi)) == (0, 3)
-    assert clifford_degrees(FiberOp.word_op(7, (1, 2), "c")) == (2, 2)
-    cdvol_ephi = FiberOp.word_op(7, tuple(range(1, 8)), "c") @ FiberOp.ext_op(phi)
+    assert clifford_degrees(WordOperator.from_word(7, 0b11, 0).to_fiber_op()) == (2, 2)
+    cdvol_ephi = WordOperator.from_word(7, 0b1111111, 0).to_fiber_op() @ FiberOp.ext_op(phi)
     low, _ = clifford_degrees(cdvol_ephi)
     assert low == 7 - 3
     with pytest.raises(ValueError):

@@ -32,6 +32,18 @@ def test_word_mul_rules():
     assert word_mul(0b01, 0b10, -1) == (1, 0b11)
 
 
+@pytest.mark.parametrize("square_sign", [-1, 1])
+def test_word_mul_matches_generator_products(generator_words, square_sign):
+    """Every pair of words at n = 5 against the products of their
+    generators: c words square to -1, c-hat words to +1."""
+    n = 5
+    words = generator_words(n, square_sign > 0)
+    for m1 in range(1 << n):
+        for m2 in range(1 << n):
+            sign, m = word_mul(m1, m2, square_sign)
+            assert words[m1] @ words[m2] == words[m].scale(sign), (m1, m2)
+
+
 def test_algebra_associative_and_unital():
     rnd = random.Random(13)
     n = 5
@@ -57,7 +69,7 @@ def test_weighted_traces_match_fiber_op_products(g2):
     rnd = random.Random(15)
     w = g2.defining_form
     star_w = FiberOp.star_op(7) @ FiberOp.ext_op(w)
-    cdvol_w = FiberOp.word_op(7, (1 << 7) - 1, "c") @ FiberOp.ext_op(w)
+    cdvol_w = WordOperator.from_word(7, (1 << 7) - 1, 0).to_fiber_op() @ FiberOp.ext_op(w)
     for _ in range(8):
         x = _random_word_op(7, rnd)
         dense = x.to_fiber_op()

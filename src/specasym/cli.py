@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite, lcm
 
 from .exact import Scalar
@@ -39,22 +40,61 @@ def _f17(x: float) -> float:
     return float(f"{x:.17g}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        return _f17(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, Scalar):
-        return {"exact": repr(obj)}
-    return obj
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` after the conversions
+    this CLI applies: dict keys through ``str``, tuples as lists, floats at
+    17 significant digits, a Fraction as its string and a Scalar as
+    {"exact": repr}.  One recursive pass; the indented ``json.dumps`` runs
+    on the pure-Python encoder."""
+    parts = []
+    _json_parts(obj, "\n", parts.append)
+    return "".join(parts)
 
 
-def _dump_json(obj, stream=None):
-    print(json.dumps(_jsonable(obj), sort_keys=True, indent=2), file=stream or sys.stdout)
+def _json_parts(obj, newline: str, out) -> None:
+    """Append the text of ``obj`` to ``out``; ``newline`` is "\n" plus the
+    indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            out(sep + _quote(key) + ": ")
+            _json_parts(value, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out(sep)
+            _json_parts(value, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, float):
+        x = _f17(obj)
+        out(repr(x) if isfinite(x) else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")
+    elif isinstance(obj, Fraction):
+        out(_quote(str(obj)))
+    elif isinstance(obj, Scalar):
+        _json_parts({"exact": repr(obj)}, newline, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _float_field(value):
@@ -260,7 +300,7 @@ def cmd_verify(args) -> int:
         "failed": len(failures),
     }
     if args.json:
-        payload = json.dumps(_jsonable(summary), sort_keys=True, indent=2)
+        payload = _json_text(summary)
         if args.json == "-":
             print(payload)
         else:
@@ -291,7 +331,7 @@ def cmd_decompose(args) -> int:
         return EXIT_INPUT
     big = "14" if s.kind == "g2" else "21"
     norm7, norm_big = a7.norm_sq(), rest.norm_sq()
-    _dump_json(
+    print(_json_text(
         {
             "kind": s.kind,
             "input": _form_to_dict(form),
@@ -302,7 +342,7 @@ def cmd_decompose(args) -> int:
                 f"p{big}": {"exact": str(norm_big), "float": _float_field(norm_big)},
             },
         }
-    )
+    ))
     return EXIT_OK
 
 
@@ -342,7 +382,7 @@ def cmd_residue(args) -> int:
             "duhamel_coefficient": {"exact": repr(b)},
             "relative_discrepancy": _f17(rel),
         }
-    _dump_json(payload)
+    print(_json_text(payload))
     return EXIT_OK
 
 
@@ -364,12 +404,10 @@ def cmd_spectrum(args) -> int:
     else:
         levels = enumerate_levels(args.n, args.qmax)
     try:
-        write_levels_csv(levels, args.out)
+        n7, nbig = write_levels_csv(levels, args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
-    n7 = sum(lv.mult_7 for lv in levels)
-    nbig = sum(lv.mult_big for lv in levels)
     s_probe = 4.0 if args.n == 7 else 4.5
     zdelta, _ = zeta_partial(levels, "delta", s_probe)
     print(f"levels = {len(levels)}")

@@ -195,17 +195,6 @@ class Scalar:
         q0 = int(q0)
         return Scalar({(p, 0): v for (p, q), v in self.terms.items() if q == q0})
 
-    def as_rational(self) -> Fraction:
-        """The value as a plain rational; raises if pi, t or i is present."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {(0, 0)}:
-            raise ValueError(f"not a plain rational: {self}")
-        re, im = self.terms[(0, 0)]
-        if im != 0:
-            raise ValueError(f"not real: {self}")
-        return re
-
     def evalf(self, t=None) -> complex:
         """Numeric value; ``t`` must be supplied when t-powers are present."""
         total = 0j

@@ -97,10 +97,6 @@ class MultiIndex:
         full = (1 << self.n) - 1
         return MultiIndex(indices_of(full & ~self.mask), self.n)
 
-    def complement_sign(self) -> int:
-        """Parity of the permutation (I, I^c) relative to (1..n)."""
-        return hodge_sign(self.mask, self.n)
-
     def __len__(self):
         return len(self.indices)
 
@@ -274,9 +270,6 @@ class DiffForm:
     def top_coefficient(self):
         """Coefficient of e^{1..n} (the dvol component)."""
         return self.terms.get((1 << self.n) - 1, 0)
-
-    def map_coefficients(self, f) -> "DiffForm":
-        return DiffForm(self.n, {m: f(c) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, DiffForm):

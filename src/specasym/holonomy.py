@@ -113,10 +113,6 @@ class HolonomyStructure:
     def degree(self) -> int:
         return self.defining_form.degree()
 
-    @property
-    def plus_eigenvalue(self) -> int:
-        return 2 if self.kind == G2 else 3
-
 
 def star_ext_on_two_forms(w: DiffForm, n: int) -> Dict[Tuple[int, int], object]:
     """{(target, source): coeff} of alpha |-> *(w ^ alpha) on the 2-form

@@ -188,9 +188,6 @@ class CurvatureData:
     def has_bundle_curvature(self) -> bool:
         return bool(self.f_planes)
 
-    def is_flat(self) -> bool:
-        return not (self.r_entries or self.f_planes)
-
     def scaled(self, lam) -> "CurvatureData":
         lam = Fraction(lam)
         return CurvatureData(
@@ -450,9 +447,6 @@ class ResidueReport:
     pole_location: Fraction
     untwisted_constant_ok: Optional[bool] = None
     instanton: Optional[InstantonReport] = None
-
-    def residue_float(self) -> float:
-        return self.residue.real_float()
 
     def to_dict(self):
         return {

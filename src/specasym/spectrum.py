@@ -12,12 +12,12 @@ scaled by the square d^2 of the common denominator of theta, seed a
 sparse integer convolution over the twisted coordinates' 1-D level sets
 {(d k + a_j)^2}; nothing dense is built on the d^2 scale.  A literal
 lattice scan (``lattice_scan``) is kept only as the oracle for ``verify``
-and the tests.
+and the tests.  ``write_levels_csv`` writes the levels in one pass, one
+``%`` format per row, with the bytes ``csv.writer`` would give them.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, gamma, isqrt, lcm, pi, sqrt
@@ -333,25 +333,27 @@ def mellin_equivalence_levels(
 
 
 CSV_HEADER = ["q", "lambda", "lattice_count", "mult_7", "mult_big", "N_7", "N_big"]
+# the bytes csv.writer gives these fields: none needs quoting, rows end "\r\n"
+_CSV_ROW = "%s,%.17g,%s,%s,%s,%s,%s\r\n"
 
 
-def write_levels_csv(levels: Sequence[SpectralLevel], path: str) -> None:
-    """One row per level with cumulative counting functions."""
+def write_levels_csv(levels: Sequence[SpectralLevel], path: str) -> Tuple[int, int]:
+    """One row per level with cumulative counting functions; returns the
+    final (N_7, N_big).
+
+    Each row is one ``%`` format of ``_CSV_ROW``: q as its digits when
+    integral, else ``%.17g`` of its float, and ``%.17g`` of the eigenvalue.
+    Rows go to the file as they are formatted, in one pass, so memory does
+    not grow with the number of levels.
+    """
     n7 = nbig = 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        write = fh.write
+        write(",".join(CSV_HEADER) + "\r\n")
         for lv in levels:
+            q = lv.q
             n7 += lv.mult_7
             nbig += lv.mult_big
-            writer.writerow(
-                [
-                    f"{float(lv.q):.17g}" if lv.q.denominator != 1 else str(lv.q),
-                    f"{lv.eigenvalue:.17g}",
-                    lv.lattice_count,
-                    lv.mult_7,
-                    lv.mult_big,
-                    n7,
-                    nbig,
-                ]
-            )
+            write(_CSV_ROW % (q if q.denominator == 1 else "%.17g" % float(q), lv.eigenvalue,
+                              lv.lattice_count, lv.mult_7, lv.mult_big, n7, nbig))
+    return n7, nbig

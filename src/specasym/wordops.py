@@ -309,21 +309,13 @@ class WordOperator:
 # ----------------------------------------------------------------------
 
 def star_weighted_trace(w: DiffForm, x: WordOperator) -> Scalar:
-    """tr[ * e(w) x ] with x purely in the word slots (no form content)."""
-    return _weighted_trace(w, x, cdvol=False)
+    """tr[ * e(w) x ] with x purely in the word slots (no form content).
 
-
-def cdvol_weighted_trace(w: DiffForm, x: WordOperator) -> Scalar:
-    """tr[ c(dvol) e(w) x ] with x purely in the word slots."""
-    return _weighted_trace(w, x, cdvol=True)
-
-
-def _weighted_trace(w: DiffForm, x: WordOperator, cdvol: bool) -> Scalar:
-    """Each word sends e^s to sign_x(s) e^{t(s)}, so tr[W x] is the sum of
+    Each word sends e^s to sign_x(s) e^{t(s)}, so tr[W x] is the sum of
     sign_x(s) W[s, t(s)] times the trace of the bundle matrix."""
     if w.n != x.n:
         raise ValueError("dimension mismatch")
-    table = star_ext_entries(w, range(1 << x.n), cdvol)
+    table = star_ext_entries(w, range(1 << x.n))
     total = Scalar()
     for (f, c, h), m in x.terms.items():
         if f:

@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from specasym.cli import (
-    _EXPONENT, _MAX_EXPONENT, _MAX_LENGTH, _parse_number, _ratio, _rational, main,
+    _EXPONENT, _MAX_EXPONENT, _MAX_LENGTH, _json_text, _parse_number, _ratio, _rational, main,
 )
+from specasym.exact import Scalar
 from specasym.residue import CurvatureError
 
 _SETTINGS = dict(deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -204,3 +205,54 @@ def test_ratio_reads_values_as_rational_does(value):
         assert str(exc) == want
     else:
         assert den > 0 and Fraction(num, den) == want
+
+
+def _old_jsonable(obj):
+    """The conversion the CLI applied before ``json.dumps``; the oracle of
+    ``_json_text``."""
+    if isinstance(obj, dict):
+        return {str(k): _old_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_old_jsonable(v) for v in obj]
+    if isinstance(obj, float):
+        return float(f"{obj:.17g}")
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, Scalar):
+        return {"exact": repr(obj)}
+    return obj
+
+
+_fractions = st.fractions(max_denominator=10 ** 30)
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2 ** 300), max_value=2 ** 300),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e308, 5e-324]),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1f)),
+    _fractions,
+    st.builds(lambda re, im, p, t: Scalar.term(re, im, p, t),
+              _fractions, _fractions, st.integers(-4, 4), st.integers(-4, 4)),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers(-3, 3), st.booleans()), inner,
+                        max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(value=_json_values)
+@example(value={})
+@example(value=[[], {}, (), {"": [{}]}])
+@example(value={1: "a", "1": "b", True: None, "True": 0})
+@example(value=["\x00\x1f\"\\é \U0001f600", -0.0, 2 ** 200, -(2 ** 70)])
+def test_json_text_equals_json_dumps_of_the_old_conversion(value):
+    assert _json_text(value) == json.dumps(_old_jsonable(value), sort_keys=True, indent=2)

@@ -66,12 +66,9 @@ def test_division():
         b / Scalar.of(0)
 
 
-def test_pow_and_rational_extraction():
+def test_pow():
     a = Scalar.term(2, pi_half=-2)
     assert a ** 3 == Scalar.term(8, pi_half=-6)
-    assert Scalar.of(Fraction(7, 3)).as_rational() == Fraction(7, 3)
-    with pytest.raises(ValueError):
-        a.as_rational()
 
 
 def test_repr_stable():

@@ -19,7 +19,7 @@ from specasym.filtration import (
     word_tables,
     word_trace,
 )
-from specasym.wordops import WordOperator, cdvol_weighted_trace
+from specasym.wordops import WordOperator
 
 
 def test_word_trace_examples():
@@ -363,6 +363,7 @@ def test_low_degree_operators_are_traceless_against_weight(g2):
     # below n - deg w; exercised with random small-word operators.
     rnd = random.Random(11)
     w = g2.defining_form
+    cdvol_w = WordOperator.from_word(7, (1 << 7) - 1, 0).to_fiber_op() @ FiberOp.ext_op(w)
     for _ in range(40):
         terms = {}
         for _ in range(4):
@@ -374,7 +375,7 @@ def test_low_degree_operators_are_traceless_against_weight(g2):
         m = WordOperator(7, 1, {k: tuple(tuple(map(_sc, r)) for r in v) for k, v in terms.items()})
         if m.is_zero() or max(popcount(c) for _, c, _ in m.terms) >= 4:
             continue
-        assert cdvol_weighted_trace(w, m).is_zero()
+        assert Scalar.of(FiberOp.trace_product(cdvol_w, m.to_fiber_op())).is_zero()
 
 
 def _sc(x):

@@ -201,7 +201,7 @@ def test_nonsymmetric_conjugate_operator_is_caught(monkeypatch, kind):
     conj = shear @ a @ inverse
     assert (conj != conj.T).any()
     basis = two_form_basis(s.n)
-    assert _eig_validate(_entries(s.n, conj), basis, s.plus_eigenvalue) == s.eigenvalue_table
+    assert _eig_validate(_entries(s.n, conj), basis, s.eigenvalue_table[0][0]) == s.eigenvalue_table
     monkeypatch.setattr(holonomy, "star_ext_entries", lambda w, sources: _entries(s.n, conj))
     with pytest.raises(StructureValidationError, match="not symmetric"):
         standard_structure.__wrapped__(kind)
@@ -315,12 +315,12 @@ def test_integer_structure_matches_fraction_oracles(g2, spin7):
                 broken[(j, i)] = broken[(i, j)]
             broken = {k: v for k, v in broken.items() if v}
             for a in (s.star_ext, broken):
-                want = _outcome(_sparse_eig_validate, a, basis, s.plus_eigenvalue)
-                assert _outcome(_eig_validate, a, basis, s.plus_eigenvalue) == want
+                want = _outcome(_sparse_eig_validate, a, basis, s.eigenvalue_table[0][0])
+                assert _outcome(_eig_validate, a, basis, s.eigenvalue_table[0][0]) == want
 
         # the projections as derived from the sparse Fraction rows of A
-        denom = s.plus_eigenvalue + 1
-        for p, shift, sign in zip(projections(s), (1, -s.plus_eigenvalue), (1, -1)):
+        denom = s.eigenvalue_table[0][0] + 1
+        for p, shift, sign in zip(projections(s), (1, -s.eigenvalue_table[0][0]), (1, -1)):
             want = {(t, b): sign * v / denom
                     for t, row in _sparse_rows(s.star_ext, basis, shift).items()
                     for b, v in row.items()}

@@ -151,7 +151,7 @@ def test_full_report_end_to_end(g2):
     assert report.instanton.ok
     # residue = (4/3 pi^2) integral, integral < 0
     assert report.residue == twisted_constant("g2") * report.integral
-    assert report.residue_float() < 0
+    assert report.residue.real_float() < 0
     # exact value: integral = -(9/4 pi^2) |alpha|^2 with |alpha|^2 = 2/3
     assert report.integral == Scalar.term(Fraction(-3, 2), pi_half=-4)
     assert report.residue == Scalar.term(Fraction(-2), pi_half=-8)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from specasym.spectrum import (
+    SpectralLevel,
     CSV_HEADER,
     _square_counts,
     counting_functions,
@@ -293,3 +294,74 @@ def test_csv_schema(tmp_path):
     assert int(rows[1][3]) == 98 and int(rows[1][4]) == 196
     # cumulative columns
     assert int(rows[2][5]) == 98 + levels[1].mult_7
+
+
+def _csv_writer_oracle(levels, path):
+    """The csv.writer body the one-pass writer replaced, kept as its oracle."""
+    n7 = nbig = 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for lv in levels:
+            n7 += lv.mult_7
+            nbig += lv.mult_big
+            writer.writerow(
+                [
+                    f"{float(lv.q):.17g}" if lv.q.denominator != 1 else str(lv.q),
+                    f"{lv.eigenvalue:.17g}",
+                    lv.lattice_count,
+                    lv.mult_7,
+                    lv.mult_big,
+                    n7,
+                    nbig,
+                ]
+            )
+
+
+_HUGE = 2 ** 64 + 3
+_CSV_CASES = {
+    "n7-untwisted": lambda: enumerate_levels(7, 1000),
+    "n8-untwisted": lambda: enumerate_levels(8, 1000),
+    # the two twisted cases of the benchmark's torus-spectrum workload at seed 0
+    "n7-twisted": lambda: twisted_levels(
+        7, [Fraction(x) for x in ("0", "1/4", "0", "0", "1/2", "0", "1/3")], 7),
+    "n8-twisted": lambda: twisted_levels(
+        8, [Fraction(x) for x in ("0", "0", "1/2", "0", "1/3", "3/4", "0", "0")], 5),
+    # theta = (1/2)^4: every q is a Fraction with denominator 1
+    "twisted-integral-q": lambda: twisted_levels(7, [Fraction(1, 2)] * 4 + [0] * 3, 3),
+    "empty": lambda: [],
+    "counts-past-2**63": lambda: [
+        SpectralLevel(7, 5, _HUGE, 7 * _HUGE, 14 * _HUGE),
+        SpectralLevel(7, Fraction(7, 3), _HUGE + 1, 7 * (_HUGE + 1), 14 * (_HUGE + 1)),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CSV_CASES))
+def test_csv_bytes_equal_the_csv_writer_oracle(tmp_path, case):
+    """Compared as bytes: a text-mode read cannot see the "\\r\\n" row ends."""
+    levels = _CSV_CASES[case]()
+    new, old = os.fspath(tmp_path / "new.csv"), os.fspath(tmp_path / "old.csv")
+    totals = write_levels_csv(levels, new)
+    _csv_writer_oracle(levels, old)
+    with open(new, "rb") as fh_new, open(old, "rb") as fh_old:
+        data = fh_new.read()
+        assert data == fh_old.read()
+    last = data.split(b"\r\n")[-2].split(b",")
+    assert totals == ((int(last[5]), int(last[6])) if levels else (0, 0))
+    assert totals == (sum(lv.mult_7 for lv in levels), sum(lv.mult_big for lv in levels))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "7", "--qmax", "1000"),
+    ("--n", "8", "--qmax", "5", "--theta", "0,0,1/2,0,1/3,3/4,0,0"),
+])
+def test_spectrum_prints_the_totals_the_csv_ends_with(tmp_path, capsys, argv):
+    from specasym.cli import main
+
+    path = os.fspath(tmp_path / "levels.csv")
+    assert main(["spectrum", *argv, "--out", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    with open(path, newline="") as fh:
+        last = list(csv.reader(fh))[-1]
+    assert f"N_7 = {last[5]}" in out and f"N_big = {last[6]}" in out

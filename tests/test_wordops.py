@@ -9,7 +9,6 @@ from specasym.heat import model_constant_potential
 from specasym.residue import random_curvature
 from specasym.wordops import (
     WordOperator,
-    cdvol_weighted_trace,
     star_weighted_trace,
     word_mul,
 )
@@ -64,17 +63,14 @@ def test_products_match_dense_matrices():
 
 
 def test_weighted_traces_match_fiber_op_products(g2):
-    """Both weighted traces against tr[W m] with W = *e(w) and
-    c(dvol) e(w) built as FiberOp products (oracle)."""
+    """The weighted trace against tr[W m] with W = *e(w) built as a
+    FiberOp product (oracle)."""
     rnd = random.Random(15)
     w = g2.defining_form
     star_w = FiberOp.star_op(7) @ FiberOp.ext_op(w)
-    cdvol_w = WordOperator.from_word(7, (1 << 7) - 1, 0).to_fiber_op() @ FiberOp.ext_op(w)
     for _ in range(8):
         x = _random_word_op(7, rnd)
-        dense = x.to_fiber_op()
-        assert star_weighted_trace(w, x) == Scalar.of(FiberOp.trace_product(star_w, dense))
-        assert cdvol_weighted_trace(w, x) == Scalar.of(FiberOp.trace_product(cdvol_w, dense))
+        assert star_weighted_trace(w, x) == Scalar.of(FiberOp.trace_product(star_w, x.to_fiber_op()))
 
 
 def test_form_trace_rule():

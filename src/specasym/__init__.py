@@ -42,6 +42,7 @@ _EXPORTS = {
     "holonomy": (
         "HolonomyStructure",
         "Projection",
+        "bundle_weight_check",
         "decompose_two_form",
         "instanton_check",
         "projections",

@@ -3,8 +3,8 @@ and flat-torus spectrum export.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 I/O error
 (also when the reader closes stdout early, as ``| head`` does).
-All JSON output is deterministic: keys sorted, floats at 17 significant
-digits.
+All JSON output is deterministic: keys sorted, floats as the ``repr`` of
+the double.
 """
 
 from __future__ import annotations
@@ -36,16 +36,11 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 
-def _f17(x: float) -> float:
-    return float(f"{x:.17g}")
-
-
 def _json_text(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` after the conversions
-    this CLI applies: dict keys through ``str``, tuples as lists, floats at
-    17 significant digits, a Fraction as its string and a Scalar as
-    {"exact": repr}.  One recursive pass; the indented ``json.dumps`` runs
-    on the pure-Python encoder."""
+    this CLI applies: dict keys through ``str``, tuples as lists, a
+    Fraction as its string and a Scalar as {"exact": repr}.  One recursive
+    pass; the indented ``json.dumps`` runs on the pure-Python encoder."""
     parts = []
     _json_parts(obj, "\n", parts.append)
     return "".join(parts)
@@ -62,7 +57,10 @@ def _json_parts(obj, newline: str, out) -> None:
             return
         inner = newline + "  "
         sep = "{" + inner
-        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+        items = obj.items()
+        if not all(type(k) is str for k in obj):
+            items = {str(k): v for k, v in items}.items()
+        for key, value in sorted(items):
             out(sep + _quote(key) + ": ")
             _json_parts(value, inner, out)
             sep = "," + inner
@@ -87,8 +85,8 @@ def _json_parts(obj, newline: str, out) -> None:
     elif isinstance(obj, int):
         out(int.__repr__(obj))
     elif isinstance(obj, float):
-        x = _f17(obj)
-        out(repr(x) if isfinite(x) else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")
+        out(float.__repr__(obj) if isfinite(obj) else
+            "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
     elif isinstance(obj, Fraction):
         out(_quote(str(obj)))
     elif isinstance(obj, Scalar):
@@ -98,18 +96,18 @@ def _json_parts(obj, newline: str, out) -> None:
 
 
 def _float_field(value):
-    """An exact value as a 17-digit float, None past the float range."""
+    """An exact value as a float, None past the float range."""
     try:
         x = value.real_float() if isinstance(value, Scalar) else float(value)
     except OverflowError:
         return None
-    return _f17(x) if isfinite(x) else None
+    return x if isfinite(x) else None
 
 
 def _form_to_dict(form: DiffForm):
     out = {}
-    for m in sorted(form.terms, key=indices_of):
-        key = "e" + "".join(str(i) for i in indices_of(m)) if m else "1"
+    for idx, m in sorted((indices_of(m), m) for m in form.terms):
+        key = "e" + "".join(map(str, idx)) if m else "1"
         c = form.terms[m]
         if isinstance(c, Scalar):
             out[key] = {"exact": repr(c), "float": _float_field(c)}
@@ -380,7 +378,7 @@ def cmd_residue(args) -> int:
         payload["oracle"] = {
             "mehler_coefficient": {"exact": repr(a)},
             "duhamel_coefficient": {"exact": repr(b)},
-            "relative_discrepancy": _f17(rel),
+            "relative_discrepancy": rel,
         }
     print(_json_text(payload))
     return EXIT_OK
@@ -414,7 +412,7 @@ def cmd_spectrum(args) -> int:
     print(f"N_7 = {n7}")
     print(f"N_big = {nbig}")
     print(f"N_big / N_7 = {Fraction(nbig, n7) if n7 else 'n/a'}")
-    print(f"zeta_delta_partial = {_f17(zdelta)}")
+    print(f"zeta_delta_partial = {zdelta}")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, Tuple
 
 from .exact import Scalar
@@ -248,6 +249,17 @@ class DiffForm:
         return tot
 
     def norm_sq(self):
+        """Sum_I |a_I|^2.  Rational coefficients are summed as integer
+        numerators over their lcm, with the type of the term-by-term sum:
+        an int for int coefficients (0 for the zero form), else a
+        Fraction."""
+        values = self.terms.values()
+        if all(type(c) is int for c in values):
+            return sum(c * c for c in values)
+        if all(type(c) is int or type(c) is Fraction for c in values):
+            den = lcm(*(c.denominator for c in values))
+            return Fraction(sum((c.numerator * (den // c.denominator)) ** 2 for c in values),
+                            den * den)
         tot = 0
         for c in self.terms.values():
             tot = tot + _conj(c) * c
@@ -336,7 +348,7 @@ def parse_form(n: int, text: str) -> DiffForm:
             return tokens[pos - 1][1]
         return None
 
-    out = DiffForm.zero(n)
+    terms: Dict[int, object] = {}
     while pos < len(tokens):
         if pos and tokens[pos][0] != "sign":
             raise ValueError(f"expected '+' or '-' between terms in {text!r}")
@@ -358,8 +370,13 @@ def parse_form(n: int, text: str) -> DiffForm:
             coeff = Fraction(coeff_txt) if coeff_txt is not None else Fraction(1)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad coefficient {coeff_txt!r} in {text!r}") from None
-        out = out + DiffForm.monomial(n, idx, sign * coeff)
-    return out
+        for m, c in DiffForm.monomial(n, idx, sign * coeff).terms.items():
+            c = terms.get(m, 0) + c
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+    return DiffForm(n, terms)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 import specasym
 from specasym.cli import main
+from specasym.holonomy import standard_structure, star_ext_on_two_forms, two_form_basis
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +63,55 @@ def test_decompose_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "decompose", "--kind", "spin7", "--form", "2 e12 - e34")
     _, out2, _ = run_cli(capsys, "decompose", "--kind", "spin7", "--form", "2 e12 - e34")
     assert out1 == out2
+
+
+def _dense_decompose_text(kind, terms):
+    """The ``decompose`` stdout for sum c e^i ^ e^j over (c, i, j) in
+    ``terms``, from dense Fraction projections (A + 1) / (plus + 1) and
+    (plus - A) / (plus + 1) of A = ``star_ext_on_two_forms``, rendered by
+    ``json.dumps``."""
+    s = standard_structure(kind)
+    plus = {"g2": 2, "spin7": 3}[kind]
+    basis = two_form_basis(s.n)
+    a = star_ext_on_two_forms(s.defining_form, s.n)
+    alpha = dict.fromkeys(basis, Fraction(0))
+    for c, i, j in terms:
+        alpha[(1 << (i - 1)) | (1 << (j - 1))] += c if i < j else -c
+    p7 = {t: sum((a.get((t, b), 0) + (t == b)) * alpha[b] for b in basis) / (plus + 1)
+          for t in basis}
+    parts = {"input": alpha, "p7": p7,
+             f"p{len(basis) - 7}": {t: alpha[t] - p7[t] for t in basis}}
+
+    def entry(c):
+        return {"exact": str(c), "float": float(c)}
+
+    def key(m):
+        return "e" + "".join(str(k + 1) for k in range(s.n) if m >> k & 1)
+
+    doc = {name: {key(m): entry(c) for m, c in part.items() if c}
+           for name, part in parts.items()}
+    doc["kind"] = kind
+    doc["norms"] = {name: entry(sum(c * c for c in part.values()))
+                    for name, part in parts.items() if name != "input"}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+def test_decompose_stdout_equals_a_dense_fraction_projection(capsys, kind):
+    """20 random forms per kind, with repeated, cancelling and descending
+    terms: stdout is byte for byte the dense Fraction rendering."""
+    n = 7 if kind == "g2" else 8
+    rnd = random.Random(kind)
+    for _ in range(20):
+        terms = [(Fraction(rnd.randint(-9, 9), rnd.randint(1, 6)), *rnd.sample(range(1, n + 1), 2))
+                 for _ in range(rnd.randint(1, 7))]
+        if rnd.random() < 0.3:  # a term and its cancelling descending twin
+            c, i, j = terms[0]
+            terms.append((c, j, i))
+        text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)} e{i}{j}" for c, i, j in terms)
+        code, out, err = run_cli(capsys, "decompose", "--kind", kind, "--form", text)
+        assert code == 0, err
+        assert out == _dense_decompose_text(kind, terms), text
 
 
 def _write(path, doc):

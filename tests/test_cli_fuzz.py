@@ -7,7 +7,9 @@ Example counts are bounded so that the tests together take a few seconds.
 import contextlib
 import io
 import json
+import math
 import os
+import struct
 import tempfile
 from fractions import Fraction
 
@@ -256,3 +258,26 @@ _json_values = st.recursive(
 @example(value=["\x00\x1f\"\\é \U0001f600", -0.0, 2 ** 200, -(2 ** 70)])
 def test_json_text_equals_json_dumps_of_the_old_conversion(value):
     assert _json_text(value) == json.dumps(_old_jsonable(value), sort_keys=True, indent=2)
+
+
+@settings(max_examples=500, **_SETTINGS)
+@given(bits=st.integers(min_value=0, max_value=2 ** 64 - 1))
+@example(bits=0)  # +0.0
+@example(bits=2 ** 63)  # -0.0
+@example(bits=1)  # the least subnormal
+@example(bits=0x000FFFFFFFFFFFFF)  # the largest subnormal
+@example(bits=0x7FEFFFFFFFFFFFFF)  # the largest double
+@example(bits=0x7FF0000000000000)  # inf
+@example(bits=0xFFF0000000000000)  # -inf
+@example(bits=0x7FF8000000000001)  # a nan
+def test_17_significant_digits_round_trip_every_double(bits):
+    """``float(f"{x:.17g}") == x`` for every binary64 x, sign of zero
+    included, and nan stays nan: the JSON writer prints ``repr`` of the
+    double with no 17-digit pass, and the two agree."""
+    (x,) = struct.unpack("<d", struct.pack("<Q", bits))
+    y = float(f"{x:.17g}")
+    if math.isnan(x):
+        assert math.isnan(y)
+    else:
+        assert y == x and math.copysign(1.0, y) == math.copysign(1.0, x)
+        assert repr(y) == repr(x)

@@ -225,6 +225,67 @@ def test_monomial_takes_the_sign_of_the_written_order():
             parse_form(7, bad)
 
 
+def _fold_parse(n, terms):
+    """The form of (sign, coefficient text or None, indices) terms as the
+    term-by-term fold ``out + DiffForm.monomial(...)``."""
+    out = DiffForm.zero(n)
+    for sign, coeff, idx in terms:
+        c = Fraction(coeff) if coeff is not None else Fraction(1)
+        out = out + DiffForm.monomial(n, idx, sign * c)
+    return out
+
+
+# a small pool of index tuples, so that terms repeat and cancel; (2, 1) and
+# (3, 2, 1) are descending, () is the 0-form
+_POOL = [(), (1,), (1, 2), (2, 1), (3, 4), (4, 3), (6, 7), (1, 2, 3), (3, 2, 1), (2, 5, 7)]
+_parse_term = st.tuples(
+    st.sampled_from([1, -1]),
+    st.one_of(st.none(), st.sampled_from(["0", "0/4", "1", "2", "1/2", "3/4", "5", "2.5", "7/3"])),
+    st.sampled_from(_POOL),
+).filter(lambda term: term[1] is not None or term[2])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(_parse_term, min_size=1, max_size=8))
+def test_parse_form_equals_the_monomial_fold(terms):
+    """One summed dict equals the fold over ``+``: the same terms in the
+    same order with the same types, repeats summed, cancelled and zero
+    terms dropped, descending monomials negated."""
+    text = " ".join(f"{'+' if sign > 0 else '-'} {coeff or ''} e{''.join(map(str, idx))}"
+                    if idx else f"{'+' if sign > 0 else '-'} {coeff}"
+                    for sign, coeff, idx in terms)
+    got, want = parse_form(7, text), _fold_parse(7, terms)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+def _loop_norm_sq(form):
+    tot = 0
+    for c in form.terms.values():
+        tot = tot + (c.conjugate() if isinstance(c, (Scalar, complex)) else c) * c
+    return tot
+
+
+@pytest.mark.parametrize("terms", [
+    {},
+    {3: 2, 5: -3},
+    {3: Fraction(1, 2), 5: Fraction(-2, 3), 6: Fraction(4)},
+    {3: 2, 5: Fraction(-3, 4)},
+    {3: Fraction(7), 5: 1},
+    {3: Scalar.of(Fraction(1, 2)), 5: Scalar.i(2)},
+    {3: Scalar.of(1), 5: Fraction(1, 3)},
+    {3: 1 + 2j, 5: -0.5},
+    {3: 2, 5: 0.25},
+    {3: 10 ** 40 + 1, 5: Fraction(1, 10 ** 30)},
+], ids=["empty", "int", "fraction", "mixed", "integral-fraction", "scalar", "scalar-mixed",
+        "complex", "float", "large"])
+def test_norm_sq_equals_the_term_loop(terms):
+    """The integer-numerator sum has the loop's value and type."""
+    form = DiffForm(7, terms)
+    got, want = form.norm_sq(), _loop_norm_sq(form)
+    assert got == want and type(got) is type(want)
+
+
 def test_interior_product():
     phi_like = e(7, 1, 2, 3)
     assert phi_like.interior(1) == e(7, 2, 3)

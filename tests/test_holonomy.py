@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,10 @@ from specasym import exterior, holonomy, verify
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm
 from specasym.holonomy import (
+    Projection,
     StructureValidationError,
     _eig_validate,
+    bundle_weight_check,
     decompose_two_form,
     instanton_check,
     projections,
@@ -360,3 +363,57 @@ def test_flipped_phi_term_fails_validation(monkeypatch, kind, term):
     monkeypatch.setattr(holonomy, "_PHI_TERMS", terms)
     with pytest.raises(StructureValidationError):
         standard_structure.__wrapped__(kind)
+
+
+def _regrouped(entries):
+    """The entries of a projection grouped by source, each column sorted."""
+    cols = {}
+    for (t, b), v in entries.items():
+        cols.setdefault(b, []).append((t, v))
+    return {b: sorted(col) for b, col in cols.items()}
+
+
+@pytest.mark.parametrize("kind, size", [("g2", 3), ("spin7", 4)])
+def test_projection_columns_are_the_entries_regrouped(kind, size):
+    """``columns`` holds every entry once, under its source mask; a
+    Projection built from altered entries gets matching columns, and its
+    ``apply`` equals the sum over all its entries."""
+    s = standard_structure(kind)
+    basis = two_form_basis(s.n)
+    for p in projections(s):
+        assert {b: sorted(col) for b, col in p.columns.items()} == _regrouped(p.entries)
+        assert sorted(p.columns) == sorted(basis)
+        assert {len(col) for col in p.columns.values()} == {size}
+    p7 = projections(s)[0]
+    rnd = random.Random(11)
+    altered = dict(p7.entries)
+    first = next(iter(altered))[0]
+    altered = {(t, b): v for (t, b), v in altered.items() if t != first}
+    altered[(basis[0], basis[-1])] = 5
+    altered[(basis[1], basis[1])] = altered.get((basis[1], basis[1]), 0) - 2
+    q = Projection(p7.target, p7.n, p7.den, altered)
+    assert {b: sorted(col) for b, col in q.columns.items()} == _regrouped(altered)
+    for _ in range(20):
+        alpha = DiffForm(s.n, {rnd.choice(basis): Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
+                               for _ in range(5)})
+        want = {}
+        for (t, b), v in altered.items():
+            want[t] = want.get(t, 0) + Fraction(v, q.den) * alpha.terms.get(b, 0)
+        assert q.apply(alpha) == DiffForm(s.n, want)
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+def test_bundle_weight_check_holds_and_can_fail(kind):
+    """tr(A D_ab D_cd), antisymmetrised, is -4 A; the check fails on A + Id
+    (sent to -4 A - 2 (n - 2) Id) and on A with one symmetric off-diagonal
+    pair negated."""
+    s = standard_structure(kind)
+    assert bundle_weight_check(s)
+    shifted = dict(s.star_ext)
+    for m in two_form_basis(s.n):
+        shifted[(m, m)] = shifted.get((m, m), 0) + 1
+    assert not bundle_weight_check(replace(s, star_ext=shifted))
+    negated = dict(s.star_ext)
+    t, b = next(k for k in negated if k[0] != k[1])
+    negated[(t, b)], negated[(b, t)] = -negated[(t, b)], -negated[(b, t)]
+    assert not bundle_weight_check(replace(s, star_ext=negated))

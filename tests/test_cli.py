@@ -67,9 +67,9 @@ def test_decompose_deterministic(capsys):
 
 def _dense_decompose_text(kind, terms):
     """The ``decompose`` stdout for sum c e^i ^ e^j over (c, i, j) in
-    ``terms``, from dense Fraction projections (A + 1) / (plus + 1) and
-    (plus - A) / (plus + 1) of A = ``star_ext_on_two_forms``, rendered by
-    ``json.dumps``."""
+    ``terms``, from the dense Fraction projection P_7 = (A + 1) / (plus + 1)
+    of A = ``star_ext_on_two_forms`` and its complement alpha - P_7 alpha,
+    rendered by ``json.dumps``."""
     s = standard_structure(kind)
     plus = {"g2": 2, "spin7": 3}[kind]
     basis = two_form_basis(s.n)

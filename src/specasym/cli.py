@@ -4,7 +4,7 @@ and flat-torus spectrum export.
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 I/O error
 (also when the reader closes stdout early, as ``| head`` does).
 All JSON output is deterministic: keys sorted, floats as the ``repr`` of
-the double.
+the double; an exact value is a ``JsonLeaf``, {"exact": text, "float": x}.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite, lcm
 
@@ -36,11 +38,15 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 
+# an exact value's text and float or None: {"exact": ..., "float": ...}
+JsonLeaf = namedtuple("JsonLeaf", "exact float")
+
+
 def _json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` after the conversions
-    this CLI applies: dict keys through ``str``, tuples as lists, a
-    Fraction as its string and a Scalar as {"exact": repr}.  One recursive
-    pass; the indented ``json.dumps`` runs on the pure-Python encoder."""
+    """``json.dumps(obj, sort_keys=True, indent=2)`` after this CLI's
+    conversions: dict keys through ``str``, tuples as lists, a Fraction as
+    its string, a Scalar as {"exact": repr}, a JsonLeaf as its object.  One
+    recursive pass; an indented ``json.dumps`` runs in pure Python."""
     parts = []
     _json_parts(obj, "\n", parts.append)
     return "".join(parts)
@@ -51,6 +57,10 @@ def _json_parts(obj, newline: str, out) -> None:
     indent of the line ``obj`` starts on."""
     if isinstance(obj, str):
         out(_quote(obj))
+    elif type(obj) is JsonLeaf:
+        inner = newline + "  "
+        out('{%s"exact": %s,%s"float": %s%s}'
+            % (inner, _quote(obj.exact), inner, _float_text(obj.float), newline))
     elif isinstance(obj, dict):
         if not obj:
             out("{}")
@@ -76,17 +86,12 @@ def _json_parts(obj, newline: str, out) -> None:
             _json_parts(value, inner, out)
             sep = "," + inner
         out(newline + "]")
-    elif obj is None:
-        out("null")
-    elif obj is True:
-        out("true")
-    elif obj is False:
-        out("false")
+    elif obj is True or obj is False:
+        out("true" if obj else "false")
     elif isinstance(obj, int):
         out(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out(float.__repr__(obj) if isfinite(obj) else
-            "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif obj is None or isinstance(obj, float):
+        out(_float_text(obj))
     elif isinstance(obj, Fraction):
         out(_quote(str(obj)))
     elif isinstance(obj, Scalar):
@@ -95,27 +100,34 @@ def _json_parts(obj, newline: str, out) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _float_field(value):
-    """An exact value as a float, None past the float range."""
+def _float_text(x) -> str:
+    return ("null" if x is None else float.__repr__(x) if isfinite(x) else
+            "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")
+
+
+def _leaf(c) -> JsonLeaf:
+    """The leaf of an int, Fraction or Scalar, its float None past the float
+    range.  A rational's text and float are read from its numerator and
+    denominator; int true division rounds as ``float(Fraction)`` does."""
+    scalar = isinstance(c, Scalar)
+    if not scalar:
+        num, den = c.numerator, c.denominator
+    text = repr(c) if scalar else str(num) if den == 1 else f"{num}/{den}"
     try:
-        x = value.real_float() if isinstance(value, Scalar) else float(value)
+        x = c.real_float() if scalar else num / den
     except OverflowError:
-        return None
-    return x if isfinite(x) else None
+        return JsonLeaf(text, None)
+    return JsonLeaf(text, x if isfinite(x) else None)
+
+
+@cache
+def _term_key(mask: int) -> str:
+    return "e" + "".join(map(str, indices_of(mask))) if mask else "1"
 
 
 def _form_to_dict(form: DiffForm):
-    out = {}
-    for idx, m in sorted((indices_of(m), m) for m in form.terms):
-        key = "e" + "".join(map(str, idx)) if m else "1"
-        c = form.terms[m]
-        if isinstance(c, Scalar):
-            out[key] = {"exact": repr(c), "float": _float_field(c)}
-        elif isinstance(c, Fraction):
-            out[key] = {"exact": str(c), "float": _float_field(c)}
-        else:
-            out[key] = {"float": _float_field(c)}
-    return out
+    """{"e12": leaf, ...} of an exact form; the writer sorts the keys."""
+    return {_term_key(m): _leaf(c) for m, c in form.terms.items()}
 
 
 # ----------------------------------------------------------------------
@@ -328,19 +340,13 @@ def cmd_decompose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     big = "14" if s.kind == "g2" else "21"
-    norm7, norm_big = a7.norm_sq(), rest.norm_sq()
-    print(_json_text(
-        {
-            "kind": s.kind,
-            "input": _form_to_dict(form),
-            "p7": _form_to_dict(a7),
-            f"p{big}": _form_to_dict(rest),
-            "norms": {
-                "p7": {"exact": str(norm7), "float": _float_field(norm7)},
-                f"p{big}": {"exact": str(norm_big), "float": _float_field(norm_big)},
-            },
-        }
-    ))
+    print(_json_text({
+        "kind": s.kind,
+        "input": _form_to_dict(form),
+        "p7": _form_to_dict(a7),
+        f"p{big}": _form_to_dict(rest),
+        "norms": {"p7": _leaf(a7.norm_sq()), f"p{big}": _leaf(rest.norm_sq())},
+    }))
     return EXIT_OK
 
 

@@ -120,7 +120,7 @@ class DiffForm:
         self.terms = {}
         if terms:
             for m, c in terms.items():
-                if _nonzero(c):
+                if c:
                     self.terms[m] = c
 
     # -- constructors ---------------------------------------------------
@@ -156,7 +156,7 @@ class DiffForm:
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m, 0) + c
-            if _nonzero(s):
+            if s:
                 out[m] = s
             else:
                 out.pop(m, None)
@@ -194,7 +194,7 @@ class DiffForm:
                     out[m] = c
                 else:
                     s = prev + c
-                    if _nonzero(s):
+                    if s:
                         out[m] = s
                     else:
                         del out[m]
@@ -289,7 +289,7 @@ class DiffForm:
         if self.n != other.n:
             return False
         keys = set(self.terms) | set(other.terms)
-        return all(not _nonzero(self.terms.get(k, 0) - other.terms.get(k, 0)) for k in keys)
+        return not any(self.terms.get(k, 0) - other.terms.get(k, 0) for k in keys)
 
     def __repr__(self):
         if not self.terms:
@@ -306,16 +306,8 @@ class DiffForm:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
 
-def _nonzero(c) -> bool:
-    if isinstance(c, Scalar):
-        return bool(c)
-    return c != 0
-
-
 def _conj(c):
-    if isinstance(c, Scalar):
-        return c.conjugate()
-    return c.conjugate() if isinstance(c, complex) else c
+    return c.conjugate() if isinstance(c, (Scalar, complex)) else c
 
 
 _FORM_TOKEN = re.compile(
@@ -339,26 +331,22 @@ def parse_form(n: int, text: str) -> DiffForm:
     if stripped == "0":
         return DiffForm.zero(n)
     tokens = [(m.lastgroup, m.group(m.lastgroup)) for m in _FORM_TOKEN.finditer(text)]
+    tokens.append(("end", None))
     pos = 0
-
-    def take(kind: str):
-        nonlocal pos
-        if pos < len(tokens) and tokens[pos][0] == kind:
-            pos += 1
-            return tokens[pos - 1][1]
-        return None
-
     terms: Dict[int, object] = {}
-    while pos < len(tokens):
+    while tokens[pos][0] != "end":
         if pos and tokens[pos][0] != "sign":
             raise ValueError(f"expected '+' or '-' between terms in {text!r}")
-        sign = 1
-        while (op := take("sign")) is not None:
-            if op == "-":
-                sign = -sign
-        coeff_txt = take("coeff")
-        take("star")
-        idx_txt = take("idx")
+        negative = False
+        while tokens[pos][0] == "sign":
+            negative ^= tokens[pos][1] == "-"
+            pos += 1
+        written = {}  # the optional coefficient, star and indices, in this order
+        for kind in ("coeff", "star", "idx"):
+            if tokens[pos][0] == kind:
+                written[kind] = tokens[pos][1]
+                pos += 1
+        coeff_txt, idx_txt = written.get("coeff"), written.get("idx")
         if coeff_txt is None and idx_txt is None:
             raise ValueError(f"cannot parse {text!r}")
         if idx_txt == "":
@@ -367,15 +355,22 @@ def parse_form(n: int, text: str) -> DiffForm:
         if any(k < 1 or k > n for k in idx):
             raise ValueError(f"index out of range 1..{n} in {text!r}")
         try:
-            coeff = Fraction(coeff_txt) if coeff_txt is not None else Fraction(1)
+            coeff = Fraction(coeff_txt or 1)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad coefficient {coeff_txt!r} in {text!r}") from None
-        for m, c in DiffForm.monomial(n, idx, sign * coeff).terms.items():
-            c = terms.get(m, 0) + c
-            if c:
-                terms[m] = c
-            else:
-                del terms[m]
+        # the mask, and the sign of the written order: one per inversion
+        mask = 0
+        for k in idx:
+            if mask >> (k - 1) & 1:
+                raise ValueError(f"repeated index {k}")
+            negative ^= (mask >> k).bit_count() & 1
+            mask |= 1 << (k - 1)
+        c = -coeff if negative else coeff
+        if mask in terms:
+            c = terms[mask] + c
+        terms[mask] = c
+        if not c:
+            del terms[mask]
     return DiffForm(n, terms)
 
 
@@ -436,7 +431,7 @@ def sparse_product(x: Dict[Tuple[int, int], object], y: Dict[Tuple[int, int], ob
         for j, b in cols.get(k, ()):
             prev = out.get((i, j))
             out[(i, j)] = a * b if prev is None else prev + a * b
-    return {key: v for key, v in out.items() if _nonzero(v)}
+    return {key: v for key, v in out.items() if v}
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +463,7 @@ class FiberOp:
         for (i, j), v in entries.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"entry index {(i, j)} outside 0..{dim - 1}")
-            if _nonzero(v):
+            if v:
                 self.entries[(i, j)] = v
 
     # -- constructors -----------------------------------------------------

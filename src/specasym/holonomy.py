@@ -9,14 +9,12 @@ operator is a sparse map {(target mask, source mask): int}, the format of
 ``exterior.star_ext_entries``: the operator A = *e(w) is that table, and
 the projections P_7 = (A + 1) / (plus + 1) and P_big = (plus - A) /
 (plus + 1) hold their integer numerators over ``den = plus + 1``.  A
-``Projection`` also holds those numerators by column, {source mask:
-((target, value), ...)}, regrouped from its entries when it is built:
-``Projection.apply`` and ``instanton_check`` walk only the columns of the
-masks they are given, 3 entries each for G2 and 4 for Spin(7).
-Validation is map equality on ``exterior.sparse_product``.  A structure
-is built whole: ``standard_structure`` stores A and both projections as
-fields, and nothing is filled in later.  Each kind is built and validated
-once per process, and every caller shares that one object, so callers
+``Projection`` also holds them by column, {source mask: ((target,
+value), ...)}: ``Projection.apply`` and ``instanton_check`` walk only the
+columns of the masks they are given, 3 entries each for G2, 4 for Spin(7).
+Validation is map equality on ``exterior.sparse_product``.
+``standard_structure`` builds A and both projections as fields, once per
+kind and process, and every caller shares that one object, so callers
 must treat a structure and its maps as read-only.  No numpy is needed.
 """
 
@@ -67,17 +65,15 @@ def two_form_basis(n: int) -> List[int]:
 
 @dataclass
 class Projection:
-    """Idempotent self-adjoint projector on the 2-form fiber, held as
-    integer numerators {(target, source): value} over one denominator
-    ``den``."""
+    """Idempotent self-adjoint projector on the 2-form fiber: integer
+    numerators {(target, source): value} over one denominator ``den``."""
 
     target: str  # "7", "14" or "21"
     n: int
     den: int
     entries: Entries
     # the entries by source: {source mask: ((target, value), ...)}
-    columns: Dict[int, Tuple[Tuple[int, int], ...]] = field(init=False, repr=False,
-                                                           compare=False)
+    columns: Dict[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols: Dict[int, list] = {}
@@ -86,8 +82,8 @@ class Projection:
         self.columns = {b: tuple(col) for b, col in cols.items()}
 
     def apply(self, alpha: DiffForm) -> DiffForm:
-        """The projected 2-form, from the columns of ``alpha``'s masks
-        against its numerator planes.  Its coefficients are Scalars if any
+        """The projected 2-form, each numerator plane of ``alpha`` summed over
+        the columns of its masks into one {target: int} dict: Scalars if any
         coefficient of ``alpha`` is one, else Fractions."""
         if any(popcount(m) != 2 for m in alpha.terms):
             raise ValueError("projection applies to 2-forms only")
@@ -95,15 +91,19 @@ class Projection:
         den, planes = numerator_planes(values)
         den *= self.den
         scalar = any(isinstance(c, Scalar) for c in values)
-        sums: Dict[int, dict] = {}
+        sums: Dict[int, dict] = {}  # {target: {plane: nonzero numerator}}
         for plane, nums in planes.items():
+            flat: Dict[int, int] = {}
             for b, x in zip(alpha.terms, nums):
-                for t, v in self.columns.get(b, ()):
-                    acc = sums.setdefault(t, {})
-                    acc[plane] = acc.get(plane, 0) + v * x
-        return DiffForm(self.n, {
-            t: lift_planes(acc, den, scalar) for t, acc in sums.items() if any(acc.values())
-        })
+                if x:
+                    for t, v in self.columns.get(b, ()):
+                        flat[t] = flat.get(t, 0) + v * x
+            for t, x in flat.items():
+                if x:
+                    sums.setdefault(t, {})[plane] = x
+        out = DiffForm(self.n)  # every target in sums has a nonzero plane
+        out.terms = {t: lift_planes(acc, den, scalar) for t, acc in sums.items()}
+        return out
 
     def trace(self) -> Fraction:
         return Fraction(sum(v for (t, b), v in self.entries.items() if t == b), self.den)

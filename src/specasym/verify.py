@@ -118,16 +118,15 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
             ok &= f.hodge().hodge() == f.scale((-1) ** (k * (n - k)))
         _check(out, f"hodge involution sign (n={n})", ok)
 
-    # every monomial and its Hodge star are built once, then paired with
-    # each monomial of its degree
+    # monomials, their stars and the masks by degree are built once
     n = 7
-    ok = True
     forms = [DiffForm(n, {m: Fraction(1)}) for m in range(1 << n)]
     stars = [f.hodge() for f in forms]
-    for a, fa in enumerate(forms):
-        for b, fb in enumerate(forms):
-            if popcount(a) == popcount(b):
-                ok &= fa.inner(fb) == fa.wedge(stars[b]).top_coefficient()
+    by_degree = [[] for _ in range(n + 1)]
+    for m in range(1 << n):
+        by_degree[popcount(m)].append(m)
+    ok = all(forms[a].inner(forms[b]) == forms[a].wedge(stars[b]).top_coefficient()
+             for group in by_degree for a in group for b in group)
     _check(out, "pairing a^*(b) = <a,b> dvol (n=7, exhaustive)", ok)
 
     # e(e^i)^* against the contraction DiffForm.interior(i), column by column

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 import specasym
-from specasym.cli import main
+from specasym.cli import _form_to_dict, _json_text, main
+from specasym.exact import Scalar
+from specasym.exterior import DiffForm
 from specasym.holonomy import standard_structure, star_ext_on_two_forms, two_form_basis
 
 
@@ -112,6 +114,26 @@ def test_decompose_stdout_equals_a_dense_fraction_projection(capsys, kind):
         code, out, err = run_cli(capsys, "decompose", "--kind", kind, "--form", text)
         assert code == 0, err
         assert out == _dense_decompose_text(kind, terms), text
+
+
+def test_residue_density_of_a_scalar_form_renders_as_before():
+    """The density leaves of a Scalar form are the old {"exact": repr,
+    "float": real value or null} objects, byte for byte: pi powers, a sum
+    of planes, a value below and one past the float range."""
+    form = DiffForm(7, {
+        0: Scalar.term(Fraction(1, 3), 0, -2),
+        0b11: Scalar.term(Fraction(-3, 7), 0, 1) + Scalar.term(2, 0, 3),
+        0b1000001: Scalar.term(10 ** 400),
+        0b1111111: Scalar.term(Fraction(1, 10 ** 400), 0, 4),
+    })
+    want = {"density": {
+        "1": {"exact": "1/3*pi^-1", "float": 0.1061032953945969},
+        "e12": {"exact": "-3/7*pi^(1/2) + 2*pi^(3/2)", "float": 10.377032914703909},
+        "e1234567": {"exact": f"1/{10 ** 400}*pi^2", "float": 0.0},
+        "e17": {"exact": str(10 ** 400), "float": None},
+    }}
+    got = _json_text({"density": _form_to_dict(form)})
+    assert got == json.dumps(want, sort_keys=True, indent=2)
 
 
 def _write(path, doc):

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from specasym.cli import (
-    _EXPONENT, _MAX_EXPONENT, _MAX_LENGTH, _json_text, _parse_number, _ratio, _rational, main,
+    _EXPONENT, _MAX_EXPONENT, _MAX_LENGTH, JsonLeaf, _json_text, _parse_number, _ratio, _rational,
+    main,
 )
 from specasym.exact import Scalar
 from specasym.residue import CurvatureError
@@ -211,7 +212,9 @@ def test_ratio_reads_values_as_rational_does(value):
 
 def _old_jsonable(obj):
     """The conversion the CLI applied before ``json.dumps``; the oracle of
-    ``_json_text``."""
+    ``_json_text``, with a JsonLeaf as the dict it replaced."""
+    if isinstance(obj, JsonLeaf):
+        return {"exact": obj.exact, "float": _old_jsonable(obj.float)}
     if isinstance(obj, dict):
         return {str(k): _old_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -226,17 +229,22 @@ def _old_jsonable(obj):
 
 
 _fractions = st.fractions(max_denominator=10 ** 30)
+_special_floats = st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e308,
+                                   5e-324])
 _json_leaves = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(2 ** 300), max_value=2 ** 300),
     st.floats(),
-    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e308, 5e-324]),
+    _special_floats,
     st.text(),
     st.text(alphabet=st.characters(max_codepoint=0x1f)),
     _fractions,
     st.builds(lambda re, im, p, t: Scalar.term(re, im, p, t),
               _fractions, _fractions, st.integers(-4, 4), st.integers(-4, 4)),
+    # exact text with a float, None, nan or +-inf
+    st.builds(JsonLeaf, st.one_of(_fractions.map(str), st.text()),
+              st.one_of(st.floats(), st.none(), _special_floats)),
 )
 _json_values = st.recursive(
     _json_leaves,
@@ -256,6 +264,9 @@ _json_values = st.recursive(
 @example(value=[[], {}, (), {"": [{}]}])
 @example(value={1: "a", "1": "b", True: None, "True": 0})
 @example(value=["\x00\x1f\"\\é \U0001f600", -0.0, 2 ** 200, -(2 ** 70)])
+@example(value={"p7": {"e12": JsonLeaf("-1/3", -1 / 3), "e34": JsonLeaf("10" * 300, None)},
+                "leaves": [JsonLeaf("nan", float("nan")), (JsonLeaf("x\n", float("-inf")),)],
+                2: JsonLeaf("", float("inf"))})
 def test_json_text_equals_json_dumps_of_the_old_conversion(value):
     assert _json_text(value) == json.dumps(_old_jsonable(value), sort_keys=True, indent=2)
 

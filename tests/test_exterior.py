@@ -225,6 +225,54 @@ def test_monomial_takes_the_sign_of_the_written_order():
             parse_form(7, bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    # several faults in one term: range, then coefficient, then repeat
+    ("1/0 e19", "index out of range 1..7 in '1/0 e19'"),
+    ("e119", "index out of range 1..7 in 'e119'"),
+    ("1/0 e11", "bad coefficient '1/0' in '1/0 e11'"),
+    ("1/0 e12", "bad coefficient '1/0' in '1/0 e12'"),
+    ("e11", "repeated index 1"),
+    ("e12 - e19 + 1/0", "index out of range 1..7 in 'e12 - e19 + 1/0'"),
+    ("e12 - 1/0", "bad coefficient '1/0' in 'e12 - 1/0'"),
+    ("e12 +", "cannot parse 'e12 +'"),
+    ("x", "cannot parse 'x'"),
+    ("3 e", "missing indices after 'e' in '3 e'"),
+    ("e12 e34", "expected '+' or '-' between terms in 'e12 e34'"),
+    ("e12 * e34", "expected '+' or '-' between terms in 'e12 * e34'"),
+    ("3**e12", "expected '+' or '-' between terms in '3**e12'"),
+    ("3 2", "expected '+' or '-' between terms in '3 2'"),
+    ("  ", "empty form expression"),
+])
+def test_parse_form_error_messages(text, message):
+    """Which message a bad expression raises, the first fault in the text
+    winning and, within one term, the index range before the coefficient
+    before a repeated index."""
+    with pytest.raises(ValueError) as info:
+        parse_form(7, text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("--e12", {3: Fraction(1)}),
+    ("+-e12", {3: Fraction(-1)}),
+    ("-+-e12", {3: Fraction(1)}),
+    ("*e12", {3: Fraction(1)}),
+    ("3 * e12", {3: Fraction(3)}),
+    ("0 e12 + e34", {12: Fraction(1)}),
+    ("3 e12 + 0 e12", {3: Fraction(3)}),
+    ("e34 + e21 - e12 + e12", {12: Fraction(1), 3: Fraction(-1)}),
+    ("e12 - e12 + e34 + e12", {12: Fraction(1), 3: Fraction(1)}),
+    ("2 + e1", {0: Fraction(2), 1: Fraction(1)}),
+])
+def test_parse_form_sign_runs_stars_and_zero_terms(text, terms):
+    """Runs of signs multiply, a bare ``*`` is allowed, zero and cancelled
+    terms are dropped (a cancelled mask re-enters at the end), and every
+    coefficient is a Fraction."""
+    got = parse_form(7, text).terms
+    assert list(got.items()) == list(terms.items())
+    assert all(type(c) is Fraction for c in got.values())
+
+
 def _fold_parse(n, terms):
     """The form of (sign, coefficient text or None, indices) terms as the
     term-by-term fold ``out + DiffForm.monomial(...)``."""
@@ -485,3 +533,25 @@ def test_fiber_op_products_of_library_operators_keep_fraction_entries():
                FiberOp.cliff_op(e(7, 1), 2) @ FiberOp.cliff_op(e(7, 3), 2) @ FiberOp.ext_op(e(7, 3), 2),
                FiberOp.cliff_op(e(7, 1)) @ FiberOp.cliff_hat_op(e(7, 2))):
         assert op.entries and all(type(v) is Fraction for v in op.entries.values())
+
+
+_COEFFICIENTS = [
+    0, 1, -3, Fraction(0), Fraction(-1, 3), 0.0, -0.0, 2.5, float("nan"), float("inf"),
+    0j, complex(0, -0.0), 1j, complex(float("nan"), 0),
+    Scalar(), Scalar.of(2), Scalar.i(), Scalar.term(0, 1, pi_half=2), Scalar.term(1, 0, pi_half=1),
+    Scalar.term(Fraction(1, 2), 0, t_half=-3),
+]
+
+
+@pytest.mark.parametrize("c", _COEFFICIENTS, ids=repr)
+def test_truthiness_is_nonzero_for_every_coefficient_type(c):
+    """Forms, products and fiber operators drop a coefficient by ``bool``:
+    that is ``c != 0`` for int, Fraction, float (nan and -0.0 included)
+    and complex, and ``Scalar.__bool__`` keeps a Scalar with only an
+    imaginary or pi-power part."""
+    assert bool(c) == (c != 0)
+    kept = {3: c} if c != 0 else {}
+    assert DiffForm(7, {3: c}).terms == kept
+    assert FiberOp(7, 1, {(3, 3): c}).entries == {(3, 3): c for _ in kept}
+    assert list(sparse_product({(0, 0): c}, {(0, 1): 1})) == [(0, 1) for _ in kept]
+    assert (DiffForm(7, {3: c}) == DiffForm.zero(7)) == (not kept)

@@ -65,18 +65,9 @@ from operator import add, mul
 from typing import List, Optional, Tuple
 
 from .exact import Scalar
-from .exterior import DiffForm, mask_of
+from .exterior import DiffForm, mask_of, sparse_product
 from .residue import CurvatureData, characteristic_density_form
-from .wordops import (
-    WordOperator,
-    mat_add,
-    mat_eye,
-    mat_is_zero,
-    mat_mul,
-    mat_scale,
-    mat_zero,
-    star_weighted_trace,
-)
+from .wordops import WordOperator, add_maps, eye, star_weighted_trace
 
 FormMatrix = List[List[DiffForm]]
 
@@ -215,21 +206,18 @@ def model_constant_potential(cd: CurvatureData) -> WordOperator:
     V = -(1/4) sum_{ij} e^{ij} R_{ijkl} chat^l chat^k - (1/2) sum_{i<j} e^{ij} F_{ij}.
     Ordered (i, j), (j, i) and (k, l), (l, k) give four equal terms, so the
     coefficient of e^{ij} (x) chat^{kl} (i<j, k<l) is R_ijkl 1_r.  V_F =
-    -F/2 is read off the numerator planes over 2 f_den.  Only the oracles
+    -F/2 halves the bundle maps of ``cd.f_entries``.  Only the oracles
     build it; the densities read ``model_traces``.
     """
-    n, r, den = cd.n, cd.r, 2 * cd.f_den
-    eye = mat_eye(r)
+    n, r, minus_half = cd.n, cd.r, Fraction(-1, 2)
     terms = {
-        (mask_of(ij), 0, mask_of(kl)): mat_scale(eye, v)
+        (mask_of(ij), 0, mask_of(kl)): eye(r, v)
         for ij, row in cd.r_rows.items()
         for kl, v in row
     }
     terms.update({
-        (m, 0, 0): tuple(tuple(Scalar.term(Fraction(-x, den), Fraction(-y, den))
-                               for x, y in zip(re[a:a + r], im[a:a + r]))
-                         for a in range(0, r * r, r))
-        for m, (re, im) in cd.f_planes.items()
+        (mask_of(ij), 0, 0): {ab: v * minus_half for ab, v in m.items()}
+        for ij, m in cd.f_entries.items()
     })
     return WordOperator(n, r, terms)
 
@@ -299,24 +287,24 @@ def mehler_kernel(cd: CurvatureData) -> WordOperator:
 # ----------------------------------------------------------------------
 
 # Wick terms of the diagonal kernel through two insertions:
-# (insertions, coefficient, power of t^(1/2), factors).  Every integral of
+# (coefficient, power of t^(1/2), factors).  Every integral of
 # Brownian-bridge Wick contractions is done in closed form; "drift_pairs"
 # stands for sum_{i,k} drift[i][k] (drift[i][k] + drift[k][i]).
 _WICK_TERMS = (
-    (0, Fraction(1), 0, ()),
-    (1, Fraction(-1), 2, ("const",)),
-    (1, Fraction(1, 2), 2, ("tr_drift",)),
-    (1, Fraction(-1, 3), 4, ("tr_quad",)),
-    (2, Fraction(1, 2), 4, ("const", "const")),
-    (2, Fraction(-1, 6), 4, ("tr_drift", "const")),
-    (2, Fraction(-1, 3), 4, ("const", "tr_drift")),
-    (2, Fraction(1, 8), 4, ("tr_drift", "tr_drift")),
-    (2, Fraction(-1, 24), 4, ("drift_pairs",)),
+    (Fraction(1), 0, ()),
+    (Fraction(-1), 2, ("const",)),
+    (Fraction(1, 2), 2, ("tr_drift",)),
+    (Fraction(-1, 3), 4, ("tr_quad",)),
+    (Fraction(1, 2), 4, ("const", "const")),
+    (Fraction(-1, 6), 4, ("tr_drift", "const")),
+    (Fraction(-1, 3), 4, ("const", "tr_drift")),
+    (Fraction(1, 8), 4, ("tr_drift", "tr_drift")),
+    (Fraction(-1, 24), 4, ("drift_pairs",)),
 )
 
 
-def wick_terms(n: int, const, drift, tr_quad, order: int = 2) -> List[Tuple[Scalar, list]]:
-    """Wick terms of -Laplacian + drift + quad + const through ``order``.
+def wick_terms(n: int, const, drift, tr_quad) -> List[Tuple[Scalar, list]]:
+    """Wick terms of -Laplacian + drift + quad + const through two insertions.
 
     drift[i][k] multiplies x^k d_i; quad[j][k] multiplies x^j x^k and
     enters only through its trace ``tr_quad``; const is x-independent.
@@ -326,17 +314,13 @@ def wick_terms(n: int, const, drift, tr_quad, order: int = 2) -> List[Tuple[Scal
     or pure forms, passed through as given (``duhamel_density`` passes the
     traces of const); None operands drop out.
     """
-    if order > 2:
-        raise ValueError("Duhamel expansion supports order <= 2 only")
     named = {
         "const": const,
         "tr_drift": None if drift is None else reduce(add, (drift[i][i] for i in range(n))),
         "tr_quad": tr_quad,
     }
     out = []
-    for insertions, coef, half, factors in _WICK_TERMS:
-        if insertions > order:
-            continue
+    for coef, half, factors in _WICK_TERMS:
         if factors == ("drift_pairs",):
             products = []
             for i in range(n):
@@ -360,15 +344,14 @@ def wick_kernel(
     const: Optional[WordOperator],
     drift: Optional[List[List[WordOperator]]],
     tr_quad: Optional[WordOperator],
-    order: int = 2,
 ) -> WordOperator:
     """Diagonal heat kernel of -Laplacian + drift + quad + const at 0.
 
     Multiplies out every product of ``wick_terms``; the result is exact
-    through relative order t^2 (insertion count <= ``order``).
+    through relative order t^2.
     """
     k = WordOperator.zero(n, r)
-    for coef, products in wick_terms(n, const, drift, tr_quad, order):
+    for coef, products in wick_terms(n, const, drift, tr_quad):
         term = WordOperator.zero(n, r)
         for ops in products:
             term = term + (reduce(mul, ops) if ops else WordOperator.identity(n, r))
@@ -376,7 +359,7 @@ def wick_kernel(
     return k.scale(gaussian_prefactor(n))
 
 
-def duhamel_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
+def duhamel_kernel(cd: CurvatureData) -> WordOperator:
     """Duhamel expansion of the model heat kernel diagonal, built in full
     from the rank-r potential, the whole drift and the trace of ``q_matrix``."""
     n, r = cd.n, cd.r
@@ -385,10 +368,10 @@ def duhamel_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
         drift = [[WordOperator.from_form(cd.rhat(i, j), r) for j in range(1, n + 1)]
                  for i in range(1, n + 1)]
         tr_quad = WordOperator.from_form(form_matrix_trace(q_matrix(cd)), r)
-    return wick_kernel(n, r, model_constant_potential(cd), drift, tr_quad, order)
+    return wick_kernel(n, r, model_constant_potential(cd), drift, tr_quad)
 
 
-def landau_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
+def landau_kernel(cd: CurvatureData) -> WordOperator:
     """Wick expansion of the *untruncated* flat operator with constant F.
 
     Requires vanishing Riemann data.  The potential keeps the honest
@@ -404,7 +387,7 @@ def landau_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             fm = cd.f_matrix(i, j)
-            if mat_is_zero(fm):
+            if not fm:
                 continue
             ee = WordOperator.ext_gen(n, i, r) * WordOperator.int_gen(n, j, r)
             const = const + (ee * WordOperator(n, r, {(0, 0, 0): fm})).scale(-1)
@@ -412,9 +395,9 @@ def landau_kernel(cd: CurvatureData, order: int = 2) -> WordOperator:
         [WordOperator(n, r, {(0, 0, 0): cd.f_matrix(i, k)}) for k in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    squares = reduce(mat_add, (mat_mul(m, m) for m in cd.f_entries.values()), mat_zero(r))
-    tr_quad = WordOperator(n, r, {(0, 0, 0): mat_scale(squares, Fraction(-1, 2))})
-    return wick_kernel(n, r, const, drift, tr_quad, order)
+    squares = reduce(add_maps, (sparse_product(m, m) for m in cd.f_entries.values()), {})
+    tr_quad = WordOperator(n, r, {(0, 0, 0): squares}).scale(Fraction(-1, 2))
+    return wick_kernel(n, r, const, drift, tr_quad)
 
 
 # ----------------------------------------------------------------------
@@ -431,8 +414,8 @@ def _calibration_curvature(s) -> CurvatureData:
             continue
         a, b, c, d = comp
         f = {
-            (a, b): ((Scalar.i(),),),
-            (c, d): ((Scalar.i(),),),
+            (a, b): {(0, 0): Scalar.i()},
+            (c, d): {(0, 0): Scalar.i()},
         }
         cd = CurvatureData(n, 1, {}, f)
         if w.top_pairing(characteristic_density_form(cd)):
@@ -499,7 +482,7 @@ def _mehler_pairing(w: DiffForm, cd: CurvatureData) -> Fraction:
             + _HALF * w.top_pairing(tr_v2))
 
 
-def duhamel_density(s, cd: CurvatureData, order: int = 2) -> Scalar:
+def duhamel_density(s, cd: CurvatureData) -> Scalar:
     """Weighted density via the Duhamel expansion (oracle side).
 
     Pair over Q, then lift once: the form trace of each product of
@@ -512,7 +495,7 @@ def duhamel_density(s, cd: CurvatureData, order: int = 2) -> Scalar:
     forms commute with everything, so a product with k >= 1 factors C
     traces to tr C^k wedged with its form factors; tr C^0 = 2^n r is a
     number, so it moves into the coefficient.  The result equals
-    ``density_from_kernel(s, duhamel_kernel(cd, order))``.
+    ``density_from_kernel(s, duhamel_kernel(cd))``.
     """
     if s.n != cd.n:
         raise ValueError("structure/curvature dimension mismatch")
@@ -520,7 +503,7 @@ def duhamel_density(s, cd: CurvatureData, order: int = 2) -> Scalar:
     const = (tr_v, tr_v2)
     w, fiber = s.defining_form, (1 << cd.n) * cd.r
     total = Scalar()
-    for coef, products in wick_terms(cd.n, const, None, tr_q, order):
+    for coef, products in wick_terms(cd.n, const, None, tr_q):
         for ops in products:
             forms = [x for x in ops if x is not const]
             k = len(ops) - len(forms)
@@ -537,9 +520,9 @@ def _density_unit(n: int) -> Scalar:
     return TRACE_NORMALISATION * gaussian_prefactor(n)
 
 
-def true_operator_density(s, cd: CurvatureData, order: int = 2) -> Scalar:
+def true_operator_density(s, cd: CurvatureData) -> Scalar:
     """Honest matrix trace tr[* e(w) K] of the untruncated flat-F kernel."""
-    return star_weighted_trace(s.defining_form, landau_kernel(cd, order))
+    return star_weighted_trace(s.defining_form, landau_kernel(cd))
 
 
 def model_reduction_ratio(s) -> Scalar:

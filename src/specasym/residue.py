@@ -30,7 +30,7 @@ from .holonomy import (
     decompose_two_form,
     instanton_check,
 )
-from .wordops import Mat, WordOperator, mat_is_zero, mat_scale, mat_zero
+from .wordops import Mat, WordOperator
 
 
 # ----------------------------------------------------------------------
@@ -45,9 +45,10 @@ class CurvatureData:
     """Riemann-type tensor plus skew-Hermitian bundle curvature matrices.
 
     ``r_entries`` maps canonical index quadruples (i<j, k<l, pair-sorted)
-    to rational values; ``f_entries`` maps (i, j) with i<j to r x r
-    matrices of Gaussian-rational Scalars.  Index symmetries are enforced
-    on construction and never silently repaired.
+    to rational values; ``f_entries`` maps (i, j) with i<j to the bundle
+    map F_ij, a sparse ``{(a, b): value}`` map with keys in range(r)^2
+    and Gaussian-rational values (``wordops.Mat``).  Index symmetries are
+    enforced on construction and never silently repaired.
 
     The bundle curvature is stored once, as integer planes:
 
@@ -59,11 +60,13 @@ class CurvatureData:
       ``pi_c1`` = pi c1, ``pi2_c2`` = pi^2 c2 and ``pi2_bundle`` =
       pi^2 (c1^2 - c2).
 
-    ``CurvatureData(n, r, r_entries, f_entries)`` reads Scalar matrices
+    ``CurvatureData(n, r, r_entries, f_entries)`` reads the bundle maps
     into numerators; ``from_planes`` takes them ready, as ``cli`` reads
     them from text.  Both end in ``_build``, the one place that checks the
     entries and builds the sums.  ``f_entries`` is derived from the planes
-    on first use: only the oracles read it.
+    on first use, in the format the constructor takes, so
+    ``CurvatureData(n, r, cd.r_entries, cd.f_entries) == cd``; only the
+    oracles read it.
 
     ``model_trace_forms`` starts as None; ``heat.model_traces`` fills it
     on first use, so the model traces are built once per curvature.
@@ -136,8 +139,8 @@ class CurvatureData:
 
     @property
     def f_entries(self) -> Dict[Tuple[int, int], Mat]:
-        """(i, j) -> r x r Scalar matrix F_ij (i < j), built from the planes
-        on first use."""
+        """(i, j) -> bundle map F_ij (i < j) with nonzero Scalar values,
+        built from the planes on first use."""
         if self._f_entries is None:
             self._f_entries = _scalar_matrices(self.r, self.f_den, self.f_planes)
         return self._f_entries
@@ -162,12 +165,10 @@ class CurvatureData:
         return sign * self.r_entries.get(key, Fraction(0))
 
     def f_matrix(self, i: int, j: int) -> Mat:
-        if i == j:
-            return mat_zero(self.r)
-        if i < j:
-            return self.f_entries.get((i, j), mat_zero(self.r))
-        m = self.f_entries.get((j, i))
-        return mat_scale(m, -1) if m is not None else mat_zero(self.r)
+        """F_ij for any i, j as a bundle map (F_ji = -F_ij)."""
+        if i <= j:
+            return self.f_entries.get((i, j), {})
+        return {ab: -v for ab, v in self.f_entries.get((j, i), {}).items()}
 
     def rhat(self, i: int, j: int) -> DiffForm:
         """(1/4) sum_{k,l} R_{ijkl} e^k ^ e^l = (1/2) sum_{k<l} R_{ijkl} e^{kl}."""
@@ -194,7 +195,7 @@ class CurvatureData:
             self.n,
             self.r,
             {k: v * lam for k, v in self.r_entries.items()},
-            {k: mat_scale(m, lam) for k, m in self.f_entries.items()},
+            {k: {ab: v * lam for ab, v in m.items()} for k, m in self.f_entries.items()},
         )
 
     def bianchi_defect(self) -> Fraction:
@@ -232,12 +233,15 @@ class CurvatureData:
         return CurvatureData(self.n, self.r, new_entries, dict(self.f_entries))
 
 
-def _matrix_numerators(r: int, key, m) -> Tuple[int, List[int], List[int]]:
-    """(den, re, im) of an r x r matrix of Gaussian-rational Scalars (or
-    rationals) under ``key``."""
-    mat = [Scalar.of(x) for row in m for x in row]
-    if len(m) != r or any(len(row) != r for row in m):
-        raise CurvatureError("bundle curvature matrix has wrong rank")
+def _matrix_numerators(r: int, key, m: Mat) -> Tuple[int, List[int], List[int]]:
+    """(den, re, im) of the bundle map ``m`` under ``key``: row-major
+    planes of its Gaussian-rational Scalar (or rational) values."""
+    mat = [Scalar()] * (r * r)
+    rows = range(r)
+    for (a, b), x in m.items():
+        if a not in rows or b not in rows:
+            raise CurvatureError("bundle curvature matrix has wrong rank")
+        mat[a * r + b] = Scalar.of(x)
     parts = _gaussian_numerators(mat)
     if parts is None:
         raise CurvatureError(f"F[{key[0]},{key[1]}] entries must be Gaussian rationals")
@@ -257,13 +261,11 @@ def _gaussian_numerators(values: List[Scalar]) -> Optional[Tuple[int, List[int],
 
 
 def _scalar_matrices(r: int, den: int, planes) -> Dict[Tuple[int, int], Mat]:
-    """(i, j) -> r x r matrix of Scalars F_ij from the numerator planes over
-    ``den``, in plane order."""
+    """(i, j) -> bundle map F_ij from the numerator planes over ``den``, in
+    plane order, with the zero entries left out."""
     return {
-        indices_of(m): tuple(
-            tuple(Scalar.term(Fraction(x, den), Fraction(y, den))
-                  for x, y in zip(re[a:a + r], im[a:a + r]))
-            for a in range(0, r * r, r))
+        indices_of(m): {divmod(k, r): Scalar.term(Fraction(x, den), Fraction(y, den))
+                        for k, (x, y) in enumerate(zip(re, im)) if x or y}
         for m, (re, im) in planes.items()
     }
 
@@ -310,19 +312,15 @@ def random_curvature(
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 if rng.random() < 0.25:
-                    herm = [[Scalar() for _ in range(r)] for _ in range(r)]
+                    # F = i H with H Hermitian: i q on the diagonal, and
+                    # i (re + i im) = -im + i re above it, im + i re below
+                    f = {}
                     for a in range(r):
-                        herm[a][a] = Scalar.of(q())
+                        f[a, a] = Scalar.i(q())
                         for b in range(a + 1, r):
                             re, im = q(), q()
-                            herm[a][b] = Scalar.term(re, im)
-                            herm[b][a] = Scalar.term(re, -im)
-                    mat = tuple(
-                        tuple(Scalar.i() * herm[a][b] for b in range(r))
-                        for a in range(r)
-                    )
-                    if not mat_is_zero(mat):
-                        f_entries[(i, j)] = mat
+                            f[a, b], f[b, a] = Scalar.term(-im, re), Scalar.term(im, re)
+                    f_entries[(i, j)] = f
     cd = CurvatureData(n, r, r_entries, f_entries)
     return cd.bianchi_symmetrized() if bianchi else cd
 
@@ -602,7 +600,7 @@ def instanton_line_curvature(s: HolonomyStructure, base=(1, 2), scale=1):
     for m, c in abig.terms.items():
         lo = (m & -m).bit_length()
         hi = (m & (m - 1)).bit_length()
-        f_entries[(lo, hi)] = ((Scalar.i() * Scalar.of(scale * c),),)
+        f_entries[(lo, hi)] = {(0, 0): Scalar.i() * Scalar.of(scale * c)}
     return CurvatureData(s.n, 1, {}, f_entries)
 
 

@@ -1,13 +1,16 @@
 """Sparse operator algebra Lambda^even (x) Cl(c) (x) Cl(c-hat) (x) End(C^r).
 
 Elements are finite sums of terms ``form-monomial * c-word * chat-word``
-with r x r matrices of exact Scalars as coefficients.  The commuting form
-slot carries the even-degree differential-form bookkeeping of the heat
-kernel pipelines; the two word slots carry the Clifford content.  Words
-are bitmasks; c-generators square to -1, c-hat generators to +1, and the
-two families anticommute.  Every word sign is a closed form over
-``merge_sign``: ``word_mul`` for a product of words, ``apply_word`` for a
-word acting on a basis form.
+with bundle maps as coefficients: an r x r matrix as a sparse
+``{(row, col): nonzero Scalar}`` map (``Mat``), the format of ``FiberOp``
+entries.  Bundle products are ``exterior.sparse_product``, sums are
+``add_maps``, and no zero value or empty map is stored.  The commuting
+form slot carries the even-degree differential-form bookkeeping of the
+heat kernel pipelines; the two word slots carry the Clifford content.
+Words are bitmasks; c-generators square to -1, c-hat generators to +1,
+and the two families anticommute.  Every word sign is a closed form over
+``merge_sign``: ``word_mul`` for a product of words, ``apply_word`` for
+a word acting on a basis form.
 """
 
 from __future__ import annotations
@@ -25,64 +28,37 @@ from .exterior import (
     indices_of,
     merge_sign,
     popcount,
+    sparse_product,
     star_ext_entries,
 )
 
-Mat = Tuple[Tuple[Scalar, ...], ...]
-
-
 # ----------------------------------------------------------------------
-# small exact matrices
+# bundle maps
 # ----------------------------------------------------------------------
 
-def mat_eye(r: int) -> Mat:
-    return tuple(
-        tuple(Scalar.of(1 if i == j else 0) for j in range(r)) for i in range(r)
-    )
+Mat = Dict[Tuple[int, int], Scalar]
 
 
-def mat_zero(r: int) -> Mat:
-    z = Scalar()
-    return tuple(tuple(z for _ in range(r)) for _ in range(r))
+def eye(r: int, c=1) -> Mat:
+    """c times the identity of C^r as a bundle map (c nonzero)."""
+    c = Scalar.of(c)
+    return {(a, a): c for a in range(r)}
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def add_maps(x: Mat, y: Mat) -> Mat:
+    """The sum of two bundle maps; entries that cancel are dropped."""
+    out = dict(x)
+    for key, v in y.items():
+        s = out[key] + v if key in out else v
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
 
 
-def mat_scale(a: Mat, s) -> Mat:
-    s = Scalar.of(s)
-    return tuple(tuple(s * x for x in row) for row in a)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    r = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(r)), Scalar())
-            for j in range(r)
-        )
-        for i in range(r)
-    )
-
-
-def mat_trace(a: Mat) -> Scalar:
-    return sum((a[i][i] for i in range(len(a))), Scalar())
-
-
-def mat_is_zero(a: Mat) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-def mat_conj_t(a: Mat) -> Mat:
-    r = len(a)
-    return tuple(tuple(a[j][i].conjugate() for j in range(r)) for i in range(r))
-
-
-def mat_from(entries, r: int) -> Mat:
-    return tuple(
-        tuple(Scalar.of(entries[i][j]) for j in range(r)) for i in range(r)
-    )
+def _trace(m: Mat) -> Scalar:
+    return sum((v for (a, b), v in m.items() if a == b), Scalar())
 
 
 # ----------------------------------------------------------------------
@@ -112,10 +88,10 @@ class WordOperator:
         self.n = n
         self.r = r
         self.terms = {}
-        if terms:
-            for k, m in terms.items():
-                if not mat_is_zero(m):
-                    self.terms[k] = m
+        for k, m in (terms or {}).items():
+            m = {ab: v for ab, v in m.items() if v}
+            if m:
+                self.terms[k] = m
 
     # -- constructors -----------------------------------------------------
 
@@ -125,31 +101,26 @@ class WordOperator:
 
     @staticmethod
     def identity(n: int, r: int = 1) -> "WordOperator":
-        return WordOperator(n, r, {(0, 0, 0): mat_eye(r)})
+        return WordOperator(n, r, {(0, 0, 0): eye(r)})
 
     @staticmethod
-    def from_form(w: DiffForm, r: int = 1, matrix: Mat = None) -> "WordOperator":
-        """Embed an even form as a commuting coefficient (times a bundle matrix)."""
+    def from_form(w: DiffForm, r: int = 1) -> "WordOperator":
+        """Embed an even form as a commuting coefficient times 1_r."""
         if any(popcount(m) % 2 for m in w.terms):
             raise ValueError("form slot is restricted to even-degree forms")
-        base = matrix if matrix is not None else mat_eye(r)
-        return WordOperator(
-            w.n, r, {(m, 0, 0): mat_scale(base, c) for m, c in w.terms.items()}
-        )
+        return WordOperator(w.n, r, {(m, 0, 0): eye(r, c) for m, c in w.terms.items()})
 
     @staticmethod
-    def from_word(n: int, cmask: int, hmask: int, coeff=1, r: int = 1,
-                  matrix: Mat = None) -> "WordOperator":
-        base = matrix if matrix is not None else mat_eye(r)
-        return WordOperator(n, r, {(0, cmask, hmask): mat_scale(base, coeff)})
+    def from_word(n: int, cmask: int, hmask: int, r: int = 1) -> "WordOperator":
+        return WordOperator(n, r, {(0, cmask, hmask): eye(r)})
 
     @staticmethod
     def ext_gen(n: int, i: int, r: int = 1) -> "WordOperator":
         """e(omega^i) = (c + c-hat)/2 as a word element."""
         half = Fraction(1, 2)
         return WordOperator(n, r, {
-            (0, 1 << (i - 1), 0): mat_scale(mat_eye(r), half),
-            (0, 0, 1 << (i - 1)): mat_scale(mat_eye(r), half),
+            (0, 1 << (i - 1), 0): eye(r, half),
+            (0, 0, 1 << (i - 1)): eye(r, half),
         })
 
     @staticmethod
@@ -157,8 +128,8 @@ class WordOperator:
         """e*(omega^i) = (c-hat - c)/2 as a word element."""
         half = Fraction(1, 2)
         return WordOperator(n, r, {
-            (0, 1 << (i - 1), 0): mat_scale(mat_eye(r), -half),
-            (0, 0, 1 << (i - 1)): mat_scale(mat_eye(r), half),
+            (0, 1 << (i - 1), 0): eye(r, -half),
+            (0, 0, 1 << (i - 1)): eye(r, half),
         })
 
     # -- linear structure ---------------------------------------------------
@@ -171,11 +142,7 @@ class WordOperator:
         self._check(other)
         out = dict(self.terms)
         for k, m in other.terms.items():
-            s = mat_add(out[k], m) if k in out else m
-            if mat_is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = add_maps(out[k], m) if k in out else m
         return WordOperator(self.n, self.r, out)
 
     def __sub__(self, other):
@@ -188,9 +155,9 @@ class WordOperator:
         s = Scalar.of(s)
         if s.is_zero():
             return WordOperator(self.n, self.r)
-        return WordOperator(
-            self.n, self.r, {k: mat_scale(m, s) for k, m in self.terms.items()}
-        )
+        return WordOperator(self.n, self.r, {
+            k: {ab: s * v for ab, v in m.items()} for k, m in self.terms.items()
+        })
 
     def __mul__(self, other):
         if isinstance(other, WordOperator):
@@ -213,16 +180,11 @@ class WordOperator:
                     sign = -sign
                 sc, cm = word_mul(c1, c2, -1)
                 sh, hm = word_mul(h1, h2, +1)
-                sign *= sc * sh
-                prod = mat_mul(m1, m2)
-                if sign < 0:
-                    prod = mat_scale(prod, -1)
+                prod = sparse_product(m1, m2)
+                if sign * sc * sh < 0:
+                    prod = {ab: -v for ab, v in prod.items()}
                 key = (f1 | f2, cm, hm)
-                acc = mat_add(out[key], prod) if key in out else prod
-                if mat_is_zero(acc):
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                out[key] = add_maps(out[key], prod) if key in out else prod
         return WordOperator(self.n, self.r, out)
 
     def exp_nilpotent(self) -> "WordOperator":
@@ -248,7 +210,8 @@ class WordOperator:
     def __eq__(self, other):
         if not isinstance(other, WordOperator):
             return NotImplemented
-        return (self - other).is_zero()
+        # no zero value or empty map is stored, so equal operators have equal terms
+        return self.n == other.n and self.r == other.r and self.terms == other.terms
 
     def form_trace(self) -> DiffForm:
         """Trace over Lambda* (x) C^r of the word slots, keeping the form slot.
@@ -261,7 +224,7 @@ class WordOperator:
         for (f, c, h), m in self.terms.items():
             if c or h:
                 continue
-            val = weight * mat_trace(m)
+            val = weight * _trace(m)
             if not val.is_zero():
                 acc = out.get(f, Scalar()) + val
                 if acc.is_zero():
@@ -279,11 +242,9 @@ class WordOperator:
         for (_, c, h), m in self.terms.items():
             for s in range(1 << self.n):
                 sign, tgt = apply_word(c, h, s)
-                for a in range(r):
-                    for b in range(r):
-                        key = (tgt * r + a, s * r + b)
-                        v = m[a][b] if sign > 0 else -m[a][b]
-                        out[key] = out.get(key, _ZERO) + v
+                for (a, b), v in m.items():
+                    key = (tgt * r + a, s * r + b)
+                    out[key] = out.get(key, _ZERO) + (v if sign > 0 else -v)
         return FiberOp(self.n, r, out)
 
     def __repr__(self):
@@ -298,7 +259,7 @@ class WordOperator:
                 name.append("ch" + "".join(map(str, indices_of(h))))
             label = ".".join(name) or "1"
             if self.r == 1:
-                bits.append(f"({self.terms[(f,c,h)][0][0]})*{label}")
+                bits.append(f"({self.terms[(f,c,h)][0, 0]})*{label}")
             else:
                 bits.append(f"[{self.r}x{self.r}]*{label}")
         return " + ".join(bits) if bits else "0"
@@ -320,7 +281,7 @@ def star_weighted_trace(w: DiffForm, x: WordOperator) -> Scalar:
     for (f, c, h), m in x.terms.items():
         if f:
             raise ValueError("weighted traces require a form-free operator")
-        tr_e = mat_trace(m)
+        tr_e = _trace(m)
         if tr_e.is_zero():
             continue
         acc = 0

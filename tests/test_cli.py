@@ -297,7 +297,7 @@ def test_residue_spin7_end_to_end(tmp_path, capsys):
     cd = instanton_line_curvature(sp7, base=(1, 2), scale=1)
     rows = []
     for (i, j), m in cd.f_entries.items():
-        z = m[0][0].evalf()
+        z = m[0, 0].evalf()
         rows.append([i, j, [[[z.real, z.imag]]]])
     path = os.fspath(tmp_path / "sp7.json")
     _write(path, {"n": 8, "rank": 1, "F": rows})

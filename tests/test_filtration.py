@@ -154,10 +154,10 @@ def test_expansion_of_a_word_operator_recovers_its_terms():
     rnd = random.Random(21)
     for n in (5, 7):
         x = WordOperator(n, 1, {
-            (0, cm, hm): ((Scalar.of(v),),) for (cm, hm), v in _random_sparse(n, 5, rnd).items()
+            (0, cm, hm): {(0, 0): Scalar.of(v)} for (cm, hm), v in _random_sparse(n, 5, rnd).items()
         })
         got = expand_clifford_basis(x.to_fiber_op()).coefficients
-        assert got == {(cm, hm): m[0][0] for (_, cm, hm), m in x.terms.items()}
+        assert got == {(cm, hm): m[0, 0] for (_, cm, hm), m in x.terms.items()}
 
 
 @pytest.mark.parametrize("case", [
@@ -371,8 +371,8 @@ def test_low_degree_operators_are_traceless_against_weight(g2):
             for b in rnd.sample(range(7), rnd.randint(0, 3)):
                 cmask |= 1 << b
             hmask = rnd.randrange(128)
-            terms[(0, cmask, hmask)] = ((Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)),),)
-        m = WordOperator(7, 1, {k: tuple(tuple(map(_sc, r)) for r in v) for k, v in terms.items()})
+            terms[(0, cmask, hmask)] = {(0, 0): Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))}
+        m = WordOperator(7, 1, {k: {ab: _sc(x) for ab, x in v.items()} for k, v in terms.items()})
         if m.is_zero() or max(popcount(c) for _, c, _ in m.terms) >= 4:
             continue
         assert Scalar.of(FiberOp.trace_product(cdvol_w, m.to_fiber_op())).is_zero()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specasym.exact import Scalar
-from specasym.exterior import DiffForm, mask_of
+from specasym.exterior import DiffForm, mask_of, sparse_product
 from specasym.heat import (
     TRACE_NORMALISATION,
     calibration_constant,
@@ -45,7 +45,7 @@ from specasym.residue import (
     random_curvature,
     residue_density,
 )
-from specasym.wordops import WordOperator, mat_add, mat_eye, mat_scale, mat_zero
+from specasym.wordops import WordOperator, add_maps, eye
 
 
 # ----------------------------------------------------------------------
@@ -75,24 +75,25 @@ def test_riemann_indices_out_of_range_rejected():
 
 
 def test_bundle_curvature_must_be_skew_hermitian():
-    good = ((Scalar.i(),),)
+    good = {(0, 0): Scalar.i()}
     CurvatureData(7, 1, {}, {(1, 2): good})
     with pytest.raises(CurvatureError):
-        CurvatureData(7, 1, {}, {(1, 2): ((Scalar.of(1),),)})
+        CurvatureData(7, 1, {}, {(1, 2): {(0, 0): Scalar.of(1)}})
     z, a, b = Scalar(), Scalar.term(1, 2), Scalar.term(-1, 2)
-    cd = CurvatureData(7, 2, {}, {(1, 2): ((Scalar.i(3), a), (b, z))})
+    cd = CurvatureData(7, 2, {}, {(1, 2): {(0, 0): Scalar.i(3), (0, 1): a, (1, 0): b, (1, 1): z}})
     assert cd.f_planes == {mask_of((1, 2)): ([0, 1, -1, 0], [3, 2, 2, 0])}
-    for bad in (((z, a), (a, z)), ((z, b), (b, z)), ((z, a), (-a, z))):
+    for bad in ({(0, 1): a, (1, 0): a}, {(0, 1): b, (1, 0): b}, {(0, 1): a, (1, 0): -a},
+                {(0, 1): a}):
         with pytest.raises(CurvatureError, match="not skew-Hermitian"):
             CurvatureData(7, 2, {}, {(1, 2): bad})
     with pytest.raises(CurvatureError, match="Gaussian rationals"):
-        CurvatureData(7, 1, {}, {(1, 2): ((Scalar.term(0, 1, pi_half=-2),),)})
+        CurvatureData(7, 1, {}, {(1, 2): {(0, 0): Scalar.term(0, 1, pi_half=-2)}})
 
 
 def test_bundle_planes_share_one_denominator():
-    cd = CurvatureData(7, 1, {}, {(1, 2): ((Scalar.i(Fraction(1, 2)),),),
-                                  (3, 4): ((Scalar.i(Fraction(2, 3)),),),
-                                  (5, 6): ((Scalar(),),)})
+    cd = CurvatureData(7, 1, {}, {(1, 2): {(0, 0): Scalar.i(Fraction(1, 2))},
+                                  (3, 4): {(0, 0): Scalar.i(Fraction(2, 3))},
+                                  (5, 6): {(0, 0): Scalar()}})
     assert cd.f_den == 6
     assert cd.f_planes == {mask_of((1, 2)): ([0], [3]), mask_of((3, 4)): ([0], [4])}
     assert set(cd.f_entries) == {(1, 2), (3, 4)}
@@ -130,7 +131,7 @@ def _potential_scan(cd):
                         continue
                     key = (mask_of((i, j)), 0, mask_of((min(k, l), max(k, l))))
                     coeff = 2 * Fraction(-1, 4) * v * (1 if l < k else -1)
-                    terms[key] = mat_add(terms.get(key, mat_zero(r)), mat_scale(mat_eye(r), coeff))
+                    terms[key] = add_maps(terms.get(key, {}), eye(r, coeff))
     op = WordOperator(n, r, terms)
     if cd.has_bundle_curvature():
         op = op + cd.fhat_word().scale(Fraction(-1, 2))
@@ -150,11 +151,8 @@ def _bundle_two_forms(cd):
     """The curvature as an r x r matrix of 2-forms with Scalar entries."""
     out = {}
     for (i, j), m in cd.f_entries.items():
-        for a in range(cd.r):
-            for b in range(cd.r):
-                if not m[a][b].is_zero():
-                    out[(a, b)] = out.get((a, b), DiffForm.zero(cd.n)) + DiffForm(
-                        cd.n, {mask_of((i, j)): m[a][b]})
+        for ab, v in m.items():
+            out[ab] = out.get(ab, DiffForm.zero(cd.n)) + DiffForm(cd.n, {mask_of((i, j)): v})
     return out
 
 
@@ -229,7 +227,7 @@ def test_stored_entry_builders_match_index_scan(n, r, bianchi):
         # a pair with itself, (i, j) = (k, l), and entries given off-canonical
         cd = CurvatureData(7, 1, {
             (1, 2, 1, 2): Fraction(3), (2, 5, 1, 3): Fraction(-1, 2), (6, 4, 7, 3): 2,
-        }, {(1, 2): ((Scalar.i(),),)})
+        }, {(1, 2): {(0, 0): Scalar.i()}})
     else:
         cd = random_curvature(n, r, seed=10 * n + r, bianchi=bianchi)
     assert cd.r_entries
@@ -242,15 +240,16 @@ def test_stored_entry_builders_match_index_scan(n, r, bianchi):
 
 
 def _hermitian(rnd, r):
+    """A random Hermitian H as a bundle map; zero entries are kept."""
     def q():
         return Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
 
-    h = [[Scalar() for _ in range(r)] for _ in range(r)]
+    h = {}
     for a in range(r):
-        h[a][a] = Scalar.of(q())
+        h[a, a] = Scalar.of(q())
         for b in range(a + 1, r):
             re, im = q(), q()
-            h[a][b], h[b][a] = Scalar.term(re, im), Scalar.term(re, -im)
+            h[a, b], h[b, a] = Scalar.term(re, im), Scalar.term(re, -im)
     return h
 
 
@@ -267,9 +266,7 @@ def _bundle_case(s, r, seed, instanton, riemann):
         h = _hermitian(rnd, r)
         for m, c in form.terms.items():
             key = ((m & -m).bit_length(), (m & (m - 1)).bit_length())
-            old = f.get(key, mat_zero(r))
-            f[key] = tuple(tuple(old[a][b] + Scalar.i() * h[a][b] * c for b in range(r))
-                           for a in range(r))
+            f[key] = add_maps(f.get(key, {}), {ab: Scalar.i() * v * c for ab, v in h.items()})
     r_entries = random_curvature(s.n, 1, seed=seed, with_bundle=False).r_entries if riemann else {}
     return CurvatureData(s.n, r, r_entries, f)
 
@@ -337,7 +334,7 @@ def test_non_real_characteristic_coefficient_is_rejected():
     not skew-Hermitian (the constructor refuses them) give non-real c1, c2,
     so the sum builder runs on such planes directly."""
     m12, m34 = mask_of((1, 2)), mask_of((3, 4))
-    cd = CurvatureData(7, 1, {}, {(1, 2): ((Scalar.i(),),), (3, 4): ((Scalar.i(2),),)})
+    cd = CurvatureData(7, 1, {}, {(1, 2): {(0, 0): Scalar.i()}, (3, 4): {(0, 0): Scalar.i(2)}})
     planes = {m12: ([0], [1]), m34: ([0], [2])}
     assert cd.f_planes == planes
     assert _chern(1, 1, planes) == (cd.pi_c1, cd.pi2_c2, cd.pi2_bundle)
@@ -543,7 +540,7 @@ def test_exponential_terminates():
 def test_wick_ou_drift():
     lam = Fraction(3, 2)
     drift = [[WordOperator.identity(1, 1).scale(lam)]]
-    k = wick_kernel(1, 1, None, drift, None, order=2)
+    k = wick_kernel(1, 1, None, drift, None)
     rel = k.form_trace().terms[0] / (gaussian_prefactor(1) * 2)
     assert rel.t_coefficient(0) == Scalar.of(1)
     assert rel.t_coefficient(1) == Scalar.of(lam / 2)
@@ -556,7 +553,7 @@ def test_wick_ou_drift_with_constant():
     lam, c = Fraction(3, 2), Fraction(5, 7)
     drift = [[WordOperator.identity(1, 1).scale(lam)]]
     const = WordOperator.identity(1, 1).scale(c)
-    k = wick_kernel(1, 1, const, drift, None, order=2)
+    k = wick_kernel(1, 1, const, drift, None)
     rel = k.form_trace().terms[0] / (gaussian_prefactor(1) * 2)
     assert rel.t_coefficient(1) == Scalar.of(lam / 2 - c)
     assert rel.t_coefficient(2) == Scalar.of(lam * lam / 24 + c * c / 2 - c * lam / 2)
@@ -570,19 +567,12 @@ def test_wick_rotation_drift():
     tr_quad = WordOperator.identity(2, 1).scale(
         Fraction(-1, 4) * sum(rho[i][j] ** 2 for i in range(2) for j in range(2))
     )
-    k = wick_kernel(2, 1, None, drift, tr_quad, order=2)
+    k = wick_kernel(2, 1, None, drift, tr_quad)
     rel = k.form_trace().terms[0] / (gaussian_prefactor(2) * 4)
     # closed form bt/sin(bt): 1 + (bt)^2/6 + O(t^4)
     assert rel.t_coefficient(0) == Scalar.of(1)
     assert rel.t_coefficient(1).is_zero()
     assert rel.t_coefficient(2) == Scalar.of(b * b / 6)
-
-
-def test_wick_order_gate():
-    with pytest.raises(ValueError):
-        wick_kernel(1, 1, None, None, None, order=3)
-    with pytest.raises(ValueError):
-        duhamel_kernel(random_curvature(7, 1, seed=0), order=3)
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +590,7 @@ def test_duhamel_flat_leading_term(g2):
 
 def test_duhamel_pure_constant_matches_exponential(g2):
     cd = random_curvature(7, 1, seed=6, with_riemann=False)
-    lhs = duhamel_kernel(cd, order=2)
+    lhs = duhamel_kernel(cd)
     # constant perturbations commute with the flat kernel: the Duhamel sum
     # is the exponential series, exact through t^2
     expo = curvature_exponential(cd)
@@ -609,8 +599,8 @@ def test_duhamel_pure_constant_matches_exponential(g2):
         for key in set(lhs.terms) | set(expo.terms):
             a = lhs.terms.get(key)
             b = expo.terms.get(key)
-            va = a[0][0].t_coefficient(p) if a else Scalar()
-            vb = (b[0][0] * pref).t_coefficient(p) if b else Scalar()
+            va = a[0, 0].t_coefficient(p) if a else Scalar()
+            vb = (b[0, 0] * pref).t_coefficient(p) if b else Scalar()
             assert va == vb, (key, p)
 
 
@@ -679,11 +669,7 @@ def test_trace_path_equals_full_duhamel_kernel(g2, spin7, kind, case):
     itself."""
     s = g2 if kind == "g2" else spin7
     cd = _calibration_curvature(s) if case == "calibration" else _DEGREE4_INPUTS[case](s.n)
-    for order in (0, 1, 2):
-        kernel = duhamel_kernel(cd, order)
-        assert duhamel_density(s, cd, order) == density_from_kernel(s, kernel)
-    with pytest.raises(ValueError):
-        duhamel_density(s, cd, order=3)
+    assert duhamel_density(s, cd) == density_from_kernel(s, duhamel_kernel(cd))
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -732,7 +718,7 @@ def test_calibrated_mehler_is_the_derived_chern_weil_sum(g2, spin7, kind, r, rie
         # two planes whose wedge pairs with w, so the bundle sector shows
         rnd = random.Random(60 + r)
         for key in _calibration_curvature(s).f_entries:
-            f[key] = tuple(tuple(Scalar.i() * x for x in row) for row in _hermitian(rnd, r))
+            f[key] = {ab: Scalar.i() * v for ab, v in _hermitian(rnd, r).items()}
     cd = CurvatureData(s.n, r, rand.r_entries if riemann else {}, f)
     c1, c2 = chern_forms(cd)
     form = pontryagin_p1(cd).scale(Fraction(11 * r, 3)) + c1.wedge(c1) - c2.scale(2)
@@ -774,9 +760,8 @@ def test_paired_densities_equal_the_form_level_routes(g2, spin7, kind, case):
         (mehler_diag_trace(s, cd), density_from_kernel(s, mehler_kernel(cd))),
         (residue_density(s, cd).top_coefficient(),
          s.defining_form.top_pairing(characteristic_density_form(cd))),
+        (duhamel_density(s, cd), density_from_kernel(s, duhamel_kernel(cd))),
     ]
-    pairs += [(duhamel_density(s, cd, k), density_from_kernel(s, duhamel_kernel(cd, k)))
-              for k in (0, 1, 2)]
     for got, want in pairs:
         assert got == want and repr(got) == repr(want)
     assert mehler_diag_trace(s, cd).is_zero() == (case == "zero")
@@ -874,11 +859,9 @@ def test_scaled_copy_does_not_share_the_chern_weil_cache(kind):
 def test_bundle_scaling_quadratic(g2):
     # scaling F alone multiplies the bundle part of the residue
     # coefficient by lambda^2 (rank 1)
-    from specasym.wordops import mat_scale
-
     cd = random_curvature(7, 1, seed=12, with_riemann=False)
     lam = Fraction(4)
-    scaled = CurvatureData(7, 1, {}, {k: mat_scale(m, lam) for k, m in cd.f_entries.items()})
+    scaled = CurvatureData(7, 1, {}, {k: {(0, 0): m[0, 0] * lam} for k, m in cd.f_entries.items()})
     p = Fraction(-3, 2)
     assert mehler_diag_trace(g2, scaled).t_coefficient(p) == mehler_diag_trace(
         g2, cd
@@ -887,15 +870,15 @@ def test_bundle_scaling_quadratic(g2):
 
 def test_gauge_covariance(g2):
     cd = random_curvature(7, 2, seed=10, with_riemann=False)
-    u = ((Scalar.of(Fraction(3, 5)), Scalar.of(Fraction(4, 5))),
-         (Scalar.of(Fraction(-4, 5)), Scalar.of(Fraction(3, 5))))
-    from specasym.wordops import mat_conj_t, mat_mul
+    u = {(0, 0): Scalar.of(Fraction(3, 5)), (0, 1): Scalar.of(Fraction(4, 5)),
+         (1, 0): Scalar.of(Fraction(-4, 5)), (1, 1): Scalar.of(Fraction(3, 5))}
+    u_t = {(b, a): v for (a, b), v in u.items()}  # u is real
 
     conj = CurvatureData(
         cd.n,
         cd.r,
         dict(cd.r_entries),
-        {k: mat_mul(mat_conj_t(u), mat_mul(m, u)) for k, m in cd.f_entries.items()},
+        {k: sparse_product(u_t, sparse_product(m, u)) for k, m in cd.f_entries.items()},
     )
     assert model_traces(cd) == model_traces(conj)
     assert duhamel_kernel(cd).form_trace() == duhamel_kernel(conj).form_trace()

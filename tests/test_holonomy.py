@@ -141,7 +141,7 @@ def test_instanton_check_seven_part(g2):
     for m, c in iv.terms.items():
         lo = (m & -m).bit_length()
         hi = (m & (m - 1)).bit_length()
-        f_entries[(lo, hi)] = ((Scalar.i() * Scalar.of(c),),)
+        f_entries[(lo, hi)] = {(0, 0): Scalar.i() * Scalar.of(c)}
     rep = instanton_check(g2, CurvatureData(7, 1, {}, f_entries))
     assert not rep.ok and rep.max_component > 0.5
 
@@ -149,7 +149,7 @@ def test_instanton_check_seven_part(g2):
 def test_instanton_check_seven_part_past_the_float_range_reads_inf(g2):
     """A 7-part past the float range gives an infinite max_component, not
     an OverflowError; ok and exact_zero are decided on the integers."""
-    cd = CurvatureData(7, 1, {}, {(1, 2): ((Scalar.i(10 ** 400),),)})
+    cd = CurvatureData(7, 1, {}, {(1, 2): {(0, 0): Scalar.i(10 ** 400)}})
     rep = instanton_check(g2, cd)
     assert not rep.ok and not rep.exact_zero
     assert rep.max_component == float("inf")

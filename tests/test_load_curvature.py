@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from specasym.cli import load_curvature, main
 from specasym.exact import Scalar
 from specasym.residue import CurvatureData
-from specasym.wordops import mat_is_zero
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,13 +32,15 @@ def _bench_gen():
 
 
 def _scalar_matrix(values):
-    """r x r Scalar matrix from an r x r list of (re, im) rationals."""
-    return tuple(tuple(Scalar.term(re, im) for re, im in row) for row in values)
+    """Bundle map of the nonzero entries of an r x r list of (re, im)
+    rationals."""
+    return {(a, b): x for a, row in enumerate(values) for b, (re, im) in enumerate(row)
+            if (x := Scalar.term(re, im))}
 
 
 def _assert_same_curvature(loaded: CurvatureData, r_entries, f_values):
-    """``loaded`` against CurvatureData built from Scalar matrices, and its
-    derived ``f_entries`` against those matrices themselves."""
+    """``loaded`` against CurvatureData built from Scalar bundle maps, and
+    its derived ``f_entries`` against those maps themselves."""
     mats = {key: _scalar_matrix(v) for key, v in f_values.items()}
     want = CurvatureData(loaded.n, loaded.r, r_entries, mats)
     assert loaded == want
@@ -48,7 +49,7 @@ def _assert_same_curvature(loaded: CurvatureData, r_entries, f_values):
     assert loaded.r_rows == want.r_rows
     for name in ("pi2_p1", "pi_c1", "pi2_c2", "pi2_bundle"):
         assert getattr(loaded, name) == getattr(want, name), name
-    assert loaded.f_entries == {k: m for k, m in mats.items() if not mat_is_zero(m)}
+    assert loaded.f_entries == {k: m for k, m in mats.items() if m}
     assert loaded.f_entries == want.f_entries
 
 

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from specasym.exterior import DiffForm
 from specasym.holonomy import decompose_two_form
 from specasym.residue import (
     CurvatureData,
+    CurvatureError,
     chern_forms,
     characteristic_density_form,
     full_residue_report,
@@ -68,7 +71,7 @@ def test_chern_rank_one_line():
     entries = {}
     for m, c in alpha.terms.items():
         lo, hi = (m & -m).bit_length(), (m & (m - 1)).bit_length()
-        entries[(lo, hi)] = ((Scalar.term(0, -f * c),),)
+        entries[(lo, hi)] = {(0, 0): Scalar.term(0, -f * c)}
     cd = CurvatureData(7, 1, {}, entries)
     c1, _ = chern_forms(cd)
     assert c1 == alpha.scale(Scalar.term(Fraction(f, 2), pi_half=-2))
@@ -175,7 +178,7 @@ def test_sign_report_refuses_non_instanton(g2):
     entries = {}
     for m, c in iv.terms.items():
         lo, hi = (m & -m).bit_length(), (m & (m - 1)).bit_length()
-        entries[(lo, hi)] = ((Scalar.i() * Scalar.of(c),),)
+        entries[(lo, hi)] = {(0, 0): Scalar.i() * Scalar.of(c)}
     rep = sign_report(g2, CurvatureData(7, 1, {}, entries))
     assert rep.sign is None
     assert rep.is_instanton is False
@@ -203,9 +206,42 @@ def test_report_floats_past_the_float_range_are_null(g2):
     out = rep.to_dict()
     assert out["integral"] == {"exact": str(big), "float": None}
     assert out["b_coefficient"]["float"] is None and out["residue"]["float"] is None
-    cd = CurvatureData(7, 1, {}, {(2, 3): ((Scalar.i(big),),), (4, 5): ((Scalar.i(big),),)})
+    cd = CurvatureData(7, 1, {}, {(2, 3): {(0, 0): Scalar.i(big)}, (4, 5): {(0, 0): Scalar.i(big)}})
     out = full_residue_report(g2, cd).to_dict()
     assert out["integral"]["float"] is None
     assert out["integral"]["exact"] == repr(full_residue_report(g2, cd).integral) != "0"
     # a nonreal value past the float range is None as well, not [inf, nan]
     assert residue_value(g2, True, Scalar.term(big, big)).to_dict()["integral"]["float"] is None
+
+
+_PINS = json.loads((Path(__file__).parent / "data" / "random_curvature_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", _PINS, ids=lambda p: f"n{p['n']}-r{p['r']}-seed{p['seed']}")
+def test_random_curvature_is_pinned(pin):
+    """The heat suite and the verify checks run on ``random_curvature``
+    data, so its draws are pinned: these are its planes and R values."""
+    cd = random_curvature(pin["n"], pin["r"], seed=pin["seed"])
+    assert cd.f_den == pin["f_den"]
+    assert cd.f_planes == {m: (re, im) for m, re, im in pin["f_planes"]}
+    assert list(cd.f_planes) == [m for m, _, _ in pin["f_planes"]]
+    assert cd.r_entries == {(i, j, k, l): Fraction(v) for i, j, k, l, v in pin["r_entries"]}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_f_entries_round_trip_and_store_no_zero(r):
+    """``f_entries`` is the format the constructor takes, with no zero
+    value and no empty map."""
+    for seed in range(4):
+        cd = random_curvature(7, r, seed=seed)
+        assert cd.f_entries
+        assert CurvatureData(cd.n, cd.r, cd.r_entries, cd.f_entries) == cd
+        assert all(m and all(m.values()) and set(m) <= {(a, b) for a in range(r) for b in range(r)}
+                   for m in cd.f_entries.values())
+        assert all(m and all(m.values()) for m in cd.fhat_word().terms.values())
+
+
+@pytest.mark.parametrize("key", [(0, 2), (2, 0), (-1, 0), (0, 5), (1.5, 0)])
+def test_bundle_map_key_outside_the_rank_is_rejected(key):
+    with pytest.raises(CurvatureError, match="^bundle curvature matrix has wrong rank$"):
+        CurvatureData(7, 2, {}, {(1, 2): {(0, 0): Scalar.i(), key: Scalar.i()}})

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from specasym.exact import Scalar
-from specasym.exterior import DiffForm, FiberOp, popcount
+from specasym.exterior import DiffForm, FiberOp, popcount, sparse_product
 from specasym.heat import model_constant_potential
 from specasym.residue import random_curvature
 from specasym.wordops import (
@@ -18,8 +18,27 @@ def _random_word_op(n, rnd, terms=3):
     out = {}
     for _ in range(terms):
         key = (0, rnd.randrange(1 << n), rnd.randrange(1 << n))
-        out[key] = ((Scalar.of(Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))),),)
+        out[key] = {(0, 0): Scalar.of(Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)))}
     return WordOperator(n, 1, out)
+
+
+# small values, so that entries of bundle products cancel now and then
+_BUNDLE_VALUES = (Scalar.of(1), Scalar.of(-1), Scalar.i(), Scalar.i(-1), Scalar.of(Fraction(1, 2)))
+
+
+def _random_bundle_op(n, r, rnd, masks, terms=3):
+    """Words drawn from ``masks``, so that products share keys, times
+    random sparse bundle maps with about 40 % of the entries absent."""
+    out = {}
+    for _ in range(terms):
+        key = (0, rnd.choice(masks), rnd.choice(masks))
+        out[key] = {(a, b): rnd.choice(_BUNDLE_VALUES)
+                    for a in range(r) for b in range(r) if rnd.random() < 0.6}
+    return WordOperator(n, r, out)
+
+
+def _stores_no_zero(x):
+    return all(m and all(m.values()) for m in x.terms.values())
 
 
 def test_word_mul_rules():
@@ -46,20 +65,60 @@ def test_word_mul_matches_generator_products(generator_words, square_sign):
 def test_algebra_associative_and_unital():
     rnd = random.Random(13)
     n = 5
-    ident = WordOperator.identity(n)
-    for _ in range(25):
-        a, b, c = (_random_word_op(n, rnd) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
-        assert a * ident == a and ident * a == a
+    for r in (1, 2, 3):
+        ident = WordOperator.identity(n, r)
+        for _ in range(25):
+            masks = [rnd.randrange(1 << n) for _ in range(3)]
+            a, b, c = (_random_bundle_op(n, r, rnd, masks) for _ in range(3))
+            assert (a * b) * c == a * (b * c)
+            assert a * ident == a and ident * a == a
+            assert a + b - b == a and (a - a).is_zero()
 
 
 def test_products_match_dense_matrices():
+    """Products and sums at ranks 1-3 against the FiberOp products of
+    their materialisations, including entries and terms that cancel."""
     rnd = random.Random(14)
     n = 5
-    for _ in range(10):
-        a, b = _random_word_op(n, rnd), _random_word_op(n, rnd)
-        dense = a.to_fiber_op() @ b.to_fiber_op()
-        assert (a * b).to_fiber_op() == dense
+    cancelled = 0
+    for r in (1, 2, 3):
+        for _ in range(10):
+            masks = [rnd.randrange(1 << n) for _ in range(2)]
+            a, b = _random_bundle_op(n, r, rnd, masks), _random_bundle_op(n, r, rnd, masks)
+            prod = a * b
+            assert prod.to_fiber_op() == a.to_fiber_op() @ b.to_fiber_op()
+            assert (a + b).to_fiber_op() == a.to_fiber_op() + b.to_fiber_op()
+            assert _stores_no_zero(prod) and _stores_no_zero(a + b)
+            # bundle products with an entry that cancels
+            cancelled += sum(
+                len(sparse_product(m1, m2)) < len({(i, j) for i, k in m1 for l, j in m2 if k == l})
+                for m1 in a.terms.values() for m2 in b.terms.values())
+    assert cancelled
+
+
+def test_products_drop_entries_and_terms_that_cancel():
+    n, r = 3, 2
+    x = WordOperator(n, r, {(0, 1, 0): {(0, 0): Scalar.of(1), (0, 1): Scalar.of(1)}})
+    y = WordOperator(n, r, {(0, 1, 0): {(0, 0): Scalar.of(1), (1, 0): Scalar.of(-1)}})
+    assert (x * y).terms == {}  # [[1, 1], [0, 0]] [[1, 0], [-1, 0]] = 0
+    # (c1 + chat1)^2 = -1 + 1 + (c1 chat1 + chat1 c1) = 0, term by term
+    z = WordOperator.from_word(n, 1, 0, r) + WordOperator.from_word(n, 0, 1, r)
+    assert (z * z).terms == {}
+    assert WordOperator(n, r, {(0, 1, 0): {(0, 1): Scalar()}, (0, 2, 0): {}}).terms == {}
+
+
+def test_equality_of_different_shapes_is_false():
+    """DiffForm, FiberOp and WordOperator compare unequal, without an
+    error, when the dimension or the bundle rank differs."""
+    assert WordOperator(7) != WordOperator(8)
+    assert WordOperator(7, 1) != WordOperator(7, 2)
+    assert WordOperator.identity(7, 1) != WordOperator.identity(7, 2)
+    assert WordOperator(7) == WordOperator(7)
+    assert DiffForm(7) != DiffForm(8)
+    assert DiffForm.one(7) != DiffForm.one(8)
+    assert FiberOp(7, 1, {}) != FiberOp(8, 1, {})
+    assert FiberOp(7, 1, {}) != FiberOp(7, 2, {})
+    assert FiberOp.identity(7) != FiberOp.identity(8)
 
 
 def test_weighted_traces_match_fiber_op_products(g2):
@@ -132,7 +191,7 @@ def test_bochner_term_top_symbol():
     model = model_constant_potential(cd)
     assert set(c2h2.terms) == set(model.terms)
     for key, m in c2h2.terms.items():
-        assert m[0][0] == model.terms[key][0][0] * Fraction(-1, 2)
+        assert m[0, 0] == model.terms[key][0, 0] * Fraction(-1, 2)
 
 
 def test_bochner_term_cyclic_defect_visible():

@@ -7,7 +7,10 @@ no submodule, and each name imports its module on first access.  So
 ``import specasym.heat`` or ``import specasym.cli`` pays only for the
 modules it uses, and numpy loads only with ``filtration``, ``verify`` or
 the flat-torus level counts.  ``FiberOp`` and the ``holonomy`` operators
-are sparse maps keyed by basis masks and need no numpy.
+are sparse maps keyed by basis masks and need no numpy; ``FiberOp`` is
+only the exterior product and its adjoint, which the algebra suite and
+the word expansion of ``filtration`` read.  Clifford words act through
+the closed forms ``exterior.apply_word`` and ``wordops.word_mul``.
 """
 
 from importlib import import_module
@@ -19,14 +22,11 @@ _EXPORTS = {
     "exterior": (
         "DiffForm",
         "FiberOp",
-        "MultiIndex",
         "parse_form",
     ),
     "filtration": (
         "CliffordWordExpansion",
-        "clifford_degrees",
         "expand_clifford_basis",
-        "word_trace",
     ),
     "heat": (
         "curvature_exponential",

@@ -9,14 +9,13 @@ mask * r + bundle index.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, Tuple
 
 from .exact import Scalar
 
-# the zero every FiberOp entry is summed from
+# the zero every FiberOp.ext_op entry is summed from
 _ZERO = Fraction(0)
 
 # ----------------------------------------------------------------------
@@ -71,35 +70,6 @@ def hodge_sign(mask: int, n: int) -> int:
     """Sign in *(e^I) = sign * e^{I^c} with orientation e^{1..n}."""
     full = (1 << n) - 1
     return merge_sign(mask, full & ~mask)
-
-
-# ----------------------------------------------------------------------
-# multi-indices
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Strictly increasing index subset of {1..n}."""
-
-    indices: Tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError(f"indices must be strictly increasing: {self.indices}")
-        if self.indices and (self.indices[0] < 1 or self.indices[-1] > self.n):
-            raise ValueError(f"indices out of range 1..{self.n}: {self.indices}")
-
-    @property
-    def mask(self) -> int:
-        return mask_of(self.indices)
-
-    def complement(self) -> "MultiIndex":
-        full = (1 << self.n) - 1
-        return MultiIndex(indices_of(full & ~self.mask), self.n)
-
-    def __len__(self):
-        return len(self.indices)
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +374,9 @@ def star_ext_entries(
     *, the sign of apply_word(full, 0, U) for c(dvol).  The target U^c and
     the source S fix K, so each entry comes from one term of w.  The
     structure build, the weighted traces and the bridge check all read
-    their signs here; the ``FiberOp`` products are the oracle.
+    their signs here; the tests hold both tables to products of
+    ``DiffForm.hodge``, ``DiffForm.wedge`` and generator maps built from
+    ``DiffForm.wedge`` and ``DiffForm.interior``.
     """
     full = (1 << w.n) - 1
     out: Dict[Tuple[int, int], object] = {}
@@ -443,14 +415,12 @@ class FiberOp:
 
     ``entries`` maps (row, col) to a nonzero coefficient, where an index
     is basis mask * r + bundle index; at r = 1 the keys are those of
-    ``star_ext_entries``.  The constructors read their signs only from
-    ``merge_sign`` and ``hodge_sign``, and ``cliff_op`` and
-    ``cliff_hat_op`` build each generator from ``ext_op`` and its
-    adjoint, so products of them are an oracle for ``apply_word`` and
-    the sign tables.  The constructors and ``+`` sum
-    entries from ``Fraction(0)``, so an integer coefficient gives a
-    Fraction entry; ``@`` is ``sparse_product``, which keeps the type of
-    its factors.
+    ``star_ext_entries``.  Only the exterior product ``ext_op``, its
+    ``adjoint`` and ``==`` are defined: the algebra suite checks that the
+    adjoint of e(e^i) is ``DiffForm.interior``, and the word expansion of
+    ``filtration`` reads and returns these maps.  ``ext_op`` sums each
+    entry from ``Fraction(0)``, so an integer coefficient gives a Fraction
+    entry.
     """
 
     __slots__ = ("n", "r", "entries")
@@ -466,88 +436,19 @@ class FiberOp:
             if v:
                 self.entries[(i, j)] = v
 
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def identity(n: int, r: int = 1) -> "FiberOp":
-        return FiberOp(n, r, {(i, i): Fraction(1) for i in range((1 << n) * r)})
-
-    @staticmethod
-    def _scatter(n: int, r: int, entries) -> "FiberOp":
-        """entries: iterable of (mask_out, mask_in, coeff) tensored with Id_r."""
-        out: Dict[Tuple[int, int], object] = {}
-        for mo, mi, c in entries:
-            for a in range(r):
-                key = (mo * r + a, mi * r + a)
-                out[key] = out.get(key, _ZERO) + c
-        return FiberOp(n, r, out)
-
     @staticmethod
     def ext_op(w: DiffForm, r: int = 1) -> "FiberOp":
         """Left exterior multiplication by w, tensored with Id on C^r."""
-        entries = []
+        out: Dict[Tuple[int, int], object] = {}
         for k_mask, c in w.terms.items():
             for s in range(1 << w.n):
                 if s & k_mask:
                     continue
-                sign = merge_sign(k_mask, s)
-                entries.append((k_mask | s, s, c if sign > 0 else -c))
-        return FiberOp._scatter(w.n, r, entries)
-
-    @staticmethod
-    def cliff_op(w: DiffForm, r: int = 1) -> "FiberOp":
-        """c(w) = e(w) - e*(w) for a 1-form w."""
-        if w.degree() != 1:
-            raise ValueError("cliff_op requires a homogeneous 1-form")
-        e = FiberOp.ext_op(w, r)
-        return e - e.adjoint()
-
-    @staticmethod
-    def cliff_hat_op(w: DiffForm, r: int = 1) -> "FiberOp":
-        """c-hat(w) = e(w) + e*(w) for a 1-form w."""
-        if w.degree() != 1:
-            raise ValueError("cliff_hat_op requires a homogeneous 1-form")
-        e = FiberOp.ext_op(w, r)
-        return e + e.adjoint()
-
-    @staticmethod
-    def star_op(n: int, r: int = 1) -> "FiberOp":
-        entries = []
-        full = (1 << n) - 1
-        for s in range(1 << n):
-            entries.append((full & ~s, s, Fraction(hodge_sign(s, n))))
-        return FiberOp._scatter(n, r, entries)
-
-    # -- algebra -----------------------------------------------------------
-
-    def _check(self, other: "FiberOp"):
-        if self.n != other.n or self.r != other.r:
-            raise ValueError("fiber operator shape mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, _ZERO) + v
-        return FiberOp(self.n, self.r, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FiberOp(self.n, self.r, {k: -v for k, v in self.entries.items()})
-
-    def scale(self, a):
-        return FiberOp(self.n, self.r, {k: v * a for k, v in self.entries.items()})
-
-    def __mul__(self, a):
-        return self.scale(a)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "FiberOp") -> "FiberOp":
-        self._check(other)
-        return FiberOp(self.n, self.r, sparse_product(self.entries, other.entries))
+                # distinct terms of w send s to distinct targets k | s
+                v = _ZERO + (c if merge_sign(k_mask, s) > 0 else -c)
+                for a in range(r):
+                    out[((k_mask | s) * r + a, s * r + a)] = v
+        return FiberOp(w.n, r, out)
 
     def adjoint(self) -> "FiberOp":
         return FiberOp(self.n, self.r, {
@@ -555,35 +456,7 @@ class FiberOp:
             for (i, j), v in self.entries.items()
         })
 
-    def trace(self):
-        return sum((v for (i, j), v in self.entries.items() if i == j), _ZERO)
-
-    @staticmethod
-    def trace_product(a: "FiberOp", b: "FiberOp"):
-        """tr(a @ b) without forming the product."""
-        a._check(b)
-        theirs = b.entries
-        return sum(
-            (v * theirs[(j, i)] for (i, j), v in a.entries.items() if (j, i) in theirs),
-            _ZERO,
-        )
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other):
         if not isinstance(other, FiberOp):
             return NotImplemented
         return self.n == other.n and self.r == other.r and self.entries == other.entries
-
-    def apply_to_form(self, w: DiffForm) -> DiffForm:
-        """Apply to a form (r = 1 only)."""
-        if self.r != 1:
-            raise ValueError("apply_to_form requires bundle rank 1")
-        out: Dict[int, object] = {}
-        for (row, col), v in self.entries.items():
-            c = w.terms.get(col)
-            if c is not None:
-                out[row] = out.get(row, 0) + v * c
-        return DiffForm(self.n, out)
-

@@ -1,4 +1,4 @@
-"""Clifford word-basis expansion, trace identities and Clifford degrees.
+"""Clifford word-basis expansion and trace identities.
 
 Every c(omega^I) c-hat(omega^J) word acts on the subset basis as a signed
 permutation e^S -> +-e^{S ^ I ^ J}, so the whole 4^n word family is
@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .exact import Scalar, lift_planes, numerator_planes
-from .exterior import FiberOp, mask_of, popcount
+from .exterior import FiberOp, popcount
 
 
 _BLOCK = 1 << 14  # table entries gathered per numpy round
@@ -59,15 +59,6 @@ def _word_signs(n: int, cms, hms, s):
     numpy gathers faster than a pair of index arrays."""
     c, h = word_tables(n, False), word_tables(n, True)
     return c.take((cms << n) | (s ^ hms)) * h.take((hms << n) | s)
-
-
-def word_trace(n: int, cmask_or_indices, hmask_or_indices) -> int:
-    """Trace of c(omega^I) c-hat(omega^J) over Lambda*(R^n)."""
-    cm, hm = (x if isinstance(x, int) else mask_of(x)
-              for x in (cmask_or_indices, hmask_or_indices))
-    if cm != hm:
-        return 0  # e^S -> +-e^{S ^ I ^ J} has no fixed point
-    return int(_word_signs(n, cm, hm, np.arange(1 << n)).sum(dtype=np.int64))
 
 
 def trace_identity_sweep(n: int, pairs: Optional[Iterable[Tuple[int, int]]] = None):
@@ -120,12 +111,6 @@ class CliffordWordExpansion:
         """The operator sum phi_{IJ} c(omega^I) c-hat(omega^J), exactly:
         M = K phi (``_word_scatter``)."""
         return FiberOp(self.n, 1, _word_scatter(self.n, self.coefficients, False, 1))
-
-    def upper_degree(self) -> int:
-        return max(popcount(cm) for (cm, _) in self.coefficients)
-
-    def lower_degree(self) -> int:
-        return min(popcount(cm) for (cm, _) in self.coefficients)
 
 
 def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
@@ -197,14 +182,6 @@ def _accumulator(size: int, nums) -> np.ndarray:
     int64 when max|num| * len(nums) < 2^62, Python ints otherwise."""
     bound = max(map(abs, nums), default=0) * len(nums)
     return np.zeros(size, dtype=np.int64 if bound < 1 << 62 else object)
-
-
-def clifford_degrees(m: FiberOp) -> Tuple[int, int]:
-    """(lower, upper) Clifford degree of a nonzero rank-1 operator."""
-    exp = expand_clifford_basis(m)
-    if not exp.coefficients:
-        raise ValueError("zero operator has no Clifford degree")
-    return exp.lower_degree(), exp.upper_degree()
 
 
 def gram_orthogonality_check(n: int, sample: int = 400, seed: int = 0):

@@ -51,9 +51,9 @@ still measures target / route on that family, and the heat suite checks
 that it reads -2, so a wrong model trace fails a check.
 
 ``landau_kernel`` runs the same Wick engine on the *untruncated* flat
-operator with constant bundle curvature; it only feeds
-``model_reduction_ratio``, the reported (not asserted) untruncated /
-model ratios 1/16 (G2) and 1/32 (Spin(7)).
+operator with constant bundle curvature; it feeds
+``model_reduction_ratio``, the untruncated / model ratios 1/16 (G2) and
+1/32 (Spin(7)), which the heat suite checks against 2^(3-n).
 """
 
 from __future__ import annotations
@@ -527,8 +527,8 @@ def true_operator_density(s, cd: CurvatureData) -> Scalar:
 
 def model_reduction_ratio(s) -> Scalar:
     """Residue-order ratio between the untruncated-operator density and the
-    calibrated model pipeline on the calibration family (reported, not
-    asserted)."""
+    calibrated model pipeline on the calibration family: 2^(3-n), which
+    the heat suite checks."""
     cd0 = _calibration_curvature(s)
     deg = s.degree
     power = Fraction(-deg, 2)

@@ -2,15 +2,17 @@
 
 Elements are finite sums of terms ``form-monomial * c-word * chat-word``
 with bundle maps as coefficients: an r x r matrix as a sparse
-``{(row, col): nonzero Scalar}`` map (``Mat``), the format of ``FiberOp``
-entries.  Bundle products are ``exterior.sparse_product``, sums are
-``add_maps``, and no zero value or empty map is stored.  The commuting
-form slot carries the even-degree differential-form bookkeeping of the
-heat kernel pipelines; the two word slots carry the Clifford content.
-Words are bitmasks; c-generators square to -1, c-hat generators to +1,
-and the two families anticommute.  Every word sign is a closed form over
-``merge_sign``: ``word_mul`` for a product of words, ``apply_word`` for
-a word acting on a basis form.
+``{(row, col): nonzero Scalar}`` map (``Mat``), the format of
+``star_ext_entries``.  Bundle products are ``exterior.sparse_product``,
+sums are ``add_maps``, and no zero value or empty map is stored.  The
+commuting form slot carries the even-degree differential-form
+bookkeeping of the heat kernel pipelines; the two word slots carry the
+Clifford content.  Words are bitmasks; c-generators square to -1, c-hat
+generators to +1, and the two families anticommute.  Every word sign is
+a closed form over ``merge_sign``: ``word_mul`` for a product of words,
+``apply_word`` for a word acting on a basis form.  The tests hold both
+to products of generator maps built from ``DiffForm.wedge`` and
+``DiffForm.interior``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from typing import Dict, Tuple
 
 from .exact import Scalar
 from .exterior import (
-    _ZERO,
     DiffForm,
-    FiberOp,
     apply_word,
     indices_of,
     merge_sign,
@@ -232,20 +232,6 @@ class WordOperator:
                 else:
                     out[f] = acc
         return DiffForm(self.n, out)
-
-    def to_fiber_op(self) -> FiberOp:
-        """Materialise as a fiber operator (form slot must be empty)."""
-        if any(f for (f, _, _) in self.terms):
-            raise ValueError("cannot materialise an operator with form content")
-        r = self.r
-        out: Dict[Tuple[int, int], object] = {}
-        for (_, c, h), m in self.terms.items():
-            for s in range(1 << self.n):
-                sign, tgt = apply_word(c, h, s)
-                for (a, b), v in m.items():
-                    key = (tgt * r + a, s * r + b)
-                    out[key] = out.get(key, _ZERO) + (v if sign > 0 else -v)
-        return FiberOp(self.n, r, out)
 
     def __repr__(self):
         bits = []

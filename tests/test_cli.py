@@ -468,11 +468,12 @@ _STARTUP_RESIDUE = {"n": 7, "rank": 1, "R": [[1, 2, 3, 4, "1/2"], [1, 3, 2, 5, -
     "from specasym.cli import main\n"
     "assert main(['decompose', '--kind', 'spin7', '--form', '3 e12 - e78']) == 0",
     "import sys\n"
-    "from specasym.exterior import DiffForm, FiberOp\n"
-    "from specasym.wordops import WordOperator\n"
+    "from specasym.exterior import DiffForm, FiberOp, apply_word\n"
     "e1 = FiberOp.ext_op(DiffForm.monomial(7, (1,)), 2)\n"
-    "c1 = WordOperator.from_word(7, 1, 0, r=2).to_fiber_op()\n"
-    "assert e1 - e1.adjoint() == c1 and (c1 @ c1).trace() == -256",
+    "adj = e1.adjoint().entries\n"
+    "c1 = {k: e1.entries.get(k, 0) - adj.get(k, 0) for k in e1.entries.keys() | adj.keys()}\n"
+    "words = [apply_word(1, 0, s) for s in range(128)]\n"
+    "assert c1 == {(t * 2 + a, s * 2 + a): sign for s, (sign, t) in enumerate(words) for a in (0, 1)}",
     "import sys\n"
     "from specasym.exterior import sparse_product\n"
     "from specasym.holonomy import projections, standard_structure, star_ext_on_two_forms\n"
@@ -485,8 +486,9 @@ _STARTUP_RESIDUE = {"n": 7, "rank": 1, "R": [[1, 2, 3, 4, "1/2"], [1, 3, 2, 5, -
 ], ids=["import-specasym", "import-cli", "setup-probe", "residue-oracle", "decompose", "fiber-op",
         "holonomy-oracle"])
 def test_startup_path_does_not_load_numpy(tmp_path, code):
-    """Building structures, residues, decompositions, fiber operators and
-    the holonomy oracle runs on sparse maps; numpy loads only with verify,
+    """Building structures, residues, decompositions, the exterior product
+    and its adjoint, Clifford word signs and the holonomy oracle runs on
+    sparse maps; numpy loads only with verify,
     filtration and the torus level counts, so these calls do not pay for
     it."""
     path = os.fspath(tmp_path / "curvature.json")

@@ -10,7 +10,6 @@ from specasym.exact import Scalar
 from specasym.exterior import (
     DiffForm,
     FiberOp,
-    MultiIndex,
     apply_word,
     indices_of,
     merge_sign,
@@ -71,44 +70,53 @@ def test_hodge_involution_all_degrees():
             assert f.hodge().hodge() == f.scale((-1) ** (k * (n - k)))
 
 
+def _column(entries, source):
+    """The image of the basis form e^source under a sparse map."""
+    return DiffForm(7, {t: v for (t, s), v in entries.items() if s == source})
+
+
 def test_ext_op_examples():
-    op = FiberOp.ext_op(e(7, 1))
-    assert op.apply_to_form(DiffForm.one(7)) == e(7, 1)
-    assert op.apply_to_form(e(7, 1)).is_zero()
-    assert (op @ op).is_zero()
+    op = FiberOp.ext_op(e(7, 1)).entries
+    assert _column(op, 0) == e(7, 1)
+    assert _column(op, 1).is_zero()
+    assert _column(op, 0b110) == e(7, 1, 2, 3)
+    assert sparse_product(op, op) == {}
 
 
-def test_cliff_squares_and_cross():
+def test_cliff_squares_and_cross(generator_words, fiber_matrix):
+    """At n = 7 and 8 the generator maps built from DiffForm satisfy the
+    Clifford relations: c(e_i)^2 = -1, c-hat(e_i)^2 = 1, and distinct
+    generators anticommute; the WordOperator generators materialise to
+    them."""
+    for n in (7, 8):
+        c, h = generator_words(n, False), generator_words(n, True)
+        ident = c[0]
+        for i in range(n):
+            ci, hi = c[1 << i], h[1 << i]
+            assert fiber_matrix(WordOperator.from_word(n, 1 << i, 0)) == ci
+            assert fiber_matrix(WordOperator.from_word(n, 0, 1 << i)) == hi
+            assert sparse_product(ci, ci) == {k: -v for k, v in ident.items()}
+            assert sparse_product(hi, hi) == ident
+            for j in range(n):
+                for x, y in ((ci, h[1 << j]), (hi, h[1 << j]), (ci, c[1 << j])):
+                    if x is not y:
+                        yx = sparse_product(y, x)
+                        assert sparse_product(x, y) == {k: -v for k, v in yx.items()}, (n, i, j)
+
+
+def test_word_op_examples(generator_words, fiber_matrix):
     n = 7
-    ident = FiberOp.identity(n)
-    c1 = FiberOp.cliff_op(e(n, 1))
-    h1 = FiberOp.cliff_hat_op(e(n, 1))
-    assert c1 @ c1 == ident.scale(Fraction(-1))
-    assert h1 @ h1 == ident
-    for j in (1, 2, 5):
-        hj = FiberOp.cliff_hat_op(e(n, j))
-        assert (c1 @ hj + hj @ c1).is_zero()
-
-
-def test_cliff_requires_one_form():
-    with pytest.raises(ValueError):
-        FiberOp.cliff_op(e(7, 1, 2))
-    with pytest.raises(ValueError):
-        FiberOp.cliff_hat_op(DiffForm.one(7))
-
-
-def test_word_op_examples():
-    n = 7
-    assert WordOperator.from_word(n, 0, 0).to_fiber_op() == FiberOp.identity(n)
-    c12 = WordOperator.from_word(n, 0b11, 0).to_fiber_op()
-    assert c12 == FiberOp.cliff_op(e(n, 1)) @ FiberOp.cliff_op(e(n, 2))
-    full = WordOperator.from_word(n, 0b1111111, 0).to_fiber_op()
-    prod = FiberOp.identity(n)
-    for i in range(1, 8):
-        prod = prod @ FiberOp.cliff_op(e(n, i))
+    c = generator_words(n, False)
+    assert fiber_matrix(WordOperator.from_word(n, 0, 0)) == c[0] == {
+        (s, s): 1 for s in range(1 << n)}
+    assert fiber_matrix(WordOperator.from_word(n, 0b11, 0)) == sparse_product(c[1], c[2])
+    full = fiber_matrix(WordOperator.from_word(n, 0b1111111, 0))
+    prod = c[0]
+    for i in range(n):
+        prod = sparse_product(prod, c[1 << i])
     assert full == prod
     # c(dvol)^2 = Id in dimension 7
-    assert full @ full == FiberOp.identity(n)
+    assert sparse_product(full, full) == c[0]
 
 
 def test_merge_sign_counts_strict_pairs_of_overlapping_masks():
@@ -129,17 +137,37 @@ def test_apply_word_matches_generator_products(generator_words):
             got = {}
             for s in range(1 << n):
                 sign, t = apply_word(cm, hm, s)
-                got[(t, s)] = Fraction(sign)
-            assert got == (c[cm] @ h[hm]).entries, (cm, hm)
+                got[(t, s)] = sign
+            assert got == sparse_product(c[cm], h[hm]), (cm, hm)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_apply_word_matches_generator_words(generator_words, n):
+    """Every c word and every c-hat word on every basis form at n = 7 and
+    8, and 4000 random c(I) c-hat(J) on a random form: the c-hat word acts
+    first, then the c word."""
+    c, h = generator_words(n, False), generator_words(n, True)
+    dim = 1 << n
+    for w in range(dim):
+        for s in range(dim):
+            assert apply_word(w, 0, s) == (c[w][(s ^ w, s)], s ^ w), (w, s)
+            assert apply_word(0, w, s) == (h[w][(s ^ w, s)], s ^ w), (w, s)
+    rnd = random.Random(n)
+    for _ in range(4000):
+        cm, hm, s = (rnd.randrange(dim) for _ in range(3))
+        mid = s ^ hm
+        want = h[hm][(mid, s)] * c[cm][(mid ^ cm, mid)], mid ^ cm
+        assert apply_word(cm, hm, s) == want, (cm, hm, s)
 
 
 def test_adjoint_is_interior():
     for i in range(1, 8):
-        op = FiberOp.ext_op(e(7, i))
-        adj = op.adjoint()
+        adj = FiberOp.ext_op(e(7, i)).adjoint().entries
         # e*(e^i) e^{i...} drops the index
-        assert adj.apply_to_form(e(7, i)) == DiffForm.one(7)
-        assert adj.apply_to_form(e(7, (i % 7) + 1)).is_zero()
+        assert _column(adj, 1 << (i - 1)) == DiffForm.one(7)
+        assert _column(adj, 1 << (i % 7)).is_zero()
+        for s in range(1 << 7):
+            assert _column(adj, s) == DiffForm(7, {s: 1}).interior(i), (i, s)
 
 
 def test_pairing_against_star():
@@ -151,25 +179,17 @@ def test_pairing_against_star():
         assert a.wedge(b.hodge()).top_coefficient() == a.inner(b)
 
 
-def test_multi_index_invariants():
-    mi = MultiIndex((1, 3, 6), 7)
-    assert mi.complement().indices == (2, 4, 5, 7)
-    with pytest.raises(ValueError):
-        MultiIndex((3, 1), 7)
-    with pytest.raises(ValueError):
-        MultiIndex((0, 2), 7)
-
-
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         e(7, 1).wedge(e(8, 2))
 
 
-def test_identity_trace_and_composition():
+def test_identity_trace_and_composition(fiber_matrix):
     for r in (1, 2):
-        ident = FiberOp.identity(7, r)
-        assert ident.trace() == (1 << 7) * r
-        assert ident @ ident == ident
+        ident = WordOperator.identity(7, r)
+        assert ident.form_trace() == DiffForm.one(7).scale(Scalar.of((1 << 7) * r))
+        assert ident * ident == ident
+        assert fiber_matrix(ident) == {(i, i): 1 for i in range((1 << 7) * r)}
 
 
 def test_degree_reporting():
@@ -363,24 +383,28 @@ def test_fiber_op_refuses_indices_outside_the_fiber(key):
         FiberOp(3, 1, {key: Fraction(1)})
     with pytest.raises(ValueError):
         FiberOp(2, 2, {key: Fraction(1)})
-    assert FiberOp(2, 2, {(7, 7): Fraction(1)}).trace() == 1
+    assert FiberOp(2, 2, {(7, 7): Fraction(1)}).entries == {(7, 7): 1}
 
 
 @pytest.mark.parametrize("n", [7, 8])
-def test_star_ext_entries_match_dense_operators(n):
-    """Both sign tables against the FiberOp products *e(w) and c(dvol)e(w),
-    on every source, for the structure form and a random rational form."""
+def test_star_ext_entries_match_dense_operators(generator_words, n):
+    """Both sign tables against the products *e(w) and c(dvol)e(w) of the
+    maps of ``DiffForm.hodge``, ``FiberOp.ext_op`` and the generator word
+    over all indices, on every source, for the structure form and a random
+    rational form."""
     rnd = random.Random(n)
+    basis = [DiffForm(n, {s: 1}) for s in range(1 << n)]
+    star = {(t, s): c for s, a in enumerate(basis) for t, c in a.hodge().terms.items()}
+    cdvol = generator_words(n, False)[(1 << n) - 1]
     structure = standard_structure("g2" if n == 7 else "spin7").defining_form
     rational = DiffForm(n, {
         m: Fraction(rnd.choice((-3, -2, -1, 1, 2, 3)), rnd.randint(1, 4))
         for m in rnd.sample(range(1 << n), 10)
     })
     for w in (structure, rational):
-        e_w = FiberOp.ext_op(w)
-        for cdvol, op in ((False, FiberOp.star_op(n) @ e_w),
-                          (True, WordOperator.from_word(n, (1 << n) - 1, 0).to_fiber_op() @ e_w)):
-            assert star_ext_entries(w, range(1 << n), cdvol) == op.entries
+        e_w = FiberOp.ext_op(w).entries
+        assert star_ext_entries(w, range(1 << n)) == sparse_product(star, e_w)
+        assert star_ext_entries(w, range(1 << n), True) == sparse_product(cdvol, e_w)
 
 
 def test_popcount_matches_the_binary_digits():
@@ -528,11 +552,14 @@ def test_sparse_product_stores_no_cancelled_entry():
 
 
 def test_fiber_op_products_of_library_operators_keep_fraction_entries():
+    """``ext_op`` sums its entries from Fraction(0), so integer forms give
+    Fraction entries, which ``adjoint`` and ``sparse_product`` keep."""
     w = DiffForm(7, {0b111: 1, 0b11000: -2})
-    for op in (FiberOp.star_op(7) @ FiberOp.ext_op(w),
-               FiberOp.cliff_op(e(7, 1), 2) @ FiberOp.cliff_op(e(7, 3), 2) @ FiberOp.ext_op(e(7, 3), 2),
-               FiberOp.cliff_op(e(7, 1)) @ FiberOp.cliff_hat_op(e(7, 2))):
-        assert op.entries and all(type(v) is Fraction for v in op.entries.values())
+    for r in (1, 2):
+        e_w, e_3 = FiberOp.ext_op(w, r), FiberOp.ext_op(e(7, 3), r)
+        for entries in (e_w.entries, e_w.adjoint().entries,
+                        sparse_product(e_w.adjoint().entries, e_3.entries)):
+            assert entries and all(type(v) is Fraction for v in entries.values())
 
 
 _COEFFICIENTS = [

@@ -8,35 +8,43 @@ from hypothesis import strategies as st
 
 from specasym import filtration
 from specasym.exact import Scalar
-from specasym.exterior import DiffForm, FiberOp, apply_word, mask_of, popcount
+from specasym.exterior import DiffForm, FiberOp, apply_word, popcount, sparse_product, star_ext_entries
 from specasym.filtration import (
     CliffordWordExpansion,
     _accumulator,
-    clifford_degrees,
     expand_clifford_basis,
     gram_orthogonality_check,
     trace_identity_sweep,
     word_tables,
-    word_trace,
 )
 from specasym.wordops import WordOperator
 
 
-def test_word_trace_examples():
-    assert word_trace(7, (), ()) == 128
-    assert word_trace(7, (1,), ()) == 0
-    assert word_trace(7, tuple(range(1, 8)), tuple(range(1, 8))) == 0
+def _trace_of_word(n, cm, hm):
+    """The degree-0 form trace of the word c(omega^cm) c-hat(omega^hm)."""
+    return WordOperator.from_word(n, cm, hm).form_trace().terms.get(0, 0)
 
 
-def test_word_trace_against_dense_matrices():
+def test_form_trace_of_single_words():
+    full = (1 << 7) - 1
+    assert _trace_of_word(7, 0, 0) == 128
+    assert _trace_of_word(7, 1, 0) == 0
+    assert _trace_of_word(7, full, full) == 0
+
+
+def test_form_trace_of_words_against_dense_matrices(fiber_matrix):
+    """``form_trace`` of c(I) c-hat(J), as a product of two WordOperators,
+    against the trace of the product of their fiber matrices."""
     rnd = random.Random(3)
     n = 5
     for _ in range(10):
-        i_set = tuple(sorted(rnd.sample(range(1, n + 1), rnd.randint(0, n))))
-        j_set = tuple(sorted(rnd.sample(range(1, n + 1), rnd.randint(0, n))))
-        dense = (WordOperator.from_word(n, mask_of(i_set), 0).to_fiber_op()
-                 @ WordOperator.from_word(n, 0, mask_of(j_set)).to_fiber_op())
-        assert word_trace(n, i_set, j_set) == dense.trace()
+        cm, hm = rnd.randrange(1 << n), rnd.randrange(1 << n)
+        x = WordOperator.from_word(n, cm, 0) * WordOperator.from_word(n, 0, hm)
+        dense = sparse_product(fiber_matrix(WordOperator.from_word(n, cm, 0)),
+                               fiber_matrix(WordOperator.from_word(n, 0, hm)))
+        assert fiber_matrix(x) == dense
+        assert x.form_trace().terms.get(0, 0) == sum(v for (i, j), v in dense.items() if i == j)
+    assert _trace_of_word(n, 0b101, 0b101) == 0
 
 
 @pytest.mark.parametrize("hat", [False, True])
@@ -50,6 +58,15 @@ def test_word_tables_match_apply_word(n, hat):
             assert (int(signs[w, s]), s ^ w) == want
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_word_tables_match_generator_words(generator_words, n):
+    """Both tables against the generator products built from DiffForm."""
+    for hat in (False, True):
+        signs, words = word_tables(n, hat), generator_words(n, hat)
+        for w in range(1 << n):
+            assert words[w] == {(s ^ w, s): int(signs[w, s]) for s in range(1 << n)}, (hat, w)
+
+
 def test_sweep_small_exhaustive():
     fails, checked = trace_identity_sweep(5)
     assert checked == 4 ** 5 and not fails
@@ -60,9 +77,12 @@ def test_gram_orthogonality():
     assert not fails
 
 
+def _identity(n, r=1):
+    return FiberOp(n, r, {(i, i): Fraction(1) for i in range((1 << n) * r)})
+
+
 def test_expand_identity_and_generator():
-    ident = FiberOp.identity(7)
-    exp = expand_clifford_basis(ident)
+    exp = expand_clifford_basis(_identity(7))
     assert exp.coefficients == {(0, 0): Fraction(1)}
     e1 = FiberOp.ext_op(DiffForm.monomial(7, (1,)))
     exp = expand_clifford_basis(e1)
@@ -148,15 +168,15 @@ def test_expansion_is_the_adjoint_of_the_reconstruction(n):
         assert got == dim * _pairing(phi.coefficients, expand_clifford_basis(m).coefficients)
 
 
-def test_expansion_of_a_word_operator_recovers_its_terms():
+def test_expansion_of_a_word_operator_recovers_its_terms(fiber_matrix):
     """The form-free words of a rank-1 WordOperator are the expansion
-    coefficients of its fiber operator."""
+    coefficients of its fiber matrix, built from the generator words."""
     rnd = random.Random(21)
     for n in (5, 7):
         x = WordOperator(n, 1, {
             (0, cm, hm): {(0, 0): Scalar.of(v)} for (cm, hm), v in _random_sparse(n, 5, rnd).items()
         })
-        got = expand_clifford_basis(x.to_fiber_op()).coefficients
+        got = expand_clifford_basis(FiberOp(n, 1, fiber_matrix(x))).coefficients
         assert got == {(cm, hm): m[0, 0] for (_, cm, hm), m in x.terms.items()}
 
 
@@ -190,14 +210,13 @@ def test_reconstruct_matches_entry_loop(case):
 def test_sweep_blocks_match_pair_loop(flipped_word_sign):
     """Given pairs are read in slices; the failures equal a per-pair loop's."""
     fails, checked = trace_identity_sweep(7)
-    assert checked == 4 ** 7 and fails == [(3, 3, word_trace(7, 3, 3))]
-    assert word_trace(7, 3, 3) in (2, -2)
+    assert checked == 4 ** 7 and fails == _full_gather_sweep(7, [(3, 3)])
+    assert fails[0][2] in (2, -2)
     rnd = random.Random(6)
     pairs = [(3, 3), (0, 0)] + [(rnd.randrange(128), rnd.randrange(128)) for _ in range(148)]
     pairs.insert(10, (3, 3))
     pairs.insert(100, (3, 3))
-    want = [(cm, hm, word_trace(7, cm, hm)) for cm, hm in pairs
-            if word_trace(7, cm, hm) != (128 if (cm, hm) == (0, 0) else 0)]
+    want = _full_gather_sweep(7, pairs)
     fails, checked = trace_identity_sweep(7, iter(pairs))
     assert checked == len(pairs) and fails == want and len(want) == 3
 
@@ -344,26 +363,17 @@ def test_sweep_reports_full_gather_failures_on_broken_tables(monkeypatch, n):
 
 def test_expand_requires_rank_one():
     with pytest.raises(ValueError):
-        expand_clifford_basis(FiberOp.identity(5, r=2))
+        expand_clifford_basis(_identity(5, r=2))
 
 
-def test_clifford_degrees(g2):
-    phi = g2.defining_form
-    assert clifford_degrees(FiberOp.ext_op(phi)) == (0, 3)
-    assert clifford_degrees(WordOperator.from_word(7, 0b11, 0).to_fiber_op()) == (2, 2)
-    cdvol_ephi = WordOperator.from_word(7, 0b1111111, 0).to_fiber_op() @ FiberOp.ext_op(phi)
-    low, _ = clifford_degrees(cdvol_ephi)
-    assert low == 7 - 3
-    with pytest.raises(ValueError):
-        clifford_degrees(FiberOp(7, 1, {}))
-
-
-def test_low_degree_operators_are_traceless_against_weight(g2):
+def test_low_degree_operators_are_traceless_against_weight(g2, generator_words, fiber_matrix):
     # tr(c(dvol) e(w) M) = 0 whenever the upper Clifford degree of M is
-    # below n - deg w; exercised with random small-word operators.
+    # below n - deg w; exercised with random small-word operators, with
+    # c(dvol) the generator word over all indices.
     rnd = random.Random(11)
     w = g2.defining_form
-    cdvol_w = WordOperator.from_word(7, (1 << 7) - 1, 0).to_fiber_op() @ FiberOp.ext_op(w)
+    cdvol_w = sparse_product(generator_words(7, False)[(1 << 7) - 1], FiberOp.ext_op(w).entries)
+    assert cdvol_w == star_ext_entries(w, range(1 << 7), True)
     for _ in range(40):
         terms = {}
         for _ in range(4):
@@ -375,7 +385,8 @@ def test_low_degree_operators_are_traceless_against_weight(g2):
         m = WordOperator(7, 1, {k: {ab: _sc(x) for ab, x in v.items()} for k, v in terms.items()})
         if m.is_zero() or max(popcount(c) for _, c, _ in m.terms) >= 4:
             continue
-        assert Scalar.of(FiberOp.trace_product(cdvol_w, m.to_fiber_op())).is_zero()
+        fm = fiber_matrix(m)
+        assert not sum(v * fm[(j, i)] for (i, j), v in cdvol_w.items() if (j, i) in fm)
 
 
 def _sc(x):

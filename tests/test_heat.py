@@ -885,10 +885,24 @@ def test_gauge_covariance(g2):
 
 
 def test_model_reduction_ratio_reported(g2, spin7):
-    # the untruncated-operator oracle measures a fixed power of two per
-    # structure; recorded (not unity) and frozen here as a regression
+    # the untruncated-operator oracle over the model is 2^(3-n)
+    # (README); the heat suite checks the same value
     assert model_reduction_ratio(g2) == Scalar.of(Fraction(1, 16))
     assert model_reduction_ratio(spin7) == Scalar.of(Fraction(1, 32))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("b", [1, 3])
+def test_landau_kernel_quadratic_term_on_a_rank_one_field(n, b):
+    """F = i b e^12 at rank 1: the degree-0 form trace of the untruncated
+    kernel is 2^n (1 + b^2 t^2 / 12) (4 pi t)^{-n/2}.  The magnetic factor
+    tb / sinh tb gives -(tb)^2 / 6, and the Weitzenboeck term gives
+    (1/2) tr E^2 = 2^(n-2) b^2; a wrong quadratic term in the potential
+    moves the first, which the model-ratio checks cannot see."""
+    cd = CurvatureData(n, 1, {}, {(1, 2): {(0, 0): Scalar.i(b)}})
+    trace = landau_kernel(cd).form_trace()
+    want = Scalar.of(2 ** n) + Scalar.t_pow(4, Fraction(2 ** n * b * b, 12))
+    assert trace.terms[0] == gaussian_prefactor(n) * want
 
 
 def test_landau_requires_flat_riemann():

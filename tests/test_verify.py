@@ -130,6 +130,23 @@ def test_trace_path_check_fails_on_a_flipped_join_sign(monkeypatch):
     assert status["mehler = duhamel through t^2 (n=7, r=1, seed 3)"] == "pass"
 
 
+_RATIO_ROWS = {f"{kind} untruncated-operator / model ratio at residue order": want
+               for kind, want in (("g2", "1/16"), ("spin7", "1/32"))}
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_model_ratio_rows_compare_with_two_to_the_three_minus_n(monkeypatch, doubled):
+    """The ratio rows pass at 1/16 and 1/32 and fail when the measured
+    ratio is doubled."""
+    if doubled:
+        ratio = verify.model_reduction_ratio
+        monkeypatch.setattr(verify, "model_reduction_ratio", lambda s: ratio(s) * 2)
+    results = {r.name: r for r in verify.heat_suite(0, full=False)}
+    for name, want in _RATIO_ROWS.items():
+        assert results[name].status == ("fail" if doubled else "pass")
+        assert (results[name].detail == want) != doubled
+
+
 def _fraction_bridge_sums(s, seed, count):
     """The random-M loop of the bridge check on Fraction entries, each
     trace times 6, with both weight tables from ``star_ext_entries``

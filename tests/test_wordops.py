@@ -53,13 +53,26 @@ def test_word_mul_rules():
 @pytest.mark.parametrize("square_sign", [-1, 1])
 def test_word_mul_matches_generator_products(generator_words, square_sign):
     """Every pair of words at n = 5 against the products of their
-    generators: c words square to -1, c-hat words to +1."""
+    generators: c words square to -1, c-hat words to +1.  At n = 7 and 8
+    every pair is checked on one random basis form: a product of two words
+    is +-1 times a word, so one column fixes its sign."""
     n = 5
     words = generator_words(n, square_sign > 0)
     for m1 in range(1 << n):
         for m2 in range(1 << n):
             sign, m = word_mul(m1, m2, square_sign)
-            assert words[m1] @ words[m2] == words[m].scale(sign), (m1, m2)
+            assert sparse_product(words[m1], words[m2]) == {
+                k: sign * v for k, v in words[m].items()}, (m1, m2)
+    rnd = random.Random(square_sign)
+    for n in (7, 8):
+        words = generator_words(n, square_sign > 0)
+        for m1 in range(1 << n):
+            for m2 in range(1 << n):
+                sign, m = word_mul(m1, m2, square_sign)
+                s = rnd.randrange(1 << n)
+                mid = s ^ m2
+                got = words[m2][(mid, s)] * words[m1][(mid ^ m1, mid)]
+                assert (got, mid ^ m1) == (sign * words[m][(s ^ m, s)], s ^ m), (n, m1, m2)
 
 
 def test_algebra_associative_and_unital():
@@ -75,9 +88,17 @@ def test_algebra_associative_and_unital():
             assert a + b - b == a and (a - a).is_zero()
 
 
-def test_products_match_dense_matrices():
-    """Products and sums at ranks 1-3 against the FiberOp products of
-    their materialisations, including entries and terms that cancel."""
+def _add(x, y):
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def test_products_match_dense_matrices(fiber_matrix):
+    """Products and sums at ranks 1-3 against the products and sums of
+    their fiber matrices, built from the generator words, including
+    entries and terms that cancel."""
     rnd = random.Random(14)
     n = 5
     cancelled = 0
@@ -86,8 +107,9 @@ def test_products_match_dense_matrices():
             masks = [rnd.randrange(1 << n) for _ in range(2)]
             a, b = _random_bundle_op(n, r, rnd, masks), _random_bundle_op(n, r, rnd, masks)
             prod = a * b
-            assert prod.to_fiber_op() == a.to_fiber_op() @ b.to_fiber_op()
-            assert (a + b).to_fiber_op() == a.to_fiber_op() + b.to_fiber_op()
+            fa, fb = fiber_matrix(a), fiber_matrix(b)
+            assert fiber_matrix(prod) == sparse_product(fa, fb)
+            assert fiber_matrix(a + b) == _add(fa, fb)
             assert _stores_no_zero(prod) and _stores_no_zero(a + b)
             # bundle products with an entry that cancels
             cancelled += sum(
@@ -118,18 +140,25 @@ def test_equality_of_different_shapes_is_false():
     assert DiffForm.one(7) != DiffForm.one(8)
     assert FiberOp(7, 1, {}) != FiberOp(8, 1, {})
     assert FiberOp(7, 1, {}) != FiberOp(7, 2, {})
-    assert FiberOp.identity(7) != FiberOp.identity(8)
+    assert FiberOp(7, 1, {(0, 0): 1}) != FiberOp(8, 1, {(0, 0): 1})
 
 
-def test_weighted_traces_match_fiber_op_products(g2):
-    """The weighted trace against tr[W m] with W = *e(w) built as a
-    FiberOp product (oracle)."""
+def _trace_of_product(x, y):
+    """tr(x y) of two sparse maps."""
+    return sum((v * y[(j, i)] for (i, j), v in x.items() if (j, i) in y), Scalar())
+
+
+def test_weighted_traces_match_fiber_op_products(g2, fiber_matrix):
+    """The weighted trace against tr[W m] with W = *e(w) the product of
+    the maps of ``DiffForm.hodge`` and ``FiberOp.ext_op``, and m the fiber
+    matrix of the word operator (oracle)."""
     rnd = random.Random(15)
     w = g2.defining_form
-    star_w = FiberOp.star_op(7) @ FiberOp.ext_op(w)
+    star = {(t, s): c for s in range(1 << 7) for t, c in DiffForm(7, {s: 1}).hodge().terms.items()}
+    star_w = sparse_product(star, FiberOp.ext_op(w).entries)
     for _ in range(8):
         x = _random_word_op(7, rnd)
-        assert star_weighted_trace(w, x) == Scalar.of(FiberOp.trace_product(star_w, x.to_fiber_op()))
+        assert star_weighted_trace(w, x) == _trace_of_product(star_w, fiber_matrix(x))
 
 
 def test_form_trace_rule():

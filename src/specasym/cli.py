@@ -25,12 +25,6 @@ from .exterior import DiffForm, indices_of, parse_form
 from .heat import duhamel_density, mehler_diag_trace
 from .holonomy import decompose_two_form, standard_structure
 from .residue import CurvatureData, CurvatureError, full_residue_report, report_sign
-from .spectrum import (
-    enumerate_levels,
-    twisted_levels,
-    write_levels_csv,
-    zeta_partial,
-)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -391,6 +385,10 @@ def cmd_residue(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    # spectrum loads only for this command, so residue and decompose calls
+    # do not compile it
+    from .spectrum import enumerate_levels, twisted_levels, write_levels_csv, zeta_partial
+
     if args.qmax < 1:
         print("error: --qmax must be >= 1", file=sys.stderr)
         return EXIT_INPUT

@@ -16,7 +16,6 @@ sparse map on integer numerator planes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple
@@ -25,6 +24,7 @@ import numpy as np
 
 from .exact import Scalar, lift_planes, numerator_planes
 from .exterior import FiberOp, popcount
+from .record import Record
 
 
 _BLOCK = 1 << 14  # table entries gathered per numpy round
@@ -100,12 +100,14 @@ def _slices(arr: np.ndarray, n: int):
 # word-basis expansion of fiber operators
 # ----------------------------------------------------------------------
 
-@dataclass
-class CliffordWordExpansion:
+class CliffordWordExpansion(Record):
     """Coefficients phi_{IJ} of M = sum phi_{IJ} c(omega^I) c-hat(omega^J)."""
 
-    n: int
-    coefficients: Dict[Tuple[int, int], object] = field(default_factory=dict)
+    _fields = ("n", "coefficients")
+
+    def __init__(self, n: int, coefficients: Optional[Dict[Tuple[int, int], object]] = None):
+        self.n = n
+        self.coefficients = {} if coefficients is None else coefficients
 
     def reconstruct(self) -> FiberOp:
         """The operator sum phi_{IJ} c(omega^I) c-hat(omega^J), exactly:

@@ -20,7 +20,6 @@ must treat a structure and its maps as read-only.  No numpy is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -36,6 +35,7 @@ from .exterior import (
     sparse_product,
     star_ext_entries,
 )
+from .record import Record
 
 G2 = "g2"
 SPIN7 = "spin7"
@@ -63,21 +63,20 @@ def two_form_basis(n: int) -> List[int]:
     return [(1 << (i - 1)) | (1 << (j - 1)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-@dataclass
-class Projection:
+class Projection(Record):
     """Idempotent self-adjoint projector on the 2-form fiber: integer
     numerators {(target, source): value} over one denominator ``den``."""
 
-    target: str  # "7", "14" or "21"
-    n: int
-    den: int
-    entries: Entries
-    # the entries by source: {source mask: ((target, value), ...)}
-    columns: Dict[int, tuple] = field(init=False, repr=False, compare=False)
+    _fields = ("target", "n", "den", "entries")
 
-    def __post_init__(self):
+    def __init__(self, target: str, n: int, den: int, entries: Entries):
+        self.target = target  # "7", "14" or "21"
+        self.n = n
+        self.den = den
+        self.entries = entries
+        # the entries by source: {source mask: ((target, value), ...)}
         cols: Dict[int, list] = {}
-        for (t, b), v in self.entries.items():
+        for (t, b), v in entries.items():
             cols.setdefault(b, []).append((t, v))
         self.columns = {b: tuple(col) for b, col in cols.items()}
 
@@ -109,18 +108,23 @@ class Projection:
         return Fraction(sum(v for (t, b), v in self.entries.items() if t == b), self.den)
 
 
-@dataclass
-class HolonomyStructure:
+class HolonomyStructure(Record):
     """Validated G2 or Spin(7) model fiber data, built whole by
     ``standard_structure``: ``star_ext`` is the validated integer map of
-    *e(w) on the 2-form fiber and ``projection_pair`` is (P_7, P_big)."""
+    *e(w) on the 2-form fiber and ``projection_pair`` is (P_7, P_big).
+    Neither enters ``repr`` or ``==``."""
 
-    kind: str
-    n: int
-    defining_form: DiffForm
-    eigenvalue_table: List[Tuple[int, int]]
-    star_ext: Entries = field(repr=False, compare=False)
-    projection_pair: Tuple[Projection, Projection] = field(repr=False, compare=False)
+    _fields = ("kind", "n", "defining_form", "eigenvalue_table")
+
+    def __init__(self, kind: str, n: int, defining_form: DiffForm,
+                 eigenvalue_table: List[Tuple[int, int]], star_ext: Entries,
+                 projection_pair: Tuple[Projection, Projection]):
+        self.kind = kind
+        self.n = n
+        self.defining_form = defining_form
+        self.eigenvalue_table = eigenvalue_table
+        self.star_ext = star_ext
+        self.projection_pair = projection_pair
 
     @property
     def degree(self) -> int:
@@ -243,11 +247,13 @@ def bundle_weight_check(s: HolonomyStructure) -> bool:
     return got == {k: -4 * v for k, v in s.star_ext.items()}
 
 
-@dataclass
-class InstantonReport:
-    ok: bool
-    max_component: float
-    exact_zero: bool
+class InstantonReport(Record):
+    _fields = ("ok", "max_component", "exact_zero")
+
+    def __init__(self, ok: bool, max_component: float, exact_zero: bool):
+        self.ok = ok
+        self.max_component = max_component
+        self.exact_zero = exact_zero
 
 
 def instanton_check(s: HolonomyStructure, curvature) -> InstantonReport:

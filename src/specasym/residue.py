@@ -15,7 +15,6 @@ multiples of powers of pi.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 from operator import mul
@@ -30,6 +29,7 @@ from .holonomy import (
     decompose_two_form,
     instanton_check,
 )
+from .record import Record
 from .wordops import Mat, WordOperator
 
 
@@ -434,17 +434,23 @@ def gamma_pole_factor(deg_w: int) -> Scalar:
     raise ValueError(f"unsupported defining-form degree {deg_w}")
 
 
-@dataclass
-class ResidueReport:
-    kind: str
-    twisted: bool
-    density: DiffForm
-    integral: Scalar
-    b_coefficient: Scalar
-    residue: Scalar
-    pole_location: Fraction
-    untwisted_constant_ok: Optional[bool] = None
-    instanton: Optional[InstantonReport] = None
+class ResidueReport(Record):
+    _fields = ("kind", "twisted", "density", "integral", "b_coefficient", "residue",
+               "pole_location", "untwisted_constant_ok", "instanton")
+
+    def __init__(self, kind: str, twisted: bool, density: DiffForm, integral: Scalar,
+                 b_coefficient: Scalar, residue: Scalar, pole_location: Fraction,
+                 untwisted_constant_ok: Optional[bool] = None,
+                 instanton: Optional[InstantonReport] = None):
+        self.kind = kind
+        self.twisted = twisted
+        self.density = density
+        self.integral = integral
+        self.b_coefficient = b_coefficient
+        self.residue = residue
+        self.pole_location = pole_location
+        self.untwisted_constant_ok = untwisted_constant_ok
+        self.instanton = instanton
 
     def to_dict(self):
         return {
@@ -535,14 +541,17 @@ def full_residue_report(s: HolonomyStructure, cd, twisted: Optional[bool] = None
     return report
 
 
-@dataclass
-class SignReport:
-    kind: str
-    residue: Scalar
-    sign: Optional[int]  # -1 / 0 / +1, None when no conclusion is drawn
-    is_instanton: Optional[bool]
-    nonpositivity_violated: bool
-    note: str
+class SignReport(Record):
+    _fields = ("kind", "residue", "sign", "is_instanton", "nonpositivity_violated", "note")
+
+    def __init__(self, kind: str, residue: Scalar, sign: Optional[int],
+                 is_instanton: Optional[bool], nonpositivity_violated: bool, note: str):
+        self.kind = kind
+        self.residue = residue
+        self.sign = sign  # -1 / 0 / +1, None when no conclusion is drawn
+        self.is_instanton = is_instanton
+        self.nonpositivity_violated = nonpositivity_violated
+        self.note = note
 
 
 def sign_report(s: HolonomyStructure, cd) -> SignReport:

@@ -18,10 +18,11 @@ and the tests.  ``write_levels_csv`` writes the levels in one pass, one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, gamma, isqrt, lcm, pi, sqrt
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,15 +32,18 @@ TWO_FORM_FIBER = {7: 21, 8: 28}
 SEVEN_FIBER = 7
 
 
-@dataclass
-class SpectralLevel:
+class SpectralLevel(Record):
     """One Laplace eigenvalue on 2-forms of the flat torus."""
 
-    n: int
-    q: Union[int, Fraction]  # |k + theta|^2: an int untwisted, a Fraction twisted
-    lattice_count: int
-    mult_7: int
-    mult_big: int
+    _fields = ("n", "q", "lattice_count", "mult_7", "mult_big")
+
+    def __init__(self, n: int, q: Union[int, Fraction], lattice_count: int, mult_7: int,
+                 mult_big: int):
+        self.n = n
+        self.q = q  # |k + theta|^2: an int untwisted, a Fraction twisted
+        self.lattice_count = lattice_count
+        self.mult_7 = mult_7
+        self.mult_big = mult_big
 
     @property
     def eigenvalue(self) -> float:
@@ -282,12 +286,14 @@ def weyl_ratio(n: int, q_max: int) -> float:
     return n7 * (4.0 * pi) ** (n / 2.0) * gamma(n / 2.0 + 1.0) / (SEVEN_FIBER * x ** (n / 2.0))
 
 
-@dataclass
-class MellinReport:
-    s: float
-    direct: float
-    mellin: float
-    quad_error: float
+class MellinReport(Record):
+    _fields = ("s", "direct", "mellin", "quad_error")
+
+    def __init__(self, s: float, direct: float, mellin: float, quad_error: float):
+        self.s = s
+        self.direct = direct
+        self.mellin = mellin
+        self.quad_error = quad_error
 
     @property
     def difference(self) -> float:

@@ -10,7 +10,6 @@ leading-term deviation of the flat heat trace.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, log, pi, sqrt
 from time import perf_counter
@@ -37,6 +36,7 @@ from .heat import (
     oscillator_diag_kernel,
 )
 from .holonomy import decompose_two_form, projections, standard_structure
+from .record import Record
 from .residue import (
     CurvatureData,
     characteristic_density_form,
@@ -58,12 +58,14 @@ from .spectrum import (
 from .wordops import WordOperator
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "info"
-    detail: str = ""
-    seconds: float = 0.0  # since the previous record of the same suite
+class CheckResult(Record):
+    _fields = ("name", "status", "detail", "seconds")
+
+    def __init__(self, name: str, status: str, detail: str = "", seconds: float = 0.0):
+        self.name = name
+        self.status = status  # "pass" | "fail" | "info"
+        self.detail = detail
+        self.seconds = seconds  # since the previous record of the same suite
 
     def to_dict(self) -> Dict[str, Union[str, float]]:
         return {"name": self.name, "status": self.status, "detail": self.detail,

@@ -447,7 +447,11 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-_NUMPY_LOADED = "\nprint('numpy' in sys.modules)"
+# numpy, the dataclasses module with the inspect it loads, and spectrum
+# (which only the spectrum command and verify import): none is on the
+# start-up path
+_STARTUP_HEAVY = ("numpy", "dataclasses", "inspect", "specasym.spectrum")
+_HEAVY_LOADED = f"\nprint([m for m in {_STARTUP_HEAVY!r} if m in sys.modules])"
 _STARTUP_RESIDUE = {"n": 7, "rank": 1, "R": [[1, 2, 3, 4, "1/2"], [1, 3, 2, 5, -1]],
                     "F": [[1, 2, [[[0, 1]]]], [3, 6, [[[0, -2]]]]]}
 
@@ -490,13 +494,15 @@ def test_startup_path_does_not_load_numpy(tmp_path, code):
     and its adjoint, Clifford word signs and the holonomy oracle runs on
     sparse maps; numpy loads only with verify,
     filtration and the torus level counts, so these calls do not pay for
-    it."""
+    it.  The package's records are plain classes, so neither
+    ``dataclasses`` nor the ``inspect`` it loads is imported either, and
+    ``cli`` imports ``spectrum`` only in its spectrum command."""
     path = os.fspath(tmp_path / "curvature.json")
     _write(path, _STARTUP_RESIDUE)
-    proc = subprocess.run([sys.executable, "-c", code + _NUMPY_LOADED, path],
+    proc = subprocess.run([sys.executable, "-c", code + _HEAVY_LOADED, path],
                           capture_output=True, text=True, timeout=60, env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

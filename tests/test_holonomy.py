@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +8,7 @@ from specasym import exterior, holonomy, verify
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm
 from specasym.holonomy import (
+    HolonomyStructure,
     Projection,
     StructureValidationError,
     _eig_validate,
@@ -406,14 +406,22 @@ def test_projection_columns_are_the_entries_regrouped(kind, size):
 def test_bundle_weight_check_holds_and_can_fail(kind):
     """tr(A D_ab D_cd), antisymmetrised, is -4 A; the check fails on A + Id
     (sent to -4 A - 2 (n - 2) Id) and on A with one symmetric off-diagonal
-    pair negated."""
+    pair negated.  Each altered A goes into a new structure; the cached
+    ``standard_structure`` object and its map stay as they are."""
     s = standard_structure(kind)
+    star_ext = dict(s.star_ext)
+
+    def with_star_ext(entries):
+        return HolonomyStructure(s.kind, s.n, s.defining_form, s.eigenvalue_table,
+                                 entries, s.projection_pair)
+
     assert bundle_weight_check(s)
     shifted = dict(s.star_ext)
     for m in two_form_basis(s.n):
         shifted[(m, m)] = shifted.get((m, m), 0) + 1
-    assert not bundle_weight_check(replace(s, star_ext=shifted))
+    assert not bundle_weight_check(with_star_ext(shifted))
     negated = dict(s.star_ext)
     t, b = next(k for k in negated if k[0] != k[1])
     negated[(t, b)], negated[(b, t)] = -negated[(t, b)], -negated[(b, t)]
-    assert not bundle_weight_check(replace(s, star_ext=negated))
+    assert not bundle_weight_check(with_star_ext(negated))
+    assert standard_structure(kind) is s and s.star_ext == star_ext

@@ -4,19 +4,20 @@ Every exact computation in this package takes coefficients in one ring:
 finite sums ``(a + b*i) * pi^(p/2) * t^(q/2)`` with rational ``a, b`` and
 integer ``p, q`` (possibly negative).  Heat-trace Laurent series in sqrt(t),
 characteristic-form normalisations (powers of pi) and Gamma-factor
-arithmetic all live here without rounding.
+arithmetic all live here without rounding.  ``rational_numerators`` puts
+plain rationals over one least common denominator, so the 2-form
+projections and the word expansion sum Python ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, pi as _PI
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Scalar:
@@ -239,61 +240,15 @@ class Scalar:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-ZERO = Scalar()
-ONE = Scalar.of(1)
-I = Scalar.i()
+def rational_numerators(values: Sequence[Rat]) -> Tuple[int, List[int]]:
+    """Rationals as integer numerators over their least common denominator.
 
-
-def rational_parts(x) -> List[Tuple[Tuple[int, int, int], Rat]]:
-    """(plane, value) for each nonzero rational part of an exact value.
-
-    A plane is (pi power, t power, 0 for real or 1 for imaginary).
+    Returns ``(den, nums)`` with ``nums[k] / den == values[k]``, so sums and
+    products of the values run on Python ints.  Raises TypeError on a value
+    that is not an int or a Fraction.
     """
-    if isinstance(x, (int, Fraction)):
-        return [((0, 0, 0), x)] if x else []
-    return [
-        (key + (part,), value)
-        for key, pair in Scalar.of(x).terms.items()
-        for part, value in enumerate(pair)
-        if value
-    ]
-
-
-def numerator_planes(values: Sequence) -> Tuple[int, Dict[Tuple[int, int, int], List[int]]]:
-    """Exact values as integer numerators over one common denominator.
-
-    Returns ``(den, planes)``: ``planes[(p, q, part)][k] / den`` is the
-    real (part 0) or imaginary (part 1) coefficient of pi^(p/2) t^(q/2)
-    in ``values[k]``.  Only planes with a nonzero entry are present, so
-    sums and products of the values run on Python ints.
-    """
-    if all(type(x) is int or type(x) is Fraction for x in values):
-        # plain rationals fill the real plane only: skip the per-value parts
-        den = lcm(*(x.denominator for x in values))
-        nums = [x.numerator * (den // x.denominator) for x in values]
-        return den, ({(0, 0, 0): nums} if any(nums) else {})
-    parts = [rational_parts(x) for x in values]
-    den = lcm(*(v.denominator for ps in parts for _, v in ps))
-    planes: Dict[Tuple[int, int, int], List[int]] = {}
-    for k, ps in enumerate(parts):
-        for plane, v in ps:
-            if plane not in planes:
-                planes[plane] = [0] * len(values)
-            planes[plane][k] = v.numerator * (den // v.denominator)
-    return den, planes
-
-
-def lift_planes(nums: Dict[Tuple[int, int, int], int], den: int, scalar: bool):
-    """One exact value back from its planes: ``nums[plane] / den`` is its
-    rational part on each plane, as in ``numerator_planes``.
-
-    Returns a Scalar when ``scalar``, else a Fraction, which only the real
-    (0, 0) plane can hold.
-    """
-    if not scalar:
-        return Fraction(int(nums.get((0, 0, 0), 0)), den)
-    terms: Dict[Tuple[int, int], list] = {}
-    for (p, q, part), num in nums.items():
-        if num:
-            terms.setdefault((p, q), [_ZERO, _ZERO])[part] = Fraction(int(num), den)
-    return Scalar({k: tuple(v) for k, v in terms.items()})
+    for x in values:
+        if type(x) is not int and type(x) is not Fraction:
+            raise TypeError(f"rational numerators need int or Fraction, not {type(x).__name__}")
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]

@@ -11,7 +11,8 @@ The expansion and its reconstruction are one kernel in two directions.
 With K[(S ^ I ^ J, S), (I, J)] the sign of the word (I, J) on e^S, the
 coefficients of an operator M are phi = K^T M / 2^n and the operator of
 coefficients phi is M = K phi; ``_word_scatter`` applies K or K^T to a
-sparse map on integer numerator planes.
+sparse map of rationals, on their integer numerators over one common
+denominator.  Both directions take int or Fraction coefficients only.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .exact import Scalar, lift_planes, numerator_planes
+from .exact import Rat, rational_numerators
 from .exterior import FiberOp, popcount
 from .record import Record
 
@@ -101,11 +102,11 @@ def _slices(arr: np.ndarray, n: int):
 # ----------------------------------------------------------------------
 
 class CliffordWordExpansion(Record):
-    """Coefficients phi_{IJ} of M = sum phi_{IJ} c(omega^I) c-hat(omega^J)."""
+    """Rational coefficients phi_{IJ} of M = sum phi_{IJ} c(omega^I) c-hat(omega^J)."""
 
     _fields = ("n", "coefficients")
 
-    def __init__(self, n: int, coefficients: Optional[Dict[Tuple[int, int], object]] = None):
+    def __init__(self, n: int, coefficients: Optional[Dict[Tuple[int, int], Rat]] = None):
         self.n = n
         self.coefficients = {} if coefficients is None else coefficients
 
@@ -116,7 +117,8 @@ class CliffordWordExpansion(Record):
 
 
 def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
-    """Expand a rank-1 fiber operator over the 4^n Clifford words.
+    """Expand a rank-1 fiber operator with rational entries over the 4^n
+    Clifford words.
 
     Coefficients come from the Hilbert-Schmidt pairing with the explicit
     word inverses: phi_{IJ} = tr(W_{IJ}^{-1} M) / 2^n = (K^T M)_{IJ} / 2^n
@@ -128,7 +130,7 @@ def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
     return CliffordWordExpansion(m.n, _word_scatter(m.n, m.entries, True, 1 << m.n))
 
 
-def _word_scatter(n: int, values: Dict[Tuple[int, int], object], to_words: bool, scale: int):
+def _word_scatter(n: int, values: Dict[Tuple[int, int], Rat], to_words: bool, scale: int):
     """K^T x / scale (``to_words``) or K x / scale, as a sparse map.
 
     K[(s ^ c ^ h, s), (c, h)] is the sign of the word c(omega^c)
@@ -138,45 +140,29 @@ def _word_scatter(n: int, values: Dict[Tuple[int, int], object], to_words: bool,
     both directions share one scatter and differ only in which word and
     source give the sign.
 
-    The values are split by linearity into integer numerator planes over
-    one common denominator (``numerator_planes``), one per Scalar term key
-    and real/imaginary part; each plane is summed on an ``_accumulator``
-    while the word signs are read from the tables in blocks.  An output
-    key (u, v) reached by a Scalar value, that is with u ^ v = a ^ b for
-    a Scalar at (a, b), is a Scalar, any other a Fraction, as when the
-    values are added one at a time.  Zero sums are dropped.
+    The rational values are put over their least common denominator
+    (``rational_numerators``, which raises TypeError on any other value);
+    their integer numerators are summed on one ``_accumulator`` while the
+    word signs are read from the tables in blocks, and each nonzero sum is
+    lifted once to a Fraction.  Zero sums are dropped.
     """
     dim = 1 << n
-    den, planes = numerator_planes(list(values.values()))
+    den, nums = rational_numerators(list(values.values()))
     a, b = np.array(list(values), dtype=np.int64).reshape(-1, 2).T
     x = np.arange(dim)
-    sums = {plane: _accumulator(dim * dim, nums) for plane, nums in planes.items()}
-    nums_of = {plane: np.array(nums, dtype=sums[plane].dtype) for plane, nums in planes.items()}
+    acc = _accumulator(dim * dim, nums)
+    nums = np.array(nums, dtype=acc.dtype)
     for block in _slices(np.arange(len(a)), n):
         ak, bk = a[block, None], b[block, None]
         out = ak ^ bk ^ x
         signs = _word_signs(n, out, x, bk) if to_words else _word_signs(n, ak, bk, x)
-        idx = (out * dim + x).ravel()
-        for plane, acc in sums.items():
-            np.add.at(acc, idx, (signs * nums_of[plane][block, None]).ravel())
+        np.add.at(acc, (out * dim + x).ravel(), (signs * nums[block, None]).ravel())
 
-    scalar_diffs = {p ^ q for (p, q), v in values.items() if isinstance(v, Scalar)}
-    reached = np.zeros(dim * dim, dtype=bool)
-    for acc in sums.values():
-        reached |= acc != 0
-    keys = np.flatnonzero(reached)
-    parts = {plane: acc[keys].tolist() for plane, acc in sums.items()}
+    keys = np.flatnonzero(acc)
+    sums = acc[keys].tolist()
     den *= scale
-    real = parts.get((0, 0, 0), [])
-    rational = {num: Fraction(num, den) for num in set(real)}  # few distinct values
-    result: Dict[Tuple[int, int], object] = {}
-    for k, idx in enumerate(keys.tolist()):
-        key = divmod(idx, dim)
-        if key[0] ^ key[1] in scalar_diffs:
-            result[key] = lift_planes({p: v[k] for p, v in parts.items()}, den, True)
-        else:
-            result[key] = rational[real[k]]
-    return result
+    rational = {num: Fraction(num, den) for num in set(sums)}  # few distinct values
+    return {divmod(k, dim): rational[num] for k, num in zip(keys.tolist(), sums)}
 
 
 def _accumulator(size: int, nums) -> np.ndarray:

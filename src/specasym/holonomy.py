@@ -26,7 +26,7 @@ from itertools import combinations
 from math import inf
 from typing import Dict, List, Tuple
 
-from .exact import Scalar, lift_planes, numerator_planes
+from .exact import rational_numerators
 from .exterior import (
     DiffForm,
     mask_of,
@@ -81,27 +81,22 @@ class Projection(Record):
         self.columns = {b: tuple(col) for b, col in cols.items()}
 
     def apply(self, alpha: DiffForm) -> DiffForm:
-        """The projected 2-form, each numerator plane of ``alpha`` summed over
-        the columns of its masks into one {target: int} dict: Scalars if any
-        coefficient of ``alpha`` is one, else Fractions."""
+        """The projected 2-form of a rational 2-form: the integer numerators
+        of ``alpha`` (``rational_numerators``) summed over the columns of its
+        masks into one {target: int} dict, each nonzero sum lifted once to a
+        Fraction.  A coefficient that is not an int or a Fraction raises
+        TypeError."""
         if any(popcount(m) != 2 for m in alpha.terms):
             raise ValueError("projection applies to 2-forms only")
-        values = list(alpha.terms.values())
-        den, planes = numerator_planes(values)
+        den, nums = rational_numerators(list(alpha.terms.values()))
         den *= self.den
-        scalar = any(isinstance(c, Scalar) for c in values)
-        sums: Dict[int, dict] = {}  # {target: {plane: nonzero numerator}}
-        for plane, nums in planes.items():
-            flat: Dict[int, int] = {}
-            for b, x in zip(alpha.terms, nums):
-                if x:
-                    for t, v in self.columns.get(b, ()):
-                        flat[t] = flat.get(t, 0) + v * x
-            for t, x in flat.items():
-                if x:
-                    sums.setdefault(t, {})[plane] = x
-        out = DiffForm(self.n)  # every target in sums has a nonzero plane
-        out.terms = {t: lift_planes(acc, den, scalar) for t, acc in sums.items()}
+        sums: Dict[int, int] = {}
+        for b, x in zip(alpha.terms, nums):
+            if x:
+                for t, v in self.columns.get(b, ()):
+                    sums[t] = sums.get(t, 0) + v * x
+        out = DiffForm(self.n)
+        out.terms = {t: Fraction(x, den) for t, x in sums.items() if x}
         return out
 
     def trace(self) -> Fraction:
@@ -248,12 +243,11 @@ def bundle_weight_check(s: HolonomyStructure) -> bool:
 
 
 class InstantonReport(Record):
-    _fields = ("ok", "max_component", "exact_zero")
+    _fields = ("ok", "max_component")
 
-    def __init__(self, ok: bool, max_component: float, exact_zero: bool):
+    def __init__(self, ok: bool, max_component: float):
         self.ok = ok
         self.max_component = max_component
-        self.exact_zero = exact_zero
 
 
 def instanton_check(s: HolonomyStructure, curvature) -> InstantonReport:
@@ -263,11 +257,9 @@ def instanton_check(s: HolonomyStructure, curvature) -> InstantonReport:
     its real and imaginary numerator planes apart, gathered from the P_7
     columns of the planes' masks; each 7-part row then sums all its r^2
     real and imaginary numerators in one pass over its (value, plane)
-    pairs.
-    ``ok`` and ``exact_zero`` are decided on those integers;
-    ``max_component`` is the largest |re + i im| of a 7-part entry in
-    floats, which reads 0.0 when a nonzero part lies below the float range
-    and inf when one lies past it.
+    pairs.  ``ok`` is decided on those integers; ``max_component`` is the
+    largest |re + i im| of a 7-part entry in floats, which reads 0.0 when a
+    nonzero part lies below the float range and inf when one lies past it.
     """
     p7 = projections(s)[0]
     planes, den = curvature.f_planes, p7.den * curvature.f_den
@@ -276,7 +268,7 @@ def instanton_check(s: HolonomyStructure, curvature) -> InstantonReport:
         for t, v in p7.columns.get(b, ()):
             hits.setdefault(t, []).append((v, plane))
     worst = 0.0
-    exact_zero = True
+    ok = True
     for (v, (re, im)), *rest in hits.values():
         # the r^2 real and imaginary sums of the row, in one pass over it
         xs, ys = [v * a for a in re], [v * b for b in im]
@@ -285,10 +277,10 @@ def instanton_check(s: HolonomyStructure, curvature) -> InstantonReport:
             ys = [y + v * b for y, b in zip(ys, im)]
         for x, y in zip(xs, ys):
             if x or y:
-                exact_zero = False
+                ok = False
                 try:
                     # int true division rounds correctly, as float(Fraction) does
                     worst = max(worst, abs(complex(x / den, y / den)))
                 except OverflowError:
                     worst = inf
-    return InstantonReport(ok=exact_zero, max_component=worst, exact_zero=exact_zero)
+    return InstantonReport(ok=ok, max_component=worst)

@@ -471,7 +471,7 @@ class ResidueReport(Record):
 def _instanton_warning(rep: Optional[InstantonReport]) -> Optional[str]:
     if rep is None or rep.ok:
         return None
-    if rep.max_component == 0.0 and not rep.exact_zero:
+    if rep.max_component == 0.0:
         return "P7 component nonzero but below the float range"
     return f"P7 component up to {rep.max_component:.3e}"
 

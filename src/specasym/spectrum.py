@@ -60,10 +60,6 @@ class SpectralLevel(Record):
             return (2 if self.n == 7 else 3) * self.mult_7 - self.mult_big
         raise ValueError("which must be '7', 'big' or 'delta'")
 
-    def weighted_deficit(self) -> int:
-        """Integer weight (2 m7 - m14) or (3 m7 - m21); vanishes identically."""
-        return self.weight("delta")
-
 
 def _square_counts(k: int, q_max: int) -> np.ndarray:
     """r_k(q) for q = 0..q_max: the k-th power of the theta series sum_m x^(m^2).

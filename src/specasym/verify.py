@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .exact import Scalar, numerator_planes
+from .exact import Scalar, rational_numerators
 from .exterior import DiffForm, FiberOp, popcount, sparse_product, star_ext_entries
 from .filtration import (
     expand_clifford_basis,
@@ -44,6 +44,7 @@ from .residue import (
     random_curvature,
 )
 from .spectrum import (
+    counting_functions,
     enumerate_levels,
     heat_trace,
     mellin_equivalence,
@@ -285,7 +286,7 @@ def _orthogonal_decomposition(alpha: DiffForm, a7: DiffForm, rest: DiffForm) -> 
     denominator."""
     masks = set(alpha.terms) | set(a7.terms) | set(rest.terms)
     values = [f.terms.get(m, 0) for f in (alpha, a7, rest) for m in masks]
-    nums = numerator_planes(values)[1].get((0, 0, 0), [0] * len(values))
+    nums = rational_numerators(values)[1]
     k = len(masks)
     x, y, z = nums[:k], nums[k:2 * k], nums[2 * k:]  # alpha, a7, rest
     return (
@@ -444,12 +445,10 @@ def spectrum_suite(seed: int = 0, q_max: int = 400) -> List[CheckResult]:
     )
     levels = enumerate_levels(7, q_max)
     ok = all(lv.mult_big == 2 * lv.mult_7 for lv in levels)
-    ok &= all(lv.weighted_deficit() == 0 for lv in levels)
+    ok &= all(lv.weight("delta") == 0 for lv in levels)
     _check(out, f"per-level 2:1 split and zero deficit up to q={q_max}", ok, f"{len(levels)} levels")
 
     x = 4 * pi * pi * q_max
-    from .spectrum import counting_functions
-
     n7, n14 = counting_functions(levels, x)
     _check(out, "N_14(x) = 2 N_7(x) at the top of the range", n14 == 2 * n7, f"{n7}, {n14}")
 

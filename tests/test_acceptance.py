@@ -187,7 +187,7 @@ def test_criterion_08_flat_torus_asymmetry():
     t0 = time.time()
     levels = enumerate_levels(7, 400)
     assert all(lv.mult_big == 2 * lv.mult_7 for lv in levels)
-    assert all(lv.weighted_deficit() == 0 for lv in levels)
+    assert all(lv.weight("delta") == 0 for lv in levels)
     n7 = n14 = 0
     for lv in levels:
         n7 += lv.mult_7

@@ -1,11 +1,15 @@
 from fractions import Fraction
-from math import pi, sqrt
+from functools import reduce
+from math import gcd, pi, sqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specasym.exact import Scalar, numerator_planes
+from specasym.exact import Scalar, rational_numerators
+from specasym.exterior import DiffForm, FiberOp
+from specasym.filtration import CliffordWordExpansion, expand_clifford_basis
+from specasym.holonomy import decompose_two_form, standard_structure
 
 
 def test_ring_basics():
@@ -76,18 +80,71 @@ def test_repr_stable():
     assert repr(s) == "-3/2*pi^-2*t^(1/2)"
 
 
+def _least_common_denominator(values):
+    """The lcm of the reduced denominators, by gcd steps (oracle)."""
+    return reduce(lambda d, x: d * x.denominator // gcd(d, x.denominator), map(Fraction, values), 1)
+
+
+def _check_numerators(values):
+    den, nums = rational_numerators(values)
+    assert type(den) is int and den == _least_common_denominator(values)
+    assert len(nums) == len(values) and all(type(v) is int for v in nums)
+    assert [Fraction(v, den) for v in nums] == values
+
+
 @pytest.mark.parametrize("values", [
     [3, -1, 0, 2 ** 70],
     [Fraction(1, 6), Fraction(-5, 4), Fraction(0), Fraction(7, 10 ** 30)],
     [0, Fraction(0)],
-    [2, Fraction(-3, 8), 0, Scalar.term(1, -2, pi_half=-2), Fraction(5, 12), Scalar.of(Fraction(1, 3))],
-], ids=["ints", "fractions", "zeros", "mixed-with-scalars"])
-def test_numerator_planes_fast_path_matches_general_path(values):
-    """Plain int and Fraction lists take a fast path; the same values as
-    Scalars take the per-value general path and give the same output."""
-    got = numerator_planes(values)
-    assert got == numerator_planes([Scalar.of(x) for x in values])
-    assert all(type(v) is int for nums in got[1].values() for v in nums)
+], ids=["ints", "fractions", "zeros"])
+def test_rational_numerators_are_over_the_least_denominator(values):
+    _check_numerators(values)
+
+
+_BIG = st.integers(-2 ** 80, 2 ** 80)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.one_of(
+    st.integers(-6, 6),
+    _BIG,
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.builds(Fraction, _BIG, st.integers(1, 2 ** 80)),
+), max_size=8))
+def test_rational_numerators_of_drawn_rationals(values):
+    _check_numerators(values)
+
+
+@pytest.mark.parametrize("bad,later", [
+    (Scalar.of(Fraction(1, 3)), 0.5),
+    (Scalar(), 0.5),
+    (0.5, Scalar.of(1)),
+], ids=["scalar", "zero-scalar", "float"])
+def test_rational_numerators_reject_other_values(bad, later):
+    """A value that is not an int or a Fraction raises TypeError naming its
+    type: the first such value's, not a later one's."""
+    with pytest.raises(TypeError, match=type(bad).__name__) as info:
+        rational_numerators([2, Fraction(-3, 8), bad, later])
+    assert type(later).__name__ not in str(info.value)
+
+
+_REJECTS_SCALARS = {
+    "decompose": lambda: decompose_two_form(
+        standard_structure("g2"), DiffForm(7, {0b11: Fraction(1, 2), 0b1100: Scalar.of(1)})),
+    "expand": lambda: expand_clifford_basis(
+        FiberOp(5, 1, {(3, 3): Fraction(1, 2), (6, 5): Scalar.of(2)})),
+    "reconstruct": lambda: CliffordWordExpansion(
+        5, {(0, 0): 1, (1, 0): Scalar.of(Fraction(1, 2))}).reconstruct(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTS_SCALARS))
+def test_rational_entry_points_reject_scalar_coefficients(name):
+    """The 2-form projections and both directions of the word expansion
+    take int and Fraction coefficients only: a Scalar, even a real
+    rational one, raises TypeError naming it."""
+    with pytest.raises(TypeError, match="Scalar"):
+        _REJECTS_SCALARS[name]()
 
 
 _RATS = st.fractions(min_value=-6, max_value=6, max_denominator=9)

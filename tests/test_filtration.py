@@ -123,22 +123,15 @@ def _random_words(n, count, seed, draw):
     })
 
 
-def _scalar_or_rational(rnd):
-    k = rnd.randrange(6)
-    if k == 0:
-        return Scalar.term(rnd.randint(-3, 3), rnd.randint(1, 3), pi_half=rnd.choice((-2, 1)))
-    if k == 1:
-        return Scalar.i(Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)))
-    if k == 2:
-        return Scalar()
-    if k == 3:
+def _int_or_fraction(rnd):
+    if rnd.randrange(3) == 0:
         return rnd.randint(-2, 2)
     return Fraction(rnd.randint(-4, 4), rnd.randint(1, 6))
 
 
 def _random_sparse(n, count, rnd):
     dim = 1 << n
-    return {(rnd.randrange(dim), rnd.randrange(dim)): _scalar_or_rational(rnd) for _ in range(count)}
+    return {(rnd.randrange(dim), rnd.randrange(dim)): _int_or_fraction(rnd) for _ in range(count)}
 
 
 def _pairing(x, y):
@@ -161,7 +154,7 @@ def test_expansion_is_the_adjoint_of_the_reconstruction(n):
         for _ in range(20):
             cm, hm = rnd.choice(list(phi.coefficients))
             s = rnd.randrange(dim)
-            entries[(s ^ cm ^ hm, s)] = _scalar_or_rational(rnd)
+            entries[(s ^ cm ^ hm, s)] = _int_or_fraction(rnd)
         m = FiberOp(n, 1, entries)
         got = _pairing(phi.reconstruct().entries, m.entries)
         assert got != 0
@@ -170,18 +163,28 @@ def test_expansion_is_the_adjoint_of_the_reconstruction(n):
 
 def test_expansion_of_a_word_operator_recovers_its_terms(fiber_matrix):
     """The form-free words of a rank-1 WordOperator are the expansion
-    coefficients of its fiber matrix, built from the generator words."""
+    coefficients of its fiber matrix, built from the generator words; the
+    matrix's real rational Scalars are read as Fractions."""
     rnd = random.Random(21)
     for n in (5, 7):
         x = WordOperator(n, 1, {
             (0, cm, hm): {(0, 0): Scalar.of(v)} for (cm, hm), v in _random_sparse(n, 5, rnd).items()
         })
-        got = expand_clifford_basis(FiberOp(n, 1, fiber_matrix(x))).coefficients
-        assert got == {(cm, hm): m[0, 0] for (_, cm, hm), m in x.terms.items()}
+        matrix = {k: _fraction(v) for k, v in fiber_matrix(x).items()}
+        got = expand_clifford_basis(FiberOp(n, 1, matrix)).coefficients
+        assert got == {(cm, hm): _fraction(m[0, 0]) for (_, cm, hm), m in x.terms.items()}
+
+
+def _fraction(c):
+    """A real rational Scalar as a Fraction."""
+    (key, (re, im)), = c.terms.items()
+    assert key == (0, 0) and not im
+    return re
 
 
 @pytest.mark.parametrize("case", [
-    "random-n5", "random-n7", "tiny-n8", "30-digit-denominators", "empty", "scalar-coefficients",
+    "random-n5", "random-n7", "tiny-n8", "30-digit-denominators", "empty",
+    "int-and-fraction-coefficients",
 ])
 def test_reconstruct_matches_entry_loop(case):
     if case == "random-n5":
@@ -196,15 +199,10 @@ def test_reconstruct_matches_entry_loop(case):
     elif case == "empty":
         exp = CliffordWordExpansion(7, {})
     else:
-        exp = _random_words(5, 80, seed=5, draw=_scalar_or_rational)
+        exp = _random_words(5, 80, seed=5, draw=_int_or_fraction)
     got, want = exp.reconstruct(), _entry_loop_reconstruct(exp)
     assert got == want
-    assert {k: type(v) for k, v in got.entries.items()} == {
-        k: type(v) for k, v in want.entries.items()}
-    if case != "scalar-coefficients":
-        assert all(type(v) is Fraction for v in got.entries.values())
-    else:
-        assert any(isinstance(v, Scalar) for v in got.entries.values())
+    assert all(type(v) is Fraction for v in got.entries.values())
 
 
 def test_sweep_blocks_match_pair_loop(flipped_word_sign):
@@ -251,23 +249,17 @@ def _rational(draw, huge):
 
 @st.composite
 def _entries(draw):
-    """A sparse rank-1 operator's support and values: rationals, Scalars
-    with pi or t powers or imaginary parts, and numerators past 2^62."""
+    """A sparse rank-1 operator's support and values: ints and rationals,
+    with numerators past 2^62."""
     n = draw(st.sampled_from([7, 8]))
     huge = draw(st.booleans())
     entries = {}
     for _ in range(draw(st.integers(1, 6))):
         pos = (draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, (1 << n) - 1)))
-        kind = draw(st.sampled_from(["int", "rational", "scalar"]))
-        if kind == "int":
+        if draw(st.booleans()):
             entries[pos] = draw(st.integers(-3, 3))
-        elif kind == "rational":
-            entries[pos] = _rational(draw, huge)
         else:
-            entries[pos] = Scalar.term(
-                _rational(draw, huge), _rational(draw, huge) * draw(st.integers(0, 1)),
-                pi_half=draw(st.integers(-2, 2)), t_half=draw(st.integers(-1, 1)),
-            )
+            entries[pos] = _rational(draw, huge)
     return n, entries
 
 

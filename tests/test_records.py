@@ -32,9 +32,9 @@ _RECORDS = {
         lambda: HolonomyStructure("g2", 7, _W, [(2, 7), (-1, 13)], {(3, 3): 1}, ()),
     ),
     "InstantonReport": (
-        lambda: InstantonReport(False, 0.5, False),
-        "InstantonReport(ok=False, max_component=0.5, exact_zero=False)",
-        lambda: InstantonReport(False, 0.25, False),
+        lambda: InstantonReport(False, 0.5),
+        "InstantonReport(ok=False, max_component=0.5)",
+        lambda: InstantonReport(False, 0.25),
     ),
     "ResidueReport": (
         lambda: ResidueReport("g2", False, _W, Scalar.of(1),
@@ -80,7 +80,7 @@ _PARAMETERS = {
     Projection: [("target",), ("n",), ("den",), ("entries",)],
     HolonomyStructure: [("kind",), ("n",), ("defining_form",), ("eigenvalue_table",),
                         ("star_ext",), ("projection_pair",)],
-    InstantonReport: [("ok",), ("max_component",), ("exact_zero",)],
+    InstantonReport: [("ok",), ("max_component",)],
     ResidueReport: [("kind",), ("twisted",), ("density",), ("integral",), ("b_coefficient",),
                     ("residue",), ("pole_location",), ("untwisted_constant_ok", None),
                     ("instanton", None)],
@@ -145,5 +145,5 @@ def test_record_equality_compares_field_tuples():
     """A NaN field is equal to itself: the fields compare as tuples, which
     test identity before ``==``."""
     nan = float("nan")
-    assert InstantonReport(False, nan, False) == InstantonReport(False, nan, False)
-    assert InstantonReport(False, nan, False) != InstantonReport(False, float("nan"), False)
+    assert InstantonReport(False, nan) == InstantonReport(False, nan)
+    assert InstantonReport(False, nan) != InstantonReport(False, float("nan"))

@@ -90,10 +90,10 @@ def test_level_gates():
 def test_per_level_ratios():
     for lv in enumerate_levels(7, 60):
         assert lv.mult_big == 2 * lv.mult_7
-        assert lv.weighted_deficit() == 0
+        assert lv.weight("delta") == 0
     for lv in enumerate_levels(8, 30):
         assert lv.mult_big == 3 * lv.mult_7
-        assert lv.weighted_deficit() == 0
+        assert lv.weight("delta") == 0
 
 
 @pytest.mark.parametrize("n", [7, 8])

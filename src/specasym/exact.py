@@ -145,14 +145,6 @@ class Scalar:
         inv = Scalar({(-p, -q): (re / den, -im / den)})
         return self * inv
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return Scalar.of(1) / self.__pow__(-k)
-        out = Scalar.of(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -196,21 +188,17 @@ class Scalar:
         q0 = int(q0)
         return Scalar({(p, 0): v for (p, q), v in self.terms.items() if q == q0})
 
-    def evalf(self, t=None) -> complex:
-        """Numeric value; ``t`` must be supplied when t-powers are present."""
+    def evalf(self) -> complex:
+        """Numeric value of a Scalar free of t; a t-power raises ValueError."""
         total = 0j
         for (p, q), (re, im) in self.terms.items():
-            v = complex(re) + 1j * complex(im)
-            v *= _PI ** (p / 2.0)
             if q:
-                if t is None:
-                    raise ValueError("t value required to evaluate this Scalar")
-                v *= float(t) ** (q / 2.0)
-            total += v
+                raise ValueError("cannot evaluate a Scalar with a power of t")
+            total += (complex(re) + 1j * complex(im)) * _PI ** (p / 2.0)
         return total
 
-    def real_float(self, t=None) -> float:
-        z = self.evalf(t)
+    def real_float(self) -> float:
+        z = self.evalf()
         if abs(z.imag) > 1e-12 * (1.0 + abs(z.real)):
             raise ValueError(f"not numerically real: {self}")
         return z.real

@@ -116,9 +116,6 @@ class DiffForm:
     def dvol(n: int) -> "DiffForm":
         return DiffForm(n, {(1 << n) - 1: Fraction(1)})
 
-    def copy(self) -> "DiffForm":
-        return DiffForm(self.n, dict(self.terms))
-
     # -- linear structure ------------------------------------------------
 
     def __add__(self, other: "DiffForm") -> "DiffForm":
@@ -169,9 +166,6 @@ class DiffForm:
                     else:
                         del out[m]
         return DiffForm(self.n, out)
-
-    def __xor__(self, other):
-        return self.wedge(other)
 
     def hodge(self) -> "DiffForm":
         full = (1 << self.n) - 1

@@ -113,7 +113,7 @@ class CliffordWordExpansion(Record):
     def reconstruct(self) -> FiberOp:
         """The operator sum phi_{IJ} c(omega^I) c-hat(omega^J), exactly:
         M = K phi (``_word_scatter``)."""
-        return FiberOp(self.n, 1, _word_scatter(self.n, self.coefficients, False, 1))
+        return FiberOp(self.n, 1, _word_scatter(self.n, self.coefficients, False))
 
 
 def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
@@ -127,11 +127,11 @@ def expand_clifford_basis(m: FiberOp) -> CliffordWordExpansion:
     """
     if m.r != 1:
         raise ValueError("word expansion requires bundle rank 1")
-    return CliffordWordExpansion(m.n, _word_scatter(m.n, m.entries, True, 1 << m.n))
+    return CliffordWordExpansion(m.n, _word_scatter(m.n, m.entries, True))
 
 
-def _word_scatter(n: int, values: Dict[Tuple[int, int], Rat], to_words: bool, scale: int):
-    """K^T x / scale (``to_words``) or K x / scale, as a sparse map.
+def _word_scatter(n: int, values: Dict[Tuple[int, int], Rat], to_words: bool):
+    """K^T x / 2^n (``to_words``) or K x, as a sparse map.
 
     K[(s ^ c ^ h, s), (c, h)] is the sign of the word c(omega^c)
     c-hat(omega^h) on e^s, and ``values`` is x: fiber entries {(row, col):
@@ -160,7 +160,8 @@ def _word_scatter(n: int, values: Dict[Tuple[int, int], Rat], to_words: bool, sc
 
     keys = np.flatnonzero(acc)
     sums = acc[keys].tolist()
-    den *= scale
+    if to_words:
+        den <<= n
     rational = {num: Fraction(num, den) for num in set(sums)}  # few distinct values
     return {divmod(k, dim): rational[num] for k, num in zip(keys.tolist(), sums)}
 
@@ -172,9 +173,9 @@ def _accumulator(size: int, nums) -> np.ndarray:
     return np.zeros(size, dtype=np.int64 if bound < 1 << 62 else object)
 
 
-def gram_orthogonality_check(n: int, sample: int = 400, seed: int = 0):
-    """Verify tr(W_{IJ}^{-1} W_{KL}) = 2^n delta_{IK} delta_{JL} on
-    ``sample`` random pairs of words.
+def gram_orthogonality_check(n: int, seed: int = 0):
+    """Verify tr(W_{IJ}^{-1} W_{KL}) = 2^n delta_{IK} delta_{JL} on 400
+    random pairs of words.
 
     W_{KL} sends e^s to g2[s] e^{s ^ K ^ L}, and W_{IJ}^{-1} sends
     e^{s ^ I ^ J} to g1[s] e^s, so the pairing is the sign dot product
@@ -183,6 +184,7 @@ def gram_orthogonality_check(n: int, sample: int = 400, seed: int = 0):
     Nondegeneracy of this Gram matrix makes the expansion a bijection.
     """
     dim = 1 << n
+    sample = 400
     c1, h1, c2 = np.random.default_rng(seed).integers(0, dim, (3, sample))
     c2[:sample // 2] = c1[:sample // 2]
     quads = np.stack([c1, h1, c2, c2 ^ c1 ^ h1], axis=1)

@@ -139,9 +139,9 @@ def star_ext_on_two_forms(w: DiffForm, n: int) -> Dict[Tuple[int, int], object]:
     return out
 
 
-def _shifted(a: Dict[Tuple[int, int], object], basis: List[int], scale: int, shift: int):
-    """scale * A + shift * Id over ``basis``, without zero entries."""
-    out = {k: scale * v for k, v in a.items()}
+def _shifted(a: Dict[Tuple[int, int], object], basis: List[int], factor: int, shift: int):
+    """factor * A + shift * Id over ``basis``, without zero entries."""
+    out = {k: factor * v for k, v in a.items()}
     for m in basis:
         out[(m, m)] = out.get((m, m), 0) + shift
     return {k: v for k, v in out.items() if v}

@@ -30,7 +30,7 @@ from .holonomy import (
     instanton_check,
 )
 from .record import Record
-from .wordops import Mat, WordOperator
+from .wordops import Mat
 
 
 # ----------------------------------------------------------------------
@@ -175,13 +175,6 @@ class CurvatureData:
         sign = 1 if i < j else -1  # R_jikl = -R_ijkl; the row of (i, i) is empty
         row = self.r_rows.get((min(i, j), max(i, j)), ())
         return DiffForm(self.n, {mask_of(kl): Fraction(sign * v, 2) for kl, v in row})
-
-    def fhat_word(self) -> WordOperator:
-        """sum_{i<j} e^{ij} (x) F_{ij} in the operator algebra."""
-        terms = {
-            (mask_of((i, j)), 0, 0): m for (i, j), m in self.f_entries.items()
-        }
-        return WordOperator(self.n, self.r, terms)
 
     def has_riemann_curvature(self) -> bool:
         return bool(self.r_entries)
@@ -489,7 +482,7 @@ def residue_value(
     b = pi^(-deg(w)/2) * integral and the residue is b / Gamma(deg(w)/2 + 1).
     """
     deg_w = s.degree
-    integral = Scalar.of(integral) if not isinstance(integral, Scalar) else integral
+    integral = Scalar.of(integral)
     b = Scalar.pi_pow(-deg_w) * integral
     residue = b / gamma_pole_factor(deg_w)
     report = ResidueReport(
@@ -529,10 +522,10 @@ def untwisted_constant(kind: str) -> Scalar:
     )
 
 
-def full_residue_report(s: HolonomyStructure, cd, twisted: Optional[bool] = None) -> ResidueReport:
-    """Run the density -> b -> residue pipeline on curvature data."""
-    if twisted is None:
-        twisted = cd.has_bundle_curvature()
+def full_residue_report(s: HolonomyStructure, cd) -> ResidueReport:
+    """Run the density -> b -> residue pipeline on curvature data; it is
+    twisted, with an instanton check, when ``cd`` has bundle curvature."""
+    twisted = cd.has_bundle_curvature()
     density = residue_density(s, cd)
     integral = Scalar.of(density.top_coefficient())
     report = residue_value(s, twisted, integral, density)

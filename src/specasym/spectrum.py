@@ -206,23 +206,17 @@ def counting_functions(levels: Sequence[SpectralLevel], x: float) -> Tuple[int, 
     return n7, nbig
 
 
-def zeta_partial(
-    levels: Sequence[SpectralLevel],
-    which: str,
-    s: float,
-    cutoff: Optional[float] = None,
-    allow_divergent: bool = False,
-) -> Tuple[float, float]:
-    """Partial zeta sum with an integral-comparison tail bound.
+def zeta_partial(levels: Sequence[SpectralLevel], which: str, s: float) -> Tuple[float, float]:
+    """Partial zeta sum over ``levels`` with an integral-comparison tail bound.
 
-    ``which`` is '7', 'big', or 'delta' (the weighted difference).  The
-    tail bound integrates the box count (2 sqrt(q) + 1)^n in closed form,
-    valid for all the shells beyond the cutoff.
+    ``which`` is '7', 'big', or 'delta' (the weighted difference); s must
+    exceed n/2.  The tail bound integrates the box count (2 sqrt(q) + 1)^n
+    in closed form, valid for all the shells beyond the highest level.
     """
     if not levels:
         return 0.0, 0.0
     n = levels[0].n
-    if s <= n / 2 and not allow_divergent:
+    if s <= n / 2:
         raise ValueError(f"s = {s} is in the divergent range (need s > {n/2})")
     total = 0.0
     q_top = 0.0
@@ -232,14 +226,11 @@ def zeta_partial(
         w = lv.weight(which)
         if not w:
             continue
-        lam = lv.eigenvalue
-        if cutoff is not None and lam > cutoff:
-            continue
         q_top = max(q_top, float(lv.q))
-        total += w * lam ** (-s)
+        total += w * lv.eigenvalue ** (-s)
     # the weight of a single lattice point: 7, 14 or 21, and 0 for 'delta'
     fiber = _spectral_levels(n, [(1, 1)])[0].weight(which)
-    if fiber and s > n / 2:
+    if fiber:
         # at most (2u + 1)^n lattice points lie within radius u = sqrt(q);
         # the growth 2 fiber n (2u + 1)^(n-1) du of that bound, weighted by
         # (4 pi^2 u^2)^(-s), integrates term by term of its binomial expansion
@@ -268,9 +259,10 @@ def heat_trace(levels: Sequence[SpectralLevel], t: float, weighted: bool) -> flo
     return total
 
 
-def poisson_dual_trace(n: int, t: float, m_max: int = 40) -> float:
-    """fiber * (4 pi t)^{-n/2} * [sum_m exp(-m^2/4t)]^n via the dual lattice."""
-    theta = 1.0 + 2.0 * sum(exp(-m * m / (4.0 * t)) for m in range(1, m_max + 1))
+def poisson_dual_trace(n: int, t: float) -> float:
+    """fiber * (4 pi t)^{-n/2} * [sum_m exp(-m^2/4t)]^n via the dual lattice,
+    summed over |m| <= 40."""
+    theta = 1.0 + 2.0 * sum(exp(-m * m / (4.0 * t)) for m in range(1, 41))
     return TWO_FORM_FIBER[n] * (4.0 * pi * t) ** (-n / 2.0) * theta ** n
 
 
@@ -323,15 +315,9 @@ def mellin_equivalence(
     return MellinReport(s, direct, (v1 + v2) / g, (e1 + e2) / g)
 
 
-def mellin_equivalence_levels(
-    levels: Sequence[SpectralLevel],
-    which: str,
-    s: float,
-    cutoff: Optional[float] = None,
-) -> MellinReport:
-    pairs = [(float(lv.weight(which)), lv.eigenvalue) for lv in levels
-             if cutoff is None or lv.eigenvalue <= cutoff]
-    return mellin_equivalence(pairs, s)
+def mellin_equivalence_levels(levels: Sequence[SpectralLevel], which: str, s: float
+                              ) -> MellinReport:
+    return mellin_equivalence([(float(lv.weight(which)), lv.eigenvalue) for lv in levels], s)
 
 
 CSV_HEADER = ["q", "lambda", "lattice_count", "mult_7", "mult_big", "N_7", "N_big"]

@@ -44,6 +44,7 @@ from .residue import (
     random_curvature,
 )
 from .spectrum import (
+    _lattice_counts,
     counting_functions,
     enumerate_levels,
     heat_trace,
@@ -152,7 +153,7 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
     _check(out, "word-trace identity, 10^4 random pairs (n=8)", not fails, f"{checked} pairs")
 
     for n in (7, 8):
-        fails, checked = gram_orthogonality_check(n, sample=400, seed=seed)
+        fails, checked = gram_orthogonality_check(n, seed=seed)
         _check(out, f"word Gram orthogonality (n={n})", not fails, f"{checked} pairings")
 
     rnd = random.Random(seed)
@@ -175,7 +176,7 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
     return out
 
 
-def _bridge_check(s, seed: int, count: int = 100) -> bool:
+def _bridge_check(s, seed: int) -> bool:
     """tr(*e(w) M) = -tr(c(dvol) e(w) M) for degree-2-block operators M.
 
     Both weight operators map 2-forms to 2-forms: *e(w) is the stored
@@ -189,12 +190,11 @@ def _bridge_check(s, seed: int, count: int = 100) -> bool:
     cdvol_w = {k: int(v) for k, v in star_ext_entries(s.defining_form, basis2, True).items()}
     if s.star_ext != {k: -v for k, v in cdvol_w.items()}:
         return False
-    return all(lhs == -rhs for lhs, rhs in _bridge_sums(s, basis2, cdvol_w, seed, count))
+    return all(lhs == -rhs for lhs, rhs in _bridge_sums(s, basis2, cdvol_w, seed))
 
 
-def _bridge_sums(s, basis2: List[int], cdvol_w, seed: int, count: int = 100
-                 ) -> List[Tuple[int, int]]:
-    """(6 tr(*e(w) M), 6 tr(c(dvol) e(w) M)) for ``count`` random M.
+def _bridge_sums(s, basis2: List[int], cdvol_w, seed: int) -> List[Tuple[int, int]]:
+    """(6 tr(*e(w) M), 6 tr(c(dvol) e(w) M)) for 100 random M.
 
     Each M is 12 entries (a, b) += p/q with a, b drawn from the 2-form
     masks ``basis2`` in increasing order, p in -3..3 and q in 1..3, drawn
@@ -206,7 +206,7 @@ def _bridge_sums(s, basis2: List[int], cdvol_w, seed: int, count: int = 100
     rnd = random.Random(seed + s.n)
     star_w = s.star_ext
     sums = []
-    for _ in range(count):
+    for _ in range(100):
         lhs = rhs = 0
         for _ in range(12):
             a, b = rnd.choice(basis2), rnd.choice(basis2)
@@ -300,7 +300,7 @@ def _orthogonal_decomposition(alpha: DiffForm, a7: DiffForm, rest: DiffForm) -> 
 # heat suite
 # ----------------------------------------------------------------------
 
-def heat_suite(seed: int = 0, full: bool = True) -> List[CheckResult]:
+def heat_suite(seed: int = 0) -> List[CheckResult]:
     out = _Results()
     g2 = standard_structure("g2")
     sp7 = standard_structure("spin7")
@@ -320,9 +320,8 @@ def heat_suite(seed: int = 0, full: bool = True) -> List[CheckResult]:
         )
 
     # oracle equivalence and vanishing below residue order
-    seeds = [(7, 1, 3), (7, 1, 4), (7, 2, 5), (7, 1, 6), (7, 2, 7)] if full else [(7, 1, 3)]
     deg = Fraction(-3, 2)
-    for n, r, sd in seeds:
+    for n, r, sd in ((7, 1, 3), (7, 1, 4), (7, 2, 5), (7, 1, 6), (7, 2, 7)):
         cd = random_curvature(n, r, seed=sd)
         dm = mehler_diag_trace(g2, cd)
         dd = duhamel_density(g2, cd)
@@ -418,11 +417,12 @@ def _conjugate_bundle(cd: CurvatureData, u) -> CurvatureData:
     return CurvatureData(cd.n, cd.r, dict(cd.r_entries), new)
 
 
-def _hermite_diag_sum(a: float, t: float, terms: int = 4000) -> float:
-    # |psi_{2m}(0)|^2 = sqrt(a/pi) (2m)! / (4^m (m!)^2), eigenvalue a(4m+1)
+def _hermite_diag_sum(a: float, t: float) -> float:
+    # |psi_{2m}(0)|^2 = sqrt(a/pi) (2m)! / (4^m (m!)^2), eigenvalue a(4m+1),
+    # summed over the first 4000 even eigenfunctions
     total = 0.0
     log_coeff = 0.0
-    for m in range(terms):
+    for m in range(4000):
         if m == 0:
             coeff = 1.0
         else:
@@ -436,8 +436,13 @@ def _hermite_diag_sum(a: float, t: float, terms: int = 4000) -> float:
 # spectrum suite
 # ----------------------------------------------------------------------
 
-def spectrum_suite(seed: int = 0, q_max: int = 400) -> List[CheckResult]:
+# the flat line twist of the spectrum suite's twisted rows
+_SUITE_TWIST = (Fraction(1, 3), Fraction(1, 2)) + (Fraction(0),) * 5
+
+
+def spectrum_suite(seed: int = 0) -> List[CheckResult]:
     out = _Results()
+    q_max = 400
     _check(
         out,
         "shell counts match brute-force scan (n=7, q<=6)",
@@ -474,12 +479,14 @@ def spectrum_suite(seed: int = 0, q_max: int = 400) -> List[CheckResult]:
 
     z, _ = zeta_partial(levels, "delta", 4.0)
     _check(out, "zeta_delta partial sums vanish (flat)", z == 0.0)
-    tw = twisted_levels(7, [Fraction(1, 3), Fraction(1, 2)] + [Fraction(0)] * 5, 6)
+    tw = twisted_levels(7, _SUITE_TWIST, 6)
     zt, _ = zeta_partial(tw, "delta", 4.0)
     _check(out, "twisted zeta_delta partial sums vanish", zt == 0.0, f"{len(tw)} levels")
     ok = all(lv.mult_big == 2 * lv.mult_7 for lv in tw)
     _check(out, "twisted levels keep the 2:1 split", ok)
-    _check(out, "twist has no zero modes", all(lv.q > 0 for lv in tw))
+    # the level lists keep q > 0 only, so the zero modes are read off the
+    # raw count at |k + theta|^2 = 0
+    _check(out, "twist has no zero modes", not _lattice_counts(_SUITE_TWIST, 6)[1].get(0))
 
     v50, t50 = zeta_partial(enumerate_levels(7, 50), "7", 4.0)
     v100, _ = zeta_partial(enumerate_levels(7, 100), "7", 4.0)

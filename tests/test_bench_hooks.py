@@ -4,11 +4,15 @@
 ``bench/run.py`` swaps the two densities on ``specasym.cli`` and probes
 ``calibration_constant`` on the standard structures.  A rename in ``src/``
 breaks those runs; these tests catch it without running the benchmark.
+So do the check-name digests of the ``verify`` suites, which
+``bench/references.json`` holds.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,21 @@ def test_every_span_target_resolves(module, attr):
 ])
 def test_names_the_benchmark_runner_reads_resolve(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def _verify_references():
+    with open(_BENCH / "references.json") as fh:
+        return json.load(fh)["full"]["verify-structure"]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("suite", ["algebra", "holonomy", "spectrum"])
+def test_verify_rows_match_the_benchmark_checks_digest(suite, seed):
+    """The ``verify-structure`` gate digests the (name, status) list of each
+    suite and compares it on every seed, so a renamed, dropped or failing
+    row breaks the benchmark; this catches it in process."""
+    from specasym.verify import run_suites
+
+    rows = [[r.name, r.status] for r in run_suites([suite], seed)]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _verify_references()[f"verify-{suite}"]["checks"]

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import reduce
-from math import gcd, pi, sqrt
+from math import gcd, pi
 
 import pytest
 from hypothesis import given, settings
@@ -43,11 +43,13 @@ def test_complex_and_conjugate():
 
 
 def test_half_powers_and_t():
+    assert Scalar.term(Fraction(1, 2), pi_half=-3).evalf() == pytest.approx(0.5 * pi ** -1.5)
     s = Scalar.term(Fraction(1, 2), pi_half=1, t_half=-3)
-    v = s.evalf(t=0.25)
-    assert v == pytest.approx(0.5 * sqrt(pi) * 0.25 ** (-1.5))
-    with pytest.raises(ValueError):
-        s.evalf()  # t required
+    for value in (s, s + Scalar.of(1), Scalar.t_pow(2)):
+        with pytest.raises(ValueError):
+            value.evalf()  # a power of t has no numeric value
+        with pytest.raises(ValueError):
+            value.real_float()
 
 
 def test_t_coefficient_and_support():
@@ -68,11 +70,6 @@ def test_division():
         b / (a + Scalar.of(1))  # non-monomial divisor
     with pytest.raises(ZeroDivisionError):
         b / Scalar.of(0)
-
-
-def test_pow():
-    a = Scalar.term(2, pi_half=-2)
-    assert a ** 3 == Scalar.term(8, pi_half=-6)
 
 
 def test_repr_stable():

@@ -73,8 +73,8 @@ def test_sweep_small_exhaustive():
 
 
 def test_gram_orthogonality():
-    fails, _ = gram_orthogonality_check(7, sample=200, seed=1)
-    assert not fails
+    fails, checked = gram_orthogonality_check(7, seed=1)
+    assert not fails and checked == 400
 
 
 def _identity(n, r=1):

@@ -134,8 +134,13 @@ def _potential_scan(cd):
                     terms[key] = add_maps(terms.get(key, {}), eye(r, coeff))
     op = WordOperator(n, r, terms)
     if cd.has_bundle_curvature():
-        op = op + cd.fhat_word().scale(Fraction(-1, 2))
+        op = op + _fhat_word(cd).scale(Fraction(-1, 2))
     return op
+
+
+def _fhat_word(cd):
+    """sum_{i<j} e^{ij} (x) F_ij as a WordOperator, read off ``cd.f_entries``."""
+    return WordOperator(cd.n, cd.r, {(mask_of(ij), 0, 0): m for ij, m in cd.f_entries.items()})
 
 
 def _p1_scan(cd):
@@ -361,8 +366,8 @@ def test_rank_only_input_builds_no_planes(g2, monkeypatch):
     results = []
     for r in (1, 10 ** 6):
         cd = CurvatureData(7, r)
-        report = full_residue_report(g2, cd, twisted=True)
-        results.append((repr(report.density), report.instanton, cd.f_planes,
+        report = full_residue_report(g2, cd)
+        results.append((repr(report.density), instanton_check(g2, cd), cd.f_planes,
                         mehler_diag_trace(g2, cd), duhamel_density(g2, cd)))
     assert results[0] == results[1]
     assert not sizes
@@ -385,7 +390,8 @@ def test_riemann_only_input_builds_nothing_of_rank_size(g2, spin7, monkeypatch):
     r_entries = {(1, 2, 4, 5): Fraction(1, 2), (1, 2, 6, 7): Fraction(-2)}
     for s in (g2, spin7):
         one, big = (CurvatureData(s.n, r, r_entries) for r in (1, 400))
-        full_residue_report(s, big, twisted=True)
+        full_residue_report(s, big)
+        instanton_check(s, big)
         for density in (mehler_diag_trace, duhamel_density):
             base = density(s, one)
             assert not base.is_zero()
@@ -511,7 +517,7 @@ def test_exponential_rank_one_oracle():
     assert cd.has_bundle_curvature()
     expo = curvature_exponential(cd)
     # commuting nilpotent exponential: sum_k (t/2)^k Fhat^k / k!
-    fhat = cd.fhat_word()
+    fhat = _fhat_word(cd)
     acc = WordOperator.identity(7, 1)
     power = WordOperator.identity(7, 1)
     fact = 1

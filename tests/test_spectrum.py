@@ -130,10 +130,9 @@ def test_zeta_partial_cancellation():
 
 def test_zeta_divergence_gate():
     levels = enumerate_levels(7, 5)
-    with pytest.raises(ValueError):
-        zeta_partial(levels, "7", 3.0)
-    v, _ = zeta_partial(levels, "7", 3.0, allow_divergent=True)
-    assert v > 0
+    for s in (3.0, 3.5):  # s <= n/2
+        with pytest.raises(ValueError):
+            zeta_partial(levels, "7", s)
 
 
 def test_zeta_tail_bound_self_consistency():
@@ -270,15 +269,6 @@ def test_mellin_identities():
     assert rep.difference <= 1e-8 * abs(rep.direct)
     rep = mellin_equivalence_levels(enumerate_levels(7, 20), "7", 4.0)
     assert rep.difference <= 1e-8 * abs(rep.direct)
-
-
-def test_mellin_cutoff():
-    levels = enumerate_levels(7, 30)
-    full = mellin_equivalence_levels(levels, "7", 4.0)
-    cut = mellin_equivalence_levels(levels, "7", 4.0, cutoff=4 * pi * pi * 10 + 1)
-    small = mellin_equivalence_levels(enumerate_levels(7, 10), "7", 4.0)
-    assert cut.direct == small.direct
-    assert cut.direct < full.direct
 
 
 def test_csv_schema(tmp_path):

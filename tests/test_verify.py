@@ -122,7 +122,7 @@ def test_trace_path_check_fails_on_a_flipped_join_sign(monkeypatch):
         return tr_q, tr_v, -tr_v2
 
     monkeypatch.setattr(heat, "model_traces", flipped)
-    status = _statuses(verify.heat_suite(0, full=False))
+    status = _statuses(verify.heat_suite(0))
     name = "Duhamel density equals the density of the full Duhamel kernel"
     assert status[name] == "fail"
     assert status["g2 normalisation is -2"] == "fail"
@@ -141,13 +141,13 @@ def test_model_ratio_rows_compare_with_two_to_the_three_minus_n(monkeypatch, dou
     if doubled:
         ratio = verify.model_reduction_ratio
         monkeypatch.setattr(verify, "model_reduction_ratio", lambda s: ratio(s) * 2)
-    results = {r.name: r for r in verify.heat_suite(0, full=False)}
+    results = {r.name: r for r in verify.heat_suite(0)}
     for name, want in _RATIO_ROWS.items():
         assert results[name].status == ("fail" if doubled else "pass")
         assert (results[name].detail == want) != doubled
 
 
-def _fraction_bridge_sums(s, seed, count):
+def _fraction_bridge_sums(s, seed):
     """The random-M loop of the bridge check on Fraction entries, each
     trace times 6, with both weight tables from ``star_ext_entries``
     (oracle of ``verify._bridge_sums``)."""
@@ -156,7 +156,7 @@ def _fraction_bridge_sums(s, seed, count):
     star_w = star_ext_entries(s.defining_form, basis2)
     cdvol_w = star_ext_entries(s.defining_form, basis2, cdvol=True)
     sums = []
-    for _ in range(count):
+    for _ in range(100):
         entries = {}
         for _ in range(12):
             a, b = rnd.choice(basis2), rnd.choice(basis2)
@@ -175,8 +175,9 @@ def test_bridge_sums_draw_the_same_random_operators(kind, seed):
     s = standard_structure(kind)
     basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
     cdvol_w = {k: int(v) for k, v in star_ext_entries(s.defining_form, basis2, True).items()}
-    got = verify._bridge_sums(s, basis2, cdvol_w, seed, 100)
-    assert got == _fraction_bridge_sums(s, seed, 100)
+    got = verify._bridge_sums(s, basis2, cdvol_w, seed)
+    assert len(got) == 100
+    assert got == _fraction_bridge_sums(s, seed)
     assert all(type(x) is int for pair in got for x in pair)
     assert sum(1 for lhs, _ in got if lhs) > 50  # most M meet the weight table
 
@@ -223,3 +224,11 @@ def test_decomposition_check_fails_when_apply_drops_a_row(monkeypatch):
     status = _statuses(verify.holonomy_suite(0))
     for kind in ("g2", "spin7"):
         assert status[f"{kind} orthogonal decomposition, 100 random 2-forms"] == "fail"
+
+
+def test_zero_mode_row_fails_on_an_untwisted_torus(monkeypatch):
+    """The level lists keep q > 0 only, so the row reads the lattice count
+    at q = 0, which is 1 at theta = 0 (k = 0).  That it passes on the
+    suite's own twist is pinned by the check-name digest test."""
+    monkeypatch.setattr(verify, "_SUITE_TWIST", (Fraction(0),) * 7)
+    assert _statuses(verify.spectrum_suite(0))["twist has no zero modes"] == "fail"

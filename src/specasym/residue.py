@@ -473,13 +473,14 @@ def residue_value(
     s: HolonomyStructure,
     twisted: bool,
     integral,
-    density: Optional[DiffForm] = None,
+    density: DiffForm,
 ) -> ResidueReport:
     """Assemble the residue from the integrated density coefficient.
 
-    ``integral`` is the dvol coefficient of w ^ ((1/3) p1 + c1^2 - c2)
-    over the unit-volume flat model.  The heat coefficient is
-    b = pi^(-deg(w)/2) * integral and the residue is b / Gamma(deg(w)/2 + 1).
+    ``integral`` is the dvol coefficient of ``density``, the form
+    w ^ ((1/3) p1 + c1^2 - c2) over the unit-volume flat model.  The heat
+    coefficient is b = pi^(-deg(w)/2) * integral and the residue is
+    b / Gamma(deg(w)/2 + 1).
     """
     deg_w = s.degree
     integral = Scalar.of(integral)
@@ -488,7 +489,7 @@ def residue_value(
     report = ResidueReport(
         kind=s.kind,
         twisted=twisted,
-        density=density if density is not None else DiffForm.zero(s.n),
+        density=density,
         integral=integral,
         b_coefficient=b,
         residue=residue,

@@ -14,11 +14,15 @@ sparse integer convolution over the twisted coordinates' 1-D level sets
 lattice scan (``lattice_scan``) is kept only as the oracle for ``verify``
 and the tests.  ``write_levels_csv`` writes the levels in one pass, one
 ``%`` format per row, with the bytes ``csv.writer`` would give them.
+``mellin_equivalence`` integrates the weighted heat trace with a fixed,
+nested exp-sinh rule (Takahasi and Mori's double-exponential substitution
+x = exp(pi/2 sinh u)) on numpy, so no quadrature library is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, exp, gamma, isqrt, lcm, pi, sqrt
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -288,6 +292,23 @@ class MellinReport(Record):
         return abs(self.direct - self.mellin)
 
 
+@cache
+def _exp_sinh_rule() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log x, x, weights) of the exp-sinh rule on [0, inf), built once.
+
+    x = exp(pi/2 sinh u) with u on [-4.5, 4.5] at step h = 1/64 (577
+    nodes), so dx = (pi/2) cosh(u) x du and the weights are h (pi/2)
+    cosh(u) x.  The even-indexed nodes are the same rule at step 2h.
+    """
+    import numpy as np
+
+    h = 1.0 / 64
+    u = np.arange(-288, 289) * h
+    log_x = pi / 2 * np.sinh(u)
+    x = np.exp(log_x)
+    return log_x, x, h * pi / 2 * np.cosh(u) * x
+
+
 def mellin_equivalence(
     weights_and_eigenvalues: Sequence[Tuple[float, float]],
     s: float,
@@ -296,23 +317,27 @@ def mellin_equivalence(
 
     The right side integrates the weighted heat trace of the same finite
     level set: (1/Gamma(s)) \\int_0^inf t^{s-1} sum_i w_i e^{-lambda_i t} dt.
+    With t = x / lambda_min it is lambda_min^{-s} / Gamma(s) times
+    \\int_0^inf x^{s-1} sum_i w_i e^{-(lambda_i / lambda_min) x} dx, summed
+    over every node of ``_exp_sinh_rule`` at once; ``quad_error`` is the
+    distance to the same sum at step 2h.
     """
     pairs = [(w, lam) for (w, lam) in weights_and_eigenvalues if w != 0]
     direct = sum(w * lam ** (-s) for w, lam in pairs)
     if not pairs:
         return MellinReport(s, 0.0, 0.0, 0.0)
 
-    from scipy.integrate import quad
+    import numpy as np
 
-    def integrand(t):
-        return t ** (s - 1.0) * sum(w * exp(-lam * t) for w, lam in pairs)
-
-    lam_min = min(lam for _, lam in pairs)
-    split = 1.0 / lam_min
-    v1, e1 = quad(integrand, 0.0, split, limit=400)
-    v2, e2 = quad(integrand, split, float("inf"), limit=400)
-    g = gamma(s)
-    return MellinReport(s, direct, (v1 + v2) / g, (e1 + e2) / g)
+    w, lam = np.array(pairs).T
+    lam_min = lam.min()
+    log_x, x, weights = _exp_sinh_rule()
+    # x^(s-1) e^(-r x) as one exp, so a large s meets no inf * 0 at the far nodes
+    trace = np.exp((s - 1.0) * log_x[:, None] - np.outer(x, lam / lam_min)) @ w
+    fine = weights @ trace
+    coarse = 2.0 * (weights[::2] @ trace[::2])
+    scale = lam_min ** (-s) / gamma(s)
+    return MellinReport(s, direct, float(fine * scale), float(abs(fine - coarse) * scale))
 
 
 def mellin_equivalence_levels(levels: Sequence[SpectralLevel], which: str, s: float

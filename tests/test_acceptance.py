@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from specasym.exact import Scalar
-from specasym.exterior import popcount
+from specasym.exterior import DiffForm, popcount
 from specasym.filtration import trace_identity_sweep
 from specasym.heat import duhamel_density, mehler_diag_trace, oscillator_diag_kernel
 from specasym.holonomy import standard_structure, two_form_basis
@@ -148,14 +148,19 @@ def test_criterion_06_residue_constants():
     sp7 = standard_structure("spin7")
     # untwisted: residue = (4/9 pi^2) * integral(p1 ^ w), via b / Gamma
     p = Scalar.of(Fraction(5))
-    rep = residue_value(g2, twisted=False, integral=p * Fraction(1, 3))
+    rep = residue_value(g2, twisted=False, integral=p * Fraction(1, 3),
+                        density=DiffForm.dvol(7).scale(p * Fraction(1, 3)))
     assert rep.residue == Scalar.term(Fraction(4, 9), pi_half=-4) * p
     q = Scalar.of(Fraction(-7, 2))
-    rep = residue_value(sp7, twisted=False, integral=q * Fraction(1, 3))
+    rep = residue_value(sp7, twisted=False, integral=q * Fraction(1, 3),
+                        density=DiffForm.dvol(8).scale(q * Fraction(1, 3)))
     assert rep.residue == Scalar.term(Fraction(1, 6), pi_half=-4) * q
     # twisted constants 4/(3 pi^2) and 1/(2 pi^2)
-    assert residue_value(g2, True, Scalar.of(1)).residue == Scalar.term(Fraction(4, 3), pi_half=-4)
-    assert residue_value(sp7, True, Scalar.of(1)).residue == Scalar.term(Fraction(1, 2), pi_half=-4)
+    one = Scalar.of(1)
+    rep = residue_value(g2, True, one, DiffForm.dvol(7))
+    assert rep.residue == Scalar.term(Fraction(4, 3), pi_half=-4)
+    rep = residue_value(sp7, True, one, DiffForm.dvol(8))
+    assert rep.residue == Scalar.term(Fraction(1, 2), pi_half=-4)
     # internal consistency: twisted constant x 1/3 = untwisted constant
     for kind in ("g2", "spin7"):
         assert twisted_constant(kind) * Fraction(1, 3) == untwisted_constant(kind)

@@ -438,13 +438,23 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_cli_import_does_not_load_scipy():
-    """Only the quadrature checks need scipy; they import it on first use,
-    so a CLI call does not pay for it at start-up."""
+    """The library needs no scipy: the Mellin checks integrate on their own
+    exp-sinh rule, so neither start-up nor any command loads it."""
     code = "import sys, specasym.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_spectrum_runs_with_scipy_blocked():
+    """With scipy unimportable the spectrum suite still passes: its Mellin
+    rows integrate on the exp-sinh rule of ``spectrum``."""
+    code = ("import sys\nsys.modules['scipy'] = None\nfrom specasym import cli\n"
+            "sys.exit(cli.main(['verify', '--suite', 'spectrum']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # numpy, the dataclasses module with the inspect it loads, and spectrum

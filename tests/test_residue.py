@@ -114,7 +114,9 @@ def test_residue_value_g2_untwisted(g2):
     # residue = (4/9 pi^2) * P with P = integral of p1 ^ phi, via
     # b = pi^{-3/2} (P/3) and Gamma(5/2) = (3/4) sqrt(pi)
     p = Scalar.of(Fraction(5))
-    report = residue_value(g2, twisted=False, integral=p * Fraction(1, 3))
+    integral = p * Fraction(1, 3)
+    report = residue_value(g2, twisted=False, integral=integral,
+                           density=DiffForm.dvol(7).scale(integral))
     assert report.residue == Scalar.term(Fraction(4, 9), pi_half=-4) * p
     assert report.b_coefficient == Scalar.pi_pow(-3) * p * Fraction(1, 3)
     assert report.pole_location == Fraction(3, 2)
@@ -123,7 +125,9 @@ def test_residue_value_g2_untwisted(g2):
 
 def test_residue_value_spin7_untwisted(spin7):
     p = Scalar.of(Fraction(7))
-    report = residue_value(spin7, twisted=False, integral=p * Fraction(1, 3))
+    integral = p * Fraction(1, 3)
+    report = residue_value(spin7, twisted=False, integral=integral,
+                           density=DiffForm.dvol(8).scale(integral))
     assert report.residue == Scalar.term(Fraction(1, 6), pi_half=-4) * p
     assert report.pole_location == Fraction(2)
     assert report.untwisted_constant_ok is True
@@ -131,9 +135,9 @@ def test_residue_value_spin7_untwisted(spin7):
 
 def test_residue_value_twisted_constants(g2, spin7):
     one = Scalar.of(1)
-    rep = residue_value(g2, twisted=True, integral=one)
+    rep = residue_value(g2, twisted=True, integral=one, density=DiffForm.dvol(7))
     assert rep.residue == twisted_constant("g2")
-    rep = residue_value(spin7, twisted=True, integral=one)
+    rep = residue_value(spin7, twisted=True, integral=one, density=DiffForm.dvol(8))
     assert rep.residue == twisted_constant("spin7")
     # internal consistency: twisted constant / 3 = untwisted constant
     for kind in ("g2", "spin7"):
@@ -202,7 +206,7 @@ def test_report_floats_past_the_float_range_are_null(g2):
     """Float fields that do not fit a float read None (JSON null); the
     exact fields keep the value."""
     big = 10 ** 400
-    rep = residue_value(g2, True, Scalar.of(big))
+    rep = residue_value(g2, True, Scalar.of(big), DiffForm.dvol(7).scale(big))
     out = rep.to_dict()
     assert out["integral"] == {"exact": str(big), "float": None}
     assert out["b_coefficient"]["float"] is None and out["residue"]["float"] is None
@@ -211,7 +215,9 @@ def test_report_floats_past_the_float_range_are_null(g2):
     assert out["integral"]["float"] is None
     assert out["integral"]["exact"] == repr(full_residue_report(g2, cd).integral) != "0"
     # a nonreal value past the float range is None as well, not [inf, nan]
-    assert residue_value(g2, True, Scalar.term(big, big)).to_dict()["integral"]["float"] is None
+    huge = Scalar.term(big, big)
+    rep = residue_value(g2, True, huge, DiffForm.dvol(7).scale(huge))
+    assert rep.to_dict()["integral"]["float"] is None
 
 
 _PINS = json.loads((Path(__file__).parent / "data" / "random_curvature_pins.json").read_text())

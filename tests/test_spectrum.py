@@ -2,7 +2,7 @@ import csv
 import os
 import tracemalloc
 from fractions import Fraction
-from math import pi
+from math import exp, gamma, pi
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from specasym.spectrum import (
     write_levels_csv,
     zeta_partial,
 )
+from specasym.verify import _SUITE_TWIST
 
 
 def test_shell_counts_against_bruteforce():
@@ -269,6 +270,43 @@ def test_mellin_identities():
     assert rep.difference <= 1e-8 * abs(rep.direct)
     rep = mellin_equivalence_levels(enumerate_levels(7, 20), "7", 4.0)
     assert rep.difference <= 1e-8 * abs(rep.direct)
+
+
+# the Mellin rule's level sets: one level, two levels of both signs, the
+# untwisted 7-part levels up to q = 20 and the spectrum suite's twisted ones
+_MELLIN_SETS = {
+    "one-level": lambda: [(3.0, 4 * pi * pi)],
+    "two-level": lambda: [(2.0, 4 * pi * pi), (-1.0, 8 * pi * pi)],
+    "untwisted-q20": lambda: [(float(lv.weight("7")), lv.eigenvalue)
+                              for lv in enumerate_levels(7, 20)],
+    "twisted": lambda: [(float(lv.weight("7")), lv.eigenvalue)
+                        for lv in twisted_levels(7, _SUITE_TWIST, 6)],
+}
+
+
+@pytest.mark.parametrize("s", [0.6, 1.0, 4.0, 7.3, 12.0])
+@pytest.mark.parametrize("name", list(_MELLIN_SETS))
+def test_mellin_rule_against_quad(name, s):
+    """The exp-sinh rule against the direct sum, with scipy's quad of the
+    same heat-trace integral as an independent oracle.  At s = 12, x^(s-1)
+    alone overflows at the far nodes, so a product x^(s-1) e^(-x) there
+    would read inf * 0 = nan."""
+    from scipy.integrate import quad
+
+    pairs = _MELLIN_SETS[name]()
+    direct = sum(w * lam ** (-s) for w, lam in pairs)
+    rep = mellin_equivalence(pairs, s)
+    assert rep.direct == direct
+    assert rep.difference <= 1e-12 * abs(direct)
+    assert rep.quad_error <= 1e-10 * abs(direct)
+
+    def integrand(t):
+        return t ** (s - 1.0) * sum(w * exp(-lam * t) for w, lam in pairs)
+
+    split = 1.0 / min(lam for _, lam in pairs)
+    v1, e1 = quad(integrand, 0.0, split, limit=400)
+    v2, e2 = quad(integrand, split, float("inf"), limit=400)
+    assert abs(rep.mellin - (v1 + v2) / gamma(s)) <= (e1 + e2) / gamma(s) + 1e-12 * abs(direct)
 
 
 def test_csv_schema(tmp_path):

@@ -18,12 +18,12 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
-from math import isfinite, lcm
+from math import gcd, isfinite, lcm
 
 from .exact import Scalar
 from .exterior import DiffForm, indices_of, parse_form
 from .heat import duhamel_density, mehler_diag_trace
-from .holonomy import decompose_two_form, standard_structure
+from .holonomy import projections, standard_structure
 from .residue import CurvatureData, CurvatureError, full_residue_report, report_sign
 
 EXIT_OK = 0
@@ -101,14 +101,26 @@ def _float_text(x) -> str:
 
 def _leaf(c) -> JsonLeaf:
     """The leaf of an int, Fraction or Scalar, its float None past the float
-    range.  A rational's text and float are read from its numerator and
-    denominator; int true division rounds as ``float(Fraction)`` does."""
-    scalar = isinstance(c, Scalar)
-    if not scalar:
-        num, den = c.numerator, c.denominator
-    text = repr(c) if scalar else str(num) if den == 1 else f"{num}/{den}"
+    range."""
+    if not isinstance(c, Scalar):
+        return _ratio_leaf(c.numerator, c.denominator)
     try:
-        x = c.real_float() if scalar else num / den
+        x = c.real_float()
+    except OverflowError:
+        return JsonLeaf(repr(c), None)
+    return JsonLeaf(repr(c), x if isfinite(x) else None)
+
+
+def _ratio_leaf(num: int, den: int) -> JsonLeaf:
+    """The leaf of the rational num / den, den > 0, read off the integers:
+    the text of the reduced fraction, and the float of int true division,
+    which rounds as ``float(Fraction)`` does (None past the float range)."""
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    text = str(num) if den == 1 else f"{num}/{den}"
+    try:
+        x = num / den
     except OverflowError:
         return JsonLeaf(text, None)
     return JsonLeaf(text, x if isfinite(x) else None)
@@ -122,6 +134,14 @@ def _term_key(mask: int) -> str:
 def _form_to_dict(form: DiffForm):
     """{"e12": leaf, ...} of an exact form; the writer sorts the keys."""
     return {_term_key(m): _leaf(c) for m, c in form.terms.items()}
+
+
+def _projected(den: int, nums: dict):
+    """The {"e12": leaf, ...} terms and the squared-norm leaf of a 2-form
+    given as integer numerators over ``den`` (``Projection.numerators``),
+    both read off the integers: the norm is sum x^2 over den^2."""
+    return ({_term_key(m): _ratio_leaf(x, den) for m, x in nums.items()},
+            _ratio_leaf(sum(x * x for x in nums.values()), den * den))
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +349,7 @@ def cmd_decompose(args) -> int:
         if not form.is_zero() and form.degree() != 2:
             print(f"error: expected a 2-form, got degrees {form.degrees()}", file=sys.stderr)
             return EXIT_INPUT
-        a7, rest = decompose_two_form(s, form)
+        (a7, n7), (rest, nbig) = (_projected(*p.numerators(form)) for p in projections(s))
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -337,9 +357,9 @@ def cmd_decompose(args) -> int:
     print(_json_text({
         "kind": s.kind,
         "input": _form_to_dict(form),
-        "p7": _form_to_dict(a7),
-        f"p{big}": _form_to_dict(rest),
-        "norms": {"p7": _leaf(a7.norm_sq()), f"p{big}": _leaf(rest.norm_sq())},
+        "p7": a7,
+        f"p{big}": rest,
+        "norms": {"p7": n7, f"p{big}": nbig},
     }))
     return EXIT_OK
 

@@ -10,8 +10,9 @@ operator is a sparse map {(target mask, source mask): int}, the format of
 the projections P_7 = (A + 1) / (plus + 1) and P_big = (plus - A) /
 (plus + 1) hold their integer numerators over ``den = plus + 1``.  A
 ``Projection`` also holds them by column, {source mask: ((target,
-value), ...)}: ``Projection.apply`` and ``instanton_check`` walk only the
-columns of the masks they are given, 3 entries each for G2, 4 for Spin(7).
+value), ...)}: ``Projection.numerators`` and ``instanton_check`` walk only
+the columns of the masks they are given, 3 entries each for G2, 4 for
+Spin(7), and sum integer numerators; ``Projection.apply`` lifts the sums.
 Validation is map equality on ``exterior.sparse_product``.
 ``standard_structure`` builds A and both projections as fields, once per
 kind and process, and every caller shares that one object, so callers
@@ -80,23 +81,29 @@ class Projection(Record):
             cols.setdefault(b, []).append((t, v))
         self.columns = {b: tuple(col) for b, col in cols.items()}
 
-    def apply(self, alpha: DiffForm) -> DiffForm:
-        """The projected 2-form of a rational 2-form: the integer numerators
-        of ``alpha`` (``rational_numerators``) summed over the columns of its
-        masks into one {target: int} dict, each nonzero sum lifted once to a
-        Fraction.  A coefficient that is not an int or a Fraction raises
-        TypeError."""
+    def numerators(self, alpha: DiffForm) -> Tuple[int, Dict[int, int]]:
+        """(den, {target: int}): the projection of a rational 2-form as
+        integer numerators over one denominator, the denominator of
+        ``alpha``'s numerators (``rational_numerators``) times ``self.den``.
+        The numerators of ``alpha`` are summed over the columns of its
+        masks, and zero sums are dropped.  A coefficient that is not an int
+        or a Fraction raises TypeError."""
         if any(popcount(m) != 2 for m in alpha.terms):
             raise ValueError("projection applies to 2-forms only")
         den, nums = rational_numerators(list(alpha.terms.values()))
-        den *= self.den
         sums: Dict[int, int] = {}
         for b, x in zip(alpha.terms, nums):
             if x:
                 for t, v in self.columns.get(b, ()):
                     sums[t] = sums.get(t, 0) + v * x
+        return den * self.den, {t: x for t, x in sums.items() if x}
+
+    def apply(self, alpha: DiffForm) -> DiffForm:
+        """The projected 2-form of a rational 2-form: ``numerators``, each
+        one lifted to a Fraction."""
+        den, sums = self.numerators(alpha)
         out = DiffForm(self.n)
-        out.terms = {t: Fraction(x, den) for t, x in sums.items() if x}
+        out.terms = {t: Fraction(x, den) for t, x in sums.items()}
         return out
 
     def trace(self) -> Fraction:

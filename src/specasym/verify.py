@@ -119,13 +119,13 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
         ok = True
         for m in range(1 << n):
             k = popcount(m)
-            f = DiffForm(n, {m: Fraction(1)})
+            f = DiffForm(n, {m: 1})
             ok &= f.hodge().hodge() == f.scale((-1) ** (k * (n - k)))
         _check(out, f"hodge involution sign (n={n})", ok)
 
     # monomials, their stars and the masks by degree are built once
     n = 7
-    forms = [DiffForm(n, {m: Fraction(1)}) for m in range(1 << n)]
+    forms = [DiffForm(n, {m: 1}) for m in range(1 << n)]
     stars = [f.hodge() for f in forms]
     by_degree = [[] for _ in range(n + 1)]
     for m in range(1 << n):
@@ -140,15 +140,15 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
         interior = FiberOp(7, 1, {
             (m, s): c
             for s in range(1 << 7)
-            for m, c in DiffForm(7, {s: Fraction(1)}).interior(i).terms.items()
+            for m, c in DiffForm(7, {s: 1}).interior(i).terms.items()
         })
         ok &= FiberOp.ext_op(DiffForm.monomial(7, (i,))).adjoint() == interior
     _check(out, "interior operator is the matrix adjoint", ok)
 
     fails, checked = trace_identity_sweep(7)
     _check(out, "word-trace identity, all 4^7 pairs (n=7)", not fails, f"{checked} pairs")
-    rng = np.random.default_rng(seed)
-    pairs = rng.integers(0, 2 ** 8, size=(10 ** 4, 2))
+    # 10^4 pairs of n = 8 word masks: the bytes of one randbytes call
+    pairs = np.frombuffer(random.Random(seed).randbytes(2 * 10 ** 4), np.uint8).reshape(-1, 2)
     fails, checked = trace_identity_sweep(8, pairs)
     _check(out, "word-trace identity, 10^4 random pairs (n=8)", not fails, f"{checked} pairs")
 
@@ -266,7 +266,20 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
             for _ in range(5):
                 terms[rnd.choice(basis2)] = Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
             alpha = DiffForm(s.n, terms)
-            ok &= _orthogonal_decomposition(alpha, *decompose_two_form(s, alpha))
+            # |a7|^2 + |abig|^2 = |alpha|^2, a7 + abig = alpha and <a7, abig> = 0,
+            # on the integer numerators over the projections' one denominator
+            d7, a7 = p7.numerators(alpha)
+            dbig, abig = pbig.numerators(alpha)
+            nums = rational_numerators(list(alpha.terms.values()))[1]
+            x = {m: den * v for m, v in zip(alpha.terms, nums)}  # alpha over d7
+            ok &= (
+                d7 == dbig
+                and sum(v * v for part in (a7, abig) for v in part.values())
+                == sum(v * v for v in x.values())
+                and all(a7.get(m, 0) + abig.get(m, 0) == x.get(m, 0)
+                        for m in a7.keys() | abig.keys() | x.keys())
+                and not sum(v * abig.get(m, 0) for m, v in a7.items())
+            )
         _check(out, f"{kind} orthogonal decomposition, 100 random 2-forms", ok)
 
     g2 = standard_structure("g2")
@@ -278,22 +291,6 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
         f"{a7.norm_sq()}, {rest.norm_sq()}",
     )
     return out
-
-
-def _orthogonal_decomposition(alpha: DiffForm, a7: DiffForm, rest: DiffForm) -> bool:
-    """|a7|^2 + |rest|^2 = |alpha|^2, a7 + rest = alpha and <a7, rest> = 0
-    for rational 2-forms, decided on integer numerators over one common
-    denominator."""
-    masks = set(alpha.terms) | set(a7.terms) | set(rest.terms)
-    values = [f.terms.get(m, 0) for f in (alpha, a7, rest) for m in masks]
-    nums = rational_numerators(values)[1]
-    k = len(masks)
-    x, y, z = nums[:k], nums[k:2 * k], nums[2 * k:]  # alpha, a7, rest
-    return (
-        sum(v * v for v in y + z) == sum(v * v for v in x)
-        and all(a + b == c for a, b, c in zip(y, z, x))
-        and sum(a * b for a, b in zip(y, z)) == 0
-    )
 
 
 # ----------------------------------------------------------------------

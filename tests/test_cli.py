@@ -457,6 +457,18 @@ def test_verify_spectrum_runs_with_scipy_blocked():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_verify_all_does_not_import_numpy_random():
+    """Every suite passes and none loads ``numpy.random``: the algebra
+    suite's random word pairs and the Gram check's word triples are the
+    bytes of one ``random.Random(seed).randbytes`` call each."""
+    code = ("import sys\nfrom specasym import cli\n"
+            "code = cli.main(['verify', '--suite', 'all'])\n"
+            "sys.exit(code or 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 # numpy, the dataclasses module with the inspect it loads, and spectrum
 # (which only the spectrum command and verify import): none is on the
 # start-up path

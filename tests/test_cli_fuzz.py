@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from specasym.cli import (
-    _EXPONENT, _MAX_EXPONENT, _MAX_LENGTH, JsonLeaf, _json_text, _parse_number, _ratio, _rational,
-    main,
+    _EXPONENT, _MAX_EXPONENT, _MAX_LENGTH, JsonLeaf, _json_text, _parse_number, _ratio,
+    _ratio_leaf, _rational, main,
 )
 from specasym.exact import Scalar
 from specasym.residue import CurvatureError
@@ -269,6 +269,26 @@ _json_values = st.recursive(
                 2: JsonLeaf("", float("inf"))})
 def test_json_text_equals_json_dumps_of_the_old_conversion(value):
     assert _json_text(value) == json.dumps(_old_jsonable(value), sort_keys=True, indent=2)
+
+
+_big_ints = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-(10 ** 400), 10 ** 400))
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(num=_big_ints, den=_big_ints.filter(bool).map(abs), scale=st.integers(1, 10 ** 6))
+@example(num=10 ** 400, den=3, scale=1)  # past the float range
+@example(num=-6, den=4, scale=1)
+@example(num=0, den=7, scale=5)
+def test_ratio_leaf_is_the_leaf_of_the_fraction(num, den, scale):
+    """The leaf of an unreduced num / den, as ``decompose`` writes the
+    projection numerators, is the leaf of the reduced Fraction: its
+    text, and its correctly rounded float or None past the float range."""
+    q = Fraction(num, den)
+    try:
+        x = float(q)
+    except OverflowError:
+        x = None
+    assert _ratio_leaf(num * scale, den * scale) == JsonLeaf(str(q), x)
 
 
 @settings(max_examples=500, **_SETTINGS)

@@ -11,7 +11,7 @@ from specasym.exact import Scalar
 from specasym.exterior import DiffForm, FiberOp, apply_word, popcount, sparse_product, star_ext_entries
 from specasym.filtration import (
     CliffordWordExpansion,
-    _accumulator,
+    _sum_dtype,
     expand_clifford_basis,
     gram_orthogonality_check,
     trace_identity_sweep,
@@ -248,13 +248,14 @@ def _rational(draw, huge):
 
 
 @st.composite
-def _entries(draw):
-    """A sparse rank-1 operator's support and values: ints and rationals,
-    with numerators past 2^62."""
-    n = draw(st.sampled_from([7, 8]))
+def _entries(draw, ns=(7, 8), min_size=1):
+    """n from ``ns`` and a sparse map of at most 6 keys at n, a rank-1
+    operator's entries or word coefficients: ints (zeros too) and
+    rationals, with numerators past 2^62."""
+    n = draw(st.sampled_from(ns))
     huge = draw(st.booleans())
     entries = {}
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(min_size, 6))):
         pos = (draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, (1 << n) - 1)))
         if draw(st.booleans()):
             entries[pos] = draw(st.integers(-3, 3))
@@ -294,10 +295,55 @@ def test_integer_paths_match_oracles(drawn, data):
     assert not entrywise(m, other) and not m == other
 
 
-def test_word_sum_accumulator_switches_to_python_ints():
-    assert _accumulator(4, [2 ** 60, 1]).dtype == np.int64
-    assert _accumulator(4, [2 ** 61, -1]).dtype == object
-    assert _accumulator(4, []).dtype == np.int64
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_entries((5, 7, 8)), st.data())
+def test_word_transform_matches_the_entry_loops(drawn, data):
+    """Both directions of the signed Walsh-Hadamard transform against the
+    entry-loop oracles: the expansion of drawn fiber entries and its
+    reconstruction from the numerators it holds, and the reconstruction of
+    drawn word coefficients and their expansion back."""
+    n, entries = drawn
+    m = FiberOp(n, 1, entries)
+    exp = expand_clifford_basis(m)
+    assert exp.coefficients == _entry_loop_expand(m)
+    assert exp.reconstruct() == _entry_loop_reconstruct(exp) == m
+
+    _, words = data.draw(_entries((n,), 0))
+    phi = CliffordWordExpansion(n, words)
+    back = phi.reconstruct()
+    assert back == _entry_loop_reconstruct(phi)
+    assert expand_clifford_basis(back).coefficients == {k: v for k, v in words.items() if v}
+
+
+def test_word_sum_accumulator_switches_to_python_ints(monkeypatch):
+    """A row of the transform stays int64 while every signed sum of 2^n
+    of its numerators stays below 2^62, and is taken to Python ints past
+    that, in each direction apart: a 2^61 numerator at n = 5 takes the
+    object path both ways, and two 2^56 numerators on one offset give word
+    numerators of 2^57, which reconstruct on Python ints.  Both round
+    trips are exact."""
+    assert _sum_dtype(2 ** 56, 5) is np.int64
+    assert _sum_dtype(2 ** 57, 5) is object
+    assert _sum_dtype(0, 8) is np.int64
+    transform, seen = filtration._word_transform, []
+
+    def spy(*args):
+        out = transform(*args)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(filtration, "_word_transform", spy)
+    for entries, dtypes in (
+        ({(3, 5): 2 ** 61, (6, 6): Fraction(-1, 3)}, [object, object]),
+        ({(3, 5): 2 ** 56, (5, 3): 2 ** 56}, [np.int64, object]),
+    ):
+        seen.clear()
+        m = FiberOp(5, 1, entries)
+        exp = expand_clifford_basis(m)
+        assert exp.coefficients == _entry_loop_expand(m)
+        assert exp.reconstruct() == m
+        assert seen == [np.dtype(t) for t in dtypes]
 
 
 def _full_gather_sweep(n, pairs):

@@ -213,14 +213,16 @@ def test_pairing_check_fails_on_a_flipped_wedge_sign(monkeypatch):
 
 
 def test_decomposition_check_fails_when_apply_drops_a_row(monkeypatch):
-    apply = Projection.apply
+    """The row is dropped in ``Projection.numerators``, the integer core
+    that ``apply`` lifts and the orthogonal-decomposition rows read."""
+    numerators = Projection.numerators
 
     def dropping(self, alpha):
         first = next(iter(self.entries))[0]
         kept = {(t, b): v for (t, b), v in self.entries.items() if t != first}
-        return apply(Projection(self.target, self.n, self.den, kept), alpha)
+        return numerators(Projection(self.target, self.n, self.den, kept), alpha)
 
-    monkeypatch.setattr(Projection, "apply", dropping)
+    monkeypatch.setattr(Projection, "numerators", dropping)
     status = _statuses(verify.holonomy_suite(0))
     for kind in ("g2", "spin7"):
         assert status[f"{kind} orthogonal decomposition, 100 random 2-forms"] == "fail"

@@ -384,6 +384,12 @@ def star_ext_entries(
     return out
 
 
+# a sparse bundle map on C^r, {(row, col): nonzero Scalar, int or Fraction}:
+# the format of ``CurvatureData.f_entries`` and of the maps a
+# ``wordops.WordOperator`` is built from
+Mat = Dict[Tuple[int, int], Scalar]
+
+
 def sparse_product(x: Dict[Tuple[int, int], object], y: Dict[Tuple[int, int], object]):
     """The matrix product of two sparse maps {(row, col): value}, as the
     same kind of map: {(i, j): sum_k x[i, k] y[k, j]}.  Each sum starts

@@ -36,7 +36,11 @@ Wick term (with no drift, since rhat is antisymmetric) and sums them
 with their coefficients.  The Wick terms are listed once (``wick_terms``);
 ``wick_kernel`` multiplies them out, so ``mehler_kernel`` and
 ``duhamel_kernel``, read through ``density_from_kernel``, are the
-independent full-kernel oracles.
+independent full-kernel oracles.  The oracles build ``WordOperator``s,
+whose products multiply integer numerators over one denominator per
+operator, and lift to ``Scalar`` once, in ``form_trace``.  They import
+``wordops`` when they run, so the densities, the calibration and a
+fresh process's start-up never load it.
 
 The two normalisation constants follow.  Per unit 2^n t^2 (4 pi t)^{-n/2},
 the degree-4 trace is (1/2) l_1 tr(4 Q) r + tr V^2 / 2 with l_1 = -1/6:
@@ -62,12 +66,14 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial, lcm, pi as _PI, sinh as _sinh, sqrt as _sqrt
 from operator import add, mul
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .exact import Scalar
 from .exterior import DiffForm, mask_of, sparse_product
 from .residue import CurvatureData, characteristic_density_form
-from .wordops import WordOperator, add_maps, eye, star_weighted_trace
+
+if TYPE_CHECKING:  # the full-kernel oracles import wordops when they run
+    from .wordops import WordOperator
 
 FormMatrix = List[List[DiffForm]]
 
@@ -209,6 +215,8 @@ def model_constant_potential(cd: CurvatureData) -> WordOperator:
     -F/2 halves the bundle maps of ``cd.f_entries``.  Only the oracles
     build it; the densities read ``model_traces``.
     """
+    from .wordops import WordOperator, eye
+
     n, r, minus_half = cd.n, cd.r, Fraction(-1, 2)
     terms = {
         (mask_of(ij), 0, mask_of(kl)): eye(r, v)
@@ -265,6 +273,8 @@ def _build_model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm
 
 def curvature_exponential(cd: CurvatureData) -> WordOperator:
     """exp(-t V) for the constant model potential; terminates at power n//2."""
+    from .wordops import WordOperator
+
     v = model_constant_potential(cd)
     if v.is_zero():
         return WordOperator.identity(cd.n, cd.r)
@@ -278,6 +288,8 @@ def gaussian_prefactor(n: int) -> Scalar:
 
 def mehler_kernel(cd: CurvatureData) -> WordOperator:
     """Diagonal value of the model heat kernel, closed product form."""
+    from .wordops import WordOperator
+
     det = mehler_det_factor(q_matrix(cd), cd.n)  # includes the flat prefactor
     return WordOperator.from_form(det, cd.r) * curvature_exponential(cd)
 
@@ -350,6 +362,8 @@ def wick_kernel(
     Multiplies out every product of ``wick_terms``; the result is exact
     through relative order t^2.
     """
+    from .wordops import WordOperator
+
     k = WordOperator.zero(n, r)
     for coef, products in wick_terms(n, const, drift, tr_quad):
         term = WordOperator.zero(n, r)
@@ -362,6 +376,8 @@ def wick_kernel(
 def duhamel_kernel(cd: CurvatureData) -> WordOperator:
     """Duhamel expansion of the model heat kernel diagonal, built in full
     from the rank-r potential, the whole drift and the trace of ``q_matrix``."""
+    from .wordops import WordOperator
+
     n, r = cd.n, cd.r
     drift = tr_quad = None
     if cd.has_riemann_curvature():
@@ -382,6 +398,8 @@ def landau_kernel(cd: CurvatureData) -> WordOperator:
     """
     if cd.has_riemann_curvature():
         raise ValueError("landau_kernel requires R = 0")
+    from .wordops import WordOperator, add_maps
+
     n, r = cd.n, cd.r
     const = WordOperator.zero(n, r)
     for i in range(1, n + 1):
@@ -446,7 +464,11 @@ def calibration_constant(s) -> Scalar:
 
 
 def density_from_kernel(s, kernel: WordOperator) -> Scalar:
-    """Weighted diagonal density: norm * [w ^ form-trace(kernel)]_n."""
+    """Weighted diagonal density: norm * [w ^ form-trace(kernel)]_n.
+
+    The form trace is summed on the kernel's integer numerators and lifted
+    to Scalar coefficients once; the pairing reads only the complements of
+    w's terms."""
     return TRACE_NORMALISATION * s.defining_form.top_pairing(kernel.form_trace())
 
 
@@ -522,6 +544,8 @@ def _density_unit(n: int) -> Scalar:
 
 def true_operator_density(s, cd: CurvatureData) -> Scalar:
     """Honest matrix trace tr[* e(w) K] of the untruncated flat-F kernel."""
+    from .wordops import star_weighted_trace
+
     return star_weighted_trace(s.defining_form, landau_kernel(cd))
 
 

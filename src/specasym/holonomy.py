@@ -66,11 +66,15 @@ def two_form_basis(n: int) -> List[int]:
 
 class Projection(Record):
     """Idempotent self-adjoint projector on the 2-form fiber: integer
-    numerators {(target, source): value} over one denominator ``den``."""
+    numerators {(target, source): value} over one denominator ``den``.
+    A numerator that is not an int raises TypeError."""
 
     _fields = ("target", "n", "den", "entries")
 
     def __init__(self, target: str, n: int, den: int, entries: Entries):
+        for v in entries.values():
+            if type(v) is not int:
+                raise TypeError(f"projection numerators must be ints, not {type(v).__name__}")
         self.target = target  # "7", "14" or "21"
         self.n = n
         self.den = den

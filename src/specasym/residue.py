@@ -21,7 +21,7 @@ from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .exact import Scalar
-from .exterior import DiffForm, indices_of, mask_of, merge_sign
+from .exterior import DiffForm, Mat, indices_of, mask_of, merge_sign
 from .holonomy import (
     G2,
     HolonomyStructure,
@@ -30,7 +30,6 @@ from .holonomy import (
     instanton_check,
 )
 from .record import Record
-from .wordops import Mat
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +46,7 @@ class CurvatureData:
     ``r_entries`` maps canonical index quadruples (i<j, k<l, pair-sorted)
     to rational values; ``f_entries`` maps (i, j) with i<j to the bundle
     map F_ij, a sparse ``{(a, b): value}`` map with keys in range(r)^2
-    and Gaussian-rational values (``wordops.Mat``).  Index symmetries are
+    and Gaussian-rational values (``exterior.Mat``).  Index symmetries are
     enforced on construction and never silently repaired.
 
     The bundle curvature is stored once, as integer planes:

@@ -197,25 +197,45 @@ def _bridge_sums(s, basis2: List[int], cdvol_w, seed: int) -> List[Tuple[int, in
     """(6 tr(*e(w) M), 6 tr(c(dvol) e(w) M)) for 100 random M.
 
     Each M is 12 entries (a, b) += p/q with a, b drawn from the 2-form
-    masks ``basis2`` in increasing order, p in -3..3 and q in 1..3, drawn
-    in that order; it is kept as integers over the common denominator 6.
-    A trace sums M[a, b] T[b, a], with T[b, a] looked up in ``s.star_ext``
-    or the integer table ``cdvol_w``, which hold their nonzero entries
-    only.
+    masks ``basis2`` in increasing order, p in -3..3 and q in 1..3, all
+    from one ``_uniform_draws`` call; it is kept as integers over the
+    common denominator 6.  A trace sums M[a, b] T[b, a], with T read off
+    ``s.star_ext`` or the integer table ``cdvol_w`` as a dense table on
+    the positions in ``basis2``.
     """
-    rnd = random.Random(seed + s.n)
-    star_w = s.star_ext
+    dim = len(basis2)
+    a, b, num, den = _uniform_draws(random.Random(seed + s.n), (dim, dim, 7, 3), 12 * 100)
+    v = (num - 3) * (6 // (den + 1))
+    index = {m: k for k, m in enumerate(basis2)}
     sums = []
-    for _ in range(100):
-        lhs = rhs = 0
-        for _ in range(12):
-            a, b = rnd.choice(basis2), rnd.choice(basis2)
-            num = rnd.randint(-3, 3)
-            v = num * (6 // rnd.randint(1, 3))
-            lhs += v * star_w.get((b, a), 0)
-            rhs += v * cdvol_w.get((b, a), 0)
-        sums.append((lhs, rhs))
-    return sums
+    for table in (s.star_ext, cdvol_w):
+        dense = np.zeros((dim, dim), np.int64)
+        for (t, src), x in table.items():
+            dense[index[t], index[src]] = x
+        sums.append((v * dense[b, a]).reshape(100, 12).sum(axis=1).tolist())
+    return list(zip(*sums))
+
+
+def _uniform_draws(rnd: random.Random, bounds: Tuple[int, ...], count: int) -> List[np.ndarray]:
+    """``count`` uniform draws from range(k) for each k in ``bounds`` (k at
+    most 256), one int64 column per k, from the bytes of one ``randbytes``
+    call of ``rnd``.  Column j reads block j of the bytes and skips each
+    byte at or above 256 - 256 % k, the top partial block, so each kept
+    byte % k is uniform.  A block with too few kept bytes, which its slack
+    makes rare, reads on from further ``randbytes`` calls."""
+    def read(size):
+        return np.frombuffer(rnd.randbytes(size), np.uint8).astype(np.int64)
+
+    width = count + count // 4 + 16
+    cols = []
+    for k, block in zip(bounds, read(len(bounds) * width).reshape(-1, width)):
+        limit = 256 - 256 % k
+        kept = block[block < limit]
+        while len(kept) < count:
+            more = read(width)
+            kept = np.concatenate([kept, more[more < limit]])
+        cols.append(kept[:count] % k)
+    return cols
 
 
 # ----------------------------------------------------------------------
@@ -261,10 +281,12 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
             _check(out, "g2 contractions are +2 eigenvectors (all v)", ok)
 
         ok = True
-        for _ in range(100):
+        # 100 forms of 5 draws (mask, p in -5..5, q in 1..4) each
+        masks, ps, qs = (col.tolist() for col in _uniform_draws(rnd, (len(basis2), 11, 4), 500))
+        for f in range(0, 500, 5):
             terms = {}
-            for _ in range(5):
-                terms[rnd.choice(basis2)] = Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
+            for d in range(f, f + 5):
+                terms[basis2[masks[d]]] = Fraction(ps[d] - 5, qs[d] + 1)
             alpha = DiffForm(s.n, terms)
             # |a7|^2 + |abig|^2 = |alpha|^2, a7 + abig = alpha and <a7, abig> = 0,
             # on the integer numerators over the projections' one denominator
@@ -333,7 +355,8 @@ def heat_suite(seed: int = 0) -> List[CheckResult]:
             out,
             f"no coefficients below residue order (seed {sd})",
             not low,
-            f"mehler {dm.t_support()}, duhamel {dd.t_support()}",
+            f"mehler [{', '.join(map(str, dm.t_support()))}], "
+            f"duhamel [{', '.join(map(str, dd.t_support()))}]",
         )
 
     # structured cases: block curvature and rank-1 instanton

@@ -469,10 +469,11 @@ def test_verify_all_does_not_import_numpy_random():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-# numpy, the dataclasses module with the inspect it loads, and spectrum
-# (which only the spectrum command and verify import): none is on the
+# numpy, the dataclasses module with the inspect it loads, spectrum
+# (which only the spectrum command and verify import) and wordops (which
+# only the full-kernel oracles of heat and verify import): none is on the
 # start-up path
-_STARTUP_HEAVY = ("numpy", "dataclasses", "inspect", "specasym.spectrum")
+_STARTUP_HEAVY = ("numpy", "dataclasses", "inspect", "specasym.spectrum", "specasym.wordops")
 _HEAVY_LOADED = f"\nprint([m for m in {_STARTUP_HEAVY!r} if m in sys.modules])"
 _STARTUP_RESIDUE = {"n": 7, "rank": 1, "R": [[1, 2, 3, 4, "1/2"], [1, 3, 2, 5, -1]],
                     "F": [[1, 2, [[[0, 1]]]], [3, 6, [[[0, -2]]]]]}
@@ -517,8 +518,9 @@ def test_startup_path_does_not_load_numpy(tmp_path, code):
     sparse maps; numpy loads only with verify,
     filtration and the torus level counts, so these calls do not pay for
     it.  The package's records are plain classes, so neither
-    ``dataclasses`` nor the ``inspect`` it loads is imported either, and
-    ``cli`` imports ``spectrum`` only in its spectrum command."""
+    ``dataclasses`` nor the ``inspect`` it loads is imported either,
+    ``cli`` imports ``spectrum`` only in its spectrum command, and the
+    densities build no ``WordOperator``, so ``wordops`` stays unloaded."""
     path = os.fspath(tmp_path / "curvature.json")
     _write(path, _STARTUP_RESIDUE)
     proc = subprocess.run([sys.executable, "-c", code + _HEAVY_LOADED, path],

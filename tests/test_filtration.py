@@ -161,7 +161,7 @@ def test_expansion_is_the_adjoint_of_the_reconstruction(n):
         assert got == dim * _pairing(phi.coefficients, expand_clifford_basis(m).coefficients)
 
 
-def test_expansion_of_a_word_operator_recovers_its_terms(fiber_matrix):
+def test_expansion_of_a_word_operator_recovers_its_terms(fiber_matrix, scalar_maps):
     """The form-free words of a rank-1 WordOperator are the expansion
     coefficients of its fiber matrix, built from the generator words; the
     matrix's real rational Scalars are read as Fractions."""
@@ -172,7 +172,8 @@ def test_expansion_of_a_word_operator_recovers_its_terms(fiber_matrix):
         })
         matrix = {k: _fraction(v) for k, v in fiber_matrix(x).items()}
         got = expand_clifford_basis(FiberOp(n, 1, matrix)).coefficients
-        assert got == {(cm, hm): _fraction(m[0, 0]) for (_, cm, hm), m in x.terms.items()}
+        assert got == {(cm, hm): _fraction(m[0, 0])
+                       for (_, cm, hm), m in scalar_maps.terms(x).items()}
 
 
 def _fraction(c):

@@ -410,3 +410,10 @@ def test_bundle_weight_check_holds_and_can_fail(kind):
     negated[(t, b)], negated[(b, t)] = -negated[(t, b)], -negated[(b, t)]
     assert not bundle_weight_check(with_star_ext(negated))
     assert standard_structure(kind) is s and s.star_ext == star_ext
+
+
+@pytest.mark.parametrize("bad", [Fraction(2), 2.0, True, Scalar.of(2), np.int64(2)])
+def test_projection_rejects_numerators_that_are_not_ints(bad):
+    with pytest.raises(TypeError, match="projection numerators must be ints"):
+        Projection("7", 7, 3, {(3, 3): 2, (5, 3): bad})
+    assert Projection("7", 7, 3, {(3, 3): 2, (5, 3): -1}).columns == {3: ((3, 2), (5, -1))}

@@ -149,20 +149,20 @@ def test_model_ratio_rows_compare_with_two_to_the_three_minus_n(monkeypatch, dou
 
 def _fraction_bridge_sums(s, seed):
     """The random-M loop of the bridge check on Fraction entries, each
-    trace times 6, with both weight tables from ``star_ext_entries``
-    (oracle of ``verify._bridge_sums``)."""
-    rnd = random.Random(seed + s.n)
+    trace times 6, with both weight tables from ``star_ext_entries``, on
+    the draws of ``verify._uniform_draws`` (oracle of
+    ``verify._bridge_sums``)."""
     basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
     star_w = star_ext_entries(s.defining_form, basis2)
     cdvol_w = star_ext_entries(s.defining_form, basis2, cdvol=True)
+    draws = verify._uniform_draws(random.Random(seed + s.n), (len(basis2), len(basis2), 7, 3), 1200)
+    rows, cols, nums, dens = (col.tolist() for col in draws)
     sums = []
-    for _ in range(100):
+    for first in range(0, 1200, 12):
         entries = {}
-        for _ in range(12):
-            a, b = rnd.choice(basis2), rnd.choice(basis2)
-            entries[(a, b)] = entries.get((a, b), 0) + Fraction(
-                rnd.randint(-3, 3), rnd.randint(1, 3)
-            )
+        for d in range(first, first + 12):
+            a, b = basis2[rows[d]], basis2[cols[d]]
+            entries[(a, b)] = entries.get((a, b), 0) + Fraction(nums[d] - 3, dens[d] + 1)
         lhs = sum(star_w.get((b, a), 0) * v for (a, b), v in entries.items())
         rhs = sum(cdvol_w.get((b, a), 0) * v for (a, b), v in entries.items())
         sums.append((6 * lhs, 6 * rhs))
@@ -180,6 +180,36 @@ def test_bridge_sums_draw_the_same_random_operators(kind, seed):
     assert got == _fraction_bridge_sums(s, seed)
     assert all(type(x) is int for pair in got for x in pair)
     assert sum(1 for lhs, _ in got if lhs) > 50  # most M meet the weight table
+
+
+@pytest.mark.parametrize("bounds", [(21, 21, 7, 3), (28, 11, 4), (256, 1)])
+def test_uniform_draws_keep_the_bytes_below_the_top_partial_block(bounds):
+    """Column j is block j of the bytes of one ``randbytes`` call: the
+    bytes below 256 - 256 % k, in order, each taken mod k."""
+    count = 500
+    cols = verify._uniform_draws(random.Random(5), bounds, count)
+    width = count + count // 4 + 16
+    raw = random.Random(5).randbytes(len(bounds) * width)
+    for j, (k, col) in enumerate(zip(bounds, cols)):
+        block = raw[j * width:(j + 1) * width]
+        assert col.tolist() == [x % k for x in block if x < 256 - 256 % k][:count]
+        if k < 32:
+            assert set(col.tolist()) == set(range(k))
+
+
+def test_uniform_draws_read_on_when_a_block_runs_short():
+    """A block whose bytes are all rejected (255 for k = 3) reads on from
+    the next ``randbytes`` call."""
+
+    class Bytes:
+        calls = 0
+
+        def randbytes(self, size):
+            self.calls += 1
+            return bytes([255] * size) if self.calls == 1 else bytes(x % 256 for x in range(size))
+
+    col, = verify._uniform_draws(Bytes(), (3,), 40)
+    assert col.tolist() == [x % 3 for x in range(40)]
 
 
 _PAIRING = "pairing a^*(b) = <a,b> dvol (n=7, exhaustive)"
@@ -234,3 +264,13 @@ def test_zero_mode_row_fails_on_an_untwisted_torus(monkeypatch):
     suite's own twist is pinned by the check-name digest test."""
     monkeypatch.setattr(verify, "_SUITE_TWIST", (Fraction(0),) * 7)
     assert _statuses(verify.spectrum_suite(0))["twist has no zero modes"] == "fail"
+
+
+def test_heat_details_print_exact_text():
+    """The t-powers of the residue-order rows print as "-3/2", not as
+    Fraction reprs; no heat detail holds a Python repr."""
+    details = {r.name: r.detail for r in verify.heat_suite(0)}
+    for sd in (3, 4, 5, 6, 7):
+        assert details[f"no coefficients below residue order (seed {sd})"] == (
+            "mehler [-3/2], duhamel [-3/2]")
+    assert not [d for d in details.values() if "Fraction" in d]

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm, FiberOp, popcount, sparse_product
@@ -38,7 +41,9 @@ def _random_bundle_op(n, r, rnd, masks, terms=3):
 
 
 def _stores_no_zero(x):
-    return all(m and all(m.values()) for m in x.terms.values())
+    """No empty bundle, empty plane or zero pair is stored."""
+    return all(m and all(p and all(re or im for re, im in p.values()) for p in m.values())
+               for m in x.terms.values())
 
 
 def test_word_mul_rules():
@@ -95,7 +100,7 @@ def _add(x, y):
     return {k: v for k, v in out.items() if v}
 
 
-def test_products_match_dense_matrices(fiber_matrix):
+def test_products_match_dense_matrices(fiber_matrix, scalar_maps):
     """Products and sums at ranks 1-3 against the products and sums of
     their fiber matrices, built from the generator words, including
     entries and terms that cancel."""
@@ -114,7 +119,7 @@ def test_products_match_dense_matrices(fiber_matrix):
             # bundle products with an entry that cancels
             cancelled += sum(
                 len(sparse_product(m1, m2)) < len({(i, j) for i, k in m1 for l, j in m2 if k == l})
-                for m1 in a.terms.values() for m2 in b.terms.values())
+                for m1 in scalar_maps.terms(a).values() for m2 in scalar_maps.terms(b).values())
     assert cancelled
 
 
@@ -201,7 +206,7 @@ def _bochner_curvature_term(cd):
     return total
 
 
-def test_bochner_term_top_symbol():
+def test_bochner_term_top_symbol(scalar_maps):
     # The fully expanded curvature term has no c-degree-4 part exactly
     # when the cyclic identity holds; its c2 x chat2 part is -1/2 times
     # the displayed model constant (frozen diagnostic).
@@ -213,14 +218,16 @@ def test_bochner_term_top_symbol():
         1,
         {
             (cm, 0, hm): m
-            for (f, cm, hm), m in t.terms.items()
+            for (f, cm, hm), m in scalar_maps.terms(t).items()
             if popcount(cm) == 2 and popcount(hm) == 2
         },
     )
     model = model_constant_potential(cd)
     assert set(c2h2.terms) == set(model.terms)
-    for key, m in c2h2.terms.items():
-        assert m[0, 0] == model.terms[key][0, 0] * Fraction(-1, 2)
+    assert c2h2 == model.scale(Fraction(-1, 2))
+    model_maps = scalar_maps.terms(model)
+    for key, m in scalar_maps.terms(c2h2).items():
+        assert m[0, 0] == model_maps[key][0, 0] * Fraction(-1, 2)
 
 
 def test_bochner_term_cyclic_defect_visible():
@@ -229,3 +236,57 @@ def test_bochner_term_cyclic_defect_visible():
     t = _bochner_curvature_term(cd)
     assert any(popcount(c) == 4 for (_, c, _) in t.terms)
 
+
+
+# operators at n = 4 on a few form and word masks, so that products meet
+# and cancel, with bundle values in Q(i)[pi^(+-1/2), t^(+-1/2)]
+_PARTS = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+_VALUES = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+    st.tuples(_PARTS, _PARTS).filter(any),
+    min_size=1, max_size=2,
+).map(Scalar)
+_FORMS = st.sampled_from([0, 0b11, 0b101, 0b1100, 0b1111])
+_WORDS = st.sampled_from([0, 0b1, 0b10, 0b11, 0b110, 0b1111])
+
+
+@st.composite
+def _operator_triples(draw):
+    r = draw(st.integers(1, 3))
+    entry = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1))
+    terms = st.dictionaries(st.tuples(_FORMS, _WORDS, _WORDS),
+                            st.dictionaries(entry, _VALUES, max_size=r * r), max_size=3)
+    free = st.dictionaries(st.tuples(st.just(0), _WORDS, _WORDS),
+                           st.dictionaries(entry, _VALUES, max_size=r * r), max_size=3)
+    x, y, z = (WordOperator(4, r, draw(t)) for t in (terms, terms, free))
+    return x, y, z, draw(st.one_of(_VALUES, st.integers(-4, 4), _PARTS))
+
+
+def _is_canonical(x):
+    """One positive denominator with no factor common to every numerator,
+    and no empty bundle, empty plane or zero pair."""
+    nums = [v for m in x.terms.values() for p in m.values() for pair in p.values() for v in pair]
+    return x.den > 0 and gcd(x.den, *nums) == 1 and _stores_no_zero(x)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(ops=_operator_triples(), weights=st.dictionaries(_FORMS, st.integers(-2, 2), max_size=3))
+def test_integer_planes_equal_the_scalar_map_oracle(scalar_maps, ops, weights):
+    """Products, sums and scalings at ranks 1-3 against the same operations
+    on Scalar bundle maps; the results are canonical, so each equals the
+    operator built from the oracle's maps.  ``form_trace`` and
+    ``star_weighted_trace`` equal their lifted oracles."""
+    x, y, z, s = ops
+    for got, want in ((x * y, scalar_maps.mul(x, y)), (y * x, scalar_maps.mul(y, x)),
+                      (x + y, scalar_maps.add(x, y)), (x.scale(s), scalar_maps.scale(x, s)),
+                      (z * z, scalar_maps.mul(z, z))):
+        assert scalar_maps.terms(got) == want
+        assert _is_canonical(got)
+        assert got == WordOperator(4, x.r, want)
+    for op in (x, x * y, z):
+        assert op.form_trace() == scalar_maps.form_trace(op)
+        assert repr(op.form_trace()) == repr(scalar_maps.form_trace(op))
+    w = DiffForm(4, weights)
+    assert star_weighted_trace(w, z) == scalar_maps.star_weighted_trace(w, z)
+    assert repr(star_weighted_trace(w, z)) == repr(scalar_maps.star_weighted_trace(w, z))

@@ -197,10 +197,11 @@ def _label(what: str, row) -> str:
     return what if row is None else f"{what} in {row}"
 
 
-def _ratio(x, what: str):
+def _ratio(x, what: str, row=None):
     """(numerator, denominator > 0) of a JSON value, not reduced.  JSON
     integers and plain ASCII text ("-12", "6/8") are read with int();
-    every other form, and every bad value, goes through ``_rational``."""
+    every other form, and every bad value, goes through ``_rational``,
+    whose error names ``row`` if one is given."""
     if type(x) is int:
         return x, 1
     if type(x) is str and len(x) <= _MAX_LENGTH:
@@ -210,7 +211,7 @@ def _ratio(x, what: str):
             den = int(den) if den else 1
             if den:
                 return int(num), den
-    v = _rational(x, what)
+    v = _rational(x, what, row)
     return v.numerator, v.denominator
 
 
@@ -253,8 +254,11 @@ def load_curvature(path: str) -> CurvatureData:
 
     Schema: {"n": 7|8, "rank": r, "R": [[i,j,k,l,value], ...],
              "F": [[i, j, [[[re,im], ...] x r rows]], ...]}.
-    Symmetry closure is applied; conflicting redundant entries are
-    rejected rather than averaged.
+    Every value is read into an integer (numerator, denominator) pair,
+    and ``CurvatureData.from_planes`` puts R and F over one least
+    denominator each.  Symmetry closure is applied; conflicting redundant
+    entries, compared by cross-multiplying, are rejected rather than
+    averaged.
     """
     with open(path) as fh:
         doc = json.load(fh, parse_float=_json_number, parse_int=lambda text: (
@@ -268,13 +272,17 @@ def load_curvature(path: str) -> CurvatureData:
     rank = doc.get("rank", 1)
     if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
         raise CurvatureError("field 'rank' must be a positive integer")
-    r_entries = {}
+    r_ratios = {}
     for row in _rows(doc, "R", 5):
-        key = tuple(_index(idx, "R index", row) for idx in row[:4])
-        v = _rational(row[4], "R value", row)
-        if key in r_entries and r_entries[key] != v:
+        i, j, k, l, value = row
+        key = (i, j, k, l)
+        if not (type(i) is type(j) is type(k) is type(l) is int):
+            key = tuple(_index(idx, "R index", row) for idx in key)
+        num, den = v = _ratio(value, "R value", row)
+        old = r_ratios.get(key)
+        if old is not None and old[0] * den != num * old[1]:
             raise CurvatureError(f"conflicting duplicate R entry {row}")
-        r_entries[key] = v
+        r_ratios[key] = v
     f_planes = {}
     for row in _rows(doc, "F", 3):
         i, j = (_index(idx, "F index", row) for idx in row[:2])
@@ -294,7 +302,7 @@ def load_curvature(path: str) -> CurvatureData:
         f_planes[key] = entry
     # the constructor checks the index ranges and symmetries and
     # skew-Hermiticity
-    return CurvatureData.from_planes(n, rank, r_entries, f_planes)
+    return CurvatureData.from_planes(n, rank, r_ratios, f_planes)
 
 
 # ----------------------------------------------------------------------

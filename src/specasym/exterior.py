@@ -56,14 +56,15 @@ def merge_sign(m1: int, m2: int) -> int:
     so overlapping masks are allowed: a shared index is no pair with
     itself.
     """
-    # the elements of m1 above each index of m2, XOR-accumulated: the
-    # popcount parity of a XOR is the parity of the summed popcounts
-    above = 0
-    while m2:
-        b = m2 & -m2
-        above ^= m1 & -(b << 1)
-        m2 ^= b
-    return -1 if popcount(above) & 1 else 1
+    # bit k of x is the parity of the indices of m2 below k: the prefix
+    # XOR of m2 << 1, doubled 1, 2, 4, ... bits at a time up to m1's top
+    # bit; the pairs (a, b) with a > b then number popcount(m1 & x) mod 2
+    x = m2 << 1
+    s, top = 1, m1.bit_length()
+    while s < top:
+        x ^= x << s
+        s <<= 1
+    return -1 if (m1 & x).bit_count() & 1 else 1
 
 
 def hodge_sign(mask: int, n: int) -> int:

@@ -17,22 +17,25 @@ The densities build neither kernel.  At form degree 4, the only degree
 the weighted density reads, both need just tr Q, tr V and tr V^2
 (``model_traces``), which are the Chern-Weil pair sums of ``residue``:
 tr Q = -(1/2) pi^2 p1, tr V = 2^n i pi c1 and tr V^2 = 2^n (-4 r pi^2 p1
-+ pi^2 (2 c2 - c1^2)).  The sums are fields of ``residue.CurvatureData``,
-built once when the data is constructed, and the three forms are built
-once per CurvatureData, on first use, so the Mehler and the Duhamel
-density of one call share them.
++ pi^2 (2 c2 - c1^2)).  The sums are integer fields of
+``residue.CurvatureData`` (numerators over one denominator each), built
+once when the data is constructed, and the three traces are built from
+them once per CurvatureData, on first use, as integer numerator forms
+over one least denominator, so the Mehler and the Duhamel density of one
+call share them.
 
-Each density has two tiers: a production route that pairs over Q, then
-lifts once, and a full-kernel oracle.  The weighted density is a linear
-functional [w ^ .]_n of the rational forms tr Q and tr V^2 (the pairing
-of w with tr V, a 2-form, is zero), so w is paired with them on their
-rational coefficients through complement lookups
-(``DiffForm.top_pairing``: only the complement of each term of w is
-read, and no wedge is formed), the rationals are combined, and the sum
-becomes a ``Scalar`` by one product with TRACE_NORMALISATION
-(4 pi t)^{-n/2} and the power of t.  ``mehler_diag_trace`` combines them
-in ``_mehler_pairing``; ``duhamel_density`` pairs the form trace of each
-Wick term (with no drift, since rhat is antisymmetric) and sums them
+Each density has two tiers: a production route that pairs over the
+integers, then lifts once, and a full-kernel oracle.  The weighted
+density is a linear functional [w ^ .]_n of tr Q and tr V^2 (the pairing
+of w with tr V, a 2-form, is zero), so the integer numerators of w
+(``residue.numerator_form``) are paired with the numerators of the traces
+through complement lookups (``DiffForm.top_pairing``: only the complement
+of each term of w is read, and no wedge is formed), the integer pairings
+are combined over one denominator, and ``_lift_density`` is the one place
+they are lifted: one Fraction per power of t, times TRACE_NORMALISATION
+(4 pi t)^{-n/2}, with no Scalar product.  ``mehler_diag_trace`` combines
+them in ``_mehler_pairing``; ``duhamel_density`` pairs the form trace of
+each Wick term (with no drift, since rhat is antisymmetric) and sums them
 with their coefficients.  The Wick terms are listed once (``wick_terms``);
 ``wick_kernel`` multiplies them out, so ``mehler_kernel`` and
 ``duhamel_kernel``, read through ``density_from_kernel``, are the
@@ -63,14 +66,14 @@ operator with constant bundle curvature; it feeds
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import factorial, lcm, pi as _PI, sinh as _sinh, sqrt as _sqrt
+from functools import cache, reduce
+from math import factorial, gcd, lcm, pi as _PI, sinh as _sinh, sqrt as _sqrt
 from operator import add, mul
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .exact import Scalar
 from .exterior import DiffForm, mask_of, sparse_product
-from .residue import CurvatureData, characteristic_density_form
+from .residue import CurvatureData, characteristic_pairing, numerator_form
 
 if TYPE_CHECKING:  # the full-kernel oracles import wordops when they run
     from .wordops import WordOperator
@@ -78,7 +81,9 @@ if TYPE_CHECKING:  # the full-kernel oracles import wordops when they run
 FormMatrix = List[List[DiffForm]]
 
 # the derived trace normalisation of the weighted densities (module docstring)
-TRACE_NORMALISATION = Scalar.of(-2)
+_TRACE_NORM = -2
+TRACE_NORMALISATION = Scalar.of(_TRACE_NORM)
+_ZERO = Fraction(0)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +163,6 @@ def _series_mul(a, b, kmax):
 
 # (1/2) l_1 4 = 2 l_1 = -1/3: the weight of tr Q in the degree-4 trace
 _DET_WEIGHT = 2 * _log_x_over_sinh_series(1)[0]
-_HALF = Fraction(1, 2)
 
 
 def form_exp(f: DiffForm) -> DiffForm:
@@ -230,11 +234,15 @@ def model_constant_potential(cd: CurvatureData) -> WordOperator:
     return WordOperator(n, r, terms)
 
 
-def model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm]:
-    """(tr Q, tr V, tr V^2): all the densities read of the model operator.
+def model_traces(cd: CurvatureData) -> Tuple[int, DiffForm, DiffForm, DiffForm]:
+    """(den, tr Q, tr V, tr V^2): all the densities read of the model
+    operator, as integer numerator forms over one least denominator den.
+    tr Q and tr V^2 are their numerator forms over den; tr V is i times
+    its numerator form over den.  The least den makes the tuple canonical,
+    so equal traces compare equal.
 
-    ``_build_model_traces`` builds the three forms on the first call for
-    each CurvatureData, which keeps them (``cd.model_trace_forms``), so the
+    ``_build_model_traces`` builds them on the first call for each
+    CurvatureData, which keeps them (``cd.model_trace_forms``), so the
     Mehler and the Duhamel density of one ``residue --oracle`` call share
     one build.  Callers must treat the forms as read-only.
     """
@@ -243,32 +251,31 @@ def model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm]:
     return cd.model_trace_forms
 
 
-def _build_model_traces(cd: CurvatureData) -> Tuple[DiffForm, DiffForm, DiffForm]:
-    """The three forms of ``model_traces``, from the Chern-Weil pair sums.
+def _build_model_traces(cd: CurvatureData) -> Tuple[int, DiffForm, DiffForm, DiffForm]:
+    """The traces of ``model_traces``, from the Chern-Weil pair sums.
 
-    They are the pair sums of ``residue`` (pi^2 p1, pi c1, pi^2 c2), which
-    CurvatureData builds on construction and shares with
-    ``characteristic_density_form``.  rhat_ij = Omega_ij / 2, so
-    tr Q = -(1/4) sum_{i,j} rhat_ij ^ rhat_ij = -(1/2) pi^2 p1.  Nonempty
-    words are traceless and the fiber trace of 1 is 2^n, so
-    tr V = tr V_F = 2^n tr(-F/2) = 2^n i pi c1.  V_R and V_F
+    They are the integer sums of ``residue`` (pi^2 p1 over p1_den; pi c1,
+    pi^2 c2 and pi^2 (c1^2 - c2) over chern_den), which CurvatureData
+    builds on construction and shares with ``characteristic_pairing``.
+    rhat_ij = Omega_ij / 2, so tr Q = -(1/4) sum_{i,j} rhat_ij ^ rhat_ij =
+    -(1/2) pi^2 p1.  Nonempty words are traceless and the fiber trace of 1
+    is 2^n, so tr V = tr V_F = 2^n tr(-F/2) = 2^n i pi c1.  V_R and V_F
     never join in V^2, and each c-hat word chat^k chat^l squares to -1, so
     tr V_R^2 = -2^n sum_{k<l} Omega_kl ^ Omega_kl and
     tr V^2 = r tr V_R^2 + tr V_F^2 = 2^n (-4 r pi^2 p1 + pi^2 (2 c2 - c1^2)).
-    tr Q and tr V^2 have rational coefficients, built on integer
-    numerators over one common denominator; tr V has imaginary ones.
+    Over p1_den * chern_den (chern_den = 8 f_den^2 is even) every
+    coefficient is an integer; the common gcd is then divided out.
     """
-    n, fiber = cd.n, 1 << cd.n
-    sums = (cd.pi2_p1, cd.pi2_c2, cd.pi2_bundle)  # pi^2 (p1, c2, c1^2 - c2)
-    den = lcm(*(x.denominator for d in sums for x in d.values()))
-    p1, c2, e = ({m: x.numerator * (den // x.denominator) for m, x in d.items()} for d in sums)
-    tr_v2 = {m: Fraction(fiber * (-4 * cd.r * p1.get(m, 0) + c2.get(m, 0) - e.get(m, 0)), den)
+    fiber, pd, cw = 1 << cd.n, cd.p1_den, cd.chern_den
+    p1, c2, e = cd.p1_nums, cd.c2_nums, cd.bundle_nums  # pi^2 (p1, c2, c1^2 - c2)
+    tr_q = {m: -(cw // 2) * x for m, x in p1.items()}
+    tr_v = {m: fiber * pd * x for m, x in cd.c1_nums.items()}
+    tr_v2 = {m: fiber * (-4 * cd.r * cw * p1.get(m, 0) + pd * (c2.get(m, 0) - e.get(m, 0)))
              for m in p1.keys() | c2.keys()}
-    return (
-        DiffForm(n, {m: Fraction(-x, 2 * den) for m, x in p1.items()}),
-        DiffForm(n, {m: Scalar.i(fiber * x) for m, x in cd.pi_c1.items()}),
-        DiffForm(n, tr_v2),
-    )
+    den = pd * cw
+    g = gcd(den, *tr_q.values(), *tr_v.values(), *tr_v2.values())
+    return (den // g, *(DiffForm(cd.n, {m: x // g for m, x in t.items()})
+                        for t in (tr_q, tr_v, tr_v2)))
 
 
 def curvature_exponential(cd: CurvatureData) -> WordOperator:
@@ -281,8 +288,9 @@ def curvature_exponential(cd: CurvatureData) -> WordOperator:
     return v.scale(Scalar.term(Fraction(-1), t_half=2)).exp_nilpotent()
 
 
+@cache
 def gaussian_prefactor(n: int) -> Scalar:
-    """(4 pi t)^{-n/2} as an exact Scalar."""
+    """(4 pi t)^{-n/2} as an exact Scalar, one per n (read-only)."""
     return Scalar.term(Fraction(1, 2 ** n), pi_half=-n, t_half=-n)
 
 
@@ -313,18 +321,21 @@ _WICK_TERMS = (
     (Fraction(1, 8), 4, ("tr_drift", "tr_drift")),
     (Fraction(-1, 24), 4, ("drift_pairs",)),
 )
+# one denominator for every Wick coefficient
+_WICK_DEN = lcm(*(coef.denominator for coef, _, _ in _WICK_TERMS))
 
 
-def wick_terms(n: int, const, drift, tr_quad) -> List[Tuple[Scalar, list]]:
+def wick_terms(n: int, const, drift, tr_quad) -> List[Tuple[Fraction, int, list]]:
     """Wick terms of -Laplacian + drift + quad + const through two insertions.
 
     drift[i][k] multiplies x^k d_i; quad[j][k] multiplies x^j x^k and
     enters only through its trace ``tr_quad``; const is x-independent.
-    Returns ``(coefficient, products)`` pairs: the coefficient carries its
-    power of t, and ``products`` lists operand tuples whose products are
-    summed (the empty tuple is the identity).  Operands are WordOperators
-    or pure forms, passed through as given (``duhamel_density`` passes the
-    traces of const); None operands drop out.
+    Returns ``(coefficient, half, products)`` triples: the rational
+    coefficient goes with t^(half/2), and ``products`` lists operand tuples
+    whose products are summed (the empty tuple is the identity).  Operands
+    are WordOperators or pure forms, passed through as given
+    (``duhamel_density`` passes the traces of const); None operands drop
+    out.
     """
     named = {
         "const": const,
@@ -346,7 +357,7 @@ def wick_terms(n: int, const, drift, tr_quad) -> List[Tuple[Scalar, list]]:
             ops = tuple(named[f] for f in factors)
             products = [] if any(x is None for x in ops) else [ops]
         if products:
-            out.append((Scalar.term(coef, t_half=half), products))
+            out.append((coef, half, products))
     return out
 
 
@@ -365,11 +376,11 @@ def wick_kernel(
     from .wordops import WordOperator
 
     k = WordOperator.zero(n, r)
-    for coef, products in wick_terms(n, const, drift, tr_quad):
+    for coef, half, products in wick_terms(n, const, drift, tr_quad):
         term = WordOperator.zero(n, r)
         for ops in products:
             term = term + (reduce(mul, ops) if ops else WordOperator.identity(n, r))
-        k = k + term.scale(coef)
+        k = k + term.scale(Scalar.term(coef, t_half=half))
     return k.scale(gaussian_prefactor(n))
 
 
@@ -436,7 +447,7 @@ def _calibration_curvature(s) -> CurvatureData:
             (c, d): {(0, 0): Scalar.i()},
         }
         cd = CurvatureData(n, 1, {}, f)
-        if w.top_pairing(characteristic_density_form(cd)):
+        if characteristic_pairing(w, cd):
             return cd
     raise RuntimeError("no calibration pairing found for this structure")
 
@@ -455,8 +466,8 @@ def calibration_constant(s) -> Scalar:
     cd0 = _calibration_curvature(s)
     deg = s.degree
     w = s.defining_form
-    target = Scalar.pi_pow(-deg) * Scalar.of(w.top_pairing(characteristic_density_form(cd0)))
-    route = (gaussian_prefactor(s.n) * Scalar.t_pow(4, _mehler_pairing(w, cd0))
+    target = Scalar.pi_pow(-deg - 4, characteristic_pairing(w, cd0))
+    route = (gaussian_prefactor(s.n) * Scalar.t_pow(4, Fraction(*_mehler_pairing(w, cd0)))
              ).t_coefficient(Fraction(-deg, 2))
     if route.is_zero():
         raise RuntimeError("degenerate calibration family")
@@ -478,68 +489,86 @@ def mehler_diag_trace(s, cd: CurvatureData) -> Scalar:
     Returns the exact Laurent polynomial in sqrt(t); the residue-order
     coefficient sits at t^{-deg(w)/2}.  Wedging with w keeps only form
     degree n - deg(w) = 4 of the trace, so the kernel is never built.
-    Pair over Q, then lift once: the rational ``_mehler_pairing`` is
-    multiplied once by TRACE_NORMALISATION (4 pi t)^{-n/2} t^2.  The
-    result equals ``density_from_kernel(s, mehler_kernel(cd))`` as a full
-    Laurent series.
+    Pair over the integers, then lift once: the integer
+    ``_mehler_pairing`` becomes one Fraction times TRACE_NORMALISATION
+    (4 pi t)^{-n/2} t^2 (``_lift_density``).  The result equals
+    ``density_from_kernel(s, mehler_kernel(cd))`` as a full Laurent
+    series.
     """
     if s.n != cd.n:
         raise ValueError("structure/curvature dimension mismatch")
     if s.n - s.degree != 4:
         raise ValueError("the Mehler density is built at form degree 4 only")
-    return _density_unit(cd.n) * Scalar.t_pow(4, _mehler_pairing(s.defining_form, cd))
+    num, den = _mehler_pairing(s.defining_form, cd)
+    return _lift_density(cd.n, den, {4: (num, 0)})
 
 
-def _mehler_pairing(w: DiffForm, cd: CurvatureData) -> Fraction:
-    """[w ^ degree-4 trace of the Mehler kernel]_n per unit (4 pi t)^{-n/2} t^2.
+def _mehler_pairing(w: DiffForm, cd: CurvatureData) -> Tuple[int, int]:
+    """[w ^ degree-4 trace of the Mehler kernel]_n per unit (4 pi t)^{-n/2}
+    t^2, as (numerator, denominator).
 
     Every term of the potential V sits on one 2-plane and every entry of Q
     is a sum of wedges of two 2-forms, so the power of t follows form
     degree.  At degree 4 the kernel needs only t^2 V^2 / 2 from exp(-t V)
     and only the first determinant term (1/2) l_1 tr(4 t^2 Q) (x) 1_r,
-    whose fiber trace is 2^n r; w is paired with tr Q and tr V^2 over Q.
+    whose fiber trace is 2^n r; the numerators of w are paired with those
+    of tr Q and tr V^2.
     """
-    tr_q, _, tr_v2 = model_traces(cd)
-    return (_DET_WEIGHT * cd.r * (1 << cd.n) * w.top_pairing(tr_q)
-            + _HALF * w.top_pairing(tr_v2))
+    den, tr_q, _, tr_v2 = model_traces(cd)
+    wn, w_den = numerator_form(w)
+    a, b = _DET_WEIGHT.numerator, _DET_WEIGHT.denominator
+    # a / b r 2^n [w ^ tr Q]_n + (1/2) [w ^ tr V^2]_n over den * w_den
+    return (2 * a * cd.r * (1 << cd.n) * wn.top_pairing(tr_q) + b * wn.top_pairing(tr_v2),
+            2 * b * den * w_den)
 
 
 def duhamel_density(s, cd: CurvatureData) -> Scalar:
     """Weighted density via the Duhamel expansion (oracle side).
 
-    Pair over Q, then lift once: the form trace of each product of
-    ``wick_terms`` is paired with w, the pairings are summed with their
-    coefficients, and the sum is multiplied once by TRACE_NORMALISATION
-    (4 pi t)^{-n/2}.  The operands are ``model_traces``: the constant C is
-    the pair (tr C, tr C^2) = (tr V, tr V^2), and tr Q stands for
-    tr Q (x) 1_r.  No drift is passed: rhat is antisymmetric, so the
-    drift's trace and every symmetrised pair of its entries vanish.  Such
-    forms commute with everything, so a product with k >= 1 factors C
-    traces to tr C^k wedged with its form factors; tr C^0 = 2^n r is a
-    number, so it moves into the coefficient.  The result equals
+    Pair over the integers, then lift once: the numerators of w are paired
+    with the form trace of each product of ``wick_terms``, the pairings
+    are summed with their coefficients over one denominator, each power of
+    t apart, and the sums become Fractions times TRACE_NORMALISATION
+    (4 pi t)^{-n/2} once (``_lift_density``).  The operands are
+    ``model_traces``: the constant C is the pair (tr C, tr C^2) =
+    (tr V, tr V^2), and tr Q stands for tr Q (x) 1_r.  No drift is passed:
+    rhat is antisymmetric, so the drift's trace and every symmetrised pair
+    of its entries vanish.  Such forms commute with everything, so a
+    product with k >= 1 factors C traces to tr C^k wedged with its form
+    factors; tr C^0 = 2^n r is a number, so it moves into the coefficient.
+    Each trace is a numerator form over the traces' den, and tr V is i
+    times its numerator form, so a product of f traces is its numerators
+    over den^f, times i when its C factor is tr V; a product has at most
+    two operands, so den^2 is a common denominator.  The result equals
     ``density_from_kernel(s, duhamel_kernel(cd))``.
     """
     if s.n != cd.n:
         raise ValueError("structure/curvature dimension mismatch")
-    tr_q, tr_v, tr_v2 = model_traces(cd)
+    den, tr_q, tr_v, tr_v2 = model_traces(cd)
     const = (tr_v, tr_v2)
-    w, fiber = s.defining_form, (1 << cd.n) * cd.r
-    total = Scalar()
-    for coef, products in wick_terms(cd.n, const, None, tr_q):
+    (wn, w_den), fiber = numerator_form(s.defining_form), (1 << cd.n) * cd.r
+    sums = {}  # power of t^(1/2) -> [real, imaginary] numerators
+    for coef, half, products in wick_terms(cd.n, const, None, tr_q):
+        c = coef.numerator * (_WICK_DEN // coef.denominator)
         for ops in products:
             forms = [x for x in ops if x is not const]
             k = len(ops) - len(forms)
             if k:
                 forms.insert(0, const[k - 1])
             form = reduce(DiffForm.wedge, forms) if forms else DiffForm.one(cd.n)
-            total = total + (coef if k else coef * fiber) * w.top_pairing(form)
-    return _density_unit(cd.n) * total
+            x = (c if k else c * fiber) * wn.top_pairing(form) * den ** (2 - len(forms))
+            sums.setdefault(half, [0, 0])[k == 1] += x
+    return _lift_density(cd.n, _WICK_DEN * den * den * w_den, sums)
 
 
-def _density_unit(n: int) -> Scalar:
-    """TRACE_NORMALISATION (4 pi t)^{-n/2}, the one Scalar factor of both
-    densities."""
-    return TRACE_NORMALISATION * gaussian_prefactor(n)
+def _lift_density(n: int, den: int, sums) -> Scalar:
+    """TRACE_NORMALISATION (4 pi t)^{-n/2} sum_q (re_q + i im_q) / den t^(q/2)
+    from the integer numerators {q: (re_q, im_q)}: one Fraction per
+    nonzero part, and no Scalar product."""
+    den <<= n  # (4 pi t)^{-n/2} = 2^-n pi^{-n/2} t^{-n/2}
+    return Scalar({(-n, q - n): (Fraction(_TRACE_NORM * re, den) if re else _ZERO,
+                                 Fraction(_TRACE_NORM * im, den) if im else _ZERO)
+                   for q, (re, im) in sums.items() if re or im})
 
 
 def true_operator_density(s, cd: CurvatureData) -> Scalar:

@@ -2,25 +2,27 @@
 zeta residues.
 
 ``CurvatureData`` owns the curvature format.  It is built whole: its
-constructor checks the index symmetries, stores the Riemann rows and the
-bundle numerator planes, and builds the Chern-Weil sums (pi^2 p1, pi c1,
-pi^2 c2, pi^2 (c1^2 - c2)) that every characteristic form here and every
-model trace in ``heat`` reads.  The density w ^ ((1/3) p1 + c1^2 - c2) is
-a top form: integration over the unit-volume flat model reads off its dvol
-coefficient, which is all that is built.  Residues follow by exact
-division by Gamma(deg(w)/2 + 1), so they come out as exact rational
-multiples of powers of pi.
+constructor checks the index symmetries, stores R and F as integer
+numerators over one least denominator each, and builds on those integers
+the Chern-Weil sums (pi^2 p1, pi c1, pi^2 c2, pi^2 (c1^2 - c2)) that every
+characteristic form here and every model trace in ``heat`` reads.  The
+density w ^ ((1/3) p1 + c1^2 - c2) is a top form: integration over the
+unit-volume flat model reads off its dvol coefficient, which is all that
+is built, as one integer pairing lifted to one Fraction.  Residues follow
+by exact division by Gamma(deg(w)/2 + 1), so they come out as exact
+rational multiples of powers of pi.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isfinite, lcm
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .exact import Scalar
+from .exact import Scalar, rational_numerators
 from .exterior import DiffForm, Mat, indices_of, mask_of, merge_sign
 from .holonomy import (
     G2,
@@ -30,6 +32,8 @@ from .holonomy import (
     instanton_check,
 )
 from .record import Record
+
+_ZERO = Fraction(0)
 
 
 # ----------------------------------------------------------------------
@@ -43,29 +47,35 @@ class CurvatureError(ValueError):
 class CurvatureData:
     """Riemann-type tensor plus skew-Hermitian bundle curvature matrices.
 
-    ``r_entries`` maps canonical index quadruples (i<j, k<l, pair-sorted)
-    to rational values; ``f_entries`` maps (i, j) with i<j to the bundle
-    map F_ij, a sparse ``{(a, b): value}`` map with keys in range(r)^2
-    and Gaussian-rational values (``exterior.Mat``).  Index symmetries are
-    enforced on construction and never silently repaired.
+    The curvature is stored once, as integer numerators over one least
+    denominator per field, and every Chern-Weil sum is built on them when
+    the data is constructed:
 
-    The bundle curvature is stored once, as integer planes:
-
+    * ``r_nums``: canonical index quadruple (i<j, k<l, pair-sorted) ->
+      nonzero integer numerator of R_ijkl over ``r_den``, in input order;
     * ``f_planes``: mask of e^{ij} -> (real, imaginary) row-major integer
-      numerators of F_ij over one denominator ``f_den``, the least one;
-    * ``r_rows``: (i, j) -> [((k, l), R_ijkl)] with i < j and k < l,
-      sorted, listed under both pairs;
-    * the Chern-Weil sums, mask -> rational maps: ``pi2_p1`` = pi^2 p1,
-      ``pi_c1`` = pi c1, ``pi2_c2`` = pi^2 c2 and ``pi2_bundle`` =
-      pi^2 (c1^2 - c2).
+      numerators of F_ij over ``f_den``;
+    * ``p1_nums``: mask -> numerator of pi^2 p1 over ``p1_den`` = 4 r_den^2;
+    * ``c1_nums``, ``c2_nums``, ``bundle_nums``: mask -> numerators of
+      pi c1, pi^2 c2 and pi^2 (c1^2 - c2) over ``chern_den`` = 8 f_den^2.
 
-    ``CurvatureData(n, r, r_entries, f_entries)`` reads the bundle maps
-    into numerators; ``from_planes`` takes them ready, as ``cli`` reads
-    them from text.  Both end in ``_build``, the one place that checks the
-    entries and builds the sums.  ``f_entries`` is derived from the planes
-    on first use, in the format the constructor takes, so
-    ``CurvatureData(n, r, cd.r_entries, cd.f_entries) == cd``; only the
-    oracles read it.
+    The production routes pair the defining form with these integers and
+    lift to Fraction or Scalar once, at the end: ``residue_density`` here,
+    the model traces and both densities in ``heat``.  The rational views
+    ``r_entries`` (canonical quadruple -> R value), ``r_rows``
+    ((i, j) -> [((k, l), R_ijkl)] with i < j and k < l, sorted, listed
+    under both pairs), ``f_entries`` ((i, j) -> the bundle map F_ij, a
+    sparse ``{(a, b): Scalar}`` map, ``exterior.Mat``), ``pi2_p1``,
+    ``pi_c1``, ``pi2_c2`` and ``pi2_bundle`` are built on first use, for
+    the oracles and the tests; ``f_entries`` is in the format the
+    constructor takes, so ``CurvatureData(n, r, cd.r_entries,
+    cd.f_entries) == cd``.  Index symmetries are enforced on construction
+    and never silently repaired.
+
+    ``CurvatureData(n, r, r_entries, f_entries)`` reads rational R values
+    and Scalar bundle maps; ``from_planes`` takes integer pairs and planes
+    ready, as ``cli`` reads them from text.  Both end in ``_build``, the
+    one place that checks the entries and builds the sums.
 
     ``model_trace_forms`` starts as None; ``heat.model_traces`` fills it
     on first use, so the model traces are built once per curvature.
@@ -76,44 +86,40 @@ class CurvatureData:
     def __init__(self, n: int, r: int = 1,
                  r_entries: Optional[Dict[Tuple[int, int, int, int], Fraction]] = None,
                  f_entries: Optional[Dict[Tuple[int, int], Mat]] = None):
-        self._build(n, r, r_entries or {},
+        self._build(n, r, ((key, _num_den(v)) for key, v in (r_entries or {}).items()),
                     ((key, _matrix_numerators(r, key, m)) for key, m in (f_entries or {}).items()))
 
     @classmethod
-    def from_planes(cls, n: int, r: int, r_entries, f_planes) -> "CurvatureData":
-        """Curvature from ready numerators: ``f_planes`` maps (i, j) to
-        (den, re, im), the row-major integer lists of the r x r matrix F_ij
-        times den, for any den > 0; ``_build`` reduces it."""
+    def from_planes(cls, n: int, r: int, r_ratios, f_planes) -> "CurvatureData":
+        """Curvature from ready integers: ``r_ratios`` maps (i, j, k, l) to
+        (numerator, denominator > 0) of R_ijkl and ``f_planes`` maps (i, j)
+        to (den, re, im), the row-major integer lists of the r x r matrix
+        F_ij times den, for any den > 0; ``_build`` reduces both."""
         cd = cls.__new__(cls)
-        cd._build(n, r, r_entries, f_planes.items())
+        cd._build(n, r, r_ratios.items(), f_planes.items())
         return cd
 
-    def _build(self, n, r, r_entries, f_items):
-        """Check the entries and fill every field from the R values and the
-        ((i, j), (den, re, im)) items of F."""
+    def _build(self, n, r, r_items, f_items):
+        """Check the entries and fill every field from the
+        ((i, j, k, l), (num, den)) items of R and the ((i, j), (den, re, im))
+        items of F."""
         self.n, self.r = n, r
         clean = {}
-        for (i, j, k, l), v in r_entries.items():
-            if not all(1 <= x <= n for x in (i, j, k, l)):
+        for (i, j, k, l), (num, den) in r_items:
+            if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n and 1 <= l <= n):
                 raise CurvatureError(f"R indices must lie in 1..{n}, got ({i},{j},{k},{l})")
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            if v == 0:
+            if not num:
                 continue
             key, sign = _canonical_r_key(i, j, k, l)
             if key is None:
                 raise CurvatureError(f"degenerate index pattern R[{i}{j}{k}{l}]")
-            want = v if sign > 0 else -v
-            if key in clean and clean[key] != want:
+            if sign < 0:
+                num = -num
+            old = clean.get(key)
+            if old is not None and old[0] * den != num * old[1]:
                 raise CurvatureError(f"conflicting values for R{key}")
-            clean[key] = want
-        self.r_entries = clean
-        # R_klij = R_ijkl; in key order every row comes out sorted
-        self.r_rows = {}
-        for (i, j, k, l), v in sorted(clean.items()):
-            self.r_rows.setdefault((i, j), []).append(((k, l), v))
-            if (i, j) != (k, l):
-                self.r_rows.setdefault((k, l), []).append(((i, j), v))
+            clean[key] = num, den
+        self.r_den, self.r_nums = _least_numerators(clean)
         planes = {}
         for (i, j), (den, re, im) in f_items:
             if not (1 <= i < j <= n):
@@ -131,25 +137,54 @@ class CurvatureData:
         self.f_planes = {m: (re, im) if den == self.f_den else
                          tuple([x * (self.f_den // den) for x in p] for p in (re, im))
                          for m, (den, re, im) in planes.items()}
-        self._f_entries = None
         self.model_trace_forms = None
-        self.pi2_p1 = _p1(self.r_rows)
-        self.pi_c1, self.pi2_c2, self.pi2_bundle = _chern(r, self.f_den, self.f_planes)
+        self.p1_den, self.p1_nums = 4 * self.r_den ** 2, _p1(self.r_nums)
+        self.chern_den = 8 * self.f_den ** 2
+        self.c1_nums, self.c2_nums, self.bundle_nums = _chern(r, self.f_den, self.f_planes)
 
-    @property
+    # -- rational views, built on first use ----------------------------------
+
+    @cached_property
+    def r_entries(self) -> Dict[Tuple[int, int, int, int], Fraction]:
+        return _fractions(self.r_nums, self.r_den)
+
+    @cached_property
+    def r_rows(self) -> Dict[Tuple[int, int], List[Tuple[Tuple[int, int], Fraction]]]:
+        # R_klij = R_ijkl; in key order every row comes out sorted
+        rows = {}
+        for (i, j, k, l), v in sorted(self.r_entries.items()):
+            rows.setdefault((i, j), []).append(((k, l), v))
+            if (i, j) != (k, l):
+                rows.setdefault((k, l), []).append(((i, j), v))
+        return rows
+
+    @cached_property
     def f_entries(self) -> Dict[Tuple[int, int], Mat]:
-        """(i, j) -> bundle map F_ij (i < j) with nonzero Scalar values,
-        built from the planes on first use."""
-        if self._f_entries is None:
-            self._f_entries = _scalar_matrices(self.r, self.f_den, self.f_planes)
-        return self._f_entries
+        """(i, j) -> bundle map F_ij (i < j) with nonzero Scalar values."""
+        return _scalar_matrices(self.r, self.f_den, self.f_planes)
+
+    @cached_property
+    def pi2_p1(self) -> Dict[int, Fraction]:
+        return _fractions(self.p1_nums, self.p1_den)
+
+    @cached_property
+    def pi_c1(self) -> Dict[int, Fraction]:
+        return _fractions(self.c1_nums, self.chern_den)
+
+    @cached_property
+    def pi2_c2(self) -> Dict[int, Fraction]:
+        return _fractions(self.c2_nums, self.chern_den)
+
+    @cached_property
+    def pi2_bundle(self) -> Dict[int, Fraction]:
+        return _fractions(self.bundle_nums, self.chern_den)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # the least common denominator makes the planes canonical
-        return ((self.n, self.r, self.r_entries, self.f_den, self.f_planes)
-                == (other.n, other.r, other.r_entries, other.f_den, other.f_planes))
+        # least denominators make the numerators canonical
+        return ((self.n, self.r, self.r_den, self.r_nums, self.f_den, self.f_planes)
+                == (other.n, other.r, other.r_den, other.r_nums, other.f_den, other.f_planes))
 
     def __repr__(self):
         return (f"CurvatureData(n={self.n!r}, r={self.r!r}, r_entries={self.r_entries!r}, "
@@ -176,7 +211,7 @@ class CurvatureData:
         return DiffForm(self.n, {mask_of(kl): Fraction(sign * v, 2) for kl, v in row})
 
     def has_riemann_curvature(self) -> bool:
-        return bool(self.r_entries)
+        return bool(self.r_nums)
 
     def has_bundle_curvature(self) -> bool:
         return bool(self.f_planes)
@@ -250,6 +285,28 @@ def _gaussian_numerators(values: List[Scalar]) -> Optional[Tuple[int, List[int],
     den = lcm(*(v.denominator for pair in pairs for v in pair))
     return (den, [a.numerator * (den // a.denominator) for a, _ in pairs],
             [b.numerator * (den // b.denominator) for _, b in pairs])
+
+
+def _num_den(v) -> Tuple[int, int]:
+    """(numerator, denominator) of a rational R value."""
+    if type(v) is not int and type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator, v.denominator
+
+
+def _least_numerators(ratios) -> Tuple[int, dict]:
+    """(den, {key: numerator}) of the {key: (num, den > 0)} values over
+    their least common denominator: the lcm of the denominators, divided
+    by its gcd with every numerator."""
+    den = lcm(*(d for _, d in ratios.values()))
+    nums = {key: x * (den // d) for key, (x, d) in ratios.items()}
+    g = gcd(den, *nums.values())
+    return den // g, {key: x // g for key, x in nums.items()}
+
+
+def _fractions(nums: dict, den: int) -> dict:
+    """{key: numerator / den} as Fractions: the rational views."""
+    return {key: Fraction(x, den) for key, x in nums.items()}
 
 
 def _scalar_matrices(r: int, den: int, planes) -> Dict[Tuple[int, int], Mat]:
@@ -332,26 +389,34 @@ def _pair_sum(planes, product, acc) -> Dict[int, int]:
     return acc
 
 
-def _p1(r_rows) -> Dict[int, Fraction]:
+def _p1(r_nums) -> Dict[int, int]:
     """pi^2 p1 = (1/4) sum_{i<j} Omega_ij ^ Omega_ij (Omega_ji = -Omega_ij),
-    Omega_ij = sum_{k<l} R_ijkl e^{kl}, on integer numerators of the rows."""
-    den = lcm(*(v.denominator for row in r_rows.values() for _, v in row))
+    Omega_ij = sum_{k<l} R_ijkl e^{kl}, as integer numerators over
+    4 r_den^2 from the numerators of R over r_den.  The row of Omega_ij
+    lists (mask of e^{kl}, R_ijkl) under the mask of e^{ij}, and
+    R_klij = R_ijkl lists each entry under both of its pairs."""
+    rows: Dict[int, list] = {}
+    for (i, j, k, l), v in r_nums.items():
+        ij, kl = (1 << i - 1) | (1 << j - 1), (1 << k - 1) | (1 << l - 1)
+        rows.setdefault(ij, []).append((kl, v))
+        if ij != kl:
+            rows.setdefault(kl, []).append((ij, v))
     acc: Dict[int, int] = {}
-    for row in r_rows.values():
-        _pair_sum([(mask_of(kl), v.numerator * (den // v.denominator)) for kl, v in row], mul, acc)
-    return {m: Fraction(x, 4 * den * den) for m, x in acc.items()}
+    for row in rows.values():
+        _pair_sum(row, mul, acc)
+    return acc
 
 
 def _chern(r, den, f_planes):
-    """pi c1, pi^2 c2 and pi^2 (c1^2 - c2) from the rank-r numerator planes
-    over ``den``.
+    """pi c1, pi^2 c2 and pi^2 (c1^2 - c2) as integer numerators over
+    8 den^2, from the rank-r numerator planes over ``den``.
 
     tr F = i T / den, since its real numerators must vanish, so
-    c1 = -T / (2 pi den).  With tr F ^ tr F = A / den^2 and
-    tr(F ^ F) = B / den^2: c2 = (B - A) / (8 pi^2 den^2) and
-    c1^2 - c2 = -(A + B) / (8 pi^2 den^2).  F^T is (-re, im), so
-    tr(F_m F_m') = -(re.re' + im.im') + i (re.im' - im.re'), and its
-    imaginary numerators must vanish too.
+    c1 = -T / (2 pi den) = -4 den T / (8 pi den^2).  With
+    tr F ^ tr F = A / den^2 and tr(F ^ F) = B / den^2:
+    c2 = (B - A) / (8 pi^2 den^2) and c1^2 - c2 = -(A + B) / (8 pi^2 den^2).
+    F^T is (-re, im), so tr(F_m F_m') = -(re.re' + im.im') +
+    i (re.im' - im.re'), and its imaginary numerators must vanish too.
     """
     scale = 8 * den ** 2
     planes = sorted(f_planes.items())
@@ -365,9 +430,9 @@ def _chern(r, den, f_planes):
     for m, y in b_im.items():
         if y:
             _not_real(Fraction(b.get(m, 0) - a.get(m, 0), scale), Fraction(y, scale), -4)
-    c1 = {m: Fraction(-t, 2 * den) for m, t in trace}
-    c2 = {m: Fraction(b.get(m, 0) - a.get(m, 0), scale) for m in a.keys() | b.keys()}
-    return c1, c2, {m: Fraction(-a.get(m, 0) - b.get(m, 0), scale) for m in c2}
+    c1 = {m: -4 * den * t for m, t in trace}
+    c2 = {m: b.get(m, 0) - a.get(m, 0) for m in a.keys() | b.keys()}
+    return c1, c2, {m: -a.get(m, 0) - b.get(m, 0) for m in c2}
 
 
 def _dot(x, y) -> int:
@@ -381,49 +446,84 @@ def _not_real(re, im, pi_half):
 
 def pontryagin_p1(cd: CurvatureData) -> DiffForm:
     """First Pontryagin form -(1/8 pi^2) sum_ij Omega_ij ^ Omega_ji."""
-    return _pi2_form(cd.n, cd.pi2_p1)
+    return _pi_form(cd.n, cd.p1_nums, cd.p1_den, -4)
 
 
 def chern_forms(cd: CurvatureData) -> Tuple[DiffForm, DiffForm]:
     """(c1, c2) of the bundle from its skew-Hermitian curvature matrices."""
-    c1 = DiffForm(cd.n, {m: Scalar.term(c, pi_half=-2) for m, c in cd.pi_c1.items()})
-    return c1, _pi2_form(cd.n, cd.pi2_c2)
+    return (_pi_form(cd.n, cd.c1_nums, cd.chern_den, -2),
+            _pi_form(cd.n, cd.c2_nums, cd.chern_den, -4))
 
 
 def characteristic_density_form(cd: CurvatureData) -> DiffForm:
     """(1/3) p1 + c1^2 - c2 as a 4-form."""
-    return _pi2_form(cd.n, _characteristic_coefficients(cd))
+    return _pi_form(cd.n, *_characteristic_numerators(cd), -4)
 
 
-def _characteristic_coefficients(cd: CurvatureData) -> Dict[int, Fraction]:
-    """pi^2 ((1/3) p1 + c1^2 - c2), mask -> rational."""
-    p1, bundle = cd.pi2_p1, cd.pi2_bundle
-    return {m: Fraction(p1.get(m, 0), 3) + bundle.get(m, 0) for m in p1.keys() | bundle.keys()}
+def _characteristic_numerators(cd: CurvatureData) -> Tuple[Dict[int, int], int]:
+    """pi^2 ((1/3) p1 + c1^2 - c2) as (mask -> integer numerator, den)."""
+    p1, bundle, a, b = cd.p1_nums, cd.bundle_nums, cd.chern_den, 3 * cd.p1_den
+    return ({m: a * p1.get(m, 0) + b * bundle.get(m, 0) for m in p1.keys() | bundle.keys()},
+            a * b)
 
 
-def _pi2_form(n, coefficients) -> DiffForm:
-    return DiffForm(n, {m: Scalar.term(c, pi_half=-4) for m, c in coefficients.items()})
+def _pi_form(n, nums, den, pi_half) -> DiffForm:
+    """The form of the coefficients num / den * pi^(pi_half/2)."""
+    return DiffForm(n, {m: Scalar.term(Fraction(x, den), pi_half=pi_half)
+                        for m, x in nums.items()})
+
+
+# id(form) -> (form, numerator form, den); holding the form keeps its id
+# from being reused
+_NUMERATOR_FORMS: Dict[int, Tuple[DiffForm, DiffForm, int]] = {}
+
+
+def numerator_form(w: DiffForm) -> Tuple[DiffForm, int]:
+    """(w times den, den) for the least common denominator den of w's
+    rational coefficients: an integer form, so the pairings of the
+    production routes multiply ints.  Built once per form object; the
+    structures' defining forms are read-only."""
+    hit = _NUMERATOR_FORMS.get(id(w))
+    if hit is None:
+        den, nums = rational_numerators(list(w.terms.values()))
+        hit = _NUMERATOR_FORMS[id(w)] = w, DiffForm(w.n, dict(zip(w.terms, nums))), den
+    return hit[1:]
+
+
+def characteristic_pairing(w: DiffForm, cd: CurvatureData) -> Fraction:
+    """[w ^ pi^2 ((1/3) p1 + c1^2 - c2)]_n: the integer numerators of w and
+    of the sum are paired by complement lookups (``DiffForm.top_pairing``,
+    no wedge formed), and the integer over the product of the denominators
+    is the one Fraction built."""
+    wn, w_den = numerator_form(w)
+    nums, den = _characteristic_numerators(cd)
+    return Fraction(wn.top_pairing(DiffForm(cd.n, nums)), w_den * den)
 
 
 def residue_density(s: HolonomyStructure, cd: CurvatureData) -> DiffForm:
     """w ^ ((1/3) p1 + c1^2 - c2), a degree-n form: only its dvol
-    coefficient can be nonzero.  Pair over Q, then lift once: w is paired
-    with pi^2 ((1/3) p1 + c1^2 - c2) by complement lookups
-    (``DiffForm.top_pairing``, no wedge formed), and the rational result
-    becomes one Scalar times pi^-2.  It equals the ``top_pairing`` of w
-    with ``characteristic_density_form(cd)``."""
-    top = s.defining_form.top_pairing(DiffForm(s.n, _characteristic_coefficients(cd)))
-    return DiffForm(s.n, {(1 << s.n) - 1: Scalar.term(top, pi_half=-4)})
+    coefficient can be nonzero.  Pair over the integers, then lift once:
+    the dvol coefficient is ``characteristic_pairing`` times pi^-2, the
+    ``top_pairing`` of w with ``characteristic_density_form(cd)``."""
+    top = characteristic_pairing(s.defining_form, cd)
+    return DiffForm(s.n, {(1 << s.n) - 1: Scalar({(-4, 0): (top, _ZERO)} if top else None)})
+
+
+# Gamma(deg(w)/2 + 1) = coef * pi^(pi_half/2) for deg(w) in {3, 4}:
+# Gamma(5/2) = (3/4) sqrt(pi) and Gamma(3) = 2
+_GAMMA_POLE = {3: (Fraction(3, 4), 1), 4: (Fraction(2), 0)}
+
+
+def _gamma_pole(deg_w: int) -> Tuple[Fraction, int]:
+    if deg_w not in _GAMMA_POLE:
+        raise ValueError(f"unsupported defining-form degree {deg_w}")
+    return _GAMMA_POLE[deg_w]
 
 
 def gamma_pole_factor(deg_w: int) -> Scalar:
     """Gamma(deg(w)/2 + 1) for deg(w) in {3, 4}, kept exact."""
-    if deg_w == 3:
-        # Gamma(5/2) = (3/4) sqrt(pi)
-        return Scalar.term(Fraction(3, 4), pi_half=1)
-    if deg_w == 4:
-        return Scalar.of(2)  # Gamma(3)
-    raise ValueError(f"unsupported defining-form degree {deg_w}")
+    coef, pi_half = _gamma_pole(deg_w)
+    return Scalar.term(coef, pi_half=pi_half)
 
 
 class ResidueReport(Record):
@@ -482,9 +582,13 @@ def residue_value(
     b / Gamma(deg(w)/2 + 1).
     """
     deg_w = s.degree
+    coef, pi_half = _gamma_pole(deg_w)
     integral = Scalar.of(integral)
-    b = Scalar.pi_pow(-deg_w) * integral
-    residue = b / gamma_pole_factor(deg_w)
+    # pi^(-deg(w)/2) and Gamma(deg(w)/2 + 1) = coef pi^(pi_half/2) move the
+    # pi exponents of the integral's terms and divide its parts by coef
+    b = Scalar({(p - deg_w, q): v for (p, q), v in integral.terms.items()})
+    residue = Scalar({(p - deg_w - pi_half, q): (re / coef, im / coef if im else im)
+                      for (p, q), (re, im) in integral.terms.items()})
     report = ResidueReport(
         kind=s.kind,
         twisted=twisted,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import exp, log, pi, sqrt
+from math import log, pi, sqrt
 from time import perf_counter
 from typing import Dict, List, Tuple, Union
 
@@ -439,17 +439,12 @@ def _conjugate_bundle(cd: CurvatureData, u) -> CurvatureData:
 
 def _hermite_diag_sum(a: float, t: float) -> float:
     # |psi_{2m}(0)|^2 = sqrt(a/pi) (2m)! / (4^m (m!)^2), eigenvalue a(4m+1),
-    # summed over the first 4000 even eigenfunctions
-    total = 0.0
-    log_coeff = 0.0
-    for m in range(4000):
-        if m == 0:
-            coeff = 1.0
-        else:
-            log_coeff += log((2 * m) * (2 * m - 1)) - log(4.0) - 2 * log(m)
-            coeff = exp(log_coeff)
-        total += coeff * exp(-t * a * (4 * m + 1))
-    return sqrt(a / pi) * total
+    # summed over the first 4000 even eigenfunctions; the log-coefficients
+    # are a cumulative sum of the ratios of consecutive terms
+    m = np.arange(4000, dtype=float)
+    ratios = np.log((2 * m[1:]) * (2 * m[1:] - 1)) - log(4.0) - 2 * np.log(m[1:])
+    log_coeff = np.concatenate(([0.0], np.cumsum(ratios)))
+    return sqrt(a / pi) * float(np.sum(np.exp(log_coeff) * np.exp(-t * a * (4 * m + 1))))
 
 
 # ----------------------------------------------------------------------

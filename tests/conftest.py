@@ -1,5 +1,7 @@
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from math import lcm
+from operator import mul
 
 import pytest
 
@@ -8,12 +10,20 @@ from specasym.exact import Scalar
 from specasym.exterior import (
     DiffForm,
     apply_word,
+    mask_of,
     merge_sign,
     popcount,
     sparse_product,
     star_ext_entries,
 )
+from specasym.heat import (
+    TRACE_NORMALISATION,
+    _DET_WEIGHT,
+    gaussian_prefactor,
+    wick_terms,
+)
 from specasym.holonomy import standard_structure
+from specasym.residue import _pair_sum
 from specasym.wordops import add_maps, word_mul
 
 
@@ -184,3 +194,111 @@ def scalar_maps():
     """``ScalarMaps``: the word-operator algebra on Scalar bundle maps, the
     oracle of the integer-plane operations."""
     return ScalarMaps
+
+
+class FractionMaps:
+    """The Chern-Weil sums, the model traces, the residue density and the
+    two weighted densities on Fraction maps, summed and lifted term by
+    term: the oracle of the integer Chern-Weil layer.  Each operation
+    reads a CurvatureData's rational views (``r_rows``) or its planes."""
+
+    @staticmethod
+    def p1(cd):
+        """pi^2 p1 from the rational rows of R."""
+        rows = cd.r_rows
+        den = lcm(*(v.denominator for row in rows.values() for _, v in row))
+        acc = {}
+        for row in rows.values():
+            _pair_sum([(mask_of(kl), v.numerator * (den // v.denominator)) for kl, v in row],
+                      mul, acc)
+        return {m: Fraction(x, 4 * den * den) for m, x in acc.items()}
+
+    @staticmethod
+    def chern(r, den, f_planes):
+        """(pi c1, pi^2 c2, pi^2 (c1^2 - c2)) as Fraction maps from the
+        rank-r numerator planes over ``den``."""
+        scale = 8 * den ** 2
+        planes = sorted(f_planes.items())
+        trace = [(m, sum(im[::r + 1])) for m, (_, im) in planes]
+
+        def dot(x, y):
+            return sum(map(mul, x, y))
+
+        a = _pair_sum(trace, lambda t1, t2: -t1 * t2, {})
+        b = _pair_sum(planes, lambda f1, f2: -dot(f1[0], f2[0]) - dot(f1[1], f2[1]), {})
+        c1 = {m: Fraction(-t, 2 * den) for m, t in trace}
+        c2 = {m: Fraction(b.get(m, 0) - a.get(m, 0), scale) for m in a.keys() | b.keys()}
+        return c1, c2, {m: Fraction(-a.get(m, 0) - b.get(m, 0), scale) for m in c2}
+
+    @staticmethod
+    def model_traces(cd):
+        """(tr Q, tr V, tr V^2) with Fraction and imaginary Scalar
+        coefficients."""
+        n, fiber = cd.n, 1 << cd.n
+        p1 = FractionMaps.p1(cd)
+        c1, c2, e = FractionMaps.chern(cd.r, cd.f_den, cd.f_planes)
+        return (
+            DiffForm(n, {m: -x / 2 for m, x in p1.items()}),
+            DiffForm(n, {m: Scalar.i(fiber * x) for m, x in c1.items()}),
+            DiffForm(n, {m: fiber * (-4 * cd.r * p1.get(m, 0) + c2.get(m, 0) - e.get(m, 0))
+                         for m in p1.keys() | c2.keys()}),
+        )
+
+    @staticmethod
+    def lift_traces(traces):
+        """``heat.model_traces`` (den, tr Q, tr V, tr V^2) in the format of
+        ``model_traces`` here."""
+        den, tr_q, tr_v, tr_v2 = traces
+        return (tr_q.scale(Fraction(1, den)), tr_v.scale(Scalar.i(Fraction(1, den))),
+                tr_v2.scale(Fraction(1, den)))
+
+    @staticmethod
+    def residue_density(s, cd):
+        """w ^ pi^2 ((1/3) p1 + c1^2 - c2) paired on Fraction coefficients,
+        times pi^-2."""
+        p1 = FractionMaps.p1(cd)
+        bundle = FractionMaps.chern(cd.r, cd.f_den, cd.f_planes)[2]
+        coefficients = {m: Fraction(p1.get(m, 0), 3) + bundle.get(m, 0)
+                        for m in p1.keys() | bundle.keys()}
+        top = s.defining_form.top_pairing(DiffForm(s.n, coefficients))
+        return DiffForm(s.n, {(1 << s.n) - 1: Scalar.term(top, pi_half=-4)})
+
+    @staticmethod
+    def residue_value(s, integral):
+        """(b, residue) of an integral: Scalar products and a division."""
+        from specasym.residue import gamma_pole_factor
+
+        b = Scalar.pi_pow(-s.degree) * Scalar.of(integral)
+        return b, b / gamma_pole_factor(s.degree)
+
+    @staticmethod
+    def mehler_density(s, cd):
+        tr_q, _, tr_v2 = FractionMaps.model_traces(cd)
+        w = s.defining_form
+        pairing = (_DET_WEIGHT * cd.r * (1 << cd.n) * w.top_pairing(tr_q)
+                   + Fraction(1, 2) * w.top_pairing(tr_v2))
+        return TRACE_NORMALISATION * gaussian_prefactor(cd.n) * Scalar.t_pow(4, pairing)
+
+    @staticmethod
+    def duhamel_density(s, cd):
+        tr_q, tr_v, tr_v2 = FractionMaps.model_traces(cd)
+        const = (tr_v, tr_v2)
+        w, fiber = s.defining_form, (1 << cd.n) * cd.r
+        total = Scalar()
+        for coef, half, products in wick_terms(cd.n, const, None, tr_q):
+            coef = Scalar.term(coef, t_half=half)
+            for ops in products:
+                forms = [x for x in ops if x is not const]
+                k = len(ops) - len(forms)
+                if k:
+                    forms.insert(0, const[k - 1])
+                form = reduce(DiffForm.wedge, forms) if forms else DiffForm.one(cd.n)
+                total = total + (coef if k else coef * fiber) * w.top_pairing(form)
+        return TRACE_NORMALISATION * gaussian_prefactor(cd.n) * total
+
+
+@pytest.fixture(scope="session")
+def fraction_maps():
+    """``FractionMaps``: the Chern-Weil sums, model traces and densities on
+    Fraction maps, the oracle of the integer Chern-Weil layer."""
+    return FractionMaps

@@ -119,6 +119,25 @@ def test_word_op_examples(generator_words, fiber_matrix):
     assert sparse_product(full, full) == c[0]
 
 
+def _merge_sign_loop(m1, m2):
+    """merge_sign by a loop over the bits of m2: the elements of m1 above
+    each index of m2, XOR-accumulated, have the parity of the pair count."""
+    above = 0
+    while m2:
+        b = m2 & -m2
+        above ^= m1 & -(b << 1)
+        m2 ^= b
+    return -1 if popcount(above) & 1 else 1
+
+
+def test_merge_sign_closed_form_matches_the_bit_loop_below_2_to_the_9():
+    """The prefix-parity closed form against the per-bit loop on every
+    pair of masks below 2^9, overlapping ones included."""
+    for m1 in range(1 << 9):
+        for m2 in range(1 << 9):
+            assert merge_sign(m1, m2) == _merge_sign_loop(m1, m2), (m1, m2)
+
+
 def test_merge_sign_counts_strict_pairs_of_overlapping_masks():
     n = 6
     for m1 in range(1 << n):

@@ -333,7 +333,7 @@ def test_instanton_check_equals_a_fraction_oracle(g2, spin7, kind, r, seed, inst
         assert exact_zero and worst == 0.0
 
 
-def test_non_real_characteristic_coefficient_is_rejected():
+def test_non_real_characteristic_coefficient_is_rejected(fraction_maps):
     """The reality test reads the imaginary numerator sums; planes that are
     not skew-Hermitian (the constructor refuses them) give non-real c1, c2,
     so the sum builder runs on such planes directly."""
@@ -341,7 +341,8 @@ def test_non_real_characteristic_coefficient_is_rejected():
     cd = CurvatureData(7, 1, {}, {(1, 2): {(0, 0): Scalar.i()}, (3, 4): {(0, 0): Scalar.i(2)}})
     planes = {m12: ([0], [1]), m34: ([0], [2])}
     assert cd.f_planes == planes
-    assert _chern(1, 1, planes) == (cd.pi_c1, cd.pi2_c2, cd.pi2_bundle)
+    assert _chern(1, 1, planes) == (cd.c1_nums, cd.c2_nums, cd.bundle_nums)
+    assert fraction_maps.chern(1, 1, planes) == (cd.pi_c1, cd.pi2_c2, cd.pi2_bundle)
     with pytest.raises(ValueError, match="not real"):
         _chern(1, 1, {**planes, m12: ([1], [1])})
     # symmetric real parts: c1 stays real, tr(F12 F34) gets an imaginary part
@@ -589,7 +590,8 @@ def test_duhamel_flat_leading_term(g2):
         cd = CurvatureData(7, r)
         series = duhamel_kernel(cd).form_trace()
         assert series == DiffForm.one(7).scale(gaussian_prefactor(7) * (2 ** 7) * r)
-        assert all(x.is_zero() for x in model_traces(cd))
+        den, *traces = model_traces(cd)
+        assert den == 1 and all(x.is_zero() for x in traces)
         assert duhamel_density(g2, cd).is_zero()
 
 
@@ -680,13 +682,13 @@ def test_trace_path_equals_full_duhamel_kernel(g2, spin7, kind, case):
 
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("case", sorted(_DEGREE4_INPUTS))
-def test_model_traces_equal_traces_of_the_full_potential(n, case):
+def test_model_traces_equal_traces_of_the_full_potential(n, case, fraction_maps):
     """tr Q, tr V and tr V^2 against the rank-r V multiplied out by
     ``_mul_op`` and the trace of the whole Q matrix."""
     cd = _DEGREE4_INPUTS[case](n)
     v = model_constant_potential(cd)
     want = (form_matrix_trace(q_matrix(cd)), v.form_trace(), (v * v).form_trace())
-    assert model_traces(cd) == want
+    assert fraction_maps.lift_traces(model_traces(cd)) == want
 
 
 @pytest.mark.parametrize("kind", ["g2", "spin7"])
@@ -774,7 +776,7 @@ def test_paired_densities_equal_the_form_level_routes(g2, spin7, kind, case):
 
 
 @pytest.mark.parametrize("kind", ["g2", "spin7"])
-def test_model_traces_are_built_once_per_curvature(kind, monkeypatch):
+def test_model_traces_are_built_once_per_curvature(kind, monkeypatch, fraction_maps):
     """Every call on one CurvatureData returns the forms of its first call;
     a scaled copy builds its own."""
     from specasym.holonomy import standard_structure
@@ -794,7 +796,8 @@ def test_model_traces_are_built_once_per_curvature(kind, monkeypatch):
         density(s, cd)
     assert model_traces(cd) is first and builds == [cd]
     big = cd.scaled(3)
-    assert model_traces(big) == tuple(x.scale(k) for x, k in zip(first, (9, 3, 9)))
+    lift = fraction_maps.lift_traces
+    assert lift(model_traces(big)) == tuple(x.scale(k) for x, k in zip(lift(first), (9, 3, 9)))
     assert builds == [cd, big]
 
 

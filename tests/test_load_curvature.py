@@ -241,3 +241,95 @@ def test_plain_text_entries_build_no_fraction_or_scalar(tmp_path, monkeypatch):
     for case in gen.build_cases("bundle-many", 0, "full", os.fspath(tmp_path)):
         cd = load_curvature(case.argv[case.argv.index("--input") + 1])
         assert cd.has_bundle_curvature()
+
+
+# R_ijkl and three of its symmetric partners: R_klij = -R_jikl = -R_ijlk
+_R_BASE = [[1, 2, 4, 5, "3/8"], [1, 3, 2, 5, "-5/4"], [2, 6, 2, 6, "2"]]
+
+
+def _r_partners(row, spell):
+    i, j, k, l, v = row
+    v = Fraction(v)
+    return [[i, j, k, l, spell(v)], [k, l, i, j, spell(v)], [j, i, k, l, spell(-v)],
+            [i, j, l, k, spell(-v)]]
+
+
+_R_SPELLINGS = {
+    "unreduced": lambda v: f"{3 * v.numerator}/{3 * v.denominator}",
+    "decimal": lambda v: str(Decimal(v.numerator) / Decimal(v.denominator)),
+    "exponent": lambda v: f"{v.numerator * 1000 // v.denominator}e-3",
+    "plus": lambda v: f"+{v}" if v > 0 else str(v),
+}
+
+
+def test_redundant_symmetric_r_entries_load_alike(tmp_path, capsys):
+    """Every R entry given with its symmetric partners R_klij, -R_jikl and
+    -R_ijlk, spelled as unreduced fractions, decimals, exponents or with a
+    leading "+", gives the CurvatureData and the stdout of the plain rows."""
+    f = [[2, 3, [[[0, 1]]]], [4, 6, [[[0, "-1/2"]]]]]
+    base = {"n": 7, "rank": 1, "R": _R_BASE, "F": f}
+    path = os.fspath(tmp_path / "base.json")
+    with open(path, "w") as fh:
+        json.dump(base, fh)
+    want_cd, want_out = load_curvature(path), _run(capsys, path)
+    assert want_out[0] == 0 and want_cd.r_den == 8
+    for name, spell in sorted(_R_SPELLINGS.items()):
+        rows = [p for row in _R_BASE for p in _r_partners(row, spell)]
+        path = os.fspath(tmp_path / f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump({**base, "R": rows}, fh)
+        assert load_curvature(path) == want_cd, name
+        assert _run(capsys, path) == want_out, name
+
+
+@pytest.mark.parametrize("rows,want", [
+    ([[1, 2, 4, 5, "1/2"], [1, 2, 4, 5, "1/3"]],
+     "error: conflicting duplicate R entry [1, 2, 4, 5, '1/3']\n"),
+    ([[1, 2, 4, 5, "1/2"], [4, 5, 1, 2, "2/6"]],
+     "error: conflicting values for R(1, 2, 4, 5)\n"),
+    ([[1, 2, 4, 5, "1/2"], [2, 1, 4, 5, "2/4"]],
+     "error: conflicting values for R(1, 2, 4, 5)\n"),
+    ([[1, 2, 4, 5, "x"]],
+     "error: R value in [1, 2, 4, 5, 'x'] must be a rational number, got 'x'\n"),
+    ([[1, 2, 4, 5, "1/0"]],
+     "error: R value in [1, 2, 4, 5, '1/0'] must be a rational number, got '1/0'\n"),
+    ([[1, 2, 4, 5, True]],
+     "error: R value in [1, 2, 4, 5, True] must be a rational number, got True\n"),
+])
+def test_bad_r_entries_keep_their_error_text(tmp_path, capsys, rows, want):
+    """A conflict between duplicates, exact or symmetric, and a bad value,
+    named with its row, exit 2 with the text they had before the values
+    were read as integer pairs."""
+    path = os.fspath(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump({"n": 7, "rank": 1, "R": rows}, fh)
+    assert _run(capsys, path) == (2, "", want)
+
+
+def test_equal_duplicates_compare_by_cross_multiplying(tmp_path):
+    """"1/2", "2/4" and 0.5 under one key are one value."""
+    path = os.fspath(tmp_path / "dup.json")
+    with open(path, "w") as fh:
+        json.dump({"n": 7, "rank": 1, "R": [[1, 2, 4, 5, "1/2"], [1, 2, 4, 5, "2/4"],
+                                            [1, 2, 4, 5, 0.5]]}, fh)
+    cd = load_curvature(path)
+    assert (cd.r_den, cd.r_nums) == (2, {(1, 2, 4, 5): 1})
+
+
+def test_zero_r_values_are_dropped(tmp_path):
+    """Zero values, in any spelling and even on a degenerate index pattern,
+    leave no entry; the least denominator is that of the other values."""
+    path = os.fspath(tmp_path / "zero.json")
+    with open(path, "w") as fh:
+        json.dump({"n": 7, "rank": 1, "R": [[1, 2, 4, 5, "0/7"], [1, 1, 2, 3, 0],
+                                            [2, 3, 4, 5, "-0"], [3, 4, 5, 6, 0.0],
+                                            [1, 3, 4, 6, "6/4"]]}, fh)
+    cd = load_curvature(path)
+    assert (cd.r_den, cd.r_nums) == (2, {(1, 3, 4, 6): 3})
+    assert cd.r_entries == {(1, 3, 4, 6): Fraction(3, 2)}
+    path = os.fspath(tmp_path / "all-zero.json")
+    with open(path, "w") as fh:
+        json.dump({"n": 7, "rank": 1, "R": [[1, 2, 4, 5, "0/7"]]}, fh)
+    cd = load_curvature(path)
+    assert (cd.r_den, cd.r_nums, cd.p1_nums) == (1, {}, {})
+    assert not cd.has_riemann_curvature()

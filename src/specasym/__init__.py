@@ -63,7 +63,7 @@ _EXPORTS = {
         "sign_report",
     ),
     "spectrum": (
-        "SpectralLevel",
+        "Levels",
         "counting_functions",
         "enumerate_levels",
         "heat_trace",

@@ -520,12 +520,6 @@ def _gamma_pole(deg_w: int) -> Tuple[Fraction, int]:
     return _GAMMA_POLE[deg_w]
 
 
-def gamma_pole_factor(deg_w: int) -> Scalar:
-    """Gamma(deg(w)/2 + 1) for deg(w) in {3, 4}, kept exact."""
-    coef, pi_half = _gamma_pole(deg_w)
-    return Scalar.term(coef, pi_half=pi_half)
-
-
 class ResidueReport(Record):
     _fields = ("kind", "twisted", "density", "integral", "b_coefficient", "residue",
                "pole_location", "untwisted_constant_ok", "instanton")

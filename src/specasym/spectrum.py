@@ -12,8 +12,14 @@ scaled by the square d^2 of the common denominator of theta, seed a
 sparse integer convolution over the twisted coordinates' 1-D level sets
 {(d k + a_j)^2}; nothing dense is built on the d^2 scale.  A literal
 lattice scan (``lattice_scan``) is kept only as the oracle for ``verify``
-and the tests.  ``write_levels_csv`` writes the levels in one pass, one
-``%`` format per row, with the bytes ``csv.writer`` would give them.
+and the tests.  A spectrum is one ``Levels`` record of integer columns:
+the level numerators over one denominator d^2, their lattice counts and
+the zero-mode count.  Multiplicities, eigenvalues and weights are derived
+from the counts when read, and q is lifted to ``Fraction`` only in a view
+for tests and oracles.  ``write_levels_csv`` formats the zipped columns,
+one ``%`` format per row, with the bytes ``csv.writer`` would give them;
+the zeta and heat-trace sums read the same columns, and a weight whose
+unit is 0 ('delta') sums to 0.0 without a pass over the levels.
 ``mellin_equivalence`` integrates the weighted heat trace with a fixed,
 nested exp-sinh rule (Takahasi and Mori's double-exponential substitution
 x = exp(pi/2 sinh u)) on numpy, so no quadrature library is needed.
@@ -21,10 +27,12 @@ x = exp(pi/2 sinh u)) on numpy, so no quadrature library is needed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, compress
 from math import comb, exp, gamma, isqrt, lcm, pi, sqrt
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .record import Record
 
@@ -34,35 +42,65 @@ if TYPE_CHECKING:
 
 TWO_FORM_FIBER = {7: 21, 8: 28}
 SEVEN_FIBER = 7
+# eigenvalue = _FOUR_PI_SQ * float(q), the product 4.0 * pi * pi * float(q) in its order
+_FOUR_PI_SQ = 4.0 * pi * pi
 
 
-class SpectralLevel(Record):
-    """One Laplace eigenvalue on 2-forms of the flat torus."""
+class Levels(Record):
+    """The nonzero levels of one flat-torus 2-form spectrum, as integer columns.
 
-    _fields = ("n", "q", "lattice_count", "mult_7", "mult_big")
+    Level k has q = nums[k] / den and lattice count counts[k] > 0.  ``den``
+    is d^2, d the common denominator of the twist angles (1 when
+    untwisted), and ``nums`` ascend.  ``zero_modes`` is the lattice count
+    at q = 0.  Everything else about a level is derived from the columns
+    when it is read: the multiplicities 7 c and 14 c (n = 7) or 21 c
+    (n = 8), the eigenvalues 4 pi^2 q, and the weights of ``weights``.
+    """
 
-    def __init__(self, n: int, q: Union[int, Fraction], lattice_count: int, mult_7: int,
-                 mult_big: int):
+    _fields = ("n", "den", "nums", "counts", "zero_modes")
+
+    def __init__(self, n: int, den: int, nums: List[int], counts: List[int], zero_modes: int):
         self.n = n
-        self.q = q  # |k + theta|^2: an int untwisted, a Fraction twisted
-        self.lattice_count = lattice_count
-        self.mult_7 = mult_7
-        self.mult_big = mult_big
+        self.den = den
+        self.nums = nums
+        self.counts = counts
+        self.zero_modes = zero_modes
+
+    def __len__(self) -> int:
+        return len(self.nums)
 
     @property
-    def eigenvalue(self) -> float:
-        return 4.0 * pi * pi * float(self.q)
+    def terms(self) -> List[int]:
+        # one entry per level, for code that sizes a result by len(result.terms)
+        return self.nums
 
-    def weight(self, which: str) -> int:
-        """Multiplicity weight: '7' -> m7, 'big' -> m14 or m21, 'delta' ->
-        the weighted difference (2 m7 - m14) or (3 m7 - m21)."""
+    @property
+    def q(self) -> List[Fraction]:
+        """Every level's q as an exact Fraction: a view for tests and oracles."""
+        return [Fraction(v, self.den) for v in self.nums]
+
+    @property
+    def eigenvalues(self) -> List[float]:
+        """4 pi^2 q per level: the float of the exact q, times 4 pi^2."""
+        den = self.den
+        return [_FOUR_PI_SQ * (v / den) for v in self.nums]
+
+    def unit(self, which: str) -> int:
+        """The weight of one lattice point: '7' -> 7, 'big' -> 14 or 21,
+        'delta' -> the weighted difference 2 * 7 - 14 or 3 * 7 - 21, which is 0."""
+        big = TWO_FORM_FIBER[self.n] - SEVEN_FIBER
         if which == "7":
-            return self.mult_7
+            return SEVEN_FIBER
         if which == "big":
-            return self.mult_big
+            return big
         if which == "delta":
-            return (2 if self.n == 7 else 3) * self.mult_7 - self.mult_big
+            return (2 if self.n == 7 else 3) * SEVEN_FIBER - big
         raise ValueError("which must be '7', 'big' or 'delta'")
+
+    def weights(self, which: str) -> List[int]:
+        """Multiplicity weight per level: ``unit(which)`` times its lattice count."""
+        unit = self.unit(which)
+        return [unit * c for c in self.counts]
 
 
 def _square_counts(k: int, q_max: int) -> np.ndarray:
@@ -171,20 +209,16 @@ def _checked_theta(
     return theta
 
 
-def _spectral_levels(n: int, counts: Iterable[Tuple[Union[int, Fraction], int]]
-                     ) -> List[SpectralLevel]:
-    """One level per nonzero q with a nonzero count, in the given order."""
-    big = TWO_FORM_FIBER[n] - SEVEN_FIBER
-    return [SpectralLevel(n, q, c, SEVEN_FIBER * c, big * c) for q, c in counts if q and c]
-
-
-def enumerate_levels(n: int, q_max: int) -> List[SpectralLevel]:
+def enumerate_levels(n: int, q_max: int) -> Levels:
     """All nonzero levels with |k|^2 <= q_max on the unit torus."""
     _checked_theta(n, q_max)
-    return _spectral_levels(n, enumerate(shell_counts(n, q_max)))
+    counts = shell_counts(n, q_max)
+    rest = counts[1:]
+    return Levels(n, 1, list(compress(range(1, q_max + 1), rest)), list(filter(None, rest)),
+                  counts[0])
 
 
-def twisted_levels(n: int, theta: Sequence[Fraction], q_max: int) -> List[SpectralLevel]:
+def twisted_levels(n: int, theta: Sequence[Fraction], q_max: int) -> Levels:
     """Levels 4 pi^2 |k + theta|^2 of a flat unitary line twist.
 
     ``theta`` has entries in [0, 1); exact Fractions keep level grouping
@@ -193,73 +227,60 @@ def twisted_levels(n: int, theta: Sequence[Fraction], q_max: int) -> List[Spectr
     """
     theta = _checked_theta(n, q_max, theta)
     d, counts = _lattice_counts(theta, q_max)
-    return _spectral_levels(n, ((Fraction(v, d * d), c) for v, c in sorted(counts.items())))
+    zero_modes = counts.pop(0, 0)
+    nums = sorted(counts)
+    return Levels(n, d * d, nums, [counts[v] for v in nums], zero_modes)
 
 
-def counting_functions(levels: Sequence[SpectralLevel], x: float) -> Tuple[int, int]:
+def counting_functions(levels: Levels, x: float) -> Tuple[int, int]:
     """(N_7(x), N_big(x)): cumulative nonzero-eigenvalue counts up to x."""
-    if levels:
-        top = max(lv.eigenvalue for lv in levels)
-        if x > top * (1 + 1e-12):
-            raise ValueError(f"x = {x} beyond the enumerated range {top}")
-    n7 = nbig = 0
-    for lv in levels:
-        if lv.eigenvalue <= x:
-            n7 += lv.mult_7
-            nbig += lv.mult_big
-    return n7, nbig
+    eigenvalues = levels.eigenvalues
+    if eigenvalues and x > eigenvalues[-1] * (1 + 1e-12):
+        raise ValueError(f"x = {x} beyond the enumerated range {eigenvalues[-1]}")
+    # the eigenvalues ascend with q, so the levels up to x are a prefix
+    c = sum(levels.counts[:bisect_right(eigenvalues, x)])
+    return levels.unit("7") * c, levels.unit("big") * c
 
 
-def zeta_partial(levels: Sequence[SpectralLevel], which: str, s: float) -> Tuple[float, float]:
+def zeta_partial(levels: Levels, which: str, s: float) -> Tuple[float, float]:
     """Partial zeta sum over ``levels`` with an integral-comparison tail bound.
 
     ``which`` is '7', 'big', or 'delta' (the weighted difference); s must
     exceed n/2.  The tail bound integrates the box count (2 sqrt(q) + 1)^n
     in closed form, valid for all the shells beyond the highest level.
+    Every level of a weight whose unit is 0 ('delta') has weight 0, so that
+    sum and its tail are 0.0 without a pass over the levels.
     """
-    if not levels:
-        return 0.0, 0.0
-    n = levels[0].n
+    n = levels.n
     if s <= n / 2:
         raise ValueError(f"s = {s} is in the divergent range (need s > {n/2})")
+    fiber = levels.unit(which)
+    if not fiber or not levels:
+        return 0.0, 0.0
     total = 0.0
-    q_top = 0.0
-    for lv in levels:
-        # q_top feeds only the tail, whose nonzero fiber weight leaves no
-        # level with weight 0, so skipping those levels changes no float
-        w = lv.weight(which)
-        if not w:
-            continue
-        q_top = max(q_top, float(lv.q))
-        total += w * lv.eigenvalue ** (-s)
-    # the weight of a single lattice point: 7, 14 or 21, and 0 for 'delta'
-    fiber = _spectral_levels(n, [(1, 1)])[0].weight(which)
-    if fiber:
-        # at most (2u + 1)^n lattice points lie within radius u = sqrt(q);
-        # the growth 2 fiber n (2u + 1)^(n-1) du of that bound, weighted by
-        # (4 pi^2 u^2)^(-s), integrates term by term of its binomial expansion
-        u = sqrt(max(q_top, 1.0))
-        tail = 2 * fiber * n * (4 * pi * pi) ** (-s) * sum(
-            comb(n - 1, k) * 2 ** k * u ** (k + 1 - 2 * s) / (2 * s - k - 1)
-            for k in range(n)
-        )
-    else:
-        tail = 0.0
+    for w, lam in zip(levels.weights(which), levels.eigenvalues):
+        total += w * lam ** (-s)
+    # at most (2u + 1)^n lattice points lie within radius u = sqrt(q);
+    # the growth 2 fiber n (2u + 1)^(n-1) du of that bound, weighted by
+    # (4 pi^2 u^2)^(-s), integrates term by term of its binomial expansion
+    u = sqrt(max(levels.nums[-1] / levels.den, 1.0))
+    tail = 2 * fiber * n * (4 * pi * pi) ** (-s) * sum(
+        comb(n - 1, k) * 2 ** k * u ** (k + 1 - 2 * s) / (2 * s - k - 1)
+        for k in range(n)
+    )
     return total, tail
 
 
-def heat_trace(levels: Sequence[SpectralLevel], t: float, weighted: bool) -> float:
-    """2-form heat trace; unweighted includes the zero modes."""
+def heat_trace(levels: Levels, t: float, weighted: bool) -> float:
+    """2-form heat trace, the zero modes included; weighted by the eigenvalues
+    of *e(w) ('delta') when ``weighted``."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if not levels:
-        raise ValueError("no levels supplied")
-    n = levels[0].n
-    total = 0.0 if weighted else float(TWO_FORM_FIBER[n])
-    for lv in levels:
-        w = lv.weight("delta") if weighted else lv.mult_7 + lv.mult_big
-        if w:
-            total += w * exp(-t * lv.eigenvalue)
+    fiber = levels.unit("delta") if weighted else TWO_FORM_FIBER[levels.n]
+    total = float(fiber * levels.zero_modes)
+    if fiber:
+        for c, lam in zip(levels.counts, levels.eigenvalues):
+            total += fiber * c * exp(-t * lam)
     return total
 
 
@@ -270,9 +291,10 @@ def poisson_dual_trace(n: int, t: float) -> float:
     return TWO_FORM_FIBER[n] * (4.0 * pi * t) ** (-n / 2.0) * theta ** n
 
 
-def weyl_ratio(n: int, q_max: int) -> float:
-    """N_7(x) (4 pi)^{n/2} Gamma(n/2+1) / (7 x^{n/2}) at x = 4 pi^2 q_max."""
-    levels = enumerate_levels(n, q_max)
+def weyl_ratio(levels: Levels, q_max: int) -> float:
+    """N_7(x) (4 pi)^{n/2} Gamma(n/2+1) / (7 x^{n/2}) at x = 4 pi^2 q_max,
+    over the levels of a table that reaches q_max."""
+    n = levels.n
     x = 4.0 * pi * pi * q_max
     n7, _ = counting_functions(levels, x)
     return n7 * (4.0 * pi) ** (n / 2.0) * gamma(n / 2.0 + 1.0) / (SEVEN_FIBER * x ** (n / 2.0))
@@ -340,9 +362,8 @@ def mellin_equivalence(
     return MellinReport(s, direct, float(fine * scale), float(abs(fine - coarse) * scale))
 
 
-def mellin_equivalence_levels(levels: Sequence[SpectralLevel], which: str, s: float
-                              ) -> MellinReport:
-    return mellin_equivalence([(float(lv.weight(which)), lv.eigenvalue) for lv in levels], s)
+def mellin_equivalence_levels(levels: Levels, which: str, s: float) -> MellinReport:
+    return mellin_equivalence(list(zip(map(float, levels.weights(which)), levels.eigenvalues)), s)
 
 
 CSV_HEADER = ["q", "lambda", "lattice_count", "mult_7", "mult_big", "N_7", "N_big"]
@@ -350,23 +371,22 @@ CSV_HEADER = ["q", "lambda", "lattice_count", "mult_7", "mult_big", "N_7", "N_bi
 _CSV_ROW = "%s,%.17g,%s,%s,%s,%s,%s\r\n"
 
 
-def write_levels_csv(levels: Sequence[SpectralLevel], path: str) -> Tuple[int, int]:
+def write_levels_csv(levels: Levels, path: str) -> Tuple[int, int]:
     """One row per level with cumulative counting functions; returns the
     final (N_7, N_big).
 
-    Each row is one ``%`` format of ``_CSV_ROW``: q as its digits when
-    integral, else ``%.17g`` of its float, and ``%.17g`` of the eigenvalue.
-    Rows go to the file as they are formatted, in one pass, so memory does
-    not grow with the number of levels.
+    Each row is one ``%`` format of ``_CSV_ROW`` over the columns zipped
+    together: q as its digits when integral, else ``%.17g`` of its float,
+    and ``%.17g`` of the eigenvalue; the counting functions are running
+    totals of the multiplicity columns.  The file gets the rows joined,
+    in one write.
     """
-    n7 = nbig = 0
+    den = levels.den
+    q = levels.nums if den == 1 else [v // den if v % den == 0 else "%.17g" % (v / den)
+                                      for v in levels.nums]
+    m7, mbig = levels.weights("7"), levels.weights("big")
+    n7, nbig = list(accumulate(m7)), list(accumulate(mbig))
+    rows = map(_CSV_ROW.__mod__, zip(q, levels.eigenvalues, levels.counts, m7, mbig, n7, nbig))
     with open(path, "w", newline="") as fh:
-        write = fh.write
-        write(",".join(CSV_HEADER) + "\r\n")
-        for lv in levels:
-            q = lv.q
-            n7 += lv.mult_7
-            nbig += lv.mult_big
-            write(_CSV_ROW % (q if q.denominator == 1 else "%.17g" % float(q), lv.eigenvalue,
-                              lv.lattice_count, lv.mult_7, lv.mult_big, n7, nbig))
-    return n7, nbig
+        fh.write(",".join(CSV_HEADER) + "\r\n" + "".join(rows))
+    return (n7[-1], nbig[-1]) if levels else (0, 0)

@@ -44,7 +44,6 @@ from .residue import (
     random_curvature,
 )
 from .spectrum import (
-    _lattice_counts,
     counting_functions,
     enumerate_levels,
     heat_trace,
@@ -464,15 +463,15 @@ def spectrum_suite(seed: int = 0) -> List[CheckResult]:
         shell_counts(7, 6) == shell_counts_bruteforce(7, 6),
     )
     levels = enumerate_levels(7, q_max)
-    ok = all(lv.mult_big == 2 * lv.mult_7 for lv in levels)
-    ok &= all(lv.weight("delta") == 0 for lv in levels)
+    ok = levels.weights("big") == [2 * m for m in levels.weights("7")]
+    ok &= not any(levels.weights("delta"))
     _check(out, f"per-level 2:1 split and zero deficit up to q={q_max}", ok, f"{len(levels)} levels")
 
     x = 4 * pi * pi * q_max
     n7, n14 = counting_functions(levels, x)
     _check(out, "N_14(x) = 2 N_7(x) at the top of the range", n14 == 2 * n7, f"{n7}, {n14}")
 
-    wr = weyl_ratio(7, q_max)
+    wr = weyl_ratio(levels, q_max)
     _check(out, "Weyl normalisation within 5%", abs(wr - 1.0) < 0.05, f"{wr:.4f}")
 
     small = enumerate_levels(7, 80)
@@ -497,11 +496,9 @@ def spectrum_suite(seed: int = 0) -> List[CheckResult]:
     tw = twisted_levels(7, _SUITE_TWIST, 6)
     zt, _ = zeta_partial(tw, "delta", 4.0)
     _check(out, "twisted zeta_delta partial sums vanish", zt == 0.0, f"{len(tw)} levels")
-    ok = all(lv.mult_big == 2 * lv.mult_7 for lv in tw)
+    ok = tw.weights("big") == [2 * m for m in tw.weights("7")]
     _check(out, "twisted levels keep the 2:1 split", ok)
-    # the level lists keep q > 0 only, so the zero modes are read off the
-    # raw count at |k + theta|^2 = 0
-    _check(out, "twist has no zero modes", not _lattice_counts(_SUITE_TWIST, 6)[1].get(0))
+    _check(out, "twist has no zero modes", not tw.zero_modes)
 
     v50, t50 = zeta_partial(enumerate_levels(7, 50), "7", 4.0)
     v100, _ = zeta_partial(enumerate_levels(7, 100), "7", 4.0)
@@ -511,10 +508,11 @@ def spectrum_suite(seed: int = 0) -> List[CheckResult]:
     rep = mellin_equivalence([(3.0, 4 * pi * pi)], 4.0)
     _check(out, "one-level Mellin identity", rep.difference <= 1e-8 * abs(rep.direct),
            f"diff {rep.difference:.2e}")
-    rep = mellin_equivalence_levels(enumerate_levels(7, 20), "7", 4.0)
+    q20 = enumerate_levels(7, 20)
+    rep = mellin_equivalence_levels(q20, "7", 4.0)
     _check(out, "truncated-spectrum Mellin identity at s=4",
            rep.difference <= 1e-8 * abs(rep.direct), f"rel {rep.difference/abs(rep.direct):.2e}")
-    rep = mellin_equivalence_levels(enumerate_levels(7, 20), "delta", 4.0)
+    rep = mellin_equivalence_levels(q20, "delta", 4.0)
     _check(out, "flat weighted Mellin: both sides zero", rep.direct == 0.0 and rep.mellin == 0.0)
     return out
 

@@ -1,6 +1,7 @@
+import csv
 from fractions import Fraction
 from functools import cache, reduce
-from math import lcm
+from math import comb, exp, lcm, pi, sqrt
 from operator import mul
 
 import pytest
@@ -264,12 +265,22 @@ class FractionMaps:
         return DiffForm(s.n, {(1 << s.n) - 1: Scalar.term(top, pi_half=-4)})
 
     @staticmethod
+    def gamma_pole_factor(deg_w):
+        """Gamma(deg_w/2 + 1) as a Scalar, by Gamma(x + 1) = x Gamma(x) down
+        to Gamma(1) = 1 or Gamma(1/2) = sqrt(pi): the oracle of
+        ``residue._GAMMA_POLE``."""
+        x = Fraction(deg_w, 2) + 1
+        value = Scalar.of(1) if x.denominator == 1 else Scalar.term(1, pi_half=1)
+        while x > 1:
+            x -= 1
+            value = value * Scalar.of(x)
+        return value
+
+    @staticmethod
     def residue_value(s, integral):
         """(b, residue) of an integral: Scalar products and a division."""
-        from specasym.residue import gamma_pole_factor
-
         b = Scalar.pi_pow(-s.degree) * Scalar.of(integral)
-        return b, b / gamma_pole_factor(s.degree)
+        return b, b / FractionMaps.gamma_pole_factor(s.degree)
 
     @staticmethod
     def mehler_density(s, cd):
@@ -302,3 +313,103 @@ def fraction_maps():
     """``FractionMaps``: the Chern-Weil sums, model traces and densities on
     Fraction maps, the oracle of the integer Chern-Weil layer."""
     return FractionMaps
+
+
+class LevelMaps:
+    """Flat-torus levels as one record per level, ``(q, lattice count)``
+    with q a Fraction, and the sums over them with the per-level formulas:
+    multiplicities 7 c and big c (14 or 21), eigenvalue 4 pi^2 float(q)
+    and the weights '7', 'big' and 'delta'.  The oracle of the integer
+    columns of ``spectrum.Levels``."""
+
+    BIG = {7: 14, 8: 21}
+
+    @staticmethod
+    def rows(levels):
+        """The records of a ``Levels`` table, read off its columns."""
+        return list(zip(levels.q, levels.counts))
+
+    @staticmethod
+    def eigenvalue(q):
+        return 4.0 * pi * pi * float(q)
+
+    @staticmethod
+    def weight(n, c, which):
+        m7, mbig = 7 * c, LevelMaps.BIG[n] * c
+        if which == "7":
+            return m7
+        if which == "big":
+            return mbig
+        if which == "delta":
+            return (2 if n == 7 else 3) * m7 - mbig
+        raise ValueError("which must be '7', 'big' or 'delta'")
+
+    @staticmethod
+    def counting_functions(n, rows, x):
+        if rows:
+            top = max(LevelMaps.eigenvalue(q) for q, _ in rows)
+            if x > top * (1 + 1e-12):
+                raise ValueError(f"x = {x} beyond the enumerated range {top}")
+        n7 = nbig = 0
+        for q, c in rows:
+            if LevelMaps.eigenvalue(q) <= x:
+                n7 += LevelMaps.weight(n, c, "7")
+                nbig += LevelMaps.weight(n, c, "big")
+        return n7, nbig
+
+    @staticmethod
+    def zeta_partial(n, rows, which, s):
+        if s <= n / 2:
+            raise ValueError(f"s = {s} is in the divergent range (need s > {n/2})")
+        if not rows:
+            return 0.0, 0.0
+        total = q_top = 0.0
+        for q, c in rows:
+            w = LevelMaps.weight(n, c, which)
+            if w:
+                q_top = max(q_top, float(q))
+                total += w * LevelMaps.eigenvalue(q) ** (-s)
+        fiber = LevelMaps.weight(n, 1, which)
+        if not fiber:
+            return total, 0.0
+        u = sqrt(max(q_top, 1.0))
+        return total, 2 * fiber * n * (4 * pi * pi) ** (-s) * sum(
+            comb(n - 1, k) * 2 ** k * u ** (k + 1 - 2 * s) / (2 * s - k - 1) for k in range(n))
+
+    @staticmethod
+    def heat_trace(n, rows, zero_modes, t, weighted):
+        """Every lattice point of the table weighted: the zero modes are the
+        level q = 0 with count ``zero_modes``."""
+        total = 0.0
+        for q, c in [(Fraction(0), zero_modes)] + rows:
+            w = (LevelMaps.weight(n, c, "delta") if weighted
+                 else LevelMaps.weight(n, c, "7") + LevelMaps.weight(n, c, "big"))
+            if w:
+                total += w * exp(-t * LevelMaps.eigenvalue(q))
+        return total
+
+    @staticmethod
+    def mellin_pairs(n, rows, which):
+        return [(float(LevelMaps.weight(n, c, which)), LevelMaps.eigenvalue(q)) for q, c in rows]
+
+    @staticmethod
+    def write_csv(n, rows, path):
+        """The csv.writer rendering of the table, one writerow per level."""
+        n7 = nbig = 0
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["q", "lambda", "lattice_count", "mult_7", "mult_big", "N_7", "N_big"])
+            for q, c in rows:
+                m7, mbig = LevelMaps.weight(n, c, "7"), LevelMaps.weight(n, c, "big")
+                n7 += m7
+                nbig += mbig
+                writer.writerow([str(q) if q.denominator == 1 else f"{float(q):.17g}",
+                                 f"{LevelMaps.eigenvalue(q):.17g}", c, m7, mbig, n7, nbig])
+        return n7, nbig
+
+
+@pytest.fixture(scope="session")
+def level_maps():
+    """``LevelMaps``: per-level records and sums, the oracle of the integer
+    columns of ``spectrum.Levels``."""
+    return LevelMaps

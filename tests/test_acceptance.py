@@ -6,6 +6,7 @@ lines and timings.  Tolerances are pinned here, not configurable.
 
 import time
 from fractions import Fraction
+from itertools import accumulate
 from math import exp, log, pi, sqrt
 
 import numpy as np
@@ -191,13 +192,10 @@ def test_criterion_07_sign_checks():
 def test_criterion_08_flat_torus_asymmetry():
     t0 = time.time()
     levels = enumerate_levels(7, 400)
-    assert all(lv.mult_big == 2 * lv.mult_7 for lv in levels)
-    assert all(lv.weight("delta") == 0 for lv in levels)
-    n7 = n14 = 0
-    for lv in levels:
-        n7 += lv.mult_7
-        n14 += lv.mult_big
-        assert n14 == 2 * n7
+    m7, m14 = levels.weights("7"), levels.weights("big")
+    assert m14 == [2 * m for m in m7]
+    assert not any(levels.weights("delta"))
+    assert list(accumulate(m14)) == [2 * n7 for n7 in accumulate(m7)]
     for s in (4.0, 6.0):
         v, _ = zeta_partial(levels, "delta", s)
         assert v == 0.0

@@ -13,7 +13,7 @@ from specasym.exterior import DiffForm
 from specasym.filtration import CliffordWordExpansion
 from specasym.holonomy import HolonomyStructure, InstantonReport, Projection
 from specasym.residue import ResidueReport, SignReport
-from specasym.spectrum import MellinReport, SpectralLevel
+from specasym.spectrum import Levels, MellinReport
 from specasym.verify import CheckResult
 
 _W = DiffForm(7, {7: Fraction(1), 24: Fraction(-1, 2)})
@@ -53,10 +53,10 @@ _RECORDS = {
         "nonpositivity_violated=False, note='residue is negative')",
         lambda: SignReport("spin7", Scalar.of(-2), -1, True, False, "residue < 0"),
     ),
-    "SpectralLevel": (
-        lambda: SpectralLevel(7, Fraction(1, 4), 2, 14, 28),
-        "SpectralLevel(n=7, q=Fraction(1, 4), lattice_count=2, mult_7=14, mult_big=28)",
-        lambda: SpectralLevel(7, Fraction(1, 2), 2, 14, 28),
+    "Levels": (
+        lambda: Levels(7, 4, [1, 2], [2, 12], 0),
+        "Levels(n=7, den=4, nums=[1, 2], counts=[2, 12], zero_modes=0)",
+        lambda: Levels(7, 4, [1, 2], [2, 12], 1),
     ),
     "MellinReport": (
         lambda: MellinReport(4.0, 0.25, 0.25, 1e-12),
@@ -86,7 +86,7 @@ _PARAMETERS = {
                     ("instanton", None)],
     SignReport: [("kind",), ("residue",), ("sign",), ("is_instanton",),
                  ("nonpositivity_violated",), ("note",)],
-    SpectralLevel: [("n",), ("q",), ("lattice_count",), ("mult_7",), ("mult_big",)],
+    Levels: [("n",), ("den",), ("nums",), ("counts",), ("zero_modes",)],
     MellinReport: [("s",), ("direct",), ("mellin",), ("quad_error",)],
     CheckResult: [("name",), ("status",), ("detail", ""), ("seconds", 0.0)],
 }
@@ -124,8 +124,8 @@ def test_record_defaults():
     assert a == b and repr(a) == "CliffordWordExpansion(n=7, coefficients={})"
     a.coefficients[(0, 0)] = Fraction(1)
     assert b.coefficients == {} and a != b
-    by_keyword = SpectralLevel(n=8, q=3, lattice_count=1, mult_7=7, mult_big=21)
-    assert by_keyword == SpectralLevel(8, 3, 1, 7, 21)
+    by_keyword = Levels(n=8, den=1, nums=[3], counts=[448], zero_modes=1)
+    assert by_keyword == Levels(8, 1, [3], [448], 1)
 
 
 def test_fields_outside_equality_and_repr():

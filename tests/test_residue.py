@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import gamma, pi, sqrt
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,10 @@ from specasym.holonomy import decompose_two_form
 from specasym.residue import (
     CurvatureData,
     CurvatureError,
+    _gamma_pole,
     chern_forms,
     characteristic_density_form,
     full_residue_report,
-    gamma_pole_factor,
     instanton_line_curvature,
     pontryagin_p1,
     random_curvature,
@@ -144,11 +145,19 @@ def test_residue_value_twisted_constants(g2, spin7):
         assert twisted_constant(kind) * Fraction(1, 3) == untwisted_constant(kind)
 
 
-def test_gamma_factors_exact():
+def test_gamma_factors_exact(fraction_maps):
+    """``_GAMMA_POLE`` against Gamma(deg/2 + 1) by its recursion, and the
+    recursion against the literal values Gamma(5/2) = (3/4) sqrt(pi) and
+    Gamma(3) = 2."""
+    gamma_pole_factor = fraction_maps.gamma_pole_factor
     assert gamma_pole_factor(3) == Scalar.term(Fraction(3, 4), pi_half=1)
     assert gamma_pole_factor(4) == Scalar.of(2)
+    for deg in (3, 4):
+        coef, pi_half = _gamma_pole(deg)
+        assert Scalar.term(coef, pi_half=pi_half) == gamma_pole_factor(deg)
+        assert float(coef) * sqrt(pi) ** pi_half == pytest.approx(gamma(deg / 2 + 1), rel=1e-15)
     with pytest.raises(ValueError):
-        gamma_pole_factor(5)
+        _gamma_pole(5)
 
 
 def test_full_report_end_to_end(g2):

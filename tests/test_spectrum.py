@@ -6,10 +6,12 @@ from math import exp, gamma, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specasym.spectrum import (
-    SpectralLevel,
     CSV_HEADER,
+    Levels,
     _square_counts,
     counting_functions,
     enumerate_levels,
@@ -75,10 +77,10 @@ def test_square_counts_past_int64_are_exact():
 
 def test_first_levels():
     levels = enumerate_levels(7, 2)
-    assert levels[0].lattice_count == 14
-    assert (levels[0].mult_7, levels[0].mult_big) == (98, 196)
-    assert levels[1].lattice_count == 84
-    assert levels[0].eigenvalue == pytest.approx(4 * pi * pi)
+    assert levels.counts == [14, 84]
+    assert (levels.weights("7")[0], levels.weights("big")[0]) == (98, 196)
+    assert levels.eigenvalues[0] == pytest.approx(4 * pi * pi)
+    assert (levels.den, levels.zero_modes) == (1, 1)
 
 
 def test_level_gates():
@@ -88,13 +90,14 @@ def test_level_gates():
         enumerate_levels(6, 5)
 
 
-def test_per_level_ratios():
-    for lv in enumerate_levels(7, 60):
-        assert lv.mult_big == 2 * lv.mult_7
-        assert lv.weight("delta") == 0
-    for lv in enumerate_levels(8, 30):
-        assert lv.mult_big == 3 * lv.mult_7
-        assert lv.weight("delta") == 0
+def test_per_level_ratios(level_maps):
+    for n, q_max, ratio in ((7, 60, 2), (8, 30, 3)):
+        levels = enumerate_levels(n, q_max)
+        assert levels.weights("big") == [ratio * m for m in levels.weights("7")]
+        assert not any(levels.weights("delta"))
+        for which in ("7", "big", "delta"):
+            assert levels.weights(which) == [level_maps.weight(n, c, which)
+                                             for c in levels.counts]
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -102,12 +105,12 @@ def test_untwisted_levels_are_ints(tmp_path, n):
     """Untwisted q is a plain int, and the CSV writes it as the digits of q;
     every q >= 1 is a sum of four squares, so each is a level."""
     levels = enumerate_levels(n, 30)
-    assert [lv.q for lv in levels] == list(range(1, 31))
-    assert all(type(lv.q) is int for lv in levels)
+    assert levels.den == 1 and levels.nums == list(range(1, 31))
+    assert all(type(v) is int for v in levels.nums)
     path = os.fspath(tmp_path / "levels.csv")
     write_levels_csv(levels, path)
     with open(path) as fh:
-        assert [row["q"] for row in csv.DictReader(fh)] == [str(lv.q) for lv in levels]
+        assert [row["q"] for row in csv.DictReader(fh)] == [str(v) for v in levels.nums]
 
 
 def test_counting_functions():
@@ -150,7 +153,7 @@ def test_zeta_tail_closed_form_matches_quadrature(n, s, q_max):
     levels = enumerate_levels(n, q_max)
     _, tail = zeta_partial(levels, "7", s)
     fiber = 7  # the 7-part weight of one lattice point
-    q_top = max(float(lv.q) for lv in levels)
+    q_top = max(float(q) for q in levels.q)
 
     def dbox(q):
         return fiber * n * (2 * q ** 0.5 + 1) ** (n - 1) / q ** 0.5 * (4 * pi * pi * q) ** (-s)
@@ -170,20 +173,36 @@ def test_heat_trace_poisson():
     assert heat_trace(levels, 50.0, weighted=False) == pytest.approx(21.0)
 
 
+@pytest.mark.parametrize("theta, zero_modes", [
+    ((Fraction(1, 2),) * 7, 0),
+    ((0,) * 7, 1),
+    ((Fraction(1, 3), Fraction(1, 2)) + (0,) * 5, 0),
+])
+def test_heat_trace_equals_the_lattice_scan_sum(theta, zero_modes):
+    """The unweighted trace counts the table's own zero modes: under
+    theta = (1/2)^7 there are none, and the trace at t = 0.5 is about
+    2.7e-12, not 21 plus that."""
+    q_max, t = 3, 0.5
+    levels = twisted_levels(7, theta, q_max)
+    assert levels.zero_modes == zero_modes
+    direct = 0.0
+    for q, c in sorted(lattice_scan(theta, q_max).items()):
+        direct += 21 * c * exp(-t * 4.0 * pi * pi * float(q))
+    assert heat_trace(levels, t, weighted=False) == pytest.approx(direct, rel=1e-12)
+
+
 def test_weyl_ratio():
-    assert abs(weyl_ratio(7, 400) - 1.0) < 0.05
+    assert abs(weyl_ratio(enumerate_levels(7, 400), 400) - 1.0) < 0.05
 
 
 def test_twisted_levels():
     theta0 = [Fraction(0)] * 7
-    assert [lv.q for lv in twisted_levels(7, theta0, 3)] == [
-        lv.q for lv in enumerate_levels(7, 3)
-    ]
+    assert twisted_levels(7, theta0, 3) == enumerate_levels(7, 3)
     theta = [Fraction(1, 2)] + [Fraction(0)] * 6
     tw = twisted_levels(7, theta, 4)
-    assert all(lv.q > 0 for lv in tw)
-    assert tw[0].q == Fraction(1, 4)
-    assert all(lv.mult_big == 2 * lv.mult_7 for lv in tw)
+    assert tw.zero_modes == 0 and all(q > 0 for q in tw.q)
+    assert tw.q[0] == Fraction(1, 4)
+    assert tw.weights("big") == [2 * m for m in tw.weights("7")]
     v, _ = zeta_partial(tw, "delta", 4.0)
     assert v == 0.0
     with pytest.raises(ValueError):
@@ -222,14 +241,15 @@ _TWISTS = [
 
 
 @pytest.mark.parametrize("n, q_max, theta", _TWISTS)
-def test_twisted_levels_match_lattice_scan(n, q_max, theta):
+def test_twisted_levels_match_lattice_scan(n, q_max, theta, level_maps):
     levels = twisted_levels(n, theta, q_max)
-    scan = sorted((q, c) for q, c in lattice_scan(theta, q_max).items() if q)
-    assert [(lv.q, lv.lattice_count) for lv in levels] == scan
-    for lv in levels:
-        assert isinstance(lv.q, Fraction) and lv.n == n
-        big = 21 if n == 8 else 14
-        assert (lv.mult_7, lv.mult_big) == (7 * lv.lattice_count, big * lv.lattice_count)
+    counts = lattice_scan(theta, q_max)
+    scan = sorted((q, c) for q, c in counts.items() if q)
+    assert level_maps.rows(levels) == scan
+    assert levels.n == n and levels.zero_modes == counts.get(0, 0)
+    for which in ("7", "big"):
+        assert levels.weights(which) == [level_maps.weight(n, c, which) for _, c in scan]
+    assert levels.eigenvalues == [level_maps.eigenvalue(q) for q, _ in scan]
 
 
 def test_huge_twist_denominator_stays_sparse():
@@ -242,8 +262,38 @@ def test_huge_twist_denominator_stays_sparse():
     finally:
         tracemalloc.stop()
     scan = sorted((q, c) for q, c in lattice_scan(theta, 5).items() if q)
-    assert [(lv.q, lv.lattice_count) for lv in levels] == scan
+    assert list(zip(levels.q, levels.counts)) == scan
     assert peak < 5 * 2 ** 20
+
+
+# twist angles a/d with d <= 4
+_ANGLE = st.integers(1, 4).flatmap(lambda d: st.integers(0, d - 1).map(lambda a: F(a, d)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(q_max=st.integers(1, 3), theta=st.lists(_ANGLE, min_size=7, max_size=7))
+def test_columns_and_sums_equal_the_per_level_oracle(level_maps, q_max, theta):
+    """The columns against the sorted nonzero ``lattice_scan`` items, and
+    every sum over them against the per-level oracle's floats, by ==."""
+    n = 7
+    levels = twisted_levels(n, theta, q_max)
+    counts = lattice_scan(theta, q_max)
+    rows = sorted((q, c) for q, c in counts.items() if q)
+    assert level_maps.rows(levels) == rows
+    assert levels.zero_modes == counts.get(0, 0)
+    eigenvalues = [level_maps.eigenvalue(q) for q, _ in rows]
+    assert levels.eigenvalues == eigenvalues
+    for which in ("7", "big", "delta"):
+        for s in (3.6, 4.0, 5.5):
+            assert zeta_partial(levels, which, s) == level_maps.zeta_partial(n, rows, which, s)
+        want = mellin_equivalence(level_maps.mellin_pairs(n, rows, which), 4.0)
+        assert mellin_equivalence_levels(levels, which, 4.0) == want
+    for x in [1.0] + eigenvalues + [lam * (1 + 1e-13) for lam in eigenvalues]:
+        assert counting_functions(levels, x) == level_maps.counting_functions(n, rows, x)
+    for t in (0.01, 0.5, 3.0):
+        for weighted in (False, True):
+            want = level_maps.heat_trace(n, rows, levels.zero_modes, t, weighted)
+            assert heat_trace(levels, t, weighted) == want
 
 
 def test_spectrum_input_errors():
@@ -273,27 +323,26 @@ def test_mellin_identities():
 
 
 # the Mellin rule's level sets: one level, two levels of both signs, the
-# untwisted 7-part levels up to q = 20 and the spectrum suite's twisted ones
+# untwisted 7-part levels up to q = 20 and the spectrum suite's twisted
+# ones, each built from the per-level oracle's weights and eigenvalues
 _MELLIN_SETS = {
-    "one-level": lambda: [(3.0, 4 * pi * pi)],
-    "two-level": lambda: [(2.0, 4 * pi * pi), (-1.0, 8 * pi * pi)],
-    "untwisted-q20": lambda: [(float(lv.weight("7")), lv.eigenvalue)
-                              for lv in enumerate_levels(7, 20)],
-    "twisted": lambda: [(float(lv.weight("7")), lv.eigenvalue)
-                        for lv in twisted_levels(7, _SUITE_TWIST, 6)],
+    "one-level": lambda lm: [(3.0, 4 * pi * pi)],
+    "two-level": lambda lm: [(2.0, 4 * pi * pi), (-1.0, 8 * pi * pi)],
+    "untwisted-q20": lambda lm: lm.mellin_pairs(7, lm.rows(enumerate_levels(7, 20)), "7"),
+    "twisted": lambda lm: lm.mellin_pairs(7, lm.rows(twisted_levels(7, _SUITE_TWIST, 6)), "7"),
 }
 
 
 @pytest.mark.parametrize("s", [0.6, 1.0, 4.0, 7.3, 12.0])
 @pytest.mark.parametrize("name", list(_MELLIN_SETS))
-def test_mellin_rule_against_quad(name, s):
+def test_mellin_rule_against_quad(name, s, level_maps):
     """The exp-sinh rule against the direct sum, with scipy's quad of the
     same heat-trace integral as an independent oracle.  At s = 12, x^(s-1)
     alone overflows at the far nodes, so a product x^(s-1) e^(-x) there
     would read inf * 0 = nan."""
     from scipy.integrate import quad
 
-    pairs = _MELLIN_SETS[name]()
+    pairs = _MELLIN_SETS[name](level_maps)
     direct = sum(w * lam ** (-s) for w, lam in pairs)
     rep = mellin_equivalence(pairs, s)
     assert rep.direct == direct
@@ -321,29 +370,7 @@ def test_csv_schema(tmp_path):
     assert int(rows[1][2]) == 14
     assert int(rows[1][3]) == 98 and int(rows[1][4]) == 196
     # cumulative columns
-    assert int(rows[2][5]) == 98 + levels[1].mult_7
-
-
-def _csv_writer_oracle(levels, path):
-    """The csv.writer body the one-pass writer replaced, kept as its oracle."""
-    n7 = nbig = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for lv in levels:
-            n7 += lv.mult_7
-            nbig += lv.mult_big
-            writer.writerow(
-                [
-                    f"{float(lv.q):.17g}" if lv.q.denominator != 1 else str(lv.q),
-                    f"{lv.eigenvalue:.17g}",
-                    lv.lattice_count,
-                    lv.mult_7,
-                    lv.mult_big,
-                    n7,
-                    nbig,
-                ]
-            )
+    assert int(rows[2][5]) == 98 + levels.weights("7")[1]
 
 
 _HUGE = 2 ** 64 + 3
@@ -357,27 +384,26 @@ _CSV_CASES = {
         8, [Fraction(x) for x in ("0", "0", "1/2", "0", "1/3", "3/4", "0", "0")], 5),
     # theta = (1/2)^4: every q is a Fraction with denominator 1
     "twisted-integral-q": lambda: twisted_levels(7, [Fraction(1, 2)] * 4 + [0] * 3, 3),
-    "empty": lambda: [],
-    "counts-past-2**63": lambda: [
-        SpectralLevel(7, 5, _HUGE, 7 * _HUGE, 14 * _HUGE),
-        SpectralLevel(7, Fraction(7, 3), _HUGE + 1, 7 * (_HUGE + 1), 14 * (_HUGE + 1)),
-    ],
+    "empty": lambda: Levels(7, 1, [], [], 1),
+    # q = 7/3 and 5 over den = 3
+    "counts-past-2**63": lambda: Levels(7, 3, [7, 15], [_HUGE + 1, _HUGE], 0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CSV_CASES))
-def test_csv_bytes_equal_the_csv_writer_oracle(tmp_path, case):
-    """Compared as bytes: a text-mode read cannot see the "\\r\\n" row ends."""
+def test_csv_bytes_equal_the_csv_writer_oracle(tmp_path, case, level_maps):
+    """Compared as bytes, against the per-level csv.writer rendering: a
+    text-mode read cannot see the "\\r\\n" row ends."""
     levels = _CSV_CASES[case]()
     new, old = os.fspath(tmp_path / "new.csv"), os.fspath(tmp_path / "old.csv")
     totals = write_levels_csv(levels, new)
-    _csv_writer_oracle(levels, old)
+    want = level_maps.write_csv(levels.n, level_maps.rows(levels), old)
     with open(new, "rb") as fh_new, open(old, "rb") as fh_old:
         data = fh_new.read()
         assert data == fh_old.read()
     last = data.split(b"\r\n")[-2].split(b",")
     assert totals == ((int(last[5]), int(last[6])) if levels else (0, 0))
-    assert totals == (sum(lv.mult_7 for lv in levels), sum(lv.mult_big for lv in levels))
+    assert totals == want
 
 
 @pytest.mark.parametrize("argv", [

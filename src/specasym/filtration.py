@@ -155,6 +155,17 @@ class CliffordWordExpansion(Record):
             self._coefficients = _lifted(*self._numerators, fiber=False)
         return self._coefficients
 
+    def coefficient(self, cmask: int, hmask: int) -> Rat:
+        """phi_{IJ} of one word, 0 when it is absent, lifted alone: the row
+        x[k, I] of the offset d = I ^ J of ``_offset_numerators``."""
+        if self._numerators is None:
+            return self._coefficients.get((cmask, hmask), 0)
+        den, offsets, x = self._numerators
+        k = int(np.searchsorted(offsets, cmask ^ hmask))
+        if k < len(offsets) and offsets[k] == cmask ^ hmask:
+            return Fraction(int(x[k, cmask]), den)
+        return 0
+
     def reconstruct(self) -> FiberOp:
         """The operator sum phi_{IJ} c(omega^I) c-hat(omega^J), exactly:
         M = K phi (``_word_transform``)."""

@@ -8,12 +8,10 @@ a structure that fails raises StructureValidationError.  Every 2-form
 operator is a sparse map {(target mask, source mask): int}, the format of
 ``exterior.star_ext_entries``: the operator A = *e(w) is that table, and
 the projections P_7 = (A + 1) / (plus + 1) and P_big = (plus - A) /
-(plus + 1) hold their integer numerators over ``den = plus + 1``.  A
-``Projection`` also holds them by column, {source mask: ((target,
-value), ...)}: ``Projection.numerators`` and ``instanton_check`` walk only
-the columns of the masks they are given, 3 entries each for G2, 4 for
-Spin(7), and sum integer numerators; ``Projection.apply`` lifts the sums.
-Validation is map equality on ``exterior.sparse_product``.
+(plus + 1) hold their integer numerators over ``den = plus + 1``, also
+by column: ``Projection.numerators`` and ``instanton_check`` walk only the
+columns of the masks they are given (3 entries each for G2, 4 for
+Spin(7)).  Validation is map equality on ``exterior.sparse_product``.
 ``standard_structure`` builds A and both projections as fields, once per
 kind and process, and every caller shares that one object, so callers
 must treat a structure and its maps as read-only.  No numpy is needed.
@@ -24,10 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import inf
+from math import inf, lcm
 from typing import Dict, List, Tuple
 
-from .exact import rational_numerators
 from .exterior import (
     DiffForm,
     mask_of,
@@ -80,26 +77,29 @@ class Projection(Record):
         self.den = den
         self.entries = entries
         # the entries by source: {source mask: ((target, value), ...)}
-        cols: Dict[int, list] = {}
+        cols = {}
         for (t, b), v in entries.items():
             cols.setdefault(b, []).append((t, v))
         self.columns = {b: tuple(col) for b, col in cols.items()}
 
     def numerators(self, alpha: DiffForm) -> Tuple[int, Dict[int, int]]:
-        """(den, {target: int}): the projection of a rational 2-form as
-        integer numerators over one denominator, the denominator of
-        ``alpha``'s numerators (``rational_numerators``) times ``self.den``.
-        The numerators of ``alpha`` are summed over the columns of its
-        masks, and zero sums are dropped.  A coefficient that is not an int
-        or a Fraction raises TypeError."""
-        if any(popcount(m) != 2 for m in alpha.terms):
-            raise ValueError("projection applies to 2-forms only")
-        den, nums = rational_numerators(list(alpha.terms.values()))
-        sums: Dict[int, int] = {}
-        for b, x in zip(alpha.terms, nums):
-            if x:
-                for t, v in self.columns.get(b, ()):
-                    sums[t] = sums.get(t, 0) + v * x
+        """(den, {target: nonzero int}): a 2-form of int or Fraction
+        coefficients projected, over their lcm times ``self.den``, in one
+        pass that scales each numerator and sums it over its column."""
+        terms = alpha.terms
+        for m in terms:
+            if m.bit_count() != 2:
+                raise ValueError("projection applies to 2-forms only")
+        den = 1
+        for c in terms.values():
+            if type(c) not in (int, Fraction):
+                raise TypeError(f"rational numerators need int or Fraction, not {type(c).__name__}")
+            den = lcm(den, c.denominator)
+        sums = {}
+        for b, c in terms.items():
+            x = c.numerator * (den // c.denominator)
+            for t, v in self.columns.get(b, ()):
+                sums[t] = sums.get(t, 0) + v * x
         return den * self.den, {t: x for t, x in sums.items() if x}
 
     def apply(self, alpha: DiffForm) -> DiffForm:
@@ -150,7 +150,7 @@ def star_ext_on_two_forms(w: DiffForm, n: int) -> Dict[Tuple[int, int], object]:
     return out
 
 
-def _shifted(a: Dict[Tuple[int, int], object], basis: List[int], factor: int, shift: int):
+def _shifted(a: Entries, basis: List[int], factor: int, shift: int) -> Entries:
     """factor * A + shift * Id over ``basis``, without zero entries."""
     out = {k: factor * v for k, v in a.items()}
     for m in basis:
@@ -158,8 +158,7 @@ def _shifted(a: Dict[Tuple[int, int], object], basis: List[int], factor: int, sh
     return {k: v for k, v in out.items() if v}
 
 
-def _eig_validate(a: Dict[Tuple[int, int], object], basis: List[int], plus: int
-                  ) -> List[Tuple[int, int]]:
+def _eig_validate(a: Entries, basis: List[int], plus: int) -> List[Tuple[int, int]]:
     """Check (A - plus)(A + 1) = 0 exactly, as A^2 = (plus - 1) A + plus Id
     by map equality, then the trace split, and return the eigenvalue
     table.  ``a`` holds the nonzero entries of A over the 2-form masks

@@ -10,6 +10,7 @@ leading-term deviation of the flat heat trace.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import log, pi, sqrt
 from time import perf_counter
@@ -18,7 +19,14 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from .exact import Scalar, rational_numerators
-from .exterior import DiffForm, FiberOp, popcount, sparse_product, star_ext_entries
+from .exterior import (
+    DiffForm,
+    FiberOp,
+    apply_word,
+    popcount,
+    sparse_product,
+    star_ext_entries,
+)
 from .filtration import (
     expand_clifford_basis,
     gram_orthogonality_check,
@@ -44,6 +52,7 @@ from .residue import (
     random_curvature,
 )
 from .spectrum import (
+    Levels,
     counting_functions,
     enumerate_levels,
     heat_trace,
@@ -102,47 +111,11 @@ def _info(results, name, detail):
 def algebra_suite(seed: int = 0) -> List[CheckResult]:
     out = _Results()
     for n in (7, 8):
-        ok = True
-        c = [WordOperator.from_word(n, 1 << i, 0) for i in range(n)]
-        h = [WordOperator.from_word(n, 0, 1 << i) for i in range(n)]
-        zero, one = WordOperator.zero(n), WordOperator.identity(n)
-        minus_two, two = one.scale(-2), one.scale(2)
-        for i in range(n):
-            for j in range(n):
-                ok &= (c[i] * c[j] + c[j] * c[i]) == (minus_two if i == j else zero)
-                ok &= (h[i] * h[j] + h[j] * h[i]) == (two if i == j else zero)
-                ok &= (c[i] * h[j] + h[j] * c[i]).is_zero()
-        _check(out, f"clifford anticommutators exhaustive (n={n})", ok)
-
+        _check(out, f"clifford anticommutators exhaustive (n={n})", _anticommutators_ok(n))
     for n in (7, 8):
-        ok = True
-        for m in range(1 << n):
-            k = popcount(m)
-            f = DiffForm(n, {m: 1})
-            ok &= f.hodge().hodge() == f.scale((-1) ** (k * (n - k)))
-        _check(out, f"hodge involution sign (n={n})", ok)
-
-    # monomials, their stars and the masks by degree are built once
-    n = 7
-    forms = [DiffForm(n, {m: 1}) for m in range(1 << n)]
-    stars = [f.hodge() for f in forms]
-    by_degree = [[] for _ in range(n + 1)]
-    for m in range(1 << n):
-        by_degree[popcount(m)].append(m)
-    ok = all(forms[a].inner(forms[b]) == forms[a].wedge(stars[b]).top_coefficient()
-             for group in by_degree for a in group for b in group)
-    _check(out, "pairing a^*(b) = <a,b> dvol (n=7, exhaustive)", ok)
-
-    # e(e^i)^* against the contraction DiffForm.interior(i), column by column
-    ok = True
-    for i in range(1, 8):
-        interior = FiberOp(7, 1, {
-            (m, s): c
-            for s in range(1 << 7)
-            for m, c in DiffForm(7, {s: 1}).interior(i).terms.items()
-        })
-        ok &= FiberOp.ext_op(DiffForm.monomial(7, (i,))).adjoint() == interior
-    _check(out, "interior operator is the matrix adjoint", ok)
+        _check(out, f"hodge involution sign (n={n})", _hodge_involution_ok(n))
+    _check(out, "pairing a^*(b) = <a,b> dvol (n=7, exhaustive)", _pairing_ok(7))
+    _check(out, "interior operator is the matrix adjoint", _interior_adjoint_ok(7))
 
     fails, checked = trace_identity_sweep(7)
     _check(out, "word-trace identity, all 4^7 pairs (n=7)", not fails, f"{checked} pairs")
@@ -160,12 +133,8 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
     for _ in range(60):
         key = (rnd.randrange(128), rnd.randrange(128))
         entries[key] = entries.get(key, 0) + Fraction(rnd.randint(-4, 4), rnd.randint(1, 4))
-    m = FiberOp(7, 1, entries)
-    _check(
-        out,
-        "expansion round trip on a random operator",
-        expand_clifford_basis(m).reconstruct() == m,
-    )
+    _check(out, "expansion round trip on a random operator",
+           _expansion_ok(FiberOp(7, 1, entries)))
 
     # Hodge/Clifford bridge on the degree-2 block, both kinds
     for kind in ("g2", "spin7"):
@@ -173,6 +142,103 @@ def algebra_suite(seed: int = 0) -> List[CheckResult]:
         ok = _bridge_check(s, seed)
         _check(out, f"{kind} bridge tr(*e(w)M) = -tr(c(dvol)e(w)M), 100 random M", ok)
     return out
+
+
+def _anticommutators_ok(n: int) -> bool:
+    """{x, y} = 0 for distinct generators, c_k^2 = -1 and h_k^2 = +1, from
+    one square v^2 of v = sum 3^k c_k + sum 3^(n+k) h_k.
+
+    ``WordOperator`` products key every product of words by the XOR of the
+    words, so only its signs can be wrong.  In v^2 each unordered pair
+    {x, y} of distinct generators lands alone on the key of its two-letter
+    word, with coefficient w_x w_y times the sign sum of {x, y}; every
+    square lands on the identity, with weight 9^k (c_k) or 9^(n+k) (h_k),
+    and a sum of +-1 digits in base 9 shows each digit.  So v^2 equals the
+    expected multiple of 1 iff every one of the (2n)^2 anticommutators is
+    right: the check stays exhaustive.
+    """
+    v = WordOperator(n, 1, {
+        (0, 1 << k, 0) if k < n else (0, 0, 1 << (k - n)): {(0, 0): 3 ** k}
+        for k in range(2 * n)})
+    square = sum(9 ** (n + k) - 9 ** k for k in range(n))
+    return v * v == WordOperator.identity(n).scale(square)
+
+
+def _hodge_involution_ok(n: int) -> bool:
+    """** = (-1)^(k(n-k)) on every mask, from one form that numbers each
+    mask m by m + 1.  The Hodge star maps each term alone to the
+    complement of its mask, so each coefficient of ** of the form comes
+    from one mask and its value names that mask: the check stays
+    exhaustive."""
+    numbered = DiffForm(n, {m: m + 1 for m in range(1 << n)})
+    want = DiffForm(n, {m: -(m + 1) if popcount(m) * (n - popcount(m)) & 1 else m + 1
+                        for m in range(1 << n)})
+    return numbered.hodge().hodge() == want
+
+
+def _pairing_ok(n: int) -> bool:
+    """e^a ^ *e^b = <e^a, e^b> dvol for every pair of masks of one degree,
+    one wedge per mask a.
+
+    The masks b_j of a degree are weighted 5^j in one form B, and a is
+    paired with B (``inner``) and wedged with *B.  Both sides are linear in
+    B and take values in {-1, 0, 1} on each pair (a, b_j), so their
+    difference on a pair is a digit in -2..2 of the base-5 difference of
+    the sums: the sums agree iff every pair does, and the check stays
+    exhaustive.
+    """
+    by_degree = [[] for _ in range(n + 1)]
+    for m in range(1 << n):
+        by_degree[popcount(m)].append(m)
+    ok = True
+    for group in by_degree:
+        weighted = DiffForm(n, {b: 5 ** j for j, b in enumerate(group)})
+        star = weighted.hodge()
+        for a in group:
+            mono = DiffForm(n, {a: 1})
+            ok &= mono.inner(weighted) == mono.wedge(star).top_coefficient()
+    return ok
+
+
+def _interior_adjoint_ok(n: int) -> bool:
+    """e(e^i)^* = ``DiffForm.interior(i)`` as matrices, for every i, from one
+    contraction per i of the form that numbers each mask s by s + 1.
+
+    The contraction maps each term alone, so each of its coefficients is
+    +-(s + 1) for one source mask s: the column and the sign of every
+    entry are read off it, and the matrix is the one the contractions of
+    the 2^n monomials give, which keeps the check exhaustive.
+    """
+    numbered = DiffForm(n, {s: s + 1 for s in range(1 << n)})
+    ok = True
+    for i in range(1, n + 1):
+        interior = FiberOp(n, 1, {(m, abs(c) - 1): 1 if c > 0 else -1
+                                  for m, c in numbered.interior(i).terms.items()})
+        ok &= FiberOp.ext_op(DiffForm.monomial(n, (i,))).adjoint() == interior
+    return ok
+
+
+def _expansion_ok(m: FiberOp) -> bool:
+    """The round trip M = K phi of phi = K^T M / 2^n, and phi_IJ against a
+    trace read off ``apply_word`` for the pure words (d, 0) and (0, d) of
+    the first 8 offsets d of M's entries.
+
+    Every K with K K^T = 2^n I round-trips, so a word sign that both
+    directions share passes the first half; the second reads the word
+    signs one word at a time.  The word W_IJ sends e^s to sign(s)
+    e^(s ^ I ^ J), so phi_IJ = tr(W_IJ^T M) / 2^n is the sum of sign(s)
+    M[s ^ I ^ J, s] over the entries of M at the offset I ^ J, over 2^n.
+    """
+    expansion = expand_clifford_basis(m)
+    ok = expansion.reconstruct() == m
+    by_offset: Dict[int, list] = {}
+    for (t, s), v in m.entries.items():
+        by_offset.setdefault(t ^ s, []).append((s, v))
+    for d, column in list(by_offset.items())[:8]:
+        for c, h in {(d, 0), (0, d)}:
+            trace = sum(v if apply_word(c, h, s)[0] > 0 else -v for s, v in column)
+            ok &= expansion.coefficient(c, h) * (1 << m.n) == trace
+    return ok
 
 
 def _bridge_check(s, seed: int) -> bool:
@@ -462,6 +528,7 @@ def spectrum_suite(seed: int = 0) -> List[CheckResult]:
         "shell counts match brute-force scan (n=7, q<=6)",
         shell_counts(7, 6) == shell_counts_bruteforce(7, 6),
     )
+    # every table of the suite is a prefix of this one
     levels = enumerate_levels(7, q_max)
     ok = levels.weights("big") == [2 * m for m in levels.weights("7")]
     ok &= not any(levels.weights("delta"))
@@ -474,7 +541,7 @@ def spectrum_suite(seed: int = 0) -> List[CheckResult]:
     wr = weyl_ratio(levels, q_max)
     _check(out, "Weyl normalisation within 5%", abs(wr - 1.0) < 0.05, f"{wr:.4f}")
 
-    small = enumerate_levels(7, 80)
+    small = _levels_up_to(levels, 80)
     ok = True
     detail = []
     for t in (0.01, 0.02, 0.05):
@@ -500,21 +567,28 @@ def spectrum_suite(seed: int = 0) -> List[CheckResult]:
     _check(out, "twisted levels keep the 2:1 split", ok)
     _check(out, "twist has no zero modes", not tw.zero_modes)
 
-    v50, t50 = zeta_partial(enumerate_levels(7, 50), "7", 4.0)
-    v100, _ = zeta_partial(enumerate_levels(7, 100), "7", 4.0)
+    v50, t50 = zeta_partial(_levels_up_to(levels, 50), "7", 4.0)
+    v100, _ = zeta_partial(_levels_up_to(levels, 100), "7", 4.0)
     _check(out, "zeta tail bound covers truncation error", abs(v100 - v50) <= t50,
            f"|diff| {abs(v100-v50):.2e} <= {t50:.2e}")
 
     rep = mellin_equivalence([(3.0, 4 * pi * pi)], 4.0)
     _check(out, "one-level Mellin identity", rep.difference <= 1e-8 * abs(rep.direct),
            f"diff {rep.difference:.2e}")
-    q20 = enumerate_levels(7, 20)
+    q20 = _levels_up_to(levels, 20)
     rep = mellin_equivalence_levels(q20, "7", 4.0)
     _check(out, "truncated-spectrum Mellin identity at s=4",
            rep.difference <= 1e-8 * abs(rep.direct), f"rel {rep.difference/abs(rep.direct):.2e}")
     rep = mellin_equivalence_levels(q20, "delta", 4.0)
     _check(out, "flat weighted Mellin: both sides zero", rep.direct == 0.0 and rep.mellin == 0.0)
     return out
+
+
+def _levels_up_to(levels: Levels, q_max: int) -> Levels:
+    """The levels with q <= q_max of a table: a prefix of its columns, as
+    ``nums`` ascend, equal to the table built up to q_max."""
+    k = bisect_right(levels.nums, q_max * levels.den)
+    return Levels(levels.n, levels.den, levels.nums[:k], levels.counts[:k], levels.zero_modes)
 
 
 SUITES = {

@@ -3,12 +3,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from specasym import verify
+from specasym import exterior, filtration, verify, wordops
 from specasym.exterior import DiffForm, FiberOp, popcount, star_ext_entries
-from specasym.filtration import CliffordWordExpansion
+from specasym.filtration import CliffordWordExpansion, expand_clifford_basis
 from specasym.holonomy import Projection, projections, standard_structure
+from specasym.spectrum import enumerate_levels
 
 
 def _statuses(results):
@@ -216,31 +218,109 @@ def test_uniform_draws_read_on_when_a_block_runs_short():
 _PAIRING = "pairing a^*(b) = <a,b> dvol (n=7, exhaustive)"
 
 
-def test_pairing_check_fails_on_a_flipped_star(monkeypatch):
-    """The stars of the pairing check come from DiffForm.hodge: one wrong
-    degree-3 image fails it."""
-    hodge = DiffForm.hodge
-    e123 = 0b111
+@pytest.fixture
+def built_structures():
+    """Both structures, built before a sign of ``exterior`` is patched: the
+    cached builds read ``hodge_sign`` and ``merge_sign`` too."""
+    return standard_structure("g2"), standard_structure("spin7")
 
-    def flipped(self):
-        out = hodge(self)
-        return out.scale(-1) if self.n == 7 and set(self.terms) == {e123} else out
 
-    monkeypatch.setattr(DiffForm, "hodge", flipped)
+def _flip_hodge_sign(monkeypatch, flipped_mask, flipped_n):
+    hodge_sign = exterior.hodge_sign
+
+    def flipped(mask, n):
+        sign = hodge_sign(mask, n)
+        return -sign if (mask, n) == (flipped_mask, flipped_n) else sign
+
+    monkeypatch.setattr(exterior, "hodge_sign", flipped)
+
+
+def test_pairing_check_fails_on_a_flipped_star(monkeypatch, built_structures):
+    """The Hodge sign of e123 flipped: the pairing row reads the star of
+    e123 inside the weighted star of the degree-3 masks."""
+    _flip_hodge_sign(monkeypatch, 0b111, 7)
     assert _statuses(verify.algebra_suite(0))[_PAIRING] == "fail"
 
 
-def test_pairing_check_fails_on_a_flipped_wedge_sign(monkeypatch):
-    wedge = DiffForm.wedge
+def test_pairing_check_fails_on_a_flipped_wedge_sign(monkeypatch, built_structures):
+    """The sign of e1 ^ e234567 flipped in the wedge alone: ``hodge_sign``
+    keeps the unpatched ``merge_sign``, which it calls on the same masks,
+    so the star of e1 stays right."""
+    merge_sign = exterior.merge_sign
 
-    def flipped(self, other):
-        out = wedge(self, other)
-        if self.n == 7 and set(self.terms) == {0b1} and set(other.terms) == {0b1111110}:
-            return out.scale(-1)
-        return out
+    def flipped(m1, m2):
+        return -merge_sign(m1, m2) if (m1, m2) == (0b1, 0b1111110) else merge_sign(m1, m2)
 
-    monkeypatch.setattr(DiffForm, "wedge", flipped)
+    monkeypatch.setattr(exterior, "merge_sign", flipped)
+    monkeypatch.setattr(exterior, "hodge_sign",
+                        lambda mask, n: merge_sign(mask, ((1 << n) - 1) & ~mask))
     assert _statuses(verify.algebra_suite(0))[_PAIRING] == "fail"
+
+
+def test_hodge_check_fails_on_one_flipped_mask_sign(monkeypatch, built_structures):
+    """The Hodge sign of e12 flipped at n = 7 breaks ** on e12 alone."""
+    _flip_hodge_sign(monkeypatch, 0b11, 7)
+    status = _statuses(verify.algebra_suite(0))
+    assert status["hodge involution sign (n=7)"] == "fail"
+    assert status["hodge involution sign (n=8)"] == "pass"
+
+
+@pytest.mark.parametrize("words", [(0b100, 0b10000, -1), (0b1000, 0b1000, 1)],
+                         ids=["c3-c5-product", "h4-square"])
+def test_anticommutator_checks_fail_on_one_word_sign(monkeypatch, words):
+    """One product sign of ``word_mul`` flipped, c3 c5 or the square of
+    h4: {c3, c5} = 0 or h4^2 = 1 breaks at n = 7 and at n = 8."""
+    word_mul = wordops.word_mul
+
+    def flipped(m1, m2, square_sign):
+        sign, mask = word_mul(m1, m2, square_sign)
+        return (-sign if (m1, m2, square_sign) == words else sign), mask
+
+    monkeypatch.setattr(wordops, "word_mul", flipped)
+    status = _statuses(verify.algebra_suite(0))
+    for n in (7, 8):
+        assert status[f"clifford anticommutators exhaustive (n={n})"] == "fail"
+
+
+def test_round_trip_check_fails_on_a_word_sign_both_directions_share(monkeypatch):
+    """An all-ones alpha in ``_offset_signs`` drops a sign from K in the
+    expansion and in the reconstruction alike, so the round trip still
+    holds; the coefficients read against ``apply_word`` catch it."""
+    offset_signs = filtration._offset_signs
+
+    def ones(n):
+        alpha, beta = offset_signs(n)
+        return np.ones_like(alpha), beta
+
+    monkeypatch.setattr(filtration, "_offset_signs", ones)
+    status = _statuses(verify.algebra_suite(0))
+    assert status["expansion round trip on a random operator"] == "fail"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_round_trip_row_passes_and_coefficient_reads_one_word(seed):
+    """The expansion row passes on every seed the CI runs, and
+    ``coefficient`` reads the lifted coefficients one word at a time."""
+    assert _statuses(verify.algebra_suite(seed))[
+        "expansion round trip on a random operator"] == "pass"
+    rnd = random.Random(seed)
+    m = FiberOp(5, 1, {(rnd.randrange(32), rnd.randrange(32)): Fraction(rnd.randint(1, 4), 3)
+                       for _ in range(12)})
+    exp = expand_clifford_basis(m)
+    words = [(c, h) for c in range(32) for h in range(32)]
+    assert {w: exp.coefficient(*w) for w in words if exp.coefficient(*w)} == exp.coefficients
+    again = CliffordWordExpansion(5, exp.coefficients)
+    assert all(again.coefficient(*w) == exp.coefficient(*w) for w in words)
+
+
+@pytest.mark.parametrize("q_max", [20, 50, 80, 100, 399, 400])
+def test_spectrum_suite_prefixes_equal_their_own_tables(q_max):
+    """Each table the spectrum suite cuts from its q <= 400 table is, column
+    for column, the table ``enumerate_levels`` builds up to q_max."""
+    got = verify._levels_up_to(enumerate_levels(7, 400), q_max)
+    want = enumerate_levels(7, q_max)
+    for field in ("n", "den", "nums", "counts", "zero_modes"):
+        assert getattr(got, field) == getattr(want, field), field
 
 
 def test_decomposition_check_fails_when_apply_drops_a_row(monkeypatch):

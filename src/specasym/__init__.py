@@ -8,8 +8,8 @@ no submodule, and each name imports its module on first access.  So
 modules it uses, and numpy loads only with ``filtration``, ``verify`` or
 the flat-torus level counts.  ``FiberOp`` and the ``holonomy`` operators
 are sparse maps keyed by basis masks and need no numpy; ``FiberOp`` is
-only the exterior product and its adjoint, which the algebra suite and
-the word expansion of ``filtration`` read.  Clifford words act through
+only the exterior product and its adjoint, and the word expansion of
+``filtration`` reads and returns it.  Clifford words act through
 the closed forms ``exterior.apply_word`` and ``wordops.word_mul``.
 """
 

@@ -160,11 +160,6 @@ _PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 def _parse_number(text: str) -> Fraction:
     """Exact rational from text such as "-1/2" or "1e-3"; ValueError past the
     caps or where Fraction fails, ZeroDivisionError for a zero denominator."""
-    if len(text) <= _MAX_LENGTH:
-        plain = _PLAIN.fullmatch(text)
-        if plain:
-            num, den = plain.groups()
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
     exp = _EXPONENT.search(text)
     if len(text) > _MAX_LENGTH or (exp and abs(int(exp.group(1))) > _MAX_EXPONENT):
         raise ValueError(f"number text longer than {_MAX_LENGTH} characters "
@@ -372,6 +367,15 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _instanton_warning(rep) -> str | None:
+    """The warning text of a failed ``InstantonReport``, else None."""
+    if rep is None or rep.ok:
+        return None
+    if rep.max_component == 0.0:
+        return "P7 component nonzero but below the float range"
+    return f"P7 component up to {rep.max_component:.3e}"
+
+
 def cmd_residue(args) -> int:
     try:
         cd = load_curvature(args.input)
@@ -387,12 +391,17 @@ def cmd_residue(args) -> int:
         return EXIT_INPUT
     report = full_residue_report(s, cd)
     signs = report_sign(report)
-    payload = report.to_dict()
-    payload["density"] = _form_to_dict(report.density)
-    payload["sign"] = {
-        "sign": signs.sign,
-        "is_instanton": signs.is_instanton,
-        "note": signs.note,
+    payload = {
+        "kind": report.kind,
+        "twisted": report.twisted,
+        "pole_location": report.pole_location,
+        "integral": _leaf(report.integral),
+        "b_coefficient": _leaf(report.b_coefficient),
+        "residue": _leaf(report.residue),
+        "untwisted_constant_ok": report.untwisted_constant_ok,
+        "instanton_warning": _instanton_warning(report.instanton),
+        "density": _form_to_dict(report.density),
+        "sign": {"sign": signs.sign, "is_instanton": signs.is_instanton, "note": signs.note},
     }
     if args.oracle:
         power = Fraction(-s.degree, 2)

@@ -417,11 +417,11 @@ class FiberOp:
     ``entries`` maps (row, col) to a nonzero coefficient, where an index
     is basis mask * r + bundle index; at r = 1 the keys are those of
     ``star_ext_entries``.  Only the exterior product ``ext_op``, its
-    ``adjoint`` and ``==`` are defined: the algebra suite checks that the
-    adjoint of e(e^i) is ``DiffForm.interior``, and the word expansion of
-    ``filtration`` reads and returns these maps.  ``ext_op`` sums each
-    entry from ``Fraction(0)``, so an integer coefficient gives a Fraction
-    entry.
+    ``adjoint`` and ``==`` are defined: the word expansion of
+    ``filtration`` reads and returns these maps, and the tests build
+    their oracles of the ``star_ext_entries`` tables with ``ext_op``.
+    ``ext_op`` sums each entry from ``Fraction(0)``, so an integer
+    coefficient gives a Fraction entry.
     """
 
     __slots__ = ("n", "r", "entries")

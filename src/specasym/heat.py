@@ -27,13 +27,14 @@ call share them.
 Each density has two tiers: a production route that pairs over the
 integers, then lifts once, and a full-kernel oracle.  The weighted
 density is a linear functional [w ^ .]_n of tr Q and tr V^2 (the pairing
-of w with tr V, a 2-form, is zero), so the integer numerators of w
-(``residue.numerator_form``) are paired with the numerators of the traces
-through complement lookups (``DiffForm.top_pairing``: only the complement
-of each term of w is read, and no wedge is formed), the integer pairings
-are combined over one denominator, and ``_lift_density`` is the one place
-they are lifted: one Fraction per power of t, times TRACE_NORMALISATION
-(4 pi t)^{-n/2}, with no Scalar product.  ``mehler_diag_trace`` combines
+of w with tr V, a 2-form, is zero), so w, whose coefficients are ints for
+both structures (``holonomy.standard_structure``), is paired with the
+numerators of the traces through complement lookups
+(``DiffForm.top_pairing``: only the complement of each term of w is read,
+and no wedge is formed), the integer pairings are combined over one
+denominator, and ``_lift_density`` is the one place they are lifted: one
+Fraction per power of t, times TRACE_NORMALISATION (4 pi t)^{-n/2}, with
+no Scalar product.  ``mehler_diag_trace`` combines
 them in ``_mehler_pairing``; ``duhamel_density`` pairs the form trace of
 each Wick term (with no drift, since rhat is antisymmetric) and sums them
 with their coefficients.  The Wick terms are listed once (``wick_terms``);
@@ -73,7 +74,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .exact import Scalar
 from .exterior import DiffForm, mask_of, sparse_product
-from .residue import CurvatureData, characteristic_pairing, numerator_form
+from .residue import CurvatureData, characteristic_pairing
 
 if TYPE_CHECKING:  # the full-kernel oracles import wordops when they run
     from .wordops import WordOperator
@@ -511,24 +512,24 @@ def _mehler_pairing(w: DiffForm, cd: CurvatureData) -> Tuple[int, int]:
     is a sum of wedges of two 2-forms, so the power of t follows form
     degree.  At degree 4 the kernel needs only t^2 V^2 / 2 from exp(-t V)
     and only the first determinant term (1/2) l_1 tr(4 t^2 Q) (x) 1_r,
-    whose fiber trace is 2^n r; the numerators of w are paired with those
-    of tr Q and tr V^2.
+    whose fiber trace is 2^n r; w is paired with the numerators of tr Q
+    and tr V^2.  An int w gives an int numerator; a rational w gives a
+    Fraction numerator of the same value.
     """
     den, tr_q, _, tr_v2 = model_traces(cd)
-    wn, w_den = numerator_form(w)
     a, b = _DET_WEIGHT.numerator, _DET_WEIGHT.denominator
-    # a / b r 2^n [w ^ tr Q]_n + (1/2) [w ^ tr V^2]_n over den * w_den
-    return (2 * a * cd.r * (1 << cd.n) * wn.top_pairing(tr_q) + b * wn.top_pairing(tr_v2),
-            2 * b * den * w_den)
+    # a / b r 2^n [w ^ tr Q]_n + (1/2) [w ^ tr V^2]_n over den
+    return (2 * a * cd.r * (1 << cd.n) * w.top_pairing(tr_q) + b * w.top_pairing(tr_v2),
+            2 * b * den)
 
 
 def duhamel_density(s, cd: CurvatureData) -> Scalar:
     """Weighted density via the Duhamel expansion (oracle side).
 
-    Pair over the integers, then lift once: the numerators of w are paired
-    with the form trace of each product of ``wick_terms``, the pairings
-    are summed with their coefficients over one denominator, each power of
-    t apart, and the sums become Fractions times TRACE_NORMALISATION
+    Pair over the integers, then lift once: w is paired with the form
+    trace of each product of ``wick_terms``, the pairings are summed with
+    their coefficients over one denominator, each power of t apart, and
+    the sums become Fractions times TRACE_NORMALISATION
     (4 pi t)^{-n/2} once (``_lift_density``).  The operands are
     ``model_traces``: the constant C is the pair (tr C, tr C^2) =
     (tr V, tr V^2), and tr Q stands for tr Q (x) 1_r.  No drift is passed:
@@ -546,7 +547,7 @@ def duhamel_density(s, cd: CurvatureData) -> Scalar:
         raise ValueError("structure/curvature dimension mismatch")
     den, tr_q, tr_v, tr_v2 = model_traces(cd)
     const = (tr_v, tr_v2)
-    (wn, w_den), fiber = numerator_form(s.defining_form), (1 << cd.n) * cd.r
+    w, fiber = s.defining_form, (1 << cd.n) * cd.r
     sums = {}  # power of t^(1/2) -> [real, imaginary] numerators
     for coef, half, products in wick_terms(cd.n, const, None, tr_q):
         c = coef.numerator * (_WICK_DEN // coef.denominator)
@@ -556,9 +557,9 @@ def duhamel_density(s, cd: CurvatureData) -> Scalar:
             if k:
                 forms.insert(0, const[k - 1])
             form = reduce(DiffForm.wedge, forms) if forms else DiffForm.one(cd.n)
-            x = (c if k else c * fiber) * wn.top_pairing(form) * den ** (2 - len(forms))
+            x = (c if k else c * fiber) * w.top_pairing(form) * den ** (2 - len(forms))
             sums.setdefault(half, [0, 0])[k == 1] += x
-    return _lift_density(cd.n, _WICK_DEN * den * den * w_den, sums)
+    return _lift_density(cd.n, _WICK_DEN * den * den, sums)
 
 
 def _lift_density(n: int, den: int, sums) -> Scalar:

@@ -1,7 +1,8 @@
 """Standard G2 / Spin(7) structures and the 2-form eigenspace machinery.
 
 The defining 3-form phi and the Cayley 4-form psi = phi ^ e^8 + *phi are
-built in fixed coordinates and then self-validated: the operator
+built in fixed coordinates with int coefficients (each one is +-1), so
+every pairing with w multiplies ints, and then self-validated: the operator
 a |-> *(w ^ a) on 2-forms must be symmetric with spectrum {+2 x7, -1 x14}
 (G2) or {+3 x7, -1 x21} (Spin(7)), and the Cayley form must be self-dual;
 a structure that fails raises StructureValidationError.  Every 2-form
@@ -183,17 +184,15 @@ def standard_structure(kind: str) -> HolonomyStructure:
     if kind not in (G2, SPIN7):
         raise ValueError("kind must be 'g2' or 'spin7'")
     n, plus, big = (7, 2, 14) if kind == G2 else (8, 3, 21)
-    form = DiffForm(7, {mask_of(idx): Fraction(c) for idx, c in _PHI_TERMS.items()})
+    form = DiffForm(7, {mask_of(idx): c for idx, c in _PHI_TERMS.items()})
     if kind == SPIN7:
         form = DiffForm(8, dict(form.terms)).wedge(DiffForm.monomial(8, (8,))) + DiffForm(
             8, dict(form.hodge().terms)
         )
         if form.hodge() != form:
             raise StructureValidationError("Cayley form is not self-dual")
-    if any(int(c) != c for c in form.terms.values()):
-        raise ValueError("structure forms must have integer coefficients")
     basis = two_form_basis(n)
-    a = star_ext_entries(DiffForm(n, {k: int(c) for k, c in form.terms.items()}), basis)
+    a = star_ext_entries(form, basis)
     if any(popcount(t) != 2 for t, _ in a):
         raise ValueError("star-wedge image is not a 2-form")
     if any(a.get((b, t)) != v for (t, b), v in a.items()):

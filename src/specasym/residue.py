@@ -18,11 +18,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isfinite, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .exact import Scalar, rational_numerators
+from .exact import Scalar
 from .exterior import DiffForm, Mat, indices_of, mask_of, merge_sign
 from .holonomy import (
     G2,
@@ -61,14 +61,14 @@ class CurvatureData:
 
     The production routes pair the defining form with these integers and
     lift to Fraction or Scalar once, at the end: ``residue_density`` here,
-    the model traces and both densities in ``heat``.  The rational views
+    the model traces and both densities in ``heat``.  The Chern-Weil sums
+    have no rational view.  The rational views of the curvature,
     ``r_entries`` (canonical quadruple -> R value), ``r_rows``
     ((i, j) -> [((k, l), R_ijkl)] with i < j and k < l, sorted, listed
-    under both pairs), ``f_entries`` ((i, j) -> the bundle map F_ij, a
-    sparse ``{(a, b): Scalar}`` map, ``exterior.Mat``), ``pi2_p1``,
-    ``pi_c1``, ``pi2_c2`` and ``pi2_bundle`` are built on first use, for
-    the oracles and the tests; ``f_entries`` is in the format the
-    constructor takes, so ``CurvatureData(n, r, cd.r_entries,
+    under both pairs) and ``f_entries`` ((i, j) -> the bundle map F_ij, a
+    sparse ``{(a, b): Scalar}`` map, ``exterior.Mat``), are built on first
+    use, for the full-kernel oracles and the tests; ``f_entries`` is in the
+    format the constructor takes, so ``CurvatureData(n, r, cd.r_entries,
     cd.f_entries) == cd``.  Index symmetries are enforced on construction
     and never silently repaired.
 
@@ -162,22 +162,6 @@ class CurvatureData:
     def f_entries(self) -> Dict[Tuple[int, int], Mat]:
         """(i, j) -> bundle map F_ij (i < j) with nonzero Scalar values."""
         return _scalar_matrices(self.r, self.f_den, self.f_planes)
-
-    @cached_property
-    def pi2_p1(self) -> Dict[int, Fraction]:
-        return _fractions(self.p1_nums, self.p1_den)
-
-    @cached_property
-    def pi_c1(self) -> Dict[int, Fraction]:
-        return _fractions(self.c1_nums, self.chern_den)
-
-    @cached_property
-    def pi2_c2(self) -> Dict[int, Fraction]:
-        return _fractions(self.c2_nums, self.chern_den)
-
-    @cached_property
-    def pi2_bundle(self) -> Dict[int, Fraction]:
-        return _fractions(self.bundle_nums, self.chern_den)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -473,31 +457,14 @@ def _pi_form(n, nums, den, pi_half) -> DiffForm:
                         for m, x in nums.items()})
 
 
-# id(form) -> (form, numerator form, den); holding the form keeps its id
-# from being reused
-_NUMERATOR_FORMS: Dict[int, Tuple[DiffForm, DiffForm, int]] = {}
-
-
-def numerator_form(w: DiffForm) -> Tuple[DiffForm, int]:
-    """(w times den, den) for the least common denominator den of w's
-    rational coefficients: an integer form, so the pairings of the
-    production routes multiply ints.  Built once per form object; the
-    structures' defining forms are read-only."""
-    hit = _NUMERATOR_FORMS.get(id(w))
-    if hit is None:
-        den, nums = rational_numerators(list(w.terms.values()))
-        hit = _NUMERATOR_FORMS[id(w)] = w, DiffForm(w.n, dict(zip(w.terms, nums))), den
-    return hit[1:]
-
-
 def characteristic_pairing(w: DiffForm, cd: CurvatureData) -> Fraction:
-    """[w ^ pi^2 ((1/3) p1 + c1^2 - c2)]_n: the integer numerators of w and
-    of the sum are paired by complement lookups (``DiffForm.top_pairing``,
-    no wedge formed), and the integer over the product of the denominators
-    is the one Fraction built."""
-    wn, w_den = numerator_form(w)
+    """[w ^ pi^2 ((1/3) p1 + c1^2 - c2)]_n: w and the integer numerators of
+    the sum are paired by complement lookups (``DiffForm.top_pairing``, no
+    wedge formed), and the pairing over the sum's denominator is the one
+    Fraction built.  A structure's w has int coefficients, so the pairing
+    multiplies ints; a rational w gives the same exact Fraction."""
     nums, den = _characteristic_numerators(cd)
-    return Fraction(wn.top_pairing(DiffForm(cd.n, nums)), w_den * den)
+    return Fraction(w.top_pairing(DiffForm(cd.n, nums)), den)
 
 
 def residue_density(s: HolonomyStructure, cd: CurvatureData) -> DiffForm:
@@ -537,29 +504,6 @@ class ResidueReport(Record):
         self.pole_location = pole_location
         self.untwisted_constant_ok = untwisted_constant_ok
         self.instanton = instanton
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "twisted": self.twisted,
-            "pole_location": f"{self.pole_location}",
-            "integral": {"exact": repr(self.integral), "float": _safe_float(self.integral)},
-            "b_coefficient": {
-                "exact": repr(self.b_coefficient),
-                "float": _safe_float(self.b_coefficient),
-            },
-            "residue": {"exact": repr(self.residue), "float": _safe_float(self.residue)},
-            "untwisted_constant_ok": self.untwisted_constant_ok,
-            "instanton_warning": _instanton_warning(self.instanton),
-        }
-
-
-def _instanton_warning(rep: Optional[InstantonReport]) -> Optional[str]:
-    if rep is None or rep.ok:
-        return None
-    if rep.max_component == 0.0:
-        return "P7 component nonzero but below the float range"
-    return f"P7 component up to {rep.max_component:.3e}"
 
 
 def residue_value(
@@ -703,17 +647,3 @@ def instanton_line_curvature(s: HolonomyStructure, base=(1, 2), scale=1):
         f_entries[(lo, hi)] = {(0, 0): Scalar.i() * Scalar.of(scale * c)}
     return CurvatureData(s.n, 1, {}, f_entries)
 
-
-def _safe_float(x: Scalar):
-    """The value as a float, [re, im] if it is not real, None past the
-    float range."""
-    try:
-        z = x.evalf()
-    except OverflowError:
-        return None
-    if not (isfinite(z.real) and isfinite(z.imag)):
-        return None
-    try:
-        return x.real_float()
-    except ValueError:
-        return [z.real, z.imag]

@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .exact import Scalar, rational_numerators
+from .exact import Scalar
 from .exterior import (
     DiffForm,
     FiberOp,
@@ -201,20 +201,24 @@ def _pairing_ok(n: int) -> bool:
 
 
 def _interior_adjoint_ok(n: int) -> bool:
-    """e(e^i)^* = ``DiffForm.interior(i)`` as matrices, for every i, from one
-    contraction per i of the form that numbers each mask s by s + 1.
+    """e(e^i)^T = ``DiffForm.interior(i)`` as matrices, for every i, from
+    one wedge e^i ^ . and one contraction per i of the form that numbers
+    each mask s by s + 1.
 
-    The contraction maps each term alone, so each of its coefficients is
-    +-(s + 1) for one source mask s: the column and the sign of every
-    entry are read off it, and the matrix is the one the contractions of
+    Both maps send each term alone to one target, so each coefficient of
+    an image is +-(s + 1) for one source mask s: the row, the column and
+    the sign of every entry are read off it, and each matrix is the one
     the 2^n monomials give, which keeps the check exhaustive.
     """
     numbered = DiffForm(n, {s: s + 1 for s in range(1 << n)})
+
+    def matrix(image: DiffForm) -> Dict[Tuple[int, int], int]:
+        return {(m, abs(c) - 1): 1 if c > 0 else -1 for m, c in image.terms.items()}
+
     ok = True
     for i in range(1, n + 1):
-        interior = FiberOp(n, 1, {(m, abs(c) - 1): 1 if c > 0 else -1
-                                  for m, c in numbered.interior(i).terms.items()})
-        ok &= FiberOp.ext_op(DiffForm.monomial(n, (i,))).adjoint() == interior
+        ext = matrix(DiffForm.monomial(n, (i,)).wedge(numbered))
+        ok &= {(s, t): v for (t, s), v in ext.items()} == matrix(numbered.interior(i))
     return ok
 
 
@@ -252,7 +256,7 @@ def _bridge_check(s, seed: int) -> bool:
     The random M are then checked on ``_bridge_sums``.
     """
     basis2 = [m for m in range(1 << s.n) if popcount(m) == 2]
-    cdvol_w = {k: int(v) for k, v in star_ext_entries(s.defining_form, basis2, True).items()}
+    cdvol_w = star_ext_entries(s.defining_form, basis2, True)
     if s.star_ext != {k: -v for k, v in cdvol_w.items()}:
         return False
     return all(lhs == -rhs for lhs, rhs in _bridge_sums(s, basis2, cdvol_w, seed))
@@ -346,19 +350,20 @@ def holonomy_suite(seed: int = 0) -> List[CheckResult]:
             _check(out, "g2 contractions are +2 eigenvectors (all v)", ok)
 
         ok = True
-        # 100 forms of 5 draws (mask, p in -5..5, q in 1..4) each
+        # 100 forms of 5 draws (mask, p in -5..5, q in 1..4) each, every
+        # (p / q) times 12, the lcm of q in 1..4: the identities are
+        # homogeneous, so the integer forms check what the rational ones do
         masks, ps, qs = (col.tolist() for col in _uniform_draws(rnd, (len(basis2), 11, 4), 500))
         for f in range(0, 500, 5):
             terms = {}
             for d in range(f, f + 5):
-                terms[basis2[masks[d]]] = Fraction(ps[d] - 5, qs[d] + 1)
+                terms[basis2[masks[d]]] = (ps[d] - 5) * (12 // (qs[d] + 1))
             alpha = DiffForm(s.n, terms)
             # |a7|^2 + |abig|^2 = |alpha|^2, a7 + abig = alpha and <a7, abig> = 0,
             # on the integer numerators over the projections' one denominator
             d7, a7 = p7.numerators(alpha)
             dbig, abig = pbig.numerators(alpha)
-            nums = rational_numerators(list(alpha.terms.values()))[1]
-            x = {m: den * v for m, v in zip(alpha.terms, nums)}  # alpha over d7
+            x = {m: den * v for m, v in alpha.terms.items()}  # alpha over d7
             ok &= (
                 d7 == dbig
                 and sum(v * v for part in (a7, abig) for v in part.values())

@@ -59,12 +59,18 @@ def _kind(n):
     return "g2" if n == 7 else "spin7"
 
 
+def _over(nums, den):
+    """{mask: numerator / den} as Fractions."""
+    return {m: Fraction(x, den) for m, x in nums.items()}
+
+
 def _assert_matches_oracle(cd, fm):
     """Sums, traces, the residue density and both weighted densities of
     ``cd`` equal the Fraction-map oracle's, value and repr."""
     s = standard_structure(_kind(cd.n))
-    assert cd.pi2_p1 == fm.p1(cd)
-    assert (cd.pi_c1, cd.pi2_c2, cd.pi2_bundle) == fm.chern(cd.r, cd.f_den, cd.f_planes)
+    assert _over(cd.p1_nums, cd.p1_den) == fm.p1(cd)
+    assert tuple(_over(nums, cd.chern_den) for nums in (cd.c1_nums, cd.c2_nums, cd.bundle_nums)
+                 ) == fm.chern(cd.r, cd.f_den, cd.f_planes)
     assert fm.lift_traces(model_traces(cd)) == fm.model_traces(cd)
     for got, want in ((residue_density(s, cd), fm.residue_density(s, cd)),
                       (mehler_diag_trace(s, cd), fm.mehler_density(s, cd)),

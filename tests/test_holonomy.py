@@ -287,6 +287,33 @@ def _outcome(fn, a, basis, plus):
         return str(exc)
 
 
+_STRUCTURE_REPRS = {
+    "g2": "HolonomyStructure(kind='g2', n=7, defining_form=(1)*e123 + (1)*e145 + (1)*e167 "
+          "+ (1)*e246 + (-1)*e257 + (-1)*e347 + (-1)*e356, eigenvalue_table=[(2, 7), (-1, 14)])",
+    "spin7": "HolonomyStructure(kind='spin7', n=8, defining_form=(1)*e1238 + (-1)*e1247 "
+             "+ (-1)*e1256 + (-1)*e1346 + (1)*e1357 + (1)*e1458 + (1)*e1678 + (1)*e2345 "
+             "+ (1)*e2367 + (1)*e2468 + (-1)*e2578 + (-1)*e3478 + (-1)*e3568 + (1)*e4567, "
+             "eigenvalue_table=[(3, 7), (-1, 21)])",
+}
+
+
+@pytest.mark.parametrize("kind", ["g2", "spin7"])
+def test_structure_form_is_int_and_feeds_star_ext_as_built(kind):
+    """phi and psi are built with int coefficients and handed to
+    ``star_ext_entries`` unchanged.  The structure's repr is the pinned
+    text, and repr and == are those of the same structure whose form holds
+    the coefficients as Fractions."""
+    s = standard_structure(kind)
+    assert s.defining_form.terms
+    assert all(type(c) is int for c in s.defining_form.terms.values())
+    assert s.star_ext == exterior.star_ext_entries(s.defining_form, two_form_basis(s.n))
+    assert repr(s) == _STRUCTURE_REPRS[kind]
+    fractions = DiffForm(s.n, {m: Fraction(c) for m, c in s.defining_form.terms.items()})
+    same = HolonomyStructure(s.kind, s.n, fractions, s.eigenvalue_table, s.star_ext,
+                             s.projection_pair)
+    assert repr(same) == repr(s) and same == s
+
+
 def test_integer_structure_matches_fraction_oracles(g2, spin7):
     rnd = random.Random(4)
     for s in (g2, spin7):

@@ -47,7 +47,7 @@ def _assert_same_curvature(loaded: CurvatureData, r_entries, f_values):
     assert loaded.f_den == want.f_den
     assert loaded.f_planes == want.f_planes
     assert loaded.r_rows == want.r_rows
-    for name in ("pi2_p1", "pi_c1", "pi2_c2", "pi2_bundle"):
+    for name in ("p1_den", "p1_nums", "chern_den", "c1_nums", "c2_nums", "bundle_nums"):
         assert getattr(loaded, name) == getattr(want, name), name
     assert loaded.f_entries == {k: m for k, m in mats.items() if m}
     assert loaded.f_entries == want.f_entries

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from specasym.cli import JsonLeaf, _leaf
 from specasym.exact import Scalar
 from specasym.exterior import DiffForm
 from specasym.holonomy import decompose_two_form
@@ -212,21 +213,19 @@ def test_residue_quadratic_scaling(g2):
 
 
 def test_report_floats_past_the_float_range_are_null(g2):
-    """Float fields that do not fit a float read None (JSON null); the
-    exact fields keep the value."""
+    """The CLI's leaves of report values that do not fit a float read None
+    (JSON null); the exact text keeps the value."""
     big = 10 ** 400
     rep = residue_value(g2, True, Scalar.of(big), DiffForm.dvol(7).scale(big))
-    out = rep.to_dict()
-    assert out["integral"] == {"exact": str(big), "float": None}
-    assert out["b_coefficient"]["float"] is None and out["residue"]["float"] is None
+    assert _leaf(rep.integral) == JsonLeaf(str(big), None)
+    assert _leaf(rep.b_coefficient).float is None and _leaf(rep.residue).float is None
     cd = CurvatureData(7, 1, {}, {(2, 3): {(0, 0): Scalar.i(big)}, (4, 5): {(0, 0): Scalar.i(big)}})
-    out = full_residue_report(g2, cd).to_dict()
-    assert out["integral"]["float"] is None
-    assert out["integral"]["exact"] == repr(full_residue_report(g2, cd).integral) != "0"
+    integral = full_residue_report(g2, cd).integral
+    assert _leaf(integral) == JsonLeaf(repr(integral), None) and repr(integral) != "0"
     # a nonreal value past the float range is None as well, not [inf, nan]
     huge = Scalar.term(big, big)
     rep = residue_value(g2, True, huge, DiffForm.dvol(7).scale(huge))
-    assert rep.to_dict()["integral"]["float"] is None
+    assert _leaf(rep.integral).float is None
 
 
 _PINS = json.loads((Path(__file__).parent / "data" / "random_curvature_pins.json").read_text())

@@ -60,10 +60,13 @@ def test_each_check_records_its_seconds():
         "name": "synthetic", "status": "pass", "detail": "", "seconds": 0.0}
 
 
-@pytest.mark.parametrize("broken", ["adjoint-without-transpose", "interior-sign"])
+@pytest.mark.parametrize("broken", ["wedge-on-the-right", "interior-sign"])
 def test_interior_adjoint_check_can_fail(monkeypatch, broken):
-    if broken == "adjoint-without-transpose":
-        monkeypatch.setattr(FiberOp, "adjoint", lambda self: FiberOp(self.n, self.r, dict(self.entries)))
+    """e^s ^ e^i = (-1)^|s| e^i ^ e^s, so a wedge that multiplies on the
+    right flips the odd-degree columns of e(e^i)."""
+    if broken == "wedge-on-the-right":
+        wedge = DiffForm.wedge
+        monkeypatch.setattr(DiffForm, "wedge", lambda self, other: wedge(other, self))
     else:
         interior = DiffForm.interior
         monkeypatch.setattr(
